@@ -1368,6 +1368,7 @@ let pr5_e9 () =
        run stays within 3x of the disabled run, and distinct literals \
        collapse into one fingerprint with an exact call count";
   let module Qs = Dmx_obs.Query_store in
+  let module Emit = Dmx_obs.Emit in
   let db = fresh_db () in
   let ctx = Db.begin_txn db in
   ignore
@@ -1397,18 +1398,18 @@ let pr5_e9 () =
            let (), secs = time run in
            us_per secs iters))
   in
-  Qs.set_enabled false;
+  Emit.disarm `Statements;
   let off_us = measure () in
-  Qs.set_enabled true;
-  Qs.reset ();
+  Emit.arm `Statements;
+  Emit.reset `Statements;
   let runs = 4 in
   (* measure () runs the workload once to warm plus [runs - 1] timed *)
   let on_us = measure () in
-  let fingerprints = Qs.size () in
+  let fingerprints = Qs.size (Emit.store ()) in
   let calls =
-    match Qs.entries () with [ e ] -> e.Qs.e_calls | _ -> -1
+    match Qs.entries (Emit.store ()) with [ e ] -> e.Qs.e_calls | _ -> -1
   in
-  Qs.set_enabled false;
+  Emit.disarm `Statements;
   (* contents stay live (not reset) so the "query_store" probe reports a
      deterministic delta in the gate baseline *)
   Report.table

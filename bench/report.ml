@@ -50,12 +50,12 @@ let i v = string_of_int v
 
 (* Per-experiment observability: every counter that moved between two
    [Dmx_obs.Metrics.snapshot]s, as name/delta pairs. Printed and returned
-   so the driver can serialize them. *)
+   so the driver can serialize them. Every counter and probe only grows
+   within an experiment ([Metrics.reset] rebases probes), so a negative
+   delta is a measurement bug and fails the run. *)
 let counter_deltas ~before ~after =
   (* Union of both snapshots: counters registered mid-experiment show their
-     full value, and counters that vanished (a [Metrics.reset] mid-phase, a
-     probe replaced by a fresh setup) report a negative delta instead of
-     silently disappearing from the table. *)
+     full value, and counters that vanished report a negative delta. *)
   let base = Hashtbl.of_seq (List.to_seq before) in
   let seen = Hashtbl.of_seq (List.to_seq after) in
   let vanished =
@@ -71,6 +71,13 @@ let counter_deltas ~before ~after =
         if d = 0 then None else Some (name, d))
       (after @ vanished)
   in
+  (match List.filter (fun (_, d) -> d < 0) moved with
+  | [] -> ()
+  | negative ->
+    List.iter
+      (fun (name, d) -> Fmt.epr "bench: counter %s went backwards (%+d)@." name d)
+      negative;
+    exit 1);
   if moved <> [] then begin
     Fmt.pr "counters (delta over experiment):@.";
     List.iter (fun (name, d) -> Fmt.pr "  %-28s %+d@." name d) moved

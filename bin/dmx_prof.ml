@@ -62,33 +62,19 @@ let () =
   end;
   if !statements_only then begin
     let open Dmx_obs in
-    let open Trace_reader in
-    let ss = statements records in
+    let ss = Trace_reader.statements records in
     if !json then
       Fmt.pr "%s@."
         (Obs_json.to_string
-           (Obs_json.List
-              (List.map
-                 (fun s ->
-                   Obs_json.Obj
-                     [ ("fingerprint", Obs_json.Str s.s_fp);
-                       ("statement", Obs_json.Str s.s_text);
-                       ("calls", Obs_json.Int s.s_calls);
-                       ("errors", Obs_json.Int s.s_errors);
-                       ("rows", Obs_json.Int s.s_rows);
-                       ("p50_us", Obs_json.Float s.s_p50);
-                       ("p95_us", Obs_json.Float s.s_p95);
-                       ( "plans",
-                         Obs_json.List
-                           (List.map (fun p -> Obs_json.Str p) s.s_plans) ) ])
-                 ss)))
+           (Obs_json.List (List.map Trace_reader.statement_json ss)))
     else
       List.iter
-        (fun s ->
+        (fun (e : Query_store.entry) ->
           Fmt.pr
             "%s  calls=%d errs=%d rows=%d p50=%.1fus p95=%.1fus plans=%d  %s@."
-            s.s_fp s.s_calls s.s_errors s.s_rows s.s_p50 s.s_p95
-            (List.length s.s_plans) s.s_text)
+            (Query_store.hex e.e_fp) e.e_calls e.e_errors e.e_rows
+            (Query_store.quantile e 0.50) (Query_store.quantile e 0.95)
+            (List.length e.e_plans) e.e_text)
         ss
   end
   else if !json then

@@ -23,10 +23,9 @@
      show stats          (metrics registry dump: counters + histograms)
      stats reset         (zero counters/histograms for per-phase deltas)
      show profile        (latency attribution by component, per transaction)
-     profile on | off | reset   (also DMX_PROFILE=1)
-     trace on | trace off  (JSON Lines dispatch tracing; also DMX_TRACE=1)
-     events on | off     (engine event ring, shown by dmx_events; DMX_EVENTS=1)
-     statements on | off | reset   (query store; also DMX_QUERYSTORE=1)
+     trace | events | profile | statements on | off | reset
+                         (telemetry sinks: JSON Lines trace, the dmx_events
+                          ring, the profiler, the query store; DMX_OBS=...)
      show statements [top N by calls|time|io]   (per-fingerprint statistics)
      watch select * from dmx_wal 5   (re-run a query; DMX_WATCH_MS interval)
      quit
@@ -278,6 +277,7 @@ let print_rows schema_names rows =
 (* ---- query store display ---- *)
 
 let show_statements ?top ~by () =
+  let store = Dmx_obs.Emit.store () in
   let weight (e : Dmx_obs.Query_store.entry) =
     match by with
     | `Calls -> float_of_int e.e_calls
@@ -287,7 +287,7 @@ let show_statements ?top ~by () =
   let entries =
     List.sort
       (fun a b -> compare (weight b) (weight a))
-      (Dmx_obs.Query_store.entries ())
+      (Dmx_obs.Query_store.entries store)
   in
   let entries =
     match top with
@@ -298,11 +298,7 @@ let show_statements ?top ~by () =
     "errs" "rows" "total_us" "p95_us" "io" "plans" "statement";
   List.iter
     (fun (e : Dmx_obs.Query_store.entry) ->
-      let p95 =
-        match Dmx_obs.Metrics.quantile e.e_latency 0.95 with
-        | Some v -> v
-        | None -> 0.
-      in
+      let p95 = Dmx_obs.Query_store.quantile e 0.95 in
       Fmt.pr "%016Lx %6d %4d %6d %10.1f %8.1f %6d %5d  %s@." e.e_fp e.e_calls
         e.e_errors e.e_rows
         (Dmx_obs.Metrics.histogram_sum e.e_latency)
@@ -311,9 +307,40 @@ let show_statements ?top ~by () =
         (List.length e.e_plans) e.e_text)
     entries;
   Fmt.pr "(%d of %d fingerprint%s; %d evicted)@." (List.length entries)
-    (Dmx_obs.Query_store.size ())
-    (if Dmx_obs.Query_store.size () = 1 then "" else "s")
-    (Dmx_obs.Query_store.evicted ())
+    (Dmx_obs.Query_store.size store)
+    (if Dmx_obs.Query_store.size store = 1 then "" else "s")
+    (Dmx_obs.Query_store.evicted store)
+
+(* ---- telemetry sinks: <sink> on | off | reset ---- *)
+
+let sink_verb name verb =
+  let sink = List.hd (Dmx_obs.Emit.sinks_of_string name) in
+  let upper = String.uppercase_ascii name in
+  match verb with
+  | "on" ->
+    Dmx_obs.Emit.arm sink;
+    let detail =
+      match sink with
+      | `Trace ->
+        Fmt.str " (JSON Lines to %s)"
+          (Option.value ~default:"stderr" (Sys.getenv_opt "DMX_TRACE_FILE"))
+      | `Events ->
+        let ring = Dmx_obs.Emit.ring () in
+        Fmt.str " (ring of %d, slow >= %.0fus)"
+          (Dmx_obs.Event_ring.capacity ring) (Dmx_obs.Event_ring.slow_us ring)
+      | `Statements ->
+        Fmt.str " (capacity %d)"
+          (Dmx_obs.Query_store.capacity (Dmx_obs.Emit.store ()))
+      | `Profile | `Metrics -> ""
+    in
+    Fmt.pr "%s ON%s@." upper detail
+  | "off" ->
+    Dmx_obs.Emit.disarm sink;
+    Fmt.pr "%s OFF@." upper
+  | "reset" ->
+    Dmx_obs.Emit.reset sink;
+    Fmt.pr "%s RESET@." upper
+  | v -> err "expected: %s on | off | reset (got %S)" name v
 
 (* ---- statement execution ---- *)
 
@@ -551,7 +578,7 @@ let exec_line st line =
     | "show", [ Word t ] when kw t = "stats" ->
       Fmt.pr "%a@." Dmx_obs.Metrics.pp_dump ()
     | "stats", [ Word t ] when kw t = "reset" ->
-      Dmx_obs.Metrics.reset ();
+      Dmx_obs.Emit.reset `Metrics;
       Fmt.pr "STATS RESET@."
     | "show", [ Word t ] when kw t = "views" ->
       (* Every mounted sysview relation with its provider and live row
@@ -602,16 +629,6 @@ let exec_line st line =
             print_rows (Option.map Fun.id project) rows);
         if i < n then Unix.sleepf (float_of_int interval_ms /. 1000.)
       done
-    | "statements", [ Word t ] when kw t = "on" ->
-      Dmx_obs.Query_store.set_enabled true;
-      Fmt.pr "STATEMENTS ON (capacity %d)@."
-        (Dmx_obs.Query_store.current_capacity ())
-    | "statements", [ Word t ] when kw t = "off" ->
-      Dmx_obs.Query_store.set_enabled false;
-      Fmt.pr "STATEMENTS OFF@."
-    | "statements", [ Word t ] when kw t = "reset" ->
-      Dmx_obs.Query_store.reset ();
-      Fmt.pr "STATEMENTS RESET@."
     | "show", Word t :: rest when kw t = "statements" -> begin
       match rest with
       | [] -> show_statements ~by:`Calls ()
@@ -632,34 +649,10 @@ let exec_line st line =
         show_statements ~top:n ~by ()
       | _ -> err "expected: show statements [top N by calls|time|io]"
     end
-    | "events", [ Word t ] when kw t = "on" ->
-      Dmx_obs.Event_ring.set_enabled true;
-      Fmt.pr "EVENTS ON (ring of %d, slow >= %.0fus)@."
-        (Dmx_obs.Event_ring.capacity ())
-        (Dmx_obs.Event_ring.slow_us ())
-    | "events", [ Word t ] when kw t = "off" ->
-      Dmx_obs.Event_ring.set_enabled false;
-      Fmt.pr "EVENTS OFF@."
     | "show", [ Word t ] when kw t = "profile" ->
-      Fmt.pr "%a" Dmx_obs.Profile.pp_report ()
-    | "profile", [ Word t ] when kw t = "on" ->
-      Dmx_obs.Profile.set_enabled true;
-      Fmt.pr "PROFILE ON@."
-    | "profile", [ Word t ] when kw t = "off" ->
-      Dmx_obs.Profile.set_enabled false;
-      Fmt.pr "PROFILE OFF@."
-    | "profile", [ Word t ] when kw t = "reset" ->
-      Dmx_obs.Profile.reset ();
-      Fmt.pr "PROFILE RESET@."
-    | "trace", [ Word t ] when kw t = "on" ->
-      Dmx_obs.Trace.set_enabled true;
-      Fmt.pr "TRACE ON (JSON Lines to %s)@."
-        (match Sys.getenv_opt "DMX_TRACE_FILE" with
-        | Some f -> f
-        | None -> "stderr")
-    | "trace", [ Word t ] when kw t = "off" ->
-      Dmx_obs.Trace.set_enabled false;
-      Fmt.pr "TRACE OFF@."
+      Fmt.pr "%a" Dmx_obs.Profile.pp_report (Dmx_obs.Emit.profile ())
+    | ("trace" | "events" | "profile" | "statements"), [ Word t ] ->
+      sink_verb (kw w) (kw t)
     | "show", [ Word t ] when kw t = "tables" ->
       let rels =
         Dmx_catalog.Catalog.relations st.db.Db.services.Dmx_core.Services.catalog
@@ -700,8 +693,8 @@ let () =
   (* The shell is interactive; counter upkeep is noise there, so metrics
      and the profiler are always on and `show stats` / `show profile`
      always have numbers. *)
-  Dmx_obs.Metrics.set_enabled true;
-  Dmx_obs.Profile.set_enabled true;
+  Dmx_obs.Emit.arm `Metrics;
+  Dmx_obs.Emit.arm `Profile;
   Db.register_defaults ();
   let db = Db.open_database ?dir () in
   let st = { db; txn = None; prepared = Hashtbl.create 8 } in

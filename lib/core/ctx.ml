@@ -27,36 +27,30 @@ let lock t ~mode resource =
     Error (Error.Lock_conflict { txid = t.txn.Dmx_txn.Txn.id; holders })
 
 let trace_event t ?(attrs = []) name =
-  if Dmx_obs.Trace.enabled () then
-    Dmx_obs.Trace.event name ~txid:t.txn.Dmx_txn.Txn.id ~attrs
+  if Dmx_obs.Emit.active () then
+    Dmx_obs.Emit.event name ~txid:t.txn.Dmx_txn.Txn.id ~attrs
 
 let with_span t ?(attrs = []) name f =
-  if not (Dmx_obs.Profile.instrumented ()) then f ()
+  if not (Dmx_obs.Emit.active ()) then f ()
   else begin
-    let txid = t.txn.Dmx_txn.Txn.id in
-    let traced = Dmx_obs.Trace.enabled () in
     let sp =
-      Dmx_obs.Trace.enter name ~txid ~attrs:(if traced then attrs else [])
+      Dmx_obs.Emit.enter name ~txid:t.txn.Dmx_txn.Txn.id ~attrs
+        ~key:(Dmx_obs.Profile.Span name)
     in
-    let fr = Dmx_obs.Profile.begin_frame ~txid (Dmx_obs.Profile.Span name) in
     match f () with
     | Ok _ as r ->
-      Dmx_obs.Profile.end_frame fr;
-      Dmx_obs.Trace.exit_span sp;
+      Dmx_obs.Emit.exit sp;
       r
     | Error e as r ->
       let outcome =
         match e with Error.Veto _ -> "veto" | _ -> "error"
       in
-      Dmx_obs.Profile.end_frame fr
-        ~outcome:(match e with Error.Veto _ -> `Veto | _ -> `Error);
-      Dmx_obs.Trace.exit_span ~outcome
+      Dmx_obs.Emit.exit ~outcome
         ~attrs:[ ("reason", Dmx_obs.Obs_json.Str (Error.to_string e)) ]
         sp;
       r
     | exception exn ->
-      Dmx_obs.Profile.end_frame fr ~outcome:`Exn;
-      Dmx_obs.Trace.exit_span ~outcome:"exn" sp;
+      Dmx_obs.Emit.exit ~outcome:"exn" sp;
       raise exn
   end
 

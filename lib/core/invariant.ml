@@ -52,8 +52,8 @@ let lsn_observer ~source () =
     last := max !last lsn
 
 let check_span_balance ~at =
-  if enabled () && Dmx_obs.Trace.enabled () then
-    match Dmx_obs.Trace.depth () with
+  if enabled () && Dmx_obs.Emit.active () then
+    match Dmx_obs.Emit.depth () with
     | 0 -> ()
     | n ->
       violation

@@ -71,58 +71,30 @@ let lock_record ctx desc key mode =
 
 let ( let* ) = Result.bind
 
-(* ---- dispatch tracing and profiling ------------------------------------ *)
-(* Attribute closures run only when tracing is on; the disabled path costs
-   one branch per wrapper. [pkey] additionally charges the bracketed work to
-   the latency-attribution table under that (vector, slot) key when
-   profiling is on — vector-boundary sites (smethod/attachment slots) pass
-   it, purely observational spans do not. *)
+(* ---- dispatch spans ---------------------------------------------------- *)
+(* Attribute closures run only when some telemetry sink is armed; the
+   disabled path costs one branch per wrapper. [key] charges the bracketed
+   work to the profile aggregator under that (vector, slot) key —
+   vector-boundary sites (smethod/attachment slots) pass it, purely
+   observational spans do not. *)
 
 let result_outcome = function
-  | Ok _ -> ("ok", None)
-  | Error (Error.Veto { reason; _ }) -> ("veto", Some reason)
-  | Error e -> ("error", Some (Error.to_string e))
+  | Ok _ -> ("ok", [])
+  | Error (Error.Veto { reason; _ }) ->
+    ("veto", [ ("reason", Dmx_obs.Obs_json.Str reason) ])
+  | Error e -> ("error", [ ("reason", Dmx_obs.Obs_json.Str (Error.to_string e)) ])
 
-let profile_outcome = function
-  | Ok _ -> `Ok
-  | Error (Error.Veto _) -> `Veto
-  | Error _ -> `Error
-
-let with_result_span ?pkey name ~txid attrs f =
-  if
-    not
-      (Dmx_obs.Trace.enabled ()
-      || (pkey <> None && Dmx_obs.Profile.enabled ()))
-  then f ()
+let with_result_span ?key name ~txid attrs f =
+  if not (Dmx_obs.Emit.active ()) then f ()
   else begin
-    let traced = Dmx_obs.Trace.enabled () in
-    let sp =
-      Dmx_obs.Trace.enter name ~txid ~attrs:(if traced then attrs () else [])
-    in
-    let fr =
-      match pkey with
-      | Some k -> Some (Dmx_obs.Profile.begin_frame ~txid k)
-      | None -> None
-    in
-    let close_frame outcome =
-      match fr with
-      | Some fr -> Dmx_obs.Profile.end_frame ~outcome fr
-      | None -> ()
-    in
+    let sp = Dmx_obs.Emit.enter name ~txid ?key ~attrs:(attrs ()) in
     match f () with
     | r ->
-      close_frame (profile_outcome r);
-      let outcome, reason = result_outcome r in
-      let attrs =
-        match reason with
-        | None -> []
-        | Some m -> [ ("reason", Dmx_obs.Obs_json.Str m) ]
-      in
-      Dmx_obs.Trace.exit_span ~outcome ~attrs sp;
+      let outcome, attrs = result_outcome r in
+      Dmx_obs.Emit.exit ~outcome ~attrs sp;
       r
     | exception e ->
-      close_frame `Exn;
-      Dmx_obs.Trace.exit_span ~outcome:"exn" sp;
+      Dmx_obs.Emit.exit ~outcome:"exn" sp;
       raise e
   end
 
@@ -135,7 +107,7 @@ let rel_span ctx desc op f =
 
 let sm_span ctx desc op f =
   with_result_span ("smethod." ^ op) ~txid:ctx.Ctx.txn.Txn.id
-    ~pkey:(Dmx_obs.Profile.Smethod desc.Descriptor.smethod_id)
+    ~key:(Dmx_obs.Profile.Smethod desc.Descriptor.smethod_id)
     (fun () ->
       [ ("smethod_id", Dmx_obs.Obs_json.Int desc.Descriptor.smethod_id) ])
     f
@@ -158,7 +130,7 @@ let run_attached ctx desc ~op ~info f =
         incr at_calls;
         let r =
           with_result_span ("attach." ^ op) ~txid:ctx.Ctx.txn.Txn.id
-            ~pkey:(Dmx_obs.Profile.Attachment n)
+            ~key:(Dmx_obs.Profile.Attachment n)
             (fun () ->
               ("attachment", Dmx_obs.Obs_json.Str (attachment_label n))
               :: ("type_id", Dmx_obs.Obs_json.Int n)
@@ -319,11 +291,10 @@ let delete ctx desc key =
           Ok old_record))
 
 (* [fetch] is the hottest generic-interface call (the E1 bench drives it);
-   the uninstrumented path below is the seed code verbatim so the combined
-   trace/profile gate costs the disabled build exactly one load and branch,
-   no closures. *)
+   the uninstrumented path below is the seed code verbatim so the telemetry
+   gate costs the disabled build exactly one load and branch, no closures. *)
 let fetch ctx desc key ?fields () =
-  if not (Dmx_obs.Profile.instrumented ()) then
+  if not (Dmx_obs.Emit.active ()) then
     let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IS in
     let (module M : Intf.STORAGE_METHOD) =
       Registry.storage_method desc.Descriptor.smethod_id
@@ -336,28 +307,19 @@ let fetch ctx desc key ?fields () =
         Registry.storage_method desc.Descriptor.smethod_id
       in
       begin
-        let traced = Dmx_obs.Trace.enabled () in
         let sp =
-          Dmx_obs.Trace.enter "smethod.fetch" ~txid:ctx.Ctx.txn.Txn.id
+          Dmx_obs.Emit.enter "smethod.fetch" ~txid:ctx.Ctx.txn.Txn.id
+            ~key:(Dmx_obs.Profile.Smethod desc.Descriptor.smethod_id)
             ~attrs:
-              (if traced then
-                 [ ("smethod_id",
-                    Dmx_obs.Obs_json.Int desc.Descriptor.smethod_id) ]
-               else [])
-        in
-        let fr =
-          Dmx_obs.Profile.begin_frame ~txid:ctx.Ctx.txn.Txn.id
-            (Dmx_obs.Profile.Smethod desc.Descriptor.smethod_id)
+              [ ("smethod_id", Dmx_obs.Obs_json.Int desc.Descriptor.smethod_id) ]
         in
         match M.fetch ctx desc key ?fields () with
         | r ->
-          Dmx_obs.Profile.end_frame fr;
-          Dmx_obs.Trace.exit_span sp
+          Dmx_obs.Emit.exit sp
             ~attrs:[ ("found", Dmx_obs.Obs_json.Bool (Option.is_some r)) ];
           Ok r
         | exception e ->
-          Dmx_obs.Profile.end_frame fr ~outcome:`Exn;
-          Dmx_obs.Trace.exit_span ~outcome:"exn" sp;
+          Dmx_obs.Emit.exit ~outcome:"exn" sp;
           raise e
       end)
 

@@ -158,8 +158,8 @@ let checkpoint ?(truncate = true) t =
         t.ckpt_bytes_mark <- Wal.appended_bytes wal;
         Dmx_obs.Metrics.incr m_checkpoints;
         Dmx_obs.Metrics.add m_ckpt_pages written;
-        if Dmx_obs.Trace.enabled () then
-          Dmx_obs.Trace.event "ckpt.complete"
+        if Dmx_obs.Emit.active () then
+          Dmx_obs.Emit.event "ckpt.complete"
             ~attrs:
               [ ("lsn", Dmx_obs.Obs_json.Int (Int64.to_int ck_lsn));
                 ("dirty_pages", Dmx_obs.Obs_json.Int (List.length dpt));
@@ -232,7 +232,7 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
       Io_stats.to_metrics (Disk.stats disk));
   (* Resolve the profiler's (vector, slot) keys to registry names. The
      registry is frozen above, so ids are stable for this process. *)
-  Dmx_obs.Profile.set_key_namer (function
+  Dmx_obs.Profile.set_key_namer (Dmx_obs.Emit.profile ()) (function
     | Dmx_obs.Profile.Smethod i -> (
       match Registry.storage_method_name i with
       | name -> Some ("smethod:" ^ name)
@@ -330,7 +330,7 @@ let close t =
   Dmx_catalog.Catalog.save t.catalog;
   Wal.close t.wal;
   Disk.close t.disk;
-  Dmx_obs.Trace.flush_sink ()
+  Dmx_obs.Emit.flush ()
 
 let simulate_crash t =
   (* Volatile memory vanishes: no force, no catalog save, no clean abort.

@@ -52,8 +52,8 @@ let detect table =
   | Some cycle ->
     let victim = choose_victim cycle in
     Dmx_obs.Metrics.incr m_victims;
-    if Dmx_obs.Trace.enabled () then
-      Dmx_obs.Trace.event "deadlock.victim" ~txid:victim
+    if Dmx_obs.Emit.active () then
+      Dmx_obs.Emit.event "deadlock.victim" ~txid:victim
         ~attrs:
           [ ("victim", Dmx_obs.Obs_json.Int victim);
             ( "cycle",

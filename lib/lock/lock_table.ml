@@ -96,8 +96,8 @@ let pp_resource ppf = function
    for requests already counted at submission. *)
 let observe_conflict ~txid ~mode resource holders =
   Dmx_obs.Metrics.incr m_conflicts;
-  if Dmx_obs.Trace.enabled () then
-    Dmx_obs.Trace.event "lock.conflict" ~txid
+  if Dmx_obs.Emit.active () then
+    Dmx_obs.Emit.event "lock.conflict" ~txid
       ~attrs:
         [ ("resource", Dmx_obs.Obs_json.Str (Fmt.str "%a" pp_resource resource));
           ("mode", Dmx_obs.Obs_json.Str (Lock_mode.to_string mode));
@@ -109,21 +109,33 @@ let observe_outcome ~txid ~mode resource = function
   | Granted -> Dmx_obs.Metrics.incr m_grants
   | Would_block holders -> observe_conflict ~txid ~mode resource holders
 
-let acquire t ~txid ~mode resource =
-  let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Lock in
+let acquire_now t ~txid ~mode resource =
   match try_acquire t ~txid ~mode resource with
   | Granted as o ->
-    Dmx_obs.Profile.end_frame fr;
     Dmx_obs.Metrics.incr m_grants;
     notify_grant t ~txid resource mode;
     o
   | Would_block holders as o ->
-    Dmx_obs.Profile.end_frame fr ~outcome:`Error;
     observe_conflict ~txid ~mode resource holders;
     o
 
-let enqueue t ~txid ~mode resource =
-  let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Lock in
+(* Both entry points run as a [lock.acquire] span charged to the lock key;
+   with telemetry off that is one branch and no allocation. *)
+let lock_span f t ~txid ~mode resource =
+  if not (Dmx_obs.Emit.active ()) then f t ~txid ~mode resource
+  else begin
+    let sp =
+      Dmx_obs.Emit.enter "lock.acquire" ~txid ~key:Dmx_obs.Profile.Lock
+    in
+    let o = f t ~txid ~mode resource in
+    Dmx_obs.Emit.exit sp
+      ~outcome:(match o with Granted -> "ok" | Would_block _ -> "error");
+    o
+  end
+
+let acquire t ~txid ~mode resource = lock_span acquire_now t ~txid ~mode resource
+
+let enqueue_now t ~txid ~mode resource =
   let e = entry t resource in
   (* No barging: a request joins the queue behind existing waiters of other
      transactions even when it is compatible with the current holders,
@@ -147,14 +159,12 @@ let enqueue t ~txid ~mode resource =
         Would_block bs
   in
   (match outcome with
-  | Granted ->
-    Dmx_obs.Profile.end_frame fr;
-    notify_grant t ~txid resource mode
-  | Would_block _ ->
-    Dmx_obs.Profile.end_frame fr ~outcome:`Error;
-    Dmx_obs.Metrics.incr m_waits);
+  | Granted -> notify_grant t ~txid resource mode
+  | Would_block _ -> Dmx_obs.Metrics.incr m_waits);
   observe_outcome ~txid ~mode resource outcome;
   outcome
+
+let enqueue t ~txid ~mode resource = lock_span enqueue_now t ~txid ~mode resource
 
 let is_granted t ~txid resource =
   match Hashtbl.find_opt t.table resource with

@@ -11,45 +11,17 @@ type entry = {
   e_slow : bool;
 }
 
-let env_enables var =
-  match Sys.getenv_opt var with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-let env_int var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> n
-    | Some _ | None -> default)
-
-let env_float var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f >= 0. -> f
-    | Some _ | None -> default)
-
-let on = ref (env_enables "DMX_EVENTS") [@@dmx.global "config-immutable-after-setup"]
-let enabled () = !on
-
-(* Trace's combined gate refreshes off this toggle; filled at Trace init. *)
-let on_toggle : (unit -> unit) ref = ref (fun () -> ()) [@@dmx.global "config-immutable-after-setup"]
-let set_on_toggle f = on_toggle := f
-
-let slow_threshold = ref (env_float "DMX_SLOW_US" 10_000.) [@@dmx.global "config-immutable-after-setup"]
-let slow_us () = !slow_threshold
-let set_slow_us us = slow_threshold := max 0. us
+let default_capacity = 512
+let default_slow_us = 10_000.
 
 (* The circular buffer proper. [head] is the next write position; [size]
    saturates at the capacity; [seq] counts entries ever recorded. *)
-type ring = {
+type t = {
   mutable entries : entry array;
   mutable head : int;
   mutable size : int;
   mutable seq : int;
+  mutable slow_us : float;
 }
 
 let null_entry =
@@ -62,57 +34,54 @@ let null_entry =
     e_us = 0.;
     e_outcome = "";
     e_slow = false;
-  } [@@dmx.global "config-immutable-after-setup"]
+  }
 
-let ring =
+let create () =
   {
-    entries = Array.make (env_int "DMX_EVENT_RING" 512) null_entry;
+    entries = Array.make default_capacity null_entry;
     head = 0;
     size = 0;
     seq = 0;
-  } [@@dmx.global "UNSAFE"]
+    slow_us = default_slow_us;
+  }
 
-let capacity () = Array.length ring.entries
+let capacity t = Array.length t.entries
+let slow_us t = t.slow_us
+let set_slow_us t us = t.slow_us <- Float.max 0. us
 
-let reset () =
-  Array.fill ring.entries 0 (Array.length ring.entries) null_entry;
-  ring.head <- 0;
-  ring.size <- 0;
-  ring.seq <- 0
+let reset t =
+  Array.fill t.entries 0 (Array.length t.entries) null_entry;
+  t.head <- 0;
+  t.size <- 0;
+  t.seq <- 0
 
-let set_capacity n =
-  ring.entries <- Array.make (max 1 n) null_entry;
-  ring.head <- 0;
-  ring.size <- 0;
-  ring.seq <- 0
+let set_capacity t n =
+  t.entries <- Array.make (max 1 n) null_entry;
+  reset t
 
-let set_enabled b =
-  on := b;
-  !on_toggle ()
+let is_slow t us = t.slow_us > 0. && us >= t.slow_us
 
-let record ~kind ~name ~txid ~us ~outcome =
-  if !on then begin
-    let cap = Array.length ring.entries in
-    ring.seq <- ring.seq + 1;
-    ring.entries.(ring.head) <-
-      {
-        e_seq = ring.seq;
-        e_ts = Unix.gettimeofday ();
-        e_kind = kind;
-        e_name = name;
-        e_txid = txid;
-        e_us = us;
-        e_outcome = outcome;
-        e_slow = (!slow_threshold > 0. && us >= !slow_threshold);
-      };
-    ring.head <- (ring.head + 1) mod cap;
-    if ring.size < cap then ring.size <- ring.size + 1
-  end
+let record t ~kind ~name ~txid ~us ~outcome =
+  let cap = Array.length t.entries in
+  t.seq <- t.seq + 1;
+  t.entries.(t.head) <-
+    {
+      e_seq = t.seq;
+      e_ts = Unix.gettimeofday ();
+      e_kind = kind;
+      e_name = name;
+      e_txid = txid;
+      e_us = us;
+      e_outcome = outcome;
+      e_slow = is_slow t us;
+    };
+  t.head <- (t.head + 1) mod cap;
+  if t.size < cap then t.size <- t.size + 1
 
-let snapshot () =
-  let cap = Array.length ring.entries in
-  let oldest = (ring.head - ring.size + cap) mod cap in
-  List.init ring.size (fun i -> ring.entries.((oldest + i) mod cap))
+let snapshot t =
+  let cap = Array.length t.entries in
+  let oldest = (t.head - t.size + cap) mod cap in
+  List.init t.size (fun i -> t.entries.((oldest + i) mod cap))
 
-let total () = ring.seq
-let dropped () = ring.seq - ring.size
+let total t = t.seq
+let dropped t = t.seq - t.size

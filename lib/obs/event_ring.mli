@@ -1,17 +1,15 @@
-(** Fixed-size in-memory engine event ring.
+(** The event-ring sink: a fixed-size in-memory ring of closed spans and
+    instant events.
 
-    The ring keeps the last [capacity] span closes and instant events emitted
-    through {!Trace} so the engine can answer "what just happened" without a
-    trace file: the [dmx_events] system view snapshots it, and the shell can
-    watch it live. Storage is a preallocated circular buffer — once full, the
-    oldest entry is overwritten (see {!dropped} for how many were lost).
+    The ring keeps the last [capacity] records emitted through {!Emit} so
+    the engine can answer "what just happened" without a trace file: the
+    [dmx_events] system view snapshots it, and the shell can watch it live.
+    Storage is a preallocated circular buffer — once full, the oldest entry
+    is overwritten (see {!dropped} for how many were lost). Entries whose
+    duration reaches the slow threshold are tagged slow.
 
-    Disabled (the default) recording is a single branch and allocates
-    nothing; nothing here takes a lock, so the off path is safe to leave in
-    the hot dispatch sites ("lock-free when off"). Enable with [DMX_EVENTS=1]
-    or {!set_enabled}; enabling also arms {!Trace.enabled} so the existing
-    emission points fire. Entries whose duration reaches the slow-operation
-    threshold ([DMX_SLOW_US], default 10000) are tagged slow. *)
+    This module is the data structure only; {!Emit} owns the one live ring
+    and decides when it records ([DMX_OBS=events] or [Emit.arm `Events]). *)
 
 type kind = Span | Event
 
@@ -26,39 +24,38 @@ type entry = {
   e_slow : bool;  (** [e_us >= slow threshold] *)
 }
 
-val enabled : unit -> bool
-val set_enabled : bool -> unit
+type t
 
-val capacity : unit -> int
-(** Ring size in entries; [DMX_EVENT_RING] (default 512). *)
+val create : unit -> t
+(** 512 entries, slow threshold 10000 us. *)
 
-val set_capacity : int -> unit
+val capacity : t -> int
+
+val set_capacity : t -> int -> unit
 (** Resize the ring; clears all entries. Values below 1 are clamped to 1. *)
 
-val slow_us : unit -> float
-val set_slow_us : float -> unit
+val slow_us : t -> float
+
+val set_slow_us : t -> float -> unit
 (** Threshold in microseconds; spans at least this long are tagged slow.
     [0.] disables tagging. *)
 
-val record :
-  kind:kind -> name:string -> txid:int -> us:float -> outcome:string -> unit
-(** Append one entry (overwriting the oldest when full). Single branch and
-    no allocation when disabled. *)
+val is_slow : t -> float -> bool
 
-val snapshot : unit -> entry list
+val record :
+  t -> kind:kind -> name:string -> txid:int -> us:float -> outcome:string ->
+  unit
+(** Append one entry, overwriting the oldest when full. *)
+
+val snapshot : t -> entry list
 (** Current contents, oldest first. Allocates a fresh list — safe to consume
     while recording continues. *)
 
-val total : unit -> int
-(** Entries ever recorded since start (or {!reset}). *)
+val total : t -> int
+(** Entries ever recorded since creation (or {!reset}). *)
 
-val dropped : unit -> int
-(** Entries lost to overwriting: [total () - length (snapshot ())]. *)
+val dropped : t -> int
+(** Entries lost to overwriting: [total - length (snapshot)]. *)
 
-val reset : unit -> unit
-(** Clear entries and counters; keeps enabled state, capacity, threshold. *)
-
-val set_on_toggle : (unit -> unit) -> unit
-(** Internal: [Trace] registers a callback here so ring toggles refresh the
-    combined [Trace.enabled] gate (and, through its toggle hooks, the
-    profiler's dispatch gate). *)
+val reset : t -> unit
+(** Clear entries and counters; keeps capacity and threshold. *)

@@ -8,23 +8,19 @@ type histogram = {
   mutable h_total : int;
 }
 
-let env_enables var =
-  match Sys.getenv_opt var with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-(* DMX_TRACE and DMX_QUERYSTORE imply metrics: spans and statement stats
-   without their counters would be blind. *)
-let on =
-  ref
-    (env_enables "DMX_METRICS" || env_enables "DMX_TRACE"
-    || env_enables "DMX_QUERYSTORE") [@@dmx.global "config-immutable-after-setup"]
+(* Armed by [DMX_OBS] (see [Emit], which also arms it alongside the trace
+   and statements sinks) or [set_enabled]. *)
+let on = ref false [@@dmx.global "config-immutable-after-setup"]
 let enabled () = !on
 let set_enabled b = on := b
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64 [@@dmx.global "config-immutable-after-setup"]
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16 [@@dmx.global "config-immutable-after-setup"]
 let probes : (string, unit -> (string * int) list) Hashtbl.t = Hashtbl.create 8 [@@dmx.global "config-immutable-after-setup"]
+
+(* Per-probe sample values captured by [reset]: probes mirror state owned
+   elsewhere, so a reset subtracts instead of zeroing. *)
+let baselines : (string, (string * int) list) Hashtbl.t = Hashtbl.create 8 [@@dmx.global "config-immutable-after-setup"]
 
 let counter name =
   match Hashtbl.find_opt counters name with
@@ -59,17 +55,17 @@ let histogram ?(buckets = default_latency_buckets_us) name =
     Hashtbl.replace histograms name h;
     h
 
-let observe h v =
-  if !on then begin
-    let n = Array.length h.h_bounds in
-    let i = ref 0 in
-    while !i < n && v > h.h_bounds.(!i) do
-      Stdlib.incr i
-    done;
-    h.h_counts.(!i) <- h.h_counts.(!i) + 1;
-    h.h_sum <- h.h_sum +. v;
-    h.h_total <- h.h_total + 1
-  end
+let record h v =
+  let n = Array.length h.h_bounds in
+  let i = ref 0 in
+  while !i < n && v > h.h_bounds.(!i) do
+    Stdlib.incr i
+  done;
+  h.h_counts.(!i) <- h.h_counts.(!i) + 1;
+  h.h_sum <- h.h_sum +. v;
+  h.h_total <- h.h_total + 1
+
+let observe h v = if !on then record h v
 
 let quantile h q =
   if h.h_total = 0 || Array.length h.h_bounds = 0 then None
@@ -99,14 +95,26 @@ let histogram_counts h = Array.copy h.h_counts
 let histogram_count h = h.h_total
 let histogram_sum h = h.h_sum
 
-let register_probe name f = Hashtbl.replace probes name f
+(* A replaced probe reads fresh state, so its old baseline no longer
+   applies. *)
+let register_probe name f =
+  Hashtbl.replace probes name f;
+  Hashtbl.remove baselines name
+
+let probe_samples name f =
+  match Hashtbl.find_opt baselines name with
+  | None -> f ()
+  | Some base ->
+    List.map
+      (fun (k, v) -> (k, v - Option.value ~default:0 (List.assoc_opt k base)))
+      (f ())
 
 let snapshot () =
   let native =
     Hashtbl.fold (fun name c acc -> (name, c.c_value) :: acc) counters []
   in
   let probed =
-    Hashtbl.fold (fun _ f acc -> f () @ acc) probes []
+    Hashtbl.fold (fun name f acc -> probe_samples name f @ acc) probes []
   in
   List.sort compare (native @ probed)
 
@@ -169,4 +177,5 @@ let reset () =
       Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
       h.h_sum <- 0.;
       h.h_total <- 0)
-    histograms
+    histograms;
+  Hashtbl.iter (fun name f -> Hashtbl.replace baselines name (f ())) probes

@@ -6,9 +6,9 @@
     branch when the registry is disabled, following the [Invariant]
     discipline: the hooks stay in production builds at near-zero cost.
 
-    Enabled by [DMX_METRICS=1], [DMX_TRACE=1] or [DMX_QUERYSTORE=1] in the
-    environment (tracing and statement statistics without their counters
-    would be blind), or programmatically with
+    Enabled by [DMX_OBS=metrics] in the environment (arming the trace or
+    statements sink arms it too: spans and statement stats without their
+    counters would be blind — see [Emit]), or programmatically with
     {!set_enabled} — the shell and the bench harness do the latter.
 
     Besides native instruments, external always-on accounting (e.g.
@@ -47,7 +47,12 @@ val unregistered_histogram : ?buckets:float array -> string -> histogram
 val observe : histogram -> float -> unit
 (** Record one observation into the first bucket whose bound satisfies
     [v <= bound] (Prometheus-style "le" boundaries), or the overflow
-    bucket. *)
+    bucket. A no-op while the registry is disabled. *)
+
+val record : histogram -> float -> unit
+(** {!observe} regardless of the registry gate — for histograms whose owner
+    already decided to record (the statement aggregator's per-entry
+    latencies, which offline analysis also fills). *)
 
 val histogram_buckets : histogram -> float array
 val histogram_counts : histogram -> int array
@@ -68,12 +73,14 @@ val all_histograms : unit -> (string * histogram) list
 
 val register_probe : string -> (unit -> (string * int) list) -> unit
 (** Registering under an existing probe name replaces it (a fresh
-    [Services.setup] re-points the probe at the new database's state). *)
+    [Services.setup] re-points the probe at the new database's state) and
+    drops the probe's {!reset} baseline. *)
 
 val snapshot : unit -> (string * int) list
 (** All counters plus all probe outputs, sorted by name. Probes are polled
     even while the registry is disabled — they read accounting the substrate
-    maintains anyway. *)
+    maintains anyway — and report their value minus the baseline the last
+    {!reset} captured. *)
 
 val pp_dump : Format.formatter -> unit -> unit
 (** Text exposition: counters (with probes folded in) then histograms. *)
@@ -81,5 +88,7 @@ val pp_dump : Format.formatter -> unit -> unit
 val to_json : unit -> string
 
 val reset : unit -> unit
-(** Zero all native counters and histograms. Probes are not reset: they
-    mirror external state owned elsewhere ([Io_stats.reset] et al.). *)
+(** Zero all native counters and histograms, and capture every probe's
+    current samples as its baseline: probes mirror state owned elsewhere,
+    so {!snapshot} reports them relative to the reset instead of zeroing
+    the source. *)

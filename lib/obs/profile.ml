@@ -1,53 +1,16 @@
-(* Per-transaction latency attribution across the extension architecture's
-   component boundaries. A [frame] brackets one unit of attributable work —
-   a storage-method slot call, an attachment side-effect, a lock
-   acquisition, a WAL append/flush, a buffer-pool fill, or a named span —
-   and closing it charges the elapsed time to the (transaction, kind) entry.
-   Nesting is tracked so a parent's {e self} time excludes its children
-   (smethod.insert excludes the WAL append it triggered, relation.insert
-   excludes both). *)
+(* The profile sink: per-transaction latency attribution across the
+   extension architecture's component boundaries. {!Emit} hands it every
+   closed span that carries an attribution key, with the total and self time
+   it computed on the one span stack; this module only accumulates them in
+   an attribution table keyed by (transaction, key) and renders reports. *)
 
-type kind =
+type key =
   | Smethod of int
   | Attachment of int
   | Lock
   | Wal
   | Bp
   | Span of string
-
-type frame = {
-  fr_txid : int;
-  fr_kind : kind;
-  fr_start : float;
-  mutable fr_child : float;  (* us charged to enclosed frames *)
-}
-
-type outcome = [ `Ok | `Veto | `Error | `Exn ]
-
-let env_enables var =
-  match Sys.getenv_opt var with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-let on = ref (env_enables "DMX_PROFILE") [@@dmx.global "config-immutable-after-setup"]
-
-(* Combined dispatch gate: the instrumented (slow) paths in [Relation] are
-   entered when either tracing or profiling wants them, at the cost of a
-   single load on the fast path. Refreshed on every toggle of either. *)
-let hot = ref (!on || Trace.enabled ()) [@@dmx.global "config-immutable-after-setup"]
-let refresh () = hot := !on || Trace.enabled ()
-let () = Trace.add_toggle_hook (fun _ -> refresh ())
-let enabled () = !on
-
-let set_enabled b =
-  on := b;
-  refresh ()
-
-let instrumented () = !hot
-
-(* ---- frame stack and attribution table ---- *)
-
-let null_frame = { fr_txid = 0; fr_kind = Lock; fr_start = 0.; fr_child = 0. } [@@dmx.global "config-immutable-after-setup"]
 
 type entry = {
   mutable e_calls : int;
@@ -57,77 +20,40 @@ type entry = {
   mutable e_errors : int;
 }
 
-let table : (int * kind, entry) Hashtbl.t = Hashtbl.create 64 [@@dmx.global "UNSAFE"]
-let stack : frame list ref = ref [] [@@dmx.global "UNSAFE"]
+type t = {
+  table : (int * key, entry) Hashtbl.t;
+  mutable namer : key -> string option;
+}
 
-let begin_frame ~txid kind =
-  if not !on then null_frame
-  else begin
-    let txid =
-      if txid >= 0 then txid
-      else match !stack with [] -> 0 | f :: _ -> f.fr_txid
-    in
-    let fr =
-      { fr_txid = txid; fr_kind = kind; fr_start = Unix.gettimeofday ();
-        fr_child = 0. }
-    in
-    stack := fr :: !stack;
-    fr
-  end
+let create () = { table = Hashtbl.create 64; namer = (fun _ -> None) }
+let set_key_namer t f = t.namer <- f
+let reset t = Hashtbl.reset t.table
 
-let entry_for key =
-  match Hashtbl.find_opt table key with
+let entry_for t k =
+  match Hashtbl.find_opt t.table k with
   | Some e -> e
   | None ->
     let e =
       { e_calls = 0; e_total_us = 0.; e_self_us = 0.; e_vetoes = 0;
         e_errors = 0 }
     in
-    Hashtbl.replace table key e;
+    Hashtbl.replace t.table k e;
     e
 
-let end_frame ?(outcome = `Ok) fr =
-  if fr != null_frame then begin
-    (* pop up to and including [fr]; tolerate imbalance like [Trace]. *)
-    let rec pop = function
-      | [] -> []
-      | f :: rest -> if f == fr then rest else pop rest
-    in
-    stack := pop !stack;
-    let elapsed = (Unix.gettimeofday () -. fr.fr_start) *. 1e6 in
-    (match !stack with
-    | parent :: _ -> parent.fr_child <- parent.fr_child +. elapsed
-    | [] -> ());
-    let e = entry_for (fr.fr_txid, fr.fr_kind) in
-    e.e_calls <- e.e_calls + 1;
-    e.e_total_us <- e.e_total_us +. elapsed;
-    e.e_self_us <- e.e_self_us +. Float.max 0. (elapsed -. fr.fr_child);
-    match outcome with
-    | `Ok -> ()
-    | `Veto -> e.e_vetoes <- e.e_vetoes + 1
-    | `Error | `Exn -> e.e_errors <- e.e_errors + 1
-  end
-
-let with_frame ~txid kind f =
-  if not !on then f ()
-  else begin
-    let fr = begin_frame ~txid kind in
-    match f () with
-    | v ->
-      end_frame fr;
-      v
-    | exception e ->
-      end_frame fr ~outcome:`Exn;
-      raise e
-  end
+let charge t ~txid key ~total_us ~self_us ~outcome =
+  let e = entry_for t (txid, key) in
+  e.e_calls <- e.e_calls + 1;
+  e.e_total_us <- e.e_total_us +. total_us;
+  e.e_self_us <- e.e_self_us +. self_us;
+  match outcome with
+  | "ok" -> ()
+  | "veto" -> e.e_vetoes <- e.e_vetoes + 1
+  | _ -> e.e_errors <- e.e_errors + 1
 
 (* ---- naming ---- *)
 
-let namer : (kind -> string option) ref = ref (fun _ -> None) [@@dmx.global "config-immutable-after-setup"]
-let set_key_namer f = namer := f
-
-let display_name k =
-  match !namer k with
+let display_name t k =
+  match t.namer k with
   | Some s -> s
   | None -> (
     match k with
@@ -149,56 +75,41 @@ type row = {
   r_errors : int;
 }
 
-let rows_of_entries entries =
-  (* aggregate by display name (cross-txn reports merge same-kind entries
-     from different transactions) *)
-  let byname : (string, row ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (kind, e) ->
-      let name = display_name kind in
-      let r =
-        match Hashtbl.find_opt byname name with
-        | Some r -> r
-        | None ->
-          let r =
-            ref
-              { r_name = name; r_calls = 0; r_total_us = 0.; r_self_us = 0.;
-                r_vetoes = 0; r_errors = 0 }
-          in
-          Hashtbl.replace byname name r;
-          r
-      in
-      r :=
-        {
-          !r with
-          r_calls = !r.r_calls + e.e_calls;
-          r_total_us = !r.r_total_us +. e.e_total_us;
-          r_self_us = !r.r_self_us +. e.e_self_us;
-          r_vetoes = !r.r_vetoes + e.e_vetoes;
-          r_errors = !r.r_errors + e.e_errors;
-        })
-    entries;
-  Hashtbl.fold (fun _ r acc -> !r :: acc) byname []
+(* Aggregate by display name: cross-txn reports merge same-key entries from
+   different transactions. *)
+let rows t ~keep =
+  let byname : (string, row) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun (txid, key) e ->
+      if keep txid then begin
+        let name = display_name t key in
+        let r =
+          match Hashtbl.find_opt byname name with
+          | Some r -> r
+          | None ->
+            { r_name = name; r_calls = 0; r_total_us = 0.; r_self_us = 0.;
+              r_vetoes = 0; r_errors = 0 }
+        in
+        Hashtbl.replace byname name
+          {
+            r with
+            r_calls = r.r_calls + e.e_calls;
+            r_total_us = r.r_total_us +. e.e_total_us;
+            r_self_us = r.r_self_us +. e.e_self_us;
+            r_vetoes = r.r_vetoes + e.e_vetoes;
+            r_errors = r.r_errors + e.e_errors;
+          }
+      end)
+    t.table;
+  Hashtbl.fold (fun _ r acc -> r :: acc) byname []
   |> List.sort (fun a b -> compare b.r_self_us a.r_self_us)
 
-let report () =
-  rows_of_entries
-    (Hashtbl.fold (fun (_, kind) e acc -> (kind, e) :: acc) table [])
+let report t = rows t ~keep:(fun _ -> true)
+let txn_report t txid = rows t ~keep:(fun t' -> t' = txid)
 
-let txn_report txid =
-  rows_of_entries
-    (Hashtbl.fold
-       (fun (t, kind) e acc -> if t = txid then (kind, e) :: acc else acc)
-       table [])
-
-let txids () =
-  let seen = Hashtbl.create 8 in
-  Hashtbl.iter (fun (t, _) _ -> Hashtbl.replace seen t ()) table;
-  Hashtbl.fold (fun t () acc -> t :: acc) seen [] |> List.sort compare
-
-let reset () =
-  Hashtbl.reset table;
-  stack := []
+let txids t =
+  Hashtbl.fold (fun (txid, _) _ acc -> txid :: acc) t.table []
+  |> List.sort_uniq compare
 
 let pp_rows ppf rows =
   let render r =
@@ -223,17 +134,17 @@ let pp_rows ppf rows =
       ]
     ppf (List.map render rows)
 
-let pp_report ppf () =
-  match report () with
+let pp_report ppf t =
+  match report t with
   | [] -> Fmt.pf ppf "profile: no samples (is profiling on?)@."
   | rows ->
     Fmt.pf ppf "profile: attribution by self time, all transactions@.";
     pp_rows ppf rows;
     List.iter
       (fun txid ->
-        match txn_report txid with
+        match txn_report t txid with
         | [] -> ()
         | rows ->
           Fmt.pf ppf "transaction %d:@." txid;
           pp_rows ppf rows)
-      (List.filter (fun t -> t <> 0) (txids ()))
+      (List.filter (fun txid -> txid <> 0) (txids t))

@@ -1,19 +1,17 @@
-(** Per-transaction latency attribution keyed by (vector, slot id).
+(** The profile sink: per-transaction latency attribution keyed by
+    (vector, slot id).
 
     The paper's extension architecture routes every data operation through
     procedure vectors (storage methods) and attachment side-effects; this
-    module answers "where did the transaction's wall-clock go?" by charging
-    bracketed {e frames} of work to an attribution table keyed by
-    transaction id and component {!kind}. Span nesting separates {e self}
-    time from child time: a storage-method frame's self time excludes the
-    WAL append it triggered, an attachment frame's excludes the buffer-pool
-    fill under it.
+    sink answers "where did the transaction's wall-clock go?". Every span
+    emitted with an attribution {!key} is charged, on close, to the
+    (transaction, key) entry with the total and self time {!Emit} computed
+    on its span stack: a storage-method span's self time excludes the WAL
+    append it triggered, an attachment span's excludes the buffer-pool fill
+    under it. {!Emit} owns the one live aggregator ([DMX_OBS=profile] or
+    [Emit.arm `Profile]); this module is the table and its reports. *)
 
-    Disabled (the default) every entry point is a single branch and
-    allocates nothing — the same discipline as [Metrics]/[Trace]. Enable
-    with [DMX_PROFILE=1] or {!set_enabled}. *)
-
-type kind =
+type key =
   | Smethod of int  (** storage-method vector, slot = registry id *)
   | Attachment of int  (** attachment-type vector, slot = registry id *)
   | Lock  (** lock-table wait/acquire *)
@@ -21,30 +19,17 @@ type kind =
   | Bp  (** buffer-pool miss fill *)
   | Span of string  (** named region via [Ctx.with_span] *)
 
-type frame
-type outcome = [ `Ok | `Veto | `Error | `Exn ]
+type t
 
-val enabled : unit -> bool
-val set_enabled : bool -> unit
+val create : unit -> t
 
-val instrumented : unit -> bool
-(** The combined dispatch gate: true when tracing {e or} profiling is on.
-    [Relation]'s fast paths branch on this single load to decide whether to
-    enter the instrumented path at all. *)
+val charge :
+  t -> txid:int -> key -> total_us:float -> self_us:float -> outcome:string ->
+  unit
+(** Fold one closed span. Outcome ["veto"] bumps the veto tally; anything
+    other than ["ok"] and ["veto"] bumps the error tally. *)
 
-val begin_frame : txid:int -> kind -> frame
-(** Open a frame. [txid < 0] inherits the enclosing frame's transaction
-    (0 when there is none). Disabled, returns a preallocated null frame;
-    pass only constant [kind]s on paths that must not allocate. *)
-
-val end_frame : ?outcome:outcome -> frame -> unit
-(** Close the frame and charge its elapsed time. [`Veto] and
-    [`Error]/[`Exn] also bump the entry's veto/error tallies. *)
-
-val with_frame : txid:int -> kind -> (unit -> 'a) -> 'a
-(** Bracket [f]; an escaping exception closes the frame with [`Exn]. *)
-
-val set_key_namer : (kind -> string option) -> unit
+val set_key_namer : t -> (key -> string option) -> unit
 (** Resolve slot ids to names ([Services.setup] installs a namer backed by
     the registry); [None] falls back to ["smethod:#3"]-style labels. *)
 
@@ -52,20 +37,20 @@ type row = {
   r_name : string;
   r_calls : int;
   r_total_us : float;
-  r_self_us : float;  (** total minus time charged to enclosed frames *)
+  r_self_us : float;  (** total minus time charged to enclosed keyed spans *)
   r_vetoes : int;
   r_errors : int;
 }
 
-val report : unit -> row list
+val report : t -> row list
 (** All transactions merged, sorted by self time descending. *)
 
-val txn_report : int -> row list
-val txids : unit -> int list
+val txn_report : t -> int -> row list
+val txids : t -> int list
 
-val reset : unit -> unit
-(** Drop the attribution table and any open frames. *)
+val reset : t -> unit
+(** Drop the attribution table. *)
 
-val pp_report : Format.formatter -> unit -> unit
+val pp_report : Format.formatter -> t -> unit
 (** The [show profile] rendering: the merged table, then one per
     transaction. *)

@@ -1,4 +1,4 @@
-(* The statement store: bounded per-fingerprint cumulative statistics.
+(* The statement aggregator: bounded per-fingerprint cumulative statistics.
 
    Fingerprints are computed upstream (lib/query's [Fingerprint] — this
    library cannot see the parser) and arrive here as opaque int64 keys.
@@ -7,42 +7,17 @@
    short history of plan hashes so a plan flip is detectable the moment it
    happens.
 
-   Disabled (the default) the observation path is one load + one branch and
-   allocates nothing — same discipline as [Metrics]/[Profile]; the caller is
-   expected to gate the construction of the [exec] record on [enabled ()].
+   [record] is the one fold over executions: the live store that [Emit]
+   feeds from closed [stmt.exec] spans and [Trace_reader.statements]
+   rebuilding the same entries from a trace file both go through it.
 
    Eviction is LRU by a monotonic touch tick; at capacity the victim is
    found by an O(capacity) min-scan. Capacity is a few hundred entries, the
    scan runs once per *new* fingerprint (not per execution), so the cost is
    negligible against parsing + planning a brand-new statement shape. *)
 
-let env_enables var =
-  match Sys.getenv_opt var with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
 let default_capacity = 128
 let max_plan_history = 4
-
-let env_capacity () =
-  match Sys.getenv_opt "DMX_QUERYSTORE_MAX" with
-  | Some s -> (match int_of_string_opt s with Some n when n > 0 -> n | _ -> default_capacity)
-  | None -> default_capacity
-
-let on = ref (env_enables "DMX_QUERYSTORE") [@@dmx.global "config-immutable-after-setup"]
-let capacity = ref (env_capacity ()) [@@dmx.global "config-immutable-after-setup"]
-
-let enabled () = !on
-
-(* Statement stats without counters would be blind — and the store's own
-   histograms go through [Metrics.observe], which is gated on the metrics
-   flag (the Trace precedent: set_enabled true pulls metrics up too). *)
-let set_enabled b =
-  on := b;
-  if b then Metrics.set_enabled true
-
-let set_capacity n = if n > 0 then capacity := n
-let current_capacity () = !capacity
 
 type plan_use = {
   pu_hash : int64;
@@ -71,8 +46,6 @@ type entry = {
   mutable e_touch : int;  (* LRU tick *)
 }
 
-(* What one execution observed; the caller allocates this only when the
-   store is enabled, so the disabled path stays allocation-free. *)
 type exec = {
   x_fp : int64;
   x_text : string;
@@ -91,44 +64,50 @@ type exec = {
 }
 
 type plan_note =
-  | Plan_off  (* store disabled: nothing recorded *)
-  | Plan_none  (* no plan hash supplied (e.g. shell DML) *)
-  | Plan_first  (* first plan ever seen for this fingerprint *)
+  | Plan_none
+  | Plan_first
   | Plan_same
-  | Plan_changed of int64  (* previous hash, so the event can name both *)
+  | Plan_changed of int64
 
-let table : (int64, entry) Hashtbl.t = Hashtbl.create 64 [@@dmx.global "ctx-owned"]
-let tick = ref 0 [@@dmx.global "ctx-owned"]
-let evicted_total = ref 0 [@@dmx.global "ctx-owned"]
-let recorded_total = ref 0 [@@dmx.global "ctx-owned"]
+type t = {
+  table : (int64, entry) Hashtbl.t;
+  capacity : int;
+  mutable tick : int;
+  mutable evicted : int;
+  mutable recorded : int;
+}
 
-let size () = Hashtbl.length table
-let evicted () = !evicted_total
-let recorded () = !recorded_total
+let create ?(capacity = default_capacity) () =
+  { table = Hashtbl.create 64; capacity; tick = 0; evicted = 0; recorded = 0 }
 
-let reset () =
-  Hashtbl.reset table;
-  tick := 0;
-  evicted_total := 0;
-  recorded_total := 0
+let capacity t = t.capacity
+let size t = Hashtbl.length t.table
+let evicted t = t.evicted
+let recorded t = t.recorded
 
-let evict_lru () =
+let reset t =
+  Hashtbl.reset t.table;
+  t.tick <- 0;
+  t.evicted <- 0;
+  t.recorded <- 0
+
+let evict_lru t =
   let victim =
     Hashtbl.fold
       (fun _ e acc ->
         match acc with
         | Some best when best.e_touch <= e.e_touch -> acc
         | _ -> Some e)
-      table None
+      t.table None
   in
   match victim with
   | Some e ->
-    Hashtbl.remove table e.e_fp;
-    incr evicted_total
+    Hashtbl.remove t.table e.e_fp;
+    t.evicted <- t.evicted + 1
   | None -> ()
 
-let fresh_entry x now =
-  if Hashtbl.length table >= !capacity then evict_lru ();
+let fresh_entry t x now =
+  if Hashtbl.length t.table >= t.capacity then evict_lru t;
   let e =
     {
       e_fp = x.x_fp;
@@ -151,7 +130,7 @@ let fresh_entry x now =
       e_touch = 0;
     }
   in
-  Hashtbl.replace table x.x_fp e;
+  Hashtbl.replace t.table x.x_fp e;
   e
 
 let note_plan e hash now =
@@ -176,47 +155,45 @@ let note_plan e hash now =
     | [] -> Plan_first
     | { pu_hash = old; _ } :: _ -> Plan_changed old)
 
-let record x =
-  if not !on then Plan_off
-  else begin
-    let now = Unix.gettimeofday () in
-    let e =
-      match Hashtbl.find_opt table x.x_fp with
-      | Some e -> e
-      | None -> fresh_entry x now
-    in
-    incr tick;
-    e.e_touch <- !tick;
-    incr recorded_total;
-    e.e_calls <- e.e_calls + 1;
-    if x.x_error then e.e_errors <- e.e_errors + 1;
-    e.e_rows <- e.e_rows + x.x_rows;
-    Metrics.observe e.e_latency x.x_us;
-    e.e_pool_hits <- e.e_pool_hits + x.x_pool_hits;
-    e.e_pool_misses <- e.e_pool_misses + x.x_pool_misses;
-    e.e_page_reads <- e.e_page_reads + x.x_page_reads;
-    e.e_wal_bytes <- e.e_wal_bytes + x.x_wal_bytes;
-    e.e_lock_conflicts <- e.e_lock_conflicts + x.x_lock_conflicts;
-    e.e_lock_waits <- e.e_lock_waits + x.x_lock_waits;
-    e.e_vetoes <- e.e_vetoes + x.x_vetoes;
-    e.e_sample <- x.x_sample;
-    e.e_last_seen <- now;
-    match x.x_plan with
-    | None -> Plan_none
-    | Some h -> note_plan e h now
-  end
+let record t x =
+  let now = Unix.gettimeofday () in
+  let e =
+    match Hashtbl.find_opt t.table x.x_fp with
+    | Some e -> e
+    | None -> fresh_entry t x now
+  in
+  t.tick <- t.tick + 1;
+  e.e_touch <- t.tick;
+  t.recorded <- t.recorded + 1;
+  e.e_calls <- e.e_calls + 1;
+  if x.x_error then e.e_errors <- e.e_errors + 1;
+  e.e_rows <- e.e_rows + x.x_rows;
+  Metrics.record e.e_latency x.x_us;
+  e.e_pool_hits <- e.e_pool_hits + x.x_pool_hits;
+  e.e_pool_misses <- e.e_pool_misses + x.x_pool_misses;
+  e.e_page_reads <- e.e_page_reads + x.x_page_reads;
+  e.e_wal_bytes <- e.e_wal_bytes + x.x_wal_bytes;
+  e.e_lock_conflicts <- e.e_lock_conflicts + x.x_lock_conflicts;
+  e.e_lock_waits <- e.e_lock_waits + x.x_lock_waits;
+  e.e_vetoes <- e.e_vetoes + x.x_vetoes;
+  e.e_sample <- x.x_sample;
+  e.e_last_seen <- now;
+  match x.x_plan with
+  | None -> Plan_none
+  | Some h -> note_plan e h now
 
-let entries () =
-  Hashtbl.fold (fun _ e acc -> e :: acc) table []
+let entries t =
+  Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
   |> List.sort (fun a b -> compare a.e_fp b.e_fp)
 
-(* Probe payload for dmx_metrics / bench counter deltas: aggregate store
-   health, never per-entry values (those live in dmx_statements). *)
-let probe () =
-  [
-    ("stmt.fingerprints", size ());
-    ("stmt.recorded", !recorded_total);
-    ("stmt.evicted", !evicted_total);
-  ]
+let quantile e q =
+  Option.value ~default:0. (Metrics.quantile e.e_latency q)
 
-let () = Metrics.register_probe "query_store" probe
+let hex h = Printf.sprintf "%016Lx" h
+
+let probe t =
+  [
+    ("stmt.fingerprints", size t);
+    ("stmt.recorded", t.recorded);
+    ("stmt.evicted", t.evicted);
+  ]

@@ -1,4 +1,4 @@
-(** The query store: bounded per-fingerprint cumulative statement
+(** The statement aggregator: bounded per-fingerprint cumulative statement
     statistics with plan-change detection.
 
     Fingerprints are computed by the query layer (this library cannot see
@@ -9,25 +9,14 @@
     deltas, lock pressure, attachment vetoes, and the last few plan hashes
     with first-seen/last-seen stamps.
 
-    Disabled (the default), {!record} is one load + one branch and the
-    caller is expected to gate [exec] construction on {!enabled} — the same
-    zero-allocation discipline as [Metrics]/[Profile]. Enabled by
-    [DMX_QUERYSTORE=1] (capacity [DMX_QUERYSTORE_MAX], default 128) or
-    {!set_enabled}. At capacity the least-recently-touched entry is evicted
-    and counted; the O(capacity) victim scan runs once per {e new}
-    fingerprint, never per execution. *)
-
-val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-(** Enabling also enables [Metrics] (the store's histograms observe through
-    the metrics gate — statement stats without counters would be blind). *)
-
-val set_capacity : int -> unit
-(** Ignored unless positive. Existing entries are not trimmed until the
-    next insertion. *)
-
-val current_capacity : unit -> int
+    {!record} is the single fold over executions. {!Emit} owns the live
+    store and feeds it the exec record each closed [stmt.exec] span carries
+    ([DMX_OBS=statements] or [Emit.arm `Statements]);
+    [Trace_reader.statements] folds the [stmt.exec] spans of a trace file
+    through the same function, so the live [dmx_statements] view and
+    [dmx_prof --statements] agree by construction. At capacity the
+    least-recently-touched entry is evicted and counted; the O(capacity)
+    victim scan runs once per {e new} fingerprint, never per execution. *)
 
 type plan_use = {
   pu_hash : int64;
@@ -72,31 +61,44 @@ type exec = {
   x_vetoes : int;
   x_plan : int64 option;
 }
+(** What one execution observed. On the live path {!Emit} overwrites
+    [x_us] with the duration of the [stmt.exec] span that carries it. *)
 
 type plan_note =
-  | Plan_off
-  | Plan_none
-  | Plan_first
+  | Plan_none  (** no plan hash supplied (e.g. shell DML) *)
+  | Plan_first  (** first plan ever seen for this fingerprint *)
   | Plan_same
   | Plan_changed of int64
-      (** previous hash — the caller emits the [plan.changed] event naming
-          both, keeping this library free of trace/event dependencies *)
+      (** previous hash, so the [plan.changed] event can name both *)
 
-val record : exec -> plan_note
-(** Fold one execution into the store. Constant [Plan_off] (no allocation)
-    while disabled. *)
+type t
 
-val entries : unit -> entry list
+val create : ?capacity:int -> unit -> t
+(** [capacity] defaults to 128 fingerprints. *)
+
+val capacity : t -> int
+
+val record : t -> exec -> plan_note
+(** Fold one execution into the store. *)
+
+val entries : t -> entry list
 (** Live entries sorted by fingerprint. The records are the store's own
     (not copies): treat as read-only snapshots for views/shell output. *)
 
-val size : unit -> int
-val evicted : unit -> int
-val recorded : unit -> int
+val quantile : entry -> float -> float
+(** Latency quantile of an entry ({!Metrics.quantile}); 0 when empty. *)
 
-val reset : unit -> unit
+val hex : int64 -> string
+(** The 16-digit lowercase hex form fingerprints and plan hashes take in
+    views, trace attributes and reports. *)
+
+val size : t -> int
+val evicted : t -> int
+val recorded : t -> int
+
+val reset : t -> unit
 (** Drop all entries and zero the eviction/recorded totals. *)
 
-val probe : unit -> (string * int) list
+val probe : t -> (string * int) list
 (** Aggregate health — [stmt.fingerprints]/[stmt.recorded]/[stmt.evicted];
-    registered as the ["query_store"] metrics probe at load time. *)
+    {!Emit} registers it as the ["query_store"] metrics probe. *)

@@ -198,77 +198,66 @@ let per_relation records =
 let per_attachment records =
   group_stats_of ~key_of:(attr_str "attachment") ~prefix:"attach." records
 
-(* ---- statements (offline view of the query store) ---- *)
+(* ---- statements: stmt.exec spans folded through the store's own fold ---- *)
 
 let attr_int key r =
   Option.bind (List.assoc_opt key r.r_attrs) Obs_json.to_int_opt
 
-type stmt_stats = {
-  s_fp : string;
-  s_text : string;
-  s_calls : int;
-  s_errors : int;
-  s_rows : int;
-  s_p50 : float;
-  s_p95 : float;
-  s_plans : string list;  (* distinct plan hashes, in order of appearance *)
-}
+let attr_hex key r =
+  Option.bind (attr_str key r) (fun h ->
+      if h = "" then None else Int64.of_string_opt ("0x" ^ h))
 
-(* Reconstruct per-fingerprint statistics from [stmt.exec] spans, keeping
-   offline analysis at parity with the live [dmx_statements] view. *)
+(* The exec record a [stmt.exec] span line still carries: the trace keeps
+   fingerprint, text, rows, plan and outcome, not the I/O and lock deltas. *)
+let exec_of_record r =
+  Option.map
+    (fun fp ->
+      {
+        Query_store.x_fp = fp;
+        x_text = Option.value ~default:"" (attr_str "text" r);
+        x_sample = "";
+        x_us = r.r_us;
+        x_rows = Option.value ~default:0 (attr_int "rows" r);
+        x_error = r.r_outcome <> Some "ok";
+        x_pool_hits = 0;
+        x_pool_misses = 0;
+        x_page_reads = 0;
+        x_wal_bytes = 0;
+        x_lock_conflicts = 0;
+        x_lock_waits = 0;
+        x_vetoes = 0;
+        x_plan = attr_hex "plan" r;
+      })
+    (attr_hex "fp" r)
+
 let statements records =
-  let groups :
-      (string, string ref * float list ref * int ref * int ref * string list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let order = ref [] in
+  let store = Query_store.create ~capacity:max_int () in
   List.iter
     (fun r ->
       if r.r_name = "stmt.exec" then
-        match attr_str "fp" r with
-        | None -> ()
-        | Some fp ->
-          let text, samples, errors, rows, plans =
-            match Hashtbl.find_opt groups fp with
-            | Some g -> g
-            | None ->
-              let g = (ref "", ref [], ref 0, ref 0, ref []) in
-              Hashtbl.replace groups fp g;
-              order := fp :: !order;
-              g
-          in
-          (match attr_str "text" r with
-          | Some t when t <> "" -> text := t
-          | _ -> ());
-          samples := r.r_us :: !samples;
-          if r.r_outcome <> Some "ok" then incr errors;
-          (match attr_int "rows" r with
-          | Some n -> rows := !rows + n
-          | None -> ());
-          (match attr_str "plan" r with
-          | Some p when p <> "" && not (List.mem p !plans) ->
-            plans := !plans @ [ p ]
-          | _ -> ()))
+        Option.iter
+          (fun x -> ignore (Query_store.record store x))
+          (exec_of_record r))
     (spans records);
-  List.rev !order
-  |> List.map (fun fp ->
-         let text, samples, errors, rows, plans = Hashtbl.find groups fp in
-         let q p = match quantile !samples p with Some v -> v | None -> 0. in
-         {
-           s_fp = fp;
-           s_text = !text;
-           s_calls = List.length !samples;
-           s_errors = !errors;
-           s_rows = !rows;
-           s_p50 = q 0.50;
-           s_p95 = q 0.95;
-           s_plans = !plans;
-         })
-  |> List.sort (fun a b ->
-         match compare b.s_calls a.s_calls with
-         | 0 -> compare a.s_fp b.s_fp
-         | c -> c)
+  Query_store.entries store
+  |> List.stable_sort (fun (a : Query_store.entry) b ->
+         compare b.e_calls a.e_calls)
+
+let plans_oldest_first (e : Query_store.entry) =
+  List.rev_map (fun u -> Query_store.hex u.Query_store.pu_hash) e.e_plans
+
+let statement_json (e : Query_store.entry) =
+  Obs_json.Obj
+    [ ("fingerprint", Obs_json.Str (Query_store.hex e.e_fp));
+      ("statement", Obs_json.Str e.e_text);
+      ("calls", Obs_json.Int e.e_calls);
+      ("errors", Obs_json.Int e.e_errors);
+      ("rows", Obs_json.Int e.e_rows);
+      ("p50_us", Obs_json.Float (Query_store.quantile e 0.50));
+      ("p95_us", Obs_json.Float (Query_store.quantile e 0.95));
+      ( "plans",
+        Obs_json.List
+          (List.map (fun p -> Obs_json.Str p) (plans_oldest_first e)) ) ]
 
 (* ---- lock contention ---- *)
 
@@ -460,16 +449,16 @@ let pp_report ?(top = 10) ppf records =
         ]
       ppf
       (List.map
-         (fun s ->
+         (fun (e : Query_store.entry) ->
            [
-             s.s_fp;
-             string_of_int s.s_calls;
-             string_of_int s.s_errors;
-             string_of_int s.s_rows;
-             Printf.sprintf "%.1f" s.s_p50;
-             Printf.sprintf "%.1f" s.s_p95;
-             string_of_int (List.length s.s_plans);
-             s.s_text;
+             Query_store.hex e.e_fp;
+             string_of_int e.e_calls;
+             string_of_int e.e_errors;
+             string_of_int e.e_rows;
+             Printf.sprintf "%.1f" (Query_store.quantile e 0.50);
+             Printf.sprintf "%.1f" (Query_store.quantile e 0.95);
+             string_of_int (List.length e.e_plans);
+             e.e_text;
            ])
          ss));
   (match lock_contention records with
@@ -521,18 +510,6 @@ let to_json ?(top = 10) records =
         ("p95_us", Obs_json.Float g.g_p95);
         ("p99_us", Obs_json.Float g.g_p99) ]
   in
-  let stmt_obj s =
-    Obs_json.Obj
-      [ ("fingerprint", Obs_json.Str s.s_fp);
-        ("statement", Obs_json.Str s.s_text);
-        ("calls", Obs_json.Int s.s_calls);
-        ("errors", Obs_json.Int s.s_errors);
-        ("rows", Obs_json.Int s.s_rows);
-        ("p50_us", Obs_json.Float s.s_p50);
-        ("p95_us", Obs_json.Float s.s_p95);
-        ( "plans",
-          Obs_json.List (List.map (fun p -> Obs_json.Str p) s.s_plans) ) ]
-  in
   Obs_json.Obj
     [ ( "summary",
         Obs_json.Obj
@@ -549,7 +526,7 @@ let to_json ?(top = 10) records =
       ( "per_attachment",
         Obs_json.List (List.map group_obj (per_attachment records)) );
       ( "statements",
-        Obs_json.List (List.map stmt_obj (statements records)) );
+        Obs_json.List (List.map statement_json (statements records)) );
       ( "lock_contention",
         Obs_json.List
           (List.map

@@ -1,12 +1,14 @@
-(** Offline analysis of the JSON-Lines traces written by [Trace].
+(** Offline analysis of the JSON-Lines traces written by [Emit]'s trace
+    sink.
 
     [dmx_prof.exe] (and the golden tests) load a [DMX_TRACE_FILE] capture
     and answer the latency questions the raw log cannot: which root span
     dominated, what does each relation's and attachment type's latency
     distribution look like, and which (transaction, lock) pairs conflicted.
 
-    Quantiles here are {e nearest-rank} over the raw span samples — exact
-    and deterministic, unlike the online bucketed [Metrics.quantile]. *)
+    Per-relation and per-attachment quantiles are {e nearest-rank} over the
+    raw span samples — exact and deterministic. Statement quantiles come
+    from the statement store's bucketed histograms, like the live view. *)
 
 type kind = Span | Event | Truncated
 
@@ -58,22 +60,16 @@ val per_relation : record list -> group_stats list
 val per_attachment : record list -> group_stats list
 (** [attach.*] spans grouped by their [attachment] attribute. *)
 
-type stmt_stats = {
-  s_fp : string;
-  s_text : string;  (** normalized statement text (empty if not traced) *)
-  s_calls : int;
-  s_errors : int;
-  s_rows : int;
-  s_p50 : float;
-  s_p95 : float;
-  s_plans : string list;
-      (** distinct plan hashes, in order of first appearance *)
-}
+val statements : record list -> Query_store.entry list
+(** Per-fingerprint statistics from the [stmt.exec] spans, folded through
+    {!Query_store.record} — the same aggregation the live [dmx_statements]
+    view runs, so the two agree on calls, errors, rows and latency
+    quantiles. Sorted by call count (ties by fingerprint). I/O, WAL and lock
+    totals stay zero: the trace does not carry them. *)
 
-val statements : record list -> stmt_stats list
-(** Per-fingerprint statistics reconstructed from [stmt.exec] spans — the
-    offline counterpart of the live [dmx_statements] view, sorted by call
-    count. *)
+val statement_json : Query_store.entry -> Obs_json.t
+(** One [dmx_prof --statements --json] element: fingerprint, statement,
+    calls, errors, rows, p50/p95 us and plan hashes (oldest first). *)
 
 type contention = {
   c_waiter : int;

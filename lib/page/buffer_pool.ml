@@ -139,8 +139,8 @@ let evict_slot t =
   let i = sweep 0 in
   let f = match t.arr.(i) with Some f -> f | None -> assert false in
   Dmx_obs.Metrics.incr m_evictions;
-  if Dmx_obs.Trace.enabled () then
-    Dmx_obs.Trace.event "bp.evict"
+  if Dmx_obs.Emit.active () then
+    Dmx_obs.Emit.event "bp.evict"
       ~attrs:
         [ ("page", Dmx_obs.Obs_json.Int f.page_id);
           ("dirty", Dmx_obs.Obs_json.Bool f.dirty) ];
@@ -177,15 +177,23 @@ let pin ?(txid = -1) t page_id =
     frame
   | None ->
     (Disk.stats t.disk).pool_misses <- (Disk.stats t.disk).pool_misses + 1;
-    if Dmx_obs.Trace.enabled () then
-      Dmx_obs.Trace.event "bp.miss"
-        ~attrs:[ ("page", Dmx_obs.Obs_json.Int page_id) ];
-    (* the fill (plus any eviction write-back it forces) is charged to the
-       caller's transaction, falling back to the enclosing frame's *)
-    let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Bp in
-    let frame = install t page_id (Disk.read t.disk page_id) in
-    Dmx_obs.Profile.end_frame fr;
-    frame
+    if not (Dmx_obs.Emit.active ()) then
+      install t page_id (Disk.read t.disk page_id)
+    else begin
+      (* the fill (plus any eviction write-back it forces) is charged to the
+         caller's transaction, falling back to the enclosing span's *)
+      let sp =
+        Dmx_obs.Emit.enter "bp.miss" ~txid ~key:Dmx_obs.Profile.Bp
+          ~attrs:[ ("page", Dmx_obs.Obs_json.Int page_id) ]
+      in
+      match install t page_id (Disk.read t.disk page_id) with
+      | frame ->
+        Dmx_obs.Emit.exit sp;
+        frame
+      | exception e ->
+        Dmx_obs.Emit.exit ~outcome:"exn" sp;
+        raise e
+    end
 
 let unpin ?(dirty = false) ?lsn t frame =
   ignore t;

@@ -69,7 +69,7 @@ let plan_for t ctx q =
    success value so [execute] and [analyze] share the bracket; the inactive
    path never computes the key a second time. *)
 let with_stmt_obs t ctx q ~row_count run =
-  if not (Stmt_obs.active ()) then run ~set_plan:ignore
+  if not (Dmx_obs.Emit.active ()) then run ~set_plan:ignore
   else begin
     let key = Query.key q in
     Stmt_obs.observed ctx ~text:key ~rows:row_count (fun ~set_plan ->

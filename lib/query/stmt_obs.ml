@@ -1,15 +1,14 @@
-(* Statement-level observation: bracket one execution, attribute the
-   engine's own accounting to its fingerprint, and hand the totals to
-   [Dmx_obs.Query_store].
+(* Statement-level observation: bracket one execution in a [stmt.exec] span
+   and attach the engine's own accounting for it as the span's exec record.
 
-   The store lives in lib/obs and cannot see the parser, the context or the
-   buffer pool — this module is the glue that can: it fingerprints the
-   text, snapshots [Io_stats] and the relevant counters before the body
-   runs, diffs them after, and emits the plan.changed / stmt.slow events
-   the store itself only detects.
+   The statement aggregator lives in lib/obs and cannot see the parser, the
+   context or the buffer pool — this module is the glue that can: it
+   fingerprints the text, snapshots [Io_stats] and the relevant counters
+   before the body runs, and diffs them after. [Emit.exit] folds the record
+   into the store and raises the plan.changed / stmt.slow events.
 
-   Everything is off unless the store or tracing is armed; the inactive
-   path of [observed] is two loads and a branch, and allocates nothing. *)
+   Everything is off unless some sink is armed; the inactive path of
+   [observed] is one load and a branch, and allocates nothing. *)
 
 module Obs = Dmx_obs
 module Ctx = Dmx_core.Ctx
@@ -21,27 +20,18 @@ let m_waits = Obs.Metrics.counter "lock.waits"
 let m_wal_bytes = Obs.Metrics.counter "wal.appended_bytes"
 let m_vetoes = Obs.Metrics.counter "dispatch.vetoes"
 
-let active () = Obs.Query_store.enabled () || Obs.Trace.enabled ()
-
 let ignore_plan (_ : int64) = ()
 
-let hex_attr = function
-  | Some h -> Obs.Obs_json.Str (Fingerprint.hex h)
-  | None -> Obs.Obs_json.Str ""
-
 let observed ctx ~text ~rows f =
-  if not (active ()) then f ~set_plan:ignore_plan
+  if not (Obs.Emit.active ()) then f ~set_plan:ignore_plan
   else begin
     let norm = Fingerprint.normalize text in
     let fp = Fingerprint.hash norm in
-    let txid = ctx.Ctx.txn.Dmx_txn.Txn.id in
     let span =
-      Obs.Trace.enter "stmt.exec" ~txid
+      Obs.Emit.enter "stmt.exec" ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id
         ~attrs:
-          (if Obs.Trace.enabled () then
-             [ ("fp", Obs.Obs_json.Str (Fingerprint.hex fp));
-               ("text", Obs.Obs_json.Str norm) ]
-           else [])
+          [ ("fp", Obs.Obs_json.Str (Fingerprint.hex fp));
+            ("text", Obs.Obs_json.Str norm) ]
     in
     let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk ctx.Ctx.bp) in
     let io0 = Dmx_page.Io_stats.copy io in
@@ -51,54 +41,30 @@ let observed ctx ~text ~rows f =
     let vetoes0 = Obs.Metrics.value m_vetoes in
     let plan = ref None in
     let set_plan h = plan := Some h in
-    let t0 = Unix.gettimeofday () in
     let finish ~rows ~error =
-      let us = (Unix.gettimeofday () -. t0) *. 1e6 in
       let d = Dmx_page.Io_stats.diff ~after:io ~before:io0 in
-      let note =
-        if not (Obs.Query_store.enabled ()) then Obs.Query_store.Plan_off
-        else
-          Obs.Query_store.record
-            {
-              Obs.Query_store.x_fp = fp;
-              x_text = norm;
-              x_sample = text;
-              x_us = us;
-              x_rows = rows;
-              x_error = error;
-              x_pool_hits = d.Dmx_page.Io_stats.pool_hits;
-              x_pool_misses = d.Dmx_page.Io_stats.pool_misses;
-              x_page_reads = d.Dmx_page.Io_stats.page_reads;
-              x_wal_bytes = Obs.Metrics.value m_wal_bytes - wal0;
-              x_lock_conflicts = Obs.Metrics.value m_conflicts - conflicts0;
-              x_lock_waits = Obs.Metrics.value m_waits - waits0;
-              x_vetoes = Obs.Metrics.value m_vetoes - vetoes0;
-              x_plan = !plan;
-            }
-      in
-      (* events go out while the span is still open so they parent under it *)
-      (match note with
-      | Obs.Query_store.Plan_changed old ->
-        Ctx.trace_event ctx "plan.changed"
-          ~attrs:
-            [ ("fp", Obs.Obs_json.Str (Fingerprint.hex fp));
-              ("old", hex_attr (Some old)); ("new", hex_attr !plan) ]
-      | _ -> ());
-      let slow = Obs.Event_ring.slow_us () in
-      if slow > 0. && us >= slow then
-        Ctx.trace_event ctx "stmt.slow"
-          ~attrs:
-            [ ("fp", Obs.Obs_json.Str (Fingerprint.hex fp));
-              ("text", Obs.Obs_json.Str text);
-              ("us", Obs.Obs_json.Float us);
-              ("rows", Obs.Obs_json.Int rows);
-              ("plan", hex_attr !plan) ];
-      Obs.Trace.exit_span span
+      Obs.Emit.exit span
         ~outcome:(if error then "error" else "ok")
         ~attrs:
-          (if Obs.Trace.enabled () then
-             [ ("rows", Obs.Obs_json.Int rows); ("plan", hex_attr !plan) ]
-           else [])
+          [ ("rows", Obs.Obs_json.Int rows);
+            ("plan", Obs.Obs_json.Str (Option.fold ~none:"" ~some:Fingerprint.hex !plan)) ]
+        ~exec:
+          {
+            Obs.Query_store.x_fp = fp;
+            x_text = norm;
+            x_sample = text;
+            x_us = 0.;
+            x_rows = rows;
+            x_error = error;
+            x_pool_hits = d.Dmx_page.Io_stats.pool_hits;
+            x_pool_misses = d.Dmx_page.Io_stats.pool_misses;
+            x_page_reads = d.Dmx_page.Io_stats.page_reads;
+            x_wal_bytes = Obs.Metrics.value m_wal_bytes - wal0;
+            x_lock_conflicts = Obs.Metrics.value m_conflicts - conflicts0;
+            x_lock_waits = Obs.Metrics.value m_waits - waits0;
+            x_vetoes = Obs.Metrics.value m_vetoes - vetoes0;
+            x_plan = !plan;
+          }
     in
     match f ~set_plan with
     | Ok v as r ->

@@ -1,18 +1,13 @@
 (** Statement-level observation glue.
 
-    {!observed} brackets one statement execution: fingerprints the literal
-    text ({!Fingerprint}), opens a [stmt.exec] trace span, snapshots the
-    engine's own accounting ([Io_stats], lock conflicts/waits, WAL bytes,
-    attachment vetoes) before the body runs, diffs it after, and folds the
-    totals into {!Dmx_obs.Query_store}. It emits the [plan.changed] event
-    when the store detects a fingerprint's plan hash flipping, and the
-    [stmt.slow] event (literal text, plan hash, bound stats) when the
-    execution crosses [Event_ring.slow_us]. Inactive — store disabled and
-    tracing off — the wrapper is two loads and a branch, and allocates
-    nothing. *)
-
-val active : unit -> bool
-(** Anything to observe: the query store is enabled or tracing is armed. *)
+    {!observed} brackets one statement execution in a [stmt.exec] span:
+    fingerprints the literal text ({!Fingerprint}), snapshots the engine's
+    own accounting ([Io_stats], lock conflicts/waits, WAL bytes, attachment
+    vetoes) before the body runs, diffs it after, and closes the span
+    carrying the totals as its exec record. [Dmx_obs.Emit.exit] folds that
+    record into the statement store and emits the [plan.changed] and
+    [stmt.slow] events. With no sink armed the wrapper is one load and a
+    branch, and allocates nothing. *)
 
 val observed :
   Dmx_core.Ctx.t ->

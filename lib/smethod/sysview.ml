@@ -181,7 +181,7 @@ let profile_rows _ctx =
     (fun (r : Dmx_obs.Profile.row) ->
       [| str r.r_name; Value.int r.r_calls; flt r.r_total_us; flt r.r_self_us;
          Value.int r.r_vetoes; Value.int r.r_errors |])
-    (Dmx_obs.Profile.report ())
+    (Dmx_obs.Profile.report (Dmx_obs.Emit.profile ()))
 
 let events_rows _ctx =
   List.map
@@ -193,21 +193,17 @@ let events_rows _ctx =
       in
       [| Value.int e.e_seq; flt e.e_ts; str kind; str e.e_name;
          Value.int e.e_txid; flt e.e_us; str e.e_outcome; bool e.e_slow |])
-    (Dmx_obs.Event_ring.snapshot ())
+    (Dmx_obs.Event_ring.snapshot (Dmx_obs.Emit.ring ()))
 
-let fp_hex h = str (Printf.sprintf "%016Lx" h)
+let fp_hex h = str (Dmx_obs.Query_store.hex h)
 
 let statements_rows _ctx =
   List.map
     (fun (e : Dmx_obs.Query_store.entry) ->
-      let q p =
-        match Dmx_obs.Metrics.quantile e.e_latency p with
-        | Some v -> v
-        | None -> 0.
-      in
+      let q = Dmx_obs.Query_store.quantile e in
       let current_plan =
         match e.e_plans with
-        | { pu_hash; _ } :: _ -> Printf.sprintf "%016Lx" pu_hash
+        | { pu_hash; _ } :: _ -> Dmx_obs.Query_store.hex pu_hash
         | [] -> ""
       in
       [| fp_hex e.e_fp; str e.e_text; Value.int e.e_calls;
@@ -219,7 +215,7 @@ let statements_rows _ctx =
          Value.int e.e_lock_conflicts; Value.int e.e_lock_waits;
          Value.int e.e_vetoes; Value.int (List.length e.e_plans);
          str current_plan |])
-    (Dmx_obs.Query_store.entries ())
+    (Dmx_obs.Query_store.entries (Dmx_obs.Emit.store ()))
 
 let statement_plans_rows _ctx =
   List.concat_map
@@ -229,7 +225,7 @@ let statement_plans_rows _ctx =
           [| fp_hex e.e_fp; fp_hex u.pu_hash; flt u.pu_first_seen;
              flt u.pu_last_seen; bool (i = 0) |])
         e.e_plans)
-    (Dmx_obs.Query_store.entries ())
+    (Dmx_obs.Query_store.entries (Dmx_obs.Emit.store ()))
 
 let register_builtin_providers () =
   register_provider ~name:"metrics"

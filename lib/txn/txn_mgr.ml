@@ -58,7 +58,7 @@ let begin_txn t =
   Hashtbl.replace t.active id txn;
   ignore (Wal.append t.wal id Log_record.Begin);
   Dmx_obs.Metrics.incr m_begins;
-  if Dmx_obs.Trace.enabled () then Dmx_obs.Trace.event "txn.begin" ~txid:id;
+  if Dmx_obs.Emit.active () then Dmx_obs.Emit.event "txn.begin" ~txid:id;
   txn
 
 let find_txn t id = Hashtbl.find_opt t.active id
@@ -123,13 +123,13 @@ let finish t txn state =
    lint rejects catch-alls, and [match ... with exception] re-raises
    explicitly after closing the span. *)
 let with_txn_span name t txn f =
-  if not (Dmx_obs.Trace.enabled ()) then f t txn
+  if not (Dmx_obs.Emit.active ()) then f t txn
   else begin
-    let sp = Dmx_obs.Trace.enter name ~txid:txn.Txn.id in
+    let sp = Dmx_obs.Emit.enter name ~txid:txn.Txn.id in
     match f t txn with
-    | () -> Dmx_obs.Trace.exit_span sp
+    | () -> Dmx_obs.Emit.exit sp
     | exception e ->
-      Dmx_obs.Trace.exit_span ~outcome:"exn" sp;
+      Dmx_obs.Emit.exit ~outcome:"exn" sp;
       raise e
   end
 

@@ -206,9 +206,7 @@ let check_open t = if t.closed then invalid_arg "Wal: log is closed"
 let set_append_observer t f = t.append_observer <- f
 let set_truncate_observer t f = t.truncate_observer <- f
 
-let append t txid kind =
-  check_open t;
-  let fr = Dmx_obs.Profile.begin_frame ~txid Dmx_obs.Profile.Wal in
+let append_now t txid kind =
   let r = add_index t txid kind in
   (match t.backend with
   | Mem -> t.flushed <- r.Log_record.lsn
@@ -220,14 +218,25 @@ let append t txid kind =
     Dmx_obs.Metrics.add m_appended_bytes framed;
     f.buffered <- f.buffered + 1);
   t.append_observer r.Log_record.lsn;
-  Dmx_obs.Profile.end_frame fr;
   Dmx_obs.Metrics.incr m_appends;
-  if Dmx_obs.Trace.enabled () then
-    Dmx_obs.Trace.event "wal.append" ~txid
-      ~attrs:
-        [ ("lsn", Dmx_obs.Obs_json.Int (Int64.to_int r.Log_record.lsn));
-          ("kind", Dmx_obs.Obs_json.Str (Fmt.str "%a" Log_record.pp_kind kind)) ];
   r.Log_record.lsn
+
+let append t txid kind =
+  check_open t;
+  if not (Dmx_obs.Emit.active ()) then append_now t txid kind
+  else begin
+    let sp = Dmx_obs.Emit.enter "wal.append" ~txid ~key:Dmx_obs.Profile.Wal in
+    match append_now t txid kind with
+    | lsn ->
+      Dmx_obs.Emit.exit sp
+        ~attrs:
+          [ ("lsn", Dmx_obs.Obs_json.Int (Int64.to_int lsn));
+            ("kind", Dmx_obs.Obs_json.Str (Fmt.str "%a" Log_record.pp_kind kind)) ];
+      lsn
+    | exception e ->
+      Dmx_obs.Emit.exit ~outcome:"exn" sp;
+      raise e
+  end
 
 let last_lsn t = Int64.of_int (t.base + t.count)
 let flushed_lsn t = t.flushed
@@ -248,14 +257,11 @@ let flush ?upto ?(sync = true) t =
        flushes (group commit), even when nothing new is pending. *)
     let need_sync = sync && (need_write || f.synced < f.size) in
     if need_write || need_sync then begin
-      (* the flush frame inherits the enclosing frame's transaction: a
+      (* the flush span inherits the enclosing span's transaction: a
          commit-path flush charges the committing transaction, an
          eviction-path flush charges whoever faulted the page *)
-      let fr = Dmx_obs.Profile.begin_frame ~txid:(-1) Dmx_obs.Profile.Wal in
-      let observed =
-        Dmx_obs.Metrics.enabled () || Dmx_obs.Trace.enabled ()
-        || Dmx_obs.Profile.enabled ()
-      in
+      let sp = Dmx_obs.Emit.enter "wal.flush" ~key:Dmx_obs.Profile.Wal in
+      let observed = Dmx_obs.Metrics.enabled () || Dmx_obs.Emit.active () in
       let t0 = if observed then Unix.gettimeofday () else 0. in
       let records = f.buffered in
       if need_write then begin
@@ -275,7 +281,6 @@ let flush ?upto ?(sync = true) t =
         f.synced <- f.size;
         Dmx_obs.Metrics.incr m_fsyncs
       end;
-      Dmx_obs.Profile.end_frame fr;
       if observed then begin
         let us = (Unix.gettimeofday () -. t0) *. 1e6 in
         if need_write then begin
@@ -283,13 +288,11 @@ let flush ?upto ?(sync = true) t =
           Dmx_obs.Metrics.add m_flushed_records records
         end;
         Dmx_obs.Metrics.observe h_flush_us us;
-        if Dmx_obs.Trace.enabled () then
-          Dmx_obs.Trace.event "wal.flush"
-            ~attrs:
-              [ ("records", Dmx_obs.Obs_json.Int records);
-                ("synced", Dmx_obs.Obs_json.Bool need_sync);
-                ("upto", Dmx_obs.Obs_json.Int (Int64.to_int t.flushed));
-                ("us", Dmx_obs.Obs_json.Float us) ]
+        Dmx_obs.Emit.exit sp
+          ~attrs:
+            [ ("records", Dmx_obs.Obs_json.Int records);
+              ("synced", Dmx_obs.Obs_json.Bool need_sync);
+              ("upto", Dmx_obs.Obs_json.Int (Int64.to_int t.flushed)) ]
       end
     end
 
@@ -401,8 +404,8 @@ let truncate_before t cut =
     t.truncated_bytes <- t.truncated_bytes + freed;
     Dmx_obs.Metrics.incr m_truncations;
     Dmx_obs.Metrics.add m_truncated_bytes freed;
-    if Dmx_obs.Trace.enabled () then
-      Dmx_obs.Trace.event "wal.truncate"
+    if Dmx_obs.Emit.active () then
+      Dmx_obs.Emit.event "wal.truncate"
         ~attrs:
           [ ("cut", Dmx_obs.Obs_json.Int (t.base + 1));
             ("dropped", Dmx_obs.Obs_json.Int drop);

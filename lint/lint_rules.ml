@@ -327,11 +327,11 @@ let vector_completeness ~root ~ext_dirs ~factory =
                            label modname factory))))
       ext_dirs
 
-(* ---- R6: Trace.enter / Trace.exit_span pairing ---- *)
+(* ---- R6: Emit.enter / Emit.exit pairing ---- *)
 
-let trace_tail name parts =
+let emit_tail name parts =
   match List.rev parts with
-  | last :: modname :: _ -> last = name && modname = "Trace"
+  | last :: modname :: _ -> last = name && modname = "Emit"
   | _ -> false
 
 let span_pairing ~file structure =
@@ -340,21 +340,19 @@ let span_pairing ~file structure =
   |> List.filter_map (fun (name, _loc, body) ->
          let paths = ident_paths body in
          let enters =
-           List.filter (fun (p, _) -> trace_tail "enter" p) paths
+           List.filter (fun (p, _) -> emit_tail "enter" p) paths
          in
-         let has_exit =
-           List.exists (fun (p, _) -> trace_tail "exit_span" p) paths
-         in
+         let has_exit = List.exists (fun (p, _) -> emit_tail "exit" p) paths in
          match enters with
          | (_, loc) :: _ when not has_exit ->
            Some
              (Lint_diag.make ~rule:rule_span_pairing ~file
                 ~line:(line_of_loc loc)
                 (Fmt.str
-                   "%s calls Trace.enter without Trace.exit_span in the same \
-                    body — an unclosed span corrupts nesting (and leaks the \
-                    profiler frame); close it on every path, or use \
-                    Trace.with_span / Ctx.with_span"
+                   "%s calls Emit.enter without Emit.exit in the same body \
+                    — an unclosed span corrupts nesting and self-time \
+                    attribution; close it on every path, or use \
+                    Emit.with_span / Ctx.with_span"
                    name))
          | _ -> None)
 

@@ -87,12 +87,12 @@ val mli_coverage : root:string -> dirs:string list -> Lint_diag.t list
     [.mli] — extensions interact through declared interfaces only. *)
 
 val span_pairing : file:string -> Parsetree.structure -> Lint_diag.t list
-(** R6: any top-level (or module-nested) binding that calls [Trace.enter]
-    must also contain a [Trace.exit_span] call in the same body. An
-    unclosed span corrupts span nesting and leaks the paired profiler
-    frame; prefer [Trace.with_span] / [Ctx.with_span]. Strict (not
-    baselinable) — direct [Trace.enter] outside the blessed wrappers is
-    only acceptable with explicit pairing. *)
+(** R6: any top-level (or module-nested) binding that calls [Emit.enter]
+    must also contain an [Emit.exit] call in the same body. An unclosed
+    span corrupts span nesting and self-time attribution; prefer
+    [Emit.with_span] / [Ctx.with_span]. Strict (not baselinable) — direct
+    [Emit.enter] outside the blessed wrappers is only acceptable with
+    explicit pairing. *)
 
 val ml_files_under : root:string -> string -> string list
 (** Root-relative paths of the [.ml] files under a root-relative directory

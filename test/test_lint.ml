@@ -331,17 +331,17 @@ let test_mli_coverage () =
       check_diag "missing mli" report ~rule:"mli-coverage"
         ~file:"lib/wal/nomli.ml" ~line:1)
 
-(* R6: Trace.enter without Trace.exit_span in the same binding. *)
+(* R6: Emit.enter without Emit.exit in the same binding. *)
 let test_span_pairing () =
   with_fixture_tree (fun root ->
       write_file (root / "lib/wal/spans.ml")
         "let leaky name =\n\
-        \  let sp = Trace.enter name in\n\
+        \  let sp = Emit.enter name in\n\
         \  ignore sp\n\n\
          let paired name =\n\
-        \  let sp = Trace.enter name in\n\
-        \  Trace.exit_span sp\n\n\
-         let wrapped f = Trace.with_span \"ok\" f\n";
+        \  let sp = Emit.enter name in\n\
+        \  Emit.exit sp\n\n\
+         let wrapped f = Emit.with_span \"ok\" f\n";
       write_file (root / "lib/wal/spans.mli")
         "val leaky : string -> unit\n\
          val paired : string -> unit\n\
@@ -562,7 +562,7 @@ let suite =
     Alcotest.test_case "R4: page mutation without WAL" `Quick
       test_wal_before_page;
     Alcotest.test_case "R5: missing mli" `Quick test_mli_coverage;
-    Alcotest.test_case "R6: unpaired Trace.enter" `Quick test_span_pairing;
+    Alcotest.test_case "R6: unpaired Emit.enter" `Quick test_span_pairing;
     Alcotest.test_case "baseline pins violation counts" `Quick
       test_baseline_enforcement;
     Alcotest.test_case "R7: global-state inventory and classes" `Quick

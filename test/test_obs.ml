@@ -1,7 +1,7 @@
 (* dmx-obs: metrics registry and dispatch tracing. *)
 open Test_util
 module Metrics = Dmx_obs.Metrics
-module Trace = Dmx_obs.Trace
+module Emit = Dmx_obs.Emit
 module Obs_json = Dmx_obs.Obs_json
 module Db = Dmx_db.Db
 module Query = Dmx_query.Query
@@ -14,9 +14,9 @@ let contains = Astring_contains.contains
 let with_obs f =
   Fun.protect
     ~finally:(fun () ->
-      Trace.set_enabled false;
-      Trace.use_default_sink ();
-      Trace.reset_for_testing ();
+      Emit.disarm `Trace;
+      Emit.use_default_sink ();
+      Emit.reset_for_testing ();
       Metrics.set_enabled false)
     f
 
@@ -112,8 +112,8 @@ let test_span_nesting_and_veto () =
   let db = Db.open_database () in
   with_obs (fun () ->
       let lines = ref [] in
-      Trace.set_sink (fun l -> lines := l :: !lines);
-      Trace.set_enabled true;
+      Emit.set_line_sink (fun l -> lines := l :: !lines);
+      Emit.arm `Trace;
       let r =
         Db.with_txn db (fun ctx ->
             ignore
@@ -133,11 +133,11 @@ let test_span_nesting_and_veto () =
             | Error e ->
               Alcotest.failf "expected veto, got %s"
                 (Dmx_core.Error.to_string e));
-            Alcotest.(check int) "all spans closed inside txn" 0 (Trace.depth ());
+            Alcotest.(check int) "all spans closed inside txn" 0 (Emit.depth ());
             Ok ())
       in
       ignore (check_ok "txn" r);
-      Alcotest.(check int) "all spans closed after commit" 0 (Trace.depth ());
+      Alcotest.(check int) "all spans closed after commit" 0 (Emit.depth ());
       let lines = List.rev !lines in
       let veto_attach =
         match
@@ -240,6 +240,50 @@ let test_plan_cache_accounting () =
       ignore (check_ok "txn" r));
   Db.close db
 
+(* Probes mirror state owned elsewhere; [Metrics.reset] must rebase them
+   rather than leave old totals in place (bench deltas went negative when a
+   fresh database re-pointed a probe after a reset). *)
+let test_reset_rebases_probes () =
+  ignore (fresh_services ());
+  let db = Db.open_database () in
+  with_obs (fun () ->
+      Metrics.set_enabled true;
+      ignore
+        (check_ok "warm"
+           (Db.with_txn db (fun ctx ->
+                seed_rel db ctx;
+                ignore
+                  (check_ok "q" (Db.query db ctx (Query.select "emp_pc") ()));
+                Ok ())));
+      Metrics.reset ();
+      let after_reset = Metrics.snapshot () in
+      Alcotest.(check int) "io probe starts from zero after reset" 0
+        (List.assoc "io.pool_hits" after_reset);
+      ignore
+        (check_ok "work"
+           (Db.with_txn db (fun ctx ->
+                ignore
+                  (check_ok "q" (Db.query db ctx (Query.select "emp_pc") ()));
+                Ok ())));
+      let snap = Metrics.snapshot () in
+      Alcotest.(check bool) "work after the reset is counted" true
+        (List.assoc "io.pool_hits" snap > 0);
+      List.iter
+        (fun (name, v) ->
+          Alcotest.(check bool) (Fmt.str "%s non-negative (%d)" name v) true
+            (v >= 0))
+        snap);
+  Db.close db
+
+(* DMX_OBS is the one telemetry switch: a comma-separated sink list. *)
+let test_dmx_obs_parsing () =
+  Alcotest.(check bool) "names, case and blanks" true
+    (Emit.sinks_of_string " metrics,TRACE,, events ,profile,statements"
+    = [ `Metrics; `Trace; `Events; `Profile; `Statements ]);
+  Alcotest.(check bool) "unknown names are skipped" true
+    (Emit.sinks_of_string "trace,bogus" = [ `Trace ]);
+  Alcotest.(check bool) "empty arms nothing" true (Emit.sinks_of_string "" = [])
+
 let suite =
   [
     Alcotest.test_case "counter gating" `Quick test_counter_gating;
@@ -254,4 +298,6 @@ let suite =
       test_lock_conflict_counter;
     Alcotest.test_case "plan-cache accounting" `Quick
       test_plan_cache_accounting;
+    Alcotest.test_case "reset rebases probes" `Quick test_reset_rebases_probes;
+    Alcotest.test_case "DMX_OBS sink list" `Quick test_dmx_obs_parsing;
   ]

@@ -8,16 +8,19 @@ module Fingerprint = Dmx_query.Fingerprint
 module Query_store = Dmx_obs.Query_store
 module Event_ring = Dmx_obs.Event_ring
 module Metrics = Dmx_obs.Metrics
+module Emit = Dmx_obs.Emit
+module Trace_reader = Dmx_obs.Trace_reader
+module Stmt_obs = Dmx_query.Stmt_obs
 
-(* Every test restores the store/ring state it touched. *)
+(* Every test restores the sink state it touched. *)
 let with_store f =
-  let cap = Query_store.current_capacity () in
   Fun.protect
     ~finally:(fun () ->
-      Query_store.set_enabled false;
-      Query_store.reset ();
-      Query_store.set_capacity cap;
-      Event_ring.set_enabled false;
+      Emit.disarm `Statements;
+      Emit.reset `Statements;
+      Emit.disarm `Events;
+      Emit.disarm `Trace;
+      Emit.use_default_sink ();
       Metrics.set_enabled false)
     f
 
@@ -87,111 +90,114 @@ let mk_exec ?(us = 10.) ?(rows = 1) ?(error = false) ?plan fp =
     x_plan = plan;
   }
 
-let fps () = List.map (fun e -> Int64.to_int e.Query_store.e_fp) (Query_store.entries ())
+let fps store =
+  List.map (fun e -> Int64.to_int e.Query_store.e_fp) (Query_store.entries store)
 
 let test_accumulation () =
-  with_store (fun () ->
-      Query_store.set_enabled true;
-      Query_store.reset ();
-      ignore (Query_store.record (mk_exec ~us:10. ~rows:3 1));
-      ignore (Query_store.record (mk_exec ~us:30. ~rows:4 ~error:true 1));
-      match Query_store.entries () with
+  let store = Query_store.create () in
+  ignore (Query_store.record store (mk_exec ~us:10. ~rows:3 1));
+  ignore (Query_store.record store (mk_exec ~us:30. ~rows:4 ~error:true 1));
+  match Query_store.entries store with
       | [ e ] ->
-        Alcotest.(check int) "calls" 2 e.Query_store.e_calls;
-        Alcotest.(check int) "errors" 1 e.Query_store.e_errors;
-        Alcotest.(check int) "rows" 7 e.Query_store.e_rows;
-        Alcotest.(check int) "pool hits" 4 e.Query_store.e_pool_hits;
-        Alcotest.(check int) "latency samples" 2
-          (Metrics.histogram_count e.Query_store.e_latency);
-        Alcotest.(check bool) "last_seen advances" true
-          (e.Query_store.e_last_seen >= e.Query_store.e_first_seen)
-      | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es))
+    Alcotest.(check int) "calls" 2 e.Query_store.e_calls;
+    Alcotest.(check int) "errors" 1 e.Query_store.e_errors;
+    Alcotest.(check int) "rows" 7 e.Query_store.e_rows;
+    Alcotest.(check int) "pool hits" 4 e.Query_store.e_pool_hits;
+    Alcotest.(check int) "latency samples" 2
+      (Metrics.histogram_count e.Query_store.e_latency);
+    Alcotest.(check bool) "last_seen advances" true
+      (e.Query_store.e_last_seen >= e.Query_store.e_first_seen)
+  | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es)
 
 let test_lru_eviction () =
-  with_store (fun () ->
-      Query_store.set_enabled true;
-      Query_store.reset ();
-      Query_store.set_capacity 4;
-      for fp = 1 to 4 do
-        ignore (Query_store.record (mk_exec fp))
-      done;
-      (* touch 1 so 2 becomes the LRU victim *)
-      ignore (Query_store.record (mk_exec 1));
-      ignore (Query_store.record (mk_exec 5));
-      Alcotest.(check int) "at capacity" 4 (Query_store.size ());
-      Alcotest.(check int) "one eviction" 1 (Query_store.evicted ());
-      Alcotest.(check (list int)) "victim was the LRU entry" [ 1; 3; 4; 5 ] (fps ());
-      ignore (Query_store.record (mk_exec 6));
-      Alcotest.(check (list int)) "next victim in LRU order" [ 1; 4; 5; 6 ] (fps ());
-      Alcotest.(check int) "recorded counts every execution" 7
-        (Query_store.recorded ()))
+  let store = Query_store.create ~capacity:4 () in
+  for fp = 1 to 4 do
+    ignore (Query_store.record store (mk_exec fp))
+  done;
+  (* touch 1 so 2 becomes the LRU victim *)
+  ignore (Query_store.record store (mk_exec 1));
+  ignore (Query_store.record store (mk_exec 5));
+  Alcotest.(check int) "at capacity" 4 (Query_store.size store);
+  Alcotest.(check int) "one eviction" 1 (Query_store.evicted store);
+  Alcotest.(check (list int)) "victim was the LRU entry" [ 1; 3; 4; 5 ]
+    (fps store);
+  ignore (Query_store.record store (mk_exec 6));
+  Alcotest.(check (list int)) "next victim in LRU order" [ 1; 4; 5; 6 ]
+    (fps store);
+  Alcotest.(check int) "recorded counts every execution" 7
+    (Query_store.recorded store)
 
 let test_reset () =
-  with_store (fun () ->
-      Query_store.set_enabled true;
-      Query_store.set_capacity 2;
-      for fp = 1 to 3 do
-        ignore (Query_store.record (mk_exec fp))
-      done;
-      Alcotest.(check bool) "populated" true (Query_store.size () > 0);
-      Query_store.reset ();
-      Alcotest.(check int) "no entries" 0 (Query_store.size ());
-      Alcotest.(check int) "evicted zeroed" 0 (Query_store.evicted ());
-      Alcotest.(check int) "recorded zeroed" 0 (Query_store.recorded ());
-      Alcotest.(check (list (pair string int)))
-        "probe reads zeros"
-        [ ("stmt.fingerprints", 0); ("stmt.recorded", 0); ("stmt.evicted", 0) ]
-        (Query_store.probe ()))
+  let store = Query_store.create ~capacity:2 () in
+  for fp = 1 to 3 do
+    ignore (Query_store.record store (mk_exec fp))
+  done;
+  Alcotest.(check bool) "populated" true (Query_store.size store > 0);
+  Query_store.reset store;
+  Alcotest.(check int) "no entries" 0 (Query_store.size store);
+  Alcotest.(check int) "evicted zeroed" 0 (Query_store.evicted store);
+  Alcotest.(check int) "recorded zeroed" 0 (Query_store.recorded store);
+  Alcotest.(check (list (pair string int)))
+    "probe reads zeros"
+    [ ("stmt.fingerprints", 0); ("stmt.recorded", 0); ("stmt.evicted", 0) ]
+    (Query_store.probe store)
 
 let test_plan_notes () =
-  with_store (fun () ->
-      Query_store.set_enabled true;
-      Query_store.reset ();
-      let note h = Query_store.record (mk_exec ~plan:(Int64.of_int h) 1) in
-      Alcotest.(check bool) "first plan" true (note 11 = Query_store.Plan_first);
-      Alcotest.(check bool) "same plan" true (note 11 = Query_store.Plan_same);
-      Alcotest.(check bool) "flip" true (note 22 = Query_store.Plan_changed 11L);
-      let first_seen_11 =
-        match Query_store.entries () with
-        | [ e ] ->
-          (List.find
-             (fun u -> u.Query_store.pu_hash = 11L)
-             e.Query_store.e_plans)
-            .Query_store.pu_first_seen
-        | _ -> Alcotest.fail "expected 1 entry"
-      in
-      Alcotest.(check bool) "flip back" true (note 11 = Query_store.Plan_changed 22L);
-      (match Query_store.entries () with
-      | [ e ] ->
-        Alcotest.(check int) "history holds both" 2
-          (List.length e.Query_store.e_plans);
-        Alcotest.(check (float 0.))
-          "flip back preserves first_seen" first_seen_11
-          (List.find (fun u -> u.Query_store.pu_hash = 11L) e.Query_store.e_plans)
-            .Query_store.pu_first_seen
-      | _ -> Alcotest.fail "expected 1 entry");
-      Alcotest.(check bool) "no plan supplied" true
-        (Query_store.record (mk_exec 1) = Query_store.Plan_none))
-
-let test_disabled_no_alloc () =
-  with_store (fun () ->
-      Query_store.set_enabled false;
-      let x = mk_exec 7 in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to 10_000 do
-        ignore (Query_store.record x)
-      done;
-      let words = Gc.minor_words () -. w0 in
-      Alcotest.(check bool)
-        (Fmt.str "disabled record allocates nothing (%.0f words)" words)
-        true (words < 256.);
-      Alcotest.(check int) "nothing stored" 0 (Query_store.size ()))
+  let store = Query_store.create () in
+  let note h = Query_store.record store (mk_exec ~plan:(Int64.of_int h) 1) in
+  Alcotest.(check bool) "first plan" true (note 11 = Query_store.Plan_first);
+  Alcotest.(check bool) "same plan" true (note 11 = Query_store.Plan_same);
+  Alcotest.(check bool) "flip" true (note 22 = Query_store.Plan_changed 11L);
+  let first_seen_11 =
+    match Query_store.entries store with
+    | [ e ] ->
+      (List.find
+         (fun u -> u.Query_store.pu_hash = 11L)
+         e.Query_store.e_plans)
+        .Query_store.pu_first_seen
+    | _ -> Alcotest.fail "expected 1 entry"
+  in
+  Alcotest.(check bool) "flip back" true (note 11 = Query_store.Plan_changed 22L);
+  (match Query_store.entries store with
+  | [ e ] ->
+    Alcotest.(check int) "history holds both" 2
+      (List.length e.Query_store.e_plans);
+    Alcotest.(check (float 0.))
+      "flip back preserves first_seen" first_seen_11
+      (List.find (fun u -> u.Query_store.pu_hash = 11L) e.Query_store.e_plans)
+        .Query_store.pu_first_seen
+  | _ -> Alcotest.fail "expected 1 entry");
+  Alcotest.(check bool) "no plan supplied" true
+    (Query_store.record store (mk_exec 1) = Query_store.Plan_none)
 
 (* ---- end to end: the query path feeds the store and the views ---- *)
 
 let open_db () =
   ignore (fresh_services ());
   Db.open_database ()
+
+(* With no sink armed the statement bracket is one branch: nothing is
+   fingerprinted, allocated or stored. *)
+let test_disabled_no_alloc () =
+  with_store (fun () ->
+      let db = open_db () in
+      Emit.disarm `Statements;
+      let ctx = Db.begin_txn db in
+      let ok = Ok 0 in
+      let body ~set_plan:_ = ok in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        ignore (Stmt_obs.observed ctx ~text:"select 1" ~rows:Fun.id body)
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool)
+        (Fmt.str "disabled statement bracket allocates nothing (%.0f words)"
+           words)
+        true (words < 256.);
+      Alcotest.(check int) "nothing stored" 0
+        (Query_store.size (Emit.store ()));
+      Db.abort db ctx;
+      Db.close db)
 
 let seed db n =
   check_ok "seed"
@@ -213,8 +219,8 @@ let seed db n =
 let test_query_path_records () =
   with_store (fun () ->
       let db = open_db () in
-      Query_store.set_enabled true;
-      Query_store.reset ();
+      Emit.arm `Statements;
+      Emit.reset `Statements;
       seed db 20;
       ignore
         (check_ok "selects"
@@ -235,7 +241,7 @@ let test_query_path_records () =
         List.find
           (fun e ->
             e.Query_store.e_text = "select * from emp where salary > ?")
-          (Query_store.entries ())
+          (Query_store.entries (Emit.store ()))
       in
       Alcotest.(check int) "variants collapse" 3 entry.Query_store.e_calls;
       Alcotest.(check int) "rows accumulate" (15 + 10 + 5)
@@ -268,9 +274,9 @@ let test_query_path_records () =
 let test_plan_change_emits_event () =
   with_store (fun () ->
       let db = open_db () in
-      Query_store.set_enabled true;
-      Query_store.reset ();
-      Event_ring.set_enabled true;
+      Emit.arm `Statements;
+      Emit.reset `Statements;
+      Emit.arm `Events;
       (* enough rows that a unique-index probe beats the sequential scan *)
       seed db 300;
       let select ctx =
@@ -293,14 +299,14 @@ let test_plan_change_emits_event () =
       let entry =
         List.find
           (fun e -> e.Query_store.e_text = "select * from emp where id = ?")
-          (Query_store.entries ())
+          (Query_store.entries (Emit.store ()))
       in
       Alcotest.(check int) "two plans in history" 2
         (List.length entry.Query_store.e_plans);
       let changed =
         List.filter
           (fun e -> e.Event_ring.e_name = "plan.changed")
-          (Event_ring.snapshot ())
+          (Event_ring.snapshot (Emit.ring ()))
       in
       Alcotest.(check int) "one plan.changed event" 1 (List.length changed);
       (* the plans view shows both hashes, newest marked current *)
@@ -322,12 +328,69 @@ let test_plan_change_emits_event () =
                 Ok ())));
       Db.close db)
 
+(* Live and offline statement statistics agree: a statement mix run with
+   the trace and statements sinks armed yields the same calls, errors, rows
+   and latency quantiles in dmx_statements as [Trace_reader.statements]
+   recovers from the trace file. *)
+let test_live_offline_parity () =
+  with_store (fun () ->
+      let db = open_db () in
+      seed db 60;
+      let path = Filename.temp_file "dmx_parity" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Emit.open_file_sink path;
+          Emit.arm `Statements;
+          Emit.reset `Statements;
+          Emit.arm `Trace;
+          ignore
+            (check_ok "mix"
+               (Db.with_txn db (fun ctx ->
+                    for i = 1 to 40 do
+                      let q =
+                        match i mod 4 with
+                        | 0 -> Query.select ~where:(Fmt.str "id = %d" i) "emp"
+                        | 1 ->
+                          Query.select ~where:(Fmt.str "salary > %d" (i * 1000))
+                            "emp"
+                        | 2 -> Query.select ~where:"no_such_field = 1" "emp"
+                        | _ ->
+                          Query.select
+                            ~where:(Fmt.str "dept = 'd%d'" (i mod 5))
+                            ~project:[ "name" ] "emp"
+                      in
+                      ignore (Db.query db ctx q ())
+                    done;
+                    Ok ())));
+          Emit.disarm `Trace;
+          let records, errors = Trace_reader.load_file path in
+          Alcotest.(check (list string)) "trace parses" [] errors;
+          let offline = Trace_reader.statements records in
+          let live = Query_store.entries (Emit.store ()) in
+          let view (e : Query_store.entry) =
+            ( Fingerprint.hex e.e_fp,
+              (e.e_calls, e.e_errors, e.e_rows),
+              (Query_store.quantile e 0.5, Query_store.quantile e 0.95) )
+          in
+          let sorted l = List.sort compare (List.map view l) in
+          Alcotest.(check int) "four statement shapes" 4 (List.length live);
+          Alcotest.(check bool) "errors observed" true
+            (List.exists (fun e -> e.Query_store.e_errors > 0) live);
+          Alcotest.(check
+                      (list
+                         (triple string (triple int int int)
+                            (pair (float 0.) (float 0.)))))
+            "dmx_statements = Trace_reader.statements" (sorted live)
+            (sorted offline));
+      Db.close db)
+
 (* satellite: the telemetry-loss probe surfaces ring drops and trace
    truncation in the ordinary metrics snapshot *)
 let test_telemetry_loss_probe () =
   with_store (fun () ->
       Metrics.set_enabled true;
-      Event_ring.set_enabled true;
+      Emit.arm `Events;
       let snap = Metrics.snapshot () in
       Alcotest.(check bool) "events.dropped exposed" true
         (List.mem_assoc "events.dropped" snap);
@@ -350,4 +413,6 @@ let suite =
     Alcotest.test_case "plan change emits event" `Quick
       test_plan_change_emits_event;
     Alcotest.test_case "telemetry loss probe" `Quick test_telemetry_loss_probe;
+    Alcotest.test_case "live and offline statements agree" `Quick
+      test_live_offline_parity;
   ]

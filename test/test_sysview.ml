@@ -7,7 +7,7 @@ module Error = Dmx_core.Error
 module Sysview = Dmx_smethod.Sysview
 module Metrics = Dmx_obs.Metrics
 module Event_ring = Dmx_obs.Event_ring
-module Trace = Dmx_obs.Trace
+module Emit = Dmx_obs.Emit
 
 let open_db () =
   ignore (fresh_services ());
@@ -15,14 +15,15 @@ let open_db () =
 
 (* Every test restores the global ring/obs state it touched. *)
 let with_ring f =
-  let cap = Event_ring.capacity () and slow = Event_ring.slow_us () in
+  let ring = Emit.ring () in
+  let cap = Event_ring.capacity ring and slow = Event_ring.slow_us ring in
   Fun.protect
     ~finally:(fun () ->
-      Event_ring.set_enabled false;
-      Event_ring.set_capacity cap;
-      Event_ring.set_slow_us slow;
+      Emit.disarm `Events;
+      Event_ring.set_capacity ring cap;
+      Event_ring.set_slow_us ring slow;
       Metrics.set_enabled false)
-    f
+    (fun () -> f ring)
 
 let all_views =
   [ "dmx_metrics"; "dmx_relations"; "dmx_locks"; "dmx_lock_waits";
@@ -246,42 +247,39 @@ let test_mount_idempotent () =
 (* ---- the event ring ---- *)
 
 let test_event_ring_overwrite () =
-  with_ring (fun () ->
-      Event_ring.set_capacity 4;
-      Event_ring.set_enabled true;
-      Alcotest.(check bool) "ring implies combined trace gate" true
-        (Trace.enabled ());
+  with_ring (fun ring ->
+      Event_ring.set_capacity ring 4;
+      Emit.arm `Events;
+      Alcotest.(check bool) "the ring arms the one gate" true (Emit.active ());
       for i = 1 to 6 do
-        Event_ring.record ~kind:Event_ring.Span ~name:(Fmt.str "op%d" i)
+        Event_ring.record ring ~kind:Event_ring.Span ~name:(Fmt.str "op%d" i)
           ~txid:i ~us:(float_of_int i) ~outcome:"ok"
       done;
-      let entries = Event_ring.snapshot () in
+      let entries = Event_ring.snapshot ring in
       Alcotest.(check int) "capacity bounds the ring" 4 (List.length entries);
-      Alcotest.(check int) "two overwritten" 2 (Event_ring.dropped ());
-      Alcotest.(check int) "total appended" 6 (Event_ring.total ());
+      Alcotest.(check int) "two overwritten" 2 (Event_ring.dropped ring);
+      Alcotest.(check int) "total appended" 6 (Event_ring.total ring);
       Alcotest.(check (list string)) "oldest first, oldest two gone"
         [ "op3"; "op4"; "op5"; "op6" ]
         (List.map (fun e -> e.Event_ring.e_name) entries);
       let seqs = List.map (fun e -> e.Event_ring.e_seq) entries in
       Alcotest.(check (list int)) "sequence numbers survive overwrite"
         [ 3; 4; 5; 6 ] seqs;
-      Event_ring.set_enabled false;
-      Alcotest.(check bool) "gate drops with the ring" false (Trace.enabled ());
-      Event_ring.record ~kind:Event_ring.Span ~name:"ignored" ~txid:0 ~us:1.
-        ~outcome:"ok";
-      Alcotest.(check int) "disabled ring records nothing" 6
-        (Event_ring.total ()))
+      Emit.disarm `Events;
+      Alcotest.(check bool) "gate drops with the ring" false (Emit.active ());
+      Emit.with_span "ignored" (fun () -> Emit.event "ignored");
+      Alcotest.(check int) "disarmed ring records nothing" 6
+        (Event_ring.total ring))
 
 let test_event_ring_slow_tagging () =
-  with_ring (fun () ->
-      Event_ring.set_capacity 16;
-      Event_ring.set_slow_us 100.;
-      Event_ring.set_enabled true;
-      Event_ring.record ~kind:Event_ring.Span ~name:"fast" ~txid:1 ~us:99.
+  with_ring (fun ring ->
+      Event_ring.set_capacity ring 16;
+      Event_ring.set_slow_us ring 100.;
+      Event_ring.record ring ~kind:Event_ring.Span ~name:"fast" ~txid:1 ~us:99.
         ~outcome:"ok";
-      Event_ring.record ~kind:Event_ring.Span ~name:"slow" ~txid:1 ~us:100.
-        ~outcome:"ok";
-      (match Event_ring.snapshot () with
+      Event_ring.record ring ~kind:Event_ring.Span ~name:"slow" ~txid:1
+        ~us:100. ~outcome:"ok";
+      (match Event_ring.snapshot ring with
       | [ fast; slow ] ->
         Alcotest.(check bool) "below threshold untagged" false
           fast.Event_ring.e_slow;
@@ -289,10 +287,10 @@ let test_event_ring_slow_tagging () =
       | l -> Alcotest.failf "expected 2 entries, got %d" (List.length l)))
 
 let test_events_view_sees_engine_spans () =
-  with_ring (fun () ->
+  with_ring (fun ring ->
       let db = open_db () in
-      Event_ring.set_capacity 256;
-      Event_ring.set_enabled true;
+      Event_ring.set_capacity ring 256;
+      Emit.arm `Events;
       ignore
         (check_ok "txn"
            (Db.with_txn db (fun ctx ->
