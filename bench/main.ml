@@ -1521,19 +1521,23 @@ let pr5_e10 () =
     "at 8000 rows checkpoints cut the rescan to %d of %d records and \
      truncation retains %d of %d (gate: both < 1/4)" s8c s8p r8c r8p
 
-(* PR E11 — the vectorized read path (dmx-readpath): run-at-a-time scans
-   through the optional [sm_scan_batch] vector slot plus once-per-plan
-   compiled predicates, against the seed read path (record-at-a-time
-   [rs_next] + interpreted [Eval.test] per record). The pin counter is the
-   deterministic half of the claim: a heap batch scan pins each page once,
-   where the record path pins per record. *)
+(* PR E11 — one scan protocol (dmx-ablate). Every native storage method
+   scans through its run producer, and its record cursor is an adapter over
+   those runs, so the record path and the batch path share the pins and the
+   decode. What is left to attribute is the predicate: on the heap filtered
+   scan, three arms over the same runs — the interpreter ([Eval.test]) and
+   compiled closures ([Eval.compile]) applied to unfiltered runs, against
+   [scan_batch ~filter], which span-matches the encoded payload and
+   materialises qualifying records only. Gates are exact: result parity
+   across arms and paths, one pin per heap page on both paths, and exact
+   explain-analyze counts. Timing ratios are reported, not gated. *)
 let pr5_e11 () =
-  Report.heading "E11 — vectorized scans + compiled predicates (dmx-readpath)"
+  Report.heading "E11 — one scan protocol: predicate ablation on runs (dmx-ablate)"
     ~claim:
-      "run-at-a-time scans with compiled predicates beat the \
-       record-at-a-time interpreted read path by >= 3x on 100k-row \
-       relations (heap, btree and a filtered join), and a heap batch scan \
-       pins each page exactly once";
+      "with runs the only scan implementation, record and batch paths agree \
+       row for row and both pin each heap page exactly once; interpreted, \
+       compiled and span-matched predicates over 100k-row runs are measured \
+       side by side";
   let db = fresh_db () in
   let rows = 100_000 in
   let ctx = Db.begin_txn db in
@@ -1570,35 +1574,38 @@ let pr5_e11 () =
   let hdesc = ok "employee" (Db.relation db ctx "employee") in
   let bdesc = ok "kemp" (Db.relation db ctx "kemp") in
   let ddesc = ok "dept" (Db.relation db ctx "dept") in
-  (* the seed read path: one rs_next per record, the interpreter re-walking
-     the predicate tree per record *)
-  let seed_scan desc () =
-    let scan = ok "scan" (Relation.scan ctx desc ()) in
-    let n = ref 0 in
+  let drain_runs (scan : Dmx_core.Intf.run_scan) f =
     let rec loop () =
-      match scan.Dmx_core.Intf.rs_next () with
-      | None -> scan.Dmx_core.Intf.rs_close ()
-      | Some (_, r) ->
-        if Dmx_expr.Eval.test r pred then incr n;
+      match scan.rn_next () with
+      | None -> scan.rn_close ()
+      | Some run ->
+        Array.iter f run;
         loop ()
     in
-    loop ();
+    loop ()
+  in
+  (* unfiltered runs, the predicate applied per record outside the method *)
+  let runs_with test desc () =
+    let n = ref 0 in
+    drain_runs (ok "scan_batch" (Relation.scan_batch ctx desc ())) (fun (_, r) ->
+        if test r then incr n);
     !n
   in
-  (* the batch read path: native runs (page / leaf) filtered by the
-     once-per-open compiled predicate *)
-  let batch_scan desc () =
-    let scan = ok "scan_batch" (Relation.scan_batch ctx desc ~filter:pred ()) in
+  let interpreted = runs_with (fun r -> Dmx_expr.Eval.test r pred) in
+  let compiled = runs_with (Dmx_expr.Eval.compile emp_schema pred) in
+  (* the predicate inside the producer *)
+  let batch_scan ?filter desc () =
     let n = ref 0 in
-    let rec loop () =
-      match scan.Dmx_core.Intf.rn_next () with
-      | None -> scan.Dmx_core.Intf.rn_close ()
-      | Some run ->
-        n := !n + Array.length run;
-        loop ()
-    in
-    loop ();
+    drain_runs
+      (ok "scan_batch" (Relation.scan_batch ctx desc ?filter ()))
+      (fun _ -> incr n);
     !n
+  in
+  (* the record cursor: the adapter over the same runs *)
+  let record_scan ?filter desc () =
+    List.length
+      (Dmx_core.Scan_help.record_scan_to_list
+         (ok "scan" (Relation.scan ctx desc ?filter ())))
   in
   let reps = 5 in
   let measure f =
@@ -1611,19 +1618,20 @@ let pr5_e11 () =
     let _, _, d = with_io db f in
     d.Io_stats.pool_hits + d.Io_stats.pool_misses
   in
-  let hn_seed, ht_seed = measure (seed_scan hdesc) in
-  let hn_batch, ht_batch = measure (batch_scan hdesc) in
-  let bn_seed, bt_seed = measure (seed_scan bdesc) in
-  let bn_batch, bt_batch = measure (batch_scan bdesc) in
-  let hp_seed = pins (seed_scan hdesc) in
+  let hn_interp, ht_interp = measure (interpreted hdesc) in
+  let hn_comp, ht_comp = measure (compiled hdesc) in
+  let hn_span, ht_span = measure (batch_scan ~filter:pred hdesc) in
+  let hn_rec, ht_rec = measure (record_scan ~filter:pred hdesc) in
+  let bn_rec, bt_rec = measure (record_scan ~filter:pred bdesc) in
+  let bn_batch, bt_batch = measure (batch_scan ~filter:pred bdesc) in
+  let hp_record = pins (record_scan hdesc) in
   let hp_batch = pins (batch_scan hdesc) in
-  (* the same logical join, both ways: record-at-a-time outer + keyed inner
-     record scan + interpreted residual, vs the executor pulling runs with
-     compiled predicates *)
+  (* the same logical join, both ways: record cursors with the interpreter
+     as reference, vs the executor pulling runs *)
   let jpred =
     Dmx_expr.Parse.parse_exn emp_schema "salary > 99000 AND dept = 'd3'"
   in
-  let seed_join () =
+  let record_join () =
     let scan = ok "scan" (Relation.scan ctx hdesc ()) in
     let out = ref 0 in
     let rec loop () =
@@ -1631,21 +1639,12 @@ let pr5_e11 () =
       | None -> scan.Dmx_core.Intf.rs_close ()
       | Some (_, r) ->
         if Dmx_expr.Eval.test r jpred then begin
-          let inner =
-            ok "inner"
-              (Relation.scan ctx ddesc
-                 ~lo:(Dmx_core.Intf.Incl [| r.(2) |])
-                 ~hi:(Dmx_core.Intf.Incl [| r.(2) |])
-                 ())
-          in
-          let rec drain () =
-            match inner.Dmx_core.Intf.rs_next () with
-            | None -> inner.Dmx_core.Intf.rs_close ()
-            | Some _ ->
-              incr out;
-              drain ()
-          in
-          drain ()
+          let key = Dmx_core.Intf.Incl [| r.(2) |] in
+          out :=
+            !out
+            + List.length
+                (Dmx_core.Scan_help.record_scan_to_list
+                   (ok "inner" (Relation.scan ctx ddesc ~lo:key ~hi:key ())))
         end;
         loop ()
     in
@@ -1660,8 +1659,8 @@ let pr5_e11 () =
   let exec_join () =
     List.length (ok "run" (Dmx_query.Executor.run ctx plan ()))
   in
-  let jn_seed, jt_seed = measure seed_join in
-  let jn_batch, jt_batch = measure exec_join in
+  let jn_rec = record_join () in
+  let jn_exec, jt_exec = measure exec_join in
   (* explain analyze must stay exact under batching: the root operator's
      row count is the result cardinality *)
   let analyzed_rows, root_rows =
@@ -1670,50 +1669,45 @@ let pr5_e11 () =
   in
   Db.commit db ctx;
   Db.close db;
-  let speedup a b = a /. b in
+  let vs_span t = Report.f2 (t /. ht_span) in
   Report.table
-    ~columns:[ "100k-row read"; "rows out"; "seed (ms)"; "batch (ms)"; "speedup" ]
+    ~columns:[ "100k-row heap scan, filtered"; "rows out"; "ms"; "vs span" ]
     [
-      [
-        "heap scan, filtered"; Report.i hn_batch; Report.f2 (ms ht_seed);
-        Report.f2 (ms ht_batch); Report.f2 (speedup ht_seed ht_batch);
-      ];
-      [
-        "btree scan, filtered"; Report.i bn_batch; Report.f2 (ms bt_seed);
-        Report.f2 (ms bt_batch); Report.f2 (speedup bt_seed bt_batch);
-      ];
-      [
-        "join, filtered outer"; Report.i jn_batch; Report.f2 (ms jt_seed);
-        Report.f2 (ms jt_batch); Report.f2 (speedup jt_seed jt_batch);
-      ];
+      [ "runs + Eval.test"; Report.i hn_interp; Report.f2 (ms ht_interp);
+        vs_span ht_interp ];
+      [ "runs + Eval.compile"; Report.i hn_comp; Report.f2 (ms ht_comp);
+        vs_span ht_comp ];
+      [ "scan_batch ~filter (span + late mat.)"; Report.i hn_span;
+        Report.f2 (ms ht_span); vs_span ht_span ];
+      [ "record cursor ~filter (adapter)"; Report.i hn_rec; Report.f2 (ms ht_rec);
+        vs_span ht_rec ];
+    ];
+  Report.table
+    ~columns:[ "other reads"; "rows out"; "ms" ]
+    [
+      [ "btree record cursor ~filter"; Report.i bn_rec; Report.f2 (ms bt_rec) ];
+      [ "btree scan_batch ~filter"; Report.i bn_batch; Report.f2 (ms bt_batch) ];
+      [ "join through the executor"; Report.i jn_exec; Report.f2 (ms jt_exec) ];
     ];
   Report.table
     ~columns:[ "heap scan pins"; "count" ]
     [
       [ "pages in relation"; Report.i heap_pages ];
-      [ "pins, record-at-a-time scan"; Report.i hp_seed ];
+      [ "pins, record cursor"; Report.i hp_record ];
       [ "pins, batch scan"; Report.i hp_batch ];
     ];
   Report.verdict
-    ~ok:(hn_seed = hn_batch && bn_seed = bn_batch && jn_seed = jn_batch)
-    "batch and record paths agree: heap %d=%d, btree %d=%d, join %d=%d rows"
-    hn_seed hn_batch bn_seed bn_batch jn_seed jn_batch;
+    ~ok:
+      (hn_interp = hn_comp && hn_comp = hn_span && hn_span = hn_rec
+      && bn_rec = bn_batch && jn_rec = jn_exec)
+    "every arm and path agrees: heap %d=%d=%d=%d, btree %d=%d, join %d=%d \
+     rows"
+    hn_interp hn_comp hn_span hn_rec bn_rec bn_batch jn_rec jn_exec;
   Report.verdict
-    ~ok:(hp_batch = heap_pages)
-    "a heap batch scan pins each page exactly once: %d pins over %d pages \
-     (record path: %d)" hp_batch heap_pages hp_seed;
-  Report.verdict
-    ~ok:(speedup ht_seed ht_batch >= 3.)
-    "heap scan: batch + compiled is %.1fx the seed path (gate: >= 3x)"
-    (speedup ht_seed ht_batch);
-  Report.verdict
-    ~ok:(speedup bt_seed bt_batch >= 3.)
-    "btree scan: batch + compiled is %.1fx the seed path (gate: >= 3x)"
-    (speedup bt_seed bt_batch);
-  Report.verdict
-    ~ok:(speedup jt_seed jt_batch >= 3.)
-    "join: the executor's batch read path is %.1fx the record-at-a-time \
-     path (gate: >= 3x)" (speedup jt_seed jt_batch);
+    ~ok:(hp_record = heap_pages && hp_batch = heap_pages)
+    "record and batch scans pin each heap page exactly once: %d and %d pins \
+     over %d pages"
+    hp_record hp_batch heap_pages;
   Report.verdict
     ~ok:(analyzed_rows = root_rows)
     "explain analyze stays exact under batching: root os_rows %d = %d rows"

@@ -61,6 +61,14 @@ let with_op_savepoint ctx f =
     rollback_op ctx name;
     Error err
 
+(* Every storage-method modification bumps the transaction's count, so the
+   transaction's buffered record cursors re-read before their next step
+   (Scan_help.records_of_runs). *)
+let modifying ctx =
+  incr sm_calls;
+  let txn = ctx.Ctx.txn in
+  txn.Txn.mods <- txn.Txn.mods + 1
+
 let lock_relation ctx desc mode =
   Ctx.lock ctx ~mode (Lock_table.Relation desc.Descriptor.rel_id)
 
@@ -160,7 +168,7 @@ let insert ctx desc record =
       let* () = validate ctx desc record in
       let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
       with_op_savepoint ctx (fun () ->
-          incr sm_calls;
+          modifying ctx;
           let* key =
             sm_span ctx desc "insert" (fun () ->
                 Registry.Vec.sm_insert.(desc.Descriptor.smethod_id) ctx desc
@@ -198,7 +206,7 @@ let insert_many ctx desc records =
         in
         let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
         with_op_savepoint ctx (fun () ->
-            incr sm_calls;
+            modifying ctx;
             let* keys =
               sm_span ctx desc "insert_many" (fun () ->
                   Registry.Vec.sm_insert_batch.(desc.Descriptor.smethod_id)
@@ -240,7 +248,7 @@ let update ctx desc key new_record =
       | None -> Error (Error.Key_not_found (Record_key.to_string key))
       | Some old_record ->
         with_op_savepoint ctx (fun () ->
-            incr sm_calls;
+            modifying ctx;
             let* new_key =
               sm_span ctx desc "update" (fun () ->
                   Registry.Vec.sm_update.(desc.Descriptor.smethod_id) ctx desc
@@ -272,7 +280,7 @@ let delete ctx desc key =
       let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
       let* () = lock_record ctx desc key Dmx_lock.Lock_mode.X in
       with_op_savepoint ctx (fun () ->
-          incr sm_calls;
+          modifying ctx;
           let* old_record =
             sm_span ctx desc "delete" (fun () ->
                 Registry.Vec.sm_delete.(desc.Descriptor.smethod_id) ctx desc

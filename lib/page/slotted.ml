@@ -95,6 +95,9 @@ let find_dead_slot page =
   in
   loop 0
 
+let next_slot page =
+  match find_dead_slot page with Some s -> s | None -> slot_count page
+
 let garbage page =
   let n = slot_count page in
   let used = ref 0 in

@@ -26,6 +26,11 @@ val insert : bytes -> string -> slot option
 (** Copy a payload into the page; [None] when it does not fit even after
     compaction. Tombstoned slots are reused. *)
 
+val next_slot : bytes -> slot
+(** The slot the next successful {!insert} uses: the first released
+    tombstone, else [slot_count] — so a caller can log the record key before
+    the page changes. *)
+
 val read : bytes -> slot -> string option
 (** [None] for tombstones and out-of-range slots. *)
 

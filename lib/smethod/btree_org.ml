@@ -218,28 +218,13 @@ module Impl = struct
     ignore ctx;
     (bdesc_of desc).count
 
-  let scan ctx (desc : Descriptor.t) ?(lo = Intf.Unbounded)
-      ?(hi = Intf.Unbounded) ?filter () =
-    let bd = bdesc_of desc in
-    let cursor = Btree.cursor ?lo:(bound_of lo) ?hi:(bound_of hi) (tree_of ctx bd) in
-    let next () =
-      match Btree.next cursor with
-      | None -> None
-      | Some (key, payload) -> Some (Record_key.fields key, record_of payload)
-    in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = Btree.position cursor in
-        fun () -> Btree.seek cursor saved)
-      ()
-
-  (* Vectorized scan (registered as the batch vector entry): one run per
-     leaf via [Btree.next_run], with the following leaf's page prefetched
-     into the clock pool before the run is handed out — by the time the
-     consumer drains the run, the next key-sequential step hits in cache.
-     Positions are captured between runs (the cursor is on the run's last
-     key), so savepoint restore re-enters exactly after it. *)
+  (* The one scan implementation (registered as the batch vector entry; the
+     record cursor [scan] adapts it): one run per leaf via [Btree.next_run],
+     with the following leaf's page prefetched into the clock pool before
+     the run is handed out — by the time the consumer drains the run, the
+     next key-sequential step hits in cache. Positions are captured between
+     runs (the cursor is on the run's last key), so savepoint restore
+     re-enters exactly after it. *)
   let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
     let bd = bdesc_of desc in
     let cursor =
@@ -264,6 +249,9 @@ module Impl = struct
         let saved = Btree.position cursor in
         fun () -> Btree.seek cursor saved)
       ()
+
+  let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
+    Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
 
   let estimate_scan ctx (desc : Descriptor.t) ~eligible =
     let bd = bdesc_of desc in

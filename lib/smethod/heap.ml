@@ -129,111 +129,78 @@ module Impl = struct
     ignore rel_id;
     ignore smethod_desc
 
-  let insert ctx (desc : Descriptor.t) record =
-    let payload = encode_payload record in
-    let page_size = Disk.page_size (Buffer_pool.disk ctx.Ctx.bp) in
-    if String.length payload > Slotted.max_payload page_size then
-      Error
-        (Error.Schema_error
-           (Fmt.str "record of %d bytes exceeds page capacity"
-              (String.length payload)))
-    else begin
-      let hd = hdesc_of desc in
-      (* Look for room starting from the most recently added page. *)
-      let candidate =
-        List.find_opt
-          (fun p ->
-            with_page ctx p (fun data ->
-                Slotted.free_space data >= String.length payload))
-          (List.rev hd.pages)
-      in
-      let page, hd =
-        match candidate with
-        | Some p -> (p, hd)
-        | None ->
-          let frame = Buffer_pool.alloc ctx.Ctx.bp in
-          Slotted.init frame.Buffer_pool.data;
-          Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
-          let p = frame.Buffer_pool.page_id in
-          (p, { hd with pages = hd.pages @ [ p ] })
-      in
-      let slot =
-        with_page_mut ctx page (fun data -> Slotted.insert data payload)
-      in
-      match slot with
-      | None -> Error (Error.Internal "heap: page had room but insert failed")
-      | Some slot ->
-        let key = Record_key.rid ~page ~slot in
-        ignore (log_op ctx desc.rel_id (Ins (key, record)));
-        store_desc ctx desc { hd with count = hd.count + 1 };
-        Ok key
-    end
-
-  (* Bulk insert (registered as the batch vector entry). Amortizes the three
-     per-record costs of [insert]: the free-space probe over every data page
-     (done once for the batch, newest page first), the per-record descriptor
-     write-back (one [store_desc] per batch), and per-record log appends (one
-     [Ctx.log_many] per batch). Placement is first-fit: consecutive records
-     fill one pinned page until it no longer fits the next record. Records
-     placed before a mid-batch failure are logged anyway so the caller's
-     savepoint rollback can undo them. *)
+  (* Insert, one record or many (registered as the batch vector entry;
+     [insert] is a batch of one). Placement is first-fit, newest page first:
+     a page's free space is probed only when no page probed earlier in the
+     batch has room, and remembered for the rest of the batch, so a batch
+     pins pages only until one fits. Consecutive records fill one pinned page
+     until it no longer fits the next record. Each record's [Ins] is logged
+     before the slot write that places it, so a page evicted mid-batch never
+     reaches disk ahead of its undo information; a record logged but never
+     placed undoes as a no-op. One descriptor write-back per batch. *)
   let insert_batch ctx (desc : Descriptor.t) records =
     let n = Array.length records in
     let page_size = Disk.page_size (Buffer_pool.disk ctx.Ctx.bp) in
     let payloads = Array.map encode_payload records in
-    let oversize =
-      Array.exists
+    match
+      Array.find_opt
         (fun p -> String.length p > Slotted.max_payload page_size)
         payloads
-    in
-    if oversize then
+    with
+    | Some p ->
       Error
         (Error.Schema_error
-           (Fmt.str "a record of the batch exceeds page capacity (%d bytes)"
-              (Slotted.max_payload page_size)))
-    else begin
+           (Fmt.str "record of %d bytes exceeds page capacity"
+              (String.length p)))
+    | None ->
       let hd = hdesc_of desc in
       let keys = Array.make n (Record_key.rid ~page:0 ~slot:0) in
-      let candidates =
-        ref
-          (List.map
-             (fun p -> (p, with_page ctx p Slotted.free_space))
-             (List.rev hd.pages))
-      in
-      let new_pages = ref [] in
       let failure = ref None in
       (* Insert records [i..] into page [p] under one pin until one no longer
          fits; returns the first unplaced index. *)
       let fill_page p i =
         with_page_mut ctx p (fun data ->
             let rec fill j =
-              if j >= n then j
-              else
-                let len = String.length payloads.(j) in
-                if Slotted.free_space data < len then j
-                else begin
-                  match Slotted.insert data payloads.(j) with
-                  | Some slot ->
-                    keys.(j) <- Record_key.rid ~page:p ~slot;
-                    fill (j + 1)
-                  | None ->
-                    failure :=
-                      Some
-                        (Error.Internal
-                           "heap: page had room but insert failed");
-                    j
-                end
+              if j >= n || Slotted.free_space data < String.length payloads.(j)
+              then j
+              else begin
+                let slot = Slotted.next_slot data in
+                let key = Record_key.rid ~page:p ~slot in
+                ignore (log_op ctx desc.rel_id (Ins (key, records.(j))));
+                match Slotted.insert data payloads.(j) with
+                | Some s when s = slot ->
+                  keys.(j) <- key;
+                  fill (j + 1)
+                | Some _ | None ->
+                  failure :=
+                    Some (Error.Internal "heap: page had room but insert failed");
+                  j
+              end
             in
             fill i)
       in
-      let rec place i =
-        if i >= n || !failure <> None then i
+      (* The relation's pages, newest first, with their free space once
+         probed; a page this batch filled is never a candidate again. *)
+      let pages = Array.of_list (List.rev hd.pages) in
+      let free = Array.make (Array.length pages) None in
+      let rec candidate len k =
+        if k >= Array.length pages then None
         else begin
-          let len = String.length payloads.(i) in
-          match List.find_opt (fun (_, fs) -> fs >= len) !candidates with
-          | Some (p, _) ->
-            candidates := List.filter (fun (q, _) -> q <> p) !candidates;
-            place (fill_page p i)
+          if free.(k) = None then
+            free.(k) <- Some (with_page ctx pages.(k) Slotted.free_space);
+          match free.(k) with
+          | Some fs when fs >= len -> Some k
+          | Some _ | None -> candidate len (k + 1)
+        end
+      in
+      let new_pages = ref [] in
+      let rec place i =
+        if i >= n || !failure <> None then ()
+        else begin
+          match candidate (String.length payloads.(i)) 0 with
+          | Some k ->
+            free.(k) <- Some (-1);
+            place (fill_page pages.(k) i)
           | None ->
             let frame = Buffer_pool.alloc ctx.Ctx.bp in
             Slotted.init frame.Buffer_pool.data;
@@ -241,30 +208,21 @@ module Impl = struct
             let p = frame.Buffer_pool.page_id in
             new_pages := p :: !new_pages;
             let next = fill_page p i in
-            if next = i && !failure = None then begin
-              failure :=
-                Some (Error.Internal "heap: fresh page rejected record");
-              i
-            end
+            if next = i && !failure = None then
+              failure := Some (Error.Internal "heap: fresh page rejected record")
             else place next
         end
       in
-      let placed = place 0 in
-      let datas =
-        List.init placed (fun i -> enc_op (Ins (keys.(i), records.(i))))
-      in
-      if datas <> [] then
-        ignore
-          (Ctx.log_many ctx
-             ~source:(Log_record.Smethod (id ()))
-             ~rel_id:desc.rel_id ~datas);
+      place 0;
       match !failure with
       | Some e -> Error e
       | None ->
         store_desc ctx desc
           { pages = hd.pages @ List.rev !new_pages; count = hd.count + n };
         Ok keys
-    end
+
+  let insert ctx desc record =
+    Result.map (fun keys -> keys.(0)) (insert_batch ctx desc [| record |])
 
   let read_rid ctx key =
     match rid_parts key with
@@ -342,63 +300,20 @@ module Impl = struct
     ignore ctx;
     (hdesc_of desc).count
 
-  let scan ctx (desc : Descriptor.t) ?lo ?hi ?filter () =
-    (* RIDs have no user-meaningful order; key bounds are ignored (the
-       planner never produces them for address-keyed methods). *)
-    ignore lo;
-    ignore hi;
-    let pages = Array.of_list (hdesc_of desc).pages in
-    (* Position: index of the page and slot of the record the scan is "on". *)
-    let pos = ref (-1, -1) in
-    let next_raw () =
-      let rec advance page_idx slot =
-        if page_idx >= Array.length pages then None
-        else
-          let page = pages.(page_idx) in
-          let hit =
-            with_page ctx page (fun data ->
-                let n = Slotted.slot_count data in
-                let rec try_slot s =
-                  if s >= n then None
-                  else
-                    match Slotted.read data s with
-                    | Some payload -> Some (s, payload)
-                    | None -> try_slot (s + 1)
-                in
-                try_slot slot)
-          in
-          match hit with
-          | Some (s, payload) ->
-            pos := (page_idx, s);
-            Some
-              ( Record_key.rid ~page ~slot:s,
-                Codec.decode_record (Bytes.of_string payload) )
-          | None -> advance (page_idx + 1) 0
-      in
-      let page_idx, slot = !pos in
-      if page_idx < 0 then advance 0 0 else advance page_idx (slot + 1)
-    in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next:next_raw
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = !pos in
-        fun () -> pos := saved)
-      ()
-
-  (* Vectorized scan (registered as the batch vector entry): one run per data
-     page, every live slot decoded under a single pin — buffer-pool pins per
-     scan drop from O(records) to O(pages). The position between runs is the
-     index of the last delivered page; RIDs have no order, so run boundaries
-     are the only positions batch consumers observe.
+  (* The one scan implementation (registered as the batch vector entry; the
+     record cursor [scan] adapts it): one run per data page, every live slot
+     decoded under a single pin — buffer-pool pins per scan are O(pages).
+     The position between runs is the index of the last delivered page;
+     RIDs have no order, so key bounds are ignored (the planner never
+     produces them for address-keyed methods).
 
      Because the whole page is processed under one pin, payloads are decoded
-     in place from the page image ([Slotted.payload_span] +
-     [Codec.Dec.of_string_span]) instead of being copied out first — the
-     record-at-a-time path cannot do this, since a payload must outlive the
-     pin that produced it. With a filter, the predicate is compiled once and
-     evaluated on a late-materialized record: only the fields the predicate
-     reads are decoded (the rest are skipped in the encoding), and a full
-     record is built only for qualifying slots. *)
+     in place from the page image ([Slotted.iter_spans] +
+     [Codec.Dec.of_string_span]) instead of being copied out first. With a
+     filter, the predicate is compiled once and evaluated on a
+     late-materialized record: only the fields the predicate reads are
+     decoded (the rest are skipped in the encoding), and a full record is
+     built only for qualifying slots. *)
   let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
     ignore lo;
     ignore hi;
@@ -504,6 +419,9 @@ module Impl = struct
           let saved = !pos in
           fun () -> pos := saved);
     }
+
+  let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
+    Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
 
   let estimate_scan ctx (desc : Descriptor.t) ~eligible =
     ignore ctx;

@@ -150,41 +150,19 @@ module Impl = struct
     ignore ctx;
     Imap.cardinal (store_of desc.rel_id).records
 
-  let scan ctx (desc : Descriptor.t) ?lo ?hi ?filter () =
-    ignore ctx;
-    ignore lo;
-    ignore hi;
-    let s = store_of desc.rel_id in
-    (* Position: the sequence number the scan is on; next returns the first
-       record with a larger sequence — robust against deletes at the
-       position. *)
-    let pos = ref 0 in
-    let next () =
-      match Imap.find_first_opt (fun seq -> seq > !pos) s.records with
-      | None -> None
-      | Some (seq, record) ->
-        pos := seq;
-        Some (key_of_seq seq, record)
-    in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = !pos in
-        fun () -> pos := saved)
-      ()
-
-  (* Vectorized scan (registered as the batch vector entry): one map walk
-     per run of [Scan_help.run_length] records instead of one
-     [find_first_opt] re-descent per record. The position between runs is
-     the last delivered sequence number, as in [scan]. *)
+  (* The one scan implementation (registered as the batch vector entry; the
+     record cursor [scan] adapts it): one map walk per run of
+     [Scan_help.run_length] records. The position between runs is the last
+     delivered sequence number; the next run starts after it, so a delete at
+     the position is harmless. *)
   let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
     ignore ctx;
     ignore lo;
     ignore hi;
     let s = store_of desc.rel_id in
+    let n = Scan_help.run_length () in
     let pos = ref 0 in
     let next_run () =
-      let n = Scan_help.run_length () in
       let rec take acc count seq =
         if count >= n then acc
         else
@@ -204,6 +182,9 @@ module Impl = struct
         let saved = !pos in
         fun () -> pos := saved)
       ()
+
+  let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
+    Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
 
   let estimate_scan ctx (desc : Descriptor.t) ~eligible =
     let rows = float_of_int (record_count ctx desc) in

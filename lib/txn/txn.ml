@@ -24,6 +24,7 @@ type t = {
   mutable savepoints : savepoint list;
   mutable attrs : Tmap.t;
   mutable next_scan_id : int;
+  mutable mods : int;
 }
 
 let make id =
@@ -35,6 +36,7 @@ let make id =
     savepoints = [];
     attrs = Tmap.empty;
     next_scan_id = 0;
+    mods = 0;
   }
 
 let is_active t = t.state = Active

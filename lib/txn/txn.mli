@@ -40,6 +40,9 @@ type t = {
   mutable savepoints : savepoint list;  (** newest first *)
   mutable attrs : Tmap.t;
   mutable next_scan_id : int;
+  mutable mods : int;
+      (** relation modifications issued so far; a buffered record cursor
+          re-reads its run when this moves *)
 }
 
 val make : int -> t

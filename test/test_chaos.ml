@@ -171,6 +171,14 @@ let test_restart_equivalence () =
         (H.restart_equivalence (config seed) ~checkpoint_every:3))
     [ 42; 43; 44 ]
 
+let test_insert_many_sweeps () =
+  (* seed 64's script carries four multi-page insert_many batches. A write
+     error while a batch evicts a page it already filled aborts the
+     transaction, and the abort must undo every record the batch placed —
+     which it can only if each was logged before its slot write. *)
+  check_report (H.sweep (config 64) H.Mode_io_error ~recovery_crash:false);
+  check_report (H.sweep (config 64) H.Mode_crash ~recovery_crash:false)
+
 let test_mutation_caught () =
   (* Break btree-index undo on purpose: some fault point must now leave a
      ghost index entry that the oracle reports. A silent pass would mean the
@@ -213,6 +221,8 @@ let suite =
       test_ckpt_recovery_crash_sweep;
     Alcotest.test_case "restart equivalence with/without checkpoints" `Quick
       test_restart_equivalence;
+    Alcotest.test_case "insert_many batches: io-error and crash sweeps" `Quick
+      test_insert_many_sweeps;
     Alcotest.test_case "mutation run: oracle catches broken undo" `Quick
       test_mutation_caught;
   ]

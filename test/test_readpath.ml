@@ -1,10 +1,12 @@
-(* The vectorized read path: batch scans must be observably identical to
-   record-at-a-time scans — same records, same order, same filter semantics
-   — for every storage method, whether the method registers a native
-   [sm_scan_batch] producer (heap, btree, memory) or rides the default
-   run-chunking loop (temp). Plus the shapes the optimization promises:
-   torn runs at relation end, run-granular positions under mid-scan
-   modification, and exactly one pin per heap page. *)
+(* The vectorized read path. Every native storage method (heap, btree,
+   memory) implements scanning once, as a run producer; its record cursor is
+   [Scan_help.records_of_runs] over those runs, and record-only methods
+   (temp) ride the default run-chunking slot instead. Both paths must
+   return what the interpreter says qualifies, and the record cursor must
+   stay record-granular under the transaction's own modifications. Plus the
+   shapes the run protocol promises: torn runs at relation end, run-granular
+   positions under mid-scan modification, and exactly one pin per heap
+   page. *)
 open Dmx_value
 open Dmx_core
 open Test_util
@@ -15,6 +17,10 @@ let with_run_length n f =
   Scan_help.set_run_length_for_testing (Some n);
   Fun.protect ~finally:(fun () -> Scan_help.set_run_length_for_testing None) f
 
+let row i =
+  [| vi i; vs (Fmt.str "name%d" i); vs (if i mod 2 = 0 then "even" else "odd");
+     vi (i * 10) |]
+
 let make_rel ctx ~storage_method ?(attrs = []) ?(n = 25) () =
   let desc =
     check_ok "create"
@@ -22,15 +28,7 @@ let make_rel ctx ~storage_method ?(attrs = []) ?(n = 25) () =
          ~storage_method ~attrs ())
   in
   for i = 1 to n do
-    ignore
-      (check_ok "ins"
-         (Relation.insert ctx desc
-            [|
-              vi i;
-              vs (Fmt.str "name%d" i);
-              vs (if i mod 2 = 0 then "even" else "odd");
-              vi (i * 10);
-            |]))
+    ignore (check_ok "ins" (Relation.insert ctx desc (row i)))
   done;
   desc
 
@@ -45,33 +43,42 @@ let records_of_batch_scan ctx desc ?filter () =
 let check_parity ~what a b =
   Alcotest.(check (list record_testable)) what a b
 
-(* scan and filtered scan: batch ≡ record, for native producers and the
-   default chunking loop alike *)
+(* scan and filtered scan, record and batch paths: each returns the model —
+   the inserted rows, in insertion order (= key order for all four methods
+   here), filtered by the interpreter acting as test oracle. Native
+   producers and the default chunking loop alike, at the default and at
+   short run lengths. *)
 let test_batch_record_parity () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
+  let filter =
+    match Dmx_expr.Parse.parse emp_schema "salary > 100 AND dept = 'even'" with
+    | Ok e -> e
+    | Error m -> Alcotest.failf "parse: %s" m
+  in
+  let model ?filter () =
+    List.init 25 (fun i -> row (i + 1))
+    |> List.filter (fun r ->
+           match filter with
+           | None -> true
+           | Some f -> Dmx_expr.Eval.test r f)
+  in
   List.iter
     (fun (sm, attrs) ->
       let desc = make_rel ctx ~storage_method:sm ~attrs () in
-      let filter =
-        match Dmx_expr.Parse.parse emp_schema "salary > 100 AND dept = 'even'" with
-        | Ok e -> e
-        | Error m -> Alcotest.failf "parse: %s" m
+      let check ~runs =
+        List.iter
+          (fun (what, filter) ->
+            let what = Fmt.str "%s %s, %s" sm what runs in
+            check_parity ~what:(what ^ ", record path") (model ?filter ())
+              (records_of_record_scan ctx desc ?filter ());
+            check_parity ~what:(what ^ ", batch path") (model ?filter ())
+              (records_of_batch_scan ctx desc ?filter ()))
+          [ ("unfiltered", None); ("filtered", Some filter) ]
       in
-      check_parity
-        ~what:(sm ^ " unfiltered")
-        (records_of_record_scan ctx desc ())
-        (records_of_batch_scan ctx desc ());
-      check_parity
-        ~what:(sm ^ " filtered")
-        (records_of_record_scan ctx desc ~filter ())
-        (records_of_batch_scan ctx desc ~filter ());
-      (* small runs exercise run boundaries without changing results *)
-      with_run_length 3 (fun () ->
-          check_parity
-            ~what:(sm ^ " filtered, short runs")
-            (records_of_record_scan ctx desc ~filter ())
-            (records_of_batch_scan ctx desc ~filter ())))
+      check ~runs:"default runs";
+      (* short runs cross run boundaries mid-relation *)
+      with_run_length 3 (fun () -> check ~runs:"short runs"))
     [
       ("heap", []);
       ("btree", [ ("key", "id") ]);
@@ -163,8 +170,37 @@ let test_midscan_modification () =
         rest);
   Services.commit services ctx
 
-(* a full heap batch scan pins each page exactly once — the deterministic
-   counter E11 gates on *)
+(* The record cursor buffers a run, yet stays record-granular: on record 1
+   of a six-record run, delete record 3 and insert record 7 — the drain
+   skips 3 and reaches 7, as a cursor stepping the relation itself would. *)
+let test_record_scan_visibility () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  List.iter
+    (fun (sm, attrs) ->
+      let desc = make_rel ctx ~storage_method:sm ~attrs ~n:6 () in
+      let ids = List.map (fun (_, r) -> r.(0)) in
+      let scan = check_ok "scan" (Relation.scan ctx desc ()) in
+      Alcotest.(check (list value_testable))
+        (sm ^ ": first") [ vi 1 ]
+        (ids (Option.to_list (scan.Intf.rs_next ())));
+      let key3 =
+        check_ok "keyed scan" (Relation.scan ctx desc ())
+        |> Scan_help.record_scan_to_list
+        |> List.find (fun (_, r) -> Value.equal r.(0) (vi 3))
+        |> fst
+      in
+      ignore (check_ok "del" (Relation.delete ctx desc key3));
+      ignore (check_ok "ins" (Relation.insert ctx desc (row 7)));
+      Alcotest.(check (list value_testable))
+        (sm ^ ": delete and insert ahead of the position")
+        [ vi 2; vi 4; vi 5; vi 6; vi 7 ]
+        (ids (Scan_help.record_scan_to_list scan)))
+    [ ("heap", []); ("btree", [ ("key", "id") ]); ("memory", []) ];
+  Services.commit services ctx
+
+(* a full heap scan, batch or record, pins each page exactly once — the
+   deterministic counter E11 gates on *)
 let test_heap_pins_per_page () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
@@ -187,17 +223,21 @@ let test_heap_pins_per_page () =
   in
   Alcotest.(check bool) "spans several pages" true (List.length pages > 2);
   let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk ctx.Ctx.bp) in
-  let before = Dmx_page.Io_stats.copy io in
-  let n = List.length (records_of_batch_scan ctx desc ()) in
-  Alcotest.(check int) "all records scanned" 200 n;
-  let d = Dmx_page.Io_stats.diff ~after:io ~before in
-  Alcotest.(check int)
-    "pins per batch scan = page count"
-    (List.length pages)
-    (d.Dmx_page.Io_stats.pool_hits + d.Dmx_page.Io_stats.pool_misses);
+  List.iter
+    (fun (what, scan) ->
+      let before = Dmx_page.Io_stats.copy io in
+      Alcotest.(check int) (what ^ ": all records scanned") 200
+        (List.length (scan ctx desc ()));
+      let d = Dmx_page.Io_stats.diff ~after:io ~before in
+      Alcotest.(check int)
+        (what ^ ": pins = page count")
+        (List.length pages)
+        (d.Dmx_page.Io_stats.pool_hits + d.Dmx_page.Io_stats.pool_misses))
+    [ ("batch scan", records_of_batch_scan ?filter:None);
+      ("record scan", records_of_record_scan ?filter:None) ];
   Services.commit services ctx
 
-(* DMX_SCAN_BATCH plumbing: the override wins, and the default is 256 *)
+(* run length: the test override wins, and the default is 256 *)
 let test_run_length_override () =
   Alcotest.(check int) "default" 256 (Scan_help.run_length ());
   with_run_length 7 (fun () ->
@@ -256,6 +296,8 @@ let suite =
       test_batch_record_parity;
     Alcotest.test_case "torn final run" `Quick test_torn_final_run;
     Alcotest.test_case "mid-scan modification" `Quick test_midscan_modification;
+    Alcotest.test_case "record cursor sees modifications ahead" `Quick
+      test_record_scan_visibility;
     Alcotest.test_case "heap pins = page count" `Quick test_heap_pins_per_page;
     Alcotest.test_case "run-length override" `Quick test_run_length_override;
     Alcotest.test_case "join parity" `Quick test_join_parity;

@@ -327,9 +327,115 @@ let test_soak_mixed_workload () =
   Alcotest.(check int) "aggregate agrees" (Hashtbl.length live) agg_total;
   Services.commit services ctx
 
+(* ~1 KB records: three to a 4 KB heap page *)
+let wide i = [| vi i; vs (big_string 1000 'w'); vs "d"; vi i |]
+
+let pages_of keys =
+  List.filter_map
+    (function Record_key.Rid { page; _ } -> Some page | _ -> None)
+    (Array.to_list keys)
+  |> List.sort_uniq compare
+
+(* Free space is probed lazily, newest page first: a one-record batch into a
+   50-page heap pins the newest page twice (probe, fill) and no other —
+   a small record always fits there. *)
+let test_heap_lazy_probe () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"heap" ())
+  in
+  let keys = check_ok "load" (Relation.insert_many ctx desc (Array.init 200 wide)) in
+  Alcotest.(check bool) "50+ pages" true (List.length (pages_of keys) >= 50);
+  let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk ctx.Ctx.bp) in
+  let before = Dmx_page.Io_stats.copy io in
+  ignore
+    (check_ok "one"
+       (Relation.insert_many ctx desc [| [| vi 200; vs "s"; vs "d"; vi 0 |] |]));
+  let d = Dmx_page.Io_stats.diff ~after:io ~before in
+  let pins = d.Dmx_page.Io_stats.pool_hits + d.Dmx_page.Io_stats.pool_misses in
+  if pins > 2 then Alcotest.failf "one-record batch pinned %d pages" pins;
+  Services.commit services ctx
+
+(* WAL before page, checked at the store: whenever a page the relation
+   already owned is written, every record on it that the open transaction
+   placed must have its [Ins] in the log. The batch fills the relation's
+   last page and then allocates several more through an 8-frame pool, so
+   that page is evicted while the batch is still placing records. *)
+let test_heap_batch_logs_before_write () =
+  ignore (Lazy.force registered);
+  let module Disk = Dmx_page.Disk in
+  let mem = Disk.in_memory () in
+  let on_write = ref (fun _ _ -> ()) in
+  let disk =
+    Disk.custom
+      {
+        Disk.o_page_count = (fun () -> Disk.page_count mem);
+        o_alloc = (fun () -> Disk.alloc mem);
+        o_read = Disk.read mem;
+        o_write =
+          (fun id data ->
+            !on_write id data;
+            Disk.write mem id data);
+        o_sync = ignore;
+        o_close = ignore;
+        o_durable = false;
+      }
+  in
+  let services = Services.setup ~disk ~pool_capacity:8 () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"heap" ())
+  in
+  (* five records: the last page keeps room *)
+  let committed = check_ok "seed" (Relation.insert_many ctx desc (Array.init 5 wide)) in
+  Services.commit services ctx;
+  let old_pages = pages_of committed in
+  let ctx = Services.begin_txn services in
+  let heap = Dmx_smethod.Heap.id () in
+  let logged () =
+    Dmx_wal.Wal.records_of_txn services.Services.wal ctx.Ctx.txn.Dmx_txn.Txn.id
+    |> List.filter_map (fun (r : Dmx_wal.Log_record.t) ->
+           match r.kind with
+           | Dmx_wal.Log_record.Ext
+               { source = Dmx_wal.Log_record.Smethod s; data; _ }
+             when s = heap ->
+             let d = Codec.Dec.of_string data in
+             if Codec.Dec.byte d = 0 then Some (Record_key.dec d) else None
+           | _ -> None)
+  in
+  let mid_batch_writes = ref 0 in
+  on_write :=
+    (fun id data ->
+      if List.mem id old_pages then begin
+        incr mid_batch_writes;
+        let logged = logged () in
+        Dmx_page.Slotted.iter data (fun slot _ ->
+            let key = Record_key.rid ~page:id ~slot in
+            let known = List.exists (Record_key.equal key) in
+            if not (known (Array.to_list committed) || known logged) then
+              Alcotest.failf "page %d written with unlogged record %a" id
+                Record_key.pp key)
+      end);
+  ignore
+    (check_ok "batch"
+       (Relation.insert_many ctx desc (Array.init 40 (fun i -> wide (100 + i)))));
+  on_write := (fun _ _ -> ());
+  Alcotest.(check bool) "the filled page left the pool mid-batch" true
+    (!mid_batch_writes > 0);
+  Services.commit services ctx
+
 let suite =
   [
     Alcotest.test_case "heap grows across pages" `Quick test_heap_grows_pages;
+    Alcotest.test_case "heap insert probes free space lazily" `Quick
+      test_heap_lazy_probe;
+    Alcotest.test_case "heap batch logs before its pages are written" `Quick
+      test_heap_batch_logs_before_write;
     Alcotest.test_case "fetch selected fields" `Quick
       test_fetch_selected_fields;
     Alcotest.test_case "soak: mixed workload" `Quick test_soak_mixed_workload;

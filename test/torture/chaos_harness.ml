@@ -125,6 +125,10 @@ let setup_schema services (model : M.t) =
          [ ("fields", "pid"); ("parent", "p"); ("parent_fields", "id");
            ("on_delete", "cascade") ]
        ());
+  ignore
+    (req "create b"
+       (Dmx_ddl.Ddl.create_relation ctx ~name:"b" ~schema:W.bulk_schema
+          ~storage_method:"heap" ()));
   Services.commit services ctx;
   M.commit model
 
@@ -135,7 +139,7 @@ let record_of tgt ~id ~pid ~v =
   | W.Parent -> W.parent_record ~id ~v
   | W.Child -> W.child_record ~id ~pid ~v
 
-let apply_op ctx (model : M.t) descp descc sp_counter op =
+let apply_op ctx (model : M.t) descp descc descb sp_counter op =
   let desc = function W.Parent -> descp | W.Child -> descc in
   match op with
   | W.Savepoint ->
@@ -177,6 +181,12 @@ let apply_op ctx (model : M.t) descp descc sp_counter op =
         failf "op %a: failed unexpectedly: %a" W.pp_op op Error.pp e
     end
   end
+  | W.Insert_many { first; count; v } -> begin
+    let records = Array.init count (fun i -> W.bulk_record ~id:(first + i) ~v) in
+    match Relation.insert_many ctx descb records with
+    | Ok keys -> model.cur <- M.apply_insert_many model.cur ~first ~v keys
+    | Error e -> failf "op %a: failed unexpectedly: %a" W.pp_op op Error.pp e
+  end
   | W.Delete { tgt; id } -> begin
     match M.key_of model.cur tgt id with
     | None -> ()
@@ -193,11 +203,12 @@ let run_txn ?(after_op = ignore) services (model : M.t) (script : W.txn_script)
   M.begin_txn model;
   let descp = req "find p" (Dmx_ddl.Ddl.find_relation ctx "p") in
   let descc = req "find c" (Dmx_ddl.Ddl.find_relation ctx "c") in
+  let descb = req "find b" (Dmx_ddl.Ddl.find_relation ctx "b") in
   let sp = ref 0 in
   match
     List.iter
       (fun op ->
-        apply_op ctx model descp descc sp op;
+        apply_op ctx model descp descc descb sp op;
         after_op ())
       script.W.tx_ops;
     if script.W.tx_abort then begin
@@ -211,6 +222,15 @@ let run_txn ?(after_op = ignore) services (model : M.t) (script : W.txn_script)
   with
   | `Aborted -> M.rollback_to_committed model
   | `Committed -> M.commit model
+  | exception (Fault_disk.Injected { fault; _ } as e)
+    when ctx.Ctx.txn.Dmx_txn.Txn.state = Dmx_txn.Txn.Committed ->
+    (* The fault hit a post-commit deferred action (heap slot release pins
+       a page): the commit record is already durable, so the transaction
+       is a winner. *)
+    M.commit model;
+    (match fault with
+    | Fault_disk.(Write_error | Sync_error) -> ()
+    | _ -> raise e)
   | exception
       Fault_disk.Injected
         { fault = Fault_disk.(Write_error | Sync_error); _ } ->

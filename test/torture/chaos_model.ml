@@ -15,6 +15,8 @@ type state = {
   c : row Imap.t; (* child id -> row *)
   pk : Dmx_value.Record_key.t Imap.t; (* parent id -> storage key *)
   ck : Dmx_value.Record_key.t Imap.t; (* child id -> storage key *)
+  b : row Imap.t; (* bulk id -> row *)
+  bk : Dmx_value.Record_key.t Imap.t; (* bulk id -> storage key *)
 }
 
 type t = {
@@ -24,7 +26,9 @@ type t = {
   mutable sp_stack : (string * state) list;
 }
 
-let empty_state = { p = Imap.empty; c = Imap.empty; pk = Imap.empty; ck = Imap.empty }
+let empty_state =
+  { p = Imap.empty; c = Imap.empty; pk = Imap.empty; ck = Imap.empty;
+    b = Imap.empty; bk = Imap.empty }
 let create () = { committed = None; cur = empty_state; sp_stack = [] }
 
 type expect = Expect_ok | Expect_err
@@ -78,13 +82,23 @@ let apply_delete st tgt ~id =
   match tgt with
   | Parent ->
     let keep _cid row = row.r_pid <> id in
-    { p = Imap.remove id st.p; pk = Imap.remove id st.pk;
+    { st with p = Imap.remove id st.p; pk = Imap.remove id st.pk;
       c = Imap.filter keep st.c;
       ck = Imap.filter (fun cid _ ->
         match Imap.find_opt cid st.c with
         | Some row -> row.r_pid <> id
         | None -> false) st.ck }
   | Child -> { st with c = Imap.remove id st.c; ck = Imap.remove id st.ck }
+
+(* A batch lands whole or not at all (Relation.insert_many is atomic). *)
+let apply_insert_many st ~first ~v keys =
+  let b = ref st.b and bk = ref st.bk in
+  Array.iteri
+    (fun i key ->
+      b := Imap.add (first + i) { r_v = v; r_pid = null_pid } !b;
+      bk := Imap.add (first + i) key !bk)
+    keys;
+  { st with b = !b; bk = !bk }
 
 let key_of st tgt id =
   match tgt with

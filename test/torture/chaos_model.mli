@@ -1,5 +1,5 @@
 (** In-memory reference model of the torture workload: tracks the committed
-    and in-flight contents of the parent/child relations, with O(1) savepoint
+    and in-flight contents of the parent/child/bulk relations, with O(1) savepoint
     snapshots and crash restoration. The oracle diffs the reopened database
     against [committed]. *)
 
@@ -12,6 +12,8 @@ type state = {
   c : row Imap.t;
   pk : Dmx_value.Record_key.t Imap.t;
   ck : Dmx_value.Record_key.t Imap.t;
+  b : row Imap.t;
+  bk : Dmx_value.Record_key.t Imap.t;
 }
 
 type t = {
@@ -38,6 +40,10 @@ val apply_update :
   key:Dmx_value.Record_key.t -> state
 
 val apply_delete : state -> Chaos_workload.target -> id:int -> state
+
+val apply_insert_many :
+  state -> first:int -> v:int -> Dmx_value.Record_key.t array -> state
+(** One [Insert_many] batch: ids [first ..] receive the keys in order. *)
 
 val key_of :
   state -> Chaos_workload.target -> int -> Dmx_value.Record_key.t option

@@ -264,12 +264,15 @@ let check services ~(committed : M.state option) =
         match Dmx_ddl.Ddl.find_relation txn name with
         | Error _ -> ()
         | Ok _ -> failf o "relation %S exists but its DDL never committed" name)
-      [ "p"; "c" ]
+      [ "p"; "c"; "b" ]
   | Some st ->
-    (match (Dmx_ddl.Ddl.find_relation txn "p", Dmx_ddl.Ddl.find_relation txn "c") with
-    | Ok descp, Ok descc ->
+    let find = Dmx_ddl.Ddl.find_relation txn in
+    (match (find "p", find "c", find "b") with
+    | Ok descp, Ok descc, Ok descb ->
       let actual_p = scan_by_id o descp "parent" in
       let actual_c = scan_by_id o descc "child" in
+      check_rows o "bulk" (scan_by_id o descb "bulk") st.M.b st.M.bk
+        ~record_of:(fun ~id (row : M.row) -> W.bulk_record ~id ~v:row.M.r_v);
       check_rows o "parent" actual_p st.M.p st.M.pk
         ~record_of:(fun ~id (row : M.row) -> W.parent_record ~id ~v:row.M.r_v);
       check_rows o "child" actual_c st.M.c st.M.ck
@@ -278,12 +281,12 @@ let check services ~(committed : M.state option) =
       check_parent_indexes o descp actual_p;
       check_agg o descp actual_p;
       check_child_indexes o descc actual_c actual_p
-    | pr, cr ->
-      (match pr with
-      | Error e -> failf o "relation \"p\" lost: %a" Error.pp e
-      | Ok _ -> ());
-      (match cr with
-      | Error e -> failf o "relation \"c\" lost: %a" Error.pp e
-      | Ok _ -> ())));
+    | pr, cr, br ->
+      List.iter
+        (fun (name, r) ->
+          match r with
+          | Error e -> failf o "relation %S lost: %a" name Error.pp e
+          | Ok _ -> ())
+        [ ("p", pr); ("c", cr); ("b", br) ]));
   Services.commit services txn;
   List.rev !(o.failures)

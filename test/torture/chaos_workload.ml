@@ -8,6 +8,10 @@
      group-by-dept/sum-salary ("pagg").
    - "c" (child): btree storage keyed on id; btree non-unique index on amt
      ("camt"), refint "cfk" on pid -> p.id with ON DELETE CASCADE.
+   - "b" (bulk): heap storage, no attachments, filled only by [Insert_many]
+     batches of records three to a page, so one batch spans several pages
+     of the harness's 8-frame pool and placement can evict a page it
+     already filled.
 
    Everything is derived from a splitmix64 stream seeded by [seed]: the same
    seed always yields the same script, so (seed, crash-point) replays. *)
@@ -20,6 +24,8 @@ type op =
   | Insert of { tgt : target; id : int; pid : int; v : int }
   | Update of { tgt : target; id : int; pid : int; v : int }
   | Delete of { tgt : target; id : int }
+  | Insert_many of { first : int; count : int; v : int }
+      (* ids [first, first + count) into "b", one atomic batch *)
   | Savepoint
   | Rollback
 
@@ -67,6 +73,16 @@ let parent_record ~id ~v =
      Value.Int (Int64.of_int xlo); Value.Int (Int64.of_int ylo);
      Value.Int (Int64.of_int xhi); Value.Int (Int64.of_int yhi) |]
 
+let bulk_schema =
+  Schema.make_exn
+    [ Schema.column ~nullable:false "id" Value.Tint;
+      Schema.column ~nullable:false "pad" Value.Tstring ]
+
+(* ~1.3 KB each: three fit a 4 KB page *)
+let bulk_record ~id ~v =
+  [| Value.Int (Int64.of_int id);
+     Value.String (String.make 1300 (Char.chr (Char.code 'a' + (v mod 26)))) |]
+
 let child_record ~id ~pid ~v =
   [| Value.Int (Int64.of_int id);
      (if pid = null_pid then Value.Null else Value.Int (Int64.of_int pid));
@@ -76,7 +92,7 @@ let gen_pid rng =
   let r = Chaos_prng.int rng 10 in
   if r < 8 then Chaos_prng.int rng parent_universe else null_pid
 
-let gen_op rng =
+let gen_op rng ~next_bulk =
   let tgt = if Chaos_prng.int rng 5 < 3 then Parent else Child in
   let id =
     Chaos_prng.int rng
@@ -84,18 +100,25 @@ let gen_op rng =
   in
   let v = Chaos_prng.int rng value_universe in
   let pid = match tgt with Parent -> null_pid | Child -> gen_pid rng in
-  match Chaos_prng.int rng 12 with
+  match Chaos_prng.int rng 13 with
   | 0 | 1 | 2 | 3 | 4 -> Insert { tgt; id; pid; v }
   | 5 | 6 | 7 -> Update { tgt; id; pid; v }
   | 8 | 9 -> Delete { tgt; id }
   | 10 -> Savepoint
-  | _ -> Rollback
+  | 11 -> Rollback
+  | _ ->
+    (* 4..7 records: at least two pages *)
+    let count = 4 + Chaos_prng.int rng 4 in
+    let first = !next_bulk in
+    next_bulk := first + count;
+    Insert_many { first; count; v }
 
 let generate ~seed ~n_txns ~ops_per_txn =
   let rng = Chaos_prng.create seed in
+  let next_bulk = ref 0 in
   let txn _ =
     let n = 2 + Chaos_prng.int rng (max 1 ops_per_txn) in
-    let tx_ops = List.init n (fun _ -> gen_op rng) in
+    let tx_ops = List.init n (fun _ -> gen_op rng ~next_bulk) in
     { tx_ops; tx_abort = Chaos_prng.int rng 8 = 0 }
   in
   { w_seed = seed; w_txns = List.init n_txns txn }
@@ -110,5 +133,7 @@ let pp_op ppf = function
   | Update { tgt; id; pid; v } ->
     Fmt.pf ppf "update %a id=%d pid=%d v=%d" pp_target tgt id pid v
   | Delete { tgt; id } -> Fmt.pf ppf "delete %a id=%d" pp_target tgt id
+  | Insert_many { first; count; v } ->
+    Fmt.pf ppf "insert_many b id=%d..%d v=%d" first (first + count - 1) v
   | Savepoint -> Fmt.string ppf "savepoint"
   | Rollback -> Fmt.string ppf "rollback"

@@ -1,7 +1,8 @@
 (** Seeded, replayable workload scripts: mixed insert/update/delete with
     savepoints and partial rollbacks over a heap parent relation and a
     btree-organised child relation carrying btree/hash/rtree indexes, a
-    referential-integrity attachment and an aggregate attachment. *)
+    referential-integrity attachment and an aggregate attachment, plus
+    multi-page batch inserts into a bare heap relation. *)
 
 open Dmx_value
 
@@ -11,6 +12,8 @@ type op =
   | Insert of { tgt : target; id : int; pid : int; v : int }
   | Update of { tgt : target; id : int; pid : int; v : int }
   | Delete of { tgt : target; id : int }
+  | Insert_many of { first : int; count : int; v : int }
+      (** ids [first, first + count) into the bulk relation, one batch *)
   | Savepoint
   | Rollback
 
@@ -28,6 +31,8 @@ val null_pid : int
 
 val parent_schema : Schema.t
 val child_schema : Schema.t
+val bulk_schema : Schema.t
+val bulk_record : id:int -> v:int -> Record.t
 val parent_record : id:int -> v:int -> Record.t
 val child_record : id:int -> pid:int -> v:int -> Record.t
 val rect_of : id:int -> v:int -> int * int * int * int
