@@ -1096,16 +1096,13 @@ let wal_fsyncs = Dmx_obs.Metrics.counter "wal.fsyncs"
 let wal_flushed_records = Dmx_obs.Metrics.counter "wal.flushed_records"
 
 (* PR5 E6 — the WAL fast path: one contiguous write + one fsync per flush
-   however many records are pending, and the group-commit window sharing the
-   commit fsync. "Committers" is the group-commit window: the N transactions
-   whose commit records ride on one fsync (the single-threaded stand-in for
-   N concurrent committers reaching the group boundary together). *)
+   however many records are pending, and a restart that replays the log from
+   one contiguous read. *)
 let pr5_e6 () =
-  Report.heading "E6 — batched WAL group flush (dmx-fastpath)"
+  Report.heading "E6 — batched WAL flush (dmx-fastpath)"
     ~claim:
       "all pending records are framed into one contiguous write followed by \
-       a single fsync, and N committers within the group-commit window \
-       share that fsync";
+       a single fsync";
   (* flush batching: hundreds of pending records, one write, one fsync *)
   let dir = temp_dir "pr5e6" in
   Db.register_defaults ();
@@ -1135,56 +1132,6 @@ let pr5_e6 () =
   Db.commit db ctx;
   Db.close db;
   rm_dir dir;
-  (* group commit: per-commit cost and fsyncs/commit at window 1 / 8 / 64 *)
-  let n = 192 in
-  let run_window w =
-    let dir = temp_dir (Fmt.str "pr5e6w%d" w) in
-    Db.register_defaults ();
-    let db = Db.open_database ~dir () in
-    Dmx_txn.Txn_mgr.set_group_commit db.Db.services.Dmx_core.Services.txn_mgr w;
-    (* memory storage: no dirty pages, so the no-redo force policy adds no
-       page-flush fsyncs and the pure commit-record amortization is visible *)
-    ignore
-      (ok "setup"
-         (Db.with_txn db (fun ctx ->
-              Db.create_relation db ctx ~name:"t" ~schema:emp_schema
-                ~storage_method:"memory" ())));
-    let ws0 = v wal_write_syscalls and fs0 = v wal_fsyncs in
-    let (), secs =
-      time (fun () ->
-          for i = 1 to n do
-            let ctx = Db.begin_txn db in
-            ignore
-              (ok "ins"
-                 (Db.insert db ctx ~relation:"t" (emp_record i ~depts:10)));
-            Db.commit db ctx
-          done)
-    in
-    let ws = v wal_write_syscalls - ws0 and fs = v wal_fsyncs - fs0 in
-    Db.close db;
-    rm_dir dir;
-    (us_per secs n, float_of_int ws /. float_of_int n,
-     float_of_int fs /. float_of_int n)
-  in
-  let w1 = run_window 1 and w8 = run_window 8 and w64 = run_window 64 in
-  let row label (us, ws, fs) =
-    [ label; Report.f1 us; Report.f2 ws; Report.f2 fs ]
-  in
-  Report.table
-    ~columns:
-      [ "group-commit window"; "us/commit"; "writes/commit"; "fsyncs/commit" ]
-    [
-      row "1 (every commit fsyncs)" w1;
-      row "8 committers share one fsync" w8;
-      row "64 committers share one fsync" w64;
-    ];
-  let fsyncs (_, _, f) = f in
-  Report.verdict
-    ~ok:
-      (fsyncs w8 < fsyncs w1 /. 2. && fsyncs w64 < fsyncs w1 /. 8.
-      && fsyncs w64 <= fsyncs w8)
-    "the commit fsync amortizes across the window: %.2f -> %.2f -> %.2f \
-     fsyncs/commit at windows 1/8/64" (fsyncs w1) (fsyncs w8) (fsyncs w64);
   (* restart replay: Wal.open_file reads the whole log once and decodes
      records out of an immutable string instead of per-record channel IO *)
   let dir = temp_dir "pr5e6r" in
@@ -1525,19 +1472,19 @@ let pr5_e10 () =
    scans through its run producer, and its record cursor is an adapter over
    those runs, so the record path and the batch path share the pins and the
    decode. What is left to attribute is the predicate: on the heap filtered
-   scan, three arms over the same runs — the interpreter ([Eval.test]) and
-   compiled closures ([Eval.compile]) applied to unfiltered runs, against
-   [scan_batch ~filter], which span-matches the encoded payload and
-   materialises qualifying records only. Gates are exact: result parity
+   scan, two arms over the same runs — the interpreter ([Eval.test])
+   applied to unfiltered runs, against [scan_batch ~filter], which
+   span-matches the encoded payload and materialises qualifying records
+   only. Gates are exact: result parity
    across arms and paths, one pin per heap page on both paths, and exact
    explain-analyze counts. Timing ratios are reported, not gated. *)
 let pr5_e11 () =
   Report.heading "E11 — one scan protocol: predicate ablation on runs (dmx-ablate)"
     ~claim:
       "with runs the only scan implementation, record and batch paths agree \
-       row for row and both pin each heap page exactly once; interpreted, \
-       compiled and span-matched predicates over 100k-row runs are measured \
-       side by side";
+       row for row and both pin each heap page exactly once; interpreted \
+       and span-matched predicates over 100k-row runs are measured side by \
+       side";
   let db = fresh_db () in
   let rows = 100_000 in
   let ctx = Db.begin_txn db in
@@ -1592,7 +1539,6 @@ let pr5_e11 () =
     !n
   in
   let interpreted = runs_with (fun r -> Dmx_expr.Eval.test r pred) in
-  let compiled = runs_with (Dmx_expr.Eval.compile emp_schema pred) in
   (* the predicate inside the producer *)
   let batch_scan ?filter desc () =
     let n = ref 0 in
@@ -1619,7 +1565,6 @@ let pr5_e11 () =
     d.Io_stats.pool_hits + d.Io_stats.pool_misses
   in
   let hn_interp, ht_interp = measure (interpreted hdesc) in
-  let hn_comp, ht_comp = measure (compiled hdesc) in
   let hn_span, ht_span = measure (batch_scan ~filter:pred hdesc) in
   let hn_rec, ht_rec = measure (record_scan ~filter:pred hdesc) in
   let bn_rec, bt_rec = measure (record_scan ~filter:pred bdesc) in
@@ -1675,8 +1620,6 @@ let pr5_e11 () =
     [
       [ "runs + Eval.test"; Report.i hn_interp; Report.f2 (ms ht_interp);
         vs_span ht_interp ];
-      [ "runs + Eval.compile"; Report.i hn_comp; Report.f2 (ms ht_comp);
-        vs_span ht_comp ];
       [ "scan_batch ~filter (span + late mat.)"; Report.i hn_span;
         Report.f2 (ms ht_span); vs_span ht_span ];
       [ "record cursor ~filter (adapter)"; Report.i hn_rec; Report.f2 (ms ht_rec);
@@ -1698,11 +1641,10 @@ let pr5_e11 () =
     ];
   Report.verdict
     ~ok:
-      (hn_interp = hn_comp && hn_comp = hn_span && hn_span = hn_rec
-      && bn_rec = bn_batch && jn_rec = jn_exec)
-    "every arm and path agrees: heap %d=%d=%d=%d, btree %d=%d, join %d=%d \
-     rows"
-    hn_interp hn_comp hn_span hn_rec bn_rec bn_batch jn_rec jn_exec;
+      (hn_interp = hn_span && hn_span = hn_rec && bn_rec = bn_batch
+      && jn_rec = jn_exec)
+    "every arm and path agrees: heap %d=%d=%d, btree %d=%d, join %d=%d rows"
+    hn_interp hn_span hn_rec bn_rec bn_batch jn_rec jn_exec;
   Report.verdict
     ~ok:(hp_record = heap_pages && hp_batch = heap_pages)
     "record and batch scans pin each heap page exactly once: %d and %d pins \

@@ -121,7 +121,7 @@ module Ring_method = struct
     let scan _ctx (desc : Descriptor.t) ?lo:_ ?hi:_ ?filter () =
       let s = store_of desc.rel_id (capacity_of desc.smethod_desc) in
       let pos = ref 0 in
-      Scan_help.filtered ?filter ~schema:desc.schema
+      Scan_help.filtered ?filter
         ~next:(fun () ->
           match Imap.find_first_opt (fun seq -> seq > !pos) s.records with
           | None -> None

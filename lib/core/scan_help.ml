@@ -8,29 +8,26 @@ let set_run_length_for_testing n = run_length_override := n
 let run_length () =
   match !run_length_override with Some n -> n | None -> default_run_length
 
-(* The predicate service compiles the filter once per scan open. *)
-let filtered ?filter ~schema ~next ~close ~capture () =
-  let test = Option.map (Dmx_expr.Eval.compile schema) filter in
+let filtered ?filter ~next ~close ~capture () =
   let rs_next () =
     let rec loop () =
       match next () with
       | None -> None
       | Some (_key, record) as hit -> begin
-        match test with
+        match filter with
         | None -> hit
-        | Some test -> if test record then hit else loop ()
+        | Some pred -> if Dmx_expr.Eval.test record pred then hit else loop ()
       end
     in
     loop ()
   in
   { Intf.rs_next; rs_close = close; rs_capture = capture }
 
-let filtered_batch ?filter ~schema ~next_run ~close ~capture () =
-  let test = Option.map (Dmx_expr.Eval.compile schema) filter in
+let filtered_batch ?filter ~next_run ~close ~capture () =
   let rn_next () =
-    match test with
+    match filter with
     | None -> next_run ()
-    | Some test ->
+    | Some pred ->
       let rec loop () =
         match next_run () with
         | None -> None
@@ -39,7 +36,7 @@ let filtered_batch ?filter ~schema ~next_run ~close ~capture () =
           let count = ref 0 in
           for i = 0 to n - 1 do
             let _, record = run.(i) in
-            if test record then begin
+            if Dmx_expr.Eval.test record pred then begin
               (* compact qualifying hits toward the front in place: the raw
                  run is ours (producers build a fresh array per run) *)
               run.(!count) <- run.(i);

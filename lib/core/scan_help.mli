@@ -3,11 +3,11 @@
     [filtered] wraps a raw producer with the common predicate-evaluation
     service so that non-qualifying records are skipped inside the extension,
     while the field values are still in the buffer pool (paper p. 223). The
-    filter is compiled against the relation [schema]
-    ({!Dmx_expr.Eval.compile}) once per scan open. [filtered_batch] and
-    [runs_of_scan] are the run-at-a-time counterparts used by the vectorized
-    read path; [records_of_runs] goes the other way, so a storage method
-    with a native run producer implements scanning once. *)
+    filter is tested on each record with {!Dmx_expr.Eval.test}.
+    [filtered_batch] and [runs_of_scan] are the run-at-a-time counterparts
+    used by the vectorized read path; [records_of_runs] goes the other way,
+    so a storage method with a native run producer implements scanning
+    once. *)
 
 open Dmx_value
 
@@ -19,7 +19,6 @@ val set_run_length_for_testing : int option -> unit
 
 val filtered :
   ?filter:Dmx_expr.Expr.t ->
-  schema:Schema.t ->
   next:(unit -> (Record_key.t * Record.t) option) ->
   close:(unit -> unit) ->
   capture:(unit -> unit -> unit) ->
@@ -28,7 +27,6 @@ val filtered :
 
 val filtered_batch :
   ?filter:Dmx_expr.Expr.t ->
-  schema:Schema.t ->
   next_run:(unit -> Intf.record_run option) ->
   close:(unit -> unit) ->
   capture:(unit -> unit -> unit) ->

@@ -334,8 +334,8 @@ let close t =
 
 let simulate_crash t =
   (* Volatile memory vanishes: no force, no catalog save, no clean abort.
-     [Wal.crash] also drops written-but-unsynced log bytes (group commit),
-     modelling power loss rather than a mere process kill. *)
+     [Wal.crash] also drops log bytes written but never fsynced (a flush
+     whose fsync raised), modelling power loss rather than a process kill. *)
   Buffer_pool.drop_cache t.bp;
   Wal.crash t.wal;
   Disk.close t.disk

@@ -90,20 +90,27 @@ let cmp op a b =
         | Ge -> c >= 0)
   end
 
-(* LIKE matching by backtracking on '%'. *)
+(* LIKE matching, iteratively: on a mismatch, retry only from the most recent
+   '%', letting it absorb one more character. An earlier '%' never needs
+   retrying — whatever it could absorb, the later one can too — so the
+   worst case is O(|pattern| * |s|). *)
 let like_match ~pattern s =
   let np = String.length pattern and ns = String.length s in
-  let rec go pi si =
-    if pi >= np then si >= ns
+  (* [star]: pattern index just past the last '%' seen (-1 if none);
+     [retry]: string index that '%' is next retried from *)
+  let rec go pi si star retry =
+    if si < ns then
+      if pi < np && pattern.[pi] = '%' then go (pi + 1) si (pi + 1) si
+      else if pi < np && (pattern.[pi] = '_' || pattern.[pi] = s.[si]) then
+        go (pi + 1) (si + 1) star retry
+      else if star >= 0 then go star (retry + 1) star (retry + 1)
+      else false
     else
-      match pattern.[pi] with
-      | '%' ->
-        let rec try_from k = k <= ns && (go (pi + 1) k || try_from (k + 1)) in
-        try_from si
-      | '_' -> si < ns && go (pi + 1) (si + 1)
-      | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
+      (* string consumed: only trailing '%'s may remain *)
+      let rec rest pi = pi >= np || (pattern.[pi] = '%' && rest (pi + 1)) in
+      rest pi
   in
-  go 0 0
+  go 0 0 (-1) 0
 
 let rec eval_v params record (e : Expr.t) : Value.t =
   match e with
@@ -117,8 +124,7 @@ let rec eval_v params record (e : Expr.t) : Value.t =
   | Not a -> value_of_truth (t_not (eval_t params record a))
   | And (a, b) ->
     (* binary operands evaluate left to right — OCaml leaves application
-       order unspecified, and the compiled path must agree on which
-       operand's error surfaces *)
+       order unspecified, and which operand's error surfaces must not *)
     let ta = eval_t params record a in
     let tb = eval_t params record b in
     value_of_truth (t_and ta tb)
@@ -191,19 +197,8 @@ let eval ?(params = no_params) record e = eval_v params record e
 let truth ?(params = no_params) record e = eval_t params record e
 let test ?(params = no_params) record e = eval_t params record e = True
 
-(* ------------------------------------------------------------------ *)
-(* Compiled-closure path.
-
-   [compile] turns an expression into a closure tree once per plan so the
-   per-record cost is a few indirect calls instead of a tree walk: field
-   offsets are resolved (and bounds-validated against the schema) at compile
-   time, constant subtrees are folded to their value, and comparison
-   operators are specialized to a direct [int -> bool] decision plus an
-   Int/Int fast path. Nodes the compiler does not support ([Param], [Call])
-   fall back to an interpreter closure over the same subtree, so compiled
-   and interpreted evaluation are observably identical — including which
-   errors are raised, and when. *)
-
+(* [int -> bool] decision for a comparison operator, applied to a
+   [compare] result; the span matcher specializes on it. *)
 let cmp_decision : Expr.cmp -> int -> bool = function
   | Eq -> fun c -> c = 0
   | Ne -> fun c -> c <> 0
@@ -211,181 +206,6 @@ let cmp_decision : Expr.cmp -> int -> bool = function
   | Le -> fun c -> c <= 0
   | Gt -> fun c -> c > 0
   | Ge -> fun c -> c >= 0
-
-(* [Param] needs per-call bindings and [Call] user functions can observe
-   their arguments; both stay on the interpreter. *)
-let rec compilable (e : Expr.t) =
-  match e with
-  | Const _ | Field _ -> true
-  | Param _ | Call _ -> false
-  | Not a | Is_null a | Neg a | Like (a, _) | In_list (a, _) -> compilable a
-  | And (a, b) | Or (a, b) | Cmp (_, a, b) | Arith (_, a, b) ->
-    compilable a && compilable b
-  | Between (a, b, c) -> compilable a && compilable b && compilable c
-
-(* Fold a record-independent subtree, preserving evaluate-time errors:
-   [1 / 0] must still raise on every call, not at compile time. *)
-let fold_const e : Record.t -> Value.t =
-  match eval_v no_params [||] e with
-  | v -> fun _ -> v
-  | exception Error msg -> fun _ -> raise (Error msg)
-
-let rec compile_v arity (e : Expr.t) : Record.t -> Value.t =
-  if not (compilable e) then fun record -> eval_v no_params record e
-  else if Expr.fields_used e = [] then fold_const e
-  else
-    match e with
-    | Const v -> fun _ -> v
-    | Field i ->
-      if i < 0 || i >= arity then
-        (* out of schema: keep the interpreter's per-record diagnostics *)
-        fun record -> eval_v no_params record e
-      else
-        fun record ->
-          if i >= Array.length record then err "field $%d out of range" i
-          else Array.unsafe_get record i
-    | Param _ | Call _ -> fun record -> eval_v no_params record e
-    | Not a ->
-      let fa = compile_t arity a in
-      fun record -> value_of_truth (t_not (fa record))
-    | And (a, b) ->
-      let fa = compile_t arity a and fb = compile_t arity b in
-      fun record ->
-        let ta = fa record in
-        let tb = fb record in
-        value_of_truth (t_and ta tb)
-    | Or (a, b) ->
-      let fa = compile_t arity a and fb = compile_t arity b in
-      fun record ->
-        let ta = fa record in
-        let tb = fb record in
-        value_of_truth (t_or ta tb)
-    | Cmp (op, a, b) ->
-      let f = compile_cmp arity op a b in
-      fun record -> value_of_truth (f record)
-    | Is_null a ->
-      let fa = compile_v arity a in
-      fun record -> Value.Bool (fa record = Value.Null)
-    | Arith (op, a, b) ->
-      let fa = compile_v arity a and fb = compile_v arity b in
-      fun record ->
-        let va = fa record in
-        let vb = fb record in
-        arith op va vb
-    | Neg a ->
-      let fa = compile_v arity a in
-      fun record -> begin
-        match fa record with
-        | Value.Null -> Value.Null
-        | Value.Int i -> Value.Int (Int64.neg i)
-        | Value.Float f -> Value.Float (-.f)
-        | v -> err "negation of %a" Value.pp v
-      end
-    | Like (a, pattern) ->
-      let fa = compile_v arity a in
-      fun record -> begin
-        match fa record with
-        | Value.Null -> Value.Null
-        | Value.String s -> Value.Bool (like_match ~pattern s)
-        | v -> err "LIKE on %a" Value.pp v
-      end
-    | In_list (a, vs) ->
-      let fa = compile_v arity a in
-      let any_null = List.exists (fun x -> x = Value.Null) vs in
-      fun record -> begin
-        match fa record with
-        | Value.Null -> Value.Null
-        | v ->
-          if List.exists (fun x -> cmp Expr.Eq v x = True) vs then
-            Value.Bool true
-          else if any_null then Value.Null
-          else Value.Bool false
-      end
-    | Between (a, lo, hi) ->
-      let fa = compile_v arity a in
-      let flo = compile_v arity lo in
-      let fhi = compile_v arity hi in
-      fun record ->
-        let v = fa record in
-        let lo = flo record in
-        let hi = fhi record in
-        let ge = cmp Expr.Ge v lo in
-        let le = cmp Expr.Le v hi in
-        value_of_truth (t_and ge le)
-
-and compile_cmp arity op a b : Record.t -> truth =
-  let decide = cmp_decision op in
-  let general va vb =
-    match va, vb with
-    | Value.Null, _ | _, Value.Null -> Unknown
-    | _ -> begin
-      match compare_values va vb with
-      | None -> err "cannot compare %a with %a" Value.pp va Value.pp vb
-      | Some c -> truth_of_bool (decide c)
-    end
-  in
-  let fa = compile_v arity a and fb = compile_v arity b in
-  (* Most scan filters are [field <op> constant] over ints; pin the constant
-     and compare without re-dispatching on the right-hand side. *)
-  match
-    if compilable b && Expr.fields_used b = [] then
-      match eval_v no_params [||] b with
-      | v -> Some v
-      | exception Error _ -> None
-    else None
-  with
-  | Some (Value.Int y) ->
-    fun record -> begin
-      match fa record with
-      | Value.Int x -> truth_of_bool (decide (Int64.compare x y))
-      | va -> general va (Value.Int y)
-    end
-  | Some (Value.String y) ->
-    fun record -> begin
-      match fa record with
-      | Value.String x -> truth_of_bool (decide (String.compare x y))
-      | va -> general va (Value.String y)
-    end
-  | _ ->
-    fun record ->
-      let va = fa record in
-      let vb = fb record in
-      begin
-        match va, vb with
-        | Value.Int x, Value.Int y ->
-          truth_of_bool (decide (Int64.compare x y))
-        | va, vb -> general va vb
-      end
-
-and compile_t arity (e : Expr.t) : Record.t -> truth =
-  match e with
-  | _ when not (compilable e) -> fun record -> eval_t no_params record e
-  | Not a ->
-    let fa = compile_t arity a in
-    fun record -> t_not (fa record)
-  | And (a, b) ->
-    let fa = compile_t arity a and fb = compile_t arity b in
-    fun record ->
-      let ta = fa record in
-      let tb = fb record in
-      t_and ta tb
-  | Or (a, b) ->
-    let fa = compile_t arity a and fb = compile_t arity b in
-    fun record ->
-      let ta = fa record in
-      let tb = fb record in
-      t_or ta tb
-  | Cmp (op, a, b) -> compile_cmp arity op a b
-  | Between _ | Is_null _ | Like _ | In_list _ | Const _ | Field _ | Param _
-  | Call _ | Arith _ | Neg _ ->
-    let fv = compile_v arity e in
-    fun record -> truth_of_value (fv record)
-
-let compile_truth schema e = compile_t (Schema.arity schema) e
-
-let compile schema e =
-  let f = compile_t (Schema.arity schema) e in
-  fun record -> f record = True
 
 (* ------------------------------------------------------------------ *)
 (* Span-compiled predicates.
@@ -399,7 +219,7 @@ let compile schema e =
    still in the pinned page image.
 
    Supported conjuncts are restricted so the matcher cannot disagree with
-   {!compile}/{!test}: the constant's type must equal the field's declared
+   {!test}: the constant's type must equal the field's declared
    schema type (no cross-type numeric coercion), so on schema-validated
    data every field tag is either the declared type or NULL and no
    comparison can raise. All conjuncts are still evaluated (no boolean

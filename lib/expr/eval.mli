@@ -23,17 +23,6 @@ val test : ?params:Value.t array -> Record.t -> Expr.t -> bool
 (** [test r p] is [true] iff [truth r p = True] — the filtering rule: a record
     qualifies only when the predicate is definitely true. *)
 
-val compile : Schema.t -> Expr.t -> Record.t -> bool
-(** [compile schema p] specializes [p] into a closure once per plan: field
-    offsets are resolved and bounds-validated against [schema], constant
-    subtrees are folded, and comparison operators are specialized to a direct
-    decision procedure. Subtrees the compiler does not support ([Param],
-    [Call]) fall back to the interpreter, so [compile schema p r] always
-    agrees with [test r p] — including raised errors. *)
-
-val compile_truth : Schema.t -> Expr.t -> Record.t -> truth
-(** Three-valued variant of {!compile}; agrees with [truth r p]. *)
-
 val compile_span :
   Schema.t -> Expr.t -> (string -> pos:int -> len:int -> bool option) option
 (** [compile_span schema p] specializes the scan-filter shape — a conjunction
@@ -42,13 +31,14 @@ val compile_span :
     ([Codec.Enc.record] format) at [s.[pos .. pos+len-1]]: unread fields are
     skipped in the encoding, read fields are compared in place. Returns
     [None] when [p] is not of that shape. The matcher returns [Some keep]
-    with the same verdict [compile schema p] gives on the decoded record, or
+    with the same verdict [test r p] gives on the decoded record [r], or
     [None] when the payload deviates from the schema (width drift,
     unexpected tag) — the caller must then materialize the record and
     evaluate [p] on it. Vectorized scans use this while the payload is still
     in the pinned page image. *)
 
 val like_match : pattern:string -> string -> bool
-(** SQL LIKE matching with [%] (any run) and [_] (any one char). *)
+(** SQL LIKE matching with [%] (any run) and [_] (any one char), in
+    O(|pattern| * |s|) time. *)
 
 val pp_truth : Format.formatter -> truth -> unit

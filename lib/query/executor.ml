@@ -129,13 +129,12 @@ let cursor_of_run_scan ?stats (scan : Intf.run_scan) =
   in
   { next; close = scan.rn_close }
 
-(* Fetch-and-filter cursor over a stream of record keys. The residual
-   predicate is compiled once per plan open, not interpreted per record. *)
+(* Fetch-and-filter cursor over a stream of record keys; the residual
+   predicate is tested on each fetched record. *)
 let fetch_cursor ctx ?stats (desc : Descriptor.t) pred keys_next close =
   let (module M : Intf.STORAGE_METHOD) =
     Registry.storage_method desc.smethod_id
   in
-  let test = Option.map (Eval.compile desc.schema) pred in
   let rec next () =
     match keys_next () with
     | None -> None
@@ -144,8 +143,8 @@ let fetch_cursor ctx ?stats (desc : Descriptor.t) pred keys_next close =
       match M.fetch ctx desc key () with
       | None -> next ()  (* entry pointing at a record deleted by us *)
       | Some record -> begin
-        match test with
-        | Some t when not (t record) -> next ()
+        match pred with
+        | Some p when not (Eval.test record p) -> next ()
         | _ -> Some record
       end
     end
@@ -287,9 +286,6 @@ let exec_join ?join_stats ?outer_stats ?inner_stats ctx ~outer
     let pred =
       Option.map (Expr.subst_params params) outer.Plan.predicate
     in
-    let otest =
-      Option.map (Eval.compile outer.Plan.desc.Descriptor.schema) pred
-    in
     let pairs =
       ref (Dmx_attach.Join_index.pairs_of_instance ctx outer.Plan.desc ~instance)
     in
@@ -309,8 +305,8 @@ let exec_join ?join_stats ?outer_stats ?inner_stats ctx ~outer
         | None -> next ()
         | Some orec ->
           if
-            match otest with
-            | Some t -> not (t orec)
+            match pred with
+            | Some p -> not (Eval.test orec p)
             | None -> false
           then next ()
           else begin

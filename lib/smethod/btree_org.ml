@@ -243,7 +243,7 @@ module Impl = struct
                (Record_key.fields key, record_of payload))
              entries)
     in
-    Scan_help.filtered_batch ?filter ~schema:desc.Descriptor.schema ~next_run
+    Scan_help.filtered_batch ?filter ~next_run
       ~close:(fun () -> ())
       ~capture:(fun () ->
         let saved = Btree.position cursor in

@@ -209,7 +209,7 @@ module Impl = struct
         | _ -> None
       end
     in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
+    Scan_help.filtered ?filter ~next
       ~close:(fun () -> ())
       ~capture:(fun () ->
         let saved = !pos in

@@ -310,7 +310,8 @@ module Impl = struct
      Because the whole page is processed under one pin, payloads are decoded
      in place from the page image ([Slotted.iter_spans] +
      [Codec.Dec.of_string_span]) instead of being copied out first. With a
-     filter, the predicate is compiled once and evaluated on a
+     filter, the span matcher runs on the payload when the predicate has
+     its shape; otherwise the predicate is evaluated on a
      late-materialized record: only the fields the predicate reads are
      decoded (the rest are skipped in the encoding), and a full record is
      built only for qualifying slots. *)
@@ -319,7 +320,6 @@ module Impl = struct
     ignore hi;
     let schema = desc.Descriptor.schema in
     let arity = Schema.arity schema in
-    let test = Option.map (Dmx_expr.Eval.compile schema) filter in
     let span_test = Option.bind filter (Dmx_expr.Eval.compile_span schema) in
     (* fields the predicate reads; late materialization decodes only these *)
     let needed =
@@ -338,34 +338,36 @@ module Impl = struct
     let scratch = Array.make (max 1 arity) Value.Null in
     (* Fallback when the filter is not span-compilable (or a payload
        deviates from the schema): materialize what the predicate reads and
-       run the compiled closure. *)
-    let scratch_admits test img off len =
+       evaluate the predicate on it. *)
+    let scratch_admits pred img off len =
       let d = Codec.Dec.of_string_span img ~pos:off ~len in
       let fields = Codec.Dec.varint d in
       if fields <> arity then
         (* width drift: evaluate exactly what a full decode sees *)
-        test (Codec.Dec.record (Codec.Dec.of_string_span img ~pos:off ~len))
+        Dmx_expr.Eval.test
+          (Codec.Dec.record (Codec.Dec.of_string_span img ~pos:off ~len))
+          pred
       else begin
         for i = 0 to fields - 1 do
           if needed.(i) then scratch.(i) <- Codec.Dec.value d
           else Codec.Dec.skip_value d
         done;
-        test scratch
+        Dmx_expr.Eval.test scratch pred
       end
     in
     (* Chosen once per scan open: no filter, span-compiled, or fallback. *)
     let admit =
-      match test with
+      match filter with
       | None -> fun _ _ _ -> true
-      | Some test -> begin
+      | Some pred -> begin
         match span_test with
         | Some f ->
           fun img off len -> begin
             match f img ~pos:off ~len with
             | Some keep -> keep
-            | None -> scratch_admits test img off len
+            | None -> scratch_admits pred img off len
           end
-        | None -> scratch_admits test
+        | None -> scratch_admits pred
       end
     in
     let pages = Array.of_list (hdesc_of desc).pages in

@@ -176,7 +176,7 @@ module Impl = struct
       | [] -> None
       | hits -> Some (Array.of_list (List.rev hits))
     in
-    Scan_help.filtered_batch ?filter ~schema:desc.Descriptor.schema ~next_run
+    Scan_help.filtered_batch ?filter ~next_run
       ~close:(fun () -> ())
       ~capture:(fun () ->
         let saved = !pos in

@@ -183,7 +183,7 @@ module Impl = struct
       let page_idx, slot = !pos in
       if page_idx < 0 then advance 0 0 else advance page_idx (slot + 1)
     in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
+    Scan_help.filtered ?filter ~next
       ~close:(fun () -> ())
       ~capture:(fun () ->
         let saved = !pos in

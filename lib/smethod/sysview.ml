@@ -168,8 +168,6 @@ let wal_rows ctx =
        Value.int (Wal.pending_records wal);
        Value.int (Wal.pending_bytes wal);
        Value.int (Wal.unsynced_bytes wal);
-       Value.int (Txn_mgr.group_commit ctx.Ctx.txn_mgr);
-       Value.int (Txn_mgr.group_pending ctx.Ctx.txn_mgr);
        Value.Int (Wal.last_checkpoint_lsn wal);
        Value.Int (Wal.base_lsn wal);
        Value.int (Wal.truncations wal);
@@ -266,7 +264,6 @@ let register_builtin_providers () =
       (cols [ ("last_lsn", Value.Tint); ("flushed_lsn", Value.Tint);
               ("records", Value.Tint); ("pending_records", Value.Tint);
               ("pending_bytes", Value.Tint); ("unsynced_bytes", Value.Tint);
-              ("group_window", Value.Tint); ("group_debt", Value.Tint);
               ("last_ckpt_lsn", Value.Tint); ("base_lsn", Value.Tint);
               ("truncations", Value.Tint); ("truncated_bytes", Value.Tint);
               ("dirty_pages", Value.Tint) ])
@@ -376,7 +373,7 @@ module Impl = struct
         Some (Record_key.rid ~page:0 ~slot:i, rows.(i))
       end
     in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
+    Scan_help.filtered ?filter ~next
       ~close:(fun () -> ())
       ~capture:(fun () ->
         let saved = !pos in

@@ -113,7 +113,7 @@ module Impl = struct
         pos := seq;
         Some (key_of_seq seq, record)
     in
-    Scan_help.filtered ?filter ~schema:desc.Descriptor.schema ~next
+    Scan_help.filtered ?filter ~next
       ~close:(fun () -> ())
       ~capture:(fun () ->
         let saved = !pos in

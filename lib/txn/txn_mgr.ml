@@ -16,8 +16,6 @@ type t = {
   mutable force_hook : unit -> unit;
   mutable commit_observer : unit -> unit;
   mutable undone_count : int;
-  mutable group_commit : int;  (* fsync window; <= 1 syncs every commit *)
-  mutable group_pending : int;  (* commits written since the last group sync *)
 }
 
 let create ~wal ~locks () =
@@ -34,8 +32,6 @@ let create ~wal ~locks () =
     force_hook = ignore;
     commit_observer = ignore;
     undone_count = 0;
-    group_commit = 1;
-    group_pending = 0;
   }
 
 let wal t = t.wal
@@ -43,13 +39,6 @@ let locks t = t.locks
 let set_undo_dispatch t f = t.undo_dispatch <- Some f
 let set_force_hook t f = t.force_hook <- f
 let set_commit_observer t f = t.commit_observer <- f
-
-let set_group_commit t n =
-  t.group_commit <- max 1 n;
-  t.group_pending <- 0
-
-let group_commit t = t.group_commit
-let group_pending t = t.group_pending
 
 let begin_txn t =
   let id = t.next_txid in
@@ -162,29 +151,10 @@ let do_commit t txn =
   | exception e ->
     abort t txn;
     raise e);
-  if t.group_commit <= 1 then begin
-    Wal.flush t.wal;
-    t.force_hook ();
-    ignore (Wal.append t.wal txn.Txn.id Log_record.Commit);
-    Wal.flush t.wal
-  end
-  else begin
-    (* Group commit: write the commit's records without an fsync; every
-       [group_commit]th commit fsyncs once for the whole group. Commit
-       returns with its records written (and its LSN flushed); durability
-       is hardened at the group boundary or at the next syncing flush
-       (page force, shutdown, recovery). A crash can lose a suffix of the
-       most recent commits, never a non-prefix subset. *)
-    Wal.flush ~sync:false t.wal;
-    t.force_hook ();
-    ignore (Wal.append t.wal txn.Txn.id Log_record.Commit);
-    Wal.flush ~sync:false t.wal;
-    t.group_pending <- t.group_pending + 1;
-    if t.group_pending >= t.group_commit then begin
-      Wal.sync t.wal;
-      t.group_pending <- 0
-    end
-  end;
+  Wal.flush t.wal;
+  t.force_hook ();
+  ignore (Wal.append t.wal txn.Txn.id Log_record.Commit);
+  Wal.flush t.wal;
   let after = Txn.take_deferred txn On_commit in
   finish t txn Committed;
   Dmx_obs.Metrics.incr m_commits;

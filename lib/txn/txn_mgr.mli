@@ -32,9 +32,9 @@ val set_force_hook : t -> (unit -> unit) -> unit
 
 val set_commit_observer : t -> (unit -> unit) -> unit
 (** Installed by the services layer: called after every commit completes
-    (records durable per the group-commit policy, transaction deregistered,
-    deferred actions run). The checkpoint policy hooks here to trigger a
-    fuzzy checkpoint every N records/bytes without quiescing. *)
+    (records fsynced, transaction deregistered, deferred actions run). The
+    checkpoint policy hooks here to trigger a fuzzy checkpoint every N
+    records/bytes without quiescing. *)
 
 val begin_txn : t -> Txn.t
 val find_txn : t -> int -> Txn.t option
@@ -47,24 +47,6 @@ val log_ext : t -> Txn.t -> source:Log_record.source -> rel_id:int ->
 val log_ext_many : t -> Txn.t -> source:Log_record.source -> rel_id:int ->
   datas:string list -> Log_record.lsn list
 (** Batched {!log_ext}: one activity check, contiguous appends (bulk paths). *)
-
-val set_group_commit : t -> int -> unit
-(** Group-commit policy. Window [n <= 1] (the default) fsyncs on every
-    commit. [n > 1] makes commits write their log records without an fsync
-    and every [n]th commit fsync once on behalf of the whole group — commit
-    still returns only after its records are written and its LSN flushed,
-    and any syncing flush (page force, shutdown, recovery) hardens early.
-    After a crash, a suffix of the most recent commits may be lost, never a
-    non-prefix subset. Deterministic (count-based, no timers); kept off under
-    the chaos default so fault schedules stay replayable. Values below 1 are
-    clamped to 1. *)
-
-val group_commit : t -> int
-
-val group_pending : t -> int
-(** Commits written (not yet fsynced) since the last group sync — the
-    group-commit "debt": how many committed transactions would be lost if
-    power failed right now. Always 0 when [group_commit] is 1. *)
 
 val commit : t -> Txn.t -> unit
 (** Raises whatever a [Before_prepare] action raises — in that case the

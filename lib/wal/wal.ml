@@ -246,17 +246,17 @@ let appended_bytes t = t.appended_bytes
 let truncations t = t.truncations
 let truncated_bytes t = t.truncated_bytes
 
-let flush ?upto ?(sync = true) t =
+let flush ?upto t =
   check_open t;
   let upto = Option.value ~default:(last_lsn t) upto in
   match t.backend with
   | Mem -> ()
   | File f ->
     let need_write = upto > t.flushed in
-    (* A syncing flush must also harden bytes written by earlier non-syncing
-       flushes (group commit), even when nothing new is pending. *)
-    let need_sync = sync && (need_write || f.synced < f.size) in
-    if need_write || need_sync then begin
+    (* Also harden bytes an earlier flush wrote but failed to fsync, even
+       when nothing new is pending. *)
+    let need_sync = need_write || f.synced < f.size in
+    if need_sync then begin
       (* the flush span inherits the enclosing span's transaction: a
          commit-path flush charges the committing transaction, an
          eviction-path flush charges whoever faulted the page *)
@@ -276,11 +276,9 @@ let flush ?upto ?(sync = true) t =
         f.buffered <- 0;
         t.flushed <- last_lsn t
       end;
-      if need_sync then begin
-        Unix.fsync f.fd;
-        f.synced <- f.size;
-        Dmx_obs.Metrics.incr m_fsyncs
-      end;
+      Unix.fsync f.fd;
+      f.synced <- f.size;
+      Dmx_obs.Metrics.incr m_fsyncs;
       if observed then begin
         let us = (Unix.gettimeofday () -. t0) *. 1e6 in
         if need_write then begin
@@ -291,12 +289,9 @@ let flush ?upto ?(sync = true) t =
         Dmx_obs.Emit.exit sp
           ~attrs:
             [ ("records", Dmx_obs.Obs_json.Int records);
-              ("synced", Dmx_obs.Obs_json.Bool need_sync);
               ("upto", Dmx_obs.Obs_json.Int (Int64.to_int t.flushed)) ]
       end
     end
-
-let sync t = flush t
 
 let unsynced_bytes t =
   match t.backend with Mem -> 0 | File f -> f.size - f.synced

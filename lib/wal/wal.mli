@@ -76,16 +76,12 @@ val truncate_before : t -> Log_record.lsn -> int * int
     cutting only below the undo horizon (no active transaction's first LSN,
     and no incomplete checkpoint's start, may be dropped). *)
 
-val flush : ?upto:Log_record.lsn -> ?sync:bool -> t -> unit
+val flush : ?upto:Log_record.lsn -> t -> unit
 (** Harden records up to [upto] (default: all). All pending records are
     framed into one contiguous write — one write syscall per flush however
-    many records are buffered — followed by a single fsync. [sync:false]
-    writes without the fsync (group commit defers the fsync to the group
-    boundary); a later syncing flush hardens those bytes even when nothing
-    new is pending. *)
-
-val sync : t -> unit
-(** Fsync any written-but-unsynced bytes (the group-commit boundary). *)
+    many records are buffered — followed by a single fsync. Bytes an earlier
+    flush wrote but failed to fsync are fsynced by the next flush, even when
+    nothing new is pending. *)
 
 val pending_records : t -> int
 (** Appended records still sitting in the flush buffer (not yet written to
@@ -96,8 +92,8 @@ val pending_bytes : t -> int
     memory-backed logs. *)
 
 val unsynced_bytes : t -> int
-(** Bytes written to the file but not yet known durable; 0 for memory-backed
-    logs and whenever the last flush synced. *)
+(** Bytes written to the file but not yet known durable (a flush whose fsync
+    raised); 0 for memory-backed logs and whenever the last flush synced. *)
 
 val read : t -> Log_record.lsn -> Log_record.t
 (** Raises [Invalid_argument] for an unknown LSN. *)
@@ -122,10 +118,9 @@ val abandon : t -> unit
     every byte already written, synced or not. *)
 
 val crash : t -> unit
-(** Power-loss simulation: truncate the file to the last fsynced byte
-    (written-but-unsynced bytes are not durable), then close. With group
-    commit this loses a suffix of recently committed transactions — never a
-    non-prefix subset. *)
+(** Power-loss simulation: drop buffered records, truncate the file to the
+    last fsynced byte (bytes written by a flush whose fsync raised are not
+    durable), then close. *)
 
 val simulate_torn_tail : t -> bytes_to_truncate:int -> unit
 (** Chop bytes off the end of a file-backed log (crash-injection tests). *)

@@ -114,15 +114,6 @@ let test_io_error_sweep () =
 let test_recovery_crash_sweep () =
   check_report (H.sweep (config 44) H.Mode_crash ~recovery_crash:true)
 
-let test_crash_sweep_group_commit () =
-  (* same torture with the commit-record fsync deferred across a window of
-     three commits: a crash may drop a suffix of committed transactions, and
-     the oracle verifies the survivors form an exact committed prefix *)
-  check_report
-    (H.sweep
-       { (config 45) with H.group_commit = 3 }
-       H.Mode_crash ~recovery_crash:false)
-
 let test_introspected_crash_sweep () =
   (* same crash sweep, but after every recovery the harness also mounts the
      dmx_* system views and asks the engine about itself: dmx_txns must show
@@ -209,8 +200,6 @@ let suite =
       test_io_error_sweep;
     Alcotest.test_case "crash-during-recovery sweep" `Quick
       test_recovery_crash_sweep;
-    Alcotest.test_case "crash sweep with group commit on" `Quick
-      test_crash_sweep_group_commit;
     Alcotest.test_case "introspected crash sweep" `Quick
       test_introspected_crash_sweep;
     Alcotest.test_case "crash-in-checkpoint sweep" `Quick

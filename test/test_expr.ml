@@ -46,7 +46,11 @@ let test_like () =
   Alcotest.(check bool) "literal" false (Eval.like_match ~pattern:"bob" "Bob");
   Alcotest.(check bool) "%%x" true (Eval.like_match ~pattern:"%o%" "Bob");
   Alcotest.(check bool) "empty pattern" false (Eval.like_match ~pattern:"" "x");
-  Alcotest.(check bool) "both empty" true (Eval.like_match ~pattern:"" "")
+  Alcotest.(check bool) "both empty" true (Eval.like_match ~pattern:"" "");
+  (* many '%' must not backtrack exponentially: this finishes at once *)
+  let pattern = "%" ^ String.concat "" (List.init 12 (fun _ -> "a%")) ^ "b" in
+  Alcotest.(check bool) "many %" false
+    (Eval.like_match ~pattern (String.make 40 'a'))
 
 let test_in_between () =
   Alcotest.(check bool) "in hit" true

@@ -145,55 +145,6 @@ let prop_not_involution =
       | None, None -> true
       | _ -> false)
 
-(* the compiled-closure path is observably identical to the interpreter:
-   same truth values over NULLs (three-valued logic), same raised errors
-   (message included), same fallback behaviour for Param/Call subtrees —
-   both sides run without params, as a scan filter does. *)
-let compile_records =
-  [
-    sample_record;
-    [| Value.Null; Value.Null; Value.Null; Value.Null |];
-    [| Value.int (-3); Value.String ""; Value.String "zz"; Value.int 0 |];
-  ]
-
-let prop_compile_truth_equiv =
-  QCheck.Test.make ~name:"compile_truth agrees with truth" ~count:400 arb_expr
-    (fun e ->
-      let f = Eval.compile_truth Test_util.emp_schema e in
-      List.for_all
-        (fun r ->
-          let direct =
-            match Eval.truth r e with
-            | t -> Ok t
-            | exception Eval.Error m -> Error m
-          in
-          let compiled =
-            match f r with
-            | t -> Ok t
-            | exception Eval.Error m -> Error m
-          in
-          direct = compiled)
-        compile_records)
-
-let prop_compile_test_equiv =
-  QCheck.Test.make ~name:"compile agrees with test" ~count:400 arb_expr
-    (fun e ->
-      let f = Eval.compile Test_util.emp_schema e in
-      List.for_all
-        (fun r ->
-          let direct =
-            match Eval.test r e with
-            | b -> Ok b
-            | exception Eval.Error m -> Error m
-          in
-          let compiled =
-            match f r with
-            | b -> Ok b
-            | exception Eval.Error m -> Error m
-          in
-          direct = compiled)
-        compile_records)
-
 (* The span matcher: on the supported scan-filter shape (conjunctions of
    [Field <op> Const] with schema-matching constant types), the verdict
    computed directly on the encoded payload must agree with [Eval.test] on
@@ -257,6 +208,33 @@ let prop_span_matcher_equiv =
         | Some keep -> keep = Eval.test r e
       end)
 
+(* LIKE against a dynamic-programming reference: [m.(i).(j)] holds when
+   [pattern.[i..]] matches [s.[j..]]. *)
+let like_reference ~pattern s =
+  let np = String.length pattern and ns = String.length s in
+  let m = Array.make_matrix (np + 1) (ns + 1) false in
+  m.(np).(ns) <- true;
+  for i = np - 1 downto 0 do
+    for j = ns downto 0 do
+      m.(i).(j) <-
+        (match pattern.[i] with
+        | '%' -> m.(i + 1).(j) || (j < ns && m.(i).(j + 1))
+        | '_' -> j < ns && m.(i + 1).(j + 1)
+        | c -> j < ns && s.[j] = c && m.(i + 1).(j + 1))
+    done
+  done;
+  m.(0).(0)
+
+let prop_like_matches_reference =
+  let word n = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) n) in
+  QCheck.Test.make ~name:"like_match agrees with a DP reference" ~count:1000
+    QCheck.(
+      make
+        Gen.(pair (word (int_range 0 8)) (word (int_range 0 10)))
+        ~print:(fun (p, s) -> Fmt.str "%S LIKE %S" s p))
+    (fun (pattern, s) ->
+      Eval.like_match ~pattern s = like_reference ~pattern s)
+
 (* the predicate parser never crashes: any input yields Ok or Error *)
 let prop_parser_total =
   QCheck.Test.make ~name:"parser is total" ~count:500
@@ -296,7 +274,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_selectivity_bounded;
     QCheck_alcotest.to_alcotest prop_fields_used_sound;
     QCheck_alcotest.to_alcotest prop_not_involution;
-    QCheck_alcotest.to_alcotest prop_compile_truth_equiv;
-    QCheck_alcotest.to_alcotest prop_compile_test_equiv;
     QCheck_alcotest.to_alcotest prop_span_matcher_equiv;
+    QCheck_alcotest.to_alcotest prop_like_matches_reference;
   ]

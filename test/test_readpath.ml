@@ -47,15 +47,18 @@ let check_parity ~what a b =
    the inserted rows, in insertion order (= key order for all four methods
    here), filtered by the interpreter acting as test oracle. Native
    producers and the default chunking loop alike, at the default and at
-   short run lengths. *)
+   short run lengths. One filter has the span matcher's shape, the other
+   does not, so heap's late-materialized fallback is checked too. *)
 let test_batch_record_parity () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
-  let filter =
-    match Dmx_expr.Parse.parse emp_schema "salary > 100 AND dept = 'even'" with
+  let parse src =
+    match Dmx_expr.Parse.parse emp_schema src with
     | Ok e -> e
     | Error m -> Alcotest.failf "parse: %s" m
   in
+  let span_filter = parse "salary > 100 AND dept = 'even'" in
+  let other_filter = parse "salary + 0 > 100 AND name LIKE 'name1%'" in
   let model ?filter () =
     List.init 25 (fun i -> row (i + 1))
     |> List.filter (fun r ->
@@ -74,7 +77,8 @@ let test_batch_record_parity () =
               (records_of_record_scan ctx desc ?filter ());
             check_parity ~what:(what ^ ", batch path") (model ?filter ())
               (records_of_batch_scan ctx desc ?filter ()))
-          [ ("unfiltered", None); ("filtered", Some filter) ]
+          [ ("unfiltered", None); ("span-shaped filter", Some span_filter);
+            ("other filter", Some other_filter) ]
       in
       check ~runs:"default runs";
       (* short runs cross run boundaries mid-relation *)

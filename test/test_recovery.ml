@@ -186,102 +186,6 @@ let test_torn_log_tail () =
       Services.commit services ctx;
       Services.close services)
 
-(* ---- group commit (deferred commit-record fsync) ---- *)
-
-let setup_employee services =
-  let ctx = Services.begin_txn services in
-  ignore
-    (check_ok "create"
-       (Ddl.create_relation ctx ~name:"employee" ~schema:emp_schema
-          ~storage_method:"heap" ()));
-  Services.commit services ctx
-
-let insert_one services i =
-  let ctx = Services.begin_txn services in
-  let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
-  ignore
-    (check_ok "insert"
-       (Relation.insert ctx desc (emp i (Fmt.str "u%d" i) "eng" i)));
-  Services.commit services ctx
-
-let test_group_commit_crash_loses_suffix_only () =
-  with_dir (fun dir ->
-      let services = fresh_services ~dir () in
-      setup_employee services;
-      (* window 3: the fsync for commits 1-3 happens at commit 3; commits 4
-         and 5 have written but possibly unsynced commit records *)
-      Dmx_txn.Txn_mgr.set_group_commit services.Services.txn_mgr 3;
-      for i = 1 to 5 do
-        insert_one services i
-      done;
-      Services.simulate_crash services;
-      let services = fresh_services ~dir () in
-      let ctx = Services.begin_txn services in
-      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
-      let ids =
-        all_records ctx desc
-        |> List.map (fun r ->
-               Int64.to_int (Option.get (Dmx_value.Value.to_int r.(0))))
-      in
-      (* both-or-prefix: the grouped commits up to the last hardening point
-         survive, later ones vanish whole — never rows with holes *)
-      let k = List.length ids in
-      Alcotest.(check bool) (Fmt.str "at least the synced group (got %d)" k)
-        true (k >= 3);
-      Alcotest.(check (list int)) "exactly a prefix of the commit order"
-        (List.init k (fun i -> i + 1))
-        ids;
-      Services.commit services ctx;
-      Services.close services)
-
-let test_group_commit_clean_close_loses_nothing () =
-  with_dir (fun dir ->
-      let services = fresh_services ~dir () in
-      setup_employee services;
-      Dmx_txn.Txn_mgr.set_group_commit services.Services.txn_mgr 4;
-      for i = 1 to 5 do
-        insert_one services i
-      done;
-      (* an orderly shutdown hardens the pending group *)
-      Services.close services;
-      let services = fresh_services ~dir () in
-      (match services.Services.last_recovery with
-      | Some a -> Alcotest.(check int) "no losers" 0 (List.length a.losers)
-      | None -> Alcotest.fail "no analysis");
-      let ctx = Services.begin_txn services in
-      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
-      Alcotest.(check int) "all five commits durable" 5
-        (count_records ctx desc);
-      Services.commit services ctx;
-      Services.close services)
-
-let test_group_commit_shares_fsyncs () =
-  with_dir (fun dir ->
-      let module Metrics = Dmx_obs.Metrics in
-      let services = fresh_services ~dir () in
-      setup_employee services;
-      Metrics.set_enabled true;
-      Fun.protect
-        ~finally:(fun () -> Metrics.set_enabled false)
-        (fun () ->
-          let fsyncs = Metrics.counter "wal.fsyncs" in
-          let f0 = Metrics.value fsyncs in
-          for i = 1 to 4 do
-            insert_one services i
-          done;
-          let solo = Metrics.value fsyncs - f0 in
-          Dmx_txn.Txn_mgr.set_group_commit services.Services.txn_mgr 4;
-          let f1 = Metrics.value fsyncs in
-          for i = 5 to 8 do
-            insert_one services i
-          done;
-          let grouped = Metrics.value fsyncs - f1 in
-          Alcotest.(check bool)
-            (Fmt.str "grouped commits share fsyncs (%d < %d)" grouped solo)
-            true
-            (grouped < solo));
-      Services.close services)
-
 let test_clean_shutdown_reopen () =
   with_dir (fun dir ->
       let services = fresh_services ~dir () in
@@ -344,12 +248,6 @@ let suite =
     Alcotest.test_case "uncommitted DDL undone" `Quick
       test_uncommitted_ddl_undone;
     Alcotest.test_case "torn log tail truncated" `Quick test_torn_log_tail;
-    Alcotest.test_case "group commit: crash loses only a suffix" `Quick
-      test_group_commit_crash_loses_suffix_only;
-    Alcotest.test_case "group commit: clean close loses nothing" `Quick
-      test_group_commit_clean_close_loses_nothing;
-    Alcotest.test_case "group commit: fsyncs shared across the window" `Quick
-      test_group_commit_shares_fsyncs;
     Alcotest.test_case "clean shutdown reopen" `Quick
       test_clean_shutdown_reopen;
   ]

@@ -114,7 +114,7 @@ let test_read_only () =
             in
             let wal_row =
               [| vi 0; vi 0; vi 0; vi 0; vi 0; vi 0; vi 0; vi 0; vi 0; vi 0;
-                 vi 0; vi 0; vi 0 |]
+                 vi 0 |]
             in
             expect_read_only "insert"
               (Db.insert db ctx ~relation:"dmx_wal" wal_row);

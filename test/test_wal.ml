@@ -58,18 +58,26 @@ let test_file_roundtrip () =
   Sys.remove path
 
 let test_unflushed_lost () =
-  let path = Filename.temp_file "dmx_wal" ".log" in
-  Sys.remove path;
-  let w = Wal.open_file path in
-  ignore (Wal.append w 1 LR.Begin);
-  Wal.flush w;
-  ignore (Wal.append w 1 (ext "never flushed"));
-  Alcotest.(check bool) "flushed lags" true (Wal.flushed_lsn w < Wal.last_lsn w);
-  Wal.abandon w;
-  let w2 = Wal.open_file path in
-  Alcotest.(check int) "only the flushed record" 1 (Wal.record_count w2);
-  Wal.close w2;
-  Sys.remove path
+  (* a process kill ([abandon]) and a power loss ([crash]) both keep the
+     flushed record and lose the buffered one *)
+  List.iter
+    (fun (what, stop) ->
+      let path = Filename.temp_file "dmx_wal" ".log" in
+      Sys.remove path;
+      let w = Wal.open_file path in
+      ignore (Wal.append w 1 LR.Begin);
+      Wal.flush w;
+      Alcotest.(check int) (what ^ ": flush synced") 0 (Wal.unsynced_bytes w);
+      ignore (Wal.append w 1 (ext "never flushed"));
+      Alcotest.(check bool) (what ^ ": flushed lags") true
+        (Wal.flushed_lsn w < Wal.last_lsn w);
+      stop w;
+      let w2 = Wal.open_file path in
+      Alcotest.(check int) (what ^ ": only the flushed record") 1
+        (Wal.record_count w2);
+      Wal.close w2;
+      Sys.remove path)
+    [ ("abandon", Wal.abandon); ("crash", Wal.crash) ]
 
 let test_torn_frame_truncated () =
   let path = Filename.temp_file "dmx_wal" ".log" in
@@ -211,73 +219,6 @@ let test_flush_is_one_write_one_fsync () =
         (Metrics.value writes - w1);
       Alcotest.(check int) "empty flush syncs nothing" 0
         (Metrics.value fsyncs - f1);
-      Wal.close w)
-
-let test_group_flush_crash_keeps_prefix () =
-  (* The group-commit write/fsync split: unsynced flushed bytes survive a
-     process kill ([abandon]) but not power loss ([crash]); a crash keeps
-     exactly the synced prefix of commit groups — never a subset with holes. *)
-  let path = Filename.temp_file "dmx_wal_group" ".log" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let commit w i =
-        ignore (Wal.append w i LR.Begin);
-        ignore (Wal.append w i (ext (Fmt.str "op%d" i)));
-        ignore (Wal.append w i LR.Commit);
-        Wal.flush ~sync:false w;
-        if i mod 3 = 0 then Wal.sync w
-      in
-      let w = Wal.open_file path in
-      for i = 1 to 8 do
-        commit w i
-      done;
-      (* groups 1-3 and 4-6 fsynced; commits 7 and 8 written only *)
-      Alcotest.(check bool) "tail written but unsynced" true
-        (Wal.unsynced_bytes w > 0);
-      Wal.crash w;
-      let w2 = Wal.open_file path in
-      Alcotest.(check int) "synced prefix survives" 18 (Wal.record_count w2);
-      let a = Recovery.analyze w2 in
-      Alcotest.(check (list int)) "exactly the first six commits"
-        [ 1; 2; 3; 4; 5; 6 ]
-        (List.sort compare a.Recovery.winners);
-      Alcotest.(check (list int)) "no losers: lost commits vanish whole" []
-        a.Recovery.losers;
-      Wal.close w2;
-      (* same log, process kill instead: every written byte survives *)
-      Sys.remove path;
-      let w = Wal.open_file path in
-      for i = 1 to 8 do
-        commit w i
-      done;
-      Wal.abandon w;
-      let w3 = Wal.open_file path in
-      Alcotest.(check int) "abandon keeps unsynced bytes" 24
-        (Wal.record_count w3);
-      Wal.close w3)
-
-let test_sync_self_corrects () =
-  (* [sync] after a syncing flush is a no-op; unsynced_bytes tracks the
-     write/fsync split exactly. *)
-  let path = Filename.temp_file "dmx_wal_sync" ".log" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let w = Wal.open_file path in
-      Alcotest.(check int) "empty log has nothing unsynced" 0
-        (Wal.unsynced_bytes w);
-      ignore (Wal.append w 1 LR.Begin);
-      Alcotest.(check int) "buffered, not written" 0 (Wal.unsynced_bytes w);
-      Wal.flush ~sync:false w;
-      Alcotest.(check bool) "written, not synced" true
-        (Wal.unsynced_bytes w > 0);
-      Wal.sync w;
-      Alcotest.(check int) "synced" 0 (Wal.unsynced_bytes w);
-      Wal.sync w;
-      Alcotest.(check int) "idempotent" 0 (Wal.unsynced_bytes w);
       Wal.close w)
 
 let test_recovery_analysis () =
@@ -675,9 +616,6 @@ let suite =
       test_corrupt_byte_drops_tail;
     Alcotest.test_case "flush is one write + one fsync" `Quick
       test_flush_is_one_write_one_fsync;
-    Alcotest.test_case "group flush: crash keeps a commit prefix" `Quick
-      test_group_flush_crash_keeps_prefix;
-    Alcotest.test_case "sync self-corrects" `Quick test_sync_self_corrects;
     Alcotest.test_case "recovery analysis" `Quick test_recovery_analysis;
     Alcotest.test_case "analysis: fully compensated loser" `Quick
       test_analysis_fully_compensated;

@@ -24,9 +24,6 @@ type config = {
          path (WAL flush before a dirty page leaves the pool) *)
   recovery_crash_gap : int option;
       (* also crash the recovery run this many ops after reopen *)
-  group_commit : int;
-      (* commit-record fsyncs shared across this many commits; 1 = off (the
-         default), keeping the fault schedules of the seed suite unchanged *)
   introspect : bool;
       (* after the oracle, ask the recovered engine about itself through the
          dmx_* system views: no leaked txns, no foreign lock grants *)
@@ -39,8 +36,7 @@ type config = {
 
 let default_config ~seed =
   { seed; n_txns = 5; ops_per_txn = 6; pool_capacity = 8;
-    recovery_crash_gap = None; group_commit = 1; introspect = false;
-    checkpoint_every = 0 }
+    recovery_crash_gap = None; introspect = false; checkpoint_every = 0 }
 
 type fault_plan =
   | No_fault
@@ -356,8 +352,6 @@ let run_episode cfg plan =
           Services.setup ~dir ~disk:(Fault_disk.disk fd)
             ~pool_capacity:cfg.pool_capacity ()
         in
-        if cfg.group_commit > 1 then
-          Dmx_txn.Txn_mgr.set_group_commit s.Services.txn_mgr cfg.group_commit;
         (* Count truncation phases always (they are the crash-point domain
            for truncate sweeps) and, when the plan says so, turn the nth
            phase event into a power loss in the middle of the rewrite. *)
@@ -394,27 +388,13 @@ let run_episode cfg plan =
                { op = Fault_disk.op_count fd; fault = Fault_disk.Crash })
         | _ -> ()
       in
-      (* Committed snapshots, newest first. With group commit a crash may
-         lose a suffix of committed transactions, so the post-crash oracle
-         accepts any snapshot the window could still have in flight. *)
-      let history = ref [ None ] in
-      let push_history () =
-        match !history with
-        | h :: _ when h == model.M.committed -> ()  (* no commit happened *)
-        | _ -> history := model.M.committed :: !history
-      in
       let crashed =
         (* The very first op can already be the fault point: the initial
            [setup]'s empty-log recovery syncs the store. *)
         match
           services := Some (setup_services ());
           setup_schema (live ()) model;
-          push_history ();
-          List.iter
-            (fun txn ->
-              run_txn ~after_op (live ()) model txn;
-              push_history ())
-            script.W.w_txns
+          List.iter (run_txn ~after_op (live ()) model) script.W.w_txns
         with
         | () -> false
         | exception Fault_disk.Injected { op; fault = f } ->
@@ -453,28 +433,9 @@ let run_episode cfg plan =
         Fault_disk.clear_plan fd
       end;
       let failures =
-        if crashed && cfg.group_commit > 1 then begin
-          (* any committed snapshot the unflushed window could have lost is
-             an acceptable durable state; the survivors must match one of
-             them exactly (a prefix of commit order, never holes). Report
-             the newest snapshot's diff when none matches. *)
-          let rec firstn n = function
-            | x :: tl when n > 0 -> x :: firstn (n - 1) tl
-            | _ -> []
-          in
-          let rec try_snapshots = function
-            | [] -> Chaos_oracle.check (live ()) ~committed:model.M.committed
-            | snap :: rest -> begin
-              match Chaos_oracle.check (live ()) ~committed:snap with
-              | [] -> []
-              | _ -> try_snapshots rest
-            end
-          in
-          try_snapshots (firstn cfg.group_commit !history)
-        end
-        else Chaos_oracle.check (live ()) ~committed:model.M.committed
+        Chaos_oracle.check (live ()) ~committed:model.M.committed
+        @ probe (live ())
       in
-      let failures = failures @ probe (live ()) in
       let failures =
         if cfg.introspect then failures @ introspect_check (live ())
         else failures

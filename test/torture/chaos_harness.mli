@@ -16,12 +16,6 @@ type config = {
       (** when set, the recovery run after a crash is itself crashed this
           many page-store ops after reopen — exercising recovery
           idempotence *)
-  group_commit : int;
-      (** commit-record fsyncs shared across this many commits (1 = off, the
-          default — keeps fault schedules identical to the seed suite). With
-          a window > 1 a crash may lose a suffix of committed transactions,
-          so the post-crash oracle accepts any recent committed snapshot —
-          still never a non-prefix subset *)
   introspect : bool;
       (** after the oracle, mount the [dmx_*] system views and query
           [dmx_txns]/[dmx_locks] through the standard select path, asserting
