@@ -154,32 +154,46 @@ end
 (* A new attachment type: Bloom filter over one field.                     *)
 (* ---------------------------------------------------------------------- *)
 
+(* The author of an attachment type writes what one instance records in the
+   relation descriptor -- a payload type and its codec -- and applies
+   [Attach_util.Slot] to it. [Slot] supplies everything else about the
+   descriptor slot that all instances of the type share: the registered id,
+   the instance list with its numbers, names and encoding, the DDL rules
+   (a duplicate instance name is a DDL error, dropping an unknown one is
+   [No_such_attachment], the slot goes NULL with its last instance) and
+   lookup by name or number. What remains is the attached procedures. *)
 module Bloom_attachment = struct
-  (* Filter bits live in process memory keyed by (rel, instance); the
+  (* Filter bits live in process memory keyed by (rel, instance name); the
      descriptor records field + size. A Bloom filter is conservative: undo
      and delete need not clear bits. *)
-  let filters : (int * int, Bytes.t) Hashtbl.t = Hashtbl.create 4
+  let filters : (int * string, Bytes.t) Hashtbl.t = Hashtbl.create 4
 
   type inst = { field : int; bits : int }
 
-  let enc_inst e i =
-    Codec.Enc.varint e i.field;
-    Codec.Enc.varint e i.bits
+  module Slot = Dmx_attach.Attach_util.Slot (struct
+    let name = "bloom"
 
-  let dec_inst d =
-    let field = Codec.Dec.varint d in
-    let bits = Codec.Dec.varint d in
-    { field; bits }
+    type t = inst
 
-  let insts_of slot = Dmx_attach.Attach_util.dec_instances dec_inst slot
-  let slot_of insts = Dmx_attach.Attach_util.enc_instances enc_inst insts
+    let enc e i =
+      Codec.Enc.varint e i.field;
+      Codec.Enc.varint e i.bits
 
-  let filter_of rel_id no bits =
-    match Hashtbl.find_opt filters (rel_id, no) with
+    let dec d =
+      let field = Codec.Dec.varint d in
+      let bits = Codec.Dec.varint d in
+      { field; bits }
+  end)
+
+  let filter_key rel_id name = (rel_id, String.lowercase_ascii name)
+
+  let filter_of rel_id name inst =
+    let key = filter_key rel_id name in
+    match Hashtbl.find_opt filters key with
     | Some b -> b
     | None ->
-      let b = Bytes.make ((bits + 7) / 8) '\000' in
-      Hashtbl.replace filters (rel_id, no) b;
+      let b = Bytes.make ((inst.bits + 7) / 8) '\000' in
+      Hashtbl.replace filters key b;
       b
 
   let set_bit b i =
@@ -195,12 +209,10 @@ module Bloom_attachment = struct
     let h2 = Hashtbl.hash (Value.to_string v) land max_int in
     [ h1 mod bits; (h1 + h2) mod bits; (h1 + (3 * h2)) mod bits ]
 
-  let add rel_id no inst v =
-    let b = filter_of rel_id no inst.bits in
-    List.iter (set_bit b) (hashes v inst.bits)
-
-  let reg_id = ref None
-  let id () = Option.get !reg_id
+  let add rel_id name inst record =
+    let v = record.(inst.field) in
+    if v <> Value.Null then
+      List.iter (set_bit (filter_of rel_id name inst)) (hashes v inst.bits)
 
   module Impl = struct
     let name = "bloom"
@@ -214,59 +226,39 @@ module Bloom_attachment = struct
     let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
       match Attrlist.validate attr_specs attrs with
       | Error e -> Error (Error.Ddl_error e)
-      | Ok () -> begin
-        match
-          Dmx_attach.Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "field"))
-        with
-        | Error e -> Error (Error.Ddl_error e)
-        | Ok fields when Array.length fields <> 1 ->
-          Error (Error.Ddl_error "bloom: exactly one field")
-        | Ok fields ->
-          let bits =
-            match Attrlist.get_int attrs "bits" with
-            | Ok (Some n) when n > 64 -> n
-            | _ -> 4096
-          in
-          let insts =
-            match Descriptor.attachment_desc desc (id ()) with
-            | None -> []
-            | Some slot -> insts_of slot
-          in
-          let no = Dmx_attach.Attach_util.next_instance_no insts in
-          let inst = { field = fields.(0); bits } in
-          (* build from existing records *)
-          Dmx_attach.Attach_util.scan_relation ctx desc (fun _ record ->
-              if record.(inst.field) <> Value.Null then
-                add desc.rel_id no inst record.(inst.field));
-          Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-      end
+      | Ok () ->
+        Slot.add desc ~instance_name ~what:"bloom filter" (fun () ->
+            match
+              Dmx_attach.Attach_util.parse_fields desc.schema
+                (Option.get (Attrlist.find attrs "field"))
+            with
+            | Error e -> Error (Error.Ddl_error e)
+            | Ok [| field |] ->
+              let bits =
+                match Attrlist.get_int attrs "bits" with
+                | Ok (Some n) when n > 64 -> n
+                | _ -> 4096
+              in
+              let inst = { field; bits } in
+              (* build from existing records, over any bits a dropped
+                 namesake left behind *)
+              Hashtbl.remove filters (filter_key desc.rel_id instance_name);
+              Dmx_attach.Attach_util.scan_relation ctx desc (fun _ record ->
+                  add desc.rel_id instance_name inst record);
+              Ok inst
+            | Ok _ -> Error (Error.Ddl_error "bloom: exactly one field"))
 
-    let drop_instance _ctx (desc : Descriptor.t) ~instance_name =
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> Error (Error.No_such_attachment instance_name)
-      | Some slot ->
-        let remaining =
-          Dmx_attach.Attach_util.remove_by_name (insts_of slot) instance_name
-        in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
+    let drop_instance _ctx desc ~instance_name =
+      Result.map snd (Slot.drop desc ~instance_name)
 
     let on_insert _ctx (desc : Descriptor.t) ~slot _key record =
-      List.iter
-        (fun (no, _, inst) ->
-          if record.(inst.field) <> Value.Null then
-            add desc.rel_id no inst record.(inst.field))
-        (insts_of slot);
-      Ok ()
+      Slot.each slot (fun _no name inst ->
+          Ok (add desc.rel_id name inst record))
 
     let on_update _ctx (desc : Descriptor.t) ~slot ~old_key:_ ~new_key:_
         ~old_record:_ ~new_record =
-      List.iter
-        (fun (no, _, inst) ->
-          if new_record.(inst.field) <> Value.Null then
-            add desc.rel_id no inst new_record.(inst.field))
-        (insts_of slot);
-      Ok ()
+      Slot.each slot (fun _no name inst ->
+          Ok (add desc.rel_id name inst new_record))
 
     (* deletions leave bits set: the filter stays a conservative superset *)
     let on_delete _ctx _desc ~slot:_ _key _record = Ok ()
@@ -276,21 +268,14 @@ module Bloom_attachment = struct
     let undo _ctx ~rel_id:_ ~data:_ = ()
   end
 
-  let register () =
-    let i = Registry.register_attachment (module Impl) in
-    reg_id := Some i;
-    i
+  let register () = Slot.register (module Impl)
 
   let maybe_contains (desc : Descriptor.t) ~name v =
-    match Descriptor.attachment_desc desc (id ()) with
+    match Slot.by_name desc name with
     | None -> true
-    | Some slot -> begin
-      match Dmx_attach.Attach_util.find_by_name (insts_of slot) name with
-      | None -> true
-      | Some (no, inst) ->
-        let b = filter_of desc.rel_id no inst.bits in
-        List.for_all (get_bit b) (hashes v inst.bits)
-    end
+    | Some (_, inst) ->
+      let b = filter_of desc.rel_id name inst in
+      List.for_all (get_bit b) (hashes v inst.bits)
 end
 
 (* ---------------------------------------------------------------------- *)
@@ -376,6 +361,18 @@ let () =
             done;
             Fmt.pr "bloom false positives on 1000 absent keys: %d@."
               !false_hits;
+            (* the instance-list rules come with [Slot] *)
+            let refused what = function
+              | Ok () -> failwith (what ^ " was accepted")
+              | Error e -> Fmt.pr "%s refused: %s@." what (Error.to_string e)
+            in
+            refused "duplicate bloom"
+              (Db.create_attachment db ctx ~relation:"users"
+                 ~attachment_type:"bloom" ~name:"email_bloom"
+                 ~attrs:[ ("field", "id") ] ());
+            refused "dropping an unknown bloom"
+              (Db.drop_attachment db ctx ~relation:"users"
+                 ~attachment_type:"bloom" ~name:"nosuch");
             Ok ())));
   Db.close db;
   Fmt.pr "@.extension_author: done@."

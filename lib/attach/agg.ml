@@ -2,33 +2,30 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Agg: attachment not registered")
-
 type inst = { group_fields : int array; sum_field : int; root : int }
 
-let enc_inst e i =
-  Codec.Enc.list e (fun e f -> Codec.Enc.varint e f)
-    (Array.to_list i.group_fields);
-  Codec.Enc.varint e i.sum_field;
-  Codec.Enc.varint e i.root
+module Slot = Attach_util.Slot (struct
+  let name = "agg"
 
-let dec_inst d =
-  let group_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let sum_field = Codec.Dec.varint d in
-  let root = Codec.Dec.varint d in
-  { group_fields; sum_field; root }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.list e (fun e f -> Codec.Enc.varint e f)
+      (Array.to_list i.group_fields);
+    Codec.Enc.varint e i.sum_field;
+    Codec.Enc.varint e i.root
+
+  let dec d =
+    let group_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    let sum_field = Codec.Dec.varint d in
+    let root = Codec.Dec.varint d in
+    { group_fields; sum_field; root }
+end)
+
+let id = Slot.id
 
 type group = {
   group_values : Value.t array;
@@ -116,15 +113,6 @@ let bump ctx (desc : Descriptor.t) no inst record sign =
 
 let ( let* ) = Result.bind
 
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
-
 module Impl = struct
   let name = "agg"
 
@@ -137,64 +125,42 @@ module Impl = struct
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error
-          (Error.Ddl_error
-             (Fmt.str "aggregate %S already exists" instance_name))
-      else begin
-        let group =
-          Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "group"))
-        in
-        let sum =
-          Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "sum"))
-        in
-        match group, sum with
-        | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
-        | _, Ok s when Array.length s <> 1 ->
-          Error (Error.Ddl_error "sum must name exactly one column")
-        | Ok group_fields, Ok s ->
-          let btree = Btree.create ctx.Ctx.bp in
-          let inst =
-            { group_fields; sum_field = s.(0); root = Btree.root btree }
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"aggregate" (fun () ->
+          let group =
+            Attach_util.parse_fields desc.schema
+              (Option.get (Attrlist.find attrs "group"))
           in
-          Attach_util.scan_relation ctx desc (fun _ record ->
-              apply_delta ctx inst
-                (Record.project record inst.group_fields)
-                1 (sum_of inst record));
-          let no = Attach_util.next_instance_no insts in
-          Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-      end
-    end
+          let sum =
+            Attach_util.parse_fields desc.schema
+              (Option.get (Attrlist.find attrs "sum"))
+          in
+          match group, sum with
+          | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
+          | _, Ok s when Array.length s <> 1 ->
+            Error (Error.Ddl_error "sum must name exactly one column")
+          | Ok group_fields, Ok s ->
+            let btree = Btree.create ctx.Ctx.bp in
+            let inst =
+              { group_fields; sum_field = s.(0); root = Btree.root btree }
+            in
+            Attach_util.scan_relation ctx desc (fun _ record ->
+                apply_delta ctx inst
+                  (Record.project record inst.group_fields)
+                  1 (sum_of inst record));
+            Ok inst)
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    ignore ctx;
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot ->
-      let insts = insts_of slot in
-      if Attach_util.find_by_name insts instance_name = None then
-        Error (Error.No_such_attachment instance_name)
-      else begin
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-      end
+  let drop_instance _ctx desc ~instance_name =
+    Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx desc ~slot _key record =
-    each_instance slot (fun no _name inst -> bump ctx desc no inst record 1)
+    Slot.each slot (fun no _name inst -> bump ctx desc no inst record 1)
 
   let on_delete ctx desc ~slot _key record =
-    each_instance slot (fun no _name inst -> bump ctx desc no inst record (-1))
+    Slot.each slot (fun no _name inst -> bump ctx desc no inst record (-1))
 
   let on_update ctx desc ~slot ~old_key:_ ~new_key:_ ~old_record ~new_record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         if
           Record.compare_on inst.group_fields old_record new_record = 0
           && sum_of inst old_record = sum_of inst new_record
@@ -211,40 +177,28 @@ module Impl = struct
   let estimate _ctx _desc ~slot:_ ~eligible:_ = []
 
   let undo ctx ~rel_id ~data =
-    match Catalog.find_by_id ctx.Ctx.catalog rel_id with
-    | None -> ()
-    | Some desc -> begin
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> ()
-      | Some slot ->
-        let no, group_vals, dcount, dsum, old_count, old_sum = dec_op data in
-        (match Attach_util.find_by_no (insts_of slot) no with
-        | Some inst
-          when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
-          (* Restore the pre-image only when the post-image is present; an
-             absent post-image means the forward delta never became durable
-             (or was already undone) and there is nothing to reverse. *)
-          let cur_count, cur_sum = cell_of ctx inst group_vals in
-          if
-            cur_count = old_count + dcount
-            && Int64.equal cur_sum (Int64.add old_sum dsum)
-          then put_cell ctx inst group_vals old_count old_sum
-        | Some _ | None -> () (* tree lost with the crash: nothing durable *))
-    end
+    let no, group_vals, dcount, dsum, old_count, old_sum = dec_op data in
+    match Slot.in_catalog ctx ~rel_id no with
+    | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
+      (* Restore the pre-image only when the post-image is present; an
+         absent post-image means the forward delta never became durable (or
+         was already undone) and there is nothing to reverse. *)
+      let cur_count, cur_sum = cell_of ctx inst group_vals in
+      if
+        cur_count = old_count + dcount
+        && Int64.equal cur_sum (Int64.add old_sum dsum)
+      then put_cell ctx inst group_vals old_count old_sum
+    | Some _ | None -> () (* tree lost with the crash: nothing durable *)
 end
 
 include Impl
 
-let with_inst ctx (desc : Descriptor.t) ~name f =
-  ignore ctx;
-  match Descriptor.attachment_desc desc (id ()) with
-  | None -> None
-  | Some slot ->
-    Option.map (fun (_, inst) -> f inst) (Attach_util.find_by_name (insts_of slot) name)
+let with_inst (desc : Descriptor.t) ~name f =
+  Option.map (fun (_, inst) -> f inst) (Slot.by_name desc name)
 
 let groups ctx desc ~name =
   match
-    with_inst ctx desc ~name (fun inst ->
+    with_inst desc ~name (fun inst ->
         let acc = ref [] in
         Btree.iter (tree ctx inst) (fun key cell ->
             let count, sum = dec_cell cell in
@@ -256,17 +210,11 @@ let groups ctx desc ~name =
 
 let group ctx desc ~name ~key =
   Option.join
-    (with_inst ctx desc ~name (fun inst ->
+    (with_inst desc ~name (fun inst ->
          Option.map
            (fun cell ->
              let count, sum = dec_cell cell in
              { group_values = key; count; sum })
            (Btree.find (tree ctx inst) ~key)))
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    id
+let register () = Slot.register (module Impl : Intf.ATTACHMENT)

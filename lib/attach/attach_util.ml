@@ -1,45 +1,132 @@
 open Dmx_value
 open Dmx_core
+module Descriptor = Dmx_catalog.Descriptor
+module Catalog = Dmx_catalog.Catalog
 
 type 'a instances = (int * string * 'a) list
 
-let enc_instances enc_payload insts =
-  let e = Codec.Enc.create () in
-  Codec.Enc.list e
-    (fun e (no, name, payload) ->
-      Codec.Enc.varint e no;
-      Codec.Enc.string e name;
-      enc_payload e payload)
-    insts;
-  Codec.Enc.to_string e
+let same_name a b = String.lowercase_ascii a = String.lowercase_ascii b
 
-let dec_instances dec_payload s =
-  let d = Codec.Dec.of_string s in
-  Codec.Dec.list d (fun d ->
-      let no = Codec.Dec.varint d in
-      let name = Codec.Dec.string d in
-      let payload = dec_payload d in
-      (no, name, payload))
+module type PAYLOAD = sig
+  val name : string
 
-let next_instance_no insts =
-  1 + List.fold_left (fun m (no, _, _) -> max m no) 0 insts
+  type t
 
-let find_by_name insts name =
-  List.find_map
-    (fun (no, n, p) ->
-      if String.lowercase_ascii n = String.lowercase_ascii name then
-        Some (no, p)
-      else None)
-    insts
+  val enc : Codec.Enc.t -> t -> unit
+  val dec : Codec.Dec.t -> t
+end
 
-let find_by_no insts no =
-  List.find_map (fun (n, _, p) -> if n = no then Some p else None) insts
+module Slot (P : PAYLOAD) = struct
+  let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
 
-let remove_by_name insts name =
-  List.filter
-    (fun (_, n, _) ->
-      String.lowercase_ascii n <> String.lowercase_ascii name)
-    insts
+  let id () =
+    match !reg_id with
+    | Some id -> id
+    | None ->
+      Error.raise_err
+        (Error.Internal (Fmt.str "%s: attachment not registered" P.name))
+
+  let register ?insert_batch impl =
+    match !reg_id with
+    | Some id -> id
+    | None ->
+      let id = Registry.register_attachment impl in
+      reg_id := Some id;
+      Option.iter (Registry.set_at_insert_batch id) insert_batch;
+      id
+
+  let encode insts =
+    let e = Codec.Enc.create () in
+    Codec.Enc.list e
+      (fun e (no, name, payload) ->
+        Codec.Enc.varint e no;
+        Codec.Enc.string e name;
+        P.enc e payload)
+      insts;
+    Codec.Enc.to_string e
+
+  let decode slot =
+    let d = Codec.Dec.of_string slot in
+    Codec.Dec.list d (fun d ->
+        let no = Codec.Dec.varint d in
+        let name = Codec.Dec.string d in
+        (no, name, P.dec d))
+
+  let of_desc desc =
+    match Descriptor.attachment_desc desc (id ()) with
+    | None -> []
+    | Some slot -> decode slot
+
+  let each slot f =
+    let rec loop = function
+      | [] -> Ok ()
+      | (no, name, p) :: rest -> (
+        match f no name p with Ok () -> loop rest | Error _ as e -> e)
+    in
+    loop (decode slot)
+
+  let by_no slot no =
+    List.find_map (fun (n, _, p) -> if n = no then Some p else None)
+      (decode slot)
+
+  let find insts name =
+    List.find_map
+      (fun (no, n, p) -> if same_name n name then Some (no, p) else None)
+      insts
+
+  let by_name desc name = find (of_desc desc) name
+
+  let in_catalog ctx ~rel_id no =
+    Option.bind (Catalog.find_by_id ctx.Ctx.catalog rel_id) (fun desc ->
+        Option.bind (Descriptor.attachment_desc desc (id ())) (fun slot ->
+            by_no slot no))
+
+  let append name p insts =
+    let no = 1 + List.fold_left (fun m (no, _, _) -> max m no) 0 insts in
+    insts @ [ (no, name, p) ]
+
+  let remove name insts =
+    List.filter (fun (_, n, _) -> not (same_name n name)) insts
+
+  let add desc ~instance_name ~what build =
+    if by_name desc instance_name <> None then
+      Error
+        (Error.Ddl_error (Fmt.str "%s %S already exists" what instance_name))
+    else
+      Result.map
+        (fun p -> encode (append instance_name p (of_desc desc)))
+        (build ())
+
+  let drop desc ~instance_name =
+    let insts = of_desc desc in
+    match find insts instance_name with
+    | None -> Error (Error.No_such_attachment instance_name)
+    | Some (_, p) -> (
+      match remove instance_name insts with
+      | [] -> Ok (p, None)
+      | rest -> Ok (p, Some (encode rest)))
+
+  let set_on ctx (desc : Descriptor.t) f =
+    let old_desc = Descriptor.attachment_desc desc (id ()) in
+    let new_desc =
+      match f (of_desc desc) with [] -> None | insts -> Some (encode insts)
+    in
+    if new_desc <> old_desc then begin
+      ignore
+        (Ctx.log ctx ~source:Dmx_wal.Log_record.Catalog ~rel_id:desc.rel_id
+           ~data:
+             (Catalog.encode_op
+                (Catalog.Set_attachment
+                   {
+                     rel_id = desc.rel_id;
+                     slot = id ();
+                     old_desc;
+                     new_desc;
+                   })));
+      Catalog.set_attachment_slot ctx.Ctx.catalog ~rel_id:desc.rel_id
+        ~slot:(id ()) new_desc
+    end
+end
 
 let parse_fields schema spec =
   let names = String.split_on_char ',' spec |> List.map String.trim in

@@ -2,45 +2,35 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
-
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Btree_index: attachment not registered")
 
 (* ---- instance payloads ---- *)
 
 type inst = { fields : int array; unique : bool; root : int }
 
-let enc_inst e i =
-  Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list i.fields);
-  Codec.Enc.bool e i.unique;
-  Codec.Enc.varint e i.root
+module Slot = Attach_util.Slot (struct
+  let name = "btree_index"
 
-let dec_inst d =
-  let fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let unique = Codec.Dec.bool d in
-  let root = Codec.Dec.varint d in
-  { fields; unique; root }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list i.fields);
+    Codec.Enc.bool e i.unique;
+    Codec.Enc.varint e i.root
 
+  let dec d =
+    let fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    let unique = Codec.Dec.bool d in
+    let root = Codec.Dec.varint d in
+    { fields; unique; root }
+end)
+
+let id = Slot.id
 let instance_names desc =
-  match Descriptor.attachment_desc desc (id ()) with
-  | None -> []
-  | Some slot -> List.map (fun (_, name, _) -> name) (insts_of slot)
+  List.map (fun (_, name, _) -> name) (Slot.of_desc desc)
 
-let instance_number desc ~name =
-  match Descriptor.attachment_desc desc (id ()) with
-  | None -> None
-  | Some slot ->
-    Option.map fst (Attach_util.find_by_name (insts_of slot) name)
+let instance_number desc ~name = Option.map fst (Slot.by_name desc name)
 
 (* Index entry: btree key = indexed field values + record key discriminator;
    payload = encoded record key. *)
@@ -126,15 +116,6 @@ let remove_entry ctx (desc : Descriptor.t) no inst record reckey =
 
 let ( let* ) = Result.bind
 
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
-
 module Impl = struct
   let name = "btree_index"
 
@@ -147,69 +128,47 @@ module Impl = struct
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error (Error.Ddl_error (Fmt.str "index %S already exists" instance_name))
-      else begin
-        match
-          Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "fields"))
-        with
-        | Error e -> Error (Error.Ddl_error e)
-        | Ok fields -> begin
-          let unique =
-            match Attrlist.get_bool attrs "unique" with
-            | Ok (Some b) -> b
-            | Ok None | Error _ -> false
-          in
-          let btree = Btree.create ctx.Ctx.bp in
-          let inst = { fields; unique; root = Btree.root btree } in
-          (* Build the index from the relation's current contents. *)
-          let dup = ref None in
-          Attach_util.scan_relation ctx desc (fun reckey record ->
-              let vals = Record.project record fields in
-              if unique && !dup = None && has_prefix ctx inst vals then
-                dup := Some vals
-              else
-                ignore
-                  (Btree.insert btree
-                     ~key:(full_key inst record reckey)
-                     ~payload:(Bytes.to_string (Record_key.encode reckey))));
-          match !dup with
-          | Some vals ->
-            Error
-              (Error.Constraint_violation
-                 (Fmt.str "existing records duplicate key (%a)"
-                    Fmt.(array ~sep:(any ",") Value.pp)
-                    vals))
-          | None ->
-            let no = Attach_util.next_instance_no insts in
-            Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-        end
-      end
-    end
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"index" (fun () ->
+          match
+            Attach_util.parse_fields desc.schema
+              (Option.get (Attrlist.find attrs "fields"))
+          with
+          | Error e -> Error (Error.Ddl_error e)
+          | Ok fields -> (
+            let unique =
+              match Attrlist.get_bool attrs "unique" with
+              | Ok (Some b) -> b
+              | Ok None | Error _ -> false
+            in
+            let btree = Btree.create ctx.Ctx.bp in
+            let inst = { fields; unique; root = Btree.root btree } in
+            (* Build the index from the relation's current contents. *)
+            let dup = ref None in
+            Attach_util.scan_relation ctx desc (fun reckey record ->
+                let vals = Record.project record fields in
+                if unique && !dup = None && has_prefix ctx inst vals then
+                  dup := Some vals
+                else
+                  ignore
+                    (Btree.insert btree
+                       ~key:(full_key inst record reckey)
+                       ~payload:(Bytes.to_string (Record_key.encode reckey))));
+            match !dup with
+            | Some vals ->
+              Error
+                (Error.Constraint_violation
+                   (Fmt.str "existing records duplicate key (%a)"
+                      Fmt.(array ~sep:(any ",") Value.pp)
+                      vals))
+            | None -> Ok inst))
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    ignore ctx;
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot ->
-      let insts = insts_of slot in
-      if Attach_util.find_by_name insts instance_name = None then
-        Error (Error.No_such_attachment instance_name)
-      else begin
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        (* Page storage is abandoned (no deallocator); nothing to defer. *)
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-      end
+  (* Page storage is abandoned (no deallocator); nothing to defer. *)
+  let drop_instance _ctx desc ~instance_name =
+    Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun no name inst ->
+    Slot.each slot (fun no name inst ->
         add_entry ctx desc name no inst record reckey)
 
   (* Batch vector entry: sorted-batch maintenance. Entries descend into the
@@ -220,7 +179,7 @@ module Impl = struct
      the tree mutation: undoing an [Add] that never applied is a no-op
      delete, so a mid-batch veto or fault cannot leave an unlogged entry. *)
   let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =
-    each_instance slot (fun no name inst ->
+    Slot.each slot (fun no name inst ->
         let keyed =
           Array.map
             (fun (rk, record) ->
@@ -268,12 +227,12 @@ module Impl = struct
                   vals)))
 
   let on_delete ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         remove_entry ctx desc no inst record reckey)
 
   let on_update ctx (desc : Descriptor.t) ~slot ~old_key ~new_key ~old_record
       ~new_record =
-    each_instance slot (fun no name inst ->
+    Slot.each slot (fun no name inst ->
         (* Detect when no indexed field was modified (paper: "the B-tree
            update operation should be able to detect when no indexed fields
            for a given index are modified"). *)
@@ -288,7 +247,7 @@ module Impl = struct
 
   let lookup ctx (desc : Descriptor.t) ~slot ~instance ~key =
     ignore desc;
-    match Attach_util.find_by_no (insts_of slot) instance with
+    match Slot.by_no slot instance with
     | None -> []
     | Some inst ->
       let c =
@@ -305,7 +264,7 @@ module Impl = struct
   let scan ctx (desc : Descriptor.t) ~slot ~instance ?(lo = Intf.Unbounded)
       ?(hi = Intf.Unbounded) () =
     ignore desc;
-    match Attach_util.find_by_no (insts_of slot) instance with
+    match Slot.by_no slot instance with
     | None -> None
     | Some inst ->
       let bound = function
@@ -409,49 +368,35 @@ module Impl = struct
                   };
               }
           end)
-      (insts_of slot)
+      (Slot.decode slot)
 
   let undo ctx ~rel_id ~data =
-    match Catalog.find_by_id ctx.Ctx.catalog rel_id with
-    | None -> ()
-    | Some desc -> begin
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> ()
-      | Some slot ->
-        let insts = insts_of slot in
-        let apply no f =
-          match Attach_util.find_by_no insts no with
-          | Some inst
-            when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
-            f inst
-          | Some _ | None -> () (* tree lost with the crash: nothing durable *)
-        in
-        (match dec_op data with
-        | Add (no, vals, reckey) ->
-          apply no (fun inst ->
-              let key =
-                Array.append vals [| Attach_util.encode_reckey_value reckey |]
-              in
-              ignore (Btree.delete (tree ctx inst) ~key))
-        | Rem (no, vals, reckey) ->
-          apply no (fun inst ->
-              let key =
-                Array.append vals [| Attach_util.encode_reckey_value reckey |]
-              in
-              if Btree.find (tree ctx inst) ~key = None then
-                ignore
-                  (Btree.insert (tree ctx inst) ~key
-                     ~payload:(Bytes.to_string (Record_key.encode reckey)))))
-    end
+    let apply no f =
+      match Slot.in_catalog ctx ~rel_id no with
+      | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
+        f inst
+      | Some _ | None -> () (* tree lost with the crash: nothing durable *)
+    in
+    match dec_op data with
+    | Add (no, vals, reckey) ->
+      apply no (fun inst ->
+          let key =
+            Array.append vals [| Attach_util.encode_reckey_value reckey |]
+          in
+          ignore (Btree.delete (tree ctx inst) ~key))
+    | Rem (no, vals, reckey) ->
+      apply no (fun inst ->
+          let key =
+            Array.append vals [| Attach_util.encode_reckey_value reckey |]
+          in
+          if Btree.find (tree ctx inst) ~key = None then
+            ignore
+              (Btree.insert (tree ctx inst) ~key
+                 ~payload:(Bytes.to_string (Record_key.encode reckey))))
 end
 
 include Impl
 
 let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    Registry.set_at_insert_batch id Impl.on_insert_batch;
-    id
+  Slot.register ~insert_batch:Impl.on_insert_batch
+    (module Impl : Intf.ATTACHMENT)

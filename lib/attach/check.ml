@@ -5,26 +5,24 @@ module Expr = Dmx_expr.Expr
 module Eval = Dmx_expr.Eval
 module Parse = Dmx_expr.Parse
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Check: attachment not registered")
-
 type inst = { pred : Expr.t; deferred : bool }
 
-let enc_inst e i =
-  Dmx_value.Codec.Enc.string e (Bytes.to_string (Expr.encode i.pred));
-  Dmx_value.Codec.Enc.bool e i.deferred
+module Slot = Attach_util.Slot (struct
+  let name = "check"
 
-let dec_inst d =
-  let pred = Expr.decode (Bytes.of_string (Dmx_value.Codec.Dec.string d)) in
-  let deferred = Dmx_value.Codec.Dec.bool d in
-  { pred; deferred }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Dmx_value.Codec.Enc.string e (Bytes.to_string (Expr.encode i.pred));
+    Dmx_value.Codec.Enc.bool e i.deferred
+
+  let dec d =
+    let pred = Expr.decode (Bytes.of_string (Dmx_value.Codec.Dec.string d)) in
+    let deferred = Dmx_value.Codec.Dec.bool d in
+    { pred; deferred }
+end)
+
+let id = Slot.id
 
 let violation name record =
   Error.veto
@@ -54,17 +52,6 @@ let defer_check ctx (desc : Descriptor.t) name inst reckey =
         | Error e -> Error.raise_err e
       end)
 
-let ( let* ) = Result.bind
-
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
-
 module Impl = struct
   let name = "check"
 
@@ -77,59 +64,37 @@ module Impl = struct
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error
-          (Error.Ddl_error (Fmt.str "constraint %S already exists" instance_name))
-      else begin
-        match
-          Parse.parse desc.schema (Option.get (Attrlist.find attrs "predicate"))
-        with
-        | Error e -> Error (Error.Ddl_error ("bad predicate: " ^ e))
-        | Ok pred ->
-          let deferred =
-            match Attrlist.get_bool attrs "deferred" with
-            | Ok (Some b) -> b
-            | Ok None | Error _ -> false
-          in
-          let inst = { pred; deferred } in
-          (* Existing records must already satisfy the constraint. *)
-          let bad = ref None in
-          Attach_util.scan_relation ctx desc (fun _ record ->
-              if !bad = None && Eval.truth record pred = Eval.False then
-                bad := Some record);
-          (match !bad with
-          | Some record ->
-            Error
-              (Error.Constraint_violation
-                 (Fmt.str "existing record %a violates the predicate"
-                    Dmx_value.Record.pp record))
-          | None ->
-            let no = Attach_util.next_instance_no insts in
-            Ok (slot_of (insts @ [ (no, instance_name, inst) ])))
-      end
-    end
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"constraint" (fun () ->
+          match
+            Parse.parse desc.schema
+              (Option.get (Attrlist.find attrs "predicate"))
+          with
+          | Error e -> Error (Error.Ddl_error ("bad predicate: " ^ e))
+          | Ok pred -> (
+            let deferred =
+              match Attrlist.get_bool attrs "deferred" with
+              | Ok (Some b) -> b
+              | Ok None | Error _ -> false
+            in
+            (* Existing records must already satisfy the constraint. *)
+            let bad = ref None in
+            Attach_util.scan_relation ctx desc (fun _ record ->
+                if !bad = None && Eval.truth record pred = Eval.False then
+                  bad := Some record);
+            match !bad with
+            | Some record ->
+              Error
+                (Error.Constraint_violation
+                   (Fmt.str "existing record %a violates the predicate"
+                      Dmx_value.Record.pp record))
+            | None -> Ok { pred; deferred }))
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    ignore ctx;
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot ->
-      let insts = insts_of slot in
-      if Attach_util.find_by_name insts instance_name = None then
-        Error (Error.No_such_attachment instance_name)
-      else begin
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-      end
+  let drop_instance _ctx desc ~instance_name =
+    Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         if inst.deferred then begin
           defer_check ctx desc name inst reckey;
           Ok ()
@@ -138,7 +103,7 @@ module Impl = struct
 
   let on_update ctx (desc : Descriptor.t) ~slot ~old_key:_ ~new_key
       ~old_record:_ ~new_record =
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         if inst.deferred then begin
           defer_check ctx desc name inst new_key;
           Ok ()
@@ -158,10 +123,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    id
+let register () = Slot.register (module Impl : Intf.ATTACHMENT)

@@ -3,31 +3,28 @@ open Dmx_page
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
-
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Hash_index: attachment not registered")
 
 type inst = { fields : int array; unique : bool; buckets : int array }
 
-let enc_inst e i =
-  Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list i.fields);
-  Codec.Enc.bool e i.unique;
-  Codec.Enc.list e (fun e b -> Codec.Enc.varint e b) (Array.to_list i.buckets)
+module Slot = Attach_util.Slot (struct
+  let name = "hash_index"
 
-let dec_inst d =
-  let fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let unique = Codec.Dec.bool d in
-  let buckets = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  { fields; unique; buckets }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list i.fields);
+    Codec.Enc.bool e i.unique;
+    Codec.Enc.list e (fun e b -> Codec.Enc.varint e b) (Array.to_list i.buckets)
+
+  let dec d =
+    let fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    let unique = Codec.Dec.bool d in
+    let buckets = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    { fields; unique; buckets }
+end)
+
+let id = Slot.id
 
 (* ---- bucket pages: { next; entries : (vals, reckey) list } ---- *)
 
@@ -178,15 +175,6 @@ let log_op ctx rel_id op =
 
 let ( let* ) = Result.bind
 
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (Attach_util.dec_instances dec_inst slot)
-
 let add_entry ctx (desc : Descriptor.t) name no inst record reckey =
   let vals = Record.project record inst.fields in
   let head = inst.buckets.(bucket_index inst vals) in
@@ -222,69 +210,47 @@ module Impl = struct
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error
-          (Error.Ddl_error (Fmt.str "hash index %S already exists" instance_name))
-      else begin
-        match
-          Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "fields"))
-        with
-        | Error e -> Error (Error.Ddl_error e)
-        | Ok fields ->
-          let unique =
-            match Attrlist.get_bool attrs "unique" with
-            | Ok (Some b) -> b
-            | Ok None | Error _ -> false
-          in
-          let n_buckets =
-            match Attrlist.get_int attrs "buckets" with
-            | Ok (Some n) when n > 0 && n <= 4096 -> n
-            | _ -> 16
-          in
-          let buckets = Array.init n_buckets (fun _ -> alloc_bucket ctx 0) in
-          let inst = { fields; unique; buckets } in
-          let dup = ref None in
-          Attach_util.scan_relation ctx desc (fun reckey record ->
-              let vals = Record.project record fields in
-              let head = inst.buckets.(bucket_index inst vals) in
-              if unique && !dup = None && chain_collect ctx head vals <> []
-              then dup := Some vals
-              else add_to_chain ctx head vals reckey (capacity ctx));
-          (match !dup with
-          | Some vals ->
-            Error
-              (Error.Constraint_violation
-                 (Fmt.str "existing records duplicate key (%a)"
-                    Fmt.(array ~sep:(any ",") Value.pp)
-                    vals))
-          | None ->
-            let no = Attach_util.next_instance_no insts in
-            Ok (slot_of (insts @ [ (no, instance_name, inst) ])))
-      end
-    end
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"hash index" (fun () ->
+          match
+            Attach_util.parse_fields desc.schema
+              (Option.get (Attrlist.find attrs "fields"))
+          with
+          | Error e -> Error (Error.Ddl_error e)
+          | Ok fields -> (
+            let unique =
+              match Attrlist.get_bool attrs "unique" with
+              | Ok (Some b) -> b
+              | Ok None | Error _ -> false
+            in
+            let n_buckets =
+              match Attrlist.get_int attrs "buckets" with
+              | Ok (Some n) when n > 0 && n <= 4096 -> n
+              | _ -> 16
+            in
+            let buckets = Array.init n_buckets (fun _ -> alloc_bucket ctx 0) in
+            let inst = { fields; unique; buckets } in
+            let dup = ref None in
+            Attach_util.scan_relation ctx desc (fun reckey record ->
+                let vals = Record.project record fields in
+                let head = inst.buckets.(bucket_index inst vals) in
+                if unique && !dup = None && chain_collect ctx head vals <> []
+                then dup := Some vals
+                else add_to_chain ctx head vals reckey (capacity ctx));
+            match !dup with
+            | Some vals ->
+              Error
+                (Error.Constraint_violation
+                   (Fmt.str "existing records duplicate key (%a)"
+                      Fmt.(array ~sep:(any ",") Value.pp)
+                      vals))
+            | None -> Ok inst))
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    ignore ctx;
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot ->
-      let insts = insts_of slot in
-      if Attach_util.find_by_name insts instance_name = None then
-        Error (Error.No_such_attachment instance_name)
-      else begin
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-      end
+  let drop_instance _ctx desc ~instance_name =
+    Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx desc ~slot reckey record =
-    each_instance slot (fun no name inst ->
+    Slot.each slot (fun no name inst ->
         add_entry ctx desc name no inst record reckey)
 
   (* Batch vector entry: entries are sorted by bucket index so each chain's
@@ -293,7 +259,7 @@ module Impl = struct
      still caught by the chain probe — earlier entries of the batch are
      already in their chains. *)
   let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =
-    each_instance slot (fun no name inst ->
+    Slot.each slot (fun no name inst ->
         let cap = capacity ctx in
         let keyed =
           Array.map
@@ -325,11 +291,11 @@ module Impl = struct
         loop 0)
 
   let on_delete ctx desc ~slot reckey record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         remove_entry ctx desc no inst record reckey)
 
   let on_update ctx desc ~slot ~old_key ~new_key ~old_record ~new_record =
-    each_instance slot (fun no name inst ->
+    Slot.each slot (fun no name inst ->
         if
           Record.compare_on inst.fields old_record new_record = 0
           && Record_key.equal old_key new_key
@@ -340,7 +306,7 @@ module Impl = struct
 
   let lookup ctx desc ~slot ~instance ~key =
     ignore desc;
-    match Attach_util.find_by_no (insts_of slot) instance with
+    match Slot.by_no slot instance with
     | None -> []
     | Some inst ->
       chain_collect ctx inst.buckets.(bucket_index inst key) key
@@ -388,51 +354,36 @@ module Impl = struct
                   };
               }
           end)
-      (insts_of slot)
+      (Slot.decode slot)
 
   let undo ctx ~rel_id ~data =
-    match Catalog.find_by_id ctx.Ctx.catalog rel_id with
-    | None -> ()
-    | Some desc -> begin
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> ()
-      | Some slot ->
-        let insts = insts_of slot in
-        (* Bucket pages of an index born after the last force vanished with
-           the crash: nothing durable to undo in them. *)
-        let bucket_live inst vals =
-          Buffer_pool.page_live ctx.Ctx.bp inst.buckets.(bucket_index inst vals)
-        in
-        (match dec_op data with
-        | Add (no, vals, reckey) -> begin
-          match Attach_util.find_by_no insts no with
-          | Some inst when bucket_live inst vals ->
-            remove_from_chain ctx
-              inst.buckets.(bucket_index inst vals)
-              vals reckey
-          | Some _ | None -> ()
-        end
-        | Rem (no, vals, reckey) -> begin
-          match Attach_util.find_by_no insts no with
-          | Some inst when bucket_live inst vals ->
-            let head = inst.buckets.(bucket_index inst vals) in
-            if
-              not
-                (List.exists (Record_key.equal reckey)
-                   (chain_collect ctx head vals))
-            then add_to_chain ctx head vals reckey (capacity ctx)
-          | Some _ | None -> ()
-        end)
-    end
+    (* Bucket pages of an index born after the last force vanished with the
+       crash: nothing durable to undo in them. *)
+    let live_head no vals =
+      match Slot.in_catalog ctx ~rel_id no with
+      | Some inst ->
+        let head = inst.buckets.(bucket_index inst vals) in
+        if Buffer_pool.page_live ctx.Ctx.bp head then Some head else None
+      | None -> None
+    in
+    match dec_op data with
+    | Add (no, vals, reckey) ->
+      Option.iter
+        (fun head -> remove_from_chain ctx head vals reckey)
+        (live_head no vals)
+    | Rem (no, vals, reckey) ->
+      Option.iter
+        (fun head ->
+          if
+            not
+              (List.exists (Record_key.equal reckey)
+                 (chain_collect ctx head vals))
+          then add_to_chain ctx head vals reckey (capacity ctx))
+        (live_head no vals)
 end
 
 include Impl
 
 let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    Registry.set_at_insert_batch id Impl.on_insert_batch;
-    id
+  Slot.register ~insert_batch:Impl.on_insert_batch
+    (module Impl : Intf.ATTACHMENT)

@@ -7,13 +7,6 @@ module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
 module Expr = Dmx_expr.Expr
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Join_index: attachment not registered")
-
 (* [mine_root] is keyed (my key, other key); [theirs_root] the reverse.
    The two instances of one join index share the same physical trees with
    the roots swapped. *)
@@ -25,23 +18,28 @@ type inst = {
   theirs_root : int;
 }
 
-let enc_inst e i =
-  Codec.Enc.varint e i.my_field;
-  Codec.Enc.varint e i.other_rel;
-  Codec.Enc.varint e i.other_field;
-  Codec.Enc.varint e i.mine_root;
-  Codec.Enc.varint e i.theirs_root
+module Slot = Attach_util.Slot (struct
+  let name = "join_index"
 
-let dec_inst d =
-  let my_field = Codec.Dec.varint d in
-  let other_rel = Codec.Dec.varint d in
-  let other_field = Codec.Dec.varint d in
-  let mine_root = Codec.Dec.varint d in
-  let theirs_root = Codec.Dec.varint d in
-  { my_field; other_rel; other_field; mine_root; theirs_root }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.varint e i.my_field;
+    Codec.Enc.varint e i.other_rel;
+    Codec.Enc.varint e i.other_field;
+    Codec.Enc.varint e i.mine_root;
+    Codec.Enc.varint e i.theirs_root
+
+  let dec d =
+    let my_field = Codec.Dec.varint d in
+    let other_rel = Codec.Dec.varint d in
+    let other_field = Codec.Dec.varint d in
+    let mine_root = Codec.Dec.varint d in
+    let theirs_root = Codec.Dec.varint d in
+    { my_field; other_rel; other_field; mine_root; theirs_root }
+end)
+
+let id = Slot.id
 
 let kv = Attach_util.encode_reckey_value
 let pair_key a b = [| kv a; kv b |]
@@ -122,15 +120,6 @@ let log_op ctx rel_id op =
 
 let ( let* ) = Result.bind
 
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
-
 let add_partners ctx (desc : Descriptor.t) no inst my_key my_record =
   let matches = other_matches ctx inst my_record.(inst.my_field) in
   List.iter
@@ -159,144 +148,73 @@ module Impl = struct
     ]
 
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
+    let parse (desc : Descriptor.t) attr =
+      Attach_util.parse_fields desc.schema
+        (Option.get (Attrlist.find attrs attr))
+    in
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error
-          (Error.Ddl_error
-             (Fmt.str "join index %S already exists" instance_name))
-      else begin
-        match Catalog.find ctx.Ctx.catalog (Option.get (Attrlist.find attrs "other")) with
-        | None ->
-          Error (Error.No_such_relation (Option.get (Attrlist.find attrs "other")))
-        | Some other_desc -> begin
-          let mine =
-            Attach_util.parse_fields desc.schema
-              (Option.get (Attrlist.find attrs "field"))
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"join index" (fun () ->
+          let other = Option.get (Attrlist.find attrs "other") in
+          let* other_desc =
+            Option.to_result ~none:(Error.No_such_relation other)
+              (Catalog.find ctx.Ctx.catalog other)
           in
-          let theirs =
-            Attach_util.parse_fields other_desc.schema
-              (Option.get (Attrlist.find attrs "other_field"))
+          let* my_field, other_field =
+            match parse desc "field", parse other_desc "other_field" with
+            | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
+            | Ok [| m |], Ok [| t |] -> Ok (m, t)
+            | Ok [| _ |], Ok _ ->
+              Error (Error.Ddl_error "other_field must name exactly one column")
+            | Ok _, Ok _ ->
+              Error (Error.Ddl_error "field must name exactly one column")
           in
-          match mine, theirs with
-          | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
-          | Ok m, _ when Array.length m <> 1 ->
-            Error (Error.Ddl_error "field must name exactly one column")
-          | _, Ok t when Array.length t <> 1 ->
-            Error (Error.Ddl_error "other_field must name exactly one column")
-          | Ok m, Ok t ->
-            let my_field = m.(0) and other_field = t.(0) in
-            let rs = Btree.create ctx.Ctx.bp in
-            let sr = Btree.create ctx.Ctx.bp in
-            let inst =
-              {
-                my_field;
-                other_rel = other_desc.rel_id;
-                other_field;
-                mine_root = Btree.root rs;
-                theirs_root = Btree.root sr;
-              }
-            in
-            (* Precompute the join: for each of my records, find partners. *)
-            Attach_util.scan_relation ctx desc (fun my_key my_record ->
-                List.iter
-                  (fun (other_key, _) -> add_pair ctx inst my_key other_key)
-                  (other_matches ctx inst my_record.(my_field)));
-            (* Install the mirror instance on the other relation. *)
-            let mirror =
-              {
-                my_field = other_field;
-                other_rel = desc.rel_id;
-                other_field = my_field;
-                mine_root = Btree.root sr;
-                theirs_root = Btree.root rs;
-              }
-            in
-            let other_slot_old =
-              Descriptor.attachment_desc other_desc (id ())
-            in
-            let other_insts =
-              match other_slot_old with
-              | None -> []
-              | Some slot -> insts_of slot
-            in
-            let mno = Attach_util.next_instance_no other_insts in
-            let other_slot_new =
-              Some (slot_of (other_insts @ [ (mno, instance_name, mirror) ]))
-            in
-            ignore
-              (Ctx.log ctx ~source:Log_record.Catalog ~rel_id:other_desc.rel_id
-                 ~data:
-                   (Catalog.encode_op
-                      (Catalog.Set_attachment
-                         {
-                           rel_id = other_desc.rel_id;
-                           slot = id ();
-                           old_desc = other_slot_old;
-                           new_desc = other_slot_new;
-                         })));
-            Catalog.set_attachment_slot ctx.Ctx.catalog
-              ~rel_id:other_desc.rel_id ~slot:(id ()) other_slot_new;
-            let no = Attach_util.next_instance_no insts in
-            Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-        end
-      end
-    end
+          let rs = Btree.create ctx.Ctx.bp in
+          let sr = Btree.create ctx.Ctx.bp in
+          let inst =
+            {
+              my_field;
+              other_rel = other_desc.rel_id;
+              other_field;
+              mine_root = Btree.root rs;
+              theirs_root = Btree.root sr;
+            }
+          in
+          (* Precompute the join: for each of my records, find partners. *)
+          Attach_util.scan_relation ctx desc (fun my_key my_record ->
+              List.iter
+                (fun (other_key, _) -> add_pair ctx inst my_key other_key)
+                (other_matches ctx inst my_record.(my_field)));
+          (* Install the mirror instance on the other relation. *)
+          Slot.set_on ctx other_desc
+            (Slot.append instance_name
+               {
+                 my_field = other_field;
+                 other_rel = desc.rel_id;
+                 other_field = my_field;
+                 mine_root = Btree.root sr;
+                 theirs_root = Btree.root rs;
+               });
+          Ok inst)
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot -> begin
-      let insts = insts_of slot in
-      match Attach_util.find_by_name insts instance_name with
-      | None -> Error (Error.No_such_attachment instance_name)
-      | Some (_, inst) ->
-        (match Catalog.find_by_id ctx.Ctx.catalog inst.other_rel with
-        | None -> ()
-        | Some other_desc -> begin
-          match Descriptor.attachment_desc other_desc (id ()) with
-          | None -> ()
-          | Some other_slot ->
-            let remaining =
-              Attach_util.remove_by_name (insts_of other_slot) instance_name
-            in
-            let new_slot =
-              if remaining = [] then None else Some (slot_of remaining)
-            in
-            ignore
-              (Ctx.log ctx ~source:Log_record.Catalog ~rel_id:other_desc.rel_id
-                 ~data:
-                   (Catalog.encode_op
-                      (Catalog.Set_attachment
-                         {
-                           rel_id = other_desc.rel_id;
-                           slot = id ();
-                           old_desc = Some other_slot;
-                           new_desc = new_slot;
-                         })));
-            Catalog.set_attachment_slot ctx.Ctx.catalog
-              ~rel_id:other_desc.rel_id ~slot:(id ()) new_slot
-        end);
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-    end
+  let drop_instance ctx desc ~instance_name =
+    let* inst, slot = Slot.drop desc ~instance_name in
+    Option.iter
+      (fun other -> Slot.set_on ctx other (Slot.remove instance_name))
+      (Catalog.find_by_id ctx.Ctx.catalog inst.other_rel);
+    Ok slot
 
   let on_insert ctx desc ~slot reckey record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         add_partners ctx desc no inst reckey record)
 
   let on_delete ctx desc ~slot reckey _record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         remove_partners ctx desc no inst reckey)
 
   let on_update ctx desc ~slot ~old_key ~new_key ~old_record ~new_record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         if
           Value.equal old_record.(inst.my_field) new_record.(inst.my_field)
           && Record_key.equal old_key new_key
@@ -309,7 +227,7 @@ module Impl = struct
     (* Input key: the encoded record key of one of my records (as produced by
        Attach_util.encode_reckey_value); result: partner keys. *)
     ignore desc;
-    match Attach_util.find_by_no (insts_of slot) instance with
+    match Slot.by_no slot instance with
     | None -> []
     | Some inst -> begin
       match key with
@@ -324,7 +242,7 @@ module Impl = struct
     ignore desc;
     ignore lo;
     ignore hi;
-    match Attach_util.find_by_no (insts_of slot) instance with
+    match Slot.by_no slot instance with
     | None -> None
     | Some inst ->
       let mine = Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root in
@@ -344,97 +262,53 @@ module Impl = struct
   let estimate _ctx _desc ~slot:_ ~eligible:_ = []
 
   let undo ctx ~rel_id ~data =
-    match Catalog.find_by_id ctx.Ctx.catalog rel_id with
-    | None -> ()
-    | Some desc -> begin
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> ()
-      | Some slot ->
-        let insts = insts_of slot in
-        let apply no f =
-          match Attach_util.find_by_no insts no with
-          | None -> ()
-          | Some inst -> f inst
-        in
-        (match dec_op data with
-        | Add (no, a, b) -> apply no (fun inst -> remove_pair ctx inst a b)
-        | Rem (no, a, b) -> apply no (fun inst -> add_pair ctx inst a b))
-    end
+    let apply no f = Option.iter f (Slot.in_catalog ctx ~rel_id no) in
+    match dec_op data with
+    | Add (no, a, b) -> apply no (fun inst -> remove_pair ctx inst a b)
+    | Rem (no, a, b) -> apply no (fun inst -> add_pair ctx inst a b)
 end
 
 include Impl
 
-let with_inst ctx (desc : Descriptor.t) ~name f =
-  ignore ctx;
-  match Descriptor.attachment_desc desc (id ()) with
-  | None -> []
-  | Some slot -> begin
-    match Attach_util.find_by_name (insts_of slot) name with
-    | None -> []
-    | Some (_, inst) -> f inst
-  end
+let pairs_of ctx inst =
+  let acc = ref [] in
+  Btree.iter (Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root) (fun key _ ->
+      acc :=
+        ( Attach_util.decode_reckey_value key.(0),
+          Attach_util.decode_reckey_value key.(1) )
+        :: !acc);
+  List.rev !acc
+
+let by_name desc name = Option.map snd (Slot.by_name desc name)
+
+let by_no (desc : Descriptor.t) instance =
+  Option.bind (Descriptor.attachment_desc desc (id ())) (fun slot ->
+      Slot.by_no slot instance)
 
 let pairs ctx desc ~name =
-  with_inst ctx desc ~name (fun inst ->
-      let mine = Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root in
-      let acc = ref [] in
-      Btree.iter mine (fun key _ ->
-          acc :=
-            ( Attach_util.decode_reckey_value key.(0),
-              Attach_util.decode_reckey_value key.(1) )
-            :: !acc);
-      List.rev !acc)
+  Option.fold ~none:[] ~some:(pairs_of ctx) (by_name desc name)
 
 let pairs_for ctx desc ~name my_key =
-  with_inst ctx desc ~name (fun inst -> partners_of ctx inst my_key)
+  Option.fold ~none:[] ~some:(fun inst -> partners_of ctx inst my_key)
+    (by_name desc name)
 
-let find_instance (desc : Descriptor.t) ~my_field ~other_rel ~other_field =
-  match Descriptor.attachment_desc desc (id ()) with
-  | None -> None
-  | Some slot ->
-    List.find_map
-      (fun (no, _, inst) ->
-        if
-          inst.my_field = my_field && inst.other_rel = other_rel
-          && inst.other_field = other_field
-        then Some no
-        else None)
-      (insts_of slot)
-
-let with_inst_no ctx (desc : Descriptor.t) ~instance f =
-  ignore ctx;
-  match Descriptor.attachment_desc desc (id ()) with
-  | None -> None
-  | Some slot ->
-    Option.map f (Attach_util.find_by_no (insts_of slot) instance)
+let find_instance desc ~my_field ~other_rel ~other_field =
+  List.find_map
+    (fun (no, _, inst) ->
+      if
+        inst.my_field = my_field && inst.other_rel = other_rel
+        && inst.other_field = other_field
+      then Some no
+      else None)
+    (Slot.of_desc desc)
 
 let pairs_of_instance ctx desc ~instance =
-  match
-    with_inst_no ctx desc ~instance (fun inst ->
-        let mine = Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root in
-        let acc = ref [] in
-        Btree.iter mine (fun key _ ->
-            acc :=
-              ( Attach_util.decode_reckey_value key.(0),
-                Attach_util.decode_reckey_value key.(1) )
-              :: !acc);
-        List.rev !acc)
-  with
-  | Some pairs -> pairs
-  | None -> []
+  Option.fold ~none:[] ~some:(pairs_of ctx) (by_no desc instance)
 
 let pair_count ctx desc ~instance =
-  match
-    with_inst_no ctx desc ~instance (fun inst ->
-        Btree.count (Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root))
-  with
-  | Some n -> n
-  | None -> 0
+  Option.fold ~none:0
+    ~some:(fun inst ->
+      Btree.count (Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root))
+    (by_no desc instance)
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    id
+let register () = Slot.register (module Impl : Intf.ATTACHMENT)

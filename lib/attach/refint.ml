@@ -3,15 +3,7 @@ open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
-module Log_record = Dmx_wal.Log_record
 module Expr = Dmx_expr.Expr
-
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Refint: attachment not registered")
 
 type role = Child | Parent
 type policy = Restrict | Cascade
@@ -25,26 +17,32 @@ type inst = {
   deferred : bool;
 }
 
-let enc_inst e i =
-  Codec.Enc.byte e (match i.role with Child -> 0 | Parent -> 1);
-  Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list i.my_fields);
-  Codec.Enc.varint e i.other_rel;
-  Codec.Enc.list e (fun e f -> Codec.Enc.varint e f)
-    (Array.to_list i.other_fields);
-  Codec.Enc.byte e (match i.on_delete with Restrict -> 0 | Cascade -> 1);
-  Codec.Enc.bool e i.deferred
+module Slot = Attach_util.Slot (struct
+  let name = "refint"
 
-let dec_inst d =
-  let role = match Codec.Dec.byte d with 0 -> Child | _ -> Parent in
-  let my_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let other_rel = Codec.Dec.varint d in
-  let other_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let on_delete = match Codec.Dec.byte d with 0 -> Restrict | _ -> Cascade in
-  let deferred = Codec.Dec.bool d in
-  { role; my_fields; other_rel; other_fields; on_delete; deferred }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.byte e (match i.role with Child -> 0 | Parent -> 1);
+    Codec.Enc.list e (fun e f -> Codec.Enc.varint e f)
+      (Array.to_list i.my_fields);
+    Codec.Enc.varint e i.other_rel;
+    Codec.Enc.list e (fun e f -> Codec.Enc.varint e f)
+      (Array.to_list i.other_fields);
+    Codec.Enc.byte e (match i.on_delete with Restrict -> 0 | Cascade -> 1);
+    Codec.Enc.bool e i.deferred
+
+  let dec d =
+    let role = match Codec.Dec.byte d with 0 -> Child | _ -> Parent in
+    let my_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    let other_rel = Codec.Dec.varint d in
+    let other_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    let on_delete = match Codec.Dec.byte d with 0 -> Restrict | _ -> Cascade in
+    let deferred = Codec.Dec.bool d in
+    { role; my_fields; other_rel; other_fields; on_delete; deferred }
+end)
+
+let id = Slot.id
 
 (* Find records of [rel_id] whose [fields] equal [values]. *)
 let find_matching ctx rel_id fields values =
@@ -95,15 +93,6 @@ let defer_child_check ctx (desc : Descriptor.t) name inst reckey =
       end)
 
 let ( let* ) = Result.bind
-
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
 
 (* Parent-side handling of a parent delete: restrict or cascade to the
    children through the full relation-modification dispatch, so the
@@ -168,172 +157,89 @@ module Impl = struct
   (* Called on the child relation; also installs the parent-role instance on
      the parent's descriptor (a logged, undoable catalog change). *)
   let create_instance ctx (child_desc : Descriptor.t) ~instance_name attrs =
+    let fields (desc : Descriptor.t) attr =
+      Result.map_error
+        (fun e -> Error.Ddl_error e)
+        (Attach_util.parse_fields desc.schema
+           (Option.get (Attrlist.find attrs attr)))
+    in
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let child_insts =
-        match Descriptor.attachment_desc child_desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name child_insts instance_name <> None then
-        Error
-          (Error.Ddl_error
-             (Fmt.str "constraint %S already exists" instance_name))
-      else begin
-        match Catalog.find ctx.Ctx.catalog (Option.get (Attrlist.find attrs "parent")) with
-        | None ->
-          Error
-            (Error.No_such_relation (Option.get (Attrlist.find attrs "parent")))
-        | Some parent_desc -> begin
-          let fk =
-            Attach_util.parse_fields child_desc.schema
-              (Option.get (Attrlist.find attrs "fields"))
+    | Ok () ->
+      Slot.add child_desc ~instance_name ~what:"constraint" (fun () ->
+          let parent = Option.get (Attrlist.find attrs "parent") in
+          let* parent_desc =
+            Option.to_result ~none:(Error.No_such_relation parent)
+              (Catalog.find ctx.Ctx.catalog parent)
           in
-          let pk =
-            Attach_util.parse_fields parent_desc.schema
-              (Option.get (Attrlist.find attrs "parent_fields"))
+          let* fk = fields child_desc "fields" in
+          let* pk = fields parent_desc "parent_fields" in
+          let* () =
+            if Array.length fk <> Array.length pk then
+              Error (Error.Ddl_error "field lists have different lengths")
+            else Ok ()
           in
-          match fk, pk with
-          | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
-          | Ok fk, Ok pk when Array.length fk <> Array.length pk ->
-            Error (Error.Ddl_error "field lists have different lengths")
-          | Ok fk, Ok pk ->
-            let on_delete =
-              match
-                Option.map String.lowercase_ascii
-                  (Attrlist.find attrs "on_delete")
-              with
-              | Some "cascade" -> Ok Cascade
-              | Some "restrict" | None -> Ok Restrict
-              | Some other ->
-                Error (Error.Ddl_error (Fmt.str "bad on_delete %S" other))
-            in
-            begin
-              match on_delete with
-              | Error e -> Error e
-              | Ok on_delete ->
-                let deferred =
-                  match Attrlist.get_bool attrs "deferred" with
-                  | Ok (Some b) -> b
-                  | Ok None | Error _ -> false
-                in
-                let child_inst =
-                  {
-                    role = Child;
-                    my_fields = fk;
-                    other_rel = parent_desc.rel_id;
-                    other_fields = pk;
-                    on_delete;
-                    deferred;
-                  }
-                in
-                (* Existing children must have parents. *)
-                let orphan = ref None in
-                Attach_util.scan_relation ctx child_desc (fun _ record ->
-                    if !orphan = None then begin
-                      match check_child_now ctx instance_name child_inst record with
-                      | Ok () -> ()
-                      | Error _ -> orphan := Some record
-                    end);
-                (match !orphan with
-                | Some record ->
-                  Error
-                    (Error.Constraint_violation
-                       (Fmt.str "existing record %a has no parent" Record.pp
-                          record))
-                | None ->
-                  (* Install the parent-role instance (logged catalog op). *)
-                  let parent_inst =
-                    {
-                      role = Parent;
-                      my_fields = pk;
-                      other_rel = child_desc.rel_id;
-                      other_fields = fk;
-                      on_delete;
-                      deferred = false;
-                    }
-                  in
-                  let parent_slot_old =
-                    Descriptor.attachment_desc parent_desc (id ())
-                  in
-                  let parent_insts =
-                    match parent_slot_old with
-                    | None -> []
-                    | Some slot -> insts_of slot
-                  in
-                  let pno = Attach_util.next_instance_no parent_insts in
-                  let parent_slot_new =
-                    Some
-                      (slot_of
-                         (parent_insts @ [ (pno, instance_name, parent_inst) ]))
-                  in
-                  ignore
-                    (Ctx.log ctx ~source:Log_record.Catalog
-                       ~rel_id:parent_desc.rel_id
-                       ~data:
-                         (Catalog.encode_op
-                            (Catalog.Set_attachment
-                               {
-                                 rel_id = parent_desc.rel_id;
-                                 slot = id ();
-                                 old_desc = parent_slot_old;
-                                 new_desc = parent_slot_new;
-                               })));
-                  Catalog.set_attachment_slot ctx.Ctx.catalog
-                    ~rel_id:parent_desc.rel_id ~slot:(id ()) parent_slot_new;
-                  let no = Attach_util.next_instance_no child_insts in
-                  Ok
-                    (slot_of
-                       (child_insts @ [ (no, instance_name, child_inst) ])))
-            end
-        end
-      end
-    end
+          let* on_delete =
+            match
+              Option.map String.lowercase_ascii
+                (Attrlist.find attrs "on_delete")
+            with
+            | Some "cascade" -> Ok Cascade
+            | Some "restrict" | None -> Ok Restrict
+            | Some other ->
+              Error (Error.Ddl_error (Fmt.str "bad on_delete %S" other))
+          in
+          let deferred =
+            match Attrlist.get_bool attrs "deferred" with
+            | Ok (Some b) -> b
+            | Ok None | Error _ -> false
+          in
+          let child_inst =
+            {
+              role = Child;
+              my_fields = fk;
+              other_rel = parent_desc.rel_id;
+              other_fields = pk;
+              on_delete;
+              deferred;
+            }
+          in
+          (* Existing children must have parents. *)
+          let orphan = ref None in
+          Attach_util.scan_relation ctx child_desc (fun _ record ->
+              if !orphan = None then begin
+                match check_child_now ctx instance_name child_inst record with
+                | Ok () -> ()
+                | Error _ -> orphan := Some record
+              end);
+          match !orphan with
+          | Some record ->
+            Error
+              (Error.Constraint_violation
+                 (Fmt.str "existing record %a has no parent" Record.pp record))
+          | None ->
+            Slot.set_on ctx parent_desc
+              (Slot.append instance_name
+                 {
+                   role = Parent;
+                   my_fields = pk;
+                   other_rel = child_desc.rel_id;
+                   other_fields = fk;
+                   on_delete;
+                   deferred = false;
+                 });
+            Ok child_inst)
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot -> begin
-      let insts = insts_of slot in
-      match Attach_util.find_by_name insts instance_name with
-      | None -> Error (Error.No_such_attachment instance_name)
-      | Some (_, inst) ->
-        (* Remove the mirror instance from the other relation too. *)
-        (match Catalog.find_by_id ctx.Ctx.catalog inst.other_rel with
-        | None -> ()
-        | Some other_desc -> begin
-          match Descriptor.attachment_desc other_desc (id ()) with
-          | None -> ()
-          | Some other_slot ->
-            let other_insts = insts_of other_slot in
-            let remaining =
-              Attach_util.remove_by_name other_insts instance_name
-            in
-            let new_slot =
-              if remaining = [] then None else Some (slot_of remaining)
-            in
-            ignore
-              (Ctx.log ctx ~source:Log_record.Catalog
-                 ~rel_id:other_desc.rel_id
-                 ~data:
-                   (Catalog.encode_op
-                      (Catalog.Set_attachment
-                         {
-                           rel_id = other_desc.rel_id;
-                           slot = id ();
-                           old_desc = Some other_slot;
-                           new_desc = new_slot;
-                         })));
-            Catalog.set_attachment_slot ctx.Ctx.catalog
-              ~rel_id:other_desc.rel_id ~slot:(id ()) new_slot
-        end);
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-    end
+  let drop_instance ctx desc ~instance_name =
+    let* inst, slot = Slot.drop desc ~instance_name in
+    (* Remove the mirror instance from the other relation too. *)
+    Option.iter
+      (fun other -> Slot.set_on ctx other (Slot.remove instance_name))
+      (Catalog.find_by_id ctx.Ctx.catalog inst.other_rel);
+    Ok slot
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         match inst.role with
         | Parent -> Ok ()
         | Child ->
@@ -345,14 +251,14 @@ module Impl = struct
 
   let on_delete ctx (desc : Descriptor.t) ~slot _reckey record =
     ignore desc;
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         match inst.role with
         | Child -> Ok ()
         | Parent -> on_parent_delete ctx name inst record)
 
   let on_update ctx (desc : Descriptor.t) ~slot ~old_key:_ ~new_key
       ~old_record ~new_record =
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         match inst.role with
         | Parent -> on_parent_update ctx name inst old_record new_record
         | Child ->
@@ -376,10 +282,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    id
+let register () = Slot.register (module Impl : Intf.ATTACHMENT)

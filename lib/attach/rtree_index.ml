@@ -2,32 +2,29 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 module Rtree = Dmx_rtree.Rtree
 module Rect = Dmx_rtree.Rect
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Rtree_index: attachment not registered")
-
 type inst = { rect_fields : int array; root : int }
 
-let enc_inst e i =
-  Codec.Enc.list e (fun e f -> Codec.Enc.varint e f)
-    (Array.to_list i.rect_fields);
-  Codec.Enc.varint e i.root
+module Slot = Attach_util.Slot (struct
+  let name = "rtree_index"
 
-let dec_inst d =
-  let rect_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let root = Codec.Dec.varint d in
-  { rect_fields; root }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.list e (fun e f -> Codec.Enc.varint e f)
+      (Array.to_list i.rect_fields);
+    Codec.Enc.varint e i.root
+
+  let dec d =
+    let rect_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    let root = Codec.Dec.varint d in
+    { rect_fields; root }
+end)
+
+let id = Slot.id
 
 let float_of v =
   match Value.to_float v with
@@ -82,17 +79,6 @@ let dec_op s =
 let log_op ctx rel_id op =
   Ctx.log ctx ~source:(Log_record.Attachment (id ())) ~rel_id ~data:(enc_op op)
 
-let ( let* ) = Result.bind
-
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
-
 (* The eligible ENCLOSES conjunct matching this instance's rectangle
    fields, with its (plannable) query rectangle expressions. *)
 let encloses_match inst eligible =
@@ -112,50 +98,28 @@ module Impl = struct
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error
-          (Error.Ddl_error
-             (Fmt.str "rtree index %S already exists" instance_name))
-      else begin
-        match
-          Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "rect"))
-        with
-        | Error e -> Error (Error.Ddl_error e)
-        | Ok rect_fields when Array.length rect_fields <> 4 ->
-          Error (Error.Ddl_error "rect must name exactly four columns")
-        | Ok rect_fields ->
-          let rtree = Rtree.create ctx.Ctx.bp in
-          let inst = { rect_fields; root = Rtree.root rtree } in
-          Attach_util.scan_relation ctx desc (fun reckey record ->
-              Rtree.insert rtree ~rect:(rect_of_record inst record)
-                ~payload:(payload_of reckey));
-          let no = Attach_util.next_instance_no insts in
-          Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-      end
-    end
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"rtree index" (fun () ->
+          match
+            Attach_util.parse_fields desc.schema
+              (Option.get (Attrlist.find attrs "rect"))
+          with
+          | Error e -> Error (Error.Ddl_error e)
+          | Ok rect_fields when Array.length rect_fields <> 4 ->
+            Error (Error.Ddl_error "rect must name exactly four columns")
+          | Ok rect_fields ->
+            let rtree = Rtree.create ctx.Ctx.bp in
+            let inst = { rect_fields; root = Rtree.root rtree } in
+            Attach_util.scan_relation ctx desc (fun reckey record ->
+                Rtree.insert rtree ~rect:(rect_of_record inst record)
+                  ~payload:(payload_of reckey));
+            Ok inst)
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    ignore ctx;
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot ->
-      let insts = insts_of slot in
-      if Attach_util.find_by_name insts instance_name = None then
-        Error (Error.No_such_attachment instance_name)
-      else begin
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-      end
+  let drop_instance _ctx desc ~instance_name =
+    Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         match rect_of_record inst record with
         | rect ->
           Rtree.insert (tree ctx inst) ~rect ~payload:(payload_of reckey);
@@ -165,7 +129,7 @@ module Impl = struct
           Error (Error.veto ~attachment:"rtree_index" msg))
 
   let on_delete ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         match rect_of_record inst record with
         | rect ->
           ignore
@@ -177,7 +141,7 @@ module Impl = struct
 
   let on_update ctx (desc : Descriptor.t) ~slot ~old_key ~new_key ~old_record
       ~new_record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         match
           (rect_of_record inst old_record, rect_of_record inst new_record)
         with
@@ -201,7 +165,7 @@ module Impl = struct
      the query encloses (the ENCLOSES predicate). *)
   let lookup ctx (desc : Descriptor.t) ~slot ~instance ~key =
     ignore desc;
-    match Attach_util.find_by_no (insts_of slot) instance with
+    match Slot.by_no slot instance with
     | None -> []
     | Some inst ->
       Rtree.search_enclosed_by (tree ctx inst) (rect_of_vals key)
@@ -258,58 +222,41 @@ module Impl = struct
                   ordered_by = None;
                 };
             })
-      (insts_of slot)
+      (Slot.decode slot)
 
   let undo ctx ~rel_id ~data =
-    match Catalog.find_by_id ctx.Ctx.catalog rel_id with
-    | None -> ()
-    | Some desc -> begin
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> ()
-      | Some slot ->
-        let insts = insts_of slot in
-        let apply no f =
-          match Attach_util.find_by_no insts no with
-          | Some inst
-            when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
-            f inst
-          | Some _ | None -> () (* tree lost with the crash: nothing durable *)
-        in
-        (match dec_op data with
-        | Add (no, rect, reckey) ->
-          apply no (fun inst ->
-              ignore
-                (Rtree.delete (tree ctx inst) ~rect ~payload:(payload_of reckey)))
-        | Rem (no, rect, reckey) ->
-          apply no (fun inst ->
-              let payload = payload_of reckey in
-              let present =
-                Rtree.search_overlapping (tree ctx inst) rect
-                |> List.exists (fun (r, p) -> Rect.equal r rect && p = payload)
-              in
-              if not present then
-                Rtree.insert (tree ctx inst) ~rect ~payload))
-    end
+    let apply no f =
+      match Slot.in_catalog ctx ~rel_id no with
+      | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
+        f inst
+      | Some _ | None -> () (* tree lost with the crash: nothing durable *)
+    in
+    match dec_op data with
+    | Add (no, rect, reckey) ->
+      apply no (fun inst ->
+          ignore
+            (Rtree.delete (tree ctx inst) ~rect ~payload:(payload_of reckey)))
+    | Rem (no, rect, reckey) ->
+      apply no (fun inst ->
+          let payload = payload_of reckey in
+          let present =
+            Rtree.search_overlapping (tree ctx inst) rect
+            |> List.exists (fun (r, p) -> Rect.equal r rect && p = payload)
+          in
+          if not present then Rtree.insert (tree ctx inst) ~rect ~payload)
 end
 
 include Impl
 
 let lookup_overlapping ctx (desc : Descriptor.t) ~instance rect =
-  match Descriptor.attachment_desc desc (id ()) with
+  match
+    Option.bind (Descriptor.attachment_desc desc (id ())) (fun slot ->
+        Slot.by_no slot instance)
+  with
   | None -> []
-  | Some slot -> begin
-    match Attach_util.find_by_no (insts_of slot) instance with
-    | None -> []
-    | Some inst ->
-      Rtree.search_overlapping (tree ctx inst) rect
-      |> List.map (fun (_, payload) ->
-             Record_key.decode (Bytes.of_string payload))
-  end
+  | Some inst ->
+    Rtree.search_overlapping (tree ctx inst) rect
+    |> List.map (fun (_, payload) ->
+           Record_key.decode (Bytes.of_string payload))
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    id
+let register () = Slot.register (module Impl : Intf.ATTACHMENT)

@@ -3,15 +3,7 @@ open Dmx_page
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
-
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Stats: attachment not registered")
 
 type field_stats = {
   field : int;
@@ -26,17 +18,22 @@ type stats = { live_count : int; per_field : field_stats list }
 (* Instance payload: tracked fields + the page holding the stats data. *)
 type inst = { fields : int array; page : int }
 
-let enc_inst e i =
-  Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list i.fields);
-  Codec.Enc.varint e i.page
+module Slot = Attach_util.Slot (struct
+  let name = "stats"
 
-let dec_inst d =
-  let fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let page = Codec.Dec.varint d in
-  { fields; page }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list i.fields);
+    Codec.Enc.varint e i.page
+
+  let dec d =
+    let fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
+    let page = Codec.Dec.varint d in
+    { fields; page }
+end)
+
+let id = Slot.id
 
 let enc_stats s =
   let e = Codec.Enc.create () in
@@ -190,15 +187,6 @@ let bump ctx (desc : Descriptor.t) no inst dl =
 
 let ( let* ) = Result.bind
 
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
-
 module Impl = struct
   let name = "stats"
   let attr_specs = [ Attrlist.spec ~required:true "fields" Attrlist.A_string ]
@@ -206,74 +194,52 @@ module Impl = struct
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error
-          (Error.Ddl_error
-             (Fmt.str "stats instance %S already exists" instance_name))
-      else begin
-        match
-          Attach_util.parse_fields desc.schema
-            (Option.get (Attrlist.find attrs "fields"))
-        with
-        | Error e -> Error (Error.Ddl_error e)
-        | Ok fields ->
-          let frame = Buffer_pool.alloc ctx.Ctx.bp in
-          let page = frame.Buffer_pool.page_id in
-          Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
-          let inst = { fields; page } in
-          let init =
-            {
-              live_count = 0;
-              per_field =
-                Array.to_list fields
-                |> List.map (fun field ->
-                       {
-                         field;
-                         sum = 0L;
-                         nulls = 0;
-                         min_seen = Value.Null;
-                         max_seen = Value.Null;
-                       });
-            }
-          in
-          let stats = ref init in
-          Attach_util.scan_relation ctx desc (fun _ record ->
-              stats := apply_delta !stats (delta_of_record inst record 1));
-          write_stats ctx page !stats;
-          let no = Attach_util.next_instance_no insts in
-          Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-      end
-    end
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"stats instance" (fun () ->
+          match
+            Attach_util.parse_fields desc.schema
+              (Option.get (Attrlist.find attrs "fields"))
+          with
+          | Error e -> Error (Error.Ddl_error e)
+          | Ok fields ->
+            let frame = Buffer_pool.alloc ctx.Ctx.bp in
+            let page = frame.Buffer_pool.page_id in
+            Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
+            let inst = { fields; page } in
+            let init =
+              {
+                live_count = 0;
+                per_field =
+                  Array.to_list fields
+                  |> List.map (fun field ->
+                         {
+                           field;
+                           sum = 0L;
+                           nulls = 0;
+                           min_seen = Value.Null;
+                           max_seen = Value.Null;
+                         });
+              }
+            in
+            let stats = ref init in
+            Attach_util.scan_relation ctx desc (fun _ record ->
+                stats := apply_delta !stats (delta_of_record inst record 1));
+            write_stats ctx page !stats;
+            Ok inst)
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    ignore ctx;
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot ->
-      let insts = insts_of slot in
-      if Attach_util.find_by_name insts instance_name = None then
-        Error (Error.No_such_attachment instance_name)
-      else begin
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-      end
+  let drop_instance _ctx desc ~instance_name =
+    Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx desc ~slot _reckey record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         bump ctx desc no inst (delta_of_record inst record 1))
 
   let on_delete ctx desc ~slot _reckey record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         bump ctx desc no inst (delta_of_record inst record (-1)))
 
   let on_update ctx desc ~slot ~old_key:_ ~new_key:_ ~old_record ~new_record =
-    each_instance slot (fun no _name inst ->
+    Slot.each slot (fun no _name inst ->
         let remove = delta_of_record inst old_record (-1) in
         let add = delta_of_record inst new_record 1 in
         let* () = bump ctx desc no inst remove in
@@ -284,35 +250,19 @@ module Impl = struct
   let estimate _ctx _desc ~slot:_ ~eligible:_ = []
 
   let undo ctx ~rel_id ~data =
-    match Catalog.find_by_id ctx.Ctx.catalog rel_id with
+    let no, dl = dec_delta data in
+    match Slot.in_catalog ctx ~rel_id no with
     | None -> ()
-    | Some desc -> begin
-      match Descriptor.attachment_desc desc (id ()) with
-      | None -> ()
-      | Some slot ->
-        let no, dl = dec_delta data in
-        (match Attach_util.find_by_no (insts_of slot) no with
-        | None -> ()
-        | Some inst ->
-          let stats = read_stats ctx inst.page in
-          write_stats ctx inst.page (apply_delta stats (negate_delta dl)))
-    end
+    | Some inst ->
+      let stats = read_stats ctx inst.page in
+      write_stats ctx inst.page (apply_delta stats (negate_delta dl))
 end
 
 include Impl
 
-let get ctx (desc : Descriptor.t) ~name =
-  match Descriptor.attachment_desc desc (id ()) with
-  | None -> None
-  | Some slot ->
-    Option.map
-      (fun (_, inst) -> read_stats ctx inst.page)
-      (Attach_util.find_by_name (insts_of slot) name)
+let get ctx desc ~name =
+  Option.map
+    (fun (_, inst) -> read_stats ctx inst.page)
+    (Slot.by_name desc name)
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    id
+let register () = Slot.register (module Impl : Intf.ATTACHMENT)

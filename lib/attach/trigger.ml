@@ -3,13 +3,6 @@ open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Trigger: attachment not registered")
-
 type event = On_insert | On_update | On_delete
 
 type fire = {
@@ -40,32 +33,26 @@ type inst = {
   on_del : bool;
 }
 
-let enc_inst e i =
-  Codec.Enc.string e i.func;
-  Codec.Enc.bool e i.on_ins;
-  Codec.Enc.bool e i.on_upd;
-  Codec.Enc.bool e i.on_del
+module Slot = Attach_util.Slot (struct
+  let name = "trigger"
 
-let dec_inst d =
-  let func = Codec.Dec.string d in
-  let on_ins = Codec.Dec.bool d in
-  let on_upd = Codec.Dec.bool d in
-  let on_del = Codec.Dec.bool d in
-  { func; on_ins; on_upd; on_del }
+  type t = inst
 
-let insts_of slot = Attach_util.dec_instances dec_inst slot
-let slot_of insts = Attach_util.enc_instances enc_inst insts
+  let enc e i =
+    Codec.Enc.string e i.func;
+    Codec.Enc.bool e i.on_ins;
+    Codec.Enc.bool e i.on_upd;
+    Codec.Enc.bool e i.on_del
 
-let ( let* ) = Result.bind
+  let dec d =
+    let func = Codec.Dec.string d in
+    let on_ins = Codec.Dec.bool d in
+    let on_upd = Codec.Dec.bool d in
+    let on_del = Codec.Dec.bool d in
+    { func; on_ins; on_upd; on_del }
+end)
 
-let each_instance slot f =
-  let rec loop = function
-    | [] -> Ok ()
-    | (no, name, inst) :: rest ->
-      let* () = f no name inst in
-      loop rest
-  in
-  loop (insts_of slot)
+let id = Slot.id
 
 let fire_func ctx name inst fire =
   match Hashtbl.find_opt functions (String.lowercase_ascii inst.func) with
@@ -89,69 +76,45 @@ module Impl = struct
       Attrlist.spec ~required:true "events" Attrlist.A_string;
     ]
 
-  let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-    ignore ctx;
+  let create_instance _ctx (desc : Descriptor.t) ~instance_name attrs =
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let insts =
-        match Descriptor.attachment_desc desc (id ()) with
-        | None -> []
-        | Some slot -> insts_of slot
-      in
-      if Attach_util.find_by_name insts instance_name <> None then
-        Error
-          (Error.Ddl_error (Fmt.str "trigger %S already exists" instance_name))
-      else begin
-        let func = Option.get (Attrlist.find attrs "function") in
-        if not (Hashtbl.mem functions (String.lowercase_ascii func)) then
-          Error
-            (Error.Ddl_error
-               (Fmt.str "trigger function %S is not registered at the factory"
-                  func))
-        else begin
-          let events =
-            String.split_on_char ','
-              (Option.get (Attrlist.find attrs "events"))
-            |> List.map (fun s -> String.lowercase_ascii (String.trim s))
-          in
-          let bad =
-            List.find_opt
-              (fun e -> not (List.mem e [ "insert"; "update"; "delete" ]))
-              events
-          in
-          match bad with
-          | Some e -> Error (Error.Ddl_error (Fmt.str "unknown event %S" e))
-          | None ->
-            let inst =
-              {
-                func;
-                on_ins = List.mem "insert" events;
-                on_upd = List.mem "update" events;
-                on_del = List.mem "delete" events;
-              }
+    | Ok () ->
+      Slot.add desc ~instance_name ~what:"trigger" (fun () ->
+          let func = Option.get (Attrlist.find attrs "function") in
+          if not (Hashtbl.mem functions (String.lowercase_ascii func)) then
+            Error
+              (Error.Ddl_error
+                 (Fmt.str "trigger function %S is not registered at the factory"
+                    func))
+          else begin
+            let events =
+              String.split_on_char ','
+                (Option.get (Attrlist.find attrs "events"))
+              |> List.map (fun s -> String.lowercase_ascii (String.trim s))
             in
-            let no = Attach_util.next_instance_no insts in
-            Ok (slot_of (insts @ [ (no, instance_name, inst) ]))
-        end
-      end
-    end
+            let bad =
+              List.find_opt
+                (fun e -> not (List.mem e [ "insert"; "update"; "delete" ]))
+                events
+            in
+            match bad with
+            | Some e -> Error (Error.Ddl_error (Fmt.str "unknown event %S" e))
+            | None ->
+              Ok
+                {
+                  func;
+                  on_ins = List.mem "insert" events;
+                  on_upd = List.mem "update" events;
+                  on_del = List.mem "delete" events;
+                }
+          end)
 
-  let drop_instance ctx (desc : Descriptor.t) ~instance_name =
-    ignore ctx;
-    match Descriptor.attachment_desc desc (id ()) with
-    | None -> Error (Error.No_such_attachment instance_name)
-    | Some slot ->
-      let insts = insts_of slot in
-      if Attach_util.find_by_name insts instance_name = None then
-        Error (Error.No_such_attachment instance_name)
-      else begin
-        let remaining = Attach_util.remove_by_name insts instance_name in
-        Ok (if remaining = [] then None else Some (slot_of remaining))
-      end
+  let drop_instance _ctx desc ~instance_name =
+    Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         if not inst.on_ins then Ok ()
         else
           fire_func ctx name inst
@@ -165,7 +128,7 @@ module Impl = struct
 
   let on_update ctx (desc : Descriptor.t) ~slot ~old_key:_ ~new_key
       ~old_record ~new_record =
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         if not inst.on_upd then Ok ()
         else
           fire_func ctx name inst
@@ -178,7 +141,7 @@ module Impl = struct
             })
 
   let on_delete ctx (desc : Descriptor.t) ~slot reckey record =
-    each_instance slot (fun _no name inst ->
+    Slot.each slot (fun _no name inst ->
         if not inst.on_del then Ok ()
         else
           fire_func ctx name inst
@@ -202,10 +165,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id = Registry.register_attachment (module Impl : Intf.ATTACHMENT) in
-    reg_id := Some id;
-    id
+let register () = Slot.register (module Impl : Intf.ATTACHMENT)

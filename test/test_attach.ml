@@ -201,22 +201,152 @@ let test_attachment_ddl_validation () =
   (match att "trigger" "tr" [ ("function", "nosuch"); ("events", "insert") ] with
   | Error (Error.Ddl_error _) -> ()
   | _ -> Alcotest.fail "unknown trigger function accepted");
-  (* duplicate instance name *)
-  check_ok "first" (att "btree_index" "dup" [ ("fields", "id") ]);
-  (match att "btree_index" "dup" [ ("fields", "salary") ] with
-  | Error (Error.Ddl_error _) -> ()
-  | _ -> Alcotest.fail "duplicate instance name accepted");
   (* unknown attachment type *)
   (match att "martian" "m" [] with
   | Error (Error.Ddl_error _) -> ()
   | _ -> Alcotest.fail "unknown attachment type accepted");
-  (* drop of a missing instance *)
-  (match
-     Ddl.drop_attachment ctx ~relation:"t" ~attachment_type:"btree_index"
-       ~name:"nosuch"
-   with
-  | Error (Error.No_such_attachment _) -> ()
-  | _ -> Alcotest.fail "dropping a missing instance succeeded");
+  (* every attachment type: a duplicate instance name is a DDL error with
+     the type's own message, and dropping a missing instance (with the slot
+     NULL, then with the slot holding another instance) fails *)
+  ignore
+    (check_ok "parent"
+       (Ddl.create_relation ctx ~name:"p"
+          ~schema:(Schema.make_exn [ Schema.column "name" Value.Tstring ])
+          ~storage_method:"heap" ()));
+  ignore
+    (check_ok "box"
+       (Ddl.create_relation ctx ~name:"box"
+          ~schema:
+            (Schema.make_exn
+               (List.map
+                  (fun c -> Schema.column c Value.Tfloat)
+                  [ "xlo"; "ylo"; "xhi"; "yhi" ]))
+          ~storage_method:"heap" ()));
+  List.iter
+    (fun (ty, relation, attrs, what) ->
+      let create () =
+        Ddl.create_attachment ctx ~relation ~attachment_type:ty ~name:"dup"
+          ~attrs ()
+      in
+      let drop_missing () =
+        match
+          Ddl.drop_attachment ctx ~relation ~attachment_type:ty ~name:"nosuch"
+        with
+        | Error (Error.No_such_attachment "nosuch") -> ()
+        | _ -> Alcotest.failf "%s: dropping a missing instance succeeded" ty
+      in
+      drop_missing ();
+      check_ok (ty ^ " first") (create ());
+      (match create () with
+      | Error (Error.Ddl_error msg) ->
+        Alcotest.(check string) (ty ^ " duplicate message")
+          (Fmt.str "%s \"dup\" already exists" what) msg
+      | _ -> Alcotest.failf "%s: duplicate instance name accepted" ty);
+      drop_missing ())
+    [
+      ("btree_index", "t", [ ("fields", "id") ], "index");
+      ("hash_index", "t", [ ("fields", "id") ], "hash index");
+      ("rtree_index", "box", [ ("rect", "xlo,ylo,xhi,yhi") ], "rtree index");
+      ("check", "t", [ ("predicate", "salary > 0") ], "constraint");
+      ("agg", "t", [ ("group", "dept"); ("sum", "salary") ], "aggregate");
+      ("stats", "t", [ ("fields", "salary") ], "stats instance");
+      ( "trigger", "t", [ ("function", "audit"); ("events", "insert") ],
+        "trigger" );
+      ( "refint", "t",
+        [ ("fields", "dept"); ("parent", "p"); ("parent_fields", "name") ],
+        "constraint" );
+      ( "join_index", "t",
+        [ ("field", "dept"); ("other", "p"); ("other_field", "name") ],
+        "join index" );
+    ];
+  Services.abort services ctx
+
+(* Cross-relation attachments declared on their own relation: the mirror
+   instance lands in the same slot as the declared one and must survive its
+   installation. Self-referential refint must veto deleting a referenced
+   parent; a self-join index must hold exactly the nested-loop pairs. *)
+let test_self_relation_mirrors () =
+  let staff_schema =
+    Schema.make_exn
+      [
+        Schema.column ~nullable:false "id" Value.Tint;
+        Schema.column "boss" Value.Tint;
+      ]
+  in
+  let staff () =
+    let services = fresh_services () in
+    let ctx = Services.begin_txn services in
+    let desc =
+      check_ok "staff"
+        (Ddl.create_relation ctx ~name:"staff" ~schema:staff_schema
+           ~storage_method:"heap" ())
+    in
+    (services, ctx, desc)
+  in
+  let slot desc ty =
+    Dmx_catalog.Descriptor.attachment_desc desc
+      (Option.get (Registry.attachment_id ty))
+  in
+  let drop_leaves_null ctx desc ty name =
+    check_ok "drop"
+      (Ddl.drop_attachment ctx ~relation:"staff" ~attachment_type:ty ~name);
+    Alcotest.(check (option string)) (ty ^ " slot NULL") None (slot desc ty)
+  in
+  let row id boss =
+    [| vi id; (match boss with None -> Value.Null | Some b -> vi b) |]
+  in
+  (* refint staff.boss -> staff.id, restrict *)
+  let services, ctx, desc = staff () in
+  check_ok "fk"
+    (Ddl.create_attachment ctx ~relation:"staff" ~attachment_type:"refint"
+       ~name:"boss_fk"
+       ~attrs:
+         [ ("fields", "boss"); ("parent", "staff"); ("parent_fields", "id") ]
+       ());
+  let k4 = check_ok "4" (Relation.insert ctx desc (row 4 None)) in
+  ignore (check_ok "5" (Relation.insert ctx desc (row 5 (Some 4))));
+  ignore (check_ok "2" (Relation.insert ctx desc (row 2 (Some 4))));
+  (match Relation.delete ctx desc k4 with
+  | Error (Error.Veto _) -> ()
+  | _ -> Alcotest.fail "deleting a referenced parent accepted");
+  Alcotest.(check int) "nothing orphaned" 3 (count_records ctx desc);
+  drop_leaves_null ctx desc "refint" "boss_fk";
+  Services.abort services ctx;
+  (* join index staff.boss = staff.id *)
+  let services, ctx, desc = staff () in
+  check_ok "ji"
+    (Ddl.create_attachment ctx ~relation:"staff" ~attachment_type:"join_index"
+       ~name:"boss_ji"
+       ~attrs:[ ("field", "boss"); ("other", "staff"); ("other_field", "id") ]
+       ());
+  let rows =
+    List.map
+      (fun (id, boss) ->
+        let r = row id boss in
+        (check_ok "ins" (Relation.insert ctx desc r), r))
+      [ (5, Some 4); (4, None); (2, Some 4) ]
+  in
+  let unordered pairs =
+    List.map
+      (fun (a, b) -> if Record_key.compare a b <= 0 then (a, b) else (b, a))
+      pairs
+    |> List.sort compare
+  in
+  let nested_loop =
+    List.concat_map
+      (fun (rk, r) ->
+        List.filter_map
+          (fun (sk, s) ->
+            if r.(1) <> Value.Null && Value.equal r.(1) s.(0) then Some (rk, sk)
+            else None)
+          rows)
+      rows
+  in
+  let key = Alcotest.testable Record_key.pp Record_key.equal in
+  Alcotest.(check (list (pair key key))) "pairs = nested loop"
+    (unordered nested_loop)
+    (unordered (Dmx_attach.Join_index.pairs ctx desc ~name:"boss_ji"));
+  drop_leaves_null ctx desc "join_index" "boss_ji";
   Services.abort services ctx
 
 let test_index_build_from_existing () =
@@ -397,6 +527,8 @@ let suite =
     Alcotest.test_case "deferred refint" `Quick test_refint_deferred;
     Alcotest.test_case "attachment DDL validation" `Quick
       test_attachment_ddl_validation;
+    Alcotest.test_case "mirror instances on the same relation" `Quick
+      test_self_relation_mirrors;
     Alcotest.test_case "building attachments from existing records" `Quick
       test_index_build_from_existing;
   ]
