@@ -10,13 +10,6 @@ let ok what = function
   | Ok v -> v
   | Error e -> Error.raise_err (Error.Internal (Fmt.str "%s: %s" what (Error.to_string e)))
 
-(* Deterministic pseudo-random stream (no external entropy in benches). *)
-let rng = ref 123456789
-
-let rand_int bound =
-  rng := (!rng * 1103515245) + 12345;
-  (!rng lsr 16) mod bound
-
 let fresh_db () =
   Db.register_defaults ();
   Dmx_smethod.Memory.reset_all ();
@@ -99,6 +92,21 @@ let with_io db f =
   let v, secs = time f in
   let d = Io_stats.diff ~after:(Io_stats.copy stats) ~before in
   (v, secs, d)
+
+(* A scratch directory for file-backed databases, emptied if it exists. *)
+let temp_dir tag =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "dmx_bench_%s_%d" tag (Unix.getpid ()))
+  in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Unix.mkdir dir 0o755;
+  dir
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
 
 let ms secs = secs *. 1000.
 let us_per secs n = secs *. 1_000_000. /. float_of_int (max 1 n)

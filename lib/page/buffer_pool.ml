@@ -12,7 +12,7 @@ type frame = {
    the table is sized once at ≥ 4× capacity (load factor ≤ 1/4) and never
    resizes. Every probe walks adjacent array cells where a stdlib hashtable
    chases bucket-list cells scattered across the heap, which keeps the
-   per-eviction map cost flat as the pool grows (E7). *)
+   per-eviction map cost flat as the pool grows (E12). *)
 module Slot_map : sig
   type t
 

@@ -204,7 +204,7 @@ let test_record_scan_visibility () =
   Services.commit services ctx
 
 (* a full heap scan, batch or record, pins each page exactly once — the
-   deterministic counter E11 gates on *)
+   deterministic counter E6 gates on *)
 let test_heap_pins_per_page () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
