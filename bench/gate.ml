@@ -4,9 +4,12 @@
 
    Fails (exit 1) when:
    - any shape check in the fresh run is not ok;
-   - an experiment whose shape check passed in the baseline no longer passes
-     (or disappeared) in the fresh run;
-   - a deterministic counter shared by both runs drifts more than 10%.
+   - a shape check that passed in the baseline no longer passes, or is
+     missing from the fresh run (checks are matched by their [id], the
+     verdict's format string, never by position);
+   - two shape checks of one experiment share an id;
+   - a baseline counter of at least 16 drifts more than 10% (a counter
+     absent from the fresh run reads as 0: it stopped moving).
 
    Wall-clock seconds are reported but never gated: CI hardware varies far
    more than 10% run to run, while the counter deltas (syscalls, fsyncs,
@@ -40,6 +43,9 @@ let check_ok c =
 let check_msg c =
   Option.value ~default:"?" (Option.bind (J.member "message" c) J.to_string_opt)
 
+let check_id c =
+  Option.value ~default:"?" (Option.bind (J.member "id" c) J.to_string_opt)
+
 let counters e =
   match J.member "counters" e with
   | Some (J.Obj kvs) ->
@@ -61,6 +67,17 @@ let gate_fresh fresh =
         (shape_checks e))
     (experiments fresh)
 
+let reject_duplicate_ids path doc =
+  List.iter
+    (fun e ->
+      let ids = List.map check_id (shape_checks e) in
+      List.iter
+        (fun id ->
+          if List.length (List.filter (( = ) id) ids) > 1 then
+            fail "%s: [%s] duplicate shape-check id: %s" path (exp_name e) id)
+        (List.sort_uniq compare ids))
+    (experiments doc)
+
 let gate_against_baseline fresh baseline =
   let fresh_by_name =
     List.map (fun e -> (exp_name e, e)) (experiments fresh)
@@ -73,24 +90,35 @@ let gate_against_baseline fresh baseline =
         if List.exists check_ok (shape_checks base) then
           fail "[%s] present in baseline but missing from the fresh run" name
       | Some e ->
-        let fresh_checks = List.map check_ok (shape_checks e) in
-        List.iteri
-          (fun i c ->
-            if check_ok c && not (List.nth_opt fresh_checks i = Some true)
-            then
-              fail "[%s] regressed: baseline-green shape check now fails: %s"
-                name (check_msg c))
+        let fresh_checks = shape_checks e in
+        List.iter
+          (fun c ->
+            if check_ok c then
+              match
+                List.find_opt (fun f -> check_id f = check_id c) fresh_checks
+              with
+              | None ->
+                fail
+                  "[%s] baseline-green shape check missing from the fresh \
+                   run: %s"
+                  name (check_msg c)
+              | Some f when not (check_ok f) ->
+                fail "[%s] regressed: baseline-green shape check now fails: %s"
+                  name (check_msg f)
+              | Some _ -> ())
           (shape_checks base);
         let fresh_counters = counters e in
         List.iter
           (fun (k, bv) ->
             (* tiny counters flip by a few ops on incidental code motion;
-               only meaningful volumes participate in the 10% ratchet *)
-            if abs bv >= 16 then
-              match List.assoc_opt k fresh_counters with
-              | Some fv when abs (fv - bv) * 10 > abs bv ->
-                fail "[%s] counter %s drifted > 10%%: %d -> %d" name k bv fv
-              | _ -> ())
+               only meaningful volumes participate in the 10% ratchet. The
+               bench records only counters that moved, so an absent one
+               stopped at 0. *)
+            let fv =
+              Option.value ~default:0 (List.assoc_opt k fresh_counters)
+            in
+            if abs bv >= 16 && abs (fv - bv) * 10 > abs bv then
+              fail "[%s] counter %s drifted > 10%%: %d -> %d" name k bv fv)
           (counters base))
     (experiments baseline)
 
@@ -105,9 +133,12 @@ let () =
   in
   let fresh = read_doc fresh_path in
   gate_fresh fresh;
+  reject_duplicate_ids fresh_path fresh;
   (match baseline_path with
   | Some b when Sys.file_exists b ->
-    gate_against_baseline fresh (read_doc b)
+    let baseline = read_doc b in
+    reject_duplicate_ids b baseline;
+    gate_against_baseline fresh baseline
   | Some b -> Printf.printf "gate: no baseline at %s, fresh-only checks\n" b
   | None -> ());
   match List.rev !failures with
