@@ -2,7 +2,6 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
 
 type inst = { group_fields : int array; sum_field : int; root : int }
@@ -53,62 +52,25 @@ let sum_of inst record =
   | Value.Null -> 0L
   | v -> Int64.of_float (Option.value ~default:0. (Value.to_float v))
 
-let cell_of ctx inst group_vals =
-  match Btree.find (tree ctx inst) ~key:group_vals with
-  | Some cell -> dec_cell cell
-  | None -> (0, 0L)
+(* Apply a (dcount, dsum) delta to one group in one descent; groups vanish
+   at count 0. *)
+let apply_delta t ~log group_vals dcount dsum =
+  ignore
+    (Btree.set t ~key:group_vals ~log (fun cell ->
+         let count, sum =
+           match cell with Some c -> dec_cell c | None -> (0, 0L)
+         in
+         let count = count + dcount in
+         if count <= 0 then None
+         else Some (enc_cell count (Int64.add sum dsum))))
 
-let put_cell ctx inst group_vals count sum =
-  let t = tree ctx inst in
-  if count <= 0 then ignore (Btree.delete t ~key:group_vals)
-  else ignore (Btree.replace t ~key:group_vals ~payload:(enc_cell count sum))
-
-(* apply a (dcount, dsum) delta to one group; groups vanish at count 0 *)
-let apply_delta ctx inst group_vals dcount dsum =
-  let count, sum = cell_of ctx inst group_vals in
-  put_cell ctx inst group_vals (count + dcount) (Int64.add sum dsum)
-
-(* ---- log payloads ----
-
-   Each record carries the delta plus the group's pre-image cell. Undo cannot
-   blindly negate the delta: after a crash the forward change may never have
-   reached the durable tree (no-redo recovery), and reversing an unapplied
-   delta corrupts the aggregate. The pre-image lets undo verify that the
-   post-image is actually present before restoring — the same
-   state-checking discipline as the index undos. *)
-
-let enc_op no group_vals dcount dsum ~old_count ~old_sum =
-  let e = Codec.Enc.create () in
-  Codec.Enc.varint e no;
-  Codec.Enc.record e group_vals;
-  Codec.Enc.varint e (dcount + 1);  (* deltas are -1/0/+1; shift unsigned *)
-  Codec.Enc.int64 e dsum;
-  Codec.Enc.varint e old_count;
-  Codec.Enc.int64 e old_sum;
-  Codec.Enc.to_string e
-
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  let no = Codec.Dec.varint d in
-  let group_vals = Codec.Dec.record d in
-  let dcount = Codec.Dec.varint d - 1 in
-  let dsum = Codec.Dec.int64 d in
-  let old_count = Codec.Dec.varint d in
-  let old_sum = Codec.Dec.int64 d in
-  (no, group_vals, dcount, dsum, old_count, old_sum)
-
-let bump ctx (desc : Descriptor.t) no inst record sign =
-  let group_vals = Record.project record inst.group_fields in
+let bump ctx desc inst record sign =
   let dsum =
     if sign > 0 then sum_of inst record else Int64.neg (sum_of inst record)
   in
-  let old_count, old_sum = cell_of ctx inst group_vals in
-  apply_delta ctx inst group_vals sign dsum;
-  ignore
-    (Ctx.log ctx
-       ~source:(Log_record.Attachment (id ()))
-       ~rel_id:desc.rel_id
-       ~data:(enc_op no group_vals sign dsum ~old_count ~old_sum));
+  apply_delta (tree ctx inst) ~log:(Slot.log ctx desc)
+    (Record.project record inst.group_fields)
+    sign dsum;
   Ok ()
 
 let ( let* ) = Result.bind
@@ -145,7 +107,7 @@ module Impl = struct
               { group_fields; sum_field = s.(0); root = Btree.root btree }
             in
             Attach_util.scan_relation ctx desc (fun _ record ->
-                apply_delta ctx inst
+                apply_delta btree ~log:ignore
                   (Record.project record inst.group_fields)
                   1 (sum_of inst record));
             Ok inst)
@@ -154,20 +116,20 @@ module Impl = struct
     Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx desc ~slot _key record =
-    Slot.each slot (fun no _name inst -> bump ctx desc no inst record 1)
+    Slot.each slot (fun _no _name inst -> bump ctx desc inst record 1)
 
   let on_delete ctx desc ~slot _key record =
-    Slot.each slot (fun no _name inst -> bump ctx desc no inst record (-1))
+    Slot.each slot (fun _no _name inst -> bump ctx desc inst record (-1))
 
   let on_update ctx desc ~slot ~old_key:_ ~new_key:_ ~old_record ~new_record =
-    Slot.each slot (fun no _name inst ->
+    Slot.each slot (fun _no _name inst ->
         if
           Record.compare_on inst.group_fields old_record new_record = 0
           && sum_of inst old_record = sum_of inst new_record
         then Ok ()
         else begin
-          let* () = bump ctx desc no inst old_record (-1) in
-          bump ctx desc no inst new_record 1
+          let* () = bump ctx desc inst old_record (-1) in
+          bump ctx desc inst new_record 1
         end)
 
   (* direct-by-key access: group key -> nothing (the aggregation is read
@@ -176,19 +138,7 @@ module Impl = struct
   let scan _ctx _desc ~slot:_ ~instance:_ ?lo:_ ?hi:_ () = None
   let estimate _ctx _desc ~slot:_ ~eligible:_ = []
 
-  let undo ctx ~rel_id ~data =
-    let no, group_vals, dcount, dsum, old_count, old_sum = dec_op data in
-    match Slot.in_catalog ctx ~rel_id no with
-    | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
-      (* Restore the pre-image only when the post-image is present; an
-         absent post-image means the forward delta never became durable (or
-         was already undone) and there is nothing to reverse. *)
-      let cur_count, cur_sum = cell_of ctx inst group_vals in
-      if
-        cur_count = old_count + dcount
-        && Int64.equal cur_sum (Int64.add old_sum dsum)
-      then put_cell ctx inst group_vals old_count old_sum
-    | Some _ | None -> () (* tree lost with the crash: nothing durable *)
+  let undo ctx ~rel_id:_ ~data = ignore (Btree.undo ctx.Ctx.bp data)
 end
 
 include Impl

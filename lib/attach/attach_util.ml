@@ -76,6 +76,11 @@ module Slot (P : PAYLOAD) = struct
 
   let by_name desc name = find (of_desc desc) name
 
+  let log ctx (desc : Descriptor.t) data =
+    ignore
+      (Ctx.log ctx ~source:(Dmx_wal.Log_record.Attachment (id ()))
+         ~rel_id:desc.rel_id ~data)
+
   let in_catalog ctx ~rel_id no =
     Option.bind (Catalog.find_by_id ctx.Ctx.catalog rel_id) (fun desc ->
         Option.bind (Descriptor.attachment_desc desc (id ())) (fun slot ->

@@ -56,6 +56,10 @@ module Slot (P : PAYLOAD) : sig
   val by_name : Dmx_catalog.Descriptor.t -> string -> (int * P.t) option
   (** Instance of a relation by name (case-insensitive), with its number. *)
 
+  val log : Ctx.t -> Dmx_catalog.Descriptor.t -> string -> unit
+  (** Append an undoable record of this type for the relation to the
+      transaction's log, under the registered id. *)
+
   val in_catalog : Ctx.t -> rel_id:int -> int -> P.t option
   (** Instance [no] of relation [rel_id] as the catalog holds it now — the
       lookup undo starts from. *)

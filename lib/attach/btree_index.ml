@@ -41,41 +41,6 @@ let entry_key inst record reckey =
 
 let tree ctx inst = Btree.open_tree ctx.Ctx.bp ~root:inst.root
 
-(* ---- log payloads ---- *)
-
-type op =
-  | Add of int * Value.t array * Record_key.t  (* inst_no, field values, reckey *)
-  | Rem of int * Value.t array * Record_key.t
-
-let enc_op op =
-  let e = Codec.Enc.create () in
-  (match op with
-  | Add (no, vals, rk) ->
-    Codec.Enc.byte e 0;
-    Codec.Enc.varint e no;
-    Codec.Enc.record e vals;
-    Record_key.enc e rk
-  | Rem (no, vals, rk) ->
-    Codec.Enc.byte e 1;
-    Codec.Enc.varint e no;
-    Codec.Enc.record e vals;
-    Record_key.enc e rk);
-  Codec.Enc.to_string e
-
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  let tag = Codec.Dec.byte d in
-  let no = Codec.Dec.varint d in
-  let vals = Codec.Dec.record d in
-  let rk = Record_key.dec d in
-  match tag with
-  | 0 -> Add (no, vals, rk)
-  | 1 -> Rem (no, vals, rk)
-  | n -> failwith (Fmt.str "Btree_index: bad op tag %d" n)
-
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Attachment (id ())) ~rel_id ~data:(enc_op op)
-
 (* ---- entry maintenance ---- *)
 
 let has_prefix ctx inst vals =
@@ -84,9 +49,9 @@ let has_prefix ctx inst vals =
   in
   Btree.next c <> None
 
-let full_key inst record reckey = entry_key inst record reckey
+let entry_payload reckey = Bytes.to_string (Record_key.encode reckey)
 
-let add_entry ctx (desc : Descriptor.t) name no inst record reckey =
+let add_entry ctx desc name inst record reckey =
   let vals = Record.project record inst.fields in
   if inst.unique && has_prefix ctx inst vals then
     Error
@@ -96,22 +61,21 @@ let add_entry ctx (desc : Descriptor.t) name no inst record reckey =
             Fmt.(array ~sep:(any ",") Value.pp)
             vals))
   else begin
-    (match
-       Btree.insert (tree ctx inst)
-         ~key:(full_key inst record reckey)
-         ~payload:(Bytes.to_string (Record_key.encode reckey))
-     with
-    | `Ok -> ()
-    | `Duplicate -> () (* identical entry already present: idempotent *));
-    ignore (log_op ctx desc.rel_id (Add (no, vals, reckey)));
+    (* an identical entry already present is left alone, unlogged *)
+    ignore
+      (Btree.set (tree ctx inst)
+         ~key:(entry_key inst record reckey)
+         ~log:(Slot.log ctx desc)
+         (Btree.if_absent (entry_payload reckey)));
     Ok ()
   end
 
-let remove_entry ctx (desc : Descriptor.t) no inst record reckey =
-  let vals = Record.project record inst.fields in
+let remove_entry ctx desc inst record reckey =
   ignore
-    (Btree.delete (tree ctx inst) ~key:(full_key inst record reckey));
-  ignore (log_op ctx desc.rel_id (Rem (no, vals, reckey)));
+    (Btree.set (tree ctx inst)
+       ~key:(entry_key inst record reckey)
+       ~log:(Slot.log ctx desc)
+       (fun _ -> None));
   Ok ()
 
 let ( let* ) = Result.bind
@@ -151,9 +115,10 @@ module Impl = struct
                   dup := Some vals
                 else
                   ignore
-                    (Btree.insert btree
-                       ~key:(full_key inst record reckey)
-                       ~payload:(Bytes.to_string (Record_key.encode reckey))));
+                    (Btree.set btree
+                       ~key:(entry_key inst record reckey)
+                       ~log:ignore
+                       (Btree.if_absent (entry_payload reckey))));
             match !dup with
             | Some vals ->
               Error
@@ -168,29 +133,24 @@ module Impl = struct
     Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
-    Slot.each slot (fun no name inst ->
-        add_entry ctx desc name no inst record reckey)
+    Slot.each slot (fun _no name inst ->
+        add_entry ctx desc name inst record reckey)
 
   (* Batch vector entry: sorted-batch maintenance. Entries descend into the
      tree in full-key order, so each leaf is decoded and rewritten once per
      run instead of once per record ({!Btree.insert_batch}), and uniqueness
      is checked against the merged leaf's sorted neighbors in the same pass,
-     replacing the per-record tree probe. The whole batch is logged ahead of
-     the tree mutation: undoing an [Add] that never applied is a no-op
-     delete, so a mid-batch veto or fault cannot leave an unlogged entry. *)
+     replacing the per-record tree probe. Each leaf run is logged before its
+     leaf is written. *)
   let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =
-    Slot.each slot (fun no name inst ->
+    Slot.each slot (fun _no name inst ->
         let keyed =
           Array.map
-            (fun (rk, record) ->
-              ( full_key inst record rk,
-                Bytes.to_string (Record_key.encode rk),
-                Record.project record inst.fields,
-                rk ))
+            (fun (rk, record) -> (entry_key inst record rk, entry_payload rk))
             entries
         in
         Array.sort
-          (fun (k1, _, _, _) (k2, _, _, _) ->
+          (fun (k1, _) (k2, _) ->
             (* lexicographic over the full key (fields + discriminator) *)
             let rec cmp i =
               if i >= Array.length k1 then 0
@@ -200,25 +160,21 @@ module Impl = struct
             in
             cmp 0)
           keyed;
-        ignore
-          (Ctx.log_many ctx
-             ~source:(Log_record.Attachment (id ()))
-             ~rel_id:desc.rel_id
-             ~datas:
-               (Array.to_list
-                  (Array.map
-                     (fun (_, _, vals, rk) -> enc_op (Add (no, vals, rk)))
-                     keyed)));
         let unique_prefix =
           if inst.unique then Some (Array.length inst.fields) else None
         in
         match
           Btree.insert_batch ?unique_prefix (tree ctx inst)
-            (Array.map (fun (k, p, _, _) -> (k, p)) keyed)
+            ~log:(fun datas ->
+              ignore
+                (Ctx.log_many ctx
+                   ~source:(Log_record.Attachment (id ()))
+                   ~rel_id:desc.rel_id ~datas))
+            keyed
         with
         | Ok () -> Ok ()
         | Error j ->
-          let _, _, vals, _ = keyed.(j) in
+          let vals = Array.sub (fst keyed.(j)) 0 (Array.length inst.fields) in
           Error
             (Error.veto
                ~attachment:(Fmt.str "unique index %S" name)
@@ -227,12 +183,12 @@ module Impl = struct
                   vals)))
 
   let on_delete ctx (desc : Descriptor.t) ~slot reckey record =
-    Slot.each slot (fun no _name inst ->
-        remove_entry ctx desc no inst record reckey)
+    Slot.each slot (fun _no _name inst ->
+        remove_entry ctx desc inst record reckey)
 
   let on_update ctx (desc : Descriptor.t) ~slot ~old_key ~new_key ~old_record
       ~new_record =
-    Slot.each slot (fun no name inst ->
+    Slot.each slot (fun _no name inst ->
         (* Detect when no indexed field was modified (paper: "the B-tree
            update operation should be able to detect when no indexed fields
            for a given index are modified"). *)
@@ -241,8 +197,8 @@ module Impl = struct
         in
         if fields_unchanged && Record_key.equal old_key new_key then Ok ()
         else begin
-          let* () = remove_entry ctx desc no inst old_record old_key in
-          add_entry ctx desc name no inst new_record new_key
+          let* () = remove_entry ctx desc inst old_record old_key in
+          add_entry ctx desc name inst new_record new_key
         end)
 
   let lookup ctx (desc : Descriptor.t) ~slot ~instance ~key =
@@ -370,29 +326,7 @@ module Impl = struct
           end)
       (Slot.decode slot)
 
-  let undo ctx ~rel_id ~data =
-    let apply no f =
-      match Slot.in_catalog ctx ~rel_id no with
-      | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
-        f inst
-      | Some _ | None -> () (* tree lost with the crash: nothing durable *)
-    in
-    match dec_op data with
-    | Add (no, vals, reckey) ->
-      apply no (fun inst ->
-          let key =
-            Array.append vals [| Attach_util.encode_reckey_value reckey |]
-          in
-          ignore (Btree.delete (tree ctx inst) ~key))
-    | Rem (no, vals, reckey) ->
-      apply no (fun inst ->
-          let key =
-            Array.append vals [| Attach_util.encode_reckey_value reckey |]
-          in
-          if Btree.find (tree ctx inst) ~key = None then
-            ignore
-              (Btree.insert (tree ctx inst) ~key
-                 ~payload:(Bytes.to_string (Record_key.encode reckey))))
+  let undo ctx ~rel_id:_ ~data = ignore (Btree.undo ctx.Ctx.bp data)
 end
 
 include Impl

@@ -3,7 +3,6 @@ open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
-module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
 module Expr = Dmx_expr.Expr
 
@@ -44,17 +43,15 @@ let id = Slot.id
 let kv = Attach_util.encode_reckey_value
 let pair_key a b = [| kv a; kv b |]
 
-let add_pair ctx inst my_key other_key =
-  let mine = Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root in
-  let theirs = Btree.open_tree ctx.Ctx.bp ~root:inst.theirs_root in
-  ignore (Btree.insert mine ~key:(pair_key my_key other_key) ~payload:"");
-  ignore (Btree.insert theirs ~key:(pair_key other_key my_key) ~payload:"")
-
-let remove_pair ctx inst my_key other_key =
-  let mine = Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root in
-  let theirs = Btree.open_tree ctx.Ctx.bp ~root:inst.theirs_root in
-  ignore (Btree.delete mine ~key:(pair_key my_key other_key));
-  ignore (Btree.delete theirs ~key:(pair_key other_key my_key))
+(* Add ([Some ""]) or remove ([None]) one pair in both trees, each a change
+   logged through [log]. *)
+let set_pair ctx ~log inst my_key other_key entry =
+  let set root key =
+    ignore
+      (Btree.set (Btree.open_tree ctx.Ctx.bp ~root) ~key ~log (fun _ -> entry))
+  in
+  set inst.mine_root (pair_key my_key other_key);
+  set inst.theirs_root (pair_key other_key my_key)
 
 let partners_of ctx inst my_key =
   let mine = Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root in
@@ -83,57 +80,19 @@ let other_matches ctx inst value =
       in
       Scan_help.record_scan_to_list (M.scan ctx other_desc ~filter ())
 
-(* ---- log payloads ---- *)
-
-type op =
-  | Add of int * Record_key.t * Record_key.t  (* inst, my key, other key *)
-  | Rem of int * Record_key.t * Record_key.t
-
-let enc_op op =
-  let e = Codec.Enc.create () in
-  (match op with
-  | Add (no, a, b) ->
-    Codec.Enc.byte e 0;
-    Codec.Enc.varint e no;
-    Record_key.enc e a;
-    Record_key.enc e b
-  | Rem (no, a, b) ->
-    Codec.Enc.byte e 1;
-    Codec.Enc.varint e no;
-    Record_key.enc e a;
-    Record_key.enc e b);
-  Codec.Enc.to_string e
-
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  let tag = Codec.Dec.byte d in
-  let no = Codec.Dec.varint d in
-  let a = Record_key.dec d in
-  let b = Record_key.dec d in
-  match tag with
-  | 0 -> Add (no, a, b)
-  | 1 -> Rem (no, a, b)
-  | n -> failwith (Fmt.str "Join_index: bad op tag %d" n)
-
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Attachment (id ())) ~rel_id ~data:(enc_op op)
-
 let ( let* ) = Result.bind
 
-let add_partners ctx (desc : Descriptor.t) no inst my_key my_record =
-  let matches = other_matches ctx inst my_record.(inst.my_field) in
+let add_partners ctx desc inst my_key my_record =
   List.iter
     (fun (other_key, _) ->
-      add_pair ctx inst my_key other_key;
-      ignore (log_op ctx desc.rel_id (Add (no, my_key, other_key))))
-    matches;
+      set_pair ctx ~log:(Slot.log ctx desc) inst my_key other_key (Some ""))
+    (other_matches ctx inst my_record.(inst.my_field));
   Ok ()
 
-let remove_partners ctx (desc : Descriptor.t) no inst my_key =
+let remove_partners ctx desc inst my_key =
   List.iter
     (fun other_key ->
-      remove_pair ctx inst my_key other_key;
-      ignore (log_op ctx desc.rel_id (Rem (no, my_key, other_key))))
+      set_pair ctx ~log:(Slot.log ctx desc) inst my_key other_key None)
     (partners_of ctx inst my_key);
   Ok ()
 
@@ -184,7 +143,8 @@ module Impl = struct
           (* Precompute the join: for each of my records, find partners. *)
           Attach_util.scan_relation ctx desc (fun my_key my_record ->
               List.iter
-                (fun (other_key, _) -> add_pair ctx inst my_key other_key)
+                (fun (other_key, _) ->
+                  set_pair ctx ~log:ignore inst my_key other_key (Some ""))
                 (other_matches ctx inst my_record.(my_field)));
           (* Install the mirror instance on the other relation. *)
           Slot.set_on ctx other_desc
@@ -206,22 +166,21 @@ module Impl = struct
     Ok slot
 
   let on_insert ctx desc ~slot reckey record =
-    Slot.each slot (fun no _name inst ->
-        add_partners ctx desc no inst reckey record)
+    Slot.each slot (fun _no _name inst ->
+        add_partners ctx desc inst reckey record)
 
   let on_delete ctx desc ~slot reckey _record =
-    Slot.each slot (fun no _name inst ->
-        remove_partners ctx desc no inst reckey)
+    Slot.each slot (fun _no _name inst -> remove_partners ctx desc inst reckey)
 
   let on_update ctx desc ~slot ~old_key ~new_key ~old_record ~new_record =
-    Slot.each slot (fun no _name inst ->
+    Slot.each slot (fun _no _name inst ->
         if
           Value.equal old_record.(inst.my_field) new_record.(inst.my_field)
           && Record_key.equal old_key new_key
         then Ok ()
         else
-          let* () = remove_partners ctx desc no inst old_key in
-          add_partners ctx desc no inst new_key new_record)
+          let* () = remove_partners ctx desc inst old_key in
+          add_partners ctx desc inst new_key new_record)
 
   let lookup ctx desc ~slot ~instance ~key =
     (* Input key: the encoded record key of one of my records (as produced by
@@ -261,11 +220,7 @@ module Impl = struct
 
   let estimate _ctx _desc ~slot:_ ~eligible:_ = []
 
-  let undo ctx ~rel_id ~data =
-    let apply no f = Option.iter f (Slot.in_catalog ctx ~rel_id no) in
-    match dec_op data with
-    | Add (no, a, b) -> apply no (fun inst -> remove_pair ctx inst a b)
-    | Rem (no, a, b) -> apply no (fun inst -> add_pair ctx inst a b)
+  let undo ctx ~rel_id:_ ~data = ignore (Btree.undo ctx.Ctx.bp data)
 end
 
 include Impl

@@ -119,18 +119,29 @@ let child_index seps key =
   in
   loop 0 seps
 
-let rec find_in t page_id key =
-  match read_node t page_id with
-  | Leaf { entries; _ } ->
-    List.find_map
-      (fun (k, p) -> if compare_full k key = 0 then Some p else None)
-      entries
-  | Internal { seps; children } ->
-    find_in t (List.nth children (child_index seps key)) key
+(* Descend to the leaf covering [key]: its page id, entries and chain link,
+   and the internal nodes above it, innermost first, each with the index of
+   the child taken. *)
+let descend t key =
+  let rec go page_id path =
+    match read_node t page_id with
+    | Leaf { entries; next } -> (page_id, entries, next, path)
+    | Internal { seps; children } ->
+      let i = child_index seps key in
+      go (List.nth children i) ((page_id, seps, children, i) :: path)
+  in
+  go t.root []
 
-let find t ~key = find_in t t.root key
+let lookup entries key =
+  List.find_map
+    (fun (k, p) -> if compare_full k key = 0 then Some p else None)
+    entries
 
-(* ---- insert ---- *)
+let find t ~key =
+  let _, entries, _, _ = descend t key in
+  lookup entries key
+
+(* ---- leaf writes and splits ---- *)
 
 (* Split a list of entries at roughly half the encoded size. *)
 let split_entries entries size_of =
@@ -150,127 +161,131 @@ let entry_size (k, p) =
   String.length (Codec.encode_record k |> Bytes.to_string) + String.length p + 8
 
 
-type insert_result =
-  | Done
-  | Duplicate
-  | Split of Value.t array * int  (* separator, new right page *)
+(* Write a leaf's new entries, splitting it (and, through [promote], its
+   ancestors on [path]) when they overflow the page. *)
+let rec write_leaf t page_id path entries next =
+  let node = Leaf { entries; next } in
+  if node_size node <= capacity t then write_node t page_id node
+  else begin
+    let left, right = split_entries entries entry_size in
+    match right with
+    | [] -> failwith "Btree: cannot split a single oversized entry"
+    | (sep, _) :: _ ->
+      let right_id = alloc_page t in
+      write_node t right_id (Leaf { entries = right; next });
+      write_node t page_id (Leaf { entries = left; next = right_id });
+      promote t path sep right_id
+  end
 
-let rec insert_in t page_id key payload ~overwrite =
-  match read_node t page_id with
-  | Leaf { entries; next } ->
-    let rec place acc = function
-      | [] -> Some (List.rev ((key, payload) :: acc))
-      | (k, p) :: rest ->
-        let c = compare_full key k in
-        if c = 0 then
-          if overwrite then Some (List.rev_append acc ((key, payload) :: rest))
-          else None
-        else if c < 0 then Some (List.rev_append acc ((key, payload) :: (k, p) :: rest))
-        else place ((k, p) :: acc) rest
-    in
-    begin
-      match place [] entries with
-      | None -> Duplicate
-      | Some entries ->
-        let node = Leaf { entries; next } in
-        if node_size node <= capacity t then begin
-          write_node t page_id node;
-          Done
-        end
-        else begin
-          let left, right = split_entries entries entry_size in
-          match right with
-          | [] -> failwith "Btree: cannot split a single oversized entry"
-          | (sep, _) :: _ ->
-            let right_id = alloc_page t in
-            write_node t right_id (Leaf { entries = right; next });
-            write_node t page_id (Leaf { entries = left; next = right_id });
-            Split (sep, right_id)
-        end
-    end
-  | Internal { seps; children } ->
-    let i = child_index seps key in
-    let child = List.nth children i in
-    begin
-      match insert_in t child key payload ~overwrite with
-      | Done -> Done
-      | Duplicate -> Duplicate
-      | Split (sep, new_child) ->
-        (* insert sep at position i, new_child at position i+1 *)
-        let seps =
-          List.filteri (fun j _ -> j < i) seps
-          @ [ sep ]
-          @ List.filteri (fun j _ -> j >= i) seps
-        in
-        let children =
-          List.filteri (fun j _ -> j <= i) children
-          @ [ new_child ]
-          @ List.filteri (fun j _ -> j > i) children
-        in
-        let node = Internal { seps; children } in
-        if node_size node <= capacity t then begin
-          write_node t page_id node;
-          Done
-        end
-        else begin
-          (* Split the internal node: promote the middle separator. *)
-          let n = List.length seps in
-          let m = n / 2 in
-          let promoted = List.nth seps m in
-          let left_seps = List.filteri (fun j _ -> j < m) seps in
-          let right_seps = List.filteri (fun j _ -> j > m) seps in
-          let left_children = List.filteri (fun j _ -> j <= m) children in
-          let right_children = List.filteri (fun j _ -> j > m) children in
-          let right_id = alloc_page t in
-          write_node t right_id
-            (Internal { seps = right_seps; children = right_children });
-          write_node t page_id
-            (Internal { seps = left_seps; children = left_children });
-          Split (promoted, right_id)
-        end
-    end
-
-(* The root page id never changes: on root split, move the left half to a
-   fresh page and make the root an internal node over both halves. *)
-let handle_root_split t result =
-  match result with
-  | Done -> `Ok
-  | Duplicate -> `Duplicate
-  | Split (sep, right_id) ->
+(* Insert separator [sep] with [new_child] to its right into the parent on
+   top of [path]. The root page id never changes: on root split, move the
+   left half to a fresh page and make the root an internal node over both
+   halves. *)
+and promote t path sep new_child =
+  match path with
+  | [] ->
     let left_id = alloc_page t in
-    let old_root = read_node t t.root in
-    write_node t left_id old_root;
+    write_node t left_id (read_node t t.root);
     write_node t t.root
-      (Internal { seps = [ sep ]; children = [ left_id; right_id ] });
-    `Ok
-
-let insert t ~key ~payload =
-  handle_root_split t (insert_in t t.root key payload ~overwrite:false)
-
-let replace t ~key ~payload =
-  let existed = find t ~key <> None in
-  match handle_root_split t (insert_in t t.root key payload ~overwrite:true) with
-  | `Ok -> if existed then `Replaced else `Inserted
-  | `Duplicate -> assert false
-
-(* ---- delete (lazy: no rebalancing) ---- *)
-
-let rec delete_in t page_id key =
-  match read_node t page_id with
-  | Leaf { entries; next } ->
-    let found = List.exists (fun (k, _) -> compare_full k key = 0) entries in
-    if found then begin
-      let entries =
-        List.filter (fun (k, _) -> compare_full k key <> 0) entries
-      in
-      write_node t page_id (Leaf { entries; next });
-      true
+      (Internal { seps = [ sep ]; children = [ left_id; new_child ] })
+  | (page_id, seps, children, i) :: up ->
+    let seps =
+      List.filteri (fun j _ -> j < i) seps
+      @ [ sep ]
+      @ List.filteri (fun j _ -> j >= i) seps
+    in
+    let children =
+      List.filteri (fun j _ -> j <= i) children
+      @ [ new_child ]
+      @ List.filteri (fun j _ -> j > i) children
+    in
+    let node = Internal { seps; children } in
+    if node_size node <= capacity t then write_node t page_id node
+    else begin
+      (* Split the internal node: promote the middle separator. *)
+      let m = List.length seps / 2 in
+      let promoted = List.nth seps m in
+      let right_id = alloc_page t in
+      write_node t right_id
+        (Internal
+           {
+             seps = List.filteri (fun j _ -> j > m) seps;
+             children = List.filteri (fun j _ -> j > m) children;
+           });
+      write_node t page_id
+        (Internal
+           {
+             seps = List.filteri (fun j _ -> j < m) seps;
+             children = List.filteri (fun j _ -> j <= m) children;
+           });
+      promote t up promoted right_id
     end
-    else false
-  | Internal { seps; children } ->
-    delete_in t (List.nth children (child_index seps key)) key
 
-let delete t ~key = delete_in t t.root key
+(* [entries] with [key] bound to [payload] ([None] removes it). *)
+let put entries key payload =
+  let bind rest =
+    match payload with Some p -> (key, p) :: rest | None -> rest
+  in
+  let rec go acc = function
+    | ((k, _) as e) :: rest ->
+      let c = compare_full key k in
+      if c > 0 then go (e :: acc) rest
+      else List.rev_append acc (bind (if c = 0 then rest else e :: rest))
+    | [] -> List.rev_append acc (bind [])
+  in
+  go [] entries
+
+(* ---- change records ---- *)
+
+type change = {
+  root : int;
+  key : Value.t array;
+  before : string option;
+  after : string option;
+}
+
+let encode_change c =
+  let e = Codec.Enc.create () in
+  Codec.Enc.varint e c.root;
+  Codec.Enc.record e c.key;
+  Codec.Enc.option e Codec.Enc.string c.before;
+  Codec.Enc.option e Codec.Enc.string c.after;
+  Codec.Enc.to_string e
+
+let decode_change data =
+  let d = Codec.Dec.of_string data in
+  let root = Codec.Dec.varint d in
+  let key = Codec.Dec.record d in
+  let before = Codec.Dec.option d Codec.Dec.string in
+  let after = Codec.Dec.option d Codec.Dec.string in
+  { root; key; before; after }
+
+let same = Option.equal String.equal
+
+(* The change is logged once the leaf is located and the new payload known,
+   before [write_leaf] writes or allocates any page. *)
+let set t ~key ~log f =
+  let leaf_id, entries, next, path = descend t key in
+  let before = lookup entries key in
+  let after = f before in
+  if not (same before after) then begin
+    log (encode_change { root = t.root; key; before; after });
+    write_leaf t leaf_id path (put entries key after) next
+  end;
+  before
+
+let if_absent payload = function None -> Some payload | held -> held
+
+let undo bp data =
+  let c = decode_change data in
+  if not (Buffer_pool.page_live bp c.root) then None
+  else begin
+    let held =
+      set (open_tree bp ~root:c.root) ~key:c.key ~log:ignore (fun held ->
+          if same held c.after then c.before else held)
+    in
+    if same held c.after then Some c else None
+  end
 
 (* ---- iteration ---- *)
 
@@ -465,17 +480,17 @@ let seek c pos =
 
 (* ---- sorted-batch insert ---- *)
 
-(* Descend to the leaf covering [key], tracking the separators bounding its
-   key space: [lo] inclusive-below, [hi] exclusive-above (None at the tree's
-   edges). *)
-let rec descend_bounds t page_id key lo hi =
-  match read_node t page_id with
-  | Leaf { entries; next } -> (page_id, lo, hi, entries, next)
-  | Internal { seps; children } ->
-    let i = child_index seps key in
-    let lo = if i > 0 then Some (List.nth seps (i - 1)) else lo in
-    let hi = match List.nth_opt seps i with Some _ as s -> s | None -> hi in
-    descend_bounds t (List.nth children i) key lo hi
+(* The key window of the leaf below [path] (as {!descend} returns it): the
+   nearest ancestor separators below (inclusive) and above (exclusive), None
+   at the tree's edges. *)
+let window path =
+  let lo =
+    List.find_map
+      (fun (_, seps, _, i) ->
+        if i > 0 then Some (List.nth seps (i - 1)) else None)
+      path
+  in
+  (lo, List.find_map (fun (_, seps, _, i) -> List.nth_opt seps i) path)
 
 (* Equality on the first [p] key values (the unique-index field prefix). *)
 let equal_on p a b =
@@ -486,7 +501,7 @@ let prefix_present t prefix =
   let c = cursor ~lo:(Incl prefix) ~hi:(Incl prefix) t in
   next c <> None
 
-let insert_batch ?unique_prefix t entries =
+let insert_batch ?unique_prefix t ~log entries =
   let n = Array.length entries in
   (* Under a unique prefix, adjacent batch entries sharing the prefix veto
      at the second one: [limit] is the first offender (sorted input makes
@@ -508,9 +523,8 @@ let insert_batch ?unique_prefix t entries =
      let i = ref 0 in
      while !i < limit do
        let key0, payload0 = entries.(!i) in
-       let leaf_id, lo, hi, old_entries, next =
-         descend_bounds t t.root key0 None None
-       in
+       let leaf_id, old_entries, next, path = descend t key0 in
+       let lo, hi = window path in
        let in_leaf k =
          match hi with None -> true | Some s -> compare_full k s < 0
        in
@@ -538,7 +552,10 @@ let insert_batch ?unique_prefix t entries =
          | Some p when prefix_present t (Array.sub key0 0 p) ->
            raise (Halt !i)
          | _ -> ());
-         ignore (insert t ~key:key0 ~payload:payload0);
+         ignore
+           (set t ~key:key0
+              ~log:(fun change -> log [ change ])
+              (if_absent payload0));
          incr i
        end
        else begin
@@ -568,29 +585,40 @@ let insert_batch ?unique_prefix t entries =
                let k, p = entries.(!i + d) in
                (!i + d, k, p))
          in
-         let rec merge acc last_old run old =
+         (* [added] collects the change of each entry applied, newest
+            first *)
+         let rec merge acc added last_old run old =
+           let stop idx = (List.rev_append acc old, added, Some idx) in
            match run, old with
-           | [], _ -> (List.rev_append acc old, None)
+           | [], _ -> (List.rev_append acc old, added, None)
            | (_, k, _) :: _, ((ok_, _) as o) :: otl
              when compare_full k ok_ > 0 ->
-             merge (o :: acc) (Some ok_) run otl
+             merge (o :: acc) added (Some ok_) run otl
            | (idx, k, _) :: rtl, (ok_, _) :: _ when compare_full k ok_ = 0 ->
              (* identical entry already present: idempotent, unless the
                 caller's uniqueness covers it *)
-             if unique_prefix <> None then (List.rev_append acc old, Some idx)
-             else merge acc last_old rtl old
+             if unique_prefix <> None then stop idx
+             else merge acc added last_old rtl old
            | (idx, k, p) :: rtl, old ->
-             if dup_at ~last_old ~old k then (List.rev_append acc old, Some idx)
+             if dup_at ~last_old ~old k then stop idx
              else begin
                match acc with
                | (ak, _) :: _ when compare_full k ak = 0 ->
                  (* duplicate full key within the batch: keep the first *)
-                 merge acc last_old rtl old
-               | _ -> merge ((k, p) :: acc) last_old rtl old
+                 merge acc added last_old rtl old
+               | _ ->
+                 let change =
+                   { root = t.root; key = k; before = None; after = Some p }
+                 in
+                 merge ((k, p) :: acc) (encode_change change :: added)
+                   last_old rtl old
              end
          in
-         let merged, halt = merge [] None run old_entries in
-         write_node t leaf_id (Leaf { entries = merged; next });
+         let merged, added, halt = merge [] [] None run old_entries in
+         if added <> [] then begin
+           log (List.rev added);
+           write_node t leaf_id (Leaf { entries = merged; next })
+         end;
          (match halt with Some idx -> raise (Halt idx) | None -> ());
          i := !j
        end

@@ -27,23 +27,57 @@ val create : Dmx_page.Buffer_pool.t -> t
 val open_tree : Dmx_page.Buffer_pool.t -> root:int -> t
 val root : t -> int
 
-val insert : t -> key:Value.t array -> payload:string -> [ `Ok | `Duplicate ]
+(** {2 Logged changes}
+
+    Every change to a tree is one change record: the tree's root, the key,
+    and the payload before and after ([None] = absent). The tree encodes
+    the record and hands it to the caller's [log] before any page of the
+    tree is written or allocated, so a page never reaches disk ahead of the
+    undo information for what it holds. The caller appends it to the
+    recovery log under its own source; {!undo} reverses it. *)
+
+type change = {
+  root : int;
+  key : Value.t array;
+  before : string option;
+  after : string option;
+}
+
+val set :
+  t -> key:Value.t array -> log:(string -> unit) ->
+  (string option -> string option) -> string option
+(** [set t ~key ~log f] is the one single-key mutator: one descent finds
+    the payload held under [key] ([before]), [f before] gives the new one
+    ([None] deletes). When it differs from [before], the encoded change is
+    passed to [log] and then applied; otherwise nothing is logged or
+    written. Returns [before]. *)
+
+val if_absent : string -> string option -> string option
+(** [set]'s function for insert-if-absent: keeps a held payload, else adds
+    [payload]. *)
 
 val insert_batch :
-  ?unique_prefix:int -> t -> (Value.t array * string) array ->
-  (unit, int) result
+  ?unique_prefix:int -> t -> log:(string list -> unit) ->
+  (Value.t array * string) array -> (unit, int) result
 (** Sorted-batch insert: [entries] must be ascending in key order. Each
     maximal run of entries landing in one leaf is merged with a single node
-    decode and a single write, so the per-node codec cost of {!insert}
-    amortizes over the run; an entry that would split its leaf falls back to
-    {!insert}. [unique_prefix:p] vetoes an entry whose first [p] key values
-    match an existing entry or an earlier batch entry: the batch halts with
-    [Error j] — entries before index [j] are applied, [j] and later are not.
-    Without it, full-key duplicates are skipped ([`Duplicate] semantics of
-    {!insert}) and the result is [Ok ()]. *)
+    decode and a single write, so the per-node codec cost of {!set}
+    amortizes over the run; [log] receives the changes of the entries the
+    run applies before the leaf is written. An entry that would split its
+    leaf falls back to {!set}. [unique_prefix:p] vetoes an entry whose first
+    [p] key values match an existing entry or an earlier batch entry: the
+    batch halts with [Error j] — entries before index [j] are applied, [j]
+    and later are not. Without it, an entry whose full key is present (or
+    repeats an earlier batch entry) is skipped, unlogged, and the result is
+    [Ok ()]. *)
 
-val replace : t -> key:Value.t array -> payload:string -> [ `Inserted | `Replaced ]
-val delete : t -> key:Value.t array -> bool
+val undo : Dmx_page.Buffer_pool.t -> string -> change option
+(** Reverse a logged change, testably: restore [before] only when the tree
+    holds exactly [after] under the key, so a change that never reached the
+    tree, or was already undone, is left alone. A no-op when the root page
+    is not live (a tree allocated after the last force, lost with the
+    crash). Returns the change when it was reversed. *)
+
 val find : t -> key:Value.t array -> string option
 val min_key : t -> Value.t array option
 val count : t -> int

@@ -40,41 +40,16 @@ let tree_of ctx bd = Btree.open_tree ctx.Ctx.bp ~root:bd.root
 
 let key_of bd record = Record.project record bd.key_fields
 
-(* ---- log payloads ---- *)
+let log ctx rel_id data =
+  ignore (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id ~data)
 
-type op =
-  | Ins of Record.t
-  | Del of Record.t
-  | Upd of Record.t * Record.t  (* old, new *)
+let duplicate key =
+  Error
+    (Error.Duplicate_key (Fmt.str "%a" Fmt.(array ~sep:(any ",") Value.pp) key))
 
-let enc_op op =
-  let e = Codec.Enc.create () in
-  (match op with
-  | Ins r ->
-    Codec.Enc.byte e 0;
-    Codec.Enc.record e r
-  | Del r ->
-    Codec.Enc.byte e 1;
-    Codec.Enc.record e r
-  | Upd (o, n) ->
-    Codec.Enc.byte e 2;
-    Codec.Enc.record e o;
-    Codec.Enc.record e n);
-  Codec.Enc.to_string e
-
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  match Codec.Dec.byte d with
-  | 0 -> Ins (Codec.Dec.record d)
-  | 1 -> Del (Codec.Dec.record d)
-  | 2 ->
-    let o = Codec.Dec.record d in
-    let n = Codec.Dec.record d in
-    Upd (o, n)
-  | n -> failwith (Fmt.str "Btree_org: bad op tag %d" n)
-
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id ~data:(enc_op op)
+let same_key a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Value.compare x y = 0) a b
 
 let payload_of record = Bytes.to_string (Codec.encode_record record)
 let record_of payload = Codec.decode_record (Bytes.of_string payload)
@@ -136,13 +111,12 @@ module Impl = struct
   let insert ctx (desc : Descriptor.t) record =
     let bd = bdesc_of desc in
     let key = key_of bd record in
-    match Btree.insert (tree_of ctx bd) ~key ~payload:(payload_of record) with
-    | `Duplicate ->
-      Error
-        (Error.Duplicate_key
-           (Fmt.str "%a" Fmt.(array ~sep:(any ",") Value.pp) key))
-    | `Ok ->
-      ignore (log_op ctx desc.rel_id (Ins record));
+    match
+      Btree.set (tree_of ctx bd) ~key ~log:(log ctx desc.rel_id)
+        (Btree.if_absent (payload_of record))
+    with
+    | Some _ -> duplicate key
+    | None ->
       store_desc ctx desc { bd with count = bd.count + 1 };
       Ok (Record_key.fields key)
 
@@ -167,50 +141,41 @@ module Impl = struct
 
   let delete ctx (desc : Descriptor.t) key =
     let bd = bdesc_of desc in
-    match fields_key key with
+    let removed =
+      Option.bind (fields_key key) (fun k ->
+          Btree.set (tree_of ctx bd) ~key:k ~log:(log ctx desc.rel_id)
+            (fun _ -> None))
+    in
+    match removed with
     | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some k -> begin
-      let tree = tree_of ctx bd in
-      match Btree.find tree ~key:k with
-      | None -> Error (Error.Key_not_found (Record_key.to_string key))
-      | Some payload ->
-        let record = record_of payload in
-        ignore (Btree.delete tree ~key:k);
-        ignore (log_op ctx desc.rel_id (Del record));
-        store_desc ctx desc { bd with count = max 0 (bd.count - 1) };
-        Ok record
-    end
+    | Some payload ->
+      store_desc ctx desc { bd with count = max 0 (bd.count - 1) };
+      Ok (record_of payload)
 
   let update ctx (desc : Descriptor.t) key new_record =
     let bd = bdesc_of desc in
+    let tree = tree_of ctx bd in
+    let log = log ctx desc.rel_id in
+    let payload = payload_of new_record in
+    let new_key = key_of bd new_record in
+    let updated = Ok (Record_key.fields new_key) in
+    let not_found = Error (Error.Key_not_found (Record_key.to_string key)) in
     match fields_key key with
-    | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some k -> begin
-      let tree = tree_of ctx bd in
-      match Btree.find tree ~key:k with
-      | None -> Error (Error.Key_not_found (Record_key.to_string key))
-      | Some payload ->
-        let old_record = record_of payload in
-        let new_key = key_of bd new_record in
-        if Record.compare_on bd.key_fields old_record new_record = 0 then begin
-          (* Key unchanged: replace payload in place. *)
-          ignore (Btree.replace tree ~key:k ~payload:(payload_of new_record));
-          ignore (log_op ctx desc.rel_id (Upd (old_record, new_record)));
-          Ok (Record_key.fields new_key)
-        end
-        else begin
-          (* Key fields modified: the record moves and its key changes. *)
-          match Btree.insert tree ~key:new_key ~payload:(payload_of new_record) with
-          | `Duplicate ->
-            Error
-              (Error.Duplicate_key
-                 (Fmt.str "%a" Fmt.(array ~sep:(any ",") Value.pp) new_key))
-          | `Ok ->
-            ignore (Btree.delete tree ~key:k);
-            ignore (log_op ctx desc.rel_id (Upd (old_record, new_record)));
-            Ok (Record_key.fields new_key)
-        end
-    end
+    | None -> not_found
+    | Some k when same_key k new_key -> (
+      (* Key unchanged: replace payload in place. *)
+      match Btree.set tree ~key:k ~log (Option.map (fun _ -> payload)) with
+      | None -> not_found
+      | Some _ -> updated)
+    | Some k -> (
+      (* Key fields modified: the record moves and its key changes. *)
+      if Btree.find tree ~key:k = None then not_found
+      else
+        match Btree.set tree ~key:new_key ~log (Btree.if_absent payload) with
+        | Some _ -> duplicate new_key
+        | None ->
+          ignore (Btree.set tree ~key:k ~log (fun _ -> None));
+          updated)
 
   let key_fields desc = Some (bdesc_of desc).key_fields
 
@@ -295,46 +260,23 @@ module Impl = struct
 
   (* ---- undo ---- *)
 
+  (* The descriptor's advisory count follows an insert or delete that undo
+     actually reversed. *)
   let undo ctx ~rel_id ~data =
-    (* The descriptor may already be gone (dropped relation): nothing to do. *)
-    match Catalog.find_by_id ctx.Ctx.catalog rel_id with
+    match Btree.undo ctx.Ctx.bp data with
     | None -> ()
-    | Some desc when
-        Dmx_page.Buffer_pool.page_live ctx.Ctx.bp (bdesc_of desc).root -> begin
-      let bd = bdesc_of desc in
-      let tree = tree_of ctx bd in
-      match dec_op data with
-      | Ins record -> begin
-        let key = key_of bd record in
-        match Btree.find tree ~key with
-        | Some payload when Record.equal (record_of payload) record ->
-          ignore (Btree.delete tree ~key)
-        | Some _ | None -> ()
-      end
-      | Del record ->
-        let key = key_of bd record in
-        if Btree.find tree ~key = None then
-          ignore (Btree.insert tree ~key ~payload:(payload_of record))
-      | Upd (old_record, new_record) ->
-        let old_key = key_of bd old_record in
-        let new_key = key_of bd new_record in
-        (match Btree.find tree ~key:new_key with
-        | Some payload when Record.equal (record_of payload) new_record ->
-          if Record.compare_on bd.key_fields old_record new_record = 0 then
-            ignore
-              (Btree.replace tree ~key:old_key ~payload:(payload_of old_record))
-          else begin
-            ignore (Btree.delete tree ~key:new_key);
-            ignore
-              (Btree.insert tree ~key:old_key ~payload:(payload_of old_record))
-          end
-        | Some _ | None ->
-          (* New image absent: ensure the old image is back. *)
-          if Btree.find tree ~key:old_key = None then
-            ignore
-              (Btree.insert tree ~key:old_key ~payload:(payload_of old_record)))
-    end
-    | Some _ -> () (* tree born after the last force: lost with the crash *)
+    | Some { Btree.root; before; after; _ } -> (
+      let delta =
+        match before, after with
+        | None, Some _ -> -1
+        | Some _, None -> 1
+        | _ -> 0
+      in
+      match Catalog.find_by_id ctx.Ctx.catalog rel_id with
+      | Some desc when delta <> 0 && (bdesc_of desc).root = root ->
+        let bd = bdesc_of desc in
+        store_desc ctx desc { bd with count = max 0 (bd.count + delta) }
+      | Some _ | None -> ())
 end
 
 include Impl

@@ -457,8 +457,16 @@ module Impl = struct
     | Some (page, _) when not (Buffer_pool.page_live ctx.Ctx.bp page) -> None
     | parts -> parts
 
+  (* The descriptor's advisory count follows an insert or delete that undo
+     actually reversed. *)
+  let adjust_count ctx rel_id delta =
+    Option.iter
+      (fun desc ->
+        let hd = hdesc_of desc in
+        store_desc ctx desc { hd with count = max 0 (hd.count + delta) })
+      (Catalog.find_by_id ctx.Ctx.catalog rel_id)
+
   let undo ctx ~rel_id ~data =
-    ignore rel_id;
     match dec_op data with
     | Ins (key, record) -> begin
       match live ctx (rid_parts key) with
@@ -469,7 +477,8 @@ module Impl = struct
           when Record.equal
                  (Codec.decode_record (Bytes.of_string payload))
                  record ->
-          unlogged_delete ctx page slot
+          unlogged_delete ctx page slot;
+          adjust_count ctx rel_id (-1)
         | Some _ | None -> ()  (* never applied or already undone *)
       end
     end
@@ -477,15 +486,19 @@ module Impl = struct
       match live ctx (rid_parts key) with
       | None -> ()
       | Some (page, slot) ->
-        with_page_mut ctx page (fun data ->
-            match Slotted.read data slot with
-            | Some _ -> ()  (* still present: delete never reached disk *)
-            | None ->
-              if not (Slotted.insert_at data slot (encode_payload record))
-              then
-                failwith
-                  (Fmt.str "heap undo: cannot reinstate record at %s"
-                     (Record_key.to_string key)))
+        let reinstated =
+          with_page_mut ctx page (fun data ->
+              match Slotted.read data slot with
+              | Some _ -> false  (* still present: delete never reached disk *)
+              | None ->
+                if not (Slotted.insert_at data slot (encode_payload record))
+                then
+                  failwith
+                    (Fmt.str "heap undo: cannot reinstate record at %s"
+                       (Record_key.to_string key));
+                true)
+        in
+        if reinstated then adjust_count ctx rel_id 1
     end
     | Upd (old_key, new_key, old_record, new_record) ->
       if Record_key.equal old_key new_key then begin

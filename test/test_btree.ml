@@ -3,17 +3,32 @@ open Dmx_page
 open Dmx_btree
 open Test_util
 
-let make_tree () =
+let make_tree_bp () =
   let d = Disk.in_memory () in
   let bp = Buffer_pool.create ~capacity:128 d in
-  Btree.create bp
+  (Btree.create bp, bp)
+
+let make_tree () = fst (make_tree_bp ())
 
 let k n = [| vi n |]
+
+(* Unlogged single-purpose mutators over [Btree.set]. *)
+let insert t ~key ~payload =
+  match Btree.set t ~key ~log:ignore (Btree.if_absent payload) with
+  | None -> `Ok
+  | Some _ -> `Duplicate
+
+let replace t ~key ~payload =
+  match Btree.set t ~key ~log:ignore (fun _ -> Some payload) with
+  | None -> `Inserted
+  | Some _ -> `Replaced
+
+let delete t ~key = Btree.set t ~key ~log:ignore (fun _ -> None) <> None
 
 let test_insert_find () =
   let t = make_tree () in
   for i = 1 to 500 do
-    match Btree.insert t ~key:(k i) ~payload:(string_of_int i) with
+    match insert t ~key:(k i) ~payload:(string_of_int i) with
     | `Ok -> ()
     | `Duplicate -> Alcotest.failf "dup at %d" i
   done;
@@ -32,23 +47,23 @@ let test_insert_find () =
 
 let test_duplicate () =
   let t = make_tree () in
-  ignore (Btree.insert t ~key:(k 1) ~payload:"a");
+  ignore (insert t ~key:(k 1) ~payload:"a");
   Alcotest.(check bool) "dup refused" true
-    (Btree.insert t ~key:(k 1) ~payload:"b" = `Duplicate);
+    (insert t ~key:(k 1) ~payload:"b" = `Duplicate);
   Alcotest.(check bool) "replace" true
-    (Btree.replace t ~key:(k 1) ~payload:"b" = `Replaced);
+    (replace t ~key:(k 1) ~payload:"b" = `Replaced);
   Alcotest.(check (option string)) "replaced" (Some "b") (Btree.find t ~key:(k 1))
 
 let test_delete () =
   let t = make_tree () in
   for i = 1 to 300 do
-    ignore (Btree.insert t ~key:(k i) ~payload:(string_of_int i))
+    ignore (insert t ~key:(k i) ~payload:(string_of_int i))
   done;
   for i = 1 to 300 do
     if i mod 2 = 0 then
-      Alcotest.(check bool) "delete" true (Btree.delete t ~key:(k i))
+      Alcotest.(check bool) "delete" true (delete t ~key:(k i))
   done;
-  Alcotest.(check bool) "delete absent" false (Btree.delete t ~key:(k 2));
+  Alcotest.(check bool) "delete absent" false (delete t ~key:(k 2));
   Alcotest.(check int) "count after" 150 (Btree.count t);
   for i = 1 to 300 do
     let expect = if i mod 2 = 0 then None else Some (string_of_int i) in
@@ -71,7 +86,7 @@ let test_random_order () =
     perm.(j) <- tmp
   done;
   Array.iter
-    (fun i -> ignore (Btree.insert t ~key:(k i) ~payload:(string_of_int i)))
+    (fun i -> ignore (insert t ~key:(k i) ~payload:(string_of_int i)))
     perm;
   (* iteration is sorted *)
   let last = ref (-1) in
@@ -87,7 +102,7 @@ let test_random_order () =
 let test_cursor_range () =
   let t = make_tree () in
   for i = 0 to 99 do
-    ignore (Btree.insert t ~key:(k i) ~payload:(string_of_int i))
+    ignore (insert t ~key:(k i) ~payload:(string_of_int i))
   done;
   let collect c =
     let rec loop acc =
@@ -108,7 +123,7 @@ let test_cursor_prefix () =
   List.iter
     (fun (a, b) ->
       ignore
-        (Btree.insert t ~key:[| vs a; vi b |] ~payload:(a ^ string_of_int b)))
+        (insert t ~key:[| vs a; vi b |] ~payload:(a ^ string_of_int b)))
     [ ("eng", 1); ("eng", 2); ("ops", 1); ("eng", 3); ("hr", 9) ];
   let c =
     Btree.cursor ~lo:(Btree.Incl [| vs "eng" |]) ~hi:(Btree.Incl [| vs "eng" |]) t
@@ -124,7 +139,7 @@ let test_cursor_prefix () =
 let test_cursor_survives_delete () =
   let t = make_tree () in
   for i = 0 to 20 do
-    ignore (Btree.insert t ~key:(k i) ~payload:(string_of_int i))
+    ignore (insert t ~key:(k i) ~payload:(string_of_int i))
   done;
   let c = Btree.cursor t in
   let step () =
@@ -135,16 +150,16 @@ let test_cursor_survives_delete () =
   Alcotest.(check int) "first" 0 (step ());
   Alcotest.(check int) "second" 1 (step ());
   (* Delete the item the cursor is on: scan is positioned just after it. *)
-  ignore (Btree.delete t ~key:(k 1));
+  ignore (delete t ~key:(k 1));
   Alcotest.(check int) "after deleted current" 2 (step ());
   (* Delete ahead of the cursor too. *)
-  ignore (Btree.delete t ~key:(k 3));
+  ignore (delete t ~key:(k 3));
   Alcotest.(check int) "skips deleted ahead" 4 (step ())
 
 let test_cursor_capture_restore () =
   let t = make_tree () in
   for i = 0 to 9 do
-    ignore (Btree.insert t ~key:(k i) ~payload:(string_of_int i))
+    ignore (insert t ~key:(k i) ~payload:(string_of_int i))
   done;
   let c = Btree.cursor t in
   ignore (Btree.next c);
@@ -163,7 +178,7 @@ let test_large_payloads () =
   let t = make_tree () in
   (* payloads near page capacity force frequent splits *)
   for i = 0 to 63 do
-    ignore (Btree.insert t ~key:(k i) ~payload:(String.make 900 (Char.chr (65 + (i mod 26)))))
+    ignore (insert t ~key:(k i) ~payload:(String.make 900 (Char.chr (65 + (i mod 26)))))
   done;
   Alcotest.(check int) "count" 64 (Btree.count t);
   match Btree.check_invariants t with
@@ -173,42 +188,12 @@ let test_large_payloads () =
 let test_string_keys_order () =
   let t = make_tree () in
   let words = [ "pear"; "apple"; "fig"; "grape"; "banana"; "kiwi" ] in
-  List.iter (fun w -> ignore (Btree.insert t ~key:[| vs w |] ~payload:w)) words;
+  List.iter (fun w -> ignore (insert t ~key:[| vs w |] ~payload:w)) words;
   let got = ref [] in
   Btree.iter t (fun _ p -> got := p :: !got);
   Alcotest.(check (list string)) "sorted strings"
     (List.sort String.compare words)
     (List.rev !got)
-
-(* qcheck property: model-based comparison against a Map *)
-let prop_model =
-  QCheck.Test.make ~name:"btree matches Map model" ~count:60
-    QCheck.(
-      list (pair (int_range 0 200) (oneofl [ `Ins; `Del ])))
-    (fun ops ->
-      let t = make_tree () in
-      let module M = Map.Make (Int) in
-      let model = ref M.empty in
-      List.iter
-        (fun (i, op) ->
-          match op with
-          | `Ins ->
-            let payload = string_of_int i in
-            (match Btree.insert t ~key:(k i) ~payload with
-            | `Ok -> model := M.add i payload !model
-            | `Duplicate -> assert (M.mem i !model))
-          | `Del ->
-            let deleted = Btree.delete t ~key:(k i) in
-            assert (deleted = M.mem i !model);
-            model := M.remove i !model)
-        ops;
-      (match Btree.check_invariants t with
-      | Ok () -> ()
-      | Error e -> QCheck.Test.fail_report e);
-      let tree_list = ref [] in
-      Btree.iter t (fun key p ->
-          tree_list := (Int64.to_int (Option.get (Value.to_int key.(0))), p) :: !tree_list);
-      List.rev !tree_list = M.bindings !model)
 
 (* Under a 4-frame pool every operation evicts and reloads pages; contents
    and invariants must survive the churn. *)
@@ -219,10 +204,10 @@ let test_tiny_pool_stress () =
   let n = 2000 in
   for i = 0 to n - 1 do
     let key = (i * 7919) mod n in
-    ignore (Btree.insert t ~key:(k key) ~payload:(string_of_int key))
+    ignore (insert t ~key:(k key) ~payload:(string_of_int key))
   done;
   for i = 0 to (n / 2) - 1 do
-    ignore (Btree.delete t ~key:(k (i * 2)))
+    ignore (delete t ~key:(k (i * 2)))
   done;
   (match Btree.check_invariants t with
   | Ok () -> ()
@@ -236,6 +221,214 @@ let test_tiny_pool_stress () =
   done;
   Alcotest.(check bool) "pages really evicted" true
     ((Disk.stats d).Io_stats.page_writes > 100)
+
+(* ---- logged changes ---- *)
+
+(* [set] with the change it logged, if any. *)
+let set_logged t ~key f =
+  let logged = ref [] in
+  let before = Btree.set t ~key ~log:(fun c -> logged := c :: !logged) f in
+  match !logged with
+  | [] -> (before, None)
+  | [ c ] -> (before, Some c)
+  | _ -> Alcotest.fail "set logged more than one change"
+
+let test_undo_skips_unapplied () =
+  let t, bp = make_tree_bp () in
+  ignore (insert t ~key:(k 1) ~payload:"a");
+  (* the log raises before the page write: the change never reaches the
+     tree *)
+  let exception Crash of string in
+  let change =
+    match
+      Btree.set t ~key:(k 1) ~log:(fun c -> raise (Crash c)) (fun _ ->
+          Some "b")
+    with
+    | _ -> Alcotest.fail "log not called"
+    | exception Crash c -> c
+  in
+  Alcotest.(check (option string)) "tree untouched" (Some "a")
+    (Btree.find t ~key:(k 1));
+  Alcotest.(check bool) "undo skips" true (Btree.undo bp change = None);
+  Alcotest.(check (option string)) "before-image not forced" (Some "a")
+    (Btree.find t ~key:(k 1));
+  (* an after-image since overwritten is not reversed either *)
+  let _, change = set_logged t ~key:(k 2) (fun _ -> Some "x") in
+  ignore (replace t ~key:(k 2) ~payload:"y");
+  Alcotest.(check bool) "undo skips overwritten" true
+    (Btree.undo bp (Option.get change) = None);
+  Alcotest.(check (option string)) "newer payload kept" (Some "y")
+    (Btree.find t ~key:(k 2))
+
+let test_undo_twice () =
+  let t, bp = make_tree_bp () in
+  let undo c = Btree.undo bp c in
+  let _, ins = set_logged t ~key:(k 1) (fun _ -> Some "a") in
+  let _, upd = set_logged t ~key:(k 1) (fun _ -> Some "b") in
+  let _, del = set_logged t ~key:(k 1) (fun _ -> None) in
+  List.iter
+    (fun (what, c, expect) ->
+      let c = Option.get c in
+      Alcotest.(check bool) (what ^ " reversed") true (undo c <> None);
+      Alcotest.(check (option string)) what expect (Btree.find t ~key:(k 1));
+      Alcotest.(check bool) (what ^ " again: no-op") true (undo c = None);
+      Alcotest.(check (option string)) (what ^ " again") expect
+        (Btree.find t ~key:(k 1)))
+    [
+      ("delete", del, Some "b");
+      ("update", upd, Some "a");
+      ("insert", ins, None);
+    ];
+  match Btree.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+let test_set_unchanged_logs_nothing () =
+  let t, bp = make_tree_bp () in
+  ignore (insert t ~key:(k 1) ~payload:"a");
+  let writes () = (Disk.stats (Buffer_pool.disk bp)).Io_stats.page_writes in
+  Buffer_pool.flush_all bp;
+  let w0 = writes () in
+  List.iter
+    (fun (what, key, f) ->
+      let _, change = set_logged t ~key f in
+      Alcotest.(check bool) (what ^ ": nothing logged") true (change = None))
+    [
+      ("same payload", k 1, fun _ -> Some "a");
+      ("if_absent on present", k 1, Btree.if_absent "z");
+      ("delete absent", k 2, fun _ -> None);
+      ("identity", k 1, Fun.id);
+    ];
+  Buffer_pool.flush_all bp;
+  Alcotest.(check int) "nothing written" w0 (writes ());
+  Alcotest.(check (option string)) "payload kept" (Some "a")
+    (Btree.find t ~key:(k 1))
+
+(* Differential: [set], [insert_batch] (with and without a unique prefix)
+   and [undo] of any change logged so far, against a [Map] with the same
+   state-checked undo, under a small pool and payloads large enough to
+   split leaves and internal nodes. *)
+type op =
+  | Set of int * int option  (* key, payload length or delete *)
+  | Batch of (int * int) list * bool  (* entries, unique prefix *)
+  | Undo of int  (* index into the changes logged so far *)
+
+let pp_op ppf = function
+  | Set (i, p) -> Fmt.pf ppf "Set(%d,%a)" i Fmt.(option ~none:(any "del") int) p
+  | Batch (es, u) ->
+    Fmt.pf ppf "Batch(%a,%b)"
+      Fmt.(list ~sep:comma (pair ~sep:(any ":") int int))
+      es u
+  | Undo j -> Fmt.pf ppf "Undo %d" j
+
+let gen_op =
+  let open QCheck.Gen in
+  let key = int_range 0 60 and len = int_range 1 700 in
+  frequency
+    [
+      (5, map2 (fun i p -> Set (i, p)) key (opt ~ratio:0.8 len));
+      ( 2,
+        map2
+          (fun es u -> Batch (es, u))
+          (list_size (int_range 1 12) (pair key len))
+          bool );
+      (3, map (fun j -> Undo j) (int_range 0 1000));
+    ]
+
+let payload i len =
+  String.make len (Char.chr (97 + (i mod 26))) ^ string_of_int len
+
+(* wide keys make separators large enough to split internal nodes too *)
+let wide_key i = [| vi i; vs (String.make 600 'k') |]
+
+let prop_model =
+  QCheck.Test.make ~name:"btree matches Map model" ~count:80
+    (QCheck.make ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_op))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      let bp = Buffer_pool.create ~capacity:4 (Disk.in_memory ()) in
+      let t = Btree.create bp in
+      let module M = Map.Make (Int) in
+      let model = ref M.empty in
+      let bind i = function
+        | Some p -> model := M.add i p !model
+        | None -> model := M.remove i !model
+      in
+      (* every change logged so far, with the (key, before, after) the
+         model expects it to encode *)
+      let changes = ref [||] in
+      let fail fmt = Fmt.kstr QCheck.Test.fail_report fmt in
+      List.iter
+        (fun op ->
+          let logged = ref [] in
+          let log c = logged := c :: !logged in
+          (match op with
+          | Set (i, len) ->
+            let after = Option.map (payload i) len in
+            let before = Btree.set t ~key:(wide_key i) ~log (fun _ -> after) in
+            if before <> M.find_opt i !model then fail "set %d: before" i;
+            let expect =
+              if before = after then [] else [ (i, before, after) ]
+            in
+            if List.length !logged <> List.length expect then
+              fail "set %d: logged %d" i (List.length !logged);
+            changes :=
+              Array.append !changes
+                (Array.of_list (List.combine !logged expect));
+            bind i after
+          | Batch (es, unique) ->
+            let es = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) es in
+            let r =
+              Btree.insert_batch
+                ?unique_prefix:(if unique then Some 1 else None)
+                t
+                ~log:(List.iter log)
+                (Array.of_list
+                   (List.map (fun (i, l) -> (wide_key i, payload i l)) es))
+            in
+            (* the model: apply in order, skipping present keys, or halting
+               at the first one under a unique prefix *)
+            let rec apply j applied = function
+              | [] -> (Ok (), applied)
+              | (i, l) :: rest ->
+                if M.mem i !model then
+                  if unique then (Error j, applied)
+                  else apply (j + 1) applied rest
+                else begin
+                  bind i (Some (payload i l));
+                  apply (j + 1) ((i, None, Some (payload i l)) :: applied) rest
+                end
+            in
+            let expect, applied = apply 0 [] es in
+            if r <> expect then fail "batch: result";
+            if List.length !logged <> List.length applied then
+              fail "batch: logged %d, applied %d" (List.length !logged)
+                (List.length applied);
+            changes :=
+              Array.append !changes
+                (Array.of_list (List.rev (List.combine !logged applied)))
+          | Undo j ->
+            let n = Array.length !changes in
+            if n > 0 then begin
+              let data, (i, before, after) = !changes.(j mod n) in
+              let expect = M.find_opt i !model = after in
+              match Btree.undo bp data, expect with
+              | None, false -> ()
+              | Some c, true ->
+                if (c.Btree.before, c.Btree.after) <> (before, after) then
+                  fail "undo %d: change decoded differently" i;
+                bind i before
+              | got, _ -> fail "undo %d: reversed %b" i (got <> None)
+            end);
+          match Btree.check_invariants t with
+          | Ok () -> ()
+          | Error e -> fail "%a: %s" pp_op op e)
+        ops;
+      let tree_list = ref [] in
+      Btree.iter t (fun key p ->
+          let i = Int64.to_int (Option.get (Value.to_int key.(0))) in
+          tree_list := (i, p) :: !tree_list);
+      List.rev !tree_list = M.bindings !model)
 
 let suite =
   [
@@ -252,5 +445,10 @@ let suite =
       test_cursor_capture_restore;
     Alcotest.test_case "large payloads split" `Quick test_large_payloads;
     Alcotest.test_case "string key order" `Quick test_string_keys_order;
+    Alcotest.test_case "undo skips a change that never applied" `Quick
+      test_undo_skips_unapplied;
+    Alcotest.test_case "undo twice is a no-op" `Quick test_undo_twice;
+    Alcotest.test_case "set that changes nothing logs nothing" `Quick
+      test_set_unchanged_logs_nothing;
     QCheck_alcotest.to_alcotest prop_model;
   ]

@@ -359,6 +359,24 @@ let test_heap_lazy_probe () =
   if pins > 2 then Alcotest.failf "one-record batch pinned %d pages" pins;
   Services.commit services ctx
 
+(* An in-memory disk that shows every page write to [!on_write] first. *)
+let observed_disk on_write =
+  let module Disk = Dmx_page.Disk in
+  let mem = Disk.in_memory () in
+  Disk.custom
+    {
+      Disk.o_page_count = (fun () -> Disk.page_count mem);
+      o_alloc = (fun () -> Disk.alloc mem);
+      o_read = Disk.read mem;
+      o_write =
+        (fun id data ->
+          !on_write id data;
+          Disk.write mem id data);
+      o_sync = ignore;
+      o_close = ignore;
+      o_durable = false;
+    }
+
 (* WAL before page, checked at the store: whenever a page the relation
    already owned is written, every record on it that the open transaction
    placed must have its [Ins] in the log. The batch fills the relation's
@@ -366,24 +384,8 @@ let test_heap_lazy_probe () =
    that page is evicted while the batch is still placing records. *)
 let test_heap_batch_logs_before_write () =
   ignore (Lazy.force registered);
-  let module Disk = Dmx_page.Disk in
-  let mem = Disk.in_memory () in
   let on_write = ref (fun _ _ -> ()) in
-  let disk =
-    Disk.custom
-      {
-        Disk.o_page_count = (fun () -> Disk.page_count mem);
-        o_alloc = (fun () -> Disk.alloc mem);
-        o_read = Disk.read mem;
-        o_write =
-          (fun id data ->
-            !on_write id data;
-            Disk.write mem id data);
-        o_sync = ignore;
-        o_close = ignore;
-        o_durable = false;
-      }
-  in
+  let disk = observed_disk on_write in
   let services = Services.setup ~disk ~pool_capacity:8 () in
   let ctx = Services.begin_txn services in
   let desc =
@@ -429,6 +431,157 @@ let test_heap_batch_logs_before_write () =
     (!mid_batch_writes > 0);
   Services.commit services ctx
 
+(* WAL before page across the B-tree users. Every record carries a unique
+   marker, and a 3-frame pool makes ~1.3 KB entries split and evict in the
+   middle of an insert. Records inserted earlier are logged already, so at
+   each page write only the insert in flight can be ahead of the log: a page
+   carrying its marker may be written only once a log record appended since
+   the insert began carries it too. [storage_method] holds the records and
+   [attach] adds the structure under test; a temp (unlogged) base leaves the
+   attachment's own log records as the only ones carrying the marker. *)
+let marked_schema =
+  Schema.make_exn
+    [
+      Schema.column ~nullable:false "id" Value.Tint;
+      Schema.column ~nullable:false "name" Value.Tstring;
+      Schema.column "dept" Value.Tstring;
+      Schema.column "salary" Value.Tint;
+    ]
+
+let marker i = Fmt.str "<mark%04d>" i
+let marked i = [| vi i; vs (marker i ^ big_string 1300 'm'); vs "d"; vi i |]
+
+let logs_before_page_write ~storage_method ?attrs ?(attach = fun _ -> ()) ()
+    =
+  ignore (Lazy.force registered);
+  Dmx_smethod.Temp.reset_all ();
+  let on_write = ref (fun _ _ -> ()) in
+  let disk = observed_disk on_write in
+  let services = Services.setup ~disk ~pool_capacity:3 () in
+  let ctx = Services.begin_txn services in
+  ignore
+    (check_ok "create"
+       (Ddl.create_relation ctx ~name:"t" ~schema:marked_schema
+          ~storage_method ?attrs ()));
+  attach ctx;
+  let desc = check_ok "find" (Ddl.find_relation ctx "t") in
+  Services.commit services ctx;
+  let wal = services.Services.wal in
+  let in_flight = ref None in
+  let logged i lsn0 =
+    let found = ref false in
+    Dmx_wal.Wal.iter_from wal (Int64.succ lsn0) (fun r ->
+        match r.Dmx_wal.Log_record.kind with
+        | Dmx_wal.Log_record.Ext { data; _ } ->
+          if Astring_contains.contains data (marker i) then found := true
+        | _ -> ());
+    !found
+  in
+  on_write :=
+    (fun id data ->
+      match !in_flight with
+      | Some (i, lsn0)
+        when Astring_contains.contains (Bytes.to_string data) (marker i)
+             && not (logged i lsn0) ->
+        Alcotest.failf "page %d written with record #%d before its log record"
+          id i
+      | Some _ | None -> ());
+  let ctx = Services.begin_txn services in
+  for i = 0 to 399 do
+    in_flight := Some (i, Dmx_wal.Wal.last_lsn wal);
+    ignore (check_ok "insert" (Relation.insert ctx desc (marked i)))
+  done;
+  in_flight := None;
+  Services.commit services ctx
+
+let create_attachment ctx ty attrs =
+  check_ok ty
+    (Ddl.create_attachment ctx ~relation:"t" ~attachment_type:ty ~name:ty
+       ~attrs ())
+
+let test_btree_logs_before_write () =
+  logs_before_page_write ~storage_method:"btree" ~attrs:[ ("key", "id") ] ()
+
+let test_btree_index_logs_before_write () =
+  logs_before_page_write ~storage_method:"temp"
+    ~attach:(fun ctx ->
+      create_attachment ctx "btree_index" [ ("fields", "name") ])
+    ()
+
+let test_agg_logs_before_write () =
+  logs_before_page_write ~storage_method:"temp"
+    ~attach:(fun ctx ->
+      create_attachment ctx "agg" [ ("group", "name"); ("sum", "salary") ])
+    ()
+
+(* The partner side is keyed by the marked field, so each pair's key holds
+   the marker. *)
+let test_join_index_logs_before_write () =
+  logs_before_page_write ~storage_method:"temp"
+    ~attach:(fun ctx ->
+      let other =
+        check_ok "create other"
+          (Ddl.create_relation ctx ~name:"o" ~schema:marked_schema
+             ~storage_method:"btree" ~attrs:[ ("key", "name") ] ())
+      in
+      ignore
+        (check_ok "seed other"
+           (Relation.insert_many ctx other (Array.init 400 marked)));
+      create_attachment ctx "join_index"
+        [ ("field", "name"); ("other", "o"); ("other_field", "name") ])
+    ()
+
+(* The descriptor count follows rollback: undo of an insert it reversed
+   takes the record back out of the count. *)
+let test_count_after_rollback () =
+  List.iter
+    (fun (storage_method, attrs) ->
+      let services = fresh_services () in
+      let ctx = Services.begin_txn services in
+      let desc =
+        check_ok "create"
+          (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema ~storage_method
+             ~attrs ())
+      in
+      ignore (check_ok "seed" (Relation.insert ctx desc (emp 1 "a" "d" 1)));
+      Services.commit services ctx;
+      let count ctx what expect =
+        Alcotest.(check int)
+          (Fmt.str "%s: %s" storage_method what)
+          expect
+          (check_ok "count" (Relation.record_count ctx desc));
+        Alcotest.(check int)
+          (Fmt.str "%s: %s (scan)" storage_method what)
+          expect (count_records ctx desc)
+      in
+      let insert_two ctx =
+        ignore (check_ok "ins" (Relation.insert ctx desc (emp 2 "b" "d" 2)));
+        ignore (check_ok "ins" (Relation.insert ctx desc (emp 3 "c" "d" 3)))
+      in
+      let ctx = Services.begin_txn services in
+      insert_two ctx;
+      Services.abort services ctx;
+      let ctx = Services.begin_txn services in
+      count ctx "after abort" 1;
+      Services.savepoint ctx "sp";
+      insert_two ctx;
+      count ctx "before rollback_to" 3;
+      Services.rollback_to ctx "sp";
+      count ctx "after rollback_to" 1;
+      let key =
+        fst
+          (List.hd
+             (Scan_help.record_scan_to_list
+                (check_ok "scan" (Relation.scan ctx desc ()))))
+      in
+      Services.savepoint ctx "sp2";
+      ignore (check_ok "del" (Relation.delete ctx desc key));
+      count ctx "after delete" 0;
+      Services.rollback_to ctx "sp2";
+      count ctx "after delete rolled back" 1;
+      Services.commit services ctx)
+    [ ("heap", []); ("btree", [ ("key", "id") ]); ("memory", []) ]
+
 let suite =
   [
     Alcotest.test_case "heap grows across pages" `Quick test_heap_grows_pages;
@@ -436,6 +589,16 @@ let suite =
       test_heap_lazy_probe;
     Alcotest.test_case "heap batch logs before its pages are written" `Quick
       test_heap_batch_logs_before_write;
+    Alcotest.test_case "btree logs before its pages are written" `Quick
+      test_btree_logs_before_write;
+    Alcotest.test_case "btree_index logs before its pages are written" `Quick
+      test_btree_index_logs_before_write;
+    Alcotest.test_case "agg logs before its pages are written" `Quick
+      test_agg_logs_before_write;
+    Alcotest.test_case "join_index logs before its pages are written" `Quick
+      test_join_index_logs_before_write;
+    Alcotest.test_case "record count follows rollback" `Quick
+      test_count_after_rollback;
     Alcotest.test_case "fetch selected fields" `Quick
       test_fetch_selected_fields;
     Alcotest.test_case "soak: mixed workload" `Quick test_soak_mixed_workload;
