@@ -35,6 +35,17 @@ let compare_prefix a b =
   in
   loop 0
 
+(* [compare_full] ([compare_prefix] when [prefix]) of the key encoded at
+   [d] against [key], consuming the encoded key without decoding it. *)
+let compare_encoded ~prefix d key =
+  let la = Codec.Dec.varint d and lb = Array.length key in
+  let c = ref 0 in
+  for i = 0 to la - 1 do
+    if !c = 0 && i < lb then c := Codec.Dec.compare_value d key.(i)
+    else Codec.Dec.skip_value d
+  done;
+  if !c <> 0 || prefix then !c else Int.compare la lb
+
 (* ---- node (de)serialisation ---- *)
 
 let encode_node node =
@@ -54,17 +65,22 @@ let encode_node node =
     Codec.Enc.list e (fun e c -> Codec.Enc.varint e c) children);
   Codec.Enc.to_string e
 
-let decode_node data =
-  let d = Codec.Dec.of_string data in
+let leaf_tag = 0
+
+let entry d =
+  let k = Codec.Dec.record d in
+  let p = Codec.Dec.string d in
+  (k, p)
+
+(* A leaf after its tag: the entries and the chain link. *)
+let decode_leaf d =
+  let next = Codec.Dec.varint d in
+  (Codec.Dec.list d entry, next)
+
+let decode_node d =
   match Codec.Dec.byte d with
   | 0 ->
-    let next = Codec.Dec.varint d in
-    let entries =
-      Codec.Dec.list d (fun d ->
-          let k = Codec.Dec.record d in
-          let p = Codec.Dec.string d in
-          (k, p))
-    in
+    let entries, next = decode_leaf d in
     Leaf { entries; next }
   | 1 ->
     let seps = Codec.Dec.list d Codec.Dec.record in
@@ -72,10 +88,15 @@ let decode_node data =
     Internal { seps; children }
   | n -> failwith (Fmt.str "Btree: bad node tag %d" n)
 
-let read_node t page_id =
+(* [f] gets a decoder over the node image in the pinned frame. The view is
+   read-only and dies with the unpin, so [f] copies out (decodes) only what
+   it returns — the discipline of the heap's span scan. *)
+let with_node t page_id f =
   Buffer_pool.with_page t.bp page_id (fun frame ->
-      let len = Bytes.get_uint16_le frame.Buffer_pool.data 0 in
-      decode_node (Bytes.sub_string frame.Buffer_pool.data 2 len))
+      let img = Bytes.unsafe_to_string frame.Buffer_pool.data in
+      f (Codec.Dec.of_string_span img ~pos:2 ~len:(String.get_uint16_le img 0)))
+
+let read_node t page_id = with_node t page_id decode_node
 
 let write_node t page_id node =
   let data = encode_node node in
@@ -111,26 +132,46 @@ let alloc_page t =
 
 (* ---- search ---- *)
 
-(* Child index for a key in an internal node: first i with key < seps.(i). *)
-let child_index seps key =
-  let rec loop i = function
-    | [] -> i
-    | sep :: rest -> if compare_full key sep < 0 then i else loop (i + 1) rest
+(* In an internal node after its tag: the index and page of the child
+   covering [key] (the leftmost for [None]) — the first separator above
+   [key], found in place. *)
+let child_at d key =
+  let nseps = Codec.Dec.varint d in
+  let rec seps j i =
+    if j = nseps then if i < 0 then nseps else i
+    else
+      let i =
+        if i >= 0 then (Codec.Dec.skip_record d; i)
+        else
+          match key with
+          | None -> (Codec.Dec.skip_record d; j)
+          | Some k -> if compare_encoded ~prefix:false d k > 0 then j else -1
+      in
+      seps (j + 1) i
   in
-  loop 0 seps
+  let i = seps 0 (-1) in
+  ignore (Codec.Dec.varint d);
+  for _ = 1 to i do
+    ignore (Codec.Dec.varint d)
+  done;
+  (i, Codec.Dec.varint d)
 
-(* Descend to the leaf covering [key]: its page id, entries and chain link,
-   and the internal nodes above it, innermost first, each with the index of
-   the child taken. *)
-let descend t key =
+(* Walk from [from] to the leaf covering [key] ([None]: the leftmost),
+   pinning each node once and choosing children in place; [leaf page_id d]
+   runs with the leaf pinned, [d] just past its tag. Returns its result and
+   the path above the leaf — (page id, index of the child taken), innermost
+   first. *)
+let descend ?from t key leaf =
   let rec go page_id path =
-    match read_node t page_id with
-    | Leaf { entries; next } -> (page_id, entries, next, path)
-    | Internal { seps; children } ->
-      let i = child_index seps key in
-      go (List.nth children i) ((page_id, seps, children, i) :: path)
+    match
+      with_node t page_id (fun d ->
+          if Codec.Dec.byte d = leaf_tag then Either.Left (leaf page_id d)
+          else Either.Right (child_at d key))
+    with
+    | Either.Left r -> (r, path)
+    | Either.Right (i, child) -> go child ((page_id, i) :: path)
   in
-  go t.root []
+  go (Option.value from ~default:t.root) []
 
 let lookup entries key =
   List.find_map
@@ -138,8 +179,30 @@ let lookup entries key =
     entries
 
 let find t ~key =
-  let _, entries, _, _ = descend t key in
-  lookup entries key
+  fst
+    (descend t (Some key) (fun _ d ->
+         ignore (Codec.Dec.varint d);
+         let n = Codec.Dec.varint d in
+         let rec entry i =
+           if i = n then None
+           else
+             let c = compare_encoded ~prefix:false d key in
+             if c = 0 then Some (Codec.Dec.string d)
+             else if c > 0 then None
+             else begin
+               Codec.Dec.skip_string d;
+               entry (i + 1)
+             end
+         in
+         entry 0))
+
+(* The leaf covering [key], decoded for a write: its page id, entries and
+   chain link, and the path above it. *)
+let descend_leaf t key =
+  let (leaf_id, (entries, next)), path =
+    descend t (Some key) (fun page_id d -> (page_id, decode_leaf d))
+  in
+  (leaf_id, entries, next, path)
 
 (* ---- leaf writes and splits ---- *)
 
@@ -188,7 +251,12 @@ and promote t path sep new_child =
     write_node t left_id (read_node t t.root);
     write_node t t.root
       (Internal { seps = [ sep ]; children = [ left_id; new_child ] })
-  | (page_id, seps, children, i) :: up ->
+  | (page_id, i) :: up ->
+    let seps, children =
+      match read_node t page_id with
+      | Internal { seps; children } -> (seps, children)
+      | Leaf _ -> failwith "Btree: path hit a leaf"
+    in
     let seps =
       List.filteri (fun j _ -> j < i) seps
       @ [ sep ]
@@ -265,7 +333,7 @@ let same = Option.equal String.equal
 (* The change is logged once the leaf is located and the new payload known,
    before [write_leaf] writes or allocates any page. *)
 let set t ~key ~log f =
-  let leaf_id, entries, next, path = descend t key in
+  let leaf_id, entries, next, path = descend_leaf t key in
   let before = lookup entries key in
   let after = f before in
   if not (same before after) then begin
@@ -289,11 +357,6 @@ let undo bp data =
 
 (* ---- iteration ---- *)
 
-let rec leftmost_leaf t page_id =
-  match read_node t page_id with
-  | Leaf _ -> page_id
-  | Internal { children; _ } -> leftmost_leaf t (List.hd children)
-
 let iter t f =
   let rec walk page_id =
     if page_id <> 0 then begin
@@ -304,26 +367,14 @@ let iter t f =
       | Internal _ -> failwith "Btree.iter: leaf chain hit an internal node"
     end
   in
-  walk (leftmost_leaf t t.root)
+  walk (fst (descend t None (fun page_id _ -> page_id)))
 
 let count t =
   let n = ref 0 in
   iter t (fun _ _ -> incr n);
   !n
 
-let min_key t =
-  let exception Found of Value.t array in
-  match iter t (fun k _ -> raise (Found k)) with
-  | () -> None
-  | exception Found k -> Some k
-
-let height t =
-  let rec loop page_id acc =
-    match read_node t page_id with
-    | Leaf _ -> acc
-    | Internal { children; _ } -> loop (List.hd children) (acc + 1)
-  in
-  loop t.root 1
+let height t = List.length (snd (descend t None (fun _ _ -> ()))) + 1
 
 (* ---- cursors ---- *)
 
@@ -339,137 +390,124 @@ type cursor = {
       (* leaf page where the last key was found. Valid as long as the page is
          still a leaf: leaf ranges never extend downward (splits move upper
          halves right, deletion is lazy), so the first key greater than
-         [last] lies in this leaf or further along the chain. A root that
-         became internal invalidates the hint and forces a re-descent. *)
+         [last] lies in this leaf or further along the chain. Only the root
+         turns from leaf to internal, and a descent from the root is what a
+         stale hint needs. *)
 }
 
 let cursor ?(lo = Unbounded) ?(hi = Unbounded) t =
   { tree = t; lo; hi; last = None; finished = false; leaf_hint = 0 }
 
-let lo_admits lo key =
-  match lo with
-  | Unbounded -> true
-  | Incl b -> compare_prefix key b >= 0
-  | Excl b -> compare_prefix key b > 0
+(* A key is admitted when it lies strictly after the cursor position (or
+   satisfies [lo] on the first step). Consumes the encoded key at [d]. *)
+let admits c d =
+  match c.last, c.lo with
+  | Some k, _ -> compare_encoded ~prefix:false d k > 0
+  | None, Unbounded ->
+    Codec.Dec.skip_record d;
+    true
+  | None, Incl b -> compare_encoded ~prefix:true d b >= 0
+  | None, Excl b -> compare_encoded ~prefix:true d b > 0
 
-let hi_admits hi key =
+(* Whether the key encoded at [d] is within [hi]; leaves [d] where it was. *)
+let below_hi hi d =
   match hi with
   | Unbounded -> true
-  | Incl b -> compare_prefix key b <= 0
-  | Excl b -> compare_prefix key b < 0
+  | Incl b | Excl b ->
+    let start = Codec.Dec.offset d in
+    let c = compare_encoded ~prefix:true d b in
+    Codec.Dec.seek d start;
+    (match hi with Incl _ -> c <= 0 | _ -> c < 0)
 
-(* A key is admitted when it lies strictly after the cursor position (or
-   satisfies [lo] on the first step). *)
-let cursor_admits c key =
-  match c.last with
-  | Some k -> compare_full key k > 0
-  | None -> lo_admits c.lo key
+type 'a found = Found of 'a | Skip of int  (* next leaf *)
 
-(* Find the leaf holding the first entry strictly after the cursor position,
-   walking the leaf chain from the descent point; returns its entries and
-   the following leaf's page id. The cursor remembers the leaf it last
-   delivered from, so sequential access costs O(1) amortized node reads; the
-   full descent happens only on the first step, after [seek], or when the
-   hinted page stopped being a leaf. *)
-let find_next_leaf c =
+(* One cursor step: find the first entry after the cursor position in the
+   hinted leaf (or by descent on the first step, after [seek], or when the
+   root split under the hint) and along the chain from there, pinning each
+   leaf once. [f d remaining next_leaf] runs in the pinned leaf with [d] on
+   that entry, [remaining] entries from it to the leaf's end, so sequential
+   access costs O(1) amortized pins. *)
+let step c f =
   let t = c.tree in
-  let descend_key =
-    match c.last with
-    | Some k -> Some k
-    | None -> begin
-      match c.lo with Unbounded -> None | Incl b | Excl b -> Some b
-    end
-  in
-  let rec to_leaf page_id =
-    match read_node t page_id with
-    | Leaf _ -> page_id
-    | Internal { seps; children } ->
-      let i =
-        match descend_key with
-        | None -> 0
-        | Some k -> child_index seps k
-      in
-      to_leaf (List.nth children i)
-  in
-  let rec scan_leaf page_id =
-    if page_id = 0 then None
-    else
-      match read_node t page_id with
-      | Leaf { entries; next } ->
-        if List.exists (fun (k, _) -> cursor_admits c k) entries then begin
+  let scan page_id d =
+    let next_leaf = Codec.Dec.varint d in
+    let n = Codec.Dec.varint d in
+    let rec go i =
+      if i = n then Skip next_leaf
+      else begin
+        let start = Codec.Dec.offset d in
+        if admits c d then begin
+          Codec.Dec.seek d start;
           c.leaf_hint <- page_id;
-          Some (entries, next)
+          Found (f d (n - i) next_leaf)
         end
-        else scan_leaf next
-      | Internal _ -> failwith "Btree: leaf chain hit an internal node"
+        else begin
+          Codec.Dec.skip_string d;
+          go (i + 1)
+        end
+      end
+    in
+    go 0
   in
-  let start =
-    if c.leaf_hint = 0 then to_leaf t.root
-    else
-      match read_node t c.leaf_hint with
-      | Leaf _ -> c.leaf_hint
-      | Internal _ -> to_leaf t.root  (* was the root; it split *)
+  let rec along = function
+    | Found r -> Some r
+    | Skip 0 -> None
+    | Skip page_id ->
+      along
+        (with_node t page_id (fun d ->
+             if Codec.Dec.byte d <> leaf_tag then
+               failwith "Btree: leaf chain hit an internal node";
+             scan page_id d))
   in
-  scan_leaf start
-
-let find_next c =
-  match find_next_leaf c with
-  | None -> None
-  | Some (entries, _next) ->
-    List.find_opt (fun (k, _) -> cursor_admits c k) entries
+  let key =
+    match c.last, c.lo with
+    | (Some _ as k), _ -> k
+    | None, Unbounded -> None
+    | None, (Incl b | Excl b) -> Some b
+  in
+  let from = if c.leaf_hint = 0 then t.root else c.leaf_hint in
+  along (fst (descend ~from t key scan))
 
 let next c =
   if c.finished then None
   else
-    match find_next c with
-    | None ->
+    let first d _ _ = if below_hi c.hi d then Some (entry d) else None in
+    match step c first with
+    | Some (Some ((k, _) as e)) ->
+      c.last <- Some k;
+      Some e
+    | Some None | None ->
       c.finished <- true;
       None
-    | Some (k, p) ->
-      if hi_admits c.hi k then begin
-        c.last <- Some k;
-        Some (k, p)
-      end
-      else begin
-        c.finished <- true;
-        None
-      end
 
 (* Deliver every remaining in-window entry of the next leaf as one run; the
    cursor ends up on the run's last key, so a [seek] to a captured position
    between runs re-enters exactly after it. The returned page id is the
    following leaf (0 at the chain's end, or when the window closes inside
-   this leaf) — batch scans prefetch it before handing the run out. *)
+   this leaf) — batch scans prefetch it before handing the run out. Entries
+   after the first admitted one are admitted too (leaves are sorted), so
+   only [hi] is tested, in place. *)
 let next_run c =
   if c.finished then None
   else
-    match find_next_leaf c with
-    | None ->
+    let run d remaining next_leaf =
+      let rec take j acc =
+        if j = remaining then (acc, next_leaf)
+        else if below_hi c.hi d then take (j + 1) (entry d :: acc)
+        else begin
+          c.finished <- true;
+          (acc, 0)
+        end
+      in
+      take 0 []
+    in
+    match step c run with
+    | Some (((k, _) :: _ as rev_run), next_leaf) ->
+      c.last <- Some k;
+      Some (Array.of_list (List.rev rev_run), next_leaf)
+    | Some ([], _) | None ->
       c.finished <- true;
       None
-    | Some (entries, next_leaf) ->
-      let run = ref [] in
-      let over = ref false in
-      List.iter
-        (fun ((k, _) as e) ->
-          if (not !over) && cursor_admits c k then
-            if hi_admits c.hi k then run := e :: !run else over := true)
-        entries;
-      begin
-        match List.rev !run with
-        | [] ->
-          c.finished <- true;
-          None
-        | hits ->
-          let arr = Array.of_list hits in
-          let k, _ = arr.(Array.length arr - 1) in
-          c.last <- Some k;
-          if !over then begin
-            c.finished <- true;
-            Some (arr, 0)
-          end
-          else Some (arr, next_leaf)
-      end
 
 let position c = c.last
 
@@ -482,15 +520,33 @@ let seek c pos =
 
 (* The key window of the leaf below [path] (as {!descend} returns it): the
    nearest ancestor separators below (inclusive) and above (exclusive), None
-   at the tree's edges. *)
-let window path =
-  let lo =
-    List.find_map
-      (fun (_, seps, _, i) ->
-        if i > 0 then Some (List.nth seps (i - 1)) else None)
-      path
+   at the tree's edges. Pins each ancestor at most once, innermost first,
+   and decodes only the separators it returns. *)
+let window t path =
+  let rec up lo hi = function
+    | (page_id, i) :: rest when Option.is_none lo || Option.is_none hi ->
+      let lo, hi =
+        with_node t page_id (fun d ->
+            ignore (Codec.Dec.byte d);
+            let nseps = Codec.Dec.varint d in
+            for _ = 2 to i do
+              Codec.Dec.skip_record d
+            done;
+            let lo =
+              if i = 0 then lo
+              else if Option.is_none lo then Some (Codec.Dec.record d)
+              else (Codec.Dec.skip_record d; lo)
+            in
+            let hi =
+              if i < nseps && Option.is_none hi then Some (Codec.Dec.record d)
+              else hi
+            in
+            (lo, hi))
+      in
+      up lo hi rest
+    | _ -> (lo, hi)
   in
-  (lo, List.find_map (fun (_, seps, _, i) -> List.nth_opt seps i) path)
+  up None None path
 
 (* Equality on the first [p] key values (the unique-index field prefix). *)
 let equal_on p a b =
@@ -523,8 +579,8 @@ let insert_batch ?unique_prefix t ~log entries =
      let i = ref 0 in
      while !i < limit do
        let key0, payload0 = entries.(!i) in
-       let leaf_id, old_entries, next, path = descend t key0 in
-       let lo, hi = window path in
+       let leaf_id, old_entries, next, path = descend_leaf t key0 in
+       let lo, hi = window t path in
        let in_leaf k =
          match hi with None -> true | Some s -> compare_full k s < 0
        in

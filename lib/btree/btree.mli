@@ -21,6 +21,23 @@ open Dmx_value
 
 type t
 
+(** {2 Key order} *)
+
+val compare_full : Value.t array -> Value.t array -> int
+(** Lexicographic {!Dmx_value.Value.compare} over the values, then the
+    shorter key first: the order of stored keys. *)
+
+val compare_prefix : Value.t array -> Value.t array -> int
+(** As {!compare_full} up to the shorter length, where keys compare equal:
+    the order cursor bounds use. *)
+
+val compare_encoded :
+  prefix:bool -> Dmx_value.Codec.Dec.t -> Value.t array -> int
+(** [compare_encoded ~prefix d key] has the sign of {!compare_full}
+    ({!compare_prefix} when [prefix]) of the key record encoded at [d]
+    against [key], and advances past the record without decoding it: reads
+    search nodes in the pinned frame. *)
+
 val create : Dmx_page.Buffer_pool.t -> t
 (** Allocates an empty tree; get its root with {!root}. *)
 
@@ -79,7 +96,6 @@ val undo : Dmx_page.Buffer_pool.t -> string -> change option
     crash). Returns the change when it was reversed. *)
 
 val find : t -> key:Value.t array -> string option
-val min_key : t -> Value.t array option
 val count : t -> int
 (** Number of entries (walks the leaves). *)
 

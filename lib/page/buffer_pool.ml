@@ -84,6 +84,7 @@ type t = {
 }
 
 let m_evictions = Dmx_obs.Metrics.counter "bp.evictions"
+let m_clock_steps = Dmx_obs.Metrics.counter "bp.clock_steps"
 let m_ckpt_writebacks = Dmx_obs.Metrics.counter "bp.ckpt_writebacks"
 
 let create ?(capacity = 256) disk =
@@ -119,7 +120,8 @@ let write_back t frame =
    reference bit its second chance, take the first unpinned frame whose bit
    is already clear. After two full revolutions every unpinned frame has had
    its bit cleared and been revisited, so coming up empty means every frame
-   is pinned. *)
+   is pinned. [bp.clock_steps] counts the frames the hand passes, the
+   eviction's whole cost apart from the write-back. *)
 let evict_slot t =
   let rec sweep steps =
     if steps > 2 * t.cap then failwith "Buffer_pool: all frames pinned"
@@ -132,7 +134,10 @@ let evict_slot t =
           f.ref_bit <- false;
           sweep (steps + 1)
         end
-        else i
+        else begin
+          Dmx_obs.Metrics.add m_clock_steps (steps + 1);
+          i
+        end
       | Some _ | None -> sweep (steps + 1)
     end
   in

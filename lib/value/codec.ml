@@ -84,13 +84,14 @@ module Dec = struct
     t.pos <- t.pos + 1;
     c
 
-  let varint t =
-    let rec loop shift acc =
-      let b = byte t in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else loop (shift + 7) acc
-    in
-    loop 0 0
+  (* Top-level recursion, not a local closure: node searches read a varint
+     per key and payload and must not allocate. *)
+  let rec varint_from t shift acc =
+    let b = byte t in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from t (shift + 7) acc
+
+  let varint t = varint_from t 0 0
 
   let int64 t =
     need t 8;
@@ -124,6 +125,11 @@ module Dec = struct
 
   let bytes t = Bytes.of_string (string t)
 
+  let skip_string t =
+    let n = varint t in
+    need t n;
+    t.pos <- t.pos + n
+
   let value t : Value.t =
     match byte t with
     | 0 -> Null
@@ -145,15 +151,64 @@ module Dec = struct
     | 2 | 3 ->
       need t 8;
       t.pos <- t.pos + 8
-    | 4 ->
-      let n = varint t in
-      need t n;
-      t.pos <- t.pos + n
+    | 4 -> skip_string t
     | n -> failwith (Fmt.str "Codec.Dec.skip_value: bad tag %d" n)
+
+  (* Byte-wise in place, in String.compare order: unsigned bytes, then the
+     shorter string first. *)
+  let compare_string t y =
+    let n = varint t in
+    need t n;
+    let m = String.length y in
+    let i = ref 0 and c = ref 0 in
+    while !c = 0 && !i < n && !i < m do
+      c :=
+        Char.compare
+          (String.unsafe_get t.buf (t.pos + !i))
+          (String.unsafe_get y !i);
+      incr i
+    done;
+    t.pos <- t.pos + n;
+    if !c <> 0 then !c else Int.compare n m
+
+  (* Comparisons spelled out on unboxed operands: the library compare
+     functions would box the decoded int64 or float. Float.compare's order
+     puts NaN below every other float and equal to itself. *)
+  let compare_value t (v : Value.t) =
+    let tag = byte t in
+    match tag, v with
+    | 0, Null -> 0
+    | 1, Bool y -> Bool.compare (bool t) y
+    | 2, Int y ->
+      need t 8;
+      let x = Bytes.get_int64_le (Bytes.unsafe_of_string t.buf) t.pos in
+      t.pos <- t.pos + 8;
+      if x < y then -1 else if x > y then 1 else 0
+    | 3, Float y ->
+      need t 8;
+      let x =
+        Int64.float_of_bits
+          (Bytes.get_int64_le (Bytes.unsafe_of_string t.buf) t.pos)
+      in
+      t.pos <- t.pos + 8;
+      if x < y then -1
+      else if x > y then 1
+      else if x = y then 0
+      else Bool.compare (x = x) (y = y)
+    | 4, String y -> compare_string t y
+    | _ ->
+      t.pos <- t.pos - 1;
+      skip_value t;
+      Int.compare tag (Value.rank v)
 
   let record t =
     let n = varint t in
     Array.init n (fun _ -> value t)
+
+  let skip_record t =
+    for _ = 1 to varint t do
+      skip_value t
+    done
 
   let list t f =
     let n = varint t in
@@ -164,6 +219,12 @@ module Dec = struct
     | 0 -> None
     | 1 -> Some (f t)
     | n -> failwith (Fmt.str "Codec.Dec.option: bad tag %d" n)
+
+  let offset t = t.pos
+
+  let seek t pos =
+    if pos < 0 || pos > t.limit then invalid_arg "Codec.Dec.seek: out of bounds";
+    t.pos <- pos
 
   let at_end t = t.pos >= t.limit
   let remaining t = t.limit - t.pos

@@ -52,6 +52,9 @@ module Dec : sig
       was built over ([pos] is absolute), advancing past it without copying —
       span-compiled predicates compare string fields in place. *)
 
+  val skip_string : t -> unit
+  (** Advance past a length-prefixed string without copying it. *)
+
   val bytes : t -> bytes
   val value : t -> Value.t
 
@@ -59,9 +62,26 @@ module Dec : sig
   (** Advance past one encoded value without materializing it (late
       materialization: filters read only the fields they use). *)
 
+  val compare_value : t -> Value.t -> int
+  (** [compare_value d v] has the sign of [Value.compare x v], where [x] is
+      the value encoded at the cursor, and advances past [x] without
+      materializing it or allocating: B-tree nodes are searched in the
+      pinned frame. *)
+
   val record : t -> Value.t array
+
+  val skip_record : t -> unit
+  (** Advance past one encoded record. *)
+
   val list : t -> (t -> 'a) -> 'a list
   val option : t -> (t -> 'a) -> 'a option
+  val offset : t -> int
+  (** The cursor's position, for a later {!seek} back to it. *)
+
+  val seek : t -> int -> unit
+  (** Move the cursor to a position taken with {!offset}: re-read an entry
+      that an in-place compare has already consumed. *)
+
   val at_end : t -> bool
   val remaining : t -> int
 end

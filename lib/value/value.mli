@@ -22,6 +22,10 @@ val has_type : ty -> t -> bool
 (** [has_type ty v] holds when [v] is [Null] or has type [ty]; NULL is a
     member of every domain. *)
 
+val rank : t -> int
+(** The position of a value's type in {!compare}'s order: [Null] 0, then
+    bool, int, float and string; [Codec] tags values with it. *)
+
 val compare : t -> t -> int
 (** Total order used by ordered access paths and record keys. [Null] sorts
     before every non-null value; values of distinct types order by type.

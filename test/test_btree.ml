@@ -304,14 +304,47 @@ let test_set_unchanged_logs_nothing () =
   Alcotest.(check (option string)) "payload kept" (Some "a")
     (Btree.find t ~key:(k 1))
 
-(* Differential: [set], [insert_batch] (with and without a unique prefix)
-   and [undo] of any change logged so far, against a [Map] with the same
-   state-checked undo, under a small pool and payloads large enough to
-   split leaves and internal nodes. *)
+(* Differential: [set], [insert_batch] (with and without a unique prefix),
+   [undo] of any change logged so far, and cursor steps ([next],
+   [next_run], [position]/[seek]) on two open cursors, against a [Map] with
+   the same state-checked undo, under a small pool and payloads large
+   enough to split leaves and internal nodes. *)
+
+(* A cursor bound over the 2-column keys [wide_key i]: its value array and
+   where it falls on a doubled number line ([2i] is key [i]), so the model
+   admits keys with integer compares. *)
+type shape =
+  | Prefix of int  (* [| i |]: compares equal to every key [i] *)
+  | Exact of int  (* the full key [i] *)
+  | Below of int  (* [| i; "" |]: just below key [i] *)
+  | Above of int  (* [| i; K ^ "~" |]: just above key [i] *)
+  | Lowest  (* [| Null |]: below every key *)
+  | Highest  (* [| "z" |]: strings rank above every int key *)
+
+type bnd = Unb | Inc of shape | Exc of shape
+
 type op =
   | Set of int * int option  (* key, payload length or delete *)
   | Batch of (int * int) list * bool  (* entries, unique prefix *)
   | Undo of int  (* index into the changes logged so far *)
+  | Open of int * bnd * bnd  (* cursor slot, lo, hi *)
+  | Next of int
+  | Run of int
+  | Capture of int
+  | Seek of int * int  (* cursor slot, index into its captured positions *)
+
+let pp_shape ppf = function
+  | Prefix i -> Fmt.pf ppf "[%d]" i
+  | Exact i -> Fmt.pf ppf "[%d;K]" i
+  | Below i -> Fmt.pf ppf "[%d;\"\"]" i
+  | Above i -> Fmt.pf ppf "[%d;K~]" i
+  | Lowest -> Fmt.string ppf "[NULL]"
+  | Highest -> Fmt.string ppf "[\"z\"]"
+
+let pp_bnd ppf = function
+  | Unb -> Fmt.string ppf "_"
+  | Inc s -> Fmt.pf ppf "Incl%a" pp_shape s
+  | Exc s -> Fmt.pf ppf "Excl%a" pp_shape s
 
 let pp_op ppf = function
   | Set (i, p) -> Fmt.pf ppf "Set(%d,%a)" i Fmt.(option ~none:(any "del") int) p
@@ -320,10 +353,35 @@ let pp_op ppf = function
       Fmt.(list ~sep:comma (pair ~sep:(any ":") int int))
       es u
   | Undo j -> Fmt.pf ppf "Undo %d" j
+  | Open (s, lo, hi) -> Fmt.pf ppf "Open%d(%a,%a)" s pp_bnd lo pp_bnd hi
+  | Next s -> Fmt.pf ppf "Next%d" s
+  | Run s -> Fmt.pf ppf "Run%d" s
+  | Capture s -> Fmt.pf ppf "Capture%d" s
+  | Seek (s, j) -> Fmt.pf ppf "Seek%d(%d)" s j
 
 let gen_op =
   let open QCheck.Gen in
   let key = int_range 0 60 and len = int_range 1 700 in
+  let slot = int_range 0 1 in
+  let shape =
+    frequency
+      [
+        (3, map (fun i -> Prefix i) key);
+        (3, map (fun i -> Exact i) key);
+        (2, map (fun i -> Below i) key);
+        (2, map (fun i -> Above i) key);
+        (1, pure Lowest);
+        (1, pure Highest);
+      ]
+  in
+  let bnd =
+    frequency
+      [
+        (1, pure Unb);
+        (2, map (fun s -> Inc s) shape);
+        (2, map (fun s -> Exc s) shape);
+      ]
+  in
   frequency
     [
       (5, map2 (fun i p -> Set (i, p)) key (opt ~ratio:0.8 len));
@@ -333,18 +391,68 @@ let gen_op =
           (list_size (int_range 1 12) (pair key len))
           bool );
       (3, map (fun j -> Undo j) (int_range 0 1000));
+      (1, map3 (fun s lo hi -> Open (s, lo, hi)) slot bnd bnd);
+      (3, map (fun s -> Next s) slot);
+      (2, map (fun s -> Run s) slot);
+      (1, map (fun s -> Capture s) slot);
+      (1, map2 (fun s j -> Seek (s, j)) slot (int_range 0 100));
     ]
 
 let payload i len =
   String.make len (Char.chr (97 + (i mod 26))) ^ string_of_int len
 
 (* wide keys make separators large enough to split internal nodes too *)
-let wide_key i = [| vi i; vs (String.make 600 'k') |]
+let wide_tail = String.make 600 'k'
+let wide_key i = [| vi i; vs wide_tail |]
+
+let shape_key = function
+  | Prefix i -> [| vi i |]
+  | Exact i -> wide_key i
+  | Below i -> [| vi i; vs "" |]
+  | Above i -> [| vi i; vs (wide_tail ^ "~") |]
+  | Lowest -> [| Value.Null |]
+  | Highest -> [| vs "z" |]
+
+let shape_pos = function
+  | Prefix i | Exact i -> 2 * i
+  | Below i -> (2 * i) - 1
+  | Above i -> (2 * i) + 1
+  | Lowest -> min_int
+  | Highest -> max_int
+
+let tree_bound = function
+  | Unb -> Btree.Unbounded
+  | Inc s -> Btree.Incl (shape_key s)
+  | Exc s -> Btree.Excl (shape_key s)
+
+let lo_admits b i =
+  match b with
+  | Unb -> true
+  | Inc s -> 2 * i >= shape_pos s
+  | Exc s -> 2 * i > shape_pos s
+
+let hi_admits b i =
+  match b with
+  | Unb -> true
+  | Inc s -> 2 * i <= shape_pos s
+  | Exc s -> 2 * i < shape_pos s
+
+(* The model of one cursor: its bounds, the key it is on, whether it has
+   run off its window, and the positions captured from it. *)
+type mcursor = {
+  lo : bnd;
+  hi : bnd;
+  mutable last : int option;
+  mutable finished : bool;
+  mutable captured : int option list;
+}
+
+let int_key key = Int64.to_int (Option.get (Value.to_int key.(0)))
 
 let prop_model =
   QCheck.Test.make ~name:"btree matches Map model" ~count:80
     (QCheck.make ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_op))
-       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+       QCheck.Gen.(list_size (int_range 1 80) gen_op))
     (fun ops ->
       let bp = Buffer_pool.create ~capacity:4 (Disk.in_memory ()) in
       let t = Btree.create bp in
@@ -358,6 +466,38 @@ let prop_model =
          model expects it to encode *)
       let changes = ref [||] in
       let fail fmt = Fmt.kstr QCheck.Test.fail_report fmt in
+      let open_cursor lo hi =
+        ( Btree.cursor ~lo:(tree_bound lo) ~hi:(tree_bound hi) t,
+          { lo; hi; last = None; finished = false; captured = [ None ] } )
+      in
+      let cursors = Array.init 2 (fun _ -> open_cursor Unb Unb) in
+      (* the in-window entries after the model cursor's position *)
+      let remaining m =
+        M.bindings !model
+        |> List.filter (fun (i, _) ->
+               match m.last with Some l -> i > l | None -> lo_admits m.lo i)
+        |> List.filter (fun (i, _) -> hi_admits m.hi i)
+      in
+      (* the first entry after the position, whatever [hi] says: the
+         cursor finishes when it falls outside the window *)
+      let first_after m =
+        M.bindings !model
+        |> List.find_opt (fun (i, _) ->
+               match m.last with Some l -> i > l | None -> lo_admits m.lo i)
+      in
+      let expect_next s c m =
+        match Btree.next c, (if m.finished then None else first_after m) with
+        | None, None -> m.finished <- true
+        | None, Some (i, _) when not (hi_admits m.hi i) -> m.finished <- true
+        | Some (key, p), Some (i, p') when hi_admits m.hi i ->
+          if int_key key <> i || p <> p' then
+            fail "next%d: got %d, expected %d" s (int_key key) i;
+          m.last <- Some i
+        | got, _ ->
+          fail "next%d: got %a" s
+            Fmt.(option ~none:(any "end") int)
+            (Option.map (fun (key, _) -> int_key key) got)
+      in
       List.iter
         (fun op ->
           let logged = ref [] in
@@ -419,16 +559,189 @@ let prop_model =
                   fail "undo %d: change decoded differently" i;
                 bind i before
               | got, _ -> fail "undo %d: reversed %b" i (got <> None)
-            end);
+            end
+          | Open (s, lo, hi) -> cursors.(s) <- open_cursor lo hi
+          | Next s ->
+            let c, m = cursors.(s) in
+            expect_next s c m
+          | Run s -> (
+            let c, m = cursors.(s) in
+            let window = if m.finished then [] else remaining m in
+            match Btree.next_run c, window with
+            | None, [] -> m.finished <- true
+            | Some (run, _), _ :: _ ->
+              let got =
+                Array.to_list run |> List.map (fun (k, p) -> (int_key k, p))
+              in
+              let n = List.length got in
+              if n > List.length window
+                 || got <> List.filteri (fun j _ -> j < n) window
+              then fail "run%d: not a prefix of the window" s;
+              m.last <- Some (fst (List.nth got (n - 1)));
+              (* a run that took the whole window may or may not have seen
+                 the window close; a further step settles it *)
+              if n = List.length window then expect_next s c m
+            | got, _ ->
+              fail "run%d: got %d entries, window %d" s
+                (match got with Some (r, _) -> Array.length r | None -> 0)
+                (List.length window))
+          | Capture s ->
+            let c, m = cursors.(s) in
+            if Btree.position c <> Option.map wide_key m.last then
+              fail "capture%d: position" s;
+            m.captured <- m.captured @ [ m.last ]
+          | Seek (s, j) ->
+            let c, m = cursors.(s) in
+            let pos = List.nth m.captured (j mod List.length m.captured) in
+            Btree.seek c (Option.map wide_key pos);
+            m.last <- pos;
+            m.finished <- false);
           match Btree.check_invariants t with
           | Ok () -> ()
           | Error e -> fail "%a: %s" pp_op op e)
         ops;
       let tree_list = ref [] in
-      Btree.iter t (fun key p ->
-          let i = Int64.to_int (Option.get (Value.to_int key.(0))) in
-          tree_list := (i, p) :: !tree_list);
+      Btree.iter t (fun key p -> tree_list := (int_key key, p) :: !tree_list);
       List.rev !tree_list = M.bindings !model)
+
+(* The in-frame key compare is [compare_full]/[compare_prefix] on the
+   encoded key, over random arities; values come from a small pool so keys
+   often share prefixes. *)
+let prop_compare_encoded =
+  let open QCheck.Gen in
+  let pool = list_repeat 6 Test_value.gen_value in
+  let gen =
+    pool >>= fun pool ->
+    let key = array_size (int_range 0 4) (oneofl pool) in
+    pair key key
+  in
+  let print (a, b) =
+    let key k = Fmt.str "[%a]" Fmt.(array ~sep:semi Value.pp) k in
+    key a ^ " vs " ^ key b
+  in
+  QCheck.Test.make ~name:"in-frame key compare agrees with the key order"
+    ~count:2000 (QCheck.make ~print gen) (fun (a, b) ->
+      let encoded = Bytes.to_string (Codec.encode_record a) ^ "\xaa" in
+      List.for_all
+        (fun (prefix, compare) ->
+          let d = Codec.Dec.of_string encoded in
+          Test_value.sign (Btree.compare_encoded ~prefix d b)
+          = Test_value.sign (compare a b)
+          && Codec.Dec.remaining d = 1)
+        [ (false, Btree.compare_full); (true, Btree.compare_prefix) ])
+
+(* A point lookup on a 20,000-entry tree of [btree_index] entries (index
+   key, then the encoded record key) pins the root and the leaf, and a
+   cursor one more leaf visit to see its window close. *)
+let test_point_lookup_pins () =
+  let d = Disk.in_memory () in
+  let bp = Buffer_pool.create ~capacity:512 d in
+  let t = Btree.create bp in
+  let n = 20_000 in
+  let reckey i =
+    Record_key.rid ~page:(1 + (i / 50)) ~slot:(i mod 50)
+    |> Record_key.encode |> Bytes.to_string
+  in
+  let entry i = ([| vi i; vs (reckey i) |], reckey i) in
+  let entries = Array.init n (fun i -> entry (i + 1)) in
+  (match Btree.insert_batch t ~log:ignore entries with
+  | Ok () -> ()
+  | Error j -> Alcotest.failf "batch halted at %d" j);
+  Alcotest.(check int) "height" 2 (Btree.height t);
+  let pins f =
+    let s = Disk.stats d in
+    let before = s.Io_stats.pool_hits + s.Io_stats.pool_misses in
+    let r = f () in
+    (r, s.Io_stats.pool_hits + s.Io_stats.pool_misses - before)
+  in
+  List.iter
+    (fun i ->
+      let c =
+        Btree.cursor ~lo:(Btree.Incl [| vi i |]) ~hi:(Btree.Incl [| vi i |]) t
+      in
+      let got, cursor_pins =
+        pins (fun () ->
+            let first = Btree.next c in
+            (first, Btree.next c))
+      in
+      Alcotest.(check bool) (Fmt.str "cursor %d" i) true
+        (match got with Some (_, p), None -> p = reckey i | _ -> false);
+      Alcotest.(check int) (Fmt.str "cursor %d pins" i) 3 cursor_pins;
+      let found, find_pins =
+        pins (fun () -> Btree.find t ~key:(fst (entry i)))
+      in
+      Alcotest.(check (option string))
+        (Fmt.str "find %d" i) (Some (reckey i)) found;
+      Alcotest.(check int) (Fmt.str "find %d pins" i) 2 find_pins)
+    [ 1; 97; 5_000; 12_345; n ]
+
+(* Node-format golden: a deterministic tree of 2,000 keys of mixed arity
+   and type, built in seeded random order through [set] and [insert_batch]
+   with updates and deletes, must leave exactly the recorded page images.
+   The digest pins the on-disk node format, and with it how many entries a
+   page holds. *)
+let golden_key j =
+  match j mod 5 with
+  | 0 -> [| vi j |]
+  | 1 -> [| vs (Fmt.str "k%05d" j); vi j |]
+  | 2 -> [| vf (float_of_int j /. 3.); vb (j mod 2 = 0); vi j |]
+  | 3 -> [| Value.Null; vi j |]
+  | _ -> [| vi (j / 7); vs (String.make (j mod 13) '\xff'); vi j |]
+
+let golden_payload j =
+  String.make (j mod 50) (Char.chr (j mod 256)) ^ string_of_int j
+
+let test_node_format_golden () =
+  let d = Disk.in_memory () in
+  let bp = Buffer_pool.create ~capacity:16 d in
+  let t = Btree.create bp in
+  let n = 2000 in
+  let perm = Array.init n Fun.id in
+  let st = Random.State.make [| 20 |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let tmp = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- tmp
+  done;
+  (* alternate chunks of 25: one through [set], the next as a sorted batch *)
+  for c = 0 to (n / 25) - 1 do
+    let chunk = Array.sub perm (c * 25) 25 in
+    if c mod 2 = 0 then
+      Array.iter
+        (fun j ->
+          ignore (insert t ~key:(golden_key j) ~payload:(golden_payload j)))
+        chunk
+    else begin
+      let entries =
+        Array.map (fun j -> (golden_key j, golden_payload j)) chunk
+      in
+      Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) entries;
+      match Btree.insert_batch t ~log:ignore entries with
+      | Ok () -> ()
+      | Error j -> Alcotest.failf "batch halted at %d" j
+    end
+  done;
+  Array.iteri
+    (fun i j ->
+      if i mod 7 = 0 then ignore (delete t ~key:(golden_key j))
+      else if i mod 11 = 0 then
+        ignore
+          (replace t ~key:(golden_key j) ~payload:(golden_payload (j + 1))))
+    perm;
+  (match Btree.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "count" (n - ((n + 6) / 7)) (Btree.count t);
+  Buffer_pool.flush_all bp;
+  let pages = Disk.page_count d in
+  let images =
+    List.init pages (fun i ->
+        Digest.to_hex (Digest.bytes (Disk.read d (i + 1))))
+  in
+  Alcotest.(check (pair int string))
+    "page images" (34, "621b7bd35fcea2b0406694d56ca52231")
+    (pages, Digest.to_hex (Digest.string (String.concat "" images)))
 
 let suite =
   [
@@ -450,5 +763,9 @@ let suite =
     Alcotest.test_case "undo twice is a no-op" `Quick test_undo_twice;
     Alcotest.test_case "set that changes nothing logs nothing" `Quick
       test_set_unchanged_logs_nothing;
+    Alcotest.test_case "node format golden" `Quick test_node_format_golden;
+    Alcotest.test_case "point lookup pins root and leaf" `Quick
+      test_point_lookup_pins;
+    QCheck_alcotest.to_alcotest prop_compare_encoded;
     QCheck_alcotest.to_alcotest prop_model;
   ]

@@ -79,6 +79,65 @@ let test_project () =
   Alcotest.check record_testable "project" [| vs "bob"; vi 7 |]
     (Record.project r [| 1; 0 |])
 
+(* Values weighted toward the edges of [Value.compare]: NaN, signed zeros
+   and infinities, the int64 extremes, Null and mixed types, and strings
+   that are empty or hold NUL or bytes >= 0x80. *)
+let gen_value =
+  let open QCheck.Gen in
+  let int =
+    oneof
+      [
+        oneofl [ Int64.min_int; Int64.max_int; 0L; -1L; 1L ];
+        map Int64.of_int small_signed_int;
+        map Int64.of_int int;
+      ]
+  in
+  let float =
+    oneof
+      [
+        oneofl
+          [
+            Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity;
+            Float.min_float; -.Float.max_float; 1.5; -1.5;
+          ];
+        float;
+      ]
+  in
+  let str =
+    string_size
+      ~gen:(oneofl [ '\000'; '\001'; 'a'; 'b'; '\x7f'; '\x80'; '\xff' ])
+      (int_range 0 5)
+  in
+  frequency
+    [
+      (1, pure Value.Null);
+      (1, map (fun b -> Value.Bool b) bool);
+      (3, map (fun i -> Value.Int i) int);
+      (3, map (fun f -> Value.Float f) float);
+      (3, map (fun s -> Value.String s) str);
+    ]
+
+let sign c = Int.compare c 0
+
+let prop_compare_value =
+  let pair =
+    QCheck.Gen.(
+      frequency
+        [ (3, pair gen_value gen_value); (1, map (fun v -> (v, v)) gen_value) ])
+  in
+  QCheck.Test.make ~name:"in-place compare agrees with Value.compare"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> Value.to_string a ^ " vs " ^ Value.to_string b)
+       pair)
+    (fun (a, b) ->
+      let e = Codec.Enc.create () in
+      Codec.Enc.value e a;
+      Codec.Enc.byte e 0xaa;
+      let d = Codec.Dec.of_string (Codec.Enc.to_string e) in
+      sign (Codec.Dec.compare_value d b) = sign (Value.compare a b)
+      && Codec.Dec.remaining d = 1)
+
 let suite =
   [
     Alcotest.test_case "value compare ordering" `Quick test_compare_ordering;
@@ -90,4 +149,5 @@ let suite =
     Alcotest.test_case "varint" `Quick test_varint;
     Alcotest.test_case "record key" `Quick test_record_key;
     Alcotest.test_case "record project" `Quick test_project;
+    QCheck_alcotest.to_alcotest prop_compare_value;
   ]
