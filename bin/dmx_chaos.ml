@@ -179,7 +179,7 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
-  if !mutate then H.enable_undo_mutation ();
+  if !mutate then H.enable_undo_mutation "btree_index";
   let code =
     match !replay with
     | Some (seed, point) -> run_replay seed point

@@ -64,16 +64,35 @@ let apply_delta t ~log group_vals dcount dsum =
          if count <= 0 then None
          else Some (enc_cell count (Int64.add sum dsum))))
 
-let bump ctx desc inst record sign =
-  let dsum =
-    if sign > 0 then sum_of inst record else Int64.neg (sum_of inst record)
-  in
-  apply_delta (tree ctx inst) ~log:(Slot.log ctx desc)
-    (Record.project record inst.group_fields)
-    sign dsum;
-  Ok ()
-
 let ( let* ) = Result.bind
+
+(* Apply [(record, sign)] changes. A group cell is shared by every
+   transaction writing the relation, and its change image undoes only while
+   the logging transaction owns it: every cell the changes touch is X-locked
+   until the transaction ends, before any is bumped. The lock is a record
+   resource of the base relation whose key starts with tag 2, which no
+   encoded record key (tags 0 and 1) does. *)
+let bump ctx (desc : Descriptor.t) no inst changes =
+  let cell (record, _) = Record.project record inst.group_fields in
+  let* () =
+    List.fold_left
+      (fun locked change ->
+        let* () = locked in
+        let e = Codec.Enc.create () in
+        Codec.Enc.byte e 2;
+        Codec.Enc.varint e no;
+        Codec.Enc.record e (cell change);
+        Ctx.lock ctx ~mode:Dmx_lock.Lock_mode.X
+          (Dmx_lock.Lock_table.Record (desc.rel_id, Codec.Enc.to_string e)))
+      (Ok ()) changes
+  in
+  List.iter
+    (fun ((record, sign) as change) ->
+      let sum = sum_of inst record in
+      apply_delta (tree ctx inst) ~log:(Slot.log ctx desc) (cell change) sign
+        (if sign > 0 then sum else Int64.neg sum))
+    changes;
+  Ok ()
 
 module Impl = struct
   let name = "agg"
@@ -116,21 +135,19 @@ module Impl = struct
     Result.map snd (Slot.drop desc ~instance_name)
 
   let on_insert ctx desc ~slot _key record =
-    Slot.each slot (fun _no _name inst -> bump ctx desc inst record 1)
+    Slot.each slot (fun no _name inst -> bump ctx desc no inst [ (record, 1) ])
 
   let on_delete ctx desc ~slot _key record =
-    Slot.each slot (fun _no _name inst -> bump ctx desc inst record (-1))
+    Slot.each slot (fun no _name inst ->
+        bump ctx desc no inst [ (record, -1) ])
 
   let on_update ctx desc ~slot ~old_key:_ ~new_key:_ ~old_record ~new_record =
-    Slot.each slot (fun _no _name inst ->
+    Slot.each slot (fun no _name inst ->
         if
           Record.compare_on inst.group_fields old_record new_record = 0
           && sum_of inst old_record = sum_of inst new_record
         then Ok ()
-        else begin
-          let* () = bump ctx desc inst old_record (-1) in
-          bump ctx desc inst new_record 1
-        end)
+        else bump ctx desc no inst [ (old_record, -1); (new_record, 1) ])
 
   (* direct-by-key access: group key -> nothing (the aggregation is read
      through the module interface, not as record keys) *)

@@ -3,7 +3,6 @@ open Dmx_page
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Log_record = Dmx_wal.Log_record
 
 type inst = { fields : int array; unique : bool; buckets : int array }
 
@@ -98,80 +97,55 @@ let chain_collect ctx head vals =
          None));
   List.rev !acc
 
-let add_to_chain ctx head vals reckey cap =
-  let entry_fits b =
-    String.length (enc_bucket { b with entries = (vals, reckey) :: b.entries })
-    + 2
-    <= cap
-  in
-  let placed =
-    chain_find ctx head (fun page b ->
-        if entry_fits b then begin
-          write_bucket ctx page { b with entries = (vals, reckey) :: b.entries };
-          Some ()
-        end
-        else None)
-  in
-  match placed with
-  | Some () -> ()
-  | None ->
-    (* Chain full: insert an overflow page after the head. *)
-    let head_b = read_bucket ctx head in
-    let overflow = alloc_bucket ctx head_b.next in
-    write_bucket ctx overflow
-      { next = head_b.next; entries = [ (vals, reckey) ] };
-    write_bucket ctx head { head_b with next = overflow }
+(* ---- entry images ---- *)
 
-let remove_from_chain ctx head vals reckey =
-  ignore
-    (chain_find ctx head (fun page b ->
-         let before = List.length b.entries in
-         let entries =
-           List.filter
-             (fun (v, rk) ->
-               not (vals_equal v vals && Record_key.equal rk reckey))
-             b.entries
-         in
-         if List.length entries < before then begin
-           write_bucket ctx page { b with entries };
-           Some ()
-         end
-         else None))
+(* An index entry (instance, key values, record key) is the target of a
+   presence image. *)
+let enc_entry e (no, vals, reckey) =
+  Codec.Enc.varint e no;
+  Codec.Enc.record e vals;
+  Record_key.enc e reckey
 
-(* ---- log payloads ---- *)
-
-type op =
-  | Add of int * Value.t array * Record_key.t
-  | Rem of int * Value.t array * Record_key.t
-
-let enc_op op =
-  let e = Codec.Enc.create () in
-  (match op with
-  | Add (no, vals, rk) ->
-    Codec.Enc.byte e 0;
-    Codec.Enc.varint e no;
-    Codec.Enc.record e vals;
-    Record_key.enc e rk
-  | Rem (no, vals, rk) ->
-    Codec.Enc.byte e 1;
-    Codec.Enc.varint e no;
-    Codec.Enc.record e vals;
-    Record_key.enc e rk);
-  Codec.Enc.to_string e
-
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  let tag = Codec.Dec.byte d in
+let dec_entry d =
   let no = Codec.Dec.varint d in
   let vals = Codec.Dec.record d in
-  let rk = Record_key.dec d in
-  match tag with
-  | 0 -> Add (no, vals, rk)
-  | 1 -> Rem (no, vals, rk)
-  | n -> failwith (Fmt.str "Hash_index: bad op tag %d" n)
+  (no, vals, Record_key.dec d)
 
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Attachment (id ())) ~rel_id ~data:(enc_op op)
+(* The bucket-chain read-modify-write of one entry: one walk reads the
+   chain up to the page holding the entry; an add goes to the first page
+   walked with room for it, or to an overflow page after the head. *)
+let set_entry ctx inst ((_, vals, reckey) as entry) ~log f =
+  let head = inst.buckets.(bucket_index inst vals) in
+  let is_entry (v, rk) = vals_equal v vals && Record_key.equal rk reckey in
+  let walked = ref [] in
+  let holder =
+    chain_find ctx head (fun page b ->
+        walked := (page, b) :: !walked;
+        if List.exists is_entry b.entries then Some (page, b) else None)
+  in
+  let with_entry b = { b with entries = (vals, reckey) :: b.entries } in
+  Image.change enc_entry ~log
+    ~read:(fun () -> Image.presence (holder <> None))
+    ~write:(function
+      | None ->
+        Option.iter
+          (fun (page, b) ->
+            let entries = List.filter (fun e -> not (is_entry e)) b.entries in
+            write_bucket ctx page { b with entries })
+          holder
+      | Some _ -> (
+        let fits (_, b) =
+          String.length (enc_bucket (with_entry b)) + 2 <= capacity ctx
+        in
+        match List.find_opt fits (List.rev !walked) with
+        | Some (page, b) -> write_bucket ctx page (with_entry b)
+        | None ->
+          let head_b = read_bucket ctx head in
+          let overflow = alloc_bucket ctx head_b.next in
+          write_bucket ctx overflow
+            { next = head_b.next; entries = [ (vals, reckey) ] };
+          write_bucket ctx head { head_b with next = overflow }))
+    entry f
 
 let ( let* ) = Result.bind
 
@@ -186,15 +160,17 @@ let add_entry ctx (desc : Descriptor.t) name no inst record reckey =
             Fmt.(array ~sep:(any ",") Value.pp)
             vals))
   else begin
-    add_to_chain ctx head vals reckey (capacity ctx);
-    ignore (log_op ctx desc.rel_id (Add (no, vals, reckey)));
+    ignore
+      (set_entry ctx inst (no, vals, reckey) ~log:(Slot.log ctx desc) (fun _ ->
+           Image.presence true));
     Ok ()
   end
 
-let remove_entry ctx (desc : Descriptor.t) no inst record reckey =
+let remove_entry ctx desc no inst record reckey =
   let vals = Record.project record inst.fields in
-  remove_from_chain ctx inst.buckets.(bucket_index inst vals) vals reckey;
-  ignore (log_op ctx desc.rel_id (Rem (no, vals, reckey)));
+  ignore
+    (set_entry ctx inst (no, vals, reckey) ~log:(Slot.log ctx desc) (fun _ ->
+         None));
   Ok ()
 
 module Impl = struct
@@ -236,7 +212,11 @@ module Impl = struct
                 let head = inst.buckets.(bucket_index inst vals) in
                 if unique && !dup = None && chain_collect ctx head vals <> []
                 then dup := Some vals
-                else add_to_chain ctx head vals reckey (capacity ctx));
+                else
+                  (* unlogged build: the target's instance number is moot *)
+                  ignore
+                    (set_entry ctx inst (0, vals, reckey) ~log:ignore (fun _ ->
+                         Image.presence true)));
             match !dup with
             | Some vals ->
               Error
@@ -254,13 +234,12 @@ module Impl = struct
         add_entry ctx desc name no inst record reckey)
 
   (* Batch vector entry: entries are sorted by bucket index so each chain's
-     pages are visited consecutively, and the page-capacity computation is
-     hoisted out of the loop. Within-batch duplicates on a unique index are
+     pages are visited consecutively. Within-batch duplicates on a unique
+     index are
      still caught by the chain probe — earlier entries of the batch are
      already in their chains. *)
   let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =
     Slot.each slot (fun no name inst ->
-        let cap = capacity ctx in
         let keyed =
           Array.map
             (fun (rk, record) ->
@@ -282,8 +261,9 @@ module Impl = struct
                       Fmt.(array ~sep:(any ",") Value.pp)
                       vals))
             else begin
-              add_to_chain ctx head vals rk cap;
-              ignore (log_op ctx desc.rel_id (Add (no, vals, rk)));
+              ignore
+                (set_entry ctx inst (no, vals, rk) ~log:(Slot.log ctx desc)
+                   (fun _ -> Image.presence true));
               loop (i + 1)
             end
           end
@@ -356,30 +336,17 @@ module Impl = struct
           end)
       (Slot.decode slot)
 
+  (* Bucket pages of an index born after the last force vanished with the
+     crash: nothing durable to undo in them. *)
   let undo ctx ~rel_id ~data =
-    (* Bucket pages of an index born after the last force vanished with the
-       crash: nothing durable to undo in them. *)
-    let live_head no vals =
-      match Slot.in_catalog ctx ~rel_id no with
-      | Some inst ->
-        let head = inst.buckets.(bucket_index inst vals) in
-        if Buffer_pool.page_live ctx.Ctx.bp head then Some head else None
-      | None -> None
-    in
-    match dec_op data with
-    | Add (no, vals, reckey) ->
-      Option.iter
-        (fun head -> remove_from_chain ctx head vals reckey)
-        (live_head no vals)
-    | Rem (no, vals, reckey) ->
-      Option.iter
-        (fun head ->
-          if
-            not
-              (List.exists (Record_key.equal reckey)
-                 (chain_collect ctx head vals))
-          then add_to_chain ctx head vals reckey (capacity ctx))
-        (live_head no vals)
+    let img = Image.decode dec_entry data in
+    let no, vals, _ = img.target in
+    match Slot.in_catalog ctx ~rel_id no with
+    | Some inst
+      when Buffer_pool.page_live ctx.Ctx.bp
+             inst.buckets.(bucket_index inst vals) ->
+      ignore (Image.undo img ~set:(set_entry ctx inst img.target ~log:ignore))
+    | Some _ | None -> ()
 end
 
 include Impl

@@ -2,7 +2,6 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Log_record = Dmx_wal.Log_record
 module Rtree = Dmx_rtree.Rtree
 module Rect = Dmx_rtree.Rect
 
@@ -44,40 +43,37 @@ let rect_of_vals vals =
 let tree ctx inst = Rtree.open_tree ctx.Ctx.bp ~root:inst.root
 let payload_of reckey = Bytes.to_string (Record_key.encode reckey)
 
-(* ---- log payloads ---- *)
+(* ---- entry images ---- *)
 
-type op =
-  | Add of int * Rect.t * Record_key.t
-  | Rem of int * Rect.t * Record_key.t
+(* An index entry (instance, rectangle, record key) is the target of a
+   presence image. *)
+let enc_entry e (no, rect, reckey) =
+  Codec.Enc.varint e no;
+  Rect.enc e rect;
+  Record_key.enc e reckey
 
-let enc_op op =
-  let e = Codec.Enc.create () in
-  (match op with
-  | Add (no, r, rk) ->
-    Codec.Enc.byte e 0;
-    Codec.Enc.varint e no;
-    Rect.enc e r;
-    Record_key.enc e rk
-  | Rem (no, r, rk) ->
-    Codec.Enc.byte e 1;
-    Codec.Enc.varint e no;
-    Rect.enc e r;
-    Record_key.enc e rk);
-  Codec.Enc.to_string e
-
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  let tag = Codec.Dec.byte d in
+let dec_entry d =
   let no = Codec.Dec.varint d in
-  let r = Rect.dec d in
-  let rk = Record_key.dec d in
-  match tag with
-  | 0 -> Add (no, r, rk)
-  | 1 -> Rem (no, r, rk)
-  | n -> failwith (Fmt.str "Rtree_index: bad op tag %d" n)
+  let rect = Rect.dec d in
+  (no, rect, Record_key.dec d)
 
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Attachment (id ())) ~rel_id ~data:(enc_op op)
+let set_entry ctx inst ((_, rect, reckey) as entry) ~log f =
+  let t = tree ctx inst and payload = payload_of reckey in
+  Image.change enc_entry ~log
+    ~read:(fun () ->
+      Image.presence
+        (List.exists
+           (fun (r, p) -> Rect.equal r rect && p = payload)
+           (Rtree.search_enclosed_by t rect)))
+    ~write:(function
+      | Some _ -> Rtree.insert t ~rect ~payload
+      | None -> ignore (Rtree.delete t ~rect ~payload))
+    entry f
+
+let put ctx desc no inst rect reckey present =
+  ignore
+    (set_entry ctx inst (no, rect, reckey) ~log:(Slot.log ctx desc) (fun _ ->
+         Image.presence present))
 
 (* The eligible ENCLOSES conjunct matching this instance's rectangle
    fields, with its (plannable) query rectangle expressions. *)
@@ -122,8 +118,7 @@ module Impl = struct
     Slot.each slot (fun no _name inst ->
         match rect_of_record inst record with
         | rect ->
-          Rtree.insert (tree ctx inst) ~rect ~payload:(payload_of reckey);
-          ignore (log_op ctx desc.rel_id (Add (no, rect, reckey)));
+          put ctx desc no inst rect reckey true;
           Ok ()
         | exception Failure msg ->
           Error (Error.veto ~attachment:"rtree_index" msg))
@@ -132,9 +127,7 @@ module Impl = struct
     Slot.each slot (fun no _name inst ->
         match rect_of_record inst record with
         | rect ->
-          ignore
-            (Rtree.delete (tree ctx inst) ~rect ~payload:(payload_of reckey));
-          ignore (log_op ctx desc.rel_id (Rem (no, rect, reckey)));
+          put ctx desc no inst rect reckey false;
           Ok ()
         | exception Failure msg ->
           Error (Error.veto ~attachment:"rtree_index" msg))
@@ -149,13 +142,8 @@ module Impl = struct
           if Rect.equal old_rect new_rect && Record_key.equal old_key new_key
           then Ok ()
           else begin
-            ignore
-              (Rtree.delete (tree ctx inst) ~rect:old_rect
-                 ~payload:(payload_of old_key));
-            ignore (log_op ctx desc.rel_id (Rem (no, old_rect, old_key)));
-            Rtree.insert (tree ctx inst) ~rect:new_rect
-              ~payload:(payload_of new_key);
-            ignore (log_op ctx desc.rel_id (Add (no, new_rect, new_key)));
+            put ctx desc no inst old_rect old_key false;
+            put ctx desc no inst new_rect new_key true;
             Ok ()
           end
         | exception Failure msg ->
@@ -225,25 +213,12 @@ module Impl = struct
       (Slot.decode slot)
 
   let undo ctx ~rel_id ~data =
-    let apply no f =
-      match Slot.in_catalog ctx ~rel_id no with
-      | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
-        f inst
-      | Some _ | None -> () (* tree lost with the crash: nothing durable *)
-    in
-    match dec_op data with
-    | Add (no, rect, reckey) ->
-      apply no (fun inst ->
-          ignore
-            (Rtree.delete (tree ctx inst) ~rect ~payload:(payload_of reckey)))
-    | Rem (no, rect, reckey) ->
-      apply no (fun inst ->
-          let payload = payload_of reckey in
-          let present =
-            Rtree.search_overlapping (tree ctx inst) rect
-            |> List.exists (fun (r, p) -> Rect.equal r rect && p = payload)
-          in
-          if not present then Rtree.insert (tree ctx inst) ~rect ~payload)
+    let img = Image.decode dec_entry data in
+    let no, _, _ = img.target in
+    match Slot.in_catalog ctx ~rel_id no with
+    | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
+      ignore (Image.undo img ~set:(set_entry ctx inst img.target ~log:ignore))
+    | Some _ | None -> () (* tree lost with the crash: nothing durable *)
 end
 
 include Impl

@@ -303,57 +303,37 @@ let put entries key payload =
   in
   go [] entries
 
-(* ---- change records ---- *)
+(* ---- change images ---- *)
 
-type change = {
-  root : int;
-  key : Value.t array;
-  before : string option;
-  after : string option;
-}
+type change = (int * Value.t array) Image.t
 
-let encode_change c =
-  let e = Codec.Enc.create () in
-  Codec.Enc.varint e c.root;
-  Codec.Enc.record e c.key;
-  Codec.Enc.option e Codec.Enc.string c.before;
-  Codec.Enc.option e Codec.Enc.string c.after;
-  Codec.Enc.to_string e
+let enc_target e (root, key) =
+  Codec.Enc.varint e root;
+  Codec.Enc.record e key
 
-let decode_change data =
-  let d = Codec.Dec.of_string data in
+let dec_target d =
   let root = Codec.Dec.varint d in
-  let key = Codec.Dec.record d in
-  let before = Codec.Dec.option d Codec.Dec.string in
-  let after = Codec.Dec.option d Codec.Dec.string in
-  { root; key; before; after }
-
-let same = Option.equal String.equal
+  (root, Codec.Dec.record d)
 
 (* The change is logged once the leaf is located and the new payload known,
    before [write_leaf] writes or allocates any page. *)
 let set t ~key ~log f =
   let leaf_id, entries, next, path = descend_leaf t key in
-  let before = lookup entries key in
-  let after = f before in
-  if not (same before after) then begin
-    log (encode_change { root = t.root; key; before; after });
-    write_leaf t leaf_id path (put entries key after) next
-  end;
-  before
+  Image.change enc_target ~log
+    ~read:(fun () -> lookup entries key)
+    ~write:(fun after -> write_leaf t leaf_id path (put entries key after) next)
+    (t.root, key) f
 
 let if_absent payload = function None -> Some payload | held -> held
 
 let undo bp data =
-  let c = decode_change data in
-  if not (Buffer_pool.page_live bp c.root) then None
-  else begin
-    let held =
-      set (open_tree bp ~root:c.root) ~key:c.key ~log:ignore (fun held ->
-          if same held c.after then c.before else held)
-    in
-    if same held c.after then Some c else None
-  end
+  let c = Image.decode dec_target data in
+  let root, key = c.target in
+  if
+    Buffer_pool.page_live bp root
+    && Image.undo c ~set:(set (open_tree bp ~root) ~key ~log:ignore)
+  then Some c
+  else None
 
 (* ---- iteration ---- *)
 
@@ -664,10 +644,10 @@ let insert_batch ?unique_prefix t ~log entries =
                  merge acc added last_old rtl old
                | _ ->
                  let change =
-                   { root = t.root; key = k; before = None; after = Some p }
+                   Image.encode enc_target
+                     { target = (t.root, k); before = None; after = Some p }
                  in
-                 merge ((k, p) :: acc) (encode_change change :: added)
-                   last_old rtl old
+                 merge ((k, p) :: acc) (change :: added) last_old rtl old
              end
          in
          let merged, added, halt = merge [] [] None run old_entries in

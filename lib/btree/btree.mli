@@ -46,28 +46,24 @@ val root : t -> int
 
 (** {2 Logged changes}
 
-    Every change to a tree is one change record: the tree's root, the key,
-    and the payload before and after ([None] = absent). The tree encodes
-    the record and hands it to the caller's [log] before any page of the
-    tree is written or allocated, so a page never reaches disk ahead of the
-    undo information for what it holds. The caller appends it to the
-    recovery log under its own source; {!undo} reverses it. *)
+    Every change to a tree is one {!Dmx_value.Image}: the target is the
+    tree's root and the key, the sides are the payload before and after
+    ([None] = absent). The tree encodes the image and hands it to the
+    caller's [log] before any page of the tree is written or allocated, so
+    a page never reaches disk ahead of the undo information for what it
+    holds. The caller appends it to the recovery log under its own source;
+    {!undo} reverses it. *)
 
-type change = {
-  root : int;
-  key : Value.t array;
-  before : string option;
-  after : string option;
-}
+type change = (int * Value.t array) Dmx_value.Image.t
+(** Target = (root, key). *)
 
 val set :
   t -> key:Value.t array -> log:(string -> unit) ->
   (string option -> string option) -> string option
 (** [set t ~key ~log f] is the one single-key mutator: one descent finds
     the payload held under [key] ([before]), [f before] gives the new one
-    ([None] deletes). When it differs from [before], the encoded change is
-    passed to [log] and then applied; otherwise nothing is logged or
-    written. Returns [before]. *)
+    ([None] deletes): the tree's {!Dmx_value.Image.change}. Returns
+    [before]. *)
 
 val if_absent : string -> string option -> string option
 (** [set]'s function for insert-if-absent: keeps a held payload, else adds
@@ -89,11 +85,9 @@ val insert_batch :
     [Ok ()]. *)
 
 val undo : Dmx_page.Buffer_pool.t -> string -> change option
-(** Reverse a logged change, testably: restore [before] only when the tree
-    holds exactly [after] under the key, so a change that never reached the
-    tree, or was already undone, is left alone. A no-op when the root page
-    is not live (a tree allocated after the last force, lost with the
-    crash). Returns the change when it was reversed. *)
+(** Reverse a logged change by {!Dmx_value.Image.undo}. A no-op when the
+    root page is not live (a tree allocated after the last force, lost with
+    the crash). Returns the change when it was reversed. *)
 
 val find : t -> key:Value.t array -> string option
 val count : t -> int

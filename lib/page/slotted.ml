@@ -107,29 +107,6 @@ let garbage page =
   done;
   Bytes.length page - data_start page - !used
 
-let insert page payload =
-  let len = String.length payload in
-  let reuse = find_dead_slot page in
-  let dir_cost = if reuse = None then slot_size else 0 in
-  let room () = data_start page - dir_end page - dir_cost in
-  if room () < len && garbage page > 0 then compact page;
-  if room () < len then None
-  else begin
-    let off = data_start page - len in
-    Bytes.blit_string payload 0 page off len;
-    set_data_start page off;
-    let s =
-      match reuse with
-      | Some s -> s
-      | None ->
-        let s = slot_count page in
-        set_slot_count page (s + 1);
-        s
-    in
-    set_slot_entry page s ~off ~len;
-    Some s
-  end
-
 let delete page s =
   if s < 0 || s >= slot_count page then false
   else
@@ -148,22 +125,27 @@ let make_reusable page s =
   end
 
 let insert_at page s payload =
-  if s < 0 || s >= slot_count page then false
-  else
-    let off, _ = slot_entry page s in
-    if off <> dead then false
+  let n = slot_count page in
+  if s < 0 || s > n || (s < n && fst (slot_entry page s) <> dead) then false
+  else begin
+    let len = String.length payload in
+    let dir_cost = if s = n then slot_size else 0 in
+    let room () = data_start page - dir_end page - dir_cost in
+    if room () < len && garbage page > 0 then compact page;
+    if room () < len then false
     else begin
-      let len = String.length payload in
-      if data_start page - dir_end page < len then compact page;
-      if data_start page - dir_end page < len then false
-      else begin
-        let off = data_start page - len in
-        Bytes.blit_string payload 0 page off len;
-        set_data_start page off;
-        set_slot_entry page s ~off ~len;
-        true
-      end
+      let off = data_start page - len in
+      Bytes.blit_string payload 0 page off len;
+      set_data_start page off;
+      if s = n then set_slot_count page (n + 1);
+      set_slot_entry page s ~off ~len;
+      true
     end
+  end
+
+let insert page payload =
+  let s = next_slot page in
+  if insert_at page s payload then Some s else None
 
 let update page s payload =
   if s < 0 || s >= slot_count page then false
@@ -202,6 +184,21 @@ let update page s payload =
           true
         end
       end
+
+let fits page s payload =
+  let n = slot_count page in
+  let held = match payload_span page s with Some (_, len) -> len | None -> 0 in
+  let room =
+    data_start page - dir_end page - (if s = n then slot_size else 0) + held
+  in
+  let len = String.length payload in
+  s >= 0 && s <= n && (len <= held || len <= room + garbage page)
+
+let set page s = function
+  | None -> delete page s
+  | Some payload ->
+    if payload_span page s <> None then update page s payload
+    else insert_at page s payload
 
 let iter page f =
   let n = slot_count page in

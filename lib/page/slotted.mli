@@ -57,8 +57,18 @@ val make_reusable : bytes -> slot -> unit
     slots). *)
 
 val insert_at : bytes -> slot -> string -> bool
-(** Re-occupy a specific dead slot (undo of delete). [false] when the slot is
-    live or the payload no longer fits. *)
+(** Occupy a specific dead slot (undo of delete), or slot [slot_count] as a
+    new one. [false] when the slot is live or the payload no longer fits. *)
+
+val fits : bytes -> slot -> string -> bool
+(** Whether {!set} of this payload into the slot succeeds: in place or
+    after compaction, live or dead. *)
+
+val set : bytes -> slot -> string option -> bool
+(** Make the slot hold the payload — {!update} when live, else
+    {!insert_at} — or, with [None], {!delete} it (a pending tombstone). The
+    write of a change image; [false] when it does not fit or the slot is
+    already dead. *)
 
 val iter : bytes -> (slot -> string -> unit) -> unit
 (** Live records in slot order. *)

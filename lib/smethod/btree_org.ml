@@ -265,15 +265,10 @@ module Impl = struct
   let undo ctx ~rel_id ~data =
     match Btree.undo ctx.Ctx.bp data with
     | None -> ()
-    | Some { Btree.root; before; after; _ } -> (
-      let delta =
-        match before, after with
-        | None, Some _ -> -1
-        | Some _, None -> 1
-        | _ -> 0
-      in
+    | Some c -> (
+      let delta = Image.count_delta c in
       match Catalog.find_by_id ctx.Ctx.catalog rel_id with
-      | Some desc when delta <> 0 && (bdesc_of desc).root = root ->
+      | Some desc when delta <> 0 && (bdesc_of desc).root = fst c.target ->
         let bd = bdesc_of desc in
         store_desc ctx desc { bd with count = max 0 (bd.count + delta) }
       | Some _ | None -> ())

@@ -34,54 +34,6 @@ let hdesc_of (desc : Descriptor.t) = dec_desc desc.smethod_desc
 let store_desc ctx (desc : Descriptor.t) hd =
   Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id (enc_desc hd)
 
-(* ---- log payloads ---- *)
-
-type op =
-  | Ins of Record_key.t * Record.t
-  | Del of Record_key.t * Record.t
-  | Upd of Record_key.t * Record_key.t * Record.t * Record.t
-
-let enc_op op =
-  let e = Codec.Enc.create () in
-  (match op with
-  | Ins (k, r) ->
-    Codec.Enc.byte e 0;
-    Record_key.enc e k;
-    Codec.Enc.record e r
-  | Del (k, r) ->
-    Codec.Enc.byte e 1;
-    Record_key.enc e k;
-    Codec.Enc.record e r
-  | Upd (ok, nk, orec, nrec) ->
-    Codec.Enc.byte e 2;
-    Record_key.enc e ok;
-    Record_key.enc e nk;
-    Codec.Enc.record e orec;
-    Codec.Enc.record e nrec);
-  Codec.Enc.to_string e
-
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  match Codec.Dec.byte d with
-  | 0 ->
-    let k = Record_key.dec d in
-    let r = Codec.Dec.record d in
-    Ins (k, r)
-  | 1 ->
-    let k = Record_key.dec d in
-    let r = Codec.Dec.record d in
-    Del (k, r)
-  | 2 ->
-    let ok = Record_key.dec d in
-    let nk = Record_key.dec d in
-    let orec = Codec.Dec.record d in
-    let nrec = Codec.Dec.record d in
-    Upd (ok, nk, orec, nrec)
-  | n -> failwith (Fmt.str "Heap: bad op tag %d" n)
-
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id ~data:(enc_op op)
-
 (* ---- page helpers ---- *)
 
 (* Pins name the transaction explicitly so a page fill (and any eviction
@@ -109,6 +61,51 @@ let rid_parts = function
   | Record_key.Rid { page; slot } -> Some (page, slot)
   | Record_key.Fields _ -> None
 
+(* ---- slot images ---- *)
+
+let enc_rid e (page, slot) =
+  Codec.Enc.varint e page;
+  Codec.Enc.varint e slot
+
+let dec_rid d =
+  let page = Codec.Dec.varint d in
+  (page, Codec.Dec.varint d)
+
+(* Forward callers hand over only payloads that fit ([Slotted.fits]), so
+   the write fails only when undo cannot put a record back. *)
+let set_slot data (page, slot) ~log f =
+  Image.change enc_rid ~log
+    ~read:(fun () -> Slotted.read data slot)
+    ~write:(fun after ->
+      if not (Slotted.set data slot after) then
+        failwith
+          (Fmt.str "heap undo: cannot reinstate record at rid(%d,%d)" page
+             slot))
+    (page, slot) f
+
+(* A crash can lose a page that was allocated after the last force; every
+   image logged on it vanished along with it. An undone insert releases its
+   slot at once. *)
+let undo_slot ctx data =
+  let img = Image.decode dec_rid data in
+  let page, slot = img.target in
+  let reversed =
+    Buffer_pool.page_live ctx.Ctx.bp page
+    && with_page_mut ctx page (fun data ->
+           let reversed =
+             Image.undo img ~set:(set_slot data img.target ~log:ignore)
+           in
+           if reversed && img.before = None then
+             Slotted.make_reusable data slot;
+           reversed)
+  in
+  if reversed then Image.count_delta img else 0
+
+let log_image ctx (desc : Descriptor.t) data =
+  ignore
+    (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
+       ~data)
+
 (* ---- generic operations ---- *)
 
 module Impl = struct
@@ -134,7 +131,7 @@ module Impl = struct
      a page's free space is probed only when no page probed earlier in the
      batch has room, and remembered for the rest of the batch, so a batch
      pins pages only until one fits. Consecutive records fill one pinned page
-     until it no longer fits the next record. Each record's [Ins] is logged
+     until it no longer fits the next record. Each record's image is logged
      before the slot write that places it, so a page evicted mid-batch never
      reaches disk ahead of its undo information; a record logged but never
      placed undoes as a no-op. One descriptor write-back per batch. *)
@@ -156,6 +153,7 @@ module Impl = struct
       let hd = hdesc_of desc in
       let keys = Array.make n (Record_key.rid ~page:0 ~slot:0) in
       let failure = ref None in
+      let log = log_image ctx desc in
       (* Insert records [i..] into page [p] under one pin until one no longer
          fits; returns the first unplaced index. *)
       let fill_page p i =
@@ -165,16 +163,9 @@ module Impl = struct
               then j
               else begin
                 let slot = Slotted.next_slot data in
-                let key = Record_key.rid ~page:p ~slot in
-                ignore (log_op ctx desc.rel_id (Ins (key, records.(j))));
-                match Slotted.insert data payloads.(j) with
-                | Some s when s = slot ->
-                  keys.(j) <- key;
-                  fill (j + 1)
-                | Some _ | None ->
-                  failure :=
-                    Some (Error.Internal "heap: page had room but insert failed");
-                  j
+                ignore (set_slot data (p, slot) ~log (fun _ -> Some payloads.(j)));
+                keys.(j) <- Record_key.rid ~page:p ~slot;
+                fill (j + 1)
               end
             in
             fill i)
@@ -242,57 +233,48 @@ module Impl = struct
         | Some fs -> Record.project record fs)
 
   let delete ctx (desc : Descriptor.t) key =
+    let not_found = Error (Error.Key_not_found (Record_key.to_string key)) in
     match rid_parts key with
-    | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some (page, slot) -> begin
-      match with_page ctx page (fun data -> Slotted.read data slot) with
-      | None -> Error (Error.Key_not_found (Record_key.to_string key))
+    | None -> not_found
+    | Some rid -> begin
+      match
+        with_page_mut ctx (fst rid) (fun data ->
+            set_slot data rid ~log:(log_image ctx desc) (fun _ -> None))
+      with
+      | None -> not_found
       | Some payload ->
-        let record = Codec.decode_record (Bytes.of_string payload) in
-        let ok = with_page_mut ctx page (fun data -> Slotted.delete data slot) in
-        if not ok then Error (Error.Key_not_found (Record_key.to_string key))
-        else begin
-          ignore (log_op ctx desc.rel_id (Del (key, record)));
-          (* Deferred reclamation: the slot becomes reusable only once the
-             deleting transaction commits. *)
-          let bp = ctx.Ctx.bp in
-          Ctx.defer ctx Dmx_txn.Txn.On_commit (fun () ->
-              let frame = Buffer_pool.pin bp page in
-              Slotted.make_reusable frame.Buffer_pool.data slot;
-              Buffer_pool.unpin ~dirty:true bp frame);
-          let hd = hdesc_of desc in
-          store_desc ctx desc { hd with count = max 0 (hd.count - 1) };
-          Ok record
-        end
+        (* Deferred reclamation: the slot becomes reusable only once the
+           deleting transaction commits. *)
+        let bp = ctx.Ctx.bp in
+        let page, slot = rid in
+        Ctx.defer ctx Dmx_txn.Txn.On_commit (fun () ->
+            let frame = Buffer_pool.pin bp page in
+            Slotted.make_reusable frame.Buffer_pool.data slot;
+            Buffer_pool.unpin ~dirty:true bp frame);
+        let hd = hdesc_of desc in
+        store_desc ctx desc { hd with count = max 0 (hd.count - 1) };
+        Ok (Codec.decode_record (Bytes.of_string payload))
     end
 
   let update ctx (desc : Descriptor.t) key new_record =
-    match rid_parts key with
-    | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some (page, slot) -> begin
-      match with_page ctx page (fun data -> Slotted.read data slot) with
-      | None -> Error (Error.Key_not_found (Record_key.to_string key))
-      | Some old_payload ->
-        let old_record = Codec.decode_record (Bytes.of_string old_payload) in
-        let payload = encode_payload new_record in
-        let in_place =
-          with_page_mut ctx page (fun data -> Slotted.update data slot payload)
-        in
-        if in_place then begin
-          ignore (log_op ctx desc.rel_id (Upd (key, key, old_record, new_record)));
-          Ok key
-        end
-        else begin
-          (* Does not fit: relocate; the record key changes. *)
-          match delete ctx desc key with
-          | Error _ as e -> e
-          | Ok _ -> begin
-            match insert ctx desc new_record with
-            | Error _ as e -> e
-            | Ok new_key -> Ok new_key
-          end
-        end
-    end
+    let payload = encode_payload new_record in
+    let in_place =
+      match rid_parts key with
+      | None -> false
+      | Some ((page, slot) as rid) ->
+        with_page_mut ctx page (fun data ->
+            Slotted.fits data slot payload
+            && set_slot data rid ~log:(log_image ctx desc)
+                 (Option.map (fun _ -> payload))
+               <> None)
+    in
+    if in_place then Ok key
+    else
+      (* Does not fit: relocate; the record key changes. A dead slot fails
+         the delete. *)
+      match delete ctx desc key with
+      | Error _ as e -> e
+      | Ok _ -> insert ctx desc new_record
 
   let key_fields _desc = None
 
@@ -445,79 +427,16 @@ module Impl = struct
 
   (* ---- log-driven undo (testable) ---- *)
 
-  let unlogged_delete ctx page slot =
-    with_page_mut ctx page (fun data ->
-        ignore (Slotted.delete data slot);
-        Slotted.make_reusable data slot)
-
-  (* A crash can lose a page that was allocated after the last force; every
-     logged effect on it vanished along with it. [live] filters those
-     record keys out so restart undo does not pin nonexistent pages. *)
-  let live ctx = function
-    | Some (page, _) when not (Buffer_pool.page_live ctx.Ctx.bp page) -> None
-    | parts -> parts
-
   (* The descriptor's advisory count follows an insert or delete that undo
      actually reversed. *)
-  let adjust_count ctx rel_id delta =
-    Option.iter
-      (fun desc ->
-        let hd = hdesc_of desc in
-        store_desc ctx desc { hd with count = max 0 (hd.count + delta) })
-      (Catalog.find_by_id ctx.Ctx.catalog rel_id)
-
   let undo ctx ~rel_id ~data =
-    match dec_op data with
-    | Ins (key, record) -> begin
-      match live ctx (rid_parts key) with
-      | None -> ()
-      | Some (page, slot) -> begin
-        match with_page ctx page (fun data -> Slotted.read data slot) with
-        | Some payload
-          when Record.equal
-                 (Codec.decode_record (Bytes.of_string payload))
-                 record ->
-          unlogged_delete ctx page slot;
-          adjust_count ctx rel_id (-1)
-        | Some _ | None -> ()  (* never applied or already undone *)
-      end
-    end
-    | Del (key, record) -> begin
-      match live ctx (rid_parts key) with
-      | None -> ()
-      | Some (page, slot) ->
-        let reinstated =
-          with_page_mut ctx page (fun data ->
-              match Slotted.read data slot with
-              | Some _ -> false  (* still present: delete never reached disk *)
-              | None ->
-                if not (Slotted.insert_at data slot (encode_payload record))
-                then
-                  failwith
-                    (Fmt.str "heap undo: cannot reinstate record at %s"
-                       (Record_key.to_string key));
-                true)
-        in
-        if reinstated then adjust_count ctx rel_id 1
-    end
-    | Upd (old_key, new_key, old_record, new_record) ->
-      if Record_key.equal old_key new_key then begin
-        match live ctx (rid_parts old_key) with
-        | None -> ()
-        | Some (page, slot) ->
-          with_page_mut ctx page (fun data ->
-              match Slotted.read data slot with
-              | Some payload
-                when Record.equal
-                       (Codec.decode_record (Bytes.of_string payload))
-                       new_record ->
-                ignore (Slotted.update data slot (encode_payload old_record))
-              | Some _ | None -> ())
-      end
-      else
-        (* Relocating updates are logged as Del + Ins by the calling code
-           path; a combined Upd with distinct keys is never written. *)
-        failwith "heap undo: unexpected relocating update record"
+    let delta = undo_slot ctx data in
+    if delta <> 0 then
+      Option.iter
+        (fun desc ->
+          let hd = hdesc_of desc in
+          store_desc ctx desc { hd with count = max 0 (hd.count + delta) })
+        (Catalog.find_by_id ctx.Ctx.catalog rel_id)
 end
 
 include Impl

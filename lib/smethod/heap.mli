@@ -5,13 +5,31 @@
     place relocate the record and change its key (the architecture allows
     this: attached procedures receive both old and new keys).
 
-    Undo discipline (testable, per the recovery policy): undo-insert deletes
-    the RID when it still holds the inserted record; undo-delete reinstates
-    the record in its original slot — guaranteed free because tombstones stay
-    *pending* (unreusable) until the deleting transaction commits, at which
-    point a deferred action releases them. *)
+    Every change is a {!Dmx_value.Image} of one RID's slot, logged before
+    the slot write. Undo is the image's state check: undo-insert frees the
+    slot when it still holds the inserted payload; undo-delete reinstates
+    the payload in its original slot — guaranteed free because tombstones
+    stay *pending* (unreusable) until the deleting transaction commits, at
+    which point a deferred action releases them. *)
 
 include Dmx_core.Intf.STORAGE_METHOD
+
+(** {2 Slot images} shared with [readonly] *)
+
+val set_slot :
+  bytes -> int * int -> log:(string -> unit) ->
+  (string option -> string option) -> string option
+(** [set_slot data (page, slot) ~log f] is the slotted-page
+    {!Dmx_value.Image.change} on the pinned page [data]: [f] maps the
+    payload held in the slot to the new one ([None] leaves a pending
+    tombstone). The caller passes only payloads that fit
+    ({!Dmx_page.Slotted.fits}); a write that does not fit raises [Failure]. *)
+
+val undo_slot : Dmx_core.Ctx.t -> string -> int
+(** Reverse a logged slot image ({!Dmx_value.Image.undo}); a no-op when the
+    page is not live (allocated after the last force, lost with the crash).
+    An undone insert releases its slot at once. Returns the record-count
+    change ({!Dmx_value.Image.count_delta}; 0 when nothing was reversed). *)
 
 val register : unit -> int
 (** Register with the procedure vectors; returns the storage-method id.

@@ -35,49 +35,28 @@ let seq_of = function
 
 let key_of_seq seq = Record_key.rid ~page:0 ~slot:seq
 
-(* ---- log payloads ---- *)
+(* ---- sequence-number images ---- *)
 
-type op =
-  | Ins of int * Record.t
-  | Del of int * Record.t
-  | Upd of int * Record.t * Record.t
+let encode record = Bytes.to_string (Codec.encode_record record)
 
-let enc_op op =
-  let e = Codec.Enc.create () in
-  (match op with
-  | Ins (seq, r) ->
-    Codec.Enc.byte e 0;
-    Codec.Enc.varint e seq;
-    Codec.Enc.record e r
-  | Del (seq, r) ->
-    Codec.Enc.byte e 1;
-    Codec.Enc.varint e seq;
-    Codec.Enc.record e r
-  | Upd (seq, o, n) ->
-    Codec.Enc.byte e 2;
-    Codec.Enc.varint e seq;
-    Codec.Enc.record e o;
-    Codec.Enc.record e n);
-  Codec.Enc.to_string e
+(* The read-modify-write of one sequence number: held records are imaged
+   as their encoding. Reinstating a sequence number keeps [next_seq] past
+   it. *)
+let set_seq s seq ~log f =
+  Image.change Codec.Enc.varint ~log
+    ~read:(fun () -> Option.map encode (Imap.find_opt seq s.records))
+    ~write:(function
+      | None -> s.records <- Imap.remove seq s.records
+      | Some p ->
+        s.records <-
+          Imap.add seq (Codec.decode_record (Bytes.of_string p)) s.records;
+        s.next_seq <- max s.next_seq (seq + 1))
+    seq f
 
-let dec_op s =
-  let d = Codec.Dec.of_string s in
-  match Codec.Dec.byte d with
-  | 0 ->
-    let seq = Codec.Dec.varint d in
-    Ins (seq, Codec.Dec.record d)
-  | 1 ->
-    let seq = Codec.Dec.varint d in
-    Del (seq, Codec.Dec.record d)
-  | 2 ->
-    let seq = Codec.Dec.varint d in
-    let o = Codec.Dec.record d in
-    let n = Codec.Dec.record d in
-    Upd (seq, o, n)
-  | n -> failwith (Fmt.str "Memory: bad op tag %d" n)
-
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id ~data:(enc_op op)
+let log_image ctx (desc : Descriptor.t) data =
+  ignore
+    (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
+       ~data)
 
 module Impl = struct
   let name = "memory"
@@ -99,9 +78,8 @@ module Impl = struct
   let insert ctx (desc : Descriptor.t) record =
     let s = store_of desc.rel_id in
     let seq = s.next_seq in
-    s.next_seq <- seq + 1;
-    s.records <- Imap.add seq record s.records;
-    ignore (log_op ctx desc.rel_id (Ins (seq, record)));
+    ignore
+      (set_seq s seq ~log:(log_image ctx desc) (fun _ -> Some (encode record)));
     Ok (key_of_seq seq)
 
   let fetch ctx (desc : Descriptor.t) key ?fields () =
@@ -118,31 +96,22 @@ module Impl = struct
           | Some fs -> Record.project record fs)
     end
 
-  let delete ctx (desc : Descriptor.t) key =
-    let s = store_of desc.rel_id in
+  (* [f] sees the held record's encoding; [None] when the key names none *)
+  let modify ctx (desc : Descriptor.t) key f =
     match seq_of key with
-    | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some seq -> begin
-      match Imap.find_opt seq s.records with
-      | None -> Error (Error.Key_not_found (Record_key.to_string key))
-      | Some record ->
-        s.records <- Imap.remove seq s.records;
-        ignore (log_op ctx desc.rel_id (Del (seq, record)));
-        Ok record
-    end
+    | None -> None
+    | Some seq -> set_seq (store_of desc.rel_id) seq ~log:(log_image ctx desc) f
 
-  let update ctx (desc : Descriptor.t) key new_record =
-    let s = store_of desc.rel_id in
-    match seq_of key with
+  let delete ctx desc key =
+    match modify ctx desc key (fun _ -> None) with
     | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some seq -> begin
-      match Imap.find_opt seq s.records with
-      | None -> Error (Error.Key_not_found (Record_key.to_string key))
-      | Some old_record ->
-        s.records <- Imap.add seq new_record s.records;
-        ignore (log_op ctx desc.rel_id (Upd (seq, old_record, new_record)));
-        Ok key
-    end
+    | Some p -> Ok (Codec.decode_record (Bytes.of_string p))
+
+  let update ctx desc key new_record =
+    let payload = encode new_record in
+    match modify ctx desc key (Option.map (fun _ -> payload)) with
+    | None -> Error (Error.Key_not_found (Record_key.to_string key))
+    | Some _ -> Ok key
 
   let key_fields _ = None
 
@@ -205,26 +174,9 @@ module Impl = struct
     ignore ctx;
     match Hashtbl.find_opt stores rel_id with
     | None -> ()  (* volatile contents gone (restart): nothing to undo *)
-    | Some s -> begin
-      match dec_op data with
-      | Ins (seq, record) -> begin
-        match Imap.find_opt seq s.records with
-        | Some r when Record.equal r record ->
-          s.records <- Imap.remove seq s.records
-        | Some _ | None -> ()
-      end
-      | Del (seq, record) ->
-        if not (Imap.mem seq s.records) then begin
-          s.records <- Imap.add seq record s.records;
-          s.next_seq <- max s.next_seq (seq + 1)
-        end
-      | Upd (seq, old_record, new_record) -> begin
-        match Imap.find_opt seq s.records with
-        | Some r when Record.equal r new_record ->
-          s.records <- Imap.add seq old_record s.records
-        | Some _ | None -> ()
-      end
-    end
+    | Some s ->
+      let img = Image.decode Codec.Dec.varint data in
+      ignore (Image.undo img ~set:(set_seq s img.target ~log:ignore))
 end
 
 include Impl

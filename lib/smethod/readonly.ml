@@ -40,19 +40,6 @@ let seal ctx desc =
   let rd = rdesc_of desc in
   store_desc ctx desc { rd with sealed = true }
 
-(* Undo payload: appended record's RID (undo tears it back off the end). *)
-let enc_ins key record =
-  let e = Codec.Enc.create () in
-  Record_key.enc e key;
-  Codec.Enc.record e record;
-  Codec.Enc.to_string e
-
-let dec_ins s =
-  let d = Codec.Dec.of_string s in
-  let key = Record_key.dec d in
-  let record = Codec.Dec.record d in
-  (key, record)
-
 let with_page ctx page f =
   let frame =
     Buffer_pool.pin ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ctx.Ctx.bp page
@@ -91,34 +78,37 @@ module Impl = struct
       Error (Error.Read_only (Fmt.str "relation %S is sealed" desc.rel_name))
     else begin
       let payload = Bytes.to_string (Codec.encode_record record) in
+      let log data =
+        ignore
+          (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
+             ~data)
+      in
+      let append page =
+        with_page_mut ctx page (fun data ->
+            let slot = Slotted.next_slot data in
+            if not (Slotted.fits data slot payload) then None
+            else begin
+              ignore (Heap.set_slot data (page, slot) ~log (fun _ -> Some payload));
+              Some (Record_key.rid ~page ~slot)
+            end)
+      in
       (* Strictly append to the last page: write-once media do not seek
          backwards for free space. *)
-      let last_page_has_room =
-        match List.rev rd.pages with
-        | [] -> None
-        | p :: _ ->
-          if with_page ctx p (fun data -> Slotted.free_space data >= String.length payload)
-          then Some p
-          else None
-      in
-      let page, rd =
-        match last_page_has_room with
-        | Some p -> (p, rd)
+      let placed =
+        match Option.bind (List.nth_opt (List.rev rd.pages) 0) append with
+        | Some key -> Some (key, rd)
         | None ->
           let frame = Buffer_pool.alloc ctx.Ctx.bp in
           Slotted.init frame.Buffer_pool.data;
           Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
           let p = frame.Buffer_pool.page_id in
-          (p, { rd with pages = rd.pages @ [ p ] })
+          Option.map
+            (fun key -> (key, { rd with pages = rd.pages @ [ p ] }))
+            (append p)
       in
-      match with_page_mut ctx page (fun data -> Slotted.insert data payload) with
+      match placed with
       | None -> Error (Error.Internal "readonly: append failed")
-      | Some slot ->
-        let key = Record_key.rid ~page ~slot in
-        ignore
-          (Ctx.log ctx
-             ~source:(Log_record.Smethod (id ()))
-             ~rel_id:desc.rel_id ~data:(enc_ins key record));
+      | Some (key, rd) ->
         store_desc ctx desc { rd with count = rd.count + 1 };
         Ok key
     end
@@ -208,19 +198,15 @@ module Impl = struct
       ordered_by = None;
     }
 
+  (* The count follows an insert that undo actually reversed. *)
   let undo ctx ~rel_id ~data =
-    ignore rel_id;
-    let key, record = dec_ins data in
-    match key with
-    | Record_key.Fields _ -> ()
-    | Record_key.Rid { page; slot } ->
-      with_page_mut ctx page (fun data ->
-          match Slotted.read data slot with
-          | Some payload
-            when Record.equal (Codec.decode_record (Bytes.of_string payload)) record ->
-            ignore (Slotted.delete data slot);
-            Slotted.make_reusable data slot
-          | Some _ | None -> ())
+    let delta = Heap.undo_slot ctx data in
+    if delta <> 0 then
+      Option.iter
+        (fun desc ->
+          let rd = rdesc_of desc in
+          store_desc ctx desc { rd with count = max 0 (rd.count + delta) })
+        (Catalog.find_by_id ctx.Ctx.catalog rel_id)
 end
 
 include Impl

@@ -66,8 +66,8 @@ let offset_of_loc (loc : Location.t) = loc.loc_start.Lexing.pos_cnum
 let page_mutator parts =
   match parts with
   | [ "Slotted";
-      ("init" | "insert" | "insert_at" | "update" | "delete" | "make_reusable")
-    ]
+      ("init" | "insert" | "insert_at" | "update" | "delete" | "make_reusable"
+      | "set") ]
   | [ "Buffer_pool"; "alloc" ] -> true
   | _ -> false
 

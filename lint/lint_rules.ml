@@ -173,7 +173,9 @@ let exception_swallowing ~file structure =
 (* ---- R4: WAL before page mutation ---- *)
 
 let page_mutator = function
-  | [ "Slotted"; ("init" | "insert" | "insert_at" | "update" | "delete" | "make_reusable") ]
+  | [ "Slotted";
+      ("init" | "insert" | "insert_at" | "update" | "delete" | "make_reusable"
+      | "set") ]
   | [ "Buffer_pool"; "alloc" ] -> true
   | _ -> false
 
@@ -239,6 +241,9 @@ let ident_paths expr0 =
   it.expr it expr0;
   List.rev !out
 
+(* Order-aware: a mutation that comes before the body's first logging call
+   (in source order) is reported, so a log call after the write does not
+   excuse it. *)
 let wal_before_page ~file structure =
   bindings_of_structure [] structure
   |> List.rev
@@ -246,11 +251,16 @@ let wal_before_page ~file structure =
          if exempt_function name then None
          else
            let paths = ident_paths body in
+           let offset (_, (l : Location.t)) = l.loc_start.Lexing.pos_cnum in
+           let first_log =
+             List.fold_left
+               (fun acc p -> if logging_call (fst p) then min acc (offset p) else acc)
+               max_int paths
+           in
            let mutators =
-             List.filter (fun (p, _) -> page_mutator p) paths
+             List.filter (fun p -> page_mutator (fst p) && offset p < first_log) paths
            in
            if mutators = [] then None
-           else if List.exists (fun (p, _) -> logging_call p) paths then None
            else
              let mut_names =
                List.map (fun (p, _) -> String.concat "." p) mutators
@@ -260,9 +270,9 @@ let wal_before_page ~file structure =
                (Lint_diag.make ~rule:rule_wal_before_page ~file
                   ~line:(line_of_loc loc)
                   (Fmt.str
-                     "%s mutates pages (%s) without a Wal./Log_record./Ctx.log \
-                      call in the same body — log undo information before the \
-                      page change reaches the buffer pool"
+                     "%s mutates pages (%s) before its first Wal./Log_record./\
+                      Ctx.log call — log undo information before the page \
+                      change reaches the buffer pool"
                      name
                      (String.concat ", " mut_names))))
 

@@ -555,7 +555,7 @@ let prop_model =
               match Btree.undo bp data, expect with
               | None, false -> ()
               | Some c, true ->
-                if (c.Btree.before, c.Btree.after) <> (before, after) then
+                if (c.Image.before, c.Image.after) <> (before, after) then
                   fail "undo %d: change decoded differently" i;
                 bind i before
               | got, _ -> fail "undo %d: reversed %b" i (got <> None)

@@ -170,18 +170,22 @@ let test_insert_many_sweeps () =
   check_report (H.sweep (config 64) H.Mode_io_error ~recovery_crash:false);
   check_report (H.sweep (config 64) H.Mode_crash ~recovery_crash:false)
 
-let test_mutation_caught () =
-  (* Break btree-index undo on purpose: some fault point must now leave a
-     ghost index entry that the oracle reports. A silent pass would mean the
-     oracle cannot actually see index corruption. *)
-  H.enable_undo_mutation ();
+(* Break one attachment's undo on purpose: some fault point must now leave
+   a ghost index entry that the oracle reports. A silent pass would mean the
+   oracle cannot actually see that index's corruption. A crash-time loser's
+   pages never become durable (a write hardens only at the next sync), so
+   the seed's script must roll back a change of that index itself: seed 43
+   rolls back child rows (btree "camt"), seed 41 parent rows (hash
+   "hdept"). *)
+let mutation_caught attachment seed () =
+  H.enable_undo_mutation attachment;
   let r =
     Fun.protect ~finally:H.disable_undo_mutation (fun () ->
-        H.sweep (config 43) H.Mode_crash ~recovery_crash:false)
+        H.sweep (config seed) H.Mode_crash ~recovery_crash:false)
   in
   Alcotest.(check bool)
-    "oracle caught the broken undo" true
-    (r.H.sr_bad <> [])
+    (Fmt.str "oracle caught the broken %s undo" attachment)
+    true (r.H.sr_bad <> [])
 
 let suite =
   [
@@ -213,5 +217,7 @@ let suite =
     Alcotest.test_case "insert_many batches: io-error and crash sweeps" `Quick
       test_insert_many_sweeps;
     Alcotest.test_case "mutation run: oracle catches broken undo" `Quick
-      test_mutation_caught;
+      (mutation_caught "btree_index" 43);
+    Alcotest.test_case "mutation run: oracle catches broken hash_index undo"
+      `Quick (mutation_caught "hash_index" 41);
   ]

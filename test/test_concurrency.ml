@@ -147,6 +147,49 @@ let test_deadlock_detect_across_txns () =
     (Dmx_lock.Deadlock.detect locks);
   Services.abort services t1
 
+(* An aggregate's group cell is undone by its change image, which is sound
+   only while the logging transaction owns the cell: T1 +(d, 10), T2
+   +(d, 5), T1 aborts. T2's bump of the cell T1 holds must be refused (or,
+   if it went through, T1's undo must not lose it): the group never reads
+   count 2 / sum 15. *)
+let test_agg_cell_owned () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  ignore
+    (check_ok "create"
+       (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+          ~storage_method:"heap" ()));
+  ignore
+    (check_ok "agg"
+       (Ddl.create_attachment ctx ~relation:"t" ~attachment_type:"agg"
+          ~name:"by_dept" ~attrs:[ ("group", "dept"); ("sum", "salary") ] ()));
+  Services.commit services ctx;
+  let t1 = Services.begin_txn services in
+  let t2 = Services.begin_txn services in
+  let desc1 = check_ok "find" (Ddl.find_relation t1 "t") in
+  let desc2 = check_ok "find" (Ddl.find_relation t2 "t") in
+  ignore (check_ok "t1 insert" (Relation.insert t1 desc1 (emp 1 "a" "d" 10)));
+  let t2_in =
+    match Relation.insert t2 desc2 (emp 2 "b" "d" 5) with
+    | Ok _ -> true
+    | Error (Error.Lock_conflict _) -> false
+    | Error e -> Alcotest.failf "t2 insert: %s" (Error.to_string e)
+  in
+  Services.abort services t1;
+  if t2_in then Services.commit services t2 else Services.abort services t2;
+  let ctx = Services.begin_txn services in
+  let desc = check_ok "find" (Ddl.find_relation ctx "t") in
+  let groups =
+    List.map
+      (fun (g : Dmx_attach.Agg.group) -> (g.count, g.sum))
+      (Dmx_attach.Agg.groups ctx desc ~name:"by_dept")
+  in
+  Alcotest.(check (list (pair int int64)))
+    "group d follows the committed rows"
+    (if t2_in then [ (1, 5L) ] else [])
+    groups;
+  Services.commit services ctx
+
 let suite =
   [
     Alcotest.test_case "write-write conflict (no-wait)" `Quick
@@ -159,4 +202,6 @@ let suite =
       test_abort_releases_locks;
     Alcotest.test_case "deadlock detection across transactions" `Quick
       test_deadlock_detect_across_txns;
+    Alcotest.test_case "aggregate cell owned until the writer ends" `Quick
+      test_agg_cell_owned;
   ]

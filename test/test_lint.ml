@@ -323,6 +323,38 @@ let test_wal_before_page () =
               (fun d -> d.Lint_diag.rule = "wal-before-page")
               report.Lint_driver.violations)))
 
+(* R4 is order-aware: a log call after the write does not excuse it, while
+   one that comes first (here inside a closure defined ahead of the
+   allocation, as heap placement does) covers the rest of the body. *)
+let test_wal_before_page_order () =
+  with_fixture_tree (fun root ->
+      write_file (root / "lib/smethod/latelog.ml")
+        "let register () = 3\n\n\
+         let late_log ctx data payload =\n\
+        \  ignore (Slotted.delete data 0);\n\
+        \  ignore (Ctx.log ctx payload)\n\n\
+         let early_log ctx bp payload =\n\
+        \  let fill data = ignore (Ctx.log ctx payload); Slotted.insert data payload in\n\
+        \  fill (Buffer_pool.alloc bp)\n";
+      write_file (root / "lib/smethod/latelog.mli")
+        "val register : unit -> int\n\
+         val late_log : 'a -> 'b -> 'c -> unit\n\
+         val early_log : 'a -> 'b -> 'c -> 'd\n";
+      write_file (root / "lib/db/db.ml")
+        "let register_defaults () =\n\
+        \  ignore (Dmx_smethod.Goodheap.register ());\n\
+        \  ignore (Dmx_smethod.Latelog.register ());\n\
+        \  ignore (Dmx_attach.Goodindex.register ())\n";
+      let report = run root in
+      check_diag "write before the log" report ~rule:"wal-before-page"
+        ~file:"lib/smethod/latelog.ml" ~line:3;
+      Alcotest.(check int)
+        "only the late log is flagged" 1
+        (List.length
+           (List.filter
+              (fun d -> d.Lint_diag.rule = "wal-before-page")
+              report.Lint_driver.violations)))
+
 (* R5: a module without an interface. *)
 let test_mli_coverage () =
   with_fixture_tree (fun root ->
@@ -561,6 +593,8 @@ let suite =
       test_exception_swallowing;
     Alcotest.test_case "R4: page mutation without WAL" `Quick
       test_wal_before_page;
+    Alcotest.test_case "R4: a log after the write does not excuse it" `Quick
+      test_wal_before_page_order;
     Alcotest.test_case "R5: missing mli" `Quick test_mli_coverage;
     Alcotest.test_case "R6: unpaired Emit.enter" `Quick test_span_pairing;
     Alcotest.test_case "baseline pins violation counts" `Quick

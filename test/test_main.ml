@@ -21,6 +21,7 @@ let () =
       ("concurrency", Test_concurrency.suite);
       ("authz", Test_authz.suite);
       ("property", Test_property.suite);
+      ("image", Test_image.suite);
       ("registry", Test_registry.suite);
       ("sanitizer", Test_sanitizer.suite);
       ("obs", Test_obs.suite);

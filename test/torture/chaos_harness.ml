@@ -645,18 +645,19 @@ let report_json (reports : seed_report list) =
 
 (* ---- deliberate undo bug (mutation run) ---- *)
 
-let enable_undo_mutation () =
-  (* Drop the undo of every btree-index attachment log record: losers leave
-     ghost index entries behind, which the oracle's index audits must catch. *)
+let enable_undo_mutation attachment =
+  (* Drop the undo of every log record of one attachment type: losers leave
+     ghost index entries behind, which the oracle's index audits must
+     catch. *)
   Dmx_db.Db.register_defaults ();
-  let bi = Dmx_attach.Btree_index.id () in
+  let skipped = Option.get (Registry.attachment_id attachment) in
   Undo.set_chaos_skip
     (Some
        (fun (r : Dmx_wal.Log_record.t) ->
          match r.Dmx_wal.Log_record.kind with
          | Dmx_wal.Log_record.Ext { source = Dmx_wal.Log_record.Attachment a; _ }
            ->
-           a = bi
+           a = skipped
          | _ -> false))
 
 let disable_undo_mutation () = Undo.set_chaos_skip None

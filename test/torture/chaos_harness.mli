@@ -112,9 +112,10 @@ val restart_equivalence :
 val pp_seed_report : Format.formatter -> seed_report -> unit
 val report_json : seed_report list -> string
 
-val enable_undo_mutation : unit -> unit
-(** Deliberately break undo — btree-index attachment log records are skipped
-    during rollback/restart — to demonstrate that the oracle catches the
-    resulting ghost index entries. *)
+val enable_undo_mutation : string -> unit
+(** Deliberately break undo — the log records of the named attachment type
+    (["btree_index"], ["hash_index"]) are skipped during rollback/restart —
+    to demonstrate that the oracle catches the resulting ghost index
+    entries. *)
 
 val disable_undo_mutation : unit -> unit
