@@ -266,9 +266,10 @@ module Bloom_attachment = struct
     let scan _ctx _desc ~slot:_ ~instance:_ ?lo:_ ?hi:_ () = None
     let estimate _ctx _desc ~slot:_ ~eligible:_ = []
     let undo _ctx ~rel_id:_ ~data:_ = ()
+    let redo _ctx ~rel_id:_ ~data:_ = ()
   end
 
-  let register () = Slot.register (module Impl)
+  let register () = Slot.register ~redo:Impl.redo (module Impl)
 
   let maybe_contains (desc : Descriptor.t) ~name v =
     match Slot.by_name desc name with

@@ -156,6 +156,9 @@ module Impl = struct
   let estimate _ctx _desc ~slot:_ ~eligible:_ = []
 
   let undo ctx ~rel_id:_ ~data = ignore (Btree.undo ctx.Ctx.bp data)
+
+  let redo ctx ~rel_id:_ ~data =
+    if Btree.redo ctx.Ctx.bp data then Ctx.applied ctx
 end
 
 include Impl
@@ -184,4 +187,4 @@ let group ctx desc ~name ~key =
              { group_values = key; count; sum })
            (Btree.find (tree ctx inst) ~key)))
 
-let register () = Slot.register (module Impl : Intf.ATTACHMENT)
+let register () = Slot.register ~redo:Impl.redo (module Impl : Intf.ATTACHMENT)

@@ -26,13 +26,14 @@ module Slot (P : PAYLOAD) = struct
       Error.raise_err
         (Error.Internal (Fmt.str "%s: attachment not registered" P.name))
 
-  let register ?insert_batch impl =
+  let register ?insert_batch ~redo impl =
     match !reg_id with
     | Some id -> id
     | None ->
       let id = Registry.register_attachment impl in
       reg_id := Some id;
       Option.iter (Registry.set_at_insert_batch id) insert_batch;
+      Registry.set_at_redo id redo;
       id
 
   let encode insts =

@@ -35,8 +35,10 @@ module Slot (P : PAYLOAD) : sig
     ?insert_batch:
       (Ctx.t -> Dmx_catalog.Descriptor.t -> slot:string ->
        (Record_key.t * Record.t) array -> (unit, Error.t) result) ->
+    redo:(Ctx.t -> rel_id:int -> data:string -> unit) ->
     (module Intf.ATTACHMENT) -> int
-  (** Register the implementation (and its bulk [on_insert] entry) once;
+  (** Register the implementation, its redo entry
+      ({!Dmx_core.Registry.set_at_redo}) and its bulk [on_insert] entry once;
       later calls return the same id. *)
 
   val decode : string -> P.t instances

@@ -327,10 +327,13 @@ module Impl = struct
       (Slot.decode slot)
 
   let undo ctx ~rel_id:_ ~data = ignore (Btree.undo ctx.Ctx.bp data)
+
+  let redo ctx ~rel_id:_ ~data =
+    if Btree.redo ctx.Ctx.bp data then Ctx.applied ctx
 end
 
 include Impl
 
 let register () =
-  Slot.register ~insert_batch:Impl.on_insert_batch
+  Slot.register ~insert_batch:Impl.on_insert_batch ~redo:Impl.redo
     (module Impl : Intf.ATTACHMENT)

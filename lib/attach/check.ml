@@ -119,8 +119,10 @@ module Impl = struct
   let undo _ctx ~rel_id:_ ~data:_ =
     (* Check constraints keep no state and log nothing. *)
     ()
+
+  let redo _ctx ~rel_id:_ ~data:_ = ()
 end
 
 include Impl
 
-let register () = Slot.register (module Impl : Intf.ATTACHMENT)
+let register () = Slot.register ~redo:Impl.redo (module Impl : Intf.ATTACHMENT)

@@ -336,8 +336,8 @@ module Impl = struct
           end)
       (Slot.decode slot)
 
-  (* Bucket pages of an index born after the last force vanished with the
-     crash: nothing durable to undo in them. *)
+  (* Bucket pages of an index whose creation never reached the store hold
+     nothing to undo. *)
   let undo ctx ~rel_id ~data =
     let img = Image.decode dec_entry data in
     let no, vals, _ = img.target in
@@ -347,10 +347,22 @@ module Impl = struct
              inst.buckets.(bucket_index inst vals) ->
       ignore (Image.undo img ~set:(set_entry ctx inst img.target ~log:ignore))
     | Some _ | None -> ()
+
+  (* A lost overflow page is allocated again by the re-run change. *)
+  let redo ctx ~rel_id ~data =
+    let img = Image.decode dec_entry data in
+    let no, vals, _ = img.target in
+    match Slot.in_catalog ctx ~rel_id no with
+    | Some inst
+      when Buffer_pool.page_live ctx.Ctx.bp
+             inst.buckets.(bucket_index inst vals)
+           && Image.redo img ~set:(set_entry ctx inst img.target ~log:ignore) ->
+      Ctx.applied ctx
+    | Some _ | None -> ()
 end
 
 include Impl
 
 let register () =
-  Slot.register ~insert_batch:Impl.on_insert_batch
+  Slot.register ~insert_batch:Impl.on_insert_batch ~redo:Impl.redo
     (module Impl : Intf.ATTACHMENT)

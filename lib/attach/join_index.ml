@@ -221,6 +221,9 @@ module Impl = struct
   let estimate _ctx _desc ~slot:_ ~eligible:_ = []
 
   let undo ctx ~rel_id:_ ~data = ignore (Btree.undo ctx.Ctx.bp data)
+
+  let redo ctx ~rel_id:_ ~data =
+    if Btree.redo ctx.Ctx.bp data then Ctx.applied ctx
 end
 
 include Impl
@@ -266,4 +269,4 @@ let pair_count ctx desc ~instance =
       Btree.count (Btree.open_tree ctx.Ctx.bp ~root:inst.mine_root))
     (by_no desc instance)
 
-let register () = Slot.register (module Impl : Intf.ATTACHMENT)
+let register () = Slot.register ~redo:Impl.redo (module Impl : Intf.ATTACHMENT)

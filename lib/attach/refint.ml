@@ -278,8 +278,10 @@ module Impl = struct
     (* Referential actions modify the database only through relation
        operations, which log their own undo; the attachment keeps no state. *)
     ()
+
+  let redo _ctx ~rel_id:_ ~data:_ = ()
 end
 
 include Impl
 
-let register () = Slot.register (module Impl : Intf.ATTACHMENT)
+let register () = Slot.register ~redo:Impl.redo (module Impl : Intf.ATTACHMENT)

@@ -219,6 +219,17 @@ module Impl = struct
     | Some inst when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root ->
       ignore (Image.undo img ~set:(set_entry ctx inst img.target ~log:ignore))
     | Some _ | None -> () (* tree lost with the crash: nothing durable *)
+
+  (* A lost split is made again on fresh pages by the re-run change. *)
+  let redo ctx ~rel_id ~data =
+    let img = Image.decode dec_entry data in
+    let no, _, _ = img.target in
+    match Slot.in_catalog ctx ~rel_id no with
+    | Some inst
+      when Dmx_page.Buffer_pool.page_live ctx.Ctx.bp inst.root
+           && Image.redo img ~set:(set_entry ctx inst img.target ~log:ignore) ->
+      Ctx.applied ctx
+    | Some _ | None -> ()
 end
 
 include Impl
@@ -234,4 +245,4 @@ let lookup_overlapping ctx (desc : Descriptor.t) ~instance rect =
     |> List.map (fun (_, payload) ->
            Record_key.decode (Bytes.of_string payload))
 
-let register () = Slot.register (module Impl : Intf.ATTACHMENT)
+let register () = Slot.register ~redo:Impl.redo (module Impl : Intf.ATTACHMENT)

@@ -161,8 +161,10 @@ module Impl = struct
     (* Trigger database effects go through relation operations which log
        themselves; external effects are the application's business. *)
     ()
+
+  let redo _ctx ~rel_id:_ ~data:_ = ()
 end
 
 include Impl
 
-let register () = Slot.register (module Impl : Intf.ATTACHMENT)
+let register () = Slot.register ~redo:Impl.redo (module Impl : Intf.ATTACHMENT)

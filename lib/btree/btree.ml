@@ -335,6 +335,12 @@ let undo bp data =
   then Some c
   else None
 
+let redo bp data =
+  let c = Image.decode dec_target data in
+  let root, key = c.target in
+  Buffer_pool.page_live bp root
+  && Image.redo c ~set:(set (open_tree bp ~root) ~key ~log:ignore)
+
 (* ---- iteration ---- *)
 
 let iter t f =

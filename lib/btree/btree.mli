@@ -86,8 +86,13 @@ val insert_batch :
 
 val undo : Dmx_page.Buffer_pool.t -> string -> change option
 (** Reverse a logged change by {!Dmx_value.Image.undo}. A no-op when the
-    root page is not live (a tree allocated after the last force, lost with
-    the crash). Returns the change when it was reversed. *)
+    root page is not live (a tree whose creation never reached the store).
+    Returns the change when it was reversed. *)
+
+val redo : Dmx_page.Buffer_pool.t -> string -> bool
+(** Repeat a logged change by {!Dmx_value.Image.redo}: one {!set} over the
+    tree as the store holds it, so a lost split is made again on fresh
+    pages. Whether it applied the change. *)
 
 val find : t -> key:Value.t array -> string option
 val count : t -> int

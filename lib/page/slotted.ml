@@ -37,6 +37,8 @@ let init page =
   set_slot_count page 0;
   set_data_start page (Bytes.length page)
 
+let formatted page = data_start page <> 0
+
 let live_count page =
   let n = slot_count page in
   let rec loop i acc =

@@ -12,6 +12,10 @@ type slot = int
 val init : bytes -> unit
 (** Format an empty slotted page in place. *)
 
+val formatted : bytes -> bool
+(** Whether {!init} has run on the page. A zeroed page is not formatted; it
+    reads as an empty page with no free space. *)
+
 val slot_count : bytes -> int
 (** Directory size, including tombstones. *)
 

@@ -267,6 +267,10 @@ module Impl = struct
         end
       end
     end
+
+  (* The remote server applied each message when it was sent; nothing
+     local is left to repeat. *)
+  let redo _ctx ~rel_id:_ ~data:_ = ()
 end
 
 include Impl
@@ -279,4 +283,5 @@ let register () =
       Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
     in
     reg_id := Some id;
+    Registry.set_sm_redo id Impl.redo;
     id

@@ -25,11 +25,17 @@ val set_slot :
     tombstone). The caller passes only payloads that fit
     ({!Dmx_page.Slotted.fits}); a write that does not fit raises [Failure]. *)
 
-val undo_slot : Dmx_core.Ctx.t -> string -> int
-(** Reverse a logged slot image ({!Dmx_value.Image.undo}); a no-op when the
-    page is not live (allocated after the last force, lost with the crash).
-    An undone insert releases its slot at once. Returns the record-count
-    change ({!Dmx_value.Image.count_delta}; 0 when nothing was reversed). *)
+val undo_slot : Dmx_core.Ctx.t -> pages:int list -> string -> int
+(** Reverse a logged slot image ({!Dmx_value.Image.undo}) on one of the
+    relation's [pages]; a no-op on any other page (a loser's page that no
+    catalog snapshot listed, lost with the crash or reallocated since). An
+    unformatted (zeroed) page is formatted first. An undone insert releases
+    its slot at once. Returns the record-count change
+    ({!Dmx_value.Image.count_delta}; 0 when nothing was reversed). *)
+
+val redo_slot : Dmx_core.Ctx.t -> pages:int list -> string -> bool
+(** Repeat a logged slot image ({!Dmx_value.Image.redo}) under the same
+    page rule as {!undo_slot}. Whether it applied the change. *)
 
 val register : unit -> int
 (** Register with the procedure vectors; returns the storage-method id.

@@ -177,6 +177,10 @@ module Impl = struct
     | Some s ->
       let img = Image.decode Codec.Dec.varint data in
       ignore (Image.undo img ~set:(set_seq s img.target ~log:ignore))
+
+  (* Nothing to repeat: the store is volatile, so a restart finds it either
+     empty or, within one process, still holding every change. *)
+  let redo _ctx ~rel_id:_ ~data:_ = ()
 end
 
 include Impl
@@ -189,5 +193,6 @@ let register () =
       Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
     in
     reg_id := Some id;
+    Registry.set_sm_redo id Impl.redo;
     Registry.set_sm_scan_batch id Impl.scan_batch;
     id

@@ -400,6 +400,9 @@ module Impl = struct
     ignore ctx;
     ignore rel_id;
     ignore data
+
+  (* Views are computed from live engine state: nothing is stored. *)
+  let redo _ctx ~rel_id:_ ~data:_ = ()
 end
 
 include Impl
@@ -413,4 +416,5 @@ let register () =
       Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
     in
     reg_id := Some id;
+    Registry.set_sm_redo id Impl.redo;
     id

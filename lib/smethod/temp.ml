@@ -138,6 +138,9 @@ module Impl = struct
   let undo _ctx ~rel_id:_ ~data:_ =
     (* Temporary relations never log, so this is unreachable. *)
     failwith "Temp.undo: temporary relations are unlogged"
+
+  (* Temporary relations never log and do not outlive a restart. *)
+  let redo _ctx ~rel_id:_ ~data:_ = ()
 end
 
 include Impl
@@ -150,4 +153,5 @@ let register () =
       Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
     in
     reg_id := Some id;
+    Registry.set_sm_redo id Impl.redo;
     id

@@ -31,6 +31,9 @@ let change enc ~log ~read ~write target f =
 let undo ~set img =
   same img.after (set (fun held -> if same held img.after then img.before else held))
 
+let redo ~set img =
+  same img.before (set (fun held -> if same held img.before then img.after else held))
+
 let count_delta img =
   match img.before, img.after with
   | None, Some _ -> -1

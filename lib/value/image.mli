@@ -38,6 +38,13 @@ val undo : set:((string option -> string option) -> string option) -> 'a t -> bo
     [before] only when the target holds exactly [after]. Whether it
     reversed the change. *)
 
+val redo : set:((string option -> string option) -> string option) -> 'a t -> bool
+(** The undo run forward: [redo ~set img] applies [after] only when the
+    target holds exactly [before]. A target whose state is any state of its
+    logged history reaches the last one when its images are redone in log
+    order, so redo is safe over pages newer than the redo start. Whether
+    it applied the change. *)
+
 val count_delta : 'a t -> int
 (** What reversing the image does to the number of present targets: [-1]
     for an insert ([before] absent), [+1] for a delete ([after] absent),

@@ -498,7 +498,8 @@ let exempt_name name =
     let rec at i = i + m <= n && (String.sub name i m = sub || at (i + 1)) in
     at 0
   in
-  contains "undo" || contains "unlogged"
+  (* undo and redo restore what the log already holds *)
+  contains "undo" || contains "redo" || contains "unlogged"
 
 let wal_analysis t ~entry_files =
   let memo : (string, wal_summary) Hashtbl.t = Hashtbl.create 256 in

@@ -201,7 +201,8 @@ let exempt_function name =
     let rec at i = i + m <= n && (String.sub name i m = sub || at (i + 1)) in
     at 0
   in
-  contains "undo" || contains "unlogged"
+  (* undo and redo restore what the log already holds *)
+  contains "undo" || contains "redo" || contains "unlogged"
 
 (* Top-level (and module-nested) value bindings, each a "function scope" for
    the dominance approximation. *)
