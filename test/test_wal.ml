@@ -251,17 +251,15 @@ let test_recovery_analysis () =
   in
   Alcotest.(check (list string)) "tx3 undo newest-first" [ "3b"; "3a" ]
     (work_of 3);
-  (* 4b already has a Clr, but restart re-undoes it anyway: a Clr can become
-     durable before the page write it compensates, so trusting it could
-     strand the effect on disk; state-checking undo makes the repeat a no-op *)
-  Alcotest.(check (list string)) "tx4 keeps compensated records"
-    [ "4b"; "4a" ] (work_of 4)
+  (* 4b already has a Clr: restart's redo pass repeats that undo, so the
+     undo pass skips it *)
+  Alcotest.(check (list string)) "tx4 skips compensated records"
+    [ "4a" ] (work_of 4)
 
 let test_analysis_fully_compensated () =
   (* a loser whose every Ext was already undone by Clrs before the crash:
-     still a loser, and restart re-undoes the full chain regardless — the
-     Clrs' durability proves nothing about the compensating page writes,
-     and state-checking undo turns the repeats into no-ops *)
+     still a loser, but with nothing left to undo — restart's redo pass
+     repeats the undo each Clr records *)
   let w = Wal.in_memory () in
   ignore (Wal.append w 1 LR.Begin);
   let l_a = Wal.append w 1 (ext "a") in
@@ -270,7 +268,7 @@ let test_analysis_fully_compensated () =
   ignore (Wal.append w 1 (LR.Clr { undone = l_a }));
   let a = Recovery.analyze w in
   Alcotest.(check (list int)) "still a loser" [ 1 ] a.Recovery.losers;
-  Alcotest.(check int) "the full chain is re-undone" 2
+  Alcotest.(check int) "compensated records are not undone again" 0
     (List.length (List.assoc 1 a.undo_work))
 
 let test_analysis_interleaved () =

@@ -58,6 +58,9 @@ type episode = {
   ep_trunc_phases : int;
       (** truncation phase events observed — the crash-point domain for
           [Mode_truncate_crash] *)
+  ep_redo_applied : int;
+      (** winners' records the restart after the fault had to redo
+          ([Recovery.redo_applied]); 0 without a fault *)
   ep_failures : string list;  (** [[]] = consistent *)
 }
 
@@ -90,6 +93,7 @@ type seed_report = {
   sr_mode : mode;
   sr_clean_ops : int;
   sr_points : int;
+  sr_redo_applied : int;  (** sum of [ep_redo_applied] over the points *)
   sr_bad : point_result list;
 }
 
@@ -119,3 +123,10 @@ val enable_undo_mutation : string -> unit
     entries. *)
 
 val disable_undo_mutation : unit -> unit
+
+val enable_redo_mutation : string -> unit
+(** Deliberately break redo — the log records of the named attachment type
+    are skipped by restart's redo pass — so a winner's index change the
+    store lost at the crash stays lost, which the oracle must catch. *)
+
+val disable_redo_mutation : unit -> unit

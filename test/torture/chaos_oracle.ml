@@ -11,8 +11,9 @@
      rtree must each map exactly the live keys — probed both per-key and via
      full scans, so ghost entries and missing entries are both caught;
    - constraint and derived-data attachments: every live child's pid names a
-     live parent (refint), and the materialised aggregate equals a group-by
-     recomputed from the base scan. *)
+     live parent (refint), and the materialised aggregate and the stats
+     instance's live count and salary sum equal what the base scan
+     recomputes. *)
 
 open Dmx_value
 open Dmx_core
@@ -215,6 +216,28 @@ let check_agg o descp (actual_p : (Record_key.t * Record.t) M.Imap.t) =
       failf o "agg: missing group %s (count=%d sum=%Ld)" dept c s)
     expected
 
+(* stats(salary): live count and sum recomputed from the base scan *)
+let check_stats o descp (actual_p : (Record_key.t * Record.t) M.Imap.t) =
+  let want_count = M.Imap.cardinal actual_p in
+  let want_sum =
+    M.Imap.fold
+      (fun _ (_, r) acc ->
+        match r.(2) with Value.Int s -> Int64.add acc s | _ -> acc)
+      actual_p 0L
+  in
+  match Dmx_attach.Stats.get o.txn descp ~name:"pstats" with
+  | None -> failf o "stats: instance \"pstats\" missing from descriptor"
+  | Some s ->
+    let sum =
+      match s.Dmx_attach.Stats.per_field with
+      | [ f ] -> f.Dmx_attach.Stats.sum
+      | _ -> Int64.min_int
+    in
+    if s.Dmx_attach.Stats.live_count <> want_count || not (Int64.equal sum want_sum)
+    then
+      failf o "stats: got count=%d sum=%Ld, want count=%d sum=%Ld"
+        s.Dmx_attach.Stats.live_count sum want_count want_sum
+
 let check_child_indexes o descc (actual_c : (Record_key.t * Record.t) M.Imap.t)
     (actual_p : (Record_key.t * Record.t) M.Imap.t) =
   let bi = Option.get (Registry.attachment_id "btree_index") in
@@ -280,6 +303,7 @@ let check services ~(committed : M.state option) =
           W.child_record ~id ~pid:row.M.r_pid ~v:row.M.r_v);
       check_parent_indexes o descp actual_p;
       check_agg o descp actual_p;
+      check_stats o descp actual_p;
       check_child_indexes o descc actual_c actual_p
     | pr, cr, br ->
       List.iter

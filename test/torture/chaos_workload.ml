@@ -5,7 +5,7 @@
 
    - "p" (parent): heap storage; btree unique index on id ("pk"), hash index
      on dept ("hdept"), rtree on a bounding box ("prt"), agg
-     group-by-dept/sum-salary ("pagg").
+     group-by-dept/sum-salary ("pagg"), stats on salary ("pstats").
    - "c" (child): btree storage keyed on id; btree non-unique index on amt
      ("camt"), refint "cfk" on pid -> p.id with ON DELETE CASCADE.
    - "b" (bulk): heap storage, no attachments, filled only by [Insert_many]
