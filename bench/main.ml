@@ -1154,7 +1154,9 @@ let e11 () =
   Db.close db;
   rm_dir dir;
   (* restart replay: Wal.open_file reads the whole log once and decodes
-     records out of an immutable string instead of per-record channel IO *)
+     records out of an immutable string instead of per-record channel IO.
+     The history ends in a crash: a clean close checkpoints, leaving restart
+     nothing to replay. *)
   let dir = temp_dir "e11r" in
   Db.register_defaults ();
   let db = Db.open_database ~dir () in
@@ -1170,14 +1172,17 @@ let e11 () =
                 (ok "ins" (Db.insert db ctx ~relation:"t" (emp_record i ~depts:10)))
             done;
             Ok ())));
-  Db.close db;
+  Dmx_core.Services.simulate_crash db.Db.services;
   let recs = ref 0 in
-  let (), secs =
+  let db, secs =
     time (fun () ->
         let db = Db.open_database ~dir () in
-        recs := Dmx_wal.Wal.record_count db.Db.services.Dmx_core.Services.wal;
-        Db.close db)
+        (match db.Db.services.Dmx_core.Services.last_recovery with
+        | Some a -> recs := a.Dmx_wal.Recovery.scanned
+        | None -> ());
+        db)
   in
+  Db.close db;
   rm_dir dir;
   Report.table
     ~columns:[ "restart after a 5000-insert history"; "value" ]
@@ -1419,7 +1424,8 @@ let e14 () =
    pages, and truncation drops the log behind the cut — so the records a
    restart must rescan track the distance to the last checkpoint, not the
    length of history. Without checkpoints the same workload's restart scan
-   grows linearly with the log. *)
+   grows linearly with the log. The history ends in a crash (a clean close
+   checkpoints), and the rescan is what restart's analysis visited. *)
 let e15 () =
   Report.heading "E15 — bounded restart via fuzzy checkpoints (dmx-checkpoint)"
     ~claim:
@@ -1449,20 +1455,22 @@ let e15 () =
       done;
       Db.commit db ctx
     done;
-    Db.close db;
-    let scanned = ref 0 and history = ref 0L and retained = ref 0 in
-    let (), secs =
+    let wal = db.Db.services.Dmx_core.Services.wal in
+    let history = Dmx_wal.Wal.last_lsn wal in
+    let retained = Dmx_wal.Wal.record_count wal in
+    Dmx_core.Services.simulate_crash db.Db.services;
+    let scanned = ref 0 in
+    let db, secs =
       time (fun () ->
           let db = Db.open_database ~dir () in
-          let wal = db.Db.services.Dmx_core.Services.wal in
-          let a = Dmx_wal.Recovery.analyze wal in
-          scanned := a.Dmx_wal.Recovery.scanned;
-          history := Dmx_wal.Wal.last_lsn wal;
-          retained := Dmx_wal.Wal.record_count wal;
-          Db.close db)
+          (match db.Db.services.Dmx_core.Services.last_recovery with
+          | Some a -> scanned := a.Dmx_wal.Recovery.scanned
+          | None -> ());
+          db)
     in
+    Db.close db;
     rm_dir dir;
-    (!scanned, !history, !retained, secs)
+    (!scanned, history, retained, secs)
   in
   let s2c, h2c, r2c, t2c = run ~rows:2_000 ~ckpt:true in
   let s8c, h8c, r8c, t8c = run ~rows:8_000 ~ckpt:true in

@@ -8,7 +8,8 @@
      dmx_chaos --seeds 10 --sweep            # acceptance sweep
      dmx_chaos --sweep --mode io-error       # every write/sync error instead
      dmx_chaos --replay 7:123                # one episode, crash at op 123
-     dmx_chaos --seeds 3 --sweep --mutate    # prove the oracle catches a bug *)
+     dmx_chaos --seeds 3 --sweep --mutate    # prove the oracle catches a bug
+     dmx_chaos --seeds 3 --sweep --mutate redo   # ... a skipped redo *)
 
 module H = Dmx_torture.Chaos_harness
 
@@ -22,7 +23,8 @@ let n_txns = ref 5
 let ops_per_txn = ref 6
 let pool = ref 8
 let checkpoint_every = ref 0
-let mutate = ref false
+(* [Some `Undo] / [Some `Redo]: which recovery pass --mutate breaks *)
+let mutate = ref None
 let introspect = ref false
 let json_path = ref None
 let verbose = ref false
@@ -75,8 +77,9 @@ let spec =
       "N max operations per transaction (default 6)" );
     ("--pool", Arg.Set_int pool, "N buffer-pool capacity (default 8)");
     ( "--mutate",
-      Arg.Set mutate,
-      " deliberately break btree-index undo; exit 0 iff the oracle objects" );
+      Arg.Unit (fun () -> mutate := Some `Undo),
+      "[undo|redo] deliberately break btree-index undo (default) or redo; \
+       exit 0 iff the oracle objects" );
     ( "--introspect",
       Arg.Set introspect,
       " after each recovery, audit the engine through its dmx_* system \
@@ -86,6 +89,13 @@ let spec =
   ]
 
 let usage = "dmx_chaos [options]  (see bin/dmx_chaos.ml header for examples)"
+
+(* The word after --mutate, if any, picks the pass to break. *)
+let anon arg =
+  match (!mutate, arg) with
+  | Some _, "undo" -> mutate := Some `Undo
+  | Some _, "redo" -> mutate := Some `Redo
+  | _ -> raise (Arg.Bad ("unexpected argument " ^ arg))
 
 let config seed =
   let every =
@@ -163,23 +173,25 @@ let run_sweeps () =
   let failed =
     List.exists (fun (r : H.seed_report) -> r.H.sr_bad <> []) reports
   in
-  if !mutate then
+  match !mutate with
+  | Some pass ->
+    let what = match pass with `Undo -> "undo" | `Redo -> "redo" in
     if failed then begin
-      Fmt.pr "mutation detected: the oracle caught the broken undo@.";
+      Fmt.pr "mutation detected: the oracle caught the broken %s@." what;
       0
     end
     else begin
-      Fmt.pr "MUTATION MISSED: broken undo survived every fault point@.";
+      Fmt.pr "MUTATION MISSED: broken %s survived every fault point@." what;
       1
     end
-  else if failed then 1
-  else 0
+  | None -> if failed then 1 else 0
 
 let () =
-  Arg.parse spec
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    usage;
-  if !mutate then H.enable_undo_mutation "btree_index";
+  Arg.parse spec anon usage;
+  (match !mutate with
+  | Some `Undo -> H.enable_undo_mutation "btree_index"
+  | Some `Redo -> H.enable_redo_mutation "btree_index"
+  | None -> ());
   let code =
     match !replay with
     | Some (seed, point) -> run_replay seed point
@@ -199,7 +211,7 @@ let () =
             | Some s -> [ s ]
             | None -> List.init !seeds (fun i -> i + 1))
         in
-        if !mutate then if bad then 0 else 1 else if bad then 1 else 0
+        if !mutate <> None then if bad then 0 else 1 else if bad then 1 else 0
       end
       else run_sweeps ()
   in

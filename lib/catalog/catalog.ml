@@ -8,14 +8,17 @@ type t = {
   mutable by_name : int Smap.t;
   mutable next_id : int;
   mutable is_dirty : bool;
+  mutable store_pages : int;
   path : string option;
 }
 
 let create ?path () =
-  { rels = Imap.empty; by_name = Smap.empty; next_id = 1; is_dirty = false; path }
+  { rels = Imap.empty; by_name = Smap.empty; next_id = 1; is_dirty = false;
+    store_pages = 0; path }
 
 let canon = String.lowercase_ascii
 let dirty t = t.is_dirty
+let store_pages t = t.store_pages
 let next_rel_id t = t.next_id
 
 let add_relation t ~rel_name ~schema ~smethod_id ~smethod_desc =
@@ -67,7 +70,8 @@ let set_smethod_desc t ~rel_id desc =
 
 let magic = "DMXCATLG"
 
-let save t =
+let save ?store_pages t =
+  Option.iter (fun n -> t.store_pages <- n) store_pages;
   match t.path with
   | None -> ()
   | Some path ->
@@ -75,6 +79,7 @@ let save t =
     Codec.Enc.string e magic;
     Codec.Enc.varint e t.next_id;
     Codec.Enc.list e Descriptor.enc (relations t);
+    Codec.Enc.varint e t.store_pages;
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in
     output_string oc (Codec.Enc.to_string e);
@@ -96,6 +101,7 @@ let load ~path =
     let descs = Codec.Dec.list d Descriptor.dec in
     let t = create ~path () in
     t.next_id <- next_id;
+    if not (Codec.Dec.at_end d) then t.store_pages <- Codec.Dec.varint d;
     List.iter
       (fun (desc : Descriptor.t) ->
         t.rels <- Imap.add desc.rel_id desc t.rels;

@@ -24,7 +24,16 @@ val create : ?path:string -> unit -> t
 val load : path:string -> t
 (** Load a snapshot if the file exists, else an empty catalog bound to it. *)
 
-val save : t -> unit
+val save : ?store_pages:int -> t -> unit
+(** Write the snapshot. [store_pages] records the page store's size with
+    it: restart extends the store to {!store_pages} before redo, so every
+    page a saved descriptor lists exists even when the crash dropped pages
+    allocated since the last sync (DESIGN.md §15). *)
+
+val store_pages : t -> int
+(** The page-store size the last saved (or loaded) snapshot recorded; 0
+    when none did. *)
+
 val dirty : t -> bool
 
 val next_rel_id : t -> int

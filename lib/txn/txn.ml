@@ -25,6 +25,8 @@ type t = {
   mutable attrs : Tmap.t;
   mutable next_scan_id : int;
   mutable mods : int;
+  mutable logged : bool;
+  mutable logged_catalog : bool;
 }
 
 let make id =
@@ -37,6 +39,8 @@ let make id =
     attrs = Tmap.empty;
     next_scan_id = 0;
     mods = 0;
+    logged = false;
+    logged_catalog = false;
   }
 
 let is_active t = t.state = Active

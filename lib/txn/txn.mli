@@ -43,6 +43,10 @@ type t = {
   mutable mods : int;
       (** relation modifications issued so far; a buffered record cursor
           re-reads its run when this moves *)
+  mutable logged : bool;
+      (** appended an [Ext] record: commit needs a [Commit] record *)
+  mutable logged_catalog : bool;
+      (** appended a [Catalog] record: commit forces the pool *)
 }
 
 val make : int -> t

@@ -1,6 +1,7 @@
 (* dmx-chaos smoke: Fault_disk fault semantics at the Disk level, plus
    bounded torture sweeps (crash-at-every-op, every-I/O-error, crash-during-
-   recovery) and the mutation run proving the oracle can catch a broken undo.
+   recovery) and the mutation runs proving the oracle can catch a broken undo
+   and a skipped redo.
    The full multi-seed sweep lives in bin/dmx_chaos.exe; these runs are kept
    small enough for every `dune runtest`. *)
 
@@ -173,7 +174,7 @@ let test_insert_many_sweeps () =
 (* Break one attachment's undo on purpose: some fault point must now leave
    a ghost index entry that the oracle reports. A silent pass would mean the
    oracle cannot actually see that index's corruption. A crash-time loser's
-   pages never become durable (a write hardens only at the next sync), so
+   pages rarely become durable (a write hardens only at the next sync), so
    the seed's script must roll back a change of that index itself: seed 43
    rolls back child rows (btree "camt"), seed 41 parent rows (hash
    "hdept"). *)
@@ -185,6 +186,20 @@ let mutation_caught attachment seed () =
   in
   Alcotest.(check bool)
     (Fmt.str "oracle caught the broken %s undo" attachment)
+    true (r.H.sr_bad <> [])
+
+(* Break btree_index redo on purpose: a committed index change the store
+   lost at the crash (commit forces no page) stays lost, and the oracle's
+   index audits must report the missing entry. The seed's script must
+   commit index changes after the schema's force: seed 41 does. *)
+let redo_mutation_caught attachment seed () =
+  H.enable_redo_mutation attachment;
+  let r =
+    Fun.protect ~finally:H.disable_redo_mutation (fun () ->
+        H.sweep (config seed) H.Mode_crash ~recovery_crash:false)
+  in
+  Alcotest.(check bool)
+    (Fmt.str "oracle caught the skipped %s redo" attachment)
     true (r.H.sr_bad <> [])
 
 let suite =
@@ -220,4 +235,6 @@ let suite =
       (mutation_caught "btree_index" 43);
     Alcotest.test_case "mutation run: oracle catches broken hash_index undo"
       `Quick (mutation_caught "hash_index" 41);
+    Alcotest.test_case "mutation run: oracle catches skipped redo" `Quick
+      (redo_mutation_caught "btree_index" 41);
   ]
