@@ -34,9 +34,12 @@ val setup :
     store regardless of [dir] (the chaos harness injects a
     {!Dmx_page.Fault_disk} view here while keeping the log and catalog in
     [dir]). Freezes the registry — all extensions must be registered before
-    this call — then wires the WAL-before-page hook, the force-at-commit hook
-    and the undo dispatcher, and runs restart recovery. Restart analysis
-    seeds from the last complete checkpoint when the log holds one. The
+    this call — then wires the WAL-before-page hook, the commit hooks
+    (catalog snapshot; the pool force for a transaction that logged a
+    catalog change) and the undo and redo dispatchers, and runs restart
+    recovery: the store is extended to the page count the catalog snapshot
+    recorded, then analysis and redo from the last complete checkpoint, the
+    undo of losers, and a checkpoint (DESIGN.md §15). The
     [DMX_CHECKPOINT_EVERY] environment variable ("N" records or
     "Nb"/"Nkb"/"Nmb" appended bytes) arms the automatic checkpoint policy at
     mount. *)
@@ -44,11 +47,13 @@ val setup :
 val checkpoint : ?truncate:bool -> t -> checkpoint_stats
 (** Take a fuzzy checkpoint now: log [Ckpt_begin], snapshot the
     active-transaction and dirty-page tables, force the snapshot's pages in
-    {!Dmx_page.Buffer_pool.flush_all} order (WAL-before-page preserved), log
-    [Ckpt_end] and flush. Runs interleaved with live transactions — no
-    quiescing. With [truncate] (default [true]) the log prefix below
-    min(checkpoint start, oldest active transaction's first LSN) is dropped
-    via {!Dmx_wal.Wal.truncate_before}. *)
+    {!Dmx_page.Buffer_pool.flush_all} order (WAL-before-page preserved) and
+    sync, log [Ckpt_end] and flush. Under no-force this is how committed
+    pages reach the store: once it completes, restart redoes from its
+    [Ckpt_begin]. Runs interleaved with live transactions — no quiescing.
+    With [truncate] (default [true]) the log prefix below min(checkpoint
+    start, oldest active transaction's first LSN) is dropped via
+    {!Dmx_wal.Wal.truncate_before}. *)
 
 val set_checkpoint_policy : ?every_records:int -> ?every_bytes:int -> t -> unit
 (** Arm (or with 0/0, disarm) the automatic policy: after each commit, if at
@@ -72,13 +77,15 @@ val with_txn : t -> (Ctx.t -> ('a, Error.t) result) -> ('a, Error.t) result
 (** Begin; commit on [Ok], abort on [Error] or exception. *)
 
 val close : t -> unit
-(** Clean shutdown: force pages, save the catalog, close files. *)
+(** Clean shutdown: abort active transactions, checkpoint (so a clean reopen
+    has nothing to redo), save the catalog, close files. *)
 
 val simulate_crash : t -> unit
 (** Abandon all volatile state without any clean-shutdown work: dirty pages
-    and buffered log records are lost, the catalog snapshot is not written,
-    active transactions simply stop. Reopening with {!setup} then exercises
-    restart recovery. Only meaningful for file-backed services. *)
+    (committed or not) and buffered log records are lost, the catalog
+    snapshot is not written, active transactions simply stop. Reopening with
+    {!setup} then exercises restart recovery, whose redo pass brings back
+    the committed changes. Only meaningful for file-backed services. *)
 
 val io_stats : t -> Dmx_page.Io_stats.t
 
