@@ -330,6 +330,7 @@ let fold t ~init ~f =
 let records_of_txn t txid =
   Option.value ~default:[] (Hashtbl.find_opt t.by_txn txid)
 
+let forget_txn t txid = Hashtbl.remove t.by_txn txid
 let record_count t = t.count
 
 (* Drop every record with LSN < [cut], clamped to the covered range — asking

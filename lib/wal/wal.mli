@@ -110,6 +110,11 @@ val fold : t -> init:'a -> f:('a -> Log_record.t -> 'a) -> 'a
 val records_of_txn : t -> Log_record.txid -> Log_record.t list
 (** All records of a transaction, most recent first (drives rollback). *)
 
+val forget_txn : t -> Log_record.txid -> unit
+(** Drop a finished transaction's chain from the per-transaction index:
+    only active transactions' chains are read in a running system (restart
+    rebuilds the index from the file). The records stay in the log. *)
+
 val record_count : t -> int
 val close : t -> unit
 
