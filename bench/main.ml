@@ -764,7 +764,7 @@ let e7 () =
   let ctx = Db.begin_txn db in
   ignore (insert db ctx 1 1000);
   Dmx_wal.Wal.flush db.Db.services.Dmx_core.Services.wal;
-  Dmx_page.Buffer_pool.flush_all db.Db.services.Dmx_core.Services.bp;
+  ignore (Dmx_page.Buffer_pool.flush_all db.Db.services.Dmx_core.Services.bp);
   Dmx_core.Services.simulate_crash db.Db.services;
   let db2, restart_secs = time (fun () -> Db.open_database ~dir ()) in
   let losers =
@@ -1419,15 +1419,15 @@ let e14 () =
     calls runs iters;
   Db.close db
 
-(* E15 — bounded restart via fuzzy checkpoints: the auto policy
-   checkpoints every 500 records, writeback flushes the snapshotted dirty
-   pages, and truncation drops the log behind the cut — so the records a
+(* E15 — bounded restart via checkpoints: the auto policy checkpoints
+   every 500 records, each checkpoint writes the dirty pages and logs one
+   record, and truncation drops the log behind the cut — so the records a
    restart must rescan track the distance to the last checkpoint, not the
    length of history. Without checkpoints the same workload's restart scan
    grows linearly with the log. The history ends in a crash (a clean close
    checkpoints), and the rescan is what restart's analysis visited. *)
 let e15 () =
-  Report.heading "E15 — bounded restart via fuzzy checkpoints (dmx-checkpoint)"
+  Report.heading "E15 — bounded restart via checkpoints (dmx-checkpoint)"
     ~claim:
       "records replayed at restart stay flat (±20%) as the workload grows \
        4x with checkpoints on, and grow linearly (>= 3x) with them off";

@@ -54,7 +54,7 @@ let spec =
        truncate-crash" );
     ( "--crash-in-checkpoint",
       Arg.Unit (fun () -> mode := H.Mode_ckpt_crash),
-      " sweep crashes with fuzzy checkpoints interleaved (alias for --mode \
+      " sweep crashes with checkpoints interleaved (alias for --mode \
        ckpt-crash)" );
     ( "--crash-in-truncate",
       Arg.Unit (fun () -> mode := H.Mode_truncate_crash),

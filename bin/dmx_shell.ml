@@ -376,10 +376,9 @@ let exec_line st line =
         Dmx_core.Services.checkpoint st.db.Db.services
       in
       Fmt.pr
-        "CHECKPOINT lsn=%Ld dirty_pages=%d written=%d active_txns=%d \
-         truncated=%d records (%d bytes)@."
-        s.Dmx_core.Services.ck_lsn s.Dmx_core.Services.ck_dirty_pages
-        s.Dmx_core.Services.ck_pages_written
+        "CHECKPOINT lsn=%Ld written=%d active_txns=%d truncated=%d \
+         records (%d bytes)@."
+        s.Dmx_core.Services.ck_lsn s.Dmx_core.Services.ck_pages_written
         s.Dmx_core.Services.ck_active_txns
         s.Dmx_core.Services.ck_truncated_records
         s.Dmx_core.Services.ck_truncated_bytes

@@ -96,7 +96,7 @@ let () =
           [| Value.int 4; String "mallory"; Value.int 999 |]));
   (* harden log and pages so the crash leaves loser effects on disk *)
   Dmx_wal.Wal.flush db.Db.services.Services.wal;
-  Dmx_page.Buffer_pool.flush_all db.Db.services.Services.bp;
+  ignore (Dmx_page.Buffer_pool.flush_all db.Db.services.Services.bp);
   Fmt.pr "phase 1: in-flight transfer written to disk, now crashing...@.";
   Services.simulate_crash db.Db.services;
 

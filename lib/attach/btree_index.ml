@@ -165,11 +165,12 @@ module Impl = struct
         in
         match
           Btree.insert_batch ?unique_prefix (tree ctx inst)
-            ~log:(fun datas ->
-              ignore
-                (Ctx.log_many ctx
-                   ~source:(Log_record.Attachment (id ()))
-                   ~rel_id:desc.rel_id ~datas))
+            ~log:
+              (List.iter (fun data ->
+                   ignore
+                     (Ctx.log ctx
+                        ~source:(Log_record.Attachment (id ()))
+                        ~rel_id:desc.rel_id ~data)))
             keyed
         with
         | Ok () -> Ok ()

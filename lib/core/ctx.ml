@@ -20,9 +20,6 @@ let applied t = Dmx_txn.Txn_mgr.note_applied t.txn_mgr
 let log t ~source ~rel_id ~data =
   Dmx_txn.Txn_mgr.log_ext t.txn_mgr t.txn ~source ~rel_id ~data
 
-let log_many t ~source ~rel_id ~datas =
-  Dmx_txn.Txn_mgr.log_ext_many t.txn_mgr t.txn ~source ~rel_id ~datas
-
 let lock t ~mode resource =
   match
     Dmx_lock.Lock_table.acquire t.locks ~txid:t.txn.Dmx_txn.Txn.id ~mode

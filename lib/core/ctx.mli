@@ -39,11 +39,6 @@ val log : t -> source:Log_record.source -> rel_id:int -> data:string ->
 (** Common logging service: append an undoable-operation record for this
     transaction. *)
 
-val log_many : t -> source:Log_record.source -> rel_id:int ->
-  datas:string list -> Log_record.lsn list
-(** Batched {!log}: one append per payload, issued contiguously — the bulk
-    modification paths log a whole batch through this entry point. *)
-
 val lock :
   t -> mode:Dmx_lock.Lock_mode.t -> Dmx_lock.Lock_table.resource ->
   (unit, Error.t) result

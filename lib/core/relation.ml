@@ -4,68 +4,34 @@ module Txn = Dmx_txn.Txn
 module Txn_mgr = Dmx_txn.Txn_mgr
 module Lock_table = Dmx_lock.Lock_table
 
-let sm_calls = ref 0 [@@dmx.global "UNSAFE"]
-let at_calls = ref 0 [@@dmx.global "UNSAFE"]
-let dispatch_stats () = (!sm_calls, !at_calls)
-
-(* The dispatch counters are always on (they cost one [incr] and predate the
-   metrics registry); a probe folds them into the common exposition. *)
-let () =
-  Dmx_obs.Metrics.register_probe "dispatch" (fun () ->
-      [ ("dispatch.sm_calls", !sm_calls); ("dispatch.at_calls", !at_calls) ])
+(* Storage-method and attached-procedure calls, so benches can show the
+   tuple-at-a-time call volume the paper worries about. *)
+let m_sm_calls = Dmx_obs.Metrics.counter "dispatch.sm_calls"
+let m_at_calls = Dmx_obs.Metrics.counter "dispatch.at_calls"
 
 (* Attachment vetoes, so the query store can charge them per statement. *)
 let m_vetoes = Dmx_obs.Metrics.counter "dispatch.vetoes"
 
-(* Internal savepoints get nesting-safe names from a per-transaction
-   counter, so cascading modifications (an attached procedure modifying
-   another relation) roll back exactly their own partial effects. *)
-let op_counter : int ref Dmx_txn.Tmap.key = Dmx_txn.Tmap.new_key "relation.op"
-
-let fresh_savepoint ctx =
-  let txn = ctx.Ctx.txn in
-  let counter =
-    match Txn.attr txn op_counter with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Txn.set_attr txn op_counter r;
-      r
-  in
-  incr counter;
-  let name = Fmt.str "__op:%d" !counter in
-  Txn_mgr.savepoint ctx.Ctx.txn_mgr txn name;
-  name
-
-let release_savepoint ctx name =
-  let txn = ctx.Ctx.txn in
-  txn.Txn.savepoints <-
-    List.filter (fun sp -> sp.Txn.sp_name <> name) txn.Txn.savepoints
-
-let rollback_op ctx name =
-  Txn_mgr.rollback_to ctx.Ctx.txn_mgr ctx.Ctx.txn name;
-  release_savepoint ctx name
-
-(* Run [f] bracketed by an internal savepoint: partial rollback on error or
-   exception, cancellation on success. *)
-let with_op_savepoint ctx f =
-  let name = fresh_savepoint ctx in
+(* Run [f] as one atomic statement: on error or exception, roll back to a
+   mark taken before it. The mark lives on the stack, so cascading
+   modifications (an attached procedure modifying another relation) each
+   roll back exactly their own partial effects. *)
+let atomically ctx f =
+  let mark = Txn_mgr.mark ctx.Ctx.txn_mgr ctx.Ctx.txn in
   match f () with
-  | Ok _ as ok ->
-    release_savepoint ctx name;
-    ok
+  | Ok _ as ok -> ok
   | Error _ as e ->
-    rollback_op ctx name;
+    Txn_mgr.rollback_to_mark ctx.Ctx.txn_mgr ctx.Ctx.txn mark;
     e
   | exception Error.Error err ->
-    rollback_op ctx name;
+    Txn_mgr.rollback_to_mark ctx.Ctx.txn_mgr ctx.Ctx.txn mark;
     Error err
 
 (* Every storage-method modification bumps the transaction's count, so the
    transaction's buffered record cursors re-read before their next step
    (Scan_help.records_of_runs). *)
 let modifying ctx =
-  incr sm_calls;
+  Dmx_obs.Metrics.incr m_sm_calls;
   let txn = ctx.Ctx.txn in
   txn.Txn.mods <- txn.Txn.mods + 1
 
@@ -135,7 +101,7 @@ let run_attached ctx desc ~op ~info f =
       match Descriptor.attachment_desc desc n with
       | None -> loop rest
       | Some slot -> begin
-        incr at_calls;
+        Dmx_obs.Metrics.incr m_at_calls;
         let r =
           with_result_span ("attach." ^ op) ~txid:ctx.Ctx.txn.Txn.id
             ~key:(Dmx_obs.Profile.Attachment n)
@@ -167,7 +133,7 @@ let insert ctx desc record =
   rel_span ctx desc "insert" (fun () ->
       let* () = validate ctx desc record in
       let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
-      with_op_savepoint ctx (fun () ->
+      atomically ctx (fun () ->
           modifying ctx;
           let* key =
             sm_span ctx desc "insert" (fun () ->
@@ -186,7 +152,7 @@ let insert ctx desc record =
           in
           Ok key))
 
-(* Bulk insert: validation, the relation lock, the savepoint bracket and the
+(* Bulk insert: validation, the relation lock, the rollback mark and the
    span/profile setup are paid once per batch; the storage method and each
    attachment type present are dispatched once per batch through the optional
    batch vector entries (whose defaults loop the per-record slots). Atomic:
@@ -205,7 +171,7 @@ let insert_many ctx desc records =
             (Ok ()) records
         in
         let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
-        with_op_savepoint ctx (fun () ->
+        atomically ctx (fun () ->
             modifying ctx;
             let* keys =
               sm_span ctx desc "insert_many" (fun () ->
@@ -247,7 +213,7 @@ let update ctx desc key new_record =
       match M.fetch ctx desc key () with
       | None -> Error (Error.Key_not_found (Record_key.to_string key))
       | Some old_record ->
-        with_op_savepoint ctx (fun () ->
+        atomically ctx (fun () ->
             modifying ctx;
             let* new_key =
               sm_span ctx desc "update" (fun () ->
@@ -279,7 +245,7 @@ let delete ctx desc key =
   rel_span ctx desc "delete" (fun () ->
       let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
       let* () = lock_record ctx desc key Dmx_lock.Lock_mode.X in
-      with_op_savepoint ctx (fun () ->
+      atomically ctx (fun () ->
           modifying ctx;
           let* old_record =
             sm_span ctx desc "delete" (fun () ->

@@ -11,10 +11,11 @@
     Attachment types are invoked in ascending type id, once each, servicing
     all of their instances. Any attachment (or the storage method itself) can
     abort the operation; the common system then uses the log to undo the
-    partial effects — implemented here as an internal savepoint per operation
-    plus partial rollback on veto. Attached procedures may themselves call
-    back into this module (cascading modifications); savepoint names are
-    nesting-safe. *)
+    partial effects — implemented here as an in-memory rollback mark per
+    operation plus partial rollback on veto. Attached procedures may
+    themselves call back into this module (cascading modifications); each
+    operation rolls back to its own mark. The counters [dispatch.sm_calls]
+    and [dispatch.at_calls] count the two steps' calls. *)
 
 open Dmx_value
 open Dmx_catalog
@@ -27,7 +28,7 @@ val insert_many :
   (Record_key.t array, Error.t) result
 (** Bulk insert through the same two-step dispatch, with per-batch instead of
     per-record overhead: one validation pass, one relation lock, one internal
-    savepoint, one span/profile bracket, then the storage method and each
+    rollback mark, one span/profile bracket, then the storage method and each
     attachment type once per batch via the optional batch vector entries
     (default: loop the per-record slot). Atomic — on the first error or veto
     the whole batch is rolled back and nothing is inserted. Note the deferred
@@ -73,7 +74,3 @@ val attachment_scan :
   (Intf.key_scan, Error.t) result
 
 val record_count : Ctx.t -> Descriptor.t -> (int, Error.t) result
-
-val dispatch_stats : unit -> int * int
-(** (storage-method calls, attached-procedure calls) since start — lets
-    benches show the tuple-at-a-time call volume the paper worries about. *)

@@ -5,8 +5,7 @@ let m_checkpoints = Dmx_obs.Metrics.counter "ckpt.checkpoints"
 let m_ckpt_pages = Dmx_obs.Metrics.counter "ckpt.pages_written"
 
 type checkpoint_stats = {
-  ck_lsn : Log_record.lsn;  (** LSN of the [Ckpt_end] record *)
-  ck_dirty_pages : int;
+  ck_lsn : Log_record.lsn;  (** LSN of the [Checkpoint] record *)
   ck_pages_written : int;
   ck_active_txns : int;
   ck_truncated_records : int;
@@ -21,12 +20,10 @@ type t = {
   txn_mgr : Dmx_txn.Txn_mgr.t;
   catalog : Dmx_catalog.Catalog.t;
   mutable last_recovery : Recovery.analysis option;
-  (* fuzzy-checkpoint policy: 0 disables the corresponding trigger *)
+  (* checkpoint policy: 0 disables the corresponding trigger *)
   mutable ckpt_every_records : int;
   mutable ckpt_every_bytes : int;
   mutable ckpt_bytes_mark : int;  (* Wal.appended_bytes at last checkpoint *)
-  mutable ckpt_running : bool;  (* re-entrancy guard *)
-  mutable last_checkpoint : checkpoint_stats option;
 }
 
 (* DMX_CHECKPOINT_EVERY accepts "N" (log records between checkpoints) or
@@ -73,114 +70,56 @@ let checkpoint_due t =
   || t.ckpt_every_bytes > 0
      && Wal.appended_bytes t.wal - t.ckpt_bytes_mark >= t.ckpt_every_bytes
 
-(* Fuzzy checkpoint (no quiescing): log [Ckpt_begin]; snapshot the
-   active-transaction table and the dirty-page table; force exactly the
-   snapshot's pages (each write preceded by the WAL hook, so
-   WAL-before-page holds) and sync the store, also when the snapshot is
-   empty (evictions write without a sync); log [Ckpt_end] carrying both
-   tables and flush. Nothing runs between [Ckpt_begin] and the sync, so the store then
-   holds every change logged before [Ckpt_begin]: restart's analysis and
-   redo start there. With [truncate] (default), the log prefix below
-   min(begin LSN, oldest active transaction's first LSN) is then dropped:
-   redo never reads below the checkpoint, and undo reads only the active
-   transactions' chains. The catalog needs no snapshot here: every commit
-   that dirtied it saved it. *)
+(* A checkpoint runs between operations, never inside one, so no change is
+   half made and nothing appends while it runs: force every dirty page and
+   sync the store, then log one [Checkpoint] record listing the active
+   transactions and flush it. The store then holds every change logged
+   before that record, so restart's analysis and redo start there. With
+   [truncate] (default), the log below min(checkpoint LSN, each active
+   transaction's first LSN) is then dropped: redo never reads below the
+   checkpoint, and undo reads only the active transactions' chains. A crash
+   before the record is durable restarts from the previous checkpoint. The
+   catalog needs no snapshot here: every commit that dirtied it saved it. *)
 let checkpoint ?(truncate = true) t =
-  if t.ckpt_running then
-    match t.last_checkpoint with
-    | Some s -> s
-    | None ->
-      {
-        ck_lsn = 0L;
-        ck_dirty_pages = 0;
-        ck_pages_written = 0;
-        ck_active_txns = 0;
-        ck_truncated_records = 0;
-        ck_truncated_bytes = 0;
-      }
-  else begin
-    t.ckpt_running <- true;
-    Fun.protect
-      ~finally:(fun () -> t.ckpt_running <- false)
-      (fun () ->
-        let wal = t.wal in
-        let begin_lsn = Wal.append wal 0 Log_record.Ckpt_begin in
-        let active =
-          Dmx_txn.Txn_mgr.active_txns t.txn_mgr
-          |> List.filter_map (fun (txn : Dmx_txn.Txn.t) ->
-                 match Wal.records_of_txn wal txn.Dmx_txn.Txn.id with
-                 | [] -> None
-                 | newest :: _ as chain ->
-                   let first =
-                     List.fold_left
-                       (fun acc (r : Log_record.t) -> min acc r.lsn)
-                       newest.Log_record.lsn chain
-                   in
-                   let depth =
-                     List.fold_left
-                       (fun d (r : Log_record.t) ->
-                         match r.kind with
-                         | Ext _ -> d + 1
-                         | Clr _ -> d - 1
-                         | _ -> d)
-                       0 chain
-                   in
-                   Some
-                     {
-                       Log_record.ck_txid = txn.Dmx_txn.Txn.id;
-                       ck_first = first;
-                       ck_last = newest.Log_record.lsn;
-                       ck_undo_depth = max 0 depth;
-                     })
-          |> List.sort (fun (a : Log_record.ckpt_txn) b ->
-                 compare a.ck_txid b.ck_txid)
-        in
-        let dpt = Buffer_pool.dirty_pages t.bp in
-        let written =
-          Buffer_pool.checkpoint_writeback t.bp ~pages:(List.map fst dpt)
-        in
-        let ck_lsn =
-          Wal.append wal 0
-            (Log_record.Ckpt_end
-               { start = begin_lsn; dirty_pages = dpt; active })
-        in
-        Wal.flush wal;
-        let trecords, tbytes =
-          if truncate then begin
-            let cut =
-              List.fold_left
-                (fun m (a : Log_record.ckpt_txn) -> min m a.ck_first)
-                begin_lsn active
-            in
-            Wal.truncate_before wal cut
-          end
-          else (0, 0)
-        in
-        t.ckpt_bytes_mark <- Wal.appended_bytes wal;
-        Dmx_obs.Metrics.incr m_checkpoints;
-        Dmx_obs.Metrics.add m_ckpt_pages written;
-        if Dmx_obs.Emit.active () then
-          Dmx_obs.Emit.event "ckpt.complete"
-            ~attrs:
-              [ ("lsn", Dmx_obs.Obs_json.Int (Int64.to_int ck_lsn));
-                ("dirty_pages", Dmx_obs.Obs_json.Int (List.length dpt));
-                ("written", Dmx_obs.Obs_json.Int written);
-                ("active", Dmx_obs.Obs_json.Int (List.length active));
-                ("truncated_records", Dmx_obs.Obs_json.Int trecords);
-                ("truncated_bytes", Dmx_obs.Obs_json.Int tbytes) ];
-        let stats =
-          {
-            ck_lsn;
-            ck_dirty_pages = List.length dpt;
-            ck_pages_written = written;
-            ck_active_txns = List.length active;
-            ck_truncated_records = trecords;
-            ck_truncated_bytes = tbytes;
-          }
-        in
-        t.last_checkpoint <- Some stats;
-        stats)
-  end
+  let wal = t.wal in
+  let written = Buffer_pool.flush_all t.bp in
+  let active =
+    List.sort compare
+      (List.map
+         (fun (txn : Dmx_txn.Txn.t) -> txn.Dmx_txn.Txn.id)
+         (Dmx_txn.Txn_mgr.active_txns t.txn_mgr))
+  in
+  let ck_lsn = Wal.append wal 0 (Log_record.Checkpoint { active }) in
+  Wal.flush wal;
+  let trecords, tbytes =
+    if truncate then
+      (* an active transaction's whole chain stays: rollback may read it *)
+      let first_lsn cut id =
+        List.fold_left
+          (fun cut (r : Log_record.t) -> min cut r.lsn)
+          cut (Wal.records_of_txn wal id)
+      in
+      Wal.truncate_before wal (List.fold_left first_lsn ck_lsn active)
+    else (0, 0)
+  in
+  t.ckpt_bytes_mark <- Wal.appended_bytes wal;
+  Dmx_obs.Metrics.incr m_checkpoints;
+  Dmx_obs.Metrics.add m_ckpt_pages written;
+  if Dmx_obs.Emit.active () then
+    Dmx_obs.Emit.event "ckpt.complete"
+      ~attrs:
+        [ ("lsn", Dmx_obs.Obs_json.Int (Int64.to_int ck_lsn));
+          ("written", Dmx_obs.Obs_json.Int written);
+          ("active", Dmx_obs.Obs_json.Int (List.length active));
+          ("truncated_records", Dmx_obs.Obs_json.Int trecords);
+          ("truncated_bytes", Dmx_obs.Obs_json.Int tbytes) ];
+  {
+    ck_lsn;
+    ck_pages_written = written;
+    ck_active_txns = List.length active;
+    ck_truncated_records = trecords;
+    ck_truncated_bytes = tbytes;
+  }
 
 let save_catalog t =
   Dmx_catalog.Catalog.save ~store_pages:(Disk.page_count t.disk) t.catalog
@@ -274,8 +213,6 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
       ckpt_every_records = 0;
       ckpt_every_bytes = 0;
       ckpt_bytes_mark = Wal.appended_bytes wal;
-      ckpt_running = false;
-      last_checkpoint = None;
     }
   in
   (* Commit: every commit saves a dirty catalog snapshot, with the store's
@@ -286,7 +223,8 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
            save_catalog t;
            true
          end);
-  Dmx_txn.Txn_mgr.set_force_hook txn_mgr (fun () -> Buffer_pool.flush_all bp);
+  Dmx_txn.Txn_mgr.set_force_hook txn_mgr (fun () ->
+      ignore (Buffer_pool.flush_all bp));
   Dmx_txn.Txn_mgr.set_undo_dispatch txn_mgr (Undo.dispatch ~txn_mgr ~bp ~catalog);
   Dmx_txn.Txn_mgr.set_redo_dispatch txn_mgr (Undo.redo ~txn_mgr ~bp ~catalog);
   Dmx_txn.Txn_mgr.set_commit_observer txn_mgr (fun () ->

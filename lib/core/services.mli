@@ -3,10 +3,9 @@
     contexts. This is the "common services environment" box of Figure 2. *)
 
 type checkpoint_stats = {
-  ck_lsn : Dmx_wal.Log_record.lsn;  (** LSN of the [Ckpt_end] record *)
-  ck_dirty_pages : int;  (** dirty-page-table size at snapshot *)
-  ck_pages_written : int;  (** pages actually forced by the writeback pass *)
-  ck_active_txns : int;  (** active-transaction-table size at snapshot *)
+  ck_lsn : Dmx_wal.Log_record.lsn;  (** LSN of the [Checkpoint] record *)
+  ck_pages_written : int;  (** dirty pages the checkpoint wrote *)
+  ck_active_txns : int;  (** transactions the record lists as active *)
   ck_truncated_records : int;
   ck_truncated_bytes : int;
 }
@@ -22,8 +21,6 @@ type t = {
   mutable ckpt_every_records : int;
   mutable ckpt_every_bytes : int;
   mutable ckpt_bytes_mark : int;
-  mutable ckpt_running : bool;
-  mutable last_checkpoint : checkpoint_stats option;
 }
 
 val setup :
@@ -38,21 +35,21 @@ val setup :
     (catalog snapshot; the pool force for a transaction that logged a
     catalog change) and the undo and redo dispatchers, and runs restart
     recovery: the store is extended to the page count the catalog snapshot
-    recorded, then analysis and redo from the last complete checkpoint, the
+    recorded, then analysis and redo from the last checkpoint, the
     undo of losers, and a checkpoint (DESIGN.md §15). The
     [DMX_CHECKPOINT_EVERY] environment variable ("N" records or
     "Nb"/"Nkb"/"Nmb" appended bytes) arms the automatic checkpoint policy at
     mount. *)
 
 val checkpoint : ?truncate:bool -> t -> checkpoint_stats
-(** Take a fuzzy checkpoint now: log [Ckpt_begin], snapshot the
-    active-transaction and dirty-page tables, force the snapshot's pages in
-    {!Dmx_page.Buffer_pool.flush_all} order (WAL-before-page preserved) and
-    sync, log [Ckpt_end] and flush. Under no-force this is how committed
-    pages reach the store: once it completes, restart redoes from its
-    [Ckpt_begin]. Runs interleaved with live transactions — no quiescing.
-    With [truncate] (default [true]) the log prefix below min(checkpoint
-    start, oldest active transaction's first LSN) is dropped via
+(** Take a checkpoint now: write every dirty page and sync the store
+    ({!Dmx_page.Buffer_pool.flush_all}, WAL-before-page preserved), append
+    one [Checkpoint] record listing the active transactions, and flush the
+    log. Under no-force this is how committed pages reach the store: once
+    the record is durable, restart's analysis and redo start at it. Runs
+    between operations with transactions still active — no quiescing. With
+    [truncate] (default [true]) the log below min(checkpoint LSN, each
+    active transaction's first LSN) is dropped via
     {!Dmx_wal.Wal.truncate_before}. *)
 
 val set_checkpoint_policy : ?every_records:int -> ?every_bytes:int -> t -> unit

@@ -86,7 +86,6 @@ type t = {
 
 let m_evictions = Dmx_obs.Metrics.counter "bp.evictions"
 let m_clock_steps = Dmx_obs.Metrics.counter "bp.clock_steps"
-let m_ckpt_writebacks = Dmx_obs.Metrics.counter "bp.ckpt_writebacks"
 
 let create ?(capacity = 256) disk =
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity < 1";
@@ -251,6 +250,9 @@ let flush_page t page_id =
   | None -> ()
   | Some i -> (match t.arr.(i) with Some f -> write_back t f | None -> ())
 
+(* The sync runs even when no frame is dirty: evictions and [flush_page]
+   write without one, and a checkpoint lets the log go only once those
+   writes are durable too. *)
 let flush_all t =
   (* Ascending page-id order: the force step becomes one sequential pass over
      the backing store instead of hashtable order. *)
@@ -262,51 +264,14 @@ let flush_all t =
   in
   List.iter (write_back t)
     (List.sort (fun a b -> compare a.page_id b.page_id) dirty);
-  Disk.sync t.disk
-
-let dirty_pages t =
-  Array.fold_left
-    (fun acc slot ->
-      match slot with
-      | Some f when f.dirty -> (f.page_id, f.page_lsn) :: acc
-      | _ -> acc)
-    [] t.arr
-  |> List.sort compare
+  Disk.sync t.disk;
+  List.length dirty
 
 let dirty_count t =
   Array.fold_left
     (fun acc slot ->
       match slot with Some f when f.dirty -> acc + 1 | _ -> acc)
     0 t.arr
-
-(* Fuzzy-checkpoint writeback: force exactly the pages named in a
-   dirty-page-table snapshot, in the same ascending page-id order as
-   {!flush_all}, then sync. Pages evicted or cleaned since the snapshot are
-   skipped (the snapshot is advisory, not a lock); pages redirtied since the
-   snapshot are simply written at their newer contents — WAL-before-page is
-   preserved because [write_back] runs the flush hook before every write.
-   The sync runs even when nothing was written here: evictions and
-   [flush_page] write without a sync, and the checkpoint lets the log go
-   below its begin only once those writes are durable too. *)
-let checkpoint_writeback t ~pages =
-  let written =
-    List.fold_left
-      (fun n page_id ->
-        match Slot_map.find_opt t.slots page_id with
-        | None -> n
-        | Some i -> begin
-          match t.arr.(i) with
-          | Some f when f.dirty && f.page_id = page_id ->
-            write_back t f;
-            Dmx_obs.Metrics.incr m_ckpt_writebacks;
-            n + 1
-          | Some _ | None -> n
-        end)
-      0
-      (List.sort_uniq compare pages)
-  in
-  Disk.sync t.disk;
-  written
 
 let drop_cache t =
   Array.iter

@@ -71,25 +71,15 @@ val with_page_mut : t -> int -> lsn:int64 -> (frame -> 'a) -> 'a
 (** Pin, apply, unpin dirty with [lsn]. *)
 
 val flush_page : t -> int -> unit
-val flush_all : t -> unit
-(** Write every dirty frame in ascending page-id order (and fsync file-backed
-    stores): the force a DDL commit and tests use. *)
-
-val dirty_pages : t -> (int * int64) list
-(** [(page_id, page_lsn)] of every dirty resident frame, ascending by page
-    id — the dirty-page-table snapshot a fuzzy checkpoint logs. *)
+val flush_all : t -> int
+(** Write every dirty frame in ascending page-id order, then sync the store
+    (also when no frame was dirty: it makes durable what evictions and
+    {!flush_page} wrote without a sync), and return how many pages were
+    written. WAL-before-page holds: the flush hook runs before every write.
+    A checkpoint and the commit of a catalog change run it. *)
 
 val dirty_count : t -> int
 (** Number of dirty resident frames (the [dmx_bufpool] checkpoint gauge). *)
-
-val checkpoint_writeback : t -> pages:int list -> int
-(** Force exactly the named pages (a dirty-page-table snapshot) in the same
-    ascending page-id order as {!flush_all}, then sync; returns how many were
-    written. The sync runs even when none was: it also makes durable the
-    pages earlier evictions and {!flush_page} wrote without one. Pages no longer resident or already clean are skipped — the
-    snapshot is advisory, so the pass is safe to run fuzzily against live
-    modifications. WAL-before-page holds: the flush hook runs before every
-    write. *)
 
 val drop_cache : t -> unit
 (** Forget all unpinned frames without writing them — simulates losing

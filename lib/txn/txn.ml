@@ -10,10 +10,9 @@ type scan_reg = {
   scan_capture : unit -> (unit -> unit);
 }
 
-type savepoint = {
-  sp_name : string;
-  sp_lsn : Dmx_wal.Log_record.lsn;
-  sp_restores : (unit -> unit) list;
+type mark = {
+  mark_lsn : Dmx_wal.Log_record.lsn;
+  mark_restores : (unit -> unit) list;
 }
 
 type t = {
@@ -21,7 +20,7 @@ type t = {
   mutable state : state;
   mutable deferred : (event * (unit -> unit)) list;
   mutable scans : (int * scan_reg) list;
-  mutable savepoints : savepoint list;
+  mutable savepoints : (string * mark) list;
   mutable attrs : Tmap.t;
   mutable next_scan_id : int;
   mutable mods : int;

@@ -26,10 +26,12 @@ type scan_reg = {
   scan_capture : unit -> (unit -> unit);
 }
 
-type savepoint = {
-  sp_name : string;
-  sp_lsn : Dmx_wal.Log_record.lsn;
-  sp_restores : (unit -> unit) list;
+(** A rollback point, kept in memory only: the log's end when it was taken
+    (rollback undoes the records above it) and the thunks that restore the
+    scan positions captured then. *)
+type mark = {
+  mark_lsn : Dmx_wal.Log_record.lsn;
+  mark_restores : (unit -> unit) list;
 }
 
 type t = {
@@ -37,7 +39,7 @@ type t = {
   mutable state : state;
   mutable deferred : (event * (unit -> unit)) list;  (** oldest first *)
   mutable scans : (int * scan_reg) list;
-  mutable savepoints : savepoint list;  (** newest first *)
+  mutable savepoints : (string * mark) list;  (** newest first *)
   mutable attrs : Tmap.t;
   mutable next_scan_id : int;
   mutable mods : int;

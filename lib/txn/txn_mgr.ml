@@ -81,20 +81,6 @@ let log_ext t txn ~source ~rel_id ~data =
   note_logged t txn source lsn;
   lsn
 
-(* Batched variant of [log_ext] for bulk operations: one activity check for
-   the whole batch; the appends land contiguously in the pending buffer and
-   harden in one write at the next flush. *)
-let log_ext_many t txn ~source ~rel_id ~datas =
-  Txn.check_active txn;
-  List.map
-    (fun data ->
-      let lsn =
-        Wal.append t.wal txn.Txn.id (Log_record.Ext { source; rel_id; data })
-      in
-      note_logged t txn source lsn;
-      lsn)
-    datas
-
 (* The undo runs with the LSN its Clr will take, which is what an extension
    stamps on what it writes; the Clr is appended once the undo returns, so
    an undo that raises (an I/O error mid-rollback) leaves its record
@@ -212,29 +198,37 @@ let do_commit t txn =
 
 let commit t txn = with_txn_span "txn.commit" t txn do_commit
 
-let savepoint t txn name =
+(* A savepoint logs nothing: undo stops at the log's end as it was when the
+   mark was taken, and the mark carries the scan positions to restore. *)
+let mark t txn =
   Txn.check_active txn;
-  let lsn = Wal.append t.wal txn.Txn.id (Log_record.Savepoint name) in
-  let restores = Txn.capture_scan_positions txn in
-  let sp = { Txn.sp_name = name; sp_lsn = lsn; sp_restores = restores } in
-  (* Re-establishing a name replaces the older savepoint. *)
-  txn.Txn.savepoints <-
-    sp :: List.filter (fun s -> s.Txn.sp_name <> name) txn.Txn.savepoints
+  {
+    Txn.mark_lsn = Wal.last_lsn t.wal;
+    mark_restores = Txn.capture_scan_positions txn;
+  }
 
-let rollback_to t txn name =
+let rollback_to_mark t txn (m : Txn.mark) =
   Txn.check_active txn;
-  let sp =
-    match
-      List.find_opt (fun s -> s.Txn.sp_name = name) txn.Txn.savepoints
-    with
-    | Some sp -> sp
-    | None -> raise Not_found
+  undo_back_to t txn ~limit:m.mark_lsn;
+  List.iter (fun restore -> restore ()) m.mark_restores
+
+let savepoint t txn name =
+  let m = mark t txn in
+  (* Re-establishing a name replaces the older savepoint. *)
+  txn.Txn.savepoints <- (name, m) :: List.remove_assoc name txn.Txn.savepoints
+
+(* Savepoints established after [name] are gone; [name] itself remains.
+   Two savepoints taken with no record between them share a mark LSN, so
+   the newer ones are told apart by their place in the list. *)
+let rollback_to t txn name =
+  let rec from = function
+    | [] -> raise Not_found
+    | (n, m) :: _ as kept when n = name -> (m, kept)
+    | _ :: older -> from older
   in
-  undo_back_to t txn ~limit:sp.sp_lsn;
-  List.iter (fun restore -> restore ()) sp.sp_restores;
-  (* Savepoints established after [sp] are gone; [sp] itself remains. *)
-  txn.Txn.savepoints <-
-    List.filter (fun s -> s.Txn.sp_lsn <= sp.sp_lsn) txn.Txn.savepoints
+  let m, kept = from txn.Txn.savepoints in
+  rollback_to_mark t txn m;
+  txn.Txn.savepoints <- kept
 
 (* Repeat history from the analysis start through the redo dispatcher:
    every Ext record through its extension's redo entry, every Clr by
@@ -275,7 +269,7 @@ let redo_pass t (analysis : Recovery.analysis) =
         let before = t.applied_count in
         redo (txn_of r.txid) r;
         if t.applied_count > before && committed r then incr applied
-      | Begin | Commit | Abort | Savepoint _ | Ckpt_begin | Ckpt_end _ -> ());
+      | Begin | Commit | Abort | Checkpoint _ -> ());
   Dmx_obs.Metrics.add m_redo_applied !applied;
   { analysis with redo_records = !records; redo_applied = !applied }
 

@@ -9,8 +9,8 @@
     [Catalog] record forces the pool first. Pages reach disk only through
     eviction and checkpoints. Abort and partial rollback walk the
     transaction's log chain newest-first and dispatch each [Ext] record to
-    the owning extension's undo entry point, appending a [Clr] before each
-    undo. Restart repeats history through the extensions' redo entries,
+    the owning extension's undo entry point, appending a [Clr] after each
+    undo; a savepoint is an in-memory mark and logs nothing. Restart repeats history through the extensions' redo entries,
     then undoes the losers' uncompensated records.
 
     Extension redo and undo routines must be *testable*: repeating a change
@@ -51,8 +51,8 @@ val set_snapshot_hook : t -> (unit -> bool) -> unit
 val set_commit_observer : t -> (unit -> unit) -> unit
 (** Installed by the services layer: called after every commit completes
     (records fsynced, transaction deregistered, deferred actions run). The
-    checkpoint policy hooks here to trigger a fuzzy checkpoint every N
-    records/bytes without quiescing. *)
+    checkpoint policy hooks here to take a checkpoint every N records or
+    bytes, between transactions' operations. *)
 
 val begin_txn : t -> Txn.t
 val find_txn : t -> int -> Txn.t option
@@ -61,10 +61,6 @@ val active_txns : t -> Txn.t list
 val log_ext : t -> Txn.t -> source:Log_record.source -> rel_id:int ->
   data:string -> Log_record.lsn
 (** Common service used by extensions to log an undoable operation. *)
-
-val log_ext_many : t -> Txn.t -> source:Log_record.source -> rel_id:int ->
-  datas:string list -> Log_record.lsn list
-(** Batched {!log_ext}: one activity check, contiguous appends (bulk paths). *)
 
 val commit : t -> Txn.t -> unit
 (** Raises whatever a [Before_prepare] action raises — in that case the
@@ -75,24 +71,35 @@ val commit : t -> Txn.t -> unit
 
 val abort : t -> Txn.t -> unit
 
+val mark : t -> Txn.t -> Txn.mark
+(** Take an unnamed rollback point: the log's current end and the positions
+    of the open key-sequential scans. Appends nothing to the log. *)
+
+val rollback_to_mark : t -> Txn.t -> Txn.mark -> unit
+(** Partial rollback: undo the transaction's records logged after the mark,
+    newest first, then restore the captured scan positions; the transaction
+    stays active. Named savepoints and the per-statement atomicity of
+    [Relation] both roll back through here. *)
+
 val savepoint : t -> Txn.t -> string -> unit
-(** Establish (or re-establish) a rollback point: records the log position and
-    captures the positions of open key-sequential scans. *)
+(** Establish (or re-establish) a named {!mark}. Appends nothing to the
+    log. *)
 
 val rollback_to : t -> Txn.t -> string -> unit
-(** Partial rollback: undo back to the savepoint, restore scan positions; the
-    transaction stays active and the savepoint remains established. Raises
-    [Not_found] for an unknown savepoint name. *)
+(** {!rollback_to_mark} for the named savepoint. The savepoint remains
+    established; those established after it are gone. Raises [Not_found]
+    for an unknown savepoint name. *)
 
 val recover : t -> Recovery.analysis
-(** Restart recovery: analysis from the last checkpoint, the undo of the
-    losers' catalog records (so redo sees the committed descriptors), a
-    redo pass that repeats history from there (every [Ext] record through
-    its extension's redo entry, every [Clr] by re-running its undo), the
-    undo of every loser's other uncompensated records, the catalog
-    snapshot, their [Abort]s and one log flush. The
-    caller ends restart with a checkpoint. Returns the analysis with the
-    redo counts filled in. Must run before new transactions start. *)
+(** Restart recovery: analysis from the last [Checkpoint] record (its
+    active list seeds the started set), the undo of the losers' catalog
+    records (so redo sees the committed descriptors), a redo pass that
+    repeats history from there (every [Ext] record through its extension's
+    redo entry, every [Clr] by re-running its undo), the undo of every
+    loser's other uncompensated records, the catalog snapshot, their
+    [Abort]s and one log flush. The caller ends restart with a checkpoint.
+    Returns the analysis with the redo counts filled in. Must run before
+    new transactions start. *)
 
 val stats_undo_count : t -> int
 (** Total Ext records undone since creation (benches). *)

@@ -11,26 +11,13 @@ type source =
   | Attachment of int
   | Catalog
 
-type ckpt_txn = {
-  ck_txid : txid;
-  ck_first : lsn;
-  ck_last : lsn;
-  ck_undo_depth : int;
-}
-
 type kind =
   | Begin
   | Commit
   | Abort
-  | Savepoint of string
   | Ext of { source : source; rel_id : int; data : string }
   | Clr of { undone : lsn }
-  | Ckpt_begin
-  | Ckpt_end of {
-      start : lsn;
-      dirty_pages : (int * lsn) list;
-      active : ckpt_txn list;
-    }
+  | Checkpoint of { active : txid list }
 
 type t = { lsn : lsn; txid : txid; kind : kind }
 
@@ -41,11 +28,8 @@ let encode e txid kind =
   | Begin -> byte e 0
   | Commit -> byte e 1
   | Abort -> byte e 2
-  | Savepoint name ->
-    byte e 3;
-    string e name
   | Ext { source; rel_id; data } ->
-    byte e 4;
+    byte e 3;
     (match source with
     | Smethod id ->
       byte e 0;
@@ -57,24 +41,11 @@ let encode e txid kind =
     varint e rel_id;
     string e data
   | Clr { undone } ->
-    byte e 5;
+    byte e 4;
     int64 e undone
-  | Ckpt_begin -> byte e 6
-  | Ckpt_end { start; dirty_pages; active } ->
-    byte e 7;
-    int64 e start;
-    list e
-      (fun e (page, lsn) ->
-        varint e page;
-        int64 e lsn)
-      dirty_pages;
-    list e
-      (fun e a ->
-        varint e a.ck_txid;
-        int64 e a.ck_first;
-        int64 e a.ck_last;
-        varint e a.ck_undo_depth)
-      active
+  | Checkpoint { active } ->
+    byte e 5;
+    list e varint active
 
 let decode d =
   let open Codec.Dec in
@@ -84,8 +55,7 @@ let decode d =
     | 0 -> Begin
     | 1 -> Commit
     | 2 -> Abort
-    | 3 -> Savepoint (string d)
-    | 4 ->
+    | 3 ->
       let source =
         match byte d with
         | 0 -> Smethod (varint d)
@@ -96,25 +66,8 @@ let decode d =
       let rel_id = varint d in
       let data = string d in
       Ext { source; rel_id; data }
-    | 5 -> Clr { undone = int64 d }
-    | 6 -> Ckpt_begin
-    | 7 ->
-      let start = int64 d in
-      let dirty_pages =
-        list d (fun d ->
-            let page = varint d in
-            let lsn = int64 d in
-            (page, lsn))
-      in
-      let active =
-        list d (fun d ->
-            let ck_txid = varint d in
-            let ck_first = int64 d in
-            let ck_last = int64 d in
-            let ck_undo_depth = varint d in
-            { ck_txid; ck_first; ck_last; ck_undo_depth })
-      in
-      Ckpt_end { start; dirty_pages; active }
+    | 4 -> Clr { undone = int64 d }
+    | 5 -> Checkpoint { active = list d varint }
     | n -> failwith (Fmt.str "Log_record: bad kind tag %d" n)
   in
   (txid, kind)
@@ -128,14 +81,11 @@ let pp_kind ppf = function
   | Begin -> Fmt.string ppf "BEGIN"
   | Commit -> Fmt.string ppf "COMMIT"
   | Abort -> Fmt.string ppf "ABORT"
-  | Savepoint name -> Fmt.pf ppf "SAVEPOINT %s" name
   | Ext { source; rel_id; data } ->
     Fmt.pf ppf "EXT %a rel=%d (%d bytes)" pp_source source rel_id
       (String.length data)
   | Clr { undone } -> Fmt.pf ppf "CLR undone=%Ld" undone
-  | Ckpt_begin -> Fmt.string ppf "CKPT_BEGIN"
-  | Ckpt_end { start; dirty_pages; active } ->
-    Fmt.pf ppf "CKPT_END start=%Ld dpt=%d att=%d" start
-      (List.length dirty_pages) (List.length active)
+  | Checkpoint { active } ->
+    Fmt.pf ppf "CHECKPOINT active=[%a]" Fmt.(list ~sep:(any ",") int) active
 
 let pp ppf t = Fmt.pf ppf "%Ld tx%d %a" t.lsn t.txid pp_kind t.kind

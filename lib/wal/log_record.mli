@@ -6,7 +6,8 @@
     rollback, abort and restart it *drives* the owning extension's undo entry
     point with the payload (paper p. 223: "the common recovery log is used to
     drive the storage method and attachment implementations to undo the
-    partial effects"). *)
+    partial effects"). Only what rollback and restart read is logged: a
+    savepoint is an in-memory mark, not a record. *)
 
 type lsn = int64
 
@@ -21,30 +22,17 @@ type source =
   | Attachment of int  (** attachment type id *)
   | Catalog  (** common catalog facility *)
 
-(** One active-transaction-table entry captured by a fuzzy checkpoint:
-    enough to seed restart analysis ([ck_first] bounds the truncation point,
-    [ck_last]/[ck_undo_depth] are introspection sanity data). *)
-type ckpt_txn = {
-  ck_txid : txid;
-  ck_first : lsn;  (** first (Begin) LSN of the txn's chain *)
-  ck_last : lsn;  (** newest LSN at snapshot time *)
-  ck_undo_depth : int;  (** outstanding Ext records minus compensations *)
-}
-
 type kind =
   | Begin
   | Commit
   | Abort  (** rollback completed *)
-  | Savepoint of string
   | Ext of { source : source; rel_id : int; data : string }
   | Clr of { undone : lsn }
       (** compensation: the record at [undone] has been undone *)
-  | Ckpt_begin  (** fuzzy checkpoint started; snapshots taken after this *)
-  | Ckpt_end of {
-      start : lsn;  (** LSN of the matching [Ckpt_begin] *)
-      dirty_pages : (int * lsn) list;  (** (page_id, page_lsn) at snapshot *)
-      active : ckpt_txn list;  (** active-transaction table at snapshot *)
-    }  (** checkpoint completed; restart analysis seeds from [start] *)
+  | Checkpoint of { active : txid list }
+      (** every change logged before this record is in the store; [active]
+          lists the transactions still running, which restart's analysis
+          counts as started although their [Begin] precedes the record *)
 
 type t = { lsn : lsn; txid : txid; kind : kind }
 

@@ -11,31 +11,24 @@ type analysis = {
 module Iset = Set.Make (Int)
 module Lsn_set = Set.Make (Int64)
 
-(* Restart analysis seeds from the last complete fuzzy checkpoint when one
-   exists: the scan starts at the checkpoint's [Ckpt_begin] (not the
-   [Ckpt_end]) so transactions that finished while the checkpoint was in
-   flight are still observed, and the checkpoint's active-transaction table
-   pre-loads [started] for transactions whose Begin precedes the scan window.
-   Without a checkpoint the scan starts at the first retained record — the
-   log may have a truncated prefix (base LSN > 0), which is only legal when
-   every dropped record belonged to a finished transaction, so treating the
+(* Restart analysis seeds from the last checkpoint when one exists: the
+   scan starts at the [Checkpoint] record, and its active list pre-loads
+   [started] for transactions whose Begin precedes the scan window. Without
+   a checkpoint the scan starts at the first retained record — the log may
+   have a truncated prefix (base LSN > 0), which is only legal when every
+   dropped record belonged to a finished transaction, so treating the
    retained suffix as the whole history is sound. *)
 let analyze wal =
   let seed_start, seed_active =
     match Wal.last_checkpoint_lsn wal with
-    | l when l = 0L -> (Int64.add (Wal.base_lsn wal) 1L, [])
+    | 0L -> (Int64.add (Wal.base_lsn wal) 1L, [])
     | l -> begin
       match (Wal.read wal l).Log_record.kind with
-      | Ckpt_end { start; active; _ } -> (start, active)
+      | Checkpoint { active } -> (l, active)
       | _ -> (Int64.add (Wal.base_lsn wal) 1L, [])
     end
   in
-  let started =
-    ref
-      (List.fold_left
-         (fun s (a : Log_record.ckpt_txn) -> Iset.add a.ck_txid s)
-         Iset.empty seed_active)
-  in
+  let started = ref (Iset.of_list seed_active) in
   let finished = ref Iset.empty in
   let winners = ref Iset.empty in
   let scanned = ref 0 in
@@ -47,8 +40,8 @@ let analyze wal =
         finished := Iset.add r.txid !finished;
         winners := Iset.add r.txid !winners
       | Abort -> finished := Iset.add r.txid !finished
-      | Clr _ | Savepoint _ | Ext _ -> started := Iset.add r.txid !started
-      | Ckpt_begin | Ckpt_end _ -> ());
+      | Clr _ | Ext _ -> started := Iset.add r.txid !started
+      | Checkpoint _ -> ());
   let losers = Iset.diff !started !finished in
   (* A loser's worklist is its Ext chain minus the records a Clr
      compensates: the redo pass repeats every durable Clr's undo before the
@@ -74,9 +67,7 @@ let analyze wal =
               match r.kind with
               | Ext { source = Catalog; _ } -> true
               | Ext _ -> not (Lsn_set.mem r.lsn compensated)
-              | Begin | Commit | Abort | Savepoint _ | Clr _ | Ckpt_begin
-              | Ckpt_end _ ->
-                false)
+              | Begin | Commit | Abort | Clr _ | Checkpoint _ -> false)
             chain
         in
         (txid, work) :: acc)

@@ -11,13 +11,13 @@
     are already reversed when the caller dispatches the worklists to the
     extensions' undo entries.
 
-    When the log holds a complete fuzzy checkpoint the scan is seeded from
-    it: analysis and redo start at the checkpoint's [Ckpt_begin] — every
-    change logged before it reached the store when the checkpoint synced —
-    and the active-transaction table pre-loads the started set, so restart
-    work is bounded by the checkpoint interval rather than total log
-    length. A truncated log prefix (base LSN > 0) is tolerated — [winners]
-    then only lists transactions that committed inside the scan window. *)
+    When the log holds a checkpoint the scan is seeded from it: analysis
+    and redo start at the [Checkpoint] record — every change logged before
+    it reached the store when the checkpoint synced — and its active list
+    pre-loads the started set, so restart work is bounded by the checkpoint
+    interval rather than total log length. A truncated log prefix (base LSN
+    > 0) is tolerated — [winners] then only lists transactions that
+    committed inside the scan window. *)
 
 type analysis = {
   winners : Log_record.txid list;
@@ -26,9 +26,8 @@ type analysis = {
   undo_work : (Log_record.txid * Log_record.t list) list;
       (** per loser, uncompensated Ext records newest-first *)
   restart_lsn : Log_record.lsn;
-      (** first LSN of the analysis scan and of redo: the last complete
-          checkpoint's [Ckpt_begin], or the first retained record when no
-          checkpoint *)
+      (** first LSN of the analysis scan and of redo: the last [Checkpoint]
+          record, or the first retained record when there is none *)
   scanned : int;  (** records visited by the analysis scan *)
   redo_records : int;
       (** [Ext] and [Clr] records the redo pass replayed; 0 from {!analyze},

@@ -38,7 +38,7 @@ type t = {
   mutable closed : bool;
   mutable append_observer : Log_record.lsn -> unit;
   mutable truncate_observer : truncate_phase -> unit;
-  mutable last_ckpt : Log_record.lsn;  (* newest complete Ckpt_end; 0 = none *)
+  mutable last_ckpt : Log_record.lsn;  (* newest Checkpoint record; 0 = none *)
   mutable appended_bytes : int;  (* monotone framed bytes, immune to truncation *)
   mutable truncations : int;
   mutable truncated_bytes : int;
@@ -58,7 +58,7 @@ let add_index t txid kind =
   t.count <- t.count + 1;
   let chain = Option.value ~default:[] (Hashtbl.find_opt t.by_txn txid) in
   Hashtbl.replace t.by_txn txid (r :: chain);
-  (match kind with Log_record.Ckpt_end _ -> t.last_ckpt <- lsn | _ -> ());
+  (match kind with Log_record.Checkpoint _ -> t.last_ckpt <- lsn | _ -> ());
   r
 
 let in_memory () =
@@ -109,8 +109,13 @@ let really_write fd s =
 (* File header: magic + little-endian base LSN. Records start at
    [header_len]; a truncated log persists its base here so LSNs stay stable
    across restart. Headerless files (pre-truncation format, or a file whose
-   torn header was dropped) scan from offset 0 with base 0. *)
-let header_magic = "DMXWAL01"
+   torn header was dropped) scan from offset 0 with base 0. The magic names
+   the record format. A [DMXWAL01] log numbers its record kinds differently
+   and holds Savepoint and Ckpt_begin/Ckpt_end frames: replaying it would
+   misread records, then cut the log at the first frame that fails to
+   decode as if it were a torn tail. It is refused instead. *)
+let header_magic = "DMXWAL02"
+let old_magic = "DMXWAL01"
 let header_len = 16
 
 let header_string base =
@@ -137,9 +142,15 @@ let open_file path =
     loop 0;
     Bytes.unsafe_to_string buf
   in
-  let headered =
-    size >= header_len && String.sub data 0 8 = header_magic
-  in
+  let magic = if size >= 8 then String.sub data 0 8 else "" in
+  if magic = old_magic then begin
+    Unix.close fd;
+    raise
+      (Sys_error
+         (Fmt.str "%s: log written in the old %s record format" path
+            old_magic))
+  end;
+  let headered = size >= header_len && magic = header_magic in
   let base = if headered then Int64.to_int (String.get_int64_le data 8) else 0 in
   let t =
     {

@@ -25,7 +25,8 @@ type truncate_phase = Trunc_begin | Trunc_rename | Trunc_done
 val in_memory : unit -> t
 val open_file : string -> t
 (** Opens (creating if needed) a log file, replaying existing records into the
-    in-memory index. *)
+    in-memory index. Raises [Sys_error] naming the path, and leaves the file
+    as it is, on a log in the older [DMXWAL01] record format. *)
 
 val append : t -> Log_record.txid -> Log_record.kind -> Log_record.lsn
 
@@ -50,8 +51,8 @@ val base_lsn : t -> Log_record.lsn
     first readable record is [base_lsn + 1]. *)
 
 val last_checkpoint_lsn : t -> Log_record.lsn
-(** LSN of the newest complete [Ckpt_end] record in the log (tracked at
-    append and restored by {!open_file}'s replay); 0 when none. *)
+(** LSN of the newest [Checkpoint] record in the log (tracked at append
+    and restored by {!open_file}'s replay); 0 when none. *)
 
 val appended_bytes : t -> int
 (** Monotone total of framed bytes ever appended to this log instance —
@@ -74,7 +75,7 @@ val truncate_before : t -> Log_record.lsn -> int * int
     the new log intact. Pending/unsynced records are folded into the rewrite,
     so truncation never weakens durability. The caller is responsible for
     cutting only below the undo horizon (no active transaction's first LSN,
-    and no incomplete checkpoint's start, may be dropped). *)
+    and not the checkpoint restart starts from, may be dropped). *)
 
 val flush : ?upto:Log_record.lsn -> t -> unit
 (** Harden records up to [upto] (default: all). All pending records are

@@ -182,9 +182,7 @@ let page_mutator = function
 let logging_call parts =
   match parts with
   | "Wal" :: _ | "Log_record" :: _ -> true
-  (* the common logging services, including the batched entry points the
-     bulk modification paths log through: Ctx.log, Ctx.log_many,
-     Txn_mgr.log_ext, Txn_mgr.log_ext_many *)
+  (* the common logging services: Ctx.log, Txn_mgr.log_ext *)
   | [ "Ctx"; l ] | [ "Txn_mgr"; l ] ->
     String.length l >= 3 && String.sub l 0 3 = "log"
   | _ -> begin

@@ -287,7 +287,7 @@ let test_set_unchanged_logs_nothing () =
   let t, bp = make_tree_bp () in
   ignore (insert t ~key:(k 1) ~payload:"a");
   let writes () = (Disk.stats (Buffer_pool.disk bp)).Io_stats.page_writes in
-  Buffer_pool.flush_all bp;
+  ignore (Buffer_pool.flush_all bp);
   let w0 = writes () in
   List.iter
     (fun (what, key, f) ->
@@ -299,7 +299,7 @@ let test_set_unchanged_logs_nothing () =
       ("delete absent", k 2, fun _ -> None);
       ("identity", k 1, Fun.id);
     ];
-  Buffer_pool.flush_all bp;
+  ignore (Buffer_pool.flush_all bp);
   Alcotest.(check int) "nothing written" w0 (writes ());
   Alcotest.(check (option string)) "payload kept" (Some "a")
     (Btree.find t ~key:(k 1))
@@ -733,7 +733,7 @@ let test_node_format_golden () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "count" (n - ((n + 6) / 7)) (Btree.count t);
-  Buffer_pool.flush_all bp;
+  ignore (Buffer_pool.flush_all bp);
   let pages = Disk.page_count d in
   let images =
     List.init pages (fun i ->

@@ -126,9 +126,9 @@ let test_introspected_crash_sweep () =
        H.Mode_crash ~recovery_crash:false)
 
 let test_ckpt_crash_sweep () =
-  (* crash at every disk op with fuzzy checkpoints firing mid-transaction:
-     a slice of the points land inside checkpoint writeback, Ckpt_end
-     logging, and log truncation *)
+  (* crash at every disk op with checkpoints firing mid-transaction: a
+     slice of the points land inside the checkpoint's page writes and sync,
+     its record's flush, and log truncation *)
   check_report
     (H.sweep
        { (config 46) with H.checkpoint_every = 3 }
@@ -144,8 +144,9 @@ let test_truncate_crash_sweep () =
 
 let test_ckpt_recovery_crash_sweep () =
   (* mid-restart-from-checkpoint: the workload checkpoints (so restart seeds
-     from the last Ckpt_end), crashes, and then the recovery run itself is
-     crashed at a varying gap — restart from a checkpoint must be idempotent *)
+     from the last Checkpoint record), crashes, and then the recovery run
+     itself is crashed at a varying gap — restart from a checkpoint must be
+     idempotent *)
   check_report
     (H.sweep
        { (config 48) with H.checkpoint_every = 3 }

@@ -1,7 +1,7 @@
-(* Fuzzy checkpoints: log truncation behind the checkpoint LSN, bounded
-   restart (analysis seeded from the last complete checkpoint), the
-   active-transaction horizon, the automatic policy, and torn-checkpoint
-   tolerance. *)
+(* Checkpoints: one Checkpoint record per checkpoint, log truncation
+   behind it, bounded restart (analysis seeded from the last Checkpoint
+   record), the active-transaction horizon, the automatic policy, and
+   torn-checkpoint tolerance. *)
 open Dmx_core
 open Test_util
 module Ddl = Dmx_ddl.Ddl
@@ -68,7 +68,7 @@ let test_truncation_and_bounded_restart () =
       Services.close services)
 
 (* an active transaction pins the truncation point at its first LSN; its
-   undo chain stays intact through a fuzzy mid-transaction checkpoint *)
+   undo chain stays intact through a mid-transaction checkpoint *)
 let test_active_txn_pins_truncation () =
   with_dir (fun dir ->
       let services = fresh_services ~dir () in
@@ -111,7 +111,7 @@ let test_active_txn_pins_truncation () =
       Services.close services)
 
 (* restart seeded from a checkpoint taken mid-transaction: the loser's Begin
-   precedes the checkpoint and is only known from the logged ATT *)
+   precedes the checkpoint and is only known from the record's active list *)
 let test_loser_seeded_from_checkpoint_att () =
   with_dir (fun dir ->
       let services = fresh_services ~dir () in
@@ -126,7 +126,7 @@ let test_loser_seeded_from_checkpoint_att () =
       ignore (check_ok "ins" (Relation.insert ctx desc (emp 51 "y" "eng" 1)));
       (* harden the loser's pages and records, then crash without commit *)
       Dmx_wal.Wal.flush services.Services.wal;
-      Dmx_page.Buffer_pool.flush_all services.Services.bp;
+      ignore (Dmx_page.Buffer_pool.flush_all services.Services.bp);
       Services.simulate_crash services;
       let services = fresh_services ~dir () in
       (match services.Services.last_recovery with
@@ -134,6 +134,51 @@ let test_loser_seeded_from_checkpoint_att () =
       | Some a ->
         Alcotest.(check int) "one loser" 1
           (List.length a.Dmx_wal.Recovery.losers));
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      Alcotest.(check int) "loser undone, committed intact" 3
+        (count_records ctx desc);
+      Services.commit services ctx;
+      Services.close services)
+
+(* A checkpoint appends exactly one record, a Checkpoint listing the active
+   transactions, and restart's analysis starts at it: the loser is known
+   from that list alone, and only the records from it on are scanned. *)
+let test_one_record_seeds_restart () =
+  with_dir (fun dir ->
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      ignore (create_emp ctx);
+      Services.commit services ctx;
+      insert_batch services ~from:0 ~count:3;
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      ignore (check_ok "ins" (Relation.insert ctx desc (emp 50 "x" "eng" 1)));
+      let wal = services.Services.wal in
+      let before = Wal.last_lsn wal in
+      let stats = Services.checkpoint ~truncate:false services in
+      Alcotest.(check int64) "one record appended" (Int64.succ before)
+        (Wal.last_lsn wal);
+      Alcotest.(check int64) "it is the checkpoint" stats.Services.ck_lsn
+        (Wal.last_lsn wal);
+      (match (Wal.read wal stats.Services.ck_lsn).Dmx_wal.Log_record.kind with
+      | Dmx_wal.Log_record.Checkpoint { active } ->
+        Alcotest.(check (list int)) "active list"
+          [ ctx.Ctx.txn.Dmx_txn.Txn.id ] active
+      | _ -> Alcotest.fail "not a Checkpoint record");
+      ignore (check_ok "ins" (Relation.insert ctx desc (emp 51 "y" "eng" 1)));
+      Wal.flush wal;
+      Services.simulate_crash services;
+      let services = fresh_services ~dir () in
+      (match services.Services.last_recovery with
+      | None -> Alcotest.fail "no recovery"
+      | Some a ->
+        Alcotest.(check int64) "analysis starts at the record"
+          stats.Services.ck_lsn a.Dmx_wal.Recovery.restart_lsn;
+        Alcotest.(check int) "scan covers the record and the insert after it" 2
+          a.Dmx_wal.Recovery.scanned;
+        Alcotest.(check (list int)) "loser seeded from the active list"
+          [ ctx.Ctx.txn.Dmx_txn.Txn.id ] a.Dmx_wal.Recovery.losers);
       let ctx = Services.begin_txn services in
       let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
       Alcotest.(check int) "loser undone, committed intact" 3
@@ -205,16 +250,17 @@ let test_env_policy_parsing () =
   Alcotest.(check (pair int int)) "empty/unset disables" (0, 0)
     (Services.checkpoint_policy services)
 
-(* a torn Ckpt_end is treated as absent: restart falls back to the previous
-   horizon and committed state is untouched *)
-let test_torn_ckpt_end_tolerated () =
+(* a torn Checkpoint record is treated as absent: restart falls back to the
+   previous horizon and committed state is untouched *)
+let test_torn_checkpoint_tolerated () =
   with_dir (fun dir ->
       let services = fresh_services ~dir () in
       let ctx = Services.begin_txn services in
       ignore (create_emp ctx);
       Services.commit services ctx;
       insert_batch services ~from:0 ~count:4;
-      (* no truncation, so the Ckpt_end is the last frame in the file *)
+      (* no truncation, so the Checkpoint record is the last frame in the
+         file *)
       ignore (Services.checkpoint ~truncate:false services);
       let torn = Wal.last_checkpoint_lsn services.Services.wal in
       Alcotest.(check bool) "ckpt present" true (torn > 0L);
@@ -257,7 +303,7 @@ let test_crash_before_truncate_rename () =
       (* the log as restart opens it (restart then checkpoints) *)
       let wal = Wal.open_file (Filename.concat dir "wal.dmx") in
       Alcotest.(check int64) "no truncation took effect" 0L (Wal.base_lsn wal);
-      (* the completed Ckpt_end record itself is in the old log (appended and
+      (* the Checkpoint record itself is in the old log (appended and
          flushed before truncation started), so restart still seeds there *)
       Alcotest.(check bool) "checkpoint usable" true
         (Wal.last_checkpoint_lsn wal > 0L);
@@ -273,7 +319,7 @@ let test_crash_before_truncate_rename () =
 
 (* Under no-force, eviction writes committed pages without a sync. A
    checkpoint that finds no dirty frame must still sync the store before it
-   cuts the log below its Ckpt_begin, or power loss takes those pages back
+   cuts the log below its record, or power loss takes those pages back
    to their pre-images with the records that would redo them gone. *)
 let test_checkpoint_syncs_clean_pool () =
   with_dir (fun dir ->
@@ -290,8 +336,9 @@ let test_checkpoint_syncs_clean_pool () =
       insert_batch services ~from:0 ~count:4;
       let bp = services.Services.bp in
       List.iter
-        (fun (page, _) -> Dmx_page.Buffer_pool.flush_page bp page)
-        (Dmx_page.Buffer_pool.dirty_pages bp);
+        (fun (page, _, dirty, _, _) ->
+          if dirty then Dmx_page.Buffer_pool.flush_page bp page)
+        (Dmx_page.Buffer_pool.frames bp);
       Alcotest.(check int) "no dirty frame left" 0
         (Dmx_page.Buffer_pool.dirty_count bp);
       ignore (Services.checkpoint services);
@@ -331,14 +378,16 @@ let suite =
       test_truncation_and_bounded_restart;
     Alcotest.test_case "active txn pins the truncation point" `Quick
       test_active_txn_pins_truncation;
+    Alcotest.test_case "one Checkpoint record seeds restart" `Quick
+      test_one_record_seeds_restart;
     Alcotest.test_case "loser seeded from checkpoint ATT" `Quick
       test_loser_seeded_from_checkpoint_att;
     Alcotest.test_case "auto policy (records)" `Quick test_auto_policy_records;
     Alcotest.test_case "auto policy (bytes)" `Quick test_auto_policy_bytes;
     Alcotest.test_case "DMX_CHECKPOINT_EVERY parsing" `Quick
       test_env_policy_parsing;
-    Alcotest.test_case "torn Ckpt_end tolerated as absent" `Quick
-      test_torn_ckpt_end_tolerated;
+    Alcotest.test_case "torn Checkpoint tolerated as absent" `Quick
+      test_torn_checkpoint_tolerated;
     Alcotest.test_case "crash before truncate rename keeps old log" `Quick
       test_crash_before_truncate_rename;
     Alcotest.test_case "checkpoint syncs pages evicted since the last sync"

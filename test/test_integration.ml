@@ -300,6 +300,32 @@ let test_savepoint_partial_rollback () =
   Alcotest.(check int) "rollback again" 2 (count_records ctx desc);
   Services.commit services ctx
 
+(* A keyed update logs its change and nothing else: the statement's
+   rollback point is a mark in memory, not a log record. *)
+let test_update_logs_only_its_change () =
+  let services = fresh_services () in
+  let ctx, desc = setup_emp services in
+  let key = check_ok "ins" (Relation.insert ctx desc (emp 1 "a" "eng" 1)) in
+  Services.commit services ctx;
+  let wal = services.Services.wal in
+  let from = Int64.succ (Dmx_wal.Wal.last_lsn wal) in
+  let ctx = Services.begin_txn services in
+  let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+  ignore (check_ok "upd" (Relation.update ctx desc key (emp 1 "a" "eng" 2)));
+  Services.commit services ctx;
+  let kinds = ref [] in
+  Dmx_wal.Wal.iter_from wal from (fun r ->
+      let name =
+        match r.Dmx_wal.Log_record.kind with
+        | Begin -> "Begin"
+        | Ext _ -> "Ext"
+        | Commit -> "Commit"
+        | k -> Fmt.str "%a" Dmx_wal.Log_record.pp_kind k
+      in
+      kinds := name :: !kinds);
+  Alcotest.(check (list string)) "the transaction's records"
+    [ "Begin"; "Ext"; "Commit" ] (List.rev !kinds)
+
 let test_abort_rolls_back_everything () =
   let services = fresh_services () in
   let ctx, desc = setup_emp services in
@@ -724,7 +750,7 @@ let test_no_pin_leaks () =
         (check_ok "s2" (Relation.scan ctx desc ()))))));
   Services.rollback_to ctx "sp";
   Services.commit services ctx;
-  Dmx_page.Buffer_pool.flush_all services.Services.bp;
+  ignore (Dmx_page.Buffer_pool.flush_all services.Services.bp);
   match Dmx_page.Buffer_pool.drop_cache services.Services.bp with
   | () -> ()
   | exception Failure msg -> Alcotest.failf "pin leak: %s" msg
@@ -751,6 +777,8 @@ let suite =
       test_trigger_audit_and_veto;
     Alcotest.test_case "savepoint partial rollback" `Quick
       test_savepoint_partial_rollback;
+    Alcotest.test_case "keyed update logs Begin, Ext, Commit" `Quick
+      test_update_logs_only_its_change;
     Alcotest.test_case "abort rolls back" `Quick
       test_abort_rolls_back_everything;
     Alcotest.test_case "DDL rollback" `Quick test_ddl_rollback;

@@ -292,7 +292,7 @@ let test_wal_before_page () =
         \  Slotted.insert data payload\n\n\
          let undo_write data payload = Slotted.insert_at data 0 payload\n\n\
          let batch_write ctx data payloads =\n\
-        \  ignore (Ctx.log_many ctx payloads);\n\
+        \  List.iter (fun p -> ignore (Ctx.log ctx p)) payloads;\n\
         \  Slotted.insert data payloads\n\n\
          let batch_sneaky data payloads =\n\
         \  ignore (Buffer_pool.alloc data);\n\
@@ -312,8 +312,8 @@ let test_wal_before_page () =
       let report = run root in
       check_diag "unlogged mutator" report ~rule:"wal-before-page"
         ~file:"lib/smethod/nolog.ml" ~line:3;
-      (* the batched logging entry point (Ctx.log_many) is recognized; an
-         unlogged batch mutator is still flagged *)
+      (* a batch logged one record per payload (Ctx.log in a loop) is
+         recognized; an unlogged batch mutator is still flagged *)
       check_diag "unlogged batch mutator" report ~rule:"wal-before-page"
         ~file:"lib/smethod/nolog.ml" ~line:16;
       Alcotest.(check int)

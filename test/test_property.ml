@@ -318,7 +318,7 @@ let prop_crash_recovery =
           List.iter (apply ctx desc) inflight_ops;
           if flush_before_crash then begin
             Dmx_wal.Wal.flush services.Services.wal;
-            Dmx_page.Buffer_pool.flush_all services.Services.bp
+            ignore (Dmx_page.Buffer_pool.flush_all services.Services.bp)
           end;
           Services.simulate_crash services;
           (* restart *)

@@ -47,7 +47,7 @@ let test_uncommitted_undone_at_restart () =
       ignore (check_ok "x" (Relation.insert ctx desc (emp 2 "x" "eng" 2)));
       ignore (check_ok "y" (Relation.insert ctx desc (emp 3 "y" "eng" 3)));
       Dmx_wal.Wal.flush services.Services.wal;
-      Dmx_page.Buffer_pool.flush_all services.Services.bp;
+      ignore (Dmx_page.Buffer_pool.flush_all services.Services.bp);
       Services.simulate_crash services;
       let services = fresh_services ~dir () in
       (match services.Services.last_recovery with
@@ -105,7 +105,7 @@ let test_index_restored_at_restart () =
       let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
       ignore (check_ok "b" (Relation.insert ctx desc (emp 2 "b" "eng" 2)));
       Dmx_wal.Wal.flush services.Services.wal;
-      Dmx_page.Buffer_pool.flush_all services.Services.bp;
+      ignore (Dmx_page.Buffer_pool.flush_all services.Services.bp);
       Services.simulate_crash services;
       let services = fresh_services ~dir () in
       let ctx = Services.begin_txn services in

@@ -84,6 +84,21 @@ let test_unknown_savepoint () =
   | exception Not_found -> Txn_mgr.abort mgr txn
   | () -> Alcotest.fail "unknown savepoint accepted"
 
+(* Two savepoints taken with no record between them share a mark LSN;
+   rolling back to the older one must still forget the newer one. *)
+let test_savepoints_sharing_an_lsn () =
+  let mgr, _, _ = make_mgr () in
+  Txn_mgr.set_undo_dispatch mgr (fun _ ~lsn:_ _ -> ());
+  let txn = Txn_mgr.begin_txn mgr in
+  Txn_mgr.savepoint mgr txn "sp1";
+  Txn_mgr.savepoint mgr txn "sp2";
+  Txn_mgr.rollback_to mgr txn "sp1";
+  (match Txn_mgr.rollback_to mgr txn "sp2" with
+  | exception Not_found -> ()
+  | () -> Alcotest.fail "savepoint established after sp1 survived");
+  Txn_mgr.rollback_to mgr txn "sp1";
+  Txn_mgr.abort mgr txn
+
 let test_deferred_queues () =
   let mgr, _, _ = make_mgr () in
   Txn_mgr.set_undo_dispatch mgr (fun _ ~lsn:_ _ -> ());
@@ -188,6 +203,8 @@ let suite =
     Alcotest.test_case "partial rollback boundaries" `Quick
       test_partial_rollback_boundaries;
     Alcotest.test_case "unknown savepoint" `Quick test_unknown_savepoint;
+    Alcotest.test_case "savepoints sharing an LSN" `Quick
+      test_savepoints_sharing_an_lsn;
     Alcotest.test_case "deferred-action queues" `Quick test_deferred_queues;
     Alcotest.test_case "before-prepare veto aborts" `Quick
       test_before_prepare_veto_aborts;

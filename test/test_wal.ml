@@ -42,8 +42,8 @@ let test_file_roundtrip () =
   let w = Wal.open_file path in
   ignore (Wal.append w 1 LR.Begin);
   ignore (Wal.append w 1 (ext "hello"));
-  ignore (Wal.append w 1 (LR.Savepoint "sp"));
   ignore (Wal.append w 1 (LR.Clr { undone = 2L }));
+  ignore (Wal.append w 0 (LR.Checkpoint { active = [ 1 ] }));
   ignore (Wal.append w 1 LR.Commit);
   Wal.flush w;
   Wal.close w;
@@ -51,7 +51,8 @@ let test_file_roundtrip () =
   Alcotest.(check int) "replayed" 5 (Wal.record_count w2);
   let kinds = Wal.fold w2 ~init:[] ~f:(fun acc r -> r.LR.kind :: acc) in
   (match List.rev kinds with
-  | [ LR.Begin; LR.Ext _; LR.Savepoint "sp"; LR.Clr { undone = 2L }; LR.Commit ] ->
+  | [ LR.Begin; LR.Ext _; LR.Clr { undone = 2L };
+      LR.Checkpoint { active = [ 1 ] }; LR.Commit ] ->
     ()
   | _ -> Alcotest.fail "kinds mismatch");
   Wal.close w2;
@@ -298,13 +299,12 @@ let test_analysis_interleaved () =
     [ "2b"; "2a" ] work
 
 let test_analysis_zero_ext_loser () =
-  (* a transaction that began (and maybe set a savepoint) but never logged an
-     Ext: a loser with no undo work, alongside an untouched winner *)
+  (* a transaction that began but never logged an Ext: a loser with no undo
+     work, alongside an untouched winner *)
   let w = Wal.in_memory () in
   ignore (Wal.append w 1 LR.Begin);
   ignore (Wal.append w 1 LR.Commit);
   ignore (Wal.append w 2 LR.Begin);
-  ignore (Wal.append w 2 (LR.Savepoint "sp"));
   let a = Recovery.analyze w in
   Alcotest.(check (list int)) "winner" [ 1 ] a.Recovery.winners;
   Alcotest.(check (list int)) "loser" [ 2 ] a.losers;
@@ -323,42 +323,21 @@ let test_log_record_codec () =
   roundtrip LR.Begin;
   roundtrip LR.Commit;
   roundtrip LR.Abort;
-  roundtrip (LR.Savepoint "x");
   roundtrip (ext "payload \000 with nul");
   roundtrip (LR.Ext { source = LR.Attachment 3; rel_id = 9; data = "" });
   roundtrip (LR.Ext { source = LR.Catalog; rel_id = 0; data = "c" });
   roundtrip (LR.Clr { undone = 123456789L });
-  roundtrip LR.Ckpt_begin;
-  roundtrip (LR.Ckpt_end { start = 0L; dirty_pages = []; active = [] });
-  roundtrip
-    (LR.Ckpt_end
-       {
-         start = 42L;
-         dirty_pages = [ (1, 5L); (7, 900L) ];
-         active =
-           [
-             { LR.ck_txid = 3; ck_first = 2L; ck_last = 40L; ck_undo_depth = 4 };
-             { LR.ck_txid = 8; ck_first = 39L; ck_last = 39L; ck_undo_depth = 0 };
-           ];
-       })
+  roundtrip (LR.Checkpoint { active = [] });
+  roundtrip (LR.Checkpoint { active = [ 3; 8; 100_000 ] })
 
-(* Property: a Ckpt_end with any dirty-page and active-transaction tables
-   survives the codec unchanged. *)
-let prop_ckpt_end_roundtrip =
+(* Property: a Checkpoint with any active list survives the codec
+   unchanged. *)
+let prop_checkpoint_roundtrip =
   let open QCheck in
-  let lsn = map ~rev:Int64.to_int Int64.of_int small_nat in
-  Test.make ~name:"ckpt_end codec roundtrips any tables" ~count:100
-    (triple lsn
-       (small_list (pair small_nat lsn))
-       (small_list (quad small_nat lsn lsn small_nat)))
-    (fun (start, dirty_pages, att) ->
-      let active =
-        List.map
-          (fun (t, f, l, d) ->
-            { LR.ck_txid = t; ck_first = f; ck_last = l; ck_undo_depth = d })
-          att
-      in
-      let kind = LR.Ckpt_end { start; dirty_pages; active } in
+  Test.make ~name:"checkpoint codec roundtrips any list" ~count:100
+    (small_list small_nat)
+    (fun active ->
+      let kind = LR.Checkpoint { active } in
       let e = Dmx_value.Codec.Enc.create () in
       LR.encode e 0 kind;
       let txid, kind' =
@@ -463,21 +442,13 @@ let test_truncate_folds_pending () =
       | _ -> Alcotest.fail "folded record corrupted");
       Wal.close w2)
 
-let test_torn_ckpt_end_every_offset () =
-  (* Cut the log at every byte offset inside a final Ckpt_end frame: each
+let test_torn_checkpoint_every_offset () =
+  (* Cut the log at every byte offset inside a final Checkpoint frame: each
      cut must drop exactly that frame, and a torn checkpoint must read back
      as "no checkpoint" (restart falls back to the previous seed). *)
   let path = Filename.temp_file "dmx_wal_ckcut" ".log" in
   Sys.remove path;
-  let ck =
-    LR.Ckpt_end
-      {
-        start = 1L;
-        dirty_pages = [ (1, 1L); (2, 2L) ];
-        active =
-          [ { LR.ck_txid = 9; ck_first = 1L; ck_last = 2L; ck_undo_depth = 1 } ];
-      }
-  in
+  let ck = LR.Checkpoint { active = [ 1 ] } in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
@@ -519,40 +490,28 @@ let test_torn_ckpt_end_every_offset () =
       done)
 
 let test_analysis_seeded_from_ckpt () =
-  (* txn 1 commits before the checkpoint (not rescanned), txn 2 is in the
-     checkpoint's ATT and never finishes (loser, undo work reaching below
-     the scan window), txn 3 begins and commits while the checkpoint is in
-     flight (winner: the scan starts at Ckpt_begin, not Ckpt_end) *)
+  (* txn 1 commits before the checkpoint (not rescanned), txn 2 is on the
+     checkpoint's active list and never finishes (a loser whose undo work
+     reaches below the scan window), txn 3 begins and commits after it *)
   let w = Wal.in_memory () in
   ignore (Wal.append w 1 LR.Begin);
   ignore (Wal.append w 1 (ext "1a"));
   ignore (Wal.append w 1 LR.Commit);
-  let l2_begin = Wal.append w 2 LR.Begin in
-  let l2a = Wal.append w 2 (ext "2a") in
-  let begin_lsn = Wal.append w 0 LR.Ckpt_begin in
+  ignore (Wal.append w 2 LR.Begin);
+  ignore (Wal.append w 2 (ext "2a"));
+  let ck = Wal.append w 0 (LR.Checkpoint { active = [ 2 ] }) in
   ignore (Wal.append w 3 LR.Begin);
   ignore (Wal.append w 3 (ext "3a"));
   ignore (Wal.append w 3 LR.Commit);
-  ignore
-    (Wal.append w 0
-       (LR.Ckpt_end
-          {
-            start = begin_lsn;
-            dirty_pages = [];
-            active =
-              [
-                { LR.ck_txid = 2; ck_first = l2_begin; ck_last = l2a;
-                  ck_undo_depth = 1 };
-              ];
-          }));
   ignore (Wal.append w 2 (ext "2b"));
   let a = Recovery.analyze w in
-  Alcotest.(check int64) "restart seeds at Ckpt_begin" begin_lsn
+  Alcotest.(check int64) "restart seeds at the Checkpoint record" ck
     a.Recovery.restart_lsn;
-  Alcotest.(check int) "only the tail rescanned" 6 a.Recovery.scanned;
-  Alcotest.(check (list int)) "mid-checkpoint commit is a winner" [ 3 ]
+  Alcotest.(check int) "only the tail rescanned" 5 a.Recovery.scanned;
+  Alcotest.(check (list int)) "commit after the checkpoint is a winner" [ 3 ]
     a.Recovery.winners;
-  Alcotest.(check (list int)) "ATT seeds the loser" [ 2 ] a.Recovery.losers;
+  Alcotest.(check (list int)) "active list seeds the loser" [ 2 ]
+    a.Recovery.losers;
   let work =
     List.assoc 2 a.Recovery.undo_work
     |> List.map (fun (r : LR.t) ->
@@ -561,6 +520,38 @@ let test_analysis_seeded_from_ckpt () =
   Alcotest.(check (list string))
     "undo work reaches below the scan window, newest first" [ "2b"; "2a" ]
     work
+
+(* A log in the older DMXWAL01 format holds frames this one cannot decode.
+   Opening it must fail and leave the file alone: replaying it would cut
+   the log at the first such frame, or, read as headerless, at byte 0. *)
+let test_old_format_refused () =
+  let path = Filename.temp_file "dmx_wal_v1" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc "DMXWAL01";
+      output_string oc (String.make 8 '\000');
+      (* a checksum-valid frame holding a kind tag this format lacks *)
+      let payload = "\001\007" in
+      let frame = Bytes.create 4 in
+      Bytes.set_int32_le frame 0 (Int32.of_int (String.length payload));
+      output_bytes oc frame;
+      output_string oc payload;
+      Bytes.set_int32_le frame 0 (Int32.of_int (1 + 7));
+      output_bytes oc frame;
+      close_out oc;
+      let size = (Unix.stat path).Unix.st_size in
+      (match Wal.open_file path with
+      | w ->
+        Wal.abandon w;
+        Alcotest.fail "a DMXWAL01 log opened"
+      | exception Sys_error msg ->
+        Alcotest.(check bool) "message names the file" true
+          (String.length msg >= String.length path
+          && String.sub msg 0 (String.length path) = path));
+      Alcotest.(check int) "file size unchanged" size
+        (Unix.stat path).Unix.st_size)
 
 (* Property: any torn tail leaves a readable prefix of the log. *)
 let prop_torn_tail_prefix =
@@ -622,15 +613,17 @@ let suite =
     Alcotest.test_case "analysis: loser with no ext records" `Quick
       test_analysis_zero_ext_loser;
     Alcotest.test_case "log record codec" `Quick test_log_record_codec;
-    QCheck_alcotest.to_alcotest prop_ckpt_end_roundtrip;
+    QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
     Alcotest.test_case "truncate_before (memory)" `Quick
       test_truncate_before_mem;
     Alcotest.test_case "truncate_before survives reopen (file)" `Quick
       test_truncate_before_file_reopen;
     Alcotest.test_case "truncation folds pending records" `Quick
       test_truncate_folds_pending;
-    Alcotest.test_case "torn Ckpt_end at every offset reads as no checkpoint"
-      `Quick test_torn_ckpt_end_every_offset;
+    Alcotest.test_case "torn Checkpoint frame: no checkpoint" `Quick
+      test_torn_checkpoint_every_offset;
     Alcotest.test_case "analysis seeded from checkpoint" `Quick
       test_analysis_seeded_from_ckpt;
+    Alcotest.test_case "a DMXWAL01 log is refused, not truncated" `Quick
+      test_old_format_refused;
   ]

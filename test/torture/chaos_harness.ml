@@ -28,9 +28,9 @@ type config = {
       (* after the oracle, ask the recovered engine about itself through the
          dmx_* system views: no leaked txns, no foreign lock grants *)
   checkpoint_every : int;
-      (* harness-driven fuzzy checkpoints: one Services.checkpoint every this
+      (* harness-driven checkpoints: one Services.checkpoint every this
          many workload operations, deliberately landing mid-transaction so
-         the dirty-page and active-transaction tables are non-empty; 0 = off
+         the pool is dirty and the active list non-empty; 0 = off
          (the default, keeping pre-checkpoint fault schedules unchanged) *)
 }
 
@@ -68,7 +68,7 @@ type episode = {
   ep_syncs : int;
   ep_fault : string option;
   ep_recovery_crashes : int;
-  ep_checkpoints : int;  (* fuzzy checkpoints the harness drove *)
+  ep_checkpoints : int;  (* checkpoints the harness drove *)
   ep_trunc_phases : int;  (* truncation phase events (crash-point domain) *)
   ep_redo_applied : int;  (* winners' records the last restart's redo applied *)
   ep_failures : string list;
@@ -374,9 +374,9 @@ let run_episode cfg plan =
             | _ -> ());
         s
       in
-      (* Harness-driven fuzzy checkpoints: fire every [checkpoint_every]
-         workload ops, i.e. mid-transaction, so the dirty-page and
-         active-transaction tables are non-trivial.  Deliberately NOT wired
+      (* Harness-driven checkpoints: fire every [checkpoint_every]
+         workload ops, i.e. mid-transaction, so the pool is dirty and the
+         active list non-trivial.  Deliberately NOT wired
          through the auto commit hook: a crash inside a post-commit
          checkpoint would leave the engine committed but the model not,
          turning the oracle into a false alarm. *)
@@ -541,8 +541,8 @@ let points_of_mode mode (clean : episode) =
   | Mode_torn -> List.init clean.ep_writes (fun i -> Torn_write_nth (i + 1))
   | Mode_ckpt_crash ->
     (* every disk op is a candidate power-loss point, and with checkpoints
-       interleaved a slice of those points land inside checkpoint writeback,
-       Ckpt_end logging, and truncation itself *)
+       interleaved a slice of those points land inside the checkpoint's
+       page writes and sync, its record's flush, and truncation itself *)
     List.init clean.ep_ops (fun i -> Crash_at (i + 1))
   | Mode_truncate_crash ->
     List.init clean.ep_trunc_phases (fun i -> Truncate_crash_at (i + 1))

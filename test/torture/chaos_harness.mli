@@ -23,9 +23,9 @@ type config = {
           or lock grants. Mounted after the workload's op counts are
           captured, so fault schedules stay deterministic *)
   checkpoint_every : int;
-      (** harness-driven fuzzy checkpoints: one [Services.checkpoint] every
+      (** harness-driven checkpoints: one [Services.checkpoint] every
           this many workload operations, landing mid-transaction so the
-          dirty-page and active-transaction tables are non-empty (0 = off,
+          pool is dirty and the active list non-empty (0 = off,
           the default — keeps fault schedules identical to the seed suite) *)
 }
 
@@ -54,7 +54,7 @@ type episode = {
   ep_syncs : int;
   ep_fault : string option;
   ep_recovery_crashes : int;
-  ep_checkpoints : int;  (** fuzzy checkpoints the harness drove *)
+  ep_checkpoints : int;  (** checkpoints the harness drove *)
   ep_trunc_phases : int;
       (** truncation phase events observed — the crash-point domain for
           [Mode_truncate_crash] *)
@@ -78,8 +78,9 @@ type mode =
   | Mode_torn
   | Mode_ckpt_crash
       (** crash at every page-store op with checkpoints interleaved in the
-          workload — a slice of the points land inside checkpoint writeback,
-          [Ckpt_end] logging, and truncation *)
+          workload — a slice of the points land inside the checkpoint's
+          page writes and sync, its [Checkpoint] record's flush, and
+          truncation *)
   | Mode_truncate_crash
       (** crash at every truncation phase event — power loss mid-rewrite *)
 
