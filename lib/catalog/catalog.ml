@@ -68,7 +68,11 @@ let set_smethod_desc t ~rel_id desc =
 
 (* ---- persistence ---- *)
 
-let magic = "DMXCATLG"
+(* The magic names the descriptor formats: [DMXCATLG] catalogs hold hash
+   index descriptors with one page id per bucket, which this version would
+   misread, so it refuses them. *)
+let magic = "DMXCATL2"
+let old_magic = "DMXCATLG"
 
 let save ?store_pages t =
   Option.iter (fun n -> t.store_pages <- n) store_pages;
@@ -95,8 +99,15 @@ let load ~path =
     let data = really_input_string ic n in
     close_in ic;
     let d = Codec.Dec.of_string data in
-    if Codec.Dec.string d <> magic then
-      failwith (Fmt.str "Catalog.load: %s is not a dmx catalog" path);
+    (match Codec.Dec.string d with
+    | m when m = magic -> ()
+    | m when m = old_magic ->
+      failwith
+        (Fmt.str
+           "Catalog.load: %s was written by an older dmx (%s); this version \
+            reads %s only"
+           path old_magic magic)
+    | _ -> failwith (Fmt.str "Catalog.load: %s is not a dmx catalog" path));
     let next_id = Codec.Dec.varint d in
     let descs = Codec.Dec.list d Descriptor.dec in
     let t = create ~path () in

@@ -22,7 +22,9 @@ val create : ?path:string -> unit -> t
 (** In-memory catalog; [path] enables {!save}/{!load}. *)
 
 val load : path:string -> t
-(** Load a snapshot if the file exists, else an empty catalog bound to it. *)
+(** Load a snapshot if the file exists, else an empty catalog bound to it.
+    Raises [Failure], naming the path, on a file that is not a catalog or
+    was written by an older version (magic [DMXCATLG]), leaving it alone. *)
 
 val save : ?store_pages:int -> t -> unit
 (** Write the snapshot. [store_pages] records the page store's size with

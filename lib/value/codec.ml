@@ -230,6 +230,36 @@ module Dec = struct
   let remaining t = t.limit - t.pos
 end
 
+(* Ends of encodings read off their lengths in place: stepping over an
+   encoded record this way takes a few byte reads, not a decoder call per
+   value. *)
+let rec varint_end s p =
+  if Char.code s.[p] < 0x80 then p + 1 else varint_end s (p + 1)
+
+let rec varint_at s p shift acc =
+  let b = Char.code s.[p] in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else varint_at s (p + 1) (shift + 7) acc
+
+let value_end s p =
+  match s.[p] with
+  | '\000' -> p + 1
+  | '\001' -> p + 2
+  | '\002' | '\003' -> p + 9
+  | '\004' ->
+    let n = Char.code s.[p + 1] in
+    if n < 0x80 then p + 2 + n
+    else varint_end s (p + 1) + varint_at s (p + 1) 0 0
+  | c -> failwith (Fmt.str "Codec.value_end: bad tag %d" (Char.code c))
+
+let rec values_end s p n =
+  if n = 0 then p else values_end s (value_end s p) (n - 1)
+
+let record_end s p =
+  let n = Char.code s.[p] in
+  if n < 0x80 then values_end s (p + 1) n
+  else values_end s (varint_end s p) (varint_at s p 0 0)
+
 let encode_record r =
   let e = Enc.create () in
   Enc.record e r;

@@ -86,6 +86,16 @@ module Dec : sig
   val remaining : t -> int
 end
 
+val varint_end : string -> int -> int
+(** [varint_end s p] is the offset just past the varint encoded at [p]. *)
+
+val record_end : string -> int -> int
+(** [record_end s p] is the offset just past the record encoded at [p],
+    found by reading its lengths in place, without a decoder and without
+    allocating: hash bucket probes step over the entries of a pinned
+    page this way. Raises [Failure] on a bad value tag and
+    [Invalid_argument] past the end of [s]. *)
+
 val encode_record : Value.t array -> bytes
 val decode_record : bytes -> Value.t array
 val encode_schema : Schema.t -> bytes

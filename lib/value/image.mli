@@ -18,7 +18,9 @@ type 'a t = { target : 'a; before : string option; after : string option }
 
 val encode : (Codec.Enc.t -> 'a -> unit) -> 'a t -> string
 (** A presence-flags byte, the present sides (length-prefixed), then the
-    target as the record's tail. *)
+    target as the record's tail. The flags byte is below 4, so an
+    extension can log records of its own beside its images under one
+    source by starting them with a higher byte. *)
 
 val decode : (Codec.Dec.t -> 'a) -> string -> 'a t
 

@@ -46,6 +46,10 @@ let dec d =
   | 1 -> Fields (Codec.Dec.record d)
   | n -> failwith (Fmt.str "Record_key.dec: bad tag %d" n)
 
+let end_at s p =
+  if s.[p] = '\000' then Codec.varint_end s (Codec.varint_end s (p + 1))
+  else Codec.record_end s (p + 1)
+
 let encode t =
   let e = Codec.Enc.create () in
   enc e t;

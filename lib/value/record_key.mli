@@ -23,5 +23,10 @@ val encode : t -> bytes
 val decode : bytes -> t
 val enc : Codec.Enc.t -> t -> unit
 val dec : Codec.Dec.t -> t
+
+val end_at : string -> int -> int
+(** [end_at s p] is the offset just past the record key encoded at [p]
+    (see {!Codec.record_end}). *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

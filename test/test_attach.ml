@@ -55,15 +55,19 @@ let test_multiple_instances_one_slot () =
 let test_hash_overflow_chains () =
   let services = fresh_services () in
   let ctx, desc = setup services in
-  (* 2 buckets + hundreds of entries: long overflow chains *)
+  (* one logical bucket + a thousand entries: a page holds about 290, so
+     the bucket's page chains overflow pages *)
   check_ok "hash"
     (Ddl.create_attachment ctx ~relation:"t" ~attachment_type:"hash_index"
-       ~name:"h" ~attrs:[ ("fields", "id"); ("buckets", "2") ] ());
-  for i = 1 to 400 do
+       ~name:"h" ~attrs:[ ("fields", "id"); ("buckets", "1") ] ());
+  for i = 1 to 1000 do
     ignore (check_ok "ins" (Relation.insert ctx desc (emp i "x" "d" i)))
   done;
+  (match Dmx_attach.Hash_index.check_invariants ctx desc with
+  | Ok pages -> Alcotest.(check bool) "a chain of pages" true (pages >= 3)
+  | Error msg -> Alcotest.failf "layout: %s" msg);
   let at_id = Option.get (Registry.attachment_id "hash_index") in
-  for i = 1 to 400 do
+  for i = 1 to 1000 do
     if i mod 13 = 0 then begin
       let hits =
         check_ok "lookup"
@@ -87,10 +91,13 @@ let test_hash_overflow_chains () =
             ~key:[| vi i |]))
   in
   let live = ref 0 in
-  for i = 1 to 400 do
+  for i = 1 to 1000 do
     live := !live + hits i
   done;
-  Alcotest.(check int) "chain deletes consistent" 200 !live;
+  Alcotest.(check int) "chain deletes consistent" 500 !live;
+  (match Dmx_attach.Hash_index.check_invariants ctx desc with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "layout after deletes: %s" msg);
   Services.commit services ctx
 
 let test_refint_child_update () =

@@ -13,6 +13,7 @@ let () =
       ("catalog", Test_catalog.suite);
       ("smethod", Test_smethod.suite);
       ("attach", Test_attach.suite);
+      ("hash", Test_hash.suite);
       ("integration", Test_integration.suite);
       ("recovery", Test_recovery.suite);
       ("checkpoint", Test_checkpoint.suite);

@@ -590,7 +590,10 @@ let prop_value_codec_roundtrip =
 
 let prop_record_codec_roundtrip =
   QCheck.Test.make ~name:"record codec roundtrip" ~count:200 arb_record
-    (fun r -> Record.equal r (Codec.decode_record (Codec.encode_record r)))
+    (fun r ->
+      let b = Codec.encode_record r in
+      Record.equal r (Codec.decode_record b)
+      && Codec.record_end (Bytes.to_string b) 0 = Bytes.length b)
 
 let key_gen =
   QCheck.Gen.(
@@ -635,7 +638,9 @@ let prop_record_key_codec =
     (fun (a, b) ->
       let rt k = Record_key.decode (Record_key.encode k) in
       let a', b' = (rt a, rt b) in
-      Record_key.equal a a' && Record_key.equal b b'
+      let b_enc = Bytes.to_string (Record_key.encode b) in
+      Record_key.end_at b_enc 0 = String.length b_enc
+      && Record_key.equal a a' && Record_key.equal b b'
       && compare (Record_key.compare a b) 0
          = compare (Record_key.compare a' b') 0)
 
