@@ -73,23 +73,29 @@ let checkpoint_due t =
 (* A checkpoint runs between operations, never inside one, so no change is
    half made and nothing appends while it runs: force every dirty page and
    sync the store, then log one [Checkpoint] record listing the active
-   transactions and flush it. The store then holds every change logged
-   before that record, so restart's analysis and redo start there. With
-   [truncate] (default), the log below min(checkpoint LSN, each active
-   transaction's first LSN) is then dropped: redo never reads below the
-   checkpoint, and undo reads only the active transactions' chains. A crash
-   before the record is durable restarts from the previous checkpoint. The
-   catalog needs no snapshot here: every commit that dirtied it saved it. *)
+   transactions that have logged a record (one that has not is in no chain:
+   it pins no truncation and is no restart loser) and the next txid, and
+   flush it. The store then holds every change logged before that record,
+   so restart's analysis and redo start there. With [truncate] (default),
+   the log below min(checkpoint LSN, each active transaction's first LSN)
+   is then dropped: redo never reads below the checkpoint, and undo reads
+   only the active transactions' chains. A crash before the record is
+   durable restarts from the previous checkpoint. The catalog needs no
+   snapshot here: every commit that dirtied it saved it. *)
 let checkpoint ?(truncate = true) t =
   let wal = t.wal in
   let written = Buffer_pool.flush_all t.bp in
   let active =
     List.sort compare
-      (List.map
-         (fun (txn : Dmx_txn.Txn.t) -> txn.Dmx_txn.Txn.id)
+      (List.filter_map
+         (fun (txn : Dmx_txn.Txn.t) ->
+           if txn.logged then Some txn.id else None)
          (Dmx_txn.Txn_mgr.active_txns t.txn_mgr))
   in
-  let ck_lsn = Wal.append wal 0 (Log_record.Checkpoint { active }) in
+  let next_txid = Dmx_txn.Txn_mgr.next_txid t.txn_mgr in
+  let ck_lsn =
+    Wal.append wal 0 (Log_record.Checkpoint { active; next_txid })
+  in
   Wal.flush wal;
   let trecords, tbytes =
     if truncate then

@@ -44,9 +44,10 @@ val setup :
 val checkpoint : ?truncate:bool -> t -> checkpoint_stats
 (** Take a checkpoint now: write every dirty page and sync the store
     ({!Dmx_page.Buffer_pool.flush_all}, WAL-before-page preserved), append
-    one [Checkpoint] record listing the active transactions, and flush the
-    log. Under no-force this is how committed pages reach the store: once
-    the record is durable, restart's analysis and redo start at it. Runs
+    one [Checkpoint] record listing the active transactions that have
+    logged a record and the next txid, and flush the log. Under no-force
+    this is how committed pages reach the store: once the record is
+    durable, restart's analysis and redo start at it. Runs
     between operations with transactions still active — no quiescing. With
     [truncate] (default [true]) the log below min(checkpoint LSN, each
     active transaction's first LSN) is dropped via
@@ -71,7 +72,7 @@ val savepoint : Ctx.t -> string -> unit
 val rollback_to : Ctx.t -> string -> unit
 
 val with_txn : t -> (Ctx.t -> ('a, Error.t) result) -> ('a, Error.t) result
-(** Begin; commit on [Ok], abort on [Error] or exception. *)
+(** Start a transaction; commit on [Ok], abort on [Error] or exception. *)
 
 val close : t -> unit
 (** Clean shutdown: abort active transactions, checkpoint (so a clean reopen

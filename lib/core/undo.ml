@@ -29,7 +29,7 @@ let undo_ext ctx catalog (r : Log_record.t) =
     | Catalog ->
       Dmx_catalog.Catalog.undo_op catalog (Dmx_catalog.Catalog.decode_op data)
   end
-  | Begin | Commit | Abort | Clr _ | Checkpoint _ -> ()
+  | Commit | Abort | Clr _ | Checkpoint _ -> ()
 
 let dispatch ~txn_mgr ~bp ~catalog txn ~lsn (r : Log_record.t) =
   if not (skipped !chaos_skip.skip_undo r) then begin
@@ -62,4 +62,4 @@ let redo ~txn_mgr ~bp ~catalog txn (r : Log_record.t) =
         undo_ext (ctx ()) catalog u
       | _ -> ()
     end
-  | Ext _ | Begin | Commit | Abort | Checkpoint _ -> ()
+  | Ext _ | Commit | Abort | Checkpoint _ -> ()

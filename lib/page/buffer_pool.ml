@@ -7,75 +7,14 @@ type frame = {
   mutable ref_bit : bool;
 }
 
-(* Fixed-capacity page-id → slot map: open-addressing linear probing with
-   backward-shift deletion. The pool holds at most [capacity] mappings, so
-   the table is sized once at ≥ 4× capacity (load factor ≤ 1/4) and never
-   resizes. Every probe walks adjacent array cells where a stdlib hashtable
-   chases bucket-list cells scattered across the heap, which keeps the
-   per-eviction map cost flat as the pool grows (E12). *)
-module Slot_map : sig
-  type t
-
-  val create : int -> t
-  val find_opt : t -> int -> int option
-  val replace : t -> int -> int -> unit
-  val remove : t -> int -> unit
-  val reset : t -> unit
-end = struct
-  type t = { keys : int array; vals : int array; mask : int }
-
-  let empty_key = min_int
-
-  let create cap =
-    let rec pow2 n = if n >= 4 * cap then n else pow2 (2 * n) in
-    let n = pow2 16 in
-    { keys = Array.make n empty_key; vals = Array.make n 0; mask = n - 1 }
-
-  let home t k = k * 0x9E3779B1 land t.mask
-
-  (* First cell holding [k] or empty; terminates because load ≤ 1/4. *)
-  let rec probe t k i =
-    let key = t.keys.(i) in
-    if key = k || key = empty_key then i else probe t k ((i + 1) land t.mask)
-
-  let find_opt t k =
-    let i = probe t k (home t k) in
-    if t.keys.(i) = k then Some t.vals.(i) else None
-
-  let replace t k v =
-    let i = probe t k (home t k) in
-    t.keys.(i) <- k;
-    t.vals.(i) <- v
-
-  let remove t k =
-    let i = probe t k (home t k) in
-    if t.keys.(i) = k then
-      (* Backward shift instead of tombstones: walk the rest of the cluster,
-         pulling back any entry whose home position lies at or before the
-         hole, so every remaining entry stays reachable from its home. *)
-      let rec shift hole j =
-        let key = t.keys.(j) in
-        if key = empty_key then t.keys.(hole) <- empty_key
-        else if (j - home t key) land t.mask >= (j - hole) land t.mask then begin
-          t.keys.(hole) <- key;
-          t.vals.(hole) <- t.vals.(j);
-          shift j ((j + 1) land t.mask)
-        end
-        else shift hole ((j + 1) land t.mask)
-      in
-      shift i ((i + 1) land t.mask)
-
-  let reset t = Array.fill t.keys 0 (Array.length t.keys) empty_key
-end
-
-(* Second-chance clock over a fixed frame array. The slot map is only the
+(* Second-chance clock over a fixed frame array. The slot table is only the
    page-id → slot index; replacement state lives in the frames themselves
    ([ref_bit]) and the hand, so eviction is O(1) amortized instead of the
    former O(frames) least-recently-used fold over the whole table. *)
 type t = {
   disk : Disk.t;
   cap : int;
-  slots : Slot_map.t;  (* page_id -> index into [arr] *)
+  slots : (int, int) Hashtbl.t;  (* page_id -> index into [arr] *)
   arr : frame option array;
   mutable free : int list;  (* unoccupied slots (cold pool, after drop) *)
   mutable used : int;
@@ -92,7 +31,7 @@ let create ?(capacity = 256) disk =
   {
     disk;
     cap = capacity;
-    slots = Slot_map.create capacity;
+    slots = Hashtbl.create capacity;
     arr = Array.make capacity None;
     free = List.init capacity Fun.id;
     used = 0;
@@ -159,7 +98,7 @@ let evict_slot t =
         [ ("page", Dmx_obs.Obs_json.Int f.page_id);
           ("dirty", Dmx_obs.Obs_json.Bool f.dirty) ];
   write_back t f;
-  Slot_map.remove t.slots f.page_id;
+  Hashtbl.remove t.slots f.page_id;
   t.arr.(i) <- None;
   t.used <- t.used - 1;
   i
@@ -177,12 +116,12 @@ let install t page_id data =
     { page_id; data; dirty = false; pin_count = 1; page_lsn = 0L; ref_bit = true }
   in
   t.arr.(i) <- Some frame;
-  Slot_map.replace t.slots page_id i;
+  Hashtbl.replace t.slots page_id i;
   t.used <- t.used + 1;
   frame
 
 let pin ?(txid = -1) t page_id =
-  match Slot_map.find_opt t.slots page_id with
+  match Hashtbl.find_opt t.slots page_id with
   | Some i ->
     let frame = match t.arr.(i) with Some f -> f | None -> assert false in
     (Disk.stats t.disk).pool_hits <- (Disk.stats t.disk).pool_hits + 1;
@@ -246,7 +185,7 @@ let with_page_mut t page_id ~lsn f =
     (fun () -> f frame)
 
 let flush_page t page_id =
-  match Slot_map.find_opt t.slots page_id with
+  match Hashtbl.find_opt t.slots page_id with
   | None -> ()
   | Some i -> (match t.arr.(i) with Some f -> write_back t f | None -> ())
 
@@ -281,7 +220,7 @@ let drop_cache t =
           (Fmt.str "Buffer_pool.drop_cache: page %d still pinned" f.page_id)
       | _ -> ())
     t.arr;
-  Slot_map.reset t.slots;
+  Hashtbl.reset t.slots;
   Array.fill t.arr 0 t.cap None;
   t.free <- List.init t.cap Fun.id;
   t.used <- 0;

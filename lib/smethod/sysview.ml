@@ -7,7 +7,7 @@ module Lock_mode = Dmx_lock.Lock_mode
 module Txn = Dmx_txn.Txn
 module Txn_mgr = Dmx_txn.Txn_mgr
 module Wal = Dmx_wal.Wal
-module Log_record = Dmx_wal.Log_record
+module Recovery = Dmx_wal.Recovery
 module Buffer_pool = Dmx_page.Buffer_pool
 
 let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
@@ -133,19 +133,10 @@ let txns_rows ctx =
         | Txn.Committed -> "committed"
         | Txn.Aborted -> "aborted"
       in
-      let log_records = List.length (Wal.records_of_txn wal txn.id) in
-      (* Undoable work still on the chain: logged extension effects minus
-         those already compensated. *)
-      let undo_depth =
-        List.fold_left
-          (fun d (r : Log_record.t) ->
-            match r.kind with
-            | Log_record.Ext _ -> d + 1
-            | Log_record.Clr _ -> d - 1
-            | _ -> d)
-          0
-          (Wal.records_of_txn wal txn.id)
-      in
+      let chain = Wal.records_of_txn wal txn.id in
+      let log_records = List.length chain in
+      (* Undoable work still on the chain: what a rollback would undo. *)
+      let undo_depth = List.length (Recovery.uncompensated chain) in
       [| Value.int txn.id; str state; Value.int log_records;
          Value.int undo_depth; Value.int (List.length txn.savepoints);
          Value.int (List.length txn.scans);

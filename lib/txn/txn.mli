@@ -46,7 +46,8 @@ type t = {
       (** relation modifications issued so far; a buffered record cursor
           re-reads its run when this moves *)
   mutable logged : bool;
-      (** appended an [Ext] record: commit needs a [Commit] record *)
+      (** appended an [Ext] record, so it is in the log: commit and abort
+          append their record, and a checkpoint lists it as active *)
   mutable logged_catalog : bool;
       (** appended a [Catalog] record: commit forces the pool *)
 }

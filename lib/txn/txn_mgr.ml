@@ -25,14 +25,10 @@ type t = {
 }
 
 let create ~wal ~locks () =
-  (* After restart the log may already hold transactions; ids continue. *)
-  let max_txid =
-    Wal.fold wal ~init:0 ~f:(fun m (r : Log_record.t) -> max m r.txid)
-  in
   {
     wal;
     locks;
-    next_txid = max_txid + 1;
+    next_txid = Recovery.next_txid wal;
     active = Hashtbl.create 8;
     undo_dispatch = None;
     redo_dispatch = None;
@@ -51,13 +47,13 @@ let set_redo_dispatch t f = t.redo_dispatch <- Some f
 let set_force_hook t f = t.force_hook <- f
 let set_snapshot_hook t f = t.snapshot_hook <- f
 let set_commit_observer t f = t.commit_observer <- f
+let next_txid t = t.next_txid
 
 let begin_txn t =
   let id = t.next_txid in
   t.next_txid <- id + 1;
   let txn = Txn.make id in
   Hashtbl.replace t.active id txn;
-  ignore (Wal.append t.wal id Log_record.Begin);
   Dmx_obs.Metrics.incr m_begins;
   if Dmx_obs.Emit.active () then Dmx_obs.Emit.event "txn.begin" ~txid:id;
   txn
@@ -97,31 +93,12 @@ let dispatch_undo t txn (r : Log_record.t) =
     t.undone_count <- t.undone_count + 1;
     Dmx_obs.Metrics.incr m_undo_records
 
-module I64set = Set.Make (Int64)
-
-let compensated_lsns wal txid =
-  List.fold_left
-    (fun acc (r : Log_record.t) ->
-      match r.kind with
-      | Clr { undone } -> I64set.add undone acc
-      | _ -> acc)
-    I64set.empty
-    (Wal.records_of_txn wal txid)
-
-(* Undo the transaction's Ext records with lsn > limit, newest first. *)
+(* Undo the transaction's uncompensated records with lsn > limit, newest
+   first. *)
 let undo_back_to t txn ~limit =
-  let comp = compensated_lsns t.wal txn.Txn.id in
-  let work =
-    Wal.records_of_txn t.wal txn.Txn.id
-    |> List.filter (fun (r : Log_record.t) ->
-           r.lsn > limit
-           &&
-           match r.kind with
-           | Ext _ -> not (I64set.mem r.lsn comp)
-           | _ -> false)
-  in
-  (* records_of_txn is newest-first already *)
-  List.iter (fun r -> dispatch_undo t txn r) work
+  Recovery.uncompensated (Wal.records_of_txn t.wal txn.Txn.id)
+  |> List.iter (fun (r : Log_record.t) ->
+         if r.lsn > limit then dispatch_undo t txn r)
 
 let finish t txn state =
   txn.Txn.state <- state;
@@ -147,12 +124,14 @@ let with_txn_span name t txn f =
 (* Nothing is forced: restart's redo pass repeats the Clrs, so a durable
    Abort needs no durable pages behind it. Catalog undos are not repeated
    (the snapshot is their redo), so a transaction that changed the catalog
-   saves the snapshot before its Abort. *)
+   saves the snapshot before its Abort. A transaction that logged nothing
+   is not in the log, so it ends with no record. *)
 let do_abort t txn =
   Txn.check_active txn;
   undo_back_to t txn ~limit:0L;
   if txn.Txn.logged_catalog then ignore (t.snapshot_hook ());
-  ignore (Wal.append t.wal txn.Txn.id Log_record.Abort);
+  if txn.Txn.logged then
+    ignore (Wal.append t.wal txn.Txn.id Log_record.Abort);
   let after = Txn.take_deferred txn On_abort in
   finish t txn Aborted;
   Dmx_obs.Metrics.incr m_aborts;
@@ -176,7 +155,7 @@ let do_commit t txn =
      descriptor. The catalog records behind it must be durable before it is
      written, as a page's log records before the page. A transaction that
      logged no change and left nothing to save is read-only: no record, no
-     flush; restart sees a Begin-only loser with nothing to undo. *)
+     flush; it never entered the log, so restart never sees it. *)
   if t.catalog_lsn > Wal.flushed_lsn t.wal || Wal.unsynced_bytes t.wal > 0
   then Wal.flush t.wal;
   let saved = t.snapshot_hook () in
@@ -269,7 +248,7 @@ let redo_pass t (analysis : Recovery.analysis) =
         let before = t.applied_count in
         redo (txn_of r.txid) r;
         if t.applied_count > before && committed r then incr applied
-      | Begin | Commit | Abort | Checkpoint _ -> ());
+      | Commit | Abort | Checkpoint _ -> ());
   Dmx_obs.Metrics.add m_redo_applied !applied;
   { analysis with redo_records = !records; redo_applied = !applied }
 

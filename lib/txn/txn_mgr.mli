@@ -8,9 +8,11 @@
     writes no record and no flush, and a transaction that logged a
     [Catalog] record forces the pool first. Pages reach disk only through
     eviction and checkpoints. Abort and partial rollback walk the
-    transaction's log chain newest-first and dispatch each [Ext] record to
-    the owning extension's undo entry point, appending a [Clr] after each
-    undo; a savepoint is an in-memory mark and logs nothing. Restart repeats history through the extensions' redo entries,
+    transaction's log chain newest-first and dispatch each uncompensated
+    [Ext] record to the owning extension's undo entry point, appending a
+    [Clr] after each undo; a savepoint is an in-memory mark and logs
+    nothing, and an abort of a transaction that logged nothing appends no
+    [Abort]. Restart repeats history through the extensions' redo entries,
     then undoes the losers' uncompensated records.
 
     Extension redo and undo routines must be *testable*: repeating a change
@@ -54,7 +56,14 @@ val set_commit_observer : t -> (unit -> unit) -> unit
     checkpoint policy hooks here to take a checkpoint every N records or
     bytes, between transactions' operations. *)
 
+val next_txid : t -> Log_record.txid
+(** The id the next {!begin_txn} takes; a checkpoint records it. Starts at
+    [Recovery.next_txid] of the log. *)
+
 val begin_txn : t -> Txn.t
+(** Appends nothing: a transaction enters the log with its first
+    {!log_ext}. *)
+
 val find_txn : t -> int -> Txn.t option
 val active_txns : t -> Txn.t list
 

@@ -12,12 +12,11 @@ type source =
   | Catalog
 
 type kind =
-  | Begin
   | Commit
   | Abort
   | Ext of { source : source; rel_id : int; data : string }
   | Clr of { undone : lsn }
-  | Checkpoint of { active : txid list }
+  | Checkpoint of { active : txid list; next_txid : txid }
 
 type t = { lsn : lsn; txid : txid; kind : kind }
 
@@ -25,7 +24,6 @@ let encode e txid kind =
   let open Codec.Enc in
   varint e txid;
   match kind with
-  | Begin -> byte e 0
   | Commit -> byte e 1
   | Abort -> byte e 2
   | Ext { source; rel_id; data } ->
@@ -43,16 +41,16 @@ let encode e txid kind =
   | Clr { undone } ->
     byte e 4;
     int64 e undone
-  | Checkpoint { active } ->
+  | Checkpoint { active; next_txid } ->
     byte e 5;
-    list e varint active
+    list e varint active;
+    varint e next_txid
 
 let decode d =
   let open Codec.Dec in
   let txid = varint d in
   let kind =
     match byte d with
-    | 0 -> Begin
     | 1 -> Commit
     | 2 -> Abort
     | 3 ->
@@ -67,7 +65,9 @@ let decode d =
       let data = string d in
       Ext { source; rel_id; data }
     | 4 -> Clr { undone = int64 d }
-    | 5 -> Checkpoint { active = list d varint }
+    | 5 ->
+      let active = list d varint in
+      Checkpoint { active; next_txid = varint d }
     | n -> failwith (Fmt.str "Log_record: bad kind tag %d" n)
   in
   (txid, kind)
@@ -78,14 +78,15 @@ let pp_source ppf = function
   | Catalog -> Fmt.string ppf "catalog"
 
 let pp_kind ppf = function
-  | Begin -> Fmt.string ppf "BEGIN"
   | Commit -> Fmt.string ppf "COMMIT"
   | Abort -> Fmt.string ppf "ABORT"
   | Ext { source; rel_id; data } ->
     Fmt.pf ppf "EXT %a rel=%d (%d bytes)" pp_source source rel_id
       (String.length data)
   | Clr { undone } -> Fmt.pf ppf "CLR undone=%Ld" undone
-  | Checkpoint { active } ->
-    Fmt.pf ppf "CHECKPOINT active=[%a]" Fmt.(list ~sep:(any ",") int) active
+  | Checkpoint { active; next_txid } ->
+    Fmt.pf ppf "CHECKPOINT active=[%a] next_txid=%d"
+      Fmt.(list ~sep:(any ",") int)
+      active next_txid
 
 let pp ppf t = Fmt.pf ppf "%Ld tx%d %a" t.lsn t.txid pp_kind t.kind

@@ -7,7 +7,8 @@
     point with the payload (paper p. 223: "the common recovery log is used to
     drive the storage method and attachment implementations to undo the
     partial effects"). Only what rollback and restart read is logged: a
-    savepoint is an in-memory mark, not a record. *)
+    savepoint is an in-memory mark, not a record, and a transaction enters
+    the log with its first change. *)
 
 type lsn = int64
 
@@ -23,16 +24,18 @@ type source =
   | Catalog  (** common catalog facility *)
 
 type kind =
-  | Begin
   | Commit
   | Abort  (** rollback completed *)
   | Ext of { source : source; rel_id : int; data : string }
   | Clr of { undone : lsn }
       (** compensation: the record at [undone] has been undone *)
-  | Checkpoint of { active : txid list }
+  | Checkpoint of { active : txid list; next_txid : txid }
       (** every change logged before this record is in the store; [active]
-          lists the transactions still running, which restart's analysis
-          counts as started although their [Begin] precedes the record *)
+          lists the running transactions that have logged a record, which
+          restart's analysis counts as started although their first record
+          precedes this one; [next_txid] is the id the next transaction
+          would take, so ids stay unique once truncation drops every
+          record that carried them *)
 
 type t = { lsn : lsn; txid : txid; kind : kind }
 

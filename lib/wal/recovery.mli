@@ -1,11 +1,11 @@
 (** Restart-recovery analysis.
 
     Scans the log and classifies transactions into winners (Commit record
-    present) and losers (no terminal record — including a read-only
-    transaction, which commits without one and has nothing to undo). Each
-    loser's worklist is its [Ext] chain, newest first, minus the records a
-    [Clr] compensates (catalog records stay: their undos are not
-    repeated). Restart (DESIGN.md §15) then repeats history from
+    present) and losers (a record but no terminal one). A transaction
+    enters the log with its first [Ext] record, so a read-only transaction,
+    which logs nothing, is neither. Each loser's worklist is its
+    {!uncompensated} chain (catalog records stay, compensated or not: their
+    undos are not repeated). Restart (DESIGN.md §15) then repeats history from
     [restart_lsn]: every [Ext] record goes to its extension's redo entry
     and every [Clr] re-runs the undo it records, so the compensated records
     are already reversed when the caller dispatches the worklists to the
@@ -36,6 +36,16 @@ type analysis = {
       (** winners' [Ext] records whose redo changed state; 0 from
           {!analyze} *)
 }
+
+val uncompensated : Log_record.t list -> Log_record.t list
+(** The undo work left on a transaction's chain ({!Wal.records_of_txn}):
+    its [Ext] records that no [Clr] in it compensates, in the chain's
+    order. Rollback, restart and the [dmx_txns] view all use this rule. *)
+
+val next_txid : Wal.t -> Log_record.txid
+(** The id the next transaction takes when the log is opened: the larger of
+    the newest checkpoint's [next_txid] and one above the largest txid in
+    the retained log (1 for an empty log). *)
 
 val analyze : Wal.t -> analysis
 

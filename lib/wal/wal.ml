@@ -110,12 +110,12 @@ let really_write fd s =
    [header_len]; a truncated log persists its base here so LSNs stay stable
    across restart. Headerless files (pre-truncation format, or a file whose
    torn header was dropped) scan from offset 0 with base 0. The magic names
-   the record format. A [DMXWAL01] log numbers its record kinds differently
-   and holds Savepoint and Ckpt_begin/Ckpt_end frames: replaying it would
-   misread records, then cut the log at the first frame that fails to
-   decode as if it were a torn tail. It is refused instead. *)
-let header_magic = "DMXWAL02"
-let old_magic = "DMXWAL01"
+   the record format; a log whose magic names another [DMXWAL..] format
+   numbers or shapes its records differently (Savepoint, Ckpt_begin/Ckpt_end
+   or transaction-start frames): replaying it would misread records, then
+   cut the log at the first frame that fails to decode as if it were a torn
+   tail. It is refused instead. *)
+let header_magic = "DMXWAL03"
 let header_len = 16
 
 let header_string base =
@@ -143,12 +143,13 @@ let open_file path =
     Bytes.unsafe_to_string buf
   in
   let magic = if size >= 8 then String.sub data 0 8 else "" in
-  if magic = old_magic then begin
+  if String.starts_with ~prefix:"DMXWAL" magic && magic <> header_magic
+  then begin
     Unix.close fd;
     raise
       (Sys_error
-         (Fmt.str "%s: log written in the old %s record format" path
-            old_magic))
+         (Fmt.str "%s: log written in the %s record format, not %s" path
+            magic header_magic))
   end;
   let headered = size >= header_len && magic = header_magic in
   let base = if headered then Int64.to_int (String.get_int64_le data 8) else 0 in

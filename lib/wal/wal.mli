@@ -26,7 +26,9 @@ val in_memory : unit -> t
 val open_file : string -> t
 (** Opens (creating if needed) a log file, replaying existing records into the
     in-memory index. Raises [Sys_error] naming the path, and leaves the file
-    as it is, on a log in the older [DMXWAL01] record format. *)
+    as it is, on a log whose header names another [DMXWAL..] record format
+    than the current [DMXWAL03] ([DMXWAL01], or [DMXWAL02], which opened
+    every transaction with a record of its own). *)
 
 val append : t -> Log_record.txid -> Log_record.kind -> Log_record.lsn
 

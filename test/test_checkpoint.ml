@@ -110,8 +110,9 @@ let test_active_txn_pins_truncation () =
         && Wal.base_lsn wal >= first_lsn);
       Services.close services)
 
-(* restart seeded from a checkpoint taken mid-transaction: the loser's Begin
-   precedes the checkpoint and is only known from the record's active list *)
+(* restart seeded from a checkpoint taken mid-transaction: the loser's first
+   record precedes the checkpoint and is only known from the record's active
+   list *)
 let test_loser_seeded_from_checkpoint_att () =
   with_dir (fun dir ->
       let services = fresh_services ~dir () in
@@ -142,7 +143,7 @@ let test_loser_seeded_from_checkpoint_att () =
       Services.close services)
 
 (* A checkpoint appends exactly one record, a Checkpoint listing the active
-   transactions, and restart's analysis starts at it: the loser is known
+   transactions and the next txid, and restart's analysis starts at it: the loser is known
    from that list alone, and only the records from it on are scanned. *)
 let test_one_record_seeds_restart () =
   with_dir (fun dir ->
@@ -162,9 +163,11 @@ let test_one_record_seeds_restart () =
       Alcotest.(check int64) "it is the checkpoint" stats.Services.ck_lsn
         (Wal.last_lsn wal);
       (match (Wal.read wal stats.Services.ck_lsn).Dmx_wal.Log_record.kind with
-      | Dmx_wal.Log_record.Checkpoint { active } ->
+      | Dmx_wal.Log_record.Checkpoint { active; next_txid } ->
         Alcotest.(check (list int)) "active list"
-          [ ctx.Ctx.txn.Dmx_txn.Txn.id ] active
+          [ ctx.Ctx.txn.Dmx_txn.Txn.id ] active;
+        Alcotest.(check int) "next txid" (ctx.Ctx.txn.Dmx_txn.Txn.id + 1)
+          next_txid
       | _ -> Alcotest.fail "not a Checkpoint record");
       ignore (check_ok "ins" (Relation.insert ctx desc (emp 51 "y" "eng" 1)));
       Wal.flush wal;

@@ -300,8 +300,9 @@ let test_savepoint_partial_rollback () =
   Alcotest.(check int) "rollback again" 2 (count_records ctx desc);
   Services.commit services ctx
 
-(* A keyed update logs its change and nothing else: the statement's
-   rollback point is a mark in memory, not a log record. *)
+(* A keyed update logs its change and its Commit and nothing else: the
+   transaction enters the log with the change, and the statement's rollback
+   point is a mark in memory, not a log record. *)
 let test_update_logs_only_its_change () =
   let services = fresh_services () in
   let ctx, desc = setup_emp services in
@@ -317,14 +318,13 @@ let test_update_logs_only_its_change () =
   Dmx_wal.Wal.iter_from wal from (fun r ->
       let name =
         match r.Dmx_wal.Log_record.kind with
-        | Begin -> "Begin"
         | Ext _ -> "Ext"
         | Commit -> "Commit"
         | k -> Fmt.str "%a" Dmx_wal.Log_record.pp_kind k
       in
       kinds := name :: !kinds);
   Alcotest.(check (list string)) "the transaction's records"
-    [ "Begin"; "Ext"; "Commit" ] (List.rev !kinds)
+    [ "Ext"; "Commit" ] (List.rev !kinds)
 
 let test_abort_rolls_back_everything () =
   let services = fresh_services () in
@@ -777,7 +777,7 @@ let suite =
       test_trigger_audit_and_veto;
     Alcotest.test_case "savepoint partial rollback" `Quick
       test_savepoint_partial_rollback;
-    Alcotest.test_case "keyed update logs Begin, Ext, Commit" `Quick
+    Alcotest.test_case "keyed update logs Ext, Commit" `Quick
       test_update_logs_only_its_change;
     Alcotest.test_case "abort rolls back" `Quick
       test_abort_rolls_back_everything;

@@ -363,8 +363,8 @@ let test_stats_delta_not_on_disk () =
       Services.close services)
 
 (* A transaction that logged nothing commits with no Commit record and no
-   log flush. Once its Begin is durable, restart counts it as a loser with
-   nothing to undo, and the committed rows stay. *)
+   log flush. It never entered the log, so restart finds no loser even with
+   a writer's records durable around it, and the committed rows stay. *)
 let test_read_only_commit_then_crash () =
   with_dir (fun dir ->
       let services = fresh_services ~dir () in
@@ -377,7 +377,7 @@ let test_read_only_commit_then_crash () =
       ignore (check_ok "a" (Relation.insert ctx desc (emp 1 "a" "eng" 1)));
       Services.commit services ctx;
       let reader = Services.begin_txn services in
-      (* a writer's commit makes the reader's Begin durable *)
+      (* a writer's commit hardens everything logged while the reader ran *)
       let writer = Services.begin_txn services in
       let desc = check_ok "find" (Ddl.find_relation writer "employee") in
       ignore (check_ok "b" (Relation.insert writer desc (emp 2 "b" "eng" 2)));
@@ -389,20 +389,131 @@ let test_read_only_commit_then_crash () =
       Alcotest.(check int64) "no Commit record" before (Dmx_wal.Wal.last_lsn wal);
       Alcotest.(check int64) "no log flush" before (Dmx_wal.Wal.flushed_lsn wal);
       let reader_id = reader.Ctx.txn.Dmx_txn.Txn.id in
+      Alcotest.(check int) "the reader has no record" 0
+        (Dmx_wal.Wal.fold wal ~init:0 ~f:(fun n r ->
+             if r.Dmx_wal.Log_record.txid = reader_id then n + 1 else n));
       Services.simulate_crash services;
       let services = fresh_services ~dir () in
       (match services.Services.last_recovery with
       | Some a ->
-        Alcotest.(check (list int)) "the reader is the loser" [ reader_id ]
-          a.losers;
-        Alcotest.(check int) "with nothing to undo" 0
-          (List.length (List.assoc reader_id a.undo_work))
+        Alcotest.(check (list int)) "no loser" [] a.losers;
+        Alcotest.(check int) "nothing to undo" 0 (List.length a.undo_work)
       | None -> Alcotest.fail "no recovery ran");
       let ctx = Services.begin_txn services in
       let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
       Alcotest.(check int) "committed rows" 2 (count_records ctx desc);
       Services.commit services ctx;
       Services.close services)
+
+(* A loser's catalog change that a savepoint rollback compensated can still
+   be in the catalog snapshot: another transaction's commit saved it in
+   between. Restart undoes the loser's catalog records again, compensated
+   or not. *)
+let test_compensated_catalog_record_undone () =
+  with_dir (fun dir ->
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      let desc =
+        check_ok "create"
+          (Ddl.create_relation ctx ~name:"employee" ~schema:emp_schema
+             ~storage_method:"heap" ())
+      in
+      Services.commit services ctx;
+      let loser = Services.begin_txn services in
+      Services.savepoint loser "sp";
+      ignore
+        (check_ok "ddl"
+           (Ddl.create_relation loser ~name:"scratch" ~schema:emp_schema
+              ~storage_method:"heap" ()));
+      let writer = Services.begin_txn services in
+      ignore (check_ok "w" (Relation.insert writer desc (emp 1 "a" "eng" 1)));
+      Services.commit services writer;
+      Services.rollback_to loser "sp";
+      Dmx_wal.Wal.flush services.Services.wal;
+      Services.simulate_crash services;
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      (match Ddl.find_relation ctx "scratch" with
+      | Ok _ -> Alcotest.fail "the loser's relation survived restart"
+      | Error _ -> ());
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      Alcotest.(check int) "committed row" 1 (count_records ctx desc);
+      Services.commit services ctx;
+      Services.close services)
+
+let check_ascending what ids =
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool)
+    (Fmt.str "%s: %a" what Fmt.(list ~sep:sp int) ids)
+    true (ascending ids)
+
+(* A clean close checkpoints and truncates every record that carried a txid;
+   the next session's ids still continue from the Checkpoint record's
+   [next_txid]. *)
+let test_txids_across_clean_sessions () =
+  with_dir (fun dir ->
+      ignore (Lazy.force registered);
+      let ids = ref [] in
+      for session = 1 to 3 do
+        let db = Dmx_db.Db.open_database ~dir () in
+        let ctx = Dmx_db.Db.begin_txn db in
+        if session = 1 then
+          ignore
+            (check_ok "create"
+               (Dmx_db.Db.create_relation db ctx ~name:"employee"
+                  ~schema:emp_schema ()));
+        ignore
+          (check_ok "insert"
+             (Dmx_db.Db.insert db ctx ~relation:"employee"
+                (emp session "a" "eng" 1)));
+        ids := ctx.Ctx.txn.Dmx_txn.Txn.id :: !ids;
+        Dmx_db.Db.commit db ctx;
+        (* a read-only transaction takes an id too *)
+        let ctx = Dmx_db.Db.begin_txn db in
+        ids := ctx.Ctx.txn.Dmx_txn.Txn.id :: !ids;
+        Dmx_db.Db.commit db ctx;
+        Dmx_db.Db.close db
+      done;
+      check_ascending "ids across sessions" (List.rev !ids))
+
+(* A checkpoint with no transaction running truncates the log past the
+   largest txid; after a crash, restart still issues larger ids. *)
+let test_txids_across_crash_after_truncation () =
+  with_dir (fun dir ->
+      let services = fresh_services ~dir () in
+      let ids = ref [] in
+      let ctx = Services.begin_txn services in
+      ids := ctx.Ctx.txn.Dmx_txn.Txn.id :: !ids;
+      let desc =
+        check_ok "create"
+          (Ddl.create_relation ctx ~name:"employee" ~schema:emp_schema
+             ~storage_method:"heap" ())
+      in
+      Services.commit services ctx;
+      for i = 1 to 3 do
+        let ctx = Services.begin_txn services in
+        ids := ctx.Ctx.txn.Dmx_txn.Txn.id :: !ids;
+        ignore (check_ok "ins" (Relation.insert ctx desc (emp i "a" "eng" 1)));
+        Services.commit services ctx
+      done;
+      let largest = List.hd !ids in
+      ignore (Services.checkpoint services);
+      let wal = services.Services.wal in
+      Alcotest.(check int) "no record carries a txid" 0
+        (Dmx_wal.Wal.fold wal ~init:0 ~f:(fun n r ->
+             max n r.Dmx_wal.Log_record.txid));
+      Services.simulate_crash services;
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      Alcotest.(check bool) "ids continue past the truncation" true
+        (ctx.Ctx.txn.Dmx_txn.Txn.id > largest);
+      ids := ctx.Ctx.txn.Dmx_txn.Txn.id :: !ids;
+      Services.commit services ctx;
+      Services.close services;
+      check_ascending "ids" (List.rev !ids))
 
 let suite =
   [
@@ -429,4 +540,10 @@ let suite =
       `Quick test_stats_delta_not_on_disk;
     Alcotest.test_case "crash after a read-only commit" `Quick
       test_read_only_commit_then_crash;
+    Alcotest.test_case "compensated catalog record undone again" `Quick
+      test_compensated_catalog_record_undone;
+    Alcotest.test_case "txids increase across clean sessions" `Quick
+      test_txids_across_clean_sessions;
+    Alcotest.test_case "txids increase across crash + truncation" `Quick
+      test_txids_across_crash_after_truncation;
   ]

@@ -142,7 +142,7 @@ let test_lsn_monotonicity_trips () =
       Wal.set_append_observer wal obs;
       let msg =
         expect_violation "non-monotone append" (fun () ->
-            ignore (Wal.append wal 1 Log_record.Begin))
+            ignore (Wal.append wal 1 Log_record.Commit))
       in
       check_contains "lsn report" msg "LSN monotonicity broken";
       check_contains "lsn report" msg "test-wal")
@@ -153,7 +153,7 @@ let test_lsn_monotonicity_silent_when_off () =
       let obs = Invariant.lsn_observer ~source:"test-wal" () in
       obs 100L;
       Wal.set_append_observer wal obs;
-      ignore (Wal.append wal 1 Log_record.Begin))
+      ignore (Wal.append wal 1 Log_record.Commit))
 
 (* Ordinary monotone appends through a full services environment stay
    silent with the sanitizer on. *)

@@ -19,18 +19,48 @@ let test_begin_commit () =
   (* locks released at commit *)
   Alcotest.(check int) "no locks" 0
     (List.length (Dmx_lock.Lock_table.locked_resources locks txn.Txn.id));
-  (* a transaction that logged nothing is read-only: Begin only *)
+  (* a transaction that logged nothing is read-only: not in the log *)
   let kinds () =
     List.rev (Dmx_wal.Wal.fold wal ~init:[] ~f:(fun acc r -> r.LR.kind :: acc))
   in
-  Alcotest.(check bool) "log shape" true (kinds () = [ LR.Begin ]);
-  (* one that logged a change commits with a Commit record *)
+  Alcotest.(check bool) "log shape" true (kinds () = []);
+  (* one that logged a change enters the log with it and commits with a
+     Commit record *)
   let txn = Txn_mgr.begin_txn mgr in
   let lsn = Txn_mgr.log_ext mgr txn ~source:(LR.Smethod 0) ~rel_id:1 ~data:"x" in
   Txn_mgr.commit mgr txn;
   Alcotest.(check bool) "updating log shape" true
-    (match List.rev (kinds ()) with
-    | LR.Commit :: LR.Ext _ :: LR.Begin :: _ -> Dmx_wal.Wal.last_lsn wal > lsn
+    (match kinds () with
+    | [ LR.Ext _; LR.Commit ] -> Dmx_wal.Wal.last_lsn wal > lsn
+    | _ -> false)
+
+(* A transaction that logged nothing ends with no record, by commit or by
+   abort; one whose changes were all rolled back still logs its Abort. *)
+let test_unlogged_txn_appends_nothing () =
+  let mgr, wal, _ = make_mgr () in
+  Txn_mgr.set_undo_dispatch mgr (fun _ ~lsn:_ _ -> ());
+  let reader = Txn_mgr.begin_txn mgr in
+  Txn_mgr.commit mgr reader;
+  Alcotest.(check int64) "read-only commit: no record" 0L
+    (Dmx_wal.Wal.last_lsn wal);
+  let idle = Txn_mgr.begin_txn mgr in
+  Txn_mgr.savepoint mgr idle "sp";
+  Txn_mgr.rollback_to mgr idle "sp";
+  Txn_mgr.abort mgr idle;
+  Alcotest.(check bool) "aborted" true (idle.Txn.state = Txn.Aborted);
+  Alcotest.(check int64) "abort of an unlogged txn: no record" 0L
+    (Dmx_wal.Wal.last_lsn wal);
+  let writer = Txn_mgr.begin_txn mgr in
+  let m = Txn_mgr.mark mgr writer in
+  ignore
+    (Txn_mgr.log_ext mgr writer ~source:(LR.Smethod 0) ~rel_id:1 ~data:"x");
+  Txn_mgr.rollback_to_mark mgr writer m;
+  Txn_mgr.abort mgr writer;
+  Alcotest.(check bool) "a logged txn's abort is logged" true
+    (match Dmx_wal.Wal.fold wal ~init:[] ~f:(fun acc r -> r :: acc) with
+    | [ { LR.kind = LR.Abort; txid; _ }; { kind = LR.Clr _; _ };
+        { kind = LR.Ext _; _ } ] ->
+      txid = writer.Txn.id
     | _ -> false)
 
 let test_undo_order_on_abort () =
@@ -187,17 +217,33 @@ let test_txid_continuity_after_restart () =
   Txn_mgr.set_undo_dispatch mgr (fun _ ~lsn:_ _ -> ());
   let t1 = Txn_mgr.begin_txn mgr in
   let t2 = Txn_mgr.begin_txn mgr in
+  ignore (Txn_mgr.log_ext mgr t2 ~source:(LR.Smethod 0) ~rel_id:1 ~data:"x");
   Txn_mgr.commit mgr t1;
   Txn_mgr.commit mgr t2;
-  (* a new manager over the same log continues the id sequence *)
+  (* a new manager over the same log continues the id sequence past the
+     largest txid the log holds *)
   let mgr2 = Txn_mgr.create ~wal ~locks () in
   Txn_mgr.set_undo_dispatch mgr2 (fun _ ~lsn:_ _ -> ());
   let t3 = Txn_mgr.begin_txn mgr2 in
-  Alcotest.(check bool) "ids continue" true (t3.Txn.id > t2.Txn.id)
+  Alcotest.(check bool) "ids continue" true (t3.Txn.id > t2.Txn.id);
+  (* and past a checkpoint's next txid when truncation dropped every
+     record that carried one *)
+  let t4 = Txn_mgr.begin_txn mgr2 in
+  let ck =
+    Dmx_wal.Wal.append wal 0
+      (LR.Checkpoint { active = []; next_txid = Txn_mgr.next_txid mgr2 })
+  in
+  ignore (Dmx_wal.Wal.truncate_before wal ck);
+  let mgr3 = Txn_mgr.create ~wal ~locks () in
+  let t5 = Txn_mgr.begin_txn mgr3 in
+  Alcotest.(check bool) "ids continue after truncation" true
+    (t5.Txn.id > t4.Txn.id)
 
 let suite =
   [
     Alcotest.test_case "begin/commit lifecycle" `Quick test_begin_commit;
+    Alcotest.test_case "an unlogged txn ends with no record" `Quick
+      test_unlogged_txn_appends_nothing;
     Alcotest.test_case "abort undoes newest-first" `Quick
       test_undo_order_on_abort;
     Alcotest.test_case "partial rollback boundaries" `Quick
