@@ -616,7 +616,7 @@ let e6 () =
     [
       [ "runs + Eval.test"; Report.i hn_interp; Report.f2 (ms ht_interp);
         vs_span ht_interp ];
-      [ "scan_batch ~filter (span + late mat.)"; Report.i hn_span;
+      [ "scan_batch ~filter (span matcher)"; Report.i hn_span;
         Report.f2 (ms ht_span); vs_span ht_span ];
       [ "record cursor ~filter (adapter)"; Report.i hn_rec; Report.f2 (ms ht_rec);
         vs_span ht_rec ];

@@ -43,17 +43,11 @@ let tree ctx inst = Btree.open_tree ctx.Ctx.bp ~root:inst.root
 
 (* ---- entry maintenance ---- *)
 
-let has_prefix ctx inst vals =
-  let c =
-    Btree.cursor ~lo:(Btree.Incl vals) ~hi:(Btree.Incl vals) (tree ctx inst)
-  in
-  Btree.next c <> None
-
 let entry_payload reckey = Bytes.to_string (Record_key.encode reckey)
 
 let add_entry ctx desc name inst record reckey =
   let vals = Record.project record inst.fields in
-  if inst.unique && has_prefix ctx inst vals then
+  if inst.unique && Btree.prefix_present (tree ctx inst) vals then
     Error
       (Error.veto
          ~attachment:(Fmt.str "unique index %S" name)
@@ -111,7 +105,7 @@ module Impl = struct
             let dup = ref None in
             Attach_util.scan_relation ctx desc (fun reckey record ->
                 let vals = Record.project record fields in
-                if unique && !dup = None && has_prefix ctx inst vals then
+                if unique && !dup = None && Btree.prefix_present btree vals then
                   dup := Some vals
                 else
                   ignore

@@ -220,11 +220,11 @@ let put data src p len =
   Bytes.set_uint16_le data 2 (count data + 1)
 
 let append ctx page bytes =
-  Buffer_pool.with_page_mut ctx.Ctx.bp page ~lsn:0L (fun fr ->
+  Buffer_pool.with_page_mut ctx.Ctx.bp page (fun fr ->
       put fr.Buffer_pool.data bytes 0 (String.length bytes))
 
 let remove ctx (page, start, stop) =
-  Buffer_pool.with_page_mut ctx.Ctx.bp page ~lsn:0L (fun fr ->
+  Buffer_pool.with_page_mut ctx.Ctx.bp page (fun fr ->
       let data = fr.Buffer_pool.data in
       let u = used data in
       Bytes.blit data stop data start (u - stop);
@@ -235,7 +235,7 @@ let rec with_pages_mut bp ids f =
   match ids with
   | [] -> f []
   | id :: rest ->
-    Buffer_pool.with_page_mut bp id ~lsn:0L (fun fr ->
+    Buffer_pool.with_page_mut bp id (fun fr ->
         with_pages_mut bp rest (fun frs -> f (fr :: frs)))
 
 (* Rewrite the page image [data] to hold the entries [(p, stop)] of [src],
@@ -251,15 +251,15 @@ let refill data src spans =
    So every split is made safe against any subset of its pages landing:
    - [Logged]: a forward split logs the entries it moves (below) before it
      changes a page, so the record is durable whenever one of its pages
-     is, and restart's redo finishes the split.
+     is, and restart's redo finishes the split. An index build (its commit
+     forces the pool; its pages hold nothing before it) and the redo of a
+     split record, which a later restart repeats from the same record, log
+     to [ignore].
    - [Ordered]: undo and redo log nothing, so they write the new page, then
      the directory, each followed by a sync, before the old page can be
      written without the moved entries. A flush of every dirty page first
-     keeps each sync a point between operations.
-   - [Unlogged]: an index build (its commit forces the pool; its pages hold
-     nothing before it) and the redo of a split record, which a later
-     restart repeats from the same record. *)
-type split_mode = Logged of (string -> unit) | Ordered | Unlogged
+     keeps each sync a point between operations. *)
+type split_mode = Logged of (string -> unit) | Ordered
 
 (* A split record: instance, the split run [lo, hi) and its midpoint, and
    the entries moved, back to back. Its first byte is above any image's
@@ -293,14 +293,14 @@ let dec_split data =
    and redoing its record splits the page then. *)
 let split ctx inst no d ~mode page ~lo ~mid ~hi =
   let bp = ctx.Ctx.bp and per = dir_slots ctx in
-  let ordered = match mode with Ordered -> true | Logged _ | Unlogged -> false in
+  let ordered = match mode with Ordered -> true | Logged _ -> false in
   if ordered then ignore (Buffer_pool.flush_all bp);
   let dirs =
     List.init (((hi - 1) / per) - (mid / per) + 1) (fun i ->
         inst.dir.((mid / per) + i))
   in
   let sib =
-    Buffer_pool.with_page_mut bp page ~lsn:0L (fun fr ->
+    Buffer_pool.with_page_mut bp page (fun fr ->
         with_pages_mut bp dirs (fun dir_frames ->
             let data = fr.Buffer_pool.data in
             let src = Bytes.sub_string data 0 (used data) in
@@ -323,7 +323,7 @@ let split ctx inst no d ~mode page ~lo ~mid ~hi =
                       (List.map
                          (fun (p, stop) -> String.sub src p (stop - p))
                          moves)))
-            | Ordered | Unlogged -> ());
+            | Ordered -> ());
             let sib = Buffer_pool.alloc bp in
             Fun.protect
               ~finally:(fun () -> Buffer_pool.unpin ~dirty:true bp sib)
@@ -371,7 +371,7 @@ let overflow ctx head bytes =
   Fun.protect
     ~finally:(fun () -> Buffer_pool.unpin ~dirty:true bp fr)
     (fun () ->
-      Buffer_pool.with_page_mut bp head ~lsn:0L (fun hf ->
+      Buffer_pool.with_page_mut bp head (fun hf ->
           let h = hf.Buffer_pool.data and data = fr.Buffer_pool.data in
           set_header data ~used:header ~count:0 ~next:(next h);
           put data bytes 0 (String.length bytes);
@@ -473,7 +473,8 @@ let remove_entry ctx desc no inst vals reckey =
 let redo_split ctx inst ~no ~lo ~mid ~hi moved =
   let d = read_dir ctx inst in
   let page = d.(lo) in
-  if d.(mid) = page then split ctx inst no d ~mode:Unlogged page ~lo ~mid ~hi
+  if d.(mid) = page then
+    split ctx inst no d ~mode:(Logged ignore) page ~lo ~mid ~hi
   else begin
     let per = dir_slots ctx and sib = d.(mid) in
     Array.iteri
@@ -483,7 +484,7 @@ let redo_split ctx inst ~no ~lo ~mid ~hi moved =
             (List.init (max 0 (last - first + 1)) (( + ) first))
         in
         if stale <> [] then
-          Buffer_pool.with_page_mut ctx.Ctx.bp id ~lsn:0L (fun fr ->
+          Buffer_pool.with_page_mut ctx.Ctx.bp id (fun fr ->
               List.iter
                 (fun b ->
                   set_u32 fr.Buffer_pool.data (4 * (b - (i * per))) sib;
@@ -504,7 +505,7 @@ let redo_split ctx inst ~no ~lo ~mid ~hi moved =
     in
     let kept = keep header [] in
     if List.length kept < count (Bytes.unsafe_of_string src) then
-      Buffer_pool.with_page_mut ctx.Ctx.bp page ~lsn:0L (fun fr ->
+      Buffer_pool.with_page_mut ctx.Ctx.bp page (fun fr ->
           refill fr.Buffer_pool.data src kept)
   end;
   let rec add p =
@@ -655,7 +656,7 @@ module Impl = struct
                     (* unlogged build: the target's instance number is moot *)
                     ignore
                       (set_entry ctx inst p (0, vals, reckey) ~log:ignore
-                         ~mode:Unlogged (fun _ -> Image.presence true)));
+                         ~mode:(Logged ignore) (fun _ -> Image.presence true)));
             match !refused with
             | Some reason ->
               Error
@@ -669,29 +670,6 @@ module Impl = struct
     Slot.each slot (fun no name inst ->
         add_entry ctx desc name no inst (Record.project record inst.fields)
           reckey)
-
-  (* Batch vector entry: entries are sorted by logical bucket so each
-     chain's pages are visited consecutively. Within-batch duplicates on a
-     unique index are still caught by the probe: earlier entries of the
-     batch are already in their chains. *)
-  let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =
-    Slot.each slot (fun no name inst ->
-        let keyed =
-          Array.map
-            (fun (rk, record) ->
-              let vals = Record.project record inst.fields in
-              (bucket_index inst vals, vals, rk))
-            entries
-        in
-        Array.sort (fun (b1, _, _) (b2, _, _) -> compare b1 b2) keyed;
-        let rec loop i =
-          if i >= Array.length keyed then Ok ()
-          else
-            let _, vals, rk = keyed.(i) in
-            let* () = add_entry ctx desc name no inst vals rk in
-            loop (i + 1)
-        in
-        loop 0)
 
   let on_delete ctx desc ~slot reckey record =
     Slot.each slot (fun no _name inst ->
@@ -804,5 +782,5 @@ end
 include Impl
 
 let register () =
-  Slot.register ~insert_batch:Impl.on_insert_batch ~redo:Impl.redo
+  Slot.register ~redo:Impl.redo
     (module Impl : Intf.ATTACHMENT)

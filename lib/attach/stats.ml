@@ -263,8 +263,7 @@ module Impl = struct
             let stats = ref init in
             Attach_util.scan_relation ctx desc (fun _ record ->
                 stats := apply_delta !stats (delta_of_record inst record 1));
-            Buffer_pool.with_page_mut ctx.Ctx.bp page ~lsn:Log_record.no_lsn
-              (fun frame ->
+            Buffer_pool.with_page_mut ctx.Ctx.bp page (fun frame ->
                 encode_page frame.Buffer_pool.data ~stamp:Log_record.no_lsn
                   !stats);
             Ok inst)

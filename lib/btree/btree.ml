@@ -103,7 +103,7 @@ let write_node t page_id node =
   let len = String.length data in
   let page_size = Disk.page_size (Buffer_pool.disk t.bp) in
   if len + 2 > page_size then failwith "Btree: node exceeds page size";
-  Buffer_pool.with_page_mut t.bp page_id ~lsn:0L (fun frame ->
+  Buffer_pool.with_page_mut t.bp page_id (fun frame ->
       Bytes.set_uint16_le frame.Buffer_pool.data 0 len;
       Bytes.blit_string data 0 frame.Buffer_pool.data 2 len)
 
@@ -410,8 +410,8 @@ type 'a found = Found of 'a | Skip of int  (* next leaf *)
 (* One cursor step: find the first entry after the cursor position in the
    hinted leaf (or by descent on the first step, after [seek], or when the
    root split under the hint) and along the chain from there, pinning each
-   leaf once. [f d remaining next_leaf] runs in the pinned leaf with [d] on
-   that entry, [remaining] entries from it to the leaf's end, so sequential
+   leaf once. [f d remaining] runs in the pinned leaf with [d] on that
+   entry, [remaining] entries from it to the leaf's end, so sequential
    access costs O(1) amortized pins. *)
 let step c f =
   let t = c.tree in
@@ -425,7 +425,7 @@ let step c f =
         if admits c d then begin
           Codec.Dec.seek d start;
           c.leaf_hint <- page_id;
-          Found (f d (n - i) next_leaf)
+          Found (f d (n - i))
         end
         else begin
           Codec.Dec.skip_string d;
@@ -457,7 +457,7 @@ let step c f =
 let next c =
   if c.finished then None
   else
-    let first d _ _ = if below_hi c.hi d then Some (entry d) else None in
+    let first d _ = if below_hi c.hi d then Some (entry d) else None in
     match step c first with
     | Some (Some ((k, _) as e)) ->
       c.last <- Some k;
@@ -468,30 +468,28 @@ let next c =
 
 (* Deliver every remaining in-window entry of the next leaf as one run; the
    cursor ends up on the run's last key, so a [seek] to a captured position
-   between runs re-enters exactly after it. The returned page id is the
-   following leaf (0 at the chain's end, or when the window closes inside
-   this leaf) — batch scans prefetch it before handing the run out. Entries
-   after the first admitted one are admitted too (leaves are sorted), so
-   only [hi] is tested, in place. *)
+   between runs re-enters exactly after it. Entries after the first admitted
+   one are admitted too (leaves are sorted), so only [hi] is tested, in
+   place. *)
 let next_run c =
   if c.finished then None
   else
-    let run d remaining next_leaf =
+    let run d remaining =
       let rec take j acc =
-        if j = remaining then (acc, next_leaf)
+        if j = remaining then acc
         else if below_hi c.hi d then take (j + 1) (entry d :: acc)
         else begin
           c.finished <- true;
-          (acc, 0)
+          acc
         end
       in
       take 0 []
     in
     match step c run with
-    | Some (((k, _) :: _ as rev_run), next_leaf) ->
+    | Some ((k, _) :: _ as rev_run) ->
       c.last <- Some k;
-      Some (Array.of_list (List.rev rev_run), next_leaf)
-    | Some ([], _) | None ->
+      Some (Array.of_list (List.rev rev_run))
+    | Some [] | None ->
       c.finished <- true;
       None
 

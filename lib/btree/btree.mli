@@ -69,6 +69,10 @@ val if_absent : string -> string option -> string option
 (** [set]'s function for insert-if-absent: keeps a held payload, else adds
     [payload]. *)
 
+val prefix_present : t -> Value.t array -> bool
+(** Whether some key starts with [prefix] (a unique index's duplicate
+    probe). *)
+
 val insert_batch :
   ?unique_prefix:int -> t -> log:(string list -> unit) ->
   (Value.t array * string) array -> (unit, int) result
@@ -111,12 +115,10 @@ val cursor : ?lo:bound -> ?hi:bound -> t -> cursor
 
 val next : cursor -> (Value.t array * string) option
 
-val next_run : cursor -> ((Value.t array * string) array * int) option
+val next_run : cursor -> (Value.t array * string) array option
 (** Deliver every remaining in-window entry of the next leaf as one run,
     advancing the cursor onto the run's last key — the vectorized step the
-    [btree_org] batch scan uses, one run per leaf. The [int] is the page id
-    of the following leaf (0 when the chain or the key window ends), handed
-    back so the caller can prefetch it before consuming the run. Mixing
+    [btree_org] batch scan uses, one run per leaf. Mixing
     {!next} and {!next_run} on one cursor is allowed; both respect the same
     position. *)
 

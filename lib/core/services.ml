@@ -26,32 +26,6 @@ type t = {
   mutable ckpt_bytes_mark : int;  (* Wal.appended_bytes at last checkpoint *)
 }
 
-(* DMX_CHECKPOINT_EVERY accepts "N" (log records between checkpoints) or
-   "Nb"/"Nkb"/"Nmb" (appended log bytes between checkpoints). Unparsable or
-   non-positive values disable the policy rather than fail the mount. *)
-let checkpoint_policy_of_env () =
-  match Sys.getenv_opt "DMX_CHECKPOINT_EVERY" with
-  | None | Some "" -> None
-  | Some raw ->
-    let s = String.lowercase_ascii (String.trim raw) in
-    let ends_with suffix =
-      let n = String.length s and m = String.length suffix in
-      n > m && String.sub s (n - m) m = suffix
-    in
-    let strip suffix =
-      String.sub s 0 (String.length s - String.length suffix)
-    in
-    let num, mult, is_bytes =
-      if ends_with "kb" then (strip "kb", 1024, true)
-      else if ends_with "mb" then (strip "mb", 1024 * 1024, true)
-      else if ends_with "b" then (strip "b", 1, true)
-      else (s, 1, false)
-    in
-    (match int_of_string_opt num with
-    | Some n when n > 0 ->
-      Some (if is_bytes then `Bytes (n * mult) else `Records n)
-    | Some _ | None -> None)
-
 let set_checkpoint_policy ?(every_records = 0) ?(every_bytes = 0) t =
   t.ckpt_every_records <- max 0 every_records;
   t.ckpt_every_bytes <- max 0 every_bytes
@@ -129,10 +103,6 @@ let checkpoint ?(truncate = true) t =
 
 let save_catalog t =
   Dmx_catalog.Catalog.save ~store_pages:(Disk.page_count t.disk) t.catalog
-
-let apply_env_policy t = function
-  | `Records n -> t.ckpt_every_records <- n
-  | `Bytes n -> t.ckpt_every_bytes <- n
 
 let rec setup ?dir ?disk ?(pool_capacity = 256) () =
   Registry.freeze ();
@@ -235,9 +205,6 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
   Dmx_txn.Txn_mgr.set_redo_dispatch txn_mgr (Undo.redo ~txn_mgr ~bp ~catalog);
   Dmx_txn.Txn_mgr.set_commit_observer txn_mgr (fun () ->
       if checkpoint_due t then ignore (checkpoint t));
-  (match checkpoint_policy_of_env () with
-  | Some policy -> apply_env_policy t policy
-  | None -> ());
   (* The crash may have dropped pages allocated since the last sync; bring
      back every page the catalog snapshot may list before redo runs. *)
   while Disk.page_count disk < Dmx_catalog.Catalog.store_pages catalog do

@@ -36,10 +36,7 @@ val setup :
     catalog change) and the undo and redo dispatchers, and runs restart
     recovery: the store is extended to the page count the catalog snapshot
     recorded, then analysis and redo from the last checkpoint, the
-    undo of losers, and a checkpoint (DESIGN.md §15). The
-    [DMX_CHECKPOINT_EVERY] environment variable ("N" records or
-    "Nb"/"Nkb"/"Nmb" appended bytes) arms the automatic checkpoint policy at
-    mount. *)
+    undo of losers, and a checkpoint (DESIGN.md §15). *)
 
 val checkpoint : ?truncate:bool -> t -> checkpoint_stats
 (** Take a checkpoint now: write every dirty page and sync the store
@@ -56,8 +53,8 @@ val checkpoint : ?truncate:bool -> t -> checkpoint_stats
 val set_checkpoint_policy : ?every_records:int -> ?every_bytes:int -> t -> unit
 (** Arm (or with 0/0, disarm) the automatic policy: after each commit, if at
     least [every_records] log records or [every_bytes] appended log bytes
-    have accumulated since the last checkpoint, one is taken. Programmatic
-    equivalent of [DMX_CHECKPOINT_EVERY]. *)
+    have accumulated since the last checkpoint, one is taken. Off at
+    setup. *)
 
 val checkpoint_policy : t -> int * int
 (** Current [(every_records, every_bytes)] policy; 0 means disabled. *)

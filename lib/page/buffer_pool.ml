@@ -170,19 +170,9 @@ let with_page t page_id f =
   let frame = pin t page_id in
   Fun.protect ~finally:(fun () -> unpin t frame) (fun () -> f frame)
 
-(* Key-sequential readers hint the page they will pin next; a failure to
-   prefetch (pool saturated with pins) must never fail the scan itself. *)
-let prefetch ?txid t page_id =
-  if page_live t page_id then
-    match pin ?txid t page_id with
-    | frame -> unpin t frame
-    | exception Failure _ -> ()
-
-let with_page_mut t page_id ~lsn f =
+let with_page_mut t page_id f =
   let frame = pin t page_id in
-  Fun.protect
-    ~finally:(fun () -> unpin ~dirty:true ~lsn t frame)
-    (fun () -> f frame)
+  Fun.protect ~finally:(fun () -> unpin ~dirty:true t frame) (fun () -> f frame)
 
 let flush_page t page_id =
   match Hashtbl.find_opt t.slots page_id with

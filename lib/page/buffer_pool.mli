@@ -60,15 +60,8 @@ val alloc : t -> frame
 val with_page : t -> int -> (frame -> 'a) -> 'a
 (** Pin, apply, unpin (not dirty). *)
 
-val prefetch : ?txid:int -> t -> int -> unit
-(** Pull [id] into the pool (pin + immediate unpin) so an imminent sequential
-    access hits in cache — used by key-sequential batch scans to stage the
-    next leaf/page while the current run is being consumed. A dead page id or
-    a fully pinned pool makes this a no-op; prefetching never fails the
-    caller. *)
-
-val with_page_mut : t -> int -> lsn:int64 -> (frame -> 'a) -> 'a
-(** Pin, apply, unpin dirty with [lsn]. *)
+val with_page_mut : t -> int -> (frame -> 'a) -> 'a
+(** Pin, apply, unpin dirty (stamped with the log's end, {!set_log_end}). *)
 
 val flush_page : t -> int -> unit
 val flush_all : t -> int

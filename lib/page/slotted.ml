@@ -50,7 +50,6 @@ let live_count page =
   loop 0 0
 
 let dir_end page = header_size + (slot_count page * slot_size)
-let free_space page = max 0 (data_start page - dir_end page - slot_size)
 let max_payload page_size = page_size - header_size - slot_size
 
 let read page s =
@@ -108,6 +107,12 @@ let garbage page =
     if off <> dead then used := !used + len
   done;
   Bytes.length page - data_start page - !used
+
+(* Contiguous room for one more insert, less what of [reserved] garbage
+   cannot cover: a compaction would have merged it into this room. *)
+let free_space ?(reserved = 0) page =
+  let short = if reserved > 0 then max 0 (reserved - garbage page) else 0 in
+  max 0 (data_start page - dir_end page - slot_size - short)
 
 let delete page s =
   if s < 0 || s >= slot_count page then false
@@ -187,14 +192,14 @@ let update page s payload =
         end
       end
 
-let fits page s payload =
+let fits ?(reserved = 0) page s payload =
   let n = slot_count page in
   let held = match payload_span page s with Some (_, len) -> len | None -> 0 in
   let room =
     data_start page - dir_end page - (if s = n then slot_size else 0) + held
   in
   let len = String.length payload in
-  s >= 0 && s <= n && (len <= held || len <= room + garbage page)
+  s >= 0 && s <= n && (len <= held || len <= room + garbage page - reserved)
 
 let set page s = function
   | None -> delete page s
@@ -214,8 +219,3 @@ let iter_spans page f =
     let off = get16 page (header_size + (s * slot_size)) in
     if off <> dead then f s off (get16 page (header_size + (s * slot_size) + 2))
   done
-
-let fold page ~init ~f =
-  let acc = ref init in
-  iter page (fun s payload -> acc := f !acc s payload);
-  !acc

@@ -20,8 +20,10 @@ val slot_count : bytes -> int
 (** Directory size, including tombstones. *)
 
 val live_count : bytes -> int
-val free_space : bytes -> int
-(** Bytes available for one more insert (directory entry accounted). *)
+val free_space : ?reserved:int -> bytes -> int
+(** Bytes available for one more insert without compaction (directory entry
+    accounted), leaving [reserved] bytes (default 0) of the page's free
+    space untouched. *)
 
 val max_payload : int -> int
 (** [max_payload page_size] is the largest payload one empty page accepts. *)
@@ -38,23 +40,19 @@ val next_slot : bytes -> slot
 val read : bytes -> slot -> string option
 (** [None] for tombstones and out-of-range slots. *)
 
-val payload_span : bytes -> slot -> (int * int) option
-(** [(offset, length)] of a live payload within the page image, [None] for
-    tombstones and out-of-range slots. Lets a caller that holds the page
-    pinned decode the payload in place instead of copying it out; the span
-    is only valid until the page is unpinned or mutated. *)
-
 val update : bytes -> slot -> string -> bool
 (** Replace payload in place (possibly after compaction); [false] when the new
     payload does not fit or the slot is dead. *)
 
 val delete : bytes -> slot -> bool
 (** Tombstone a slot; [false] when already dead. A fresh tombstone is
-    *pending*: its payload space is reclaimed but the slot itself is not
+    *pending*: its payload space becomes garbage but the slot itself is not
     reused until {!make_reusable} — the heap storage method defers that call
     to commit of the deleting transaction, so that undo of the delete can
     reinstate the record in its original slot ({!insert_at}) and no concurrent
-    transaction captures the record id meanwhile. *)
+    transaction captures the record id meanwhile. The heap keeps the freed
+    bytes from other transactions by passing them as [reserved] to
+    {!free_space} and {!fits}. *)
 
 val make_reusable : bytes -> slot -> unit
 (** Release a pending tombstone for reuse (a no-op on live or already-released
@@ -64,9 +62,11 @@ val insert_at : bytes -> slot -> string -> bool
 (** Occupy a specific dead slot (undo of delete), or slot [slot_count] as a
     new one. [false] when the slot is live or the payload no longer fits. *)
 
-val fits : bytes -> slot -> string -> bool
-(** Whether {!set} of this payload into the slot succeeds: in place or
-    after compaction, live or dead. *)
+val fits : ?reserved:int -> bytes -> slot -> string -> bool
+(** Whether {!set} of this payload into the slot succeeds, in place or
+    after compaction, live or dead, and leaves [reserved] bytes (default 0)
+    of the page's free space untouched. A payload no longer than the one
+    held always fits. *)
 
 val set : bytes -> slot -> string option -> bool
 (** Make the slot hold the payload — {!update} when live, else
@@ -81,5 +81,3 @@ val iter_spans : bytes -> (slot -> int -> int -> unit) -> unit
 (** [iter_spans page f] calls [f slot offset length] for each live payload in
     slot order, without copying anything — the allocation-free counterpart of
     {!iter} for callers that decode in place under the pin. *)
-
-val fold : bytes -> init:'a -> f:('a -> slot -> string -> 'a) -> 'a

@@ -58,7 +58,7 @@ let write_node t page_id node =
   let len = String.length data in
   if len + 2 > Disk.page_size (Buffer_pool.disk t.bp) then
     failwith "Rtree: node exceeds page size";
-  Buffer_pool.with_page_mut t.bp page_id ~lsn:0L (fun frame ->
+  Buffer_pool.with_page_mut t.bp page_id (fun frame ->
       Bytes.set_uint16_le frame.Buffer_pool.data 0 len;
       Bytes.blit_string data 0 frame.Buffer_pool.data 2 len)
 

@@ -184,29 +184,19 @@ module Impl = struct
     (bdesc_of desc).count
 
   (* The one scan implementation (registered as the batch vector entry; the
-     record cursor [scan] adapts it): one run per leaf via [Btree.next_run],
-     with the following leaf's page prefetched into the clock pool before
-     the run is handed out — by the time the consumer drains the run, the
-     next key-sequential step hits in cache. Positions are captured between
-     runs (the cursor is on the run's last key), so savepoint restore
-     re-enters exactly after it. *)
+     record cursor [scan] adapts it): one run per leaf via [Btree.next_run].
+     Positions are captured between runs (the cursor is on the run's last
+     key), so savepoint restore re-enters exactly after it. *)
   let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
     let bd = bdesc_of desc in
     let cursor =
       Btree.cursor ?lo:(bound_of lo) ?hi:(bound_of hi) (tree_of ctx bd)
     in
     let next_run () =
-      match Btree.next_run cursor with
-      | None -> None
-      | Some (entries, next_leaf) ->
-        if next_leaf <> 0 then
-          Dmx_page.Buffer_pool.prefetch ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id
-            ctx.Ctx.bp next_leaf;
-        Some
-          (Array.map
-             (fun (key, payload) ->
-               (Record_key.fields key, record_of payload))
-             entries)
+      Option.map
+        (Array.map (fun (key, payload) ->
+             (Record_key.fields key, record_of payload)))
+        (Btree.next_run cursor)
     in
     Scan_help.filtered_batch ?filter ~next_run
       ~close:(fun () -> ())

@@ -55,6 +55,44 @@ let with_page_mut ctx page f =
     ~finally:(fun () -> Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame)
     (fun () -> f frame.Buffer_pool.data)
 
+(* ---- bytes held for undo ---- *)
+
+(* The bytes a transaction's delete or in-place shrink frees on a page stay
+   its own until it ends: its undo puts the record back in the same slot,
+   so no other transaction may take them meanwhile. Each transaction counts
+   what it holds per page under its extension state, which ends with it.
+   Every write to a slot, forward or undo, adjusts the count by the bytes
+   it freed (negative when it took bytes), floored at zero: the count is
+   then the most any run of the transaction's own undo, newest first, needs
+   beyond the free space it leaves. *)
+let freed_key : (int, int) Hashtbl.t Dmx_txn.Tmap.key =
+  Dmx_txn.Tmap.new_key "heap.freed"
+
+let hold ctx page bytes =
+  let txn = ctx.Ctx.txn in
+  match Dmx_txn.Txn.attr txn freed_key with
+  | Some freed ->
+    let held = Option.value ~default:0 (Hashtbl.find_opt freed page) in
+    Hashtbl.replace freed page (max 0 (held + bytes))
+  | None when bytes > 0 ->
+    let freed = Hashtbl.create 8 in
+    Hashtbl.replace freed page bytes;
+    Dmx_txn.Txn.set_attr txn freed_key freed
+  | None -> ()
+
+let side_len = function Some p -> String.length p | None -> 0
+
+(* What the other active transactions hold on [page]. *)
+let held_by_others ctx page =
+  List.fold_left
+    (fun acc txn ->
+      match Dmx_txn.Txn.attr txn freed_key with
+      | Some freed when txn != ctx.Ctx.txn ->
+        acc + Option.value ~default:0 (Hashtbl.find_opt freed page)
+      | Some _ | None -> acc)
+    0
+    (Dmx_txn.Txn_mgr.active_txns ctx.Ctx.txn_mgr)
+
 let encode_payload record = Bytes.to_string (Codec.encode_record record)
 
 let rid_parts = function
@@ -71,16 +109,18 @@ let dec_rid d =
   let page = Codec.Dec.varint d in
   (page, Codec.Dec.varint d)
 
-(* Forward callers hand over only payloads that fit ([Slotted.fits]), so
-   the write fails only when undo cannot put a record back. *)
+(* Forward callers hand over only payloads that fit ([Slotted.fits]) and
+   leave the bytes other transactions hold, and redo checks fit before it
+   writes. So undo always finds its bytes, and a write that fails is a
+   broken invariant. *)
 let set_slot data (page, slot) ~log f =
   Image.change enc_rid ~log
     ~read:(fun () -> Slotted.read data slot)
     ~write:(fun after ->
       if not (Slotted.set data slot after) then
-        failwith
-          (Fmt.str "heap undo: cannot reinstate record at rid(%d,%d)" page
-             slot))
+        Error.raise_err
+          (Error.Internal
+             (Fmt.str "heap: cannot write record at rid(%d,%d)" page slot)))
     (page, slot) f
 
 (* Restart replays images on the pages the relation's descriptor lists.
@@ -120,23 +160,162 @@ let undo_slot ctx ~pages data =
         let reversed =
           Image.undo img ~set:(set_slot data img.target ~log:ignore)
         in
-        if reversed && img.before = None then
-          Slotted.make_reusable data (snd img.target);
+        if reversed then begin
+          hold ctx (fst img.target) (side_len img.after - side_len img.before);
+          if img.before = None then Slotted.make_reusable data (snd img.target)
+        end;
         reversed)
   in
   if reversed then Image.count_delta img else 0
 
-(* The catalog snapshot saved at commit already holds the record count, so
-   redo leaves it alone. *)
+(* Whether a record logged before the one being replayed changed [target]:
+   the same source and relation, so the same image encoding, and a page
+   belongs to one relation. Read only on the rare image that does not fit. *)
+let slot_logged_before ctx target =
+  let wal = Dmx_txn.Txn_mgr.wal ctx.Ctx.txn_mgr in
+  match (Dmx_wal.Wal.read wal ctx.Ctx.lsn).kind with
+  | Ext { source; rel_id; _ } ->
+    Dmx_wal.Wal.fold wal ~init:false ~f:(fun found (r : Log_record.t) ->
+        found
+        ||
+        match r.kind with
+        | Ext { source = s; rel_id = id; data }
+          when r.lsn < ctx.Ctx.lsn && s = source && id = rel_id ->
+          (Image.decode dec_rid data).target = target
+        | _ -> false)
+  | _ -> true (* redo replays only Ext records; assume the worst *)
+
+(* An image that does not fit meets a page newer than its record: the page
+   at that record's time had room, so a later record took the bytes. When
+   no earlier record touched the slot, the slot still holds what the page
+   holds, a state at or after this record's, and the image counts as not
+   applied. Otherwise redo may have walked the slot back to an earlier
+   state by a false match (an insert re-applied to a slot a later delete
+   emptied), and skipping would leave that state behind; the page's age is
+   not on it, so restart stops instead. The catalog snapshot saved at
+   commit already holds the record count, so redo leaves it alone. *)
 let redo_slot ctx ~pages data =
   snd
     (redo_undo_slot ctx ~pages data (fun img data ->
-         Image.redo img ~set:(set_slot data img.target ~log:ignore)))
+         let page, slot = img.target in
+         match img.after with
+         | Some p when not (Slotted.fits data slot p) ->
+           if slot_logged_before ctx img.target then
+             Error.raise_err
+               (Error.Internal
+                  (Fmt.str
+                     "heap redo: record at rid(%d,%d) does not fit a page an \
+                      earlier image of its slot may have walked back"
+                     page slot))
+           else false
+         | Some _ | None ->
+           Image.redo img ~set:(set_slot data img.target ~log:ignore)))
 
 let log_image ctx (desc : Descriptor.t) data =
   ignore
     (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
        ~data)
+
+(* ---- scans over a page list (shared with readonly) ---- *)
+
+(* One run per data page, every live slot decoded under a single pin —
+   buffer-pool pins per scan are O(pages). The position between runs is the
+   index of the last delivered page. Payloads are decoded in place from the
+   page image ([Slotted.iter_spans] + [Codec.Dec.of_string_span]) instead of
+   being copied out first. With a filter, the span matcher answers on the
+   payload when the predicate has its shape; otherwise the predicate is
+   tested on the decoded record. *)
+let scan_pages ctx (desc : Descriptor.t) ~pages ~filter =
+  let span_test =
+    Option.bind filter (Dmx_expr.Eval.compile_span desc.Descriptor.schema)
+  in
+  (* [Some keep] when the span matcher answers on the payload, [None] when
+     the decoded record must be tested. Chosen once per scan open. *)
+  let on_payload =
+    match filter, span_test with
+    | None, _ -> fun _ _ _ -> Some true
+    | Some _, Some f -> fun img off len -> f img ~pos:off ~len
+    | Some _, None -> fun _ _ _ -> None
+  in
+  let on_record =
+    match filter with
+    | None -> fun _ -> true
+    | Some pred -> fun record -> Dmx_expr.Eval.test record pred
+  in
+  let pages = Array.of_list pages in
+  let pos = ref (-1) in
+  let decode_page page data =
+    (* Read-only view of the pinned frame; decoded values copy what they
+       need out of it, nothing retains the view past the unpin. *)
+    let img = Bytes.unsafe_to_string data in
+    let hits = ref [] in
+    let count = ref 0 in
+    let hit s record =
+      hits := (Record_key.rid ~page ~slot:s, record) :: !hits;
+      incr count
+    in
+    let decode off len =
+      Codec.Dec.record (Codec.Dec.of_string_span img ~pos:off ~len)
+    in
+    Slotted.iter_spans data (fun s off len ->
+        match on_payload img off len with
+        | Some false -> ()
+        | Some true -> hit s (decode off len)
+        | None ->
+          let record = decode off len in
+          if on_record record then hit s record);
+    match !hits with
+    | [] -> None
+    | first :: _ ->
+      (* ascending slot iteration prepended, so fill back-to-front *)
+      let run = Array.make !count first in
+      let rec fill i hs =
+        match hs with
+        | [] -> ()
+        | h :: tl ->
+          run.(i) <- h;
+          fill (i - 1) tl
+      in
+      fill (!count - 1) !hits;
+      Some run
+  in
+  let next_run () =
+    let rec advance page_idx =
+      if page_idx >= Array.length pages then None
+      else
+        let page = pages.(page_idx) in
+        match with_page ctx page (decode_page page) with
+        | None -> advance (page_idx + 1)
+        | Some run ->
+          pos := page_idx;
+          Some run
+    in
+    advance (!pos + 1)
+  in
+  {
+    Intf.rn_next = next_run;
+    rn_close = (fun () -> ());
+    rn_capture =
+      (fun () ->
+        let saved = !pos in
+        fun () -> pos := saved);
+  }
+
+let estimate_pages ~pages ~count ~eligible =
+  let pages = float_of_int (max 1 (List.length pages)) in
+  let rows = float_of_int count in
+  let sel =
+    List.fold_left
+      (fun acc p -> acc *. Dmx_expr.Analyze.selectivity p)
+      1.0 eligible
+  in
+  {
+    Cost.cost = Cost.make ~io:pages ~cpu:(rows *. 2.);
+    est_rows = rows *. sel;
+    matched = eligible;  (* the common filter service applies them all *)
+    residual = [];
+    ordered_by = None;
+  }
 
 (* ---- generic operations ---- *)
 
@@ -163,10 +342,11 @@ module Impl = struct
      a page's free space is probed only when no page probed earlier in the
      batch has room, and remembered for the rest of the batch, so a batch
      pins pages only until one fits. Consecutive records fill one pinned page
-     until it no longer fits the next record. Each record's image is logged
-     before the slot write that places it, so a page evicted mid-batch never
-     reaches disk ahead of its undo information; a record logged but never
-     placed undoes as a no-op. One descriptor write-back per batch. *)
+     until it no longer fits the next record. A page's free space leaves the
+     bytes other transactions hold. Each record's image is logged before the
+     slot write that places it, so a page evicted mid-batch never reaches
+     disk ahead of its undo information; a record logged but never placed
+     undoes as a no-op. One descriptor write-back per batch. *)
   let insert_batch ctx (desc : Descriptor.t) records =
     let n = Array.length records in
     let page_size = Disk.page_size (Buffer_pool.disk ctx.Ctx.bp) in
@@ -186,21 +366,31 @@ module Impl = struct
       let keys = Array.make n (Record_key.rid ~page:0 ~slot:0) in
       let failure = ref None in
       let log = log_image ctx desc in
+      let free_space p data =
+        Slotted.free_space ~reserved:(held_by_others ctx p) data
+      in
       (* Insert records [i..] into page [p] under one pin until one no longer
          fits; returns the first unplaced index. *)
       let fill_page p i =
         with_page_mut ctx p (fun data ->
-            let rec fill j =
-              if j >= n || Slotted.free_space data < String.length payloads.(j)
-              then j
+            let reserved = held_by_others ctx p in
+            let rec fill j taken =
+              if
+                j >= n
+                || Slotted.free_space ~reserved data
+                   < String.length payloads.(j)
+              then begin
+                hold ctx p (-taken);
+                j
+              end
               else begin
                 let slot = Slotted.next_slot data in
                 ignore (set_slot data (p, slot) ~log (fun _ -> Some payloads.(j)));
                 keys.(j) <- Record_key.rid ~page:p ~slot;
-                fill (j + 1)
+                fill (j + 1) (taken + String.length payloads.(j))
               end
             in
-            fill i)
+            fill i 0)
       in
       (* The relation's pages, newest first, with their free space once
          probed; a page this batch filled is never a candidate again. *)
@@ -210,7 +400,7 @@ module Impl = struct
         if k >= Array.length pages then None
         else begin
           if free.(k) = None then
-            free.(k) <- Some (with_page ctx pages.(k) Slotted.free_space);
+            free.(k) <- Some (with_page ctx pages.(k) (free_space pages.(k)));
           match free.(k) with
           | Some fs when fs >= len -> Some k
           | Some _ | None -> candidate len (k + 1)
@@ -275,10 +465,12 @@ module Impl = struct
       with
       | None -> not_found
       | Some payload ->
-        (* Deferred reclamation: the slot becomes reusable only once the
-           deleting transaction commits. *)
+        (* Deferred reclamation: the freed bytes stay held until the
+           deleting transaction ends, and the slot becomes reusable only
+           once it commits. *)
         let bp = ctx.Ctx.bp in
         let page, slot = rid in
+        hold ctx page (String.length payload);
         Ctx.defer ctx Dmx_txn.Txn.On_commit (fun () ->
             let frame = Buffer_pool.pin bp page in
             Slotted.make_reusable frame.Buffer_pool.data slot;
@@ -288,6 +480,8 @@ module Impl = struct
         Ok (Codec.decode_record (Bytes.of_string payload))
     end
 
+  (* In place when the record fits beside the bytes others hold; a shrink
+     holds the bytes it frees, a grow gives back what it takes of them. *)
   let update ctx (desc : Descriptor.t) key new_record =
     let payload = encode_payload new_record in
     let in_place =
@@ -295,10 +489,16 @@ module Impl = struct
       | None -> false
       | Some ((page, slot) as rid) ->
         with_page_mut ctx page (fun data ->
-            Slotted.fits data slot payload
-            && set_slot data rid ~log:(log_image ctx desc)
-                 (Option.map (fun _ -> payload))
-               <> None)
+            Slotted.fits ~reserved:(held_by_others ctx page) data slot payload
+            &&
+            match
+              set_slot data rid ~log:(log_image ctx desc)
+                (Option.map (fun _ -> payload))
+            with
+            | None -> false
+            | Some old ->
+              hold ctx page (String.length old - String.length payload);
+              true)
     in
     if in_place then Ok key
     else
@@ -315,147 +515,17 @@ module Impl = struct
     (hdesc_of desc).count
 
   (* The one scan implementation (registered as the batch vector entry; the
-     record cursor [scan] adapts it): one run per data page, every live slot
-     decoded under a single pin — buffer-pool pins per scan are O(pages).
-     The position between runs is the index of the last delivered page;
-     RIDs have no order, so key bounds are ignored (the planner never
-     produces them for address-keyed methods).
-
-     Because the whole page is processed under one pin, payloads are decoded
-     in place from the page image ([Slotted.iter_spans] +
-     [Codec.Dec.of_string_span]) instead of being copied out first. With a
-     filter, the span matcher runs on the payload when the predicate has
-     its shape; otherwise the predicate is evaluated on a
-     late-materialized record: only the fields the predicate reads are
-     decoded (the rest are skipped in the encoding), and a full record is
-     built only for qualifying slots. *)
-  let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
-    ignore lo;
-    ignore hi;
-    let schema = desc.Descriptor.schema in
-    let arity = Schema.arity schema in
-    let span_test = Option.bind filter (Dmx_expr.Eval.compile_span schema) in
-    (* fields the predicate reads; late materialization decodes only these *)
-    let needed =
-      match filter with
-      | None -> [||]
-      | Some pred ->
-        let b = Array.make arity false in
-        List.iter
-          (fun i -> if i >= 0 && i < arity then b.(i) <- true)
-          (Dmx_expr.Expr.fields_used pred);
-        b
-    in
-    (* Scratch record for predicate evaluation: needed fields are overwritten
-       for every slot, the rest stay Null. Qualifying slots get a fresh full
-       decode, so the scratch never escapes this scan. *)
-    let scratch = Array.make (max 1 arity) Value.Null in
-    (* Fallback when the filter is not span-compilable (or a payload
-       deviates from the schema): materialize what the predicate reads and
-       evaluate the predicate on it. *)
-    let scratch_admits pred img off len =
-      let d = Codec.Dec.of_string_span img ~pos:off ~len in
-      let fields = Codec.Dec.varint d in
-      if fields <> arity then
-        (* width drift: evaluate exactly what a full decode sees *)
-        Dmx_expr.Eval.test
-          (Codec.Dec.record (Codec.Dec.of_string_span img ~pos:off ~len))
-          pred
-      else begin
-        for i = 0 to fields - 1 do
-          if needed.(i) then scratch.(i) <- Codec.Dec.value d
-          else Codec.Dec.skip_value d
-        done;
-        Dmx_expr.Eval.test scratch pred
-      end
-    in
-    (* Chosen once per scan open: no filter, span-compiled, or fallback. *)
-    let admit =
-      match filter with
-      | None -> fun _ _ _ -> true
-      | Some pred -> begin
-        match span_test with
-        | Some f ->
-          fun img off len -> begin
-            match f img ~pos:off ~len with
-            | Some keep -> keep
-            | None -> scratch_admits pred img off len
-          end
-        | None -> scratch_admits pred
-      end
-    in
-    let pages = Array.of_list (hdesc_of desc).pages in
-    let pos = ref (-1) in
-    let decode_page page data =
-      (* Read-only view of the pinned frame; decoded values copy what they
-         need out of it, nothing retains the view past the unpin. *)
-      let img = Bytes.unsafe_to_string data in
-      let hits = ref [] in
-      let count = ref 0 in
-      Slotted.iter_spans data (fun s off len ->
-          if admit img off len then begin
-            let d = Codec.Dec.of_string_span img ~pos:off ~len in
-            hits :=
-              (Record_key.rid ~page ~slot:s, Codec.Dec.record d) :: !hits;
-            incr count
-          end);
-      match !hits with
-      | [] -> None
-      | first :: _ ->
-        (* ascending slot iteration prepended, so fill back-to-front *)
-        let run = Array.make !count first in
-        let rec fill i hs =
-          match hs with
-          | [] -> ()
-          | h :: tl ->
-            run.(i) <- h;
-            fill (i - 1) tl
-        in
-        fill (!count - 1) !hits;
-        Some run
-    in
-    let next_run () =
-      let rec advance page_idx =
-        if page_idx >= Array.length pages then None
-        else
-          let page = pages.(page_idx) in
-          match with_page ctx page (decode_page page) with
-          | None -> advance (page_idx + 1)
-          | Some run ->
-            pos := page_idx;
-            Some run
-      in
-      advance (!pos + 1)
-    in
-    {
-      Intf.rn_next = next_run;
-      rn_close = (fun () -> ());
-      rn_capture =
-        (fun () ->
-          let saved = !pos in
-          fun () -> pos := saved);
-    }
+     record cursor [scan] adapts it). RIDs have no order, so key bounds are
+     ignored (the planner never produces them for address-keyed methods). *)
+  let scan_batch ctx desc ~lo:_ ~hi:_ ~filter =
+    scan_pages ctx desc ~pages:(hdesc_of desc).pages ~filter
 
   let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
     Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
 
-  let estimate_scan ctx (desc : Descriptor.t) ~eligible =
-    ignore ctx;
+  let estimate_scan _ctx desc ~eligible =
     let hd = hdesc_of desc in
-    let pages = float_of_int (max 1 (List.length hd.pages)) in
-    let rows = float_of_int hd.count in
-    let sel =
-      List.fold_left
-        (fun acc p -> acc *. Dmx_expr.Analyze.selectivity p)
-        1.0 eligible
-    in
-    {
-      Cost.cost = Cost.make ~io:pages ~cpu:(rows *. 2.);
-      est_rows = rows *. sel;
-      matched = eligible;  (* the common filter service applies them all *)
-      residual = [];
-      ordered_by = None;
-    }
+    estimate_pages ~pages:hd.pages ~count:hd.count ~eligible
 
   (* ---- log-driven undo (testable) ---- *)
 

@@ -10,11 +10,28 @@
     slot when it still holds the inserted payload; undo-delete reinstates
     the payload in its original slot — guaranteed free because tombstones
     stay *pending* (unreusable) until the deleting transaction commits, at
-    which point a deferred action releases them. *)
+    which point a deferred action releases them. The bytes a delete or an
+    in-place shrink frees stay the transaction's own until it ends: no
+    other transaction's insert or update takes them, so undo always finds
+    room. *)
 
 include Dmx_core.Intf.STORAGE_METHOD
 
-(** {2 Slot images} shared with [readonly] *)
+(** {2 Slotted pages} shared with [readonly], which keeps its own page
+    list. {!fetch} reads any RID and ignores the descriptor. *)
+
+val scan_pages :
+  Dmx_core.Ctx.t -> Dmx_catalog.Descriptor.t -> pages:int list ->
+  filter:Dmx_expr.Expr.t option -> Dmx_core.Intf.run_scan
+(** The batch scan of [pages]: one run per page, decoded under one pin;
+    a filter the span matcher ({!Dmx_expr.Eval.compile_span}) cannot take
+    is tested on the decoded record. *)
+
+val estimate_pages :
+  pages:int list -> count:int -> eligible:Dmx_expr.Expr.t list ->
+  Dmx_core.Cost.estimate
+(** A full scan's cost over [pages] holding [count] records. *)
+
 
 val set_slot :
   bytes -> int * int -> log:(string -> unit) ->
@@ -23,7 +40,8 @@ val set_slot :
     {!Dmx_value.Image.change} on the pinned page [data]: [f] maps the
     payload held in the slot to the new one ([None] leaves a pending
     tombstone). The caller passes only payloads that fit
-    ({!Dmx_page.Slotted.fits}); a write that does not fit raises [Failure]. *)
+    ({!Dmx_page.Slotted.fits}); a write that does not fit raises
+    [Internal]. *)
 
 val undo_slot : Dmx_core.Ctx.t -> pages:int list -> string -> int
 (** Reverse a logged slot image ({!Dmx_value.Image.undo}) on one of the
@@ -35,7 +53,11 @@ val undo_slot : Dmx_core.Ctx.t -> pages:int list -> string -> int
 
 val redo_slot : Dmx_core.Ctx.t -> pages:int list -> string -> bool
 (** Repeat a logged slot image ({!Dmx_value.Image.redo}) under the same
-    page rule as {!undo_slot}. Whether it applied the change. *)
+    page rule as {!undo_slot}. An image whose payload does not fit meets a
+    page newer than its record (a later record took its bytes): when no
+    earlier record touched the slot it is not applied; otherwise redo may
+    have walked the slot back to an earlier state, and it raises
+    [Internal]. Whether it applied the change. *)
 
 val register : unit -> int
 (** Register with the procedure vectors; returns the storage-method id.

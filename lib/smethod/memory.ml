@@ -4,30 +4,11 @@ module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
 module Log_record = Dmx_wal.Log_record
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Memory: storage method not registered")
-
 (* Per-relation in-process store. The sequence number is the record key
    (represented as a RID with page 0). *)
 module Imap = Map.Make (Int)
 
 type store = { mutable records : Record.t Imap.t; mutable next_seq : int }
-
-let stores : (int, store) Hashtbl.t = Hashtbl.create 16 [@@dmx.global "UNSAFE"]
-
-let store_of rel_id =
-  match Hashtbl.find_opt stores rel_id with
-  | Some s -> s
-  | None ->
-    let s = { records = Imap.empty; next_seq = 1 } in
-    Hashtbl.replace stores rel_id s;
-    s
-
-let reset_all () = Hashtbl.reset stores
 
 let seq_of = function
   | Record_key.Rid { page = 0; slot } -> Some slot
@@ -53,146 +34,182 @@ let set_seq s seq ~log f =
         s.next_seq <- max s.next_seq (seq + 1))
     seq f
 
-let log_image ctx (desc : Descriptor.t) data =
-  ignore
-    (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
-       ~data)
+module type S = sig
+  include Intf.STORAGE_METHOD
 
-module Impl = struct
-  let name = "memory"
-  let attr_specs = []
-
-  let create ctx ~rel_id _schema attrs =
-    ignore ctx;
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      ignore (store_of rel_id);
-      Ok ""
-
-  let destroy ctx ~rel_id ~smethod_desc =
-    ignore ctx;
-    ignore smethod_desc;
-    Hashtbl.remove stores rel_id
-
-  let insert ctx (desc : Descriptor.t) record =
-    let s = store_of desc.rel_id in
-    let seq = s.next_seq in
-    ignore
-      (set_seq s seq ~log:(log_image ctx desc) (fun _ -> Some (encode record)));
-    Ok (key_of_seq seq)
-
-  let fetch ctx (desc : Descriptor.t) key ?fields () =
-    ignore ctx;
-    match seq_of key with
-    | None -> None
-    | Some seq -> begin
-      match Imap.find_opt seq (store_of desc.rel_id).records with
-      | None -> None
-      | Some record ->
-        Some
-          (match fields with
-          | None -> record
-          | Some fs -> Record.project record fs)
-    end
-
-  (* [f] sees the held record's encoding; [None] when the key names none *)
-  let modify ctx (desc : Descriptor.t) key f =
-    match seq_of key with
-    | None -> None
-    | Some seq -> set_seq (store_of desc.rel_id) seq ~log:(log_image ctx desc) f
-
-  let delete ctx desc key =
-    match modify ctx desc key (fun _ -> None) with
-    | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some p -> Ok (Codec.decode_record (Bytes.of_string p))
-
-  let update ctx desc key new_record =
-    let payload = encode new_record in
-    match modify ctx desc key (Option.map (fun _ -> payload)) with
-    | None -> Error (Error.Key_not_found (Record_key.to_string key))
-    | Some _ -> Ok key
-
-  let key_fields _ = None
-
-  let record_count ctx (desc : Descriptor.t) =
-    ignore ctx;
-    Imap.cardinal (store_of desc.rel_id).records
-
-  (* The one scan implementation (registered as the batch vector entry; the
-     record cursor [scan] adapts it): one map walk per run of
-     [Scan_help.run_length] records. The position between runs is the last
-     delivered sequence number; the next run starts after it, so a delete at
-     the position is harmless. *)
-  let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
-    ignore ctx;
-    ignore lo;
-    ignore hi;
-    let s = store_of desc.rel_id in
-    let n = Scan_help.run_length () in
-    let pos = ref 0 in
-    let next_run () =
-      let rec take acc count seq =
-        if count >= n then acc
-        else
-          match seq () with
-          | Seq.Nil -> acc
-          | Seq.Cons ((s, record), rest) ->
-            pos := s;
-            take ((key_of_seq s, record) :: acc) (count + 1) rest
-      in
-      match take [] 0 (Imap.to_seq_from (!pos + 1) s.records) with
-      | [] -> None
-      | hits -> Some (Array.of_list (List.rev hits))
-    in
-    Scan_help.filtered_batch ?filter ~next_run
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = !pos in
-        fun () -> pos := saved)
-      ()
-
-  let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
-    Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
-
-  let estimate_scan ctx (desc : Descriptor.t) ~eligible =
-    let rows = float_of_int (record_count ctx desc) in
-    let sel =
-      List.fold_left
-        (fun acc p -> acc *. Dmx_expr.Analyze.selectivity p)
-        1.0 eligible
-    in
-    {
-      Cost.cost = Cost.make ~io:0. ~cpu:rows;
-      est_rows = rows *. sel;
-      matched = eligible;
-      residual = [];
-      ordered_by = None;
-    }
-
-  let undo ctx ~rel_id ~data =
-    ignore ctx;
-    match Hashtbl.find_opt stores rel_id with
-    | None -> ()  (* volatile contents gone (restart): nothing to undo *)
-    | Some s ->
-      let img = Image.decode Codec.Dec.varint data in
-      ignore (Image.undo img ~set:(set_seq s img.target ~log:ignore))
-
-  (* Nothing to repeat: the store is volatile, so a restart finds it either
-     empty or, within one process, still holding every change. *)
-  let redo _ctx ~rel_id:_ ~data:_ = ()
+  val register : unit -> int
+  val id : unit -> int
+  val reset_all : unit -> unit
 end
 
-include Impl
+module Make (N : sig
+  val name : string
+  val logged : bool
+end) : S = struct
+  let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    Registry.set_sm_redo id Impl.redo;
-    Registry.set_sm_scan_batch id Impl.scan_batch;
-    id
+  let id () =
+    match !reg_id with
+    | Some id -> id
+    | None ->
+      Error.raise_err
+        (Error.Internal (Fmt.str "%s: storage method not registered" N.name))
+
+  let stores : (int, store) Hashtbl.t = Hashtbl.create 16 [@@dmx.global "UNSAFE"]
+
+  let store_of rel_id =
+    match Hashtbl.find_opt stores rel_id with
+    | Some s -> s
+    | None ->
+      let s = { records = Imap.empty; next_seq = 1 } in
+      Hashtbl.replace stores rel_id s;
+      s
+
+  let reset_all () = Hashtbl.reset stores
+
+  let log_image ctx (desc : Descriptor.t) data =
+    if N.logged then
+      ignore
+        (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
+           ~data)
+
+  module Impl = struct
+    let name = N.name
+    let attr_specs = []
+
+    let create ctx ~rel_id _schema attrs =
+      ignore ctx;
+      match Attrlist.validate attr_specs attrs with
+      | Error e -> Error (Error.Ddl_error e)
+      | Ok () ->
+        ignore (store_of rel_id);
+        Ok ""
+
+    let destroy ctx ~rel_id ~smethod_desc =
+      ignore ctx;
+      ignore smethod_desc;
+      Hashtbl.remove stores rel_id
+
+    let insert ctx (desc : Descriptor.t) record =
+      let s = store_of desc.rel_id in
+      let seq = s.next_seq in
+      let log = log_image ctx desc in
+      ignore (set_seq s seq ~log (fun _ -> Some (encode record)));
+      Ok (key_of_seq seq)
+
+    let fetch ctx (desc : Descriptor.t) key ?fields () =
+      ignore ctx;
+      match seq_of key with
+      | None -> None
+      | Some seq -> begin
+        match Imap.find_opt seq (store_of desc.rel_id).records with
+        | None -> None
+        | Some record ->
+          Some
+            (match fields with
+            | None -> record
+            | Some fs -> Record.project record fs)
+      end
+
+    (* [f] sees the held record's encoding; [None] when the key names none *)
+    let modify ctx (desc : Descriptor.t) key f =
+      match seq_of key with
+      | None -> None
+      | Some seq ->
+        set_seq (store_of desc.rel_id) seq ~log:(log_image ctx desc) f
+
+    let delete ctx desc key =
+      match modify ctx desc key (fun _ -> None) with
+      | None -> Error (Error.Key_not_found (Record_key.to_string key))
+      | Some p -> Ok (Codec.decode_record (Bytes.of_string p))
+
+    let update ctx desc key new_record =
+      let payload = encode new_record in
+      match modify ctx desc key (Option.map (fun _ -> payload)) with
+      | None -> Error (Error.Key_not_found (Record_key.to_string key))
+      | Some _ -> Ok key
+
+    let key_fields _ = None
+
+    let record_count ctx (desc : Descriptor.t) =
+      ignore ctx;
+      Imap.cardinal (store_of desc.rel_id).records
+
+    (* The one scan implementation (registered as the batch vector entry;
+       the record cursor [scan] adapts it): one map walk per run of
+       [Scan_help.run_length] records. The position between runs is the last
+       delivered sequence number; the next run starts after it, so a delete
+       at the position is harmless. *)
+    let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
+      ignore ctx;
+      ignore lo;
+      ignore hi;
+      let s = store_of desc.rel_id in
+      let n = Scan_help.run_length () in
+      let pos = ref 0 in
+      let next_run () =
+        let from = Imap.to_seq_from (!pos + 1) s.records in
+        match Array.of_seq (Seq.take n from) with
+        | [||] -> None
+        | run ->
+          pos := fst run.(Array.length run - 1);
+          Some (Array.map (fun (seq, record) -> (key_of_seq seq, record)) run)
+      in
+      Scan_help.filtered_batch ?filter ~next_run
+        ~close:(fun () -> ())
+        ~capture:(fun () ->
+          let saved = !pos in
+          fun () -> pos := saved)
+        ()
+
+    let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter ()
+        =
+      Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
+
+    let estimate_scan ctx (desc : Descriptor.t) ~eligible =
+      let rows = float_of_int (record_count ctx desc) in
+      let sel =
+        List.fold_left
+          (fun acc p -> acc *. Dmx_expr.Analyze.selectivity p)
+          1.0 eligible
+      in
+      {
+        Cost.cost = Cost.make ~io:0. ~cpu:rows;
+        est_rows = rows *. sel;
+        matched = eligible;
+        residual = [];
+        ordered_by = None;
+      }
+
+    let undo ctx ~rel_id ~data =
+      ignore ctx;
+      match Hashtbl.find_opt stores rel_id with
+      | None -> ()  (* volatile contents gone (restart): nothing to undo *)
+      | Some s ->
+        let img = Image.decode Codec.Dec.varint data in
+        ignore (Image.undo img ~set:(set_seq s img.target ~log:ignore))
+
+    (* Nothing to repeat: the store is volatile, so a restart finds it
+       either empty or, within one process, still holding every change. *)
+    let redo _ctx ~rel_id:_ ~data:_ = ()
+  end
+
+  include Impl
+
+  let register () =
+    match !reg_id with
+    | Some id -> id
+    | None ->
+      let id =
+        Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
+      in
+      reg_id := Some id;
+      Registry.set_sm_redo id Impl.redo;
+      Registry.set_sm_scan_batch id Impl.scan_batch;
+      id
+end
+
+include Make (struct
+  let name = "memory"
+  let logged = true
+end)

@@ -40,22 +40,6 @@ let seal ctx desc =
   let rd = rdesc_of desc in
   store_desc ctx desc { rd with sealed = true }
 
-let with_page ctx page f =
-  let frame =
-    Buffer_pool.pin ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ctx.Ctx.bp page
-  in
-  Fun.protect
-    ~finally:(fun () -> Buffer_pool.unpin ctx.Ctx.bp frame)
-    (fun () -> f frame.Buffer_pool.data)
-
-let with_page_mut ctx page f =
-  let frame =
-    Buffer_pool.pin ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ctx.Ctx.bp page
-  in
-  Fun.protect
-    ~finally:(fun () -> Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame)
-    (fun () -> f frame.Buffer_pool.data)
-
 module Impl = struct
   let name = "readonly"
   let attr_specs = []
@@ -84,11 +68,13 @@ module Impl = struct
              ~data)
       in
       let append page =
-        with_page_mut ctx page (fun data ->
+        Buffer_pool.with_page_mut ctx.Ctx.bp page (fun frame ->
+            let data = frame.Buffer_pool.data in
             let slot = Slotted.next_slot data in
             if not (Slotted.fits data slot payload) then None
             else begin
-              ignore (Heap.set_slot data (page, slot) ~log (fun _ -> Some payload));
+              ignore
+                (Heap.set_slot data (page, slot) ~log (fun _ -> Some payload));
               Some (Record_key.rid ~page ~slot)
             end)
       in
@@ -113,26 +99,13 @@ module Impl = struct
         Ok key
     end
 
-  let fetch ctx (desc : Descriptor.t) key ?fields () =
-    ignore desc;
-    match key with
-    | Record_key.Fields _ -> None
-    | Record_key.Rid { page; slot } -> begin
-      match with_page ctx page (fun data -> Slotted.read data slot) with
-      | None -> None
-      | Some payload ->
-        let record = Codec.decode_record (Bytes.of_string payload) in
-        Some
-          (match fields with
-          | None -> record
-          | Some fs -> Record.project record fs)
-    end
+  let fetch = Heap.fetch
 
-  let delete _ctx (desc : Descriptor.t) _key =
+  let write_once (desc : Descriptor.t) =
     Error (Error.Read_only (Fmt.str "relation %S is write-once" desc.rel_name))
 
-  let update _ctx (desc : Descriptor.t) _key _record =
-    Error (Error.Read_only (Fmt.str "relation %S is write-once" desc.rel_name))
+  let delete _ctx desc _key = write_once desc
+  let update _ctx desc _key _record = write_once desc
 
   let key_fields _ = None
 
@@ -140,63 +113,15 @@ module Impl = struct
     ignore ctx;
     (rdesc_of desc).count
 
-  let scan ctx (desc : Descriptor.t) ?lo ?hi ?filter () =
-    ignore lo;
-    ignore hi;
-    let pages = Array.of_list (rdesc_of desc).pages in
-    let pos = ref (-1, -1) in
-    let next () =
-      let rec advance page_idx slot =
-        if page_idx >= Array.length pages then None
-        else
-          let page = pages.(page_idx) in
-          let hit =
-            with_page ctx page (fun data ->
-                let n = Slotted.slot_count data in
-                let rec try_slot s =
-                  if s >= n then None
-                  else
-                    match Slotted.read data s with
-                    | Some payload -> Some (s, payload)
-                    | None -> try_slot (s + 1)
-                in
-                try_slot slot)
-          in
-          match hit with
-          | Some (s, payload) ->
-            pos := (page_idx, s);
-            Some
-              ( Record_key.rid ~page ~slot:s,
-                Codec.decode_record (Bytes.of_string payload) )
-          | None -> advance (page_idx + 1) 0
-      in
-      let page_idx, slot = !pos in
-      if page_idx < 0 then advance 0 0 else advance page_idx (slot + 1)
-    in
-    Scan_help.filtered ?filter ~next
-      ~close:(fun () -> ())
-      ~capture:(fun () ->
-        let saved = !pos in
-        fun () -> pos := saved)
-      ()
+  let scan_batch ctx desc ~lo:_ ~hi:_ ~filter =
+    Heap.scan_pages ctx desc ~pages:(rdesc_of desc).pages ~filter
 
-  let estimate_scan ctx (desc : Descriptor.t) ~eligible =
-    ignore ctx;
+  let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
+    Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
+
+  let estimate_scan _ctx desc ~eligible =
     let rd = rdesc_of desc in
-    let pages = float_of_int (max 1 (List.length rd.pages)) in
-    let rows = float_of_int rd.count in
-    let sel =
-      List.fold_left
-        (fun acc p -> acc *. Dmx_expr.Analyze.selectivity p)
-        1.0 eligible
-    in
-    {
-      Cost.cost = Cost.make ~io:pages ~cpu:(rows *. 2.);
-      est_rows = rows *. sel;
-      matched = eligible;
-      residual = [];
-      ordered_by = None;
-    }
+    Heap.estimate_pages ~pages:rd.pages ~count:rd.count ~eligible
 
   (* The count follows an insert that undo actually reversed (not when
      restart repeats a Clr). *)
@@ -228,4 +153,5 @@ let register () =
     in
     reg_id := Some id;
     Registry.set_sm_redo id Impl.redo;
+    Registry.set_sm_scan_batch id Impl.scan_batch;
     id

@@ -44,8 +44,12 @@ val redo : set:((string option -> string option) -> string option) -> 'a t -> bo
 (** The undo run forward: [redo ~set img] applies [after] only when the
     target holds exactly [before]. A target whose state is any state of its
     logged history reaches the last one when its images are redone in log
-    order, so redo is safe over pages newer than the redo start. Whether
-    it applied the change. *)
+    order. On a page newer than the redo start the state check can pass
+    where the page no longer has room for [after] (a later change took the
+    bytes); the extension must not apply such an image, and when an
+    earlier image may already have walked the target back, it cannot
+    converge without knowing the page's age (heap redo stops there).
+    Whether it applied the change. *)
 
 val count_delta : 'a t -> int
 (** What reversing the image does to the number of present targets: [-1]

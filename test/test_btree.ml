@@ -569,7 +569,7 @@ let prop_model =
             let window = if m.finished then [] else remaining m in
             match Btree.next_run c, window with
             | None, [] -> m.finished <- true
-            | Some (run, _), _ :: _ ->
+            | Some run, _ :: _ ->
               let got =
                 Array.to_list run |> List.map (fun (k, p) -> (int_key k, p))
               in
@@ -583,7 +583,7 @@ let prop_model =
               if n = List.length window then expect_next s c m
             | got, _ ->
               fail "run%d: got %d entries, window %d" s
-                (match got with Some (r, _) -> Array.length r | None -> 0)
+                (match got with Some r -> Array.length r | None -> 0)
                 (List.length window))
           | Capture s ->
             let c, m = cursors.(s) in

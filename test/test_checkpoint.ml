@@ -223,36 +223,6 @@ let test_auto_policy_bytes () =
         (Wal.truncations services.Services.wal > 0);
       Services.close services)
 
-(* DMX_CHECKPOINT_EVERY parsing via a real mount *)
-let test_env_policy_parsing () =
-  let with_env v f =
-    Unix.putenv "DMX_CHECKPOINT_EVERY" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "DMX_CHECKPOINT_EVERY" "") f
-  in
-  with_env "25" (fun () ->
-      let services = fresh_services () in
-      Alcotest.(check (pair int int)) "records form" (25, 0)
-        (Services.checkpoint_policy services));
-  with_env "64kb" (fun () ->
-      let services = fresh_services () in
-      Alcotest.(check (pair int int)) "kb form" (0, 64 * 1024)
-        (Services.checkpoint_policy services));
-  with_env "2mb" (fun () ->
-      let services = fresh_services () in
-      Alcotest.(check (pair int int)) "mb form" (0, 2 * 1024 * 1024)
-        (Services.checkpoint_policy services));
-  with_env "800b" (fun () ->
-      let services = fresh_services () in
-      Alcotest.(check (pair int int)) "b form" (0, 800)
-        (Services.checkpoint_policy services));
-  with_env "nonsense" (fun () ->
-      let services = fresh_services () in
-      Alcotest.(check (pair int int)) "garbage disables" (0, 0)
-        (Services.checkpoint_policy services));
-  let services = fresh_services () in
-  Alcotest.(check (pair int int)) "empty/unset disables" (0, 0)
-    (Services.checkpoint_policy services)
-
 (* a torn Checkpoint record is treated as absent: restart falls back to the
    previous horizon and committed state is untouched *)
 let test_torn_checkpoint_tolerated () =
@@ -387,8 +357,6 @@ let suite =
       test_loser_seeded_from_checkpoint_att;
     Alcotest.test_case "auto policy (records)" `Quick test_auto_policy_records;
     Alcotest.test_case "auto policy (bytes)" `Quick test_auto_policy_bytes;
-    Alcotest.test_case "DMX_CHECKPOINT_EVERY parsing" `Quick
-      test_env_policy_parsing;
     Alcotest.test_case "torn Checkpoint tolerated as absent" `Quick
       test_torn_checkpoint_tolerated;
     Alcotest.test_case "crash before truncate rename keeps old log" `Quick

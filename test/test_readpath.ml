@@ -1,7 +1,8 @@
 (* The vectorized read path. Every native storage method (heap, btree,
-   memory) implements scanning once, as a run producer; its record cursor is
-   [Scan_help.records_of_runs] over those runs, and record-only methods
-   (temp) ride the default run-chunking slot instead. Both paths must
+   memory, temp, readonly) implements scanning once, as a run producer; its
+   record cursor is [Scan_help.records_of_runs] over those runs, and
+   record-only methods (foreign) ride the default run-chunking slot
+   instead. Both paths must
    return what the interpreter says qualifies, and the record cursor must
    stay record-granular under the transaction's own modifications. Plus the
    shapes the run protocol promises: torn runs at relation end, run-granular
@@ -44,11 +45,12 @@ let check_parity ~what a b =
   Alcotest.(check (list record_testable)) what a b
 
 (* scan and filtered scan, record and batch paths: each returns the model —
-   the inserted rows, in insertion order (= key order for all four methods
+   the inserted rows, in insertion order (= key order for every method
    here), filtered by the interpreter acting as test oracle. Native
    producers and the default chunking loop alike, at the default and at
    short run lengths. One filter has the span matcher's shape, the other
-   does not, so heap's late-materialized fallback is checked too. *)
+   does not, so the heap page scan's test on the decoded record is checked
+   too. *)
 let test_batch_record_parity () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
@@ -59,6 +61,7 @@ let test_batch_record_parity () =
   in
   let span_filter = parse "salary > 100 AND dept = 'even'" in
   let other_filter = parse "salary + 0 > 100 AND name LIKE 'name1%'" in
+  ignore (Dmx_smethod.Remote_server.create ~name:"readpath");
   let model ?filter () =
     List.init 25 (fun i -> row (i + 1))
     |> List.filter (fun r ->
@@ -87,7 +90,10 @@ let test_batch_record_parity () =
       ("heap", []);
       ("btree", [ ("key", "id") ]);
       ("memory", []);
-      ("temp", []);  (* no native producer: default run-chunking slot *)
+      ("temp", []);
+      ("readonly", []);
+      (* no native producer: default run-chunking slot *)
+      ("foreign", [ ("server", "readpath"); ("relation", "t") ]);
     ];
   Services.commit services ctx
 
@@ -96,6 +102,7 @@ let test_batch_record_parity () =
 let test_torn_final_run () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
+  ignore (Dmx_smethod.Remote_server.create ~name:"torn");
   List.iter
     (fun (sm, attrs) ->
       let desc = make_rel ctx ~storage_method:sm ~attrs ~n:10 () in
@@ -124,7 +131,7 @@ let test_torn_final_run () =
                 (sm ^ ": no run exceeds the run length")
                 true (s <= 4))
             sizes))
-    [ ("memory", []); ("temp", []) ];
+    [ ("memory", []); ("foreign", [ ("server", "torn"); ("relation", "t") ]) ];
   Services.commit services ctx
 
 (* mid-scan modification: the position between runs is ON the last

@@ -362,6 +362,114 @@ let test_stats_delta_not_on_disk () =
       Services.commit services ctx;
       Services.close services)
 
+(* Redo meets a heap page newer than a record it repeats: A's insert is
+   redone onto a page where B has since grown into A's freed bytes, so A's
+   image no longer fits. The record that emptied A's slot follows in the
+   log, so the insert counts as not applied and restart reopens. *)
+let test_heap_redo_over_newer_page () =
+  with_dir (fun dir ->
+      let services = fresh_services ~dir () in
+      let row i n = emp i (String.make n 'r') "d" i in
+      let step f =
+        let ctx = Services.begin_txn services in
+        let r = f ctx (check_ok "find" (Ddl.find_relation ctx "t")) in
+        Services.commit services ctx;
+        r
+      in
+      let ctx = Services.begin_txn services in
+      ignore
+        (check_ok "create"
+           (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+              ~storage_method:"heap" ()));
+      Services.commit services ctx;
+      let insert what row =
+        step (fun ctx desc -> check_ok what (Relation.insert ctx desc row))
+      in
+      let kb = insert "B" (row 2 1500) in
+      ignore (Services.checkpoint services);
+      let ka = insert "A" (row 1 1500) in
+      step (fun ctx desc ->
+          ignore (check_ok "delete A" (Relation.delete ctx desc ka)));
+      let kb' =
+        step (fun ctx desc ->
+            check_ok "grow B" (Relation.update ctx desc kb (row 2 2600)))
+      in
+      Alcotest.(check bool) "B grew in place" true
+        (Dmx_value.Record_key.equal kb kb');
+      (match kb with
+      | Dmx_value.Record_key.Rid { page; _ } ->
+        Dmx_page.Buffer_pool.flush_page services.Services.bp page
+      | Dmx_value.Record_key.Fields _ -> Alcotest.fail "heap key is not a RID");
+      Services.simulate_crash services;
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "t") in
+      Alcotest.(check (list int)) "B alone, grown" [ 2600 ]
+        (List.map
+           (fun r ->
+             String.length (Option.get (Dmx_value.Value.to_string_opt r.(1))))
+           (all_records ctx desc));
+      Services.commit services ctx;
+      Services.close services)
+
+(* A slot's history walks back past a later state: A is inserted small,
+   grown to 1,500 bytes and deleted, then B grows into A's bytes, and the
+   page reaches the store before the crash. Redo re-applies A's small
+   insert to the emptied slot (its state check matches), and A's grow no
+   longer fits. Skipping it would leave A's small row behind, a committed
+   delete lost. Restart must not open with A: it either stops or holds B
+   alone. *)
+let test_heap_redo_walked_back_slot () =
+  with_dir (fun dir ->
+      let services = fresh_services ~dir () in
+      let row i n = emp i (String.make n 'r') "d" i in
+      let step f =
+        let ctx = Services.begin_txn services in
+        let r = f ctx (check_ok "find" (Ddl.find_relation ctx "t")) in
+        Services.commit services ctx;
+        r
+      in
+      let ctx = Services.begin_txn services in
+      ignore
+        (check_ok "create"
+           (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+              ~storage_method:"heap" ()));
+      Services.commit services ctx;
+      let kb =
+        step (fun ctx desc -> check_ok "B" (Relation.insert ctx desc (row 2 1500)))
+      in
+      ignore (Services.checkpoint services);
+      let ka =
+        step (fun ctx desc -> check_ok "A" (Relation.insert ctx desc (row 1 10)))
+      in
+      let grow what key n =
+        step (fun ctx desc ->
+            let key' = check_ok what (Relation.update ctx desc key (row 0 n)) in
+            Alcotest.(check bool) (what ^ " in place") true
+              (Dmx_value.Record_key.equal key key'))
+      in
+      grow "grow A" ka 1500;
+      step (fun ctx desc ->
+          ignore (check_ok "delete A" (Relation.delete ctx desc ka)));
+      grow "grow B" kb 2600;
+      (match kb with
+      | Dmx_value.Record_key.Rid { page; _ } ->
+        Dmx_page.Buffer_pool.flush_page services.Services.bp page
+      | Dmx_value.Record_key.Fields _ -> Alcotest.fail "heap key is not a RID");
+      Services.simulate_crash services;
+      match fresh_services ~dir () with
+      | exception Dmx_core.Error.Error (Dmx_core.Error.Internal _) -> ()
+      | services ->
+        let ctx = Services.begin_txn services in
+        let desc = check_ok "find" (Ddl.find_relation ctx "t") in
+        Alcotest.(check (list int)) "B alone, grown" [ 2600 ]
+          (List.map
+             (fun r ->
+               String.length (Option.get (Dmx_value.Value.to_string_opt r.(1))))
+             (all_records ctx desc));
+        Services.commit services ctx;
+        Services.close services)
+
 (* A transaction that logged nothing commits with no Commit record and no
    log flush. It never entered the log, so restart finds no loser even with
    a writer's records durable around it, and the committed rows stay. *)
@@ -538,6 +646,10 @@ let suite =
       test_clean_shutdown_reopen;
     Alcotest.test_case "stats delta lost with its page is not reversed"
       `Quick test_stats_delta_not_on_disk;
+    Alcotest.test_case "heap redo over a newer page" `Quick
+      test_heap_redo_over_newer_page;
+    Alcotest.test_case "heap redo over a walked-back slot" `Quick
+      test_heap_redo_walked_back_slot;
     Alcotest.test_case "crash after a read-only commit" `Quick
       test_read_only_commit_then_crash;
     Alcotest.test_case "compensated catalog record undone again" `Quick

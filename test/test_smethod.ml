@@ -79,6 +79,81 @@ let test_heap_update_relocates () =
     (check_ok "count" (Relation.record_count ctx desc));
   Services.commit services ctx
 
+(* Two 1,500-byte rows share one heap page. T1 frees most of the first
+   row's bytes ([free] deletes or shrinks it), T2 grows the second to 2,600
+   bytes and commits, then T1 aborts: its undo needs those bytes back, so
+   T2's grow must not have taken them. Both rows survive the abort. *)
+let heap_freed_bytes_survive_abort free () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"heap" ())
+  in
+  let row i n = [| vi i; vs (big_string n 'r'); vs "d"; vi i |] in
+  let k0 = check_ok "row 0" (Relation.insert ctx desc (row 0 1500)) in
+  let k1 = check_ok "row 1" (Relation.insert ctx desc (row 1 1500)) in
+  (match (k0, k1) with
+  | Record_key.Rid { page = p0; _ }, Record_key.Rid { page = p1; _ } ->
+    Alcotest.(check int) "one page" p0 p1
+  | _ -> Alcotest.fail "heap keys are RIDs");
+  Services.commit services ctx;
+  let t1 = Services.begin_txn services in
+  let desc1 = check_ok "find" (Ddl.find_relation t1 "t") in
+  free t1 desc1 k0;
+  let t2 = Services.begin_txn services in
+  let desc2 = check_ok "find" (Ddl.find_relation t2 "t") in
+  ignore (check_ok "grow" (Relation.update t2 desc2 k1 (row 1 2600)));
+  Services.commit services t2;
+  Services.abort services t1;
+  let ctx = Services.begin_txn services in
+  let desc = check_ok "find" (Ddl.find_relation ctx "t") in
+  Alcotest.(check (list int)) "name lengths" [ 1500; 2600 ]
+    (List.map
+       (fun r -> String.length (Option.get (Value.to_string_opt r.(1))))
+       (all_records ctx desc));
+  Services.commit services ctx
+
+let test_heap_abort_reinstates_delete =
+  heap_freed_bytes_survive_abort (fun ctx desc key ->
+      ignore (check_ok "delete" (Relation.delete ctx desc key)))
+
+let test_heap_abort_regrows_shrink =
+  heap_freed_bytes_survive_abort (fun ctx desc key ->
+      Alcotest.(check bool) "shrunk in place" true
+        (Record_key.equal key
+           (check_ok "shrink"
+              (Relation.update ctx desc key [| vi 0; vs "s"; vs "d"; vi 0 |]))))
+
+(* T1 deletes a row and rolls back to a savepoint taken before: the row is
+   back, so T1 no longer holds its bytes, and T2 can grow the other row on
+   the page in place while T1 is still running. *)
+let test_heap_rollback_releases_held_bytes () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"heap" ())
+  in
+  let row i n = [| vi i; vs (big_string n 'r'); vs "d"; vi i |] in
+  let k0 = check_ok "row 0" (Relation.insert ctx desc (row 0 1500)) in
+  let k1 = check_ok "row 1" (Relation.insert ctx desc (row 1 1500)) in
+  Services.commit services ctx;
+  let t1 = Services.begin_txn services in
+  let desc1 = check_ok "find" (Ddl.find_relation t1 "t") in
+  Services.savepoint t1 "s";
+  ignore (check_ok "delete" (Relation.delete t1 desc1 k0));
+  Services.rollback_to t1 "s";
+  let t2 = Services.begin_txn services in
+  let desc2 = check_ok "find" (Ddl.find_relation t2 "t") in
+  Alcotest.(check bool) "grown in place" true
+    (Record_key.equal k1
+       (check_ok "grow" (Relation.update t2 desc2 k1 (row 1 2000))));
+  Services.commit services t2;
+  Services.commit services t1
+
 let test_heap_under_tiny_pool_file_backed () =
   (* evictions + reloads through a 8-frame pool against a real file *)
   with_temp_dir ~prefix:"dmx_tiny" (fun dir ->
@@ -616,6 +691,12 @@ let suite =
     Alcotest.test_case "soak: mixed workload" `Quick test_soak_mixed_workload;
     Alcotest.test_case "heap update relocation" `Quick
       test_heap_update_relocates;
+    Alcotest.test_case "abort reinstates a delete another txn grew over"
+      `Quick test_heap_abort_reinstates_delete;
+    Alcotest.test_case "abort regrows a shrink another txn grew over" `Quick
+      test_heap_abort_regrows_shrink;
+    Alcotest.test_case "rollback to savepoint releases held bytes" `Quick
+      test_heap_rollback_releases_held_bytes;
     Alcotest.test_case "heap under tiny pool (file-backed)" `Quick
       test_heap_under_tiny_pool_file_backed;
     Alcotest.test_case "temp is unlogged" `Quick test_temp_unlogged_semantics;
