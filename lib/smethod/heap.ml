@@ -34,6 +34,37 @@ let hdesc_of (desc : Descriptor.t) = dec_desc desc.smethod_desc
 let store_desc ctx (desc : Descriptor.t) hd =
   Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id (enc_desc hd)
 
+(* The count is the descriptor's last varint. Walking back from its last
+   byte, bytes of 0x80 and above are its own, and the first byte below is
+   the end of the varint ahead of it. So the count is read and replaced
+   without walking the page list. *)
+let count_start s =
+  let rec back p =
+    if p > 0 && Char.code s.[p - 1] >= 0x80 then back (p - 1) else p
+  in
+  back (String.length s - 1)
+
+let count_of s =
+  let d = Codec.Dec.of_string s in
+  Codec.Dec.seek d (count_start s);
+  Codec.Dec.varint d
+
+let with_count s count =
+  let e = Codec.Enc.create ~size:10 () in
+  Codec.Enc.varint e count;
+  let c = Codec.Enc.to_string e and p = count_start s in
+  (* one copy of the page list, not a substring and then a concatenation *)
+  let b = Bytes.create (p + String.length c) in
+  Bytes.blit_string s 0 b 0 p;
+  Bytes.blit_string c 0 b p (String.length c);
+  Bytes.unsafe_to_string b
+
+(* Delete and undo change only the count. *)
+let add_count ctx (desc : Descriptor.t) delta =
+  let s = desc.smethod_desc in
+  Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id
+    (with_count s (max 0 (count_of s + delta)))
+
 (* ---- page helpers ---- *)
 
 (* Pins name the transaction explicitly so a page fill (and any eviction
@@ -475,8 +506,7 @@ module Impl = struct
             let frame = Buffer_pool.pin bp page in
             Slotted.make_reusable frame.Buffer_pool.data slot;
             Buffer_pool.unpin ~dirty:true bp frame);
-        let hd = hdesc_of desc in
-        store_desc ctx desc { hd with count = max 0 (hd.count - 1) };
+        add_count ctx desc (-1);
         Ok (Codec.decode_record (Bytes.of_string payload))
     end
 
@@ -512,7 +542,7 @@ module Impl = struct
 
   let record_count ctx (desc : Descriptor.t) =
     ignore ctx;
-    (hdesc_of desc).count
+    count_of desc.smethod_desc
 
   (* The one scan implementation (registered as the batch vector entry; the
      record cursor [scan] adapts it). RIDs have no order, so key bounds are
@@ -535,10 +565,8 @@ module Impl = struct
   let undo ctx ~rel_id ~data =
     Option.iter
       (fun desc ->
-        let hd = hdesc_of desc in
-        let delta = undo_slot ctx ~pages:hd.pages data in
-        if delta <> 0 && not ctx.Ctx.replay then
-          store_desc ctx desc { hd with count = max 0 (hd.count + delta) })
+        let delta = undo_slot ctx ~pages:(hdesc_of desc).pages data in
+        if delta <> 0 && not ctx.Ctx.replay then add_count ctx desc delta)
       (Catalog.find_by_id ctx.Ctx.catalog rel_id)
 
   let redo ctx ~rel_id ~data =

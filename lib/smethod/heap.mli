@@ -17,6 +17,19 @@
 
 include Dmx_core.Intf.STORAGE_METHOD
 
+(** {2 Descriptor} *)
+
+type hdesc = { pages : int list; count : int }
+(** The relation's data pages and its advisory record count, encoded as
+    [list(varint page) ; varint count]. *)
+
+val enc_desc : hdesc -> string
+
+val with_count : string -> int -> string
+(** [with_count s n] is [enc_desc { (dec s) with count = n }] byte for byte,
+    without decoding the page list: the count is the last varint, found by
+    walking back from the end. Delete and undo change only the count. *)
+
 (** {2 Slotted pages} shared with [readonly], which keeps its own page
     list. {!fetch} reads any RID and ignores the descriptor. *)
 

@@ -13,16 +13,21 @@ let m_truncations = Dmx_obs.Metrics.counter "wal.truncations"
 let m_truncated_bytes = Dmx_obs.Metrics.counter "wal.truncated_bytes"
 let h_flush_us = Dmx_obs.Metrics.histogram "wal.flush_us"
 
-type backend =
-  | Mem
-  | File of {
-      mutable fd : Unix.file_descr;
-      path : string;  (* for truncation's rewrite-and-rename *)
-      mutable size : int;  (* bytes written to the file, header included *)
-      mutable synced : int;  (* prefix of [size] known durable (fsynced) *)
-      buf : Buffer.t;  (* pending records, already framed *)
-      mutable buffered : int;  (* record count in [buf] *)
-    }
+(* The file is kept zero-filled and synced from the log's logical end
+   [size] to its length [alloc], so a flush overwrites blocks that exist and
+   its fsync journals no new file size. The descriptor's offset stays at
+   [size]: a flush writes there without a seek. *)
+type file = {
+  mutable fd : Unix.file_descr;
+  path : string;  (* for truncation's rewrite-and-rename *)
+  mutable size : int;  (* logical end: header and frames written *)
+  mutable synced : int;  (* prefix of [size] known durable (fsynced) *)
+  mutable alloc : int;  (* file length; [size, alloc) holds zeros *)
+  buf : Buffer.t;  (* pending records, already framed *)
+  mutable buffered : int;  (* record count in [buf] *)
+}
+
+type backend = Mem | File of file
 
 type truncate_phase = Trunc_begin | Trunc_rename | Trunc_done
 
@@ -95,16 +100,76 @@ let frame_into buf txid kind =
   Buffer.add_string buf payload;
   Buffer.add_int32_le buf (Int32.of_int (checksum payload))
 
-let really_write fd s =
-  let n = String.length s in
+let seek fd pos = ignore (Unix.LargeFile.lseek fd (Int64.of_int pos) Unix.SEEK_SET)
+
+let write_sub fd s len =
   let rec loop done_ =
-    if done_ < n then begin
-      let w = Unix.write_substring fd s done_ (n - done_) in
+    if done_ < len then begin
+      let w = Unix.write_substring fd s done_ (len - done_) in
       Dmx_obs.Metrics.incr m_write_syscalls;
       loop (done_ + w)
     end
   in
   loop 0
+
+let really_write fd s = write_sub fd s (String.length s)
+
+let sync fd =
+  Unix.fsync fd;
+  Dmx_obs.Metrics.incr m_fsyncs
+
+let read_into fd buf ~pos ~len =
+  seek fd pos;
+  let rec loop done_ =
+    if done_ < len then
+      let r = Unix.read fd buf done_ (len - done_) in
+      if r > 0 then loop (done_ + r)
+  in
+  loop 0
+
+(* The file grows a step at a time, past the frames that need the room.
+   Zeros go out a block at a time, so growing allocates nothing the size of
+   the step. *)
+let step = 1 lsl 20
+let zero_block = String.make 65536 '\000'
+let next_step n = ((n / step) + 1) * step
+
+(* Zero [from, upto) of the file, leaving the offset at [upto] when it
+   writes; the caller syncs. *)
+let zero_range fd ~from ~upto =
+  if upto > from then begin
+    seek fd from;
+    let rec loop n =
+      if n > 0 then begin
+        let k = min n (String.length zero_block) in
+        write_sub fd zero_block k;
+        loop (n - k)
+      end
+    in
+    loop (upto - from)
+  end
+
+(* Offset just past the last nonzero byte of the first [len] bytes, read
+   backwards a block at a time: a zero tail costs reads, not a buffer of its
+   size. *)
+let data_end fd len =
+  let chunk = Bytes.create (String.length zero_block) in
+  let rec back upto =
+    if upto = 0 then 0
+    else begin
+      let from = max 0 (upto - Bytes.length chunk) in
+      read_into fd chunk ~pos:from ~len:(upto - from);
+      let rec last i =
+        if i = 0 then None
+        else if i >= 8 && Int64.equal (Bytes.get_int64_ne chunk (i - 8)) 0L
+        then last (i - 8)
+        else if Bytes.get chunk (i - 1) = '\000' then last (i - 1)
+        else Some (from + i)
+      in
+      match last (upto - from) with Some e -> e | None -> back from
+    end
+  in
+  back len
 
 (* File header: magic + little-endian base LSN. Records start at
    [header_len]; a truncated log persists its base here so LSNs stay stable
@@ -130,16 +195,16 @@ let open_file path =
   let tmp = path ^ ".tmp" in
   if Sys.file_exists tmp then Sys.remove tmp;
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let size = (Unix.fstat fd).Unix.st_size in
+  let len = (Unix.fstat fd).Unix.st_size in
+  (* Only the bytes up to the zero tail are read. A frame's last nonzero
+     byte lies in its checksum, so no frame ends more than 3 bytes past
+     [dirty]. The checksum is 0 only when the payload's bytes sum to a
+     multiple of 2^30: all zeros, which does not decode, or over 4 MB. *)
+  let dirty = data_end fd len in
+  let size = min len (max header_len (dirty + 3)) in
   let data =
     let buf = Bytes.create size in
-    ignore (Unix.LargeFile.lseek fd 0L Unix.SEEK_SET);
-    let rec loop done_ =
-      if done_ < size then
-        let r = Unix.read fd buf done_ (size - done_) in
-        if r = 0 then () else loop (done_ + r)
-    in
-    loop 0;
+    read_into fd buf ~pos:0 ~len:size;
     Bytes.unsafe_to_string buf
   in
   let magic = if size >= 8 then String.sub data 0 8 else "" in
@@ -153,63 +218,48 @@ let open_file path =
   end;
   let headered = size >= header_len && magic = header_magic in
   let base = if headered then Int64.to_int (String.get_int64_le data 8) else 0 in
-  let t =
-    {
-      backend =
-        File
-          { fd; path; size = 0; synced = 0; buf = Buffer.create 4096;
-            buffered = 0 };
-      base;
-      records = [||];
-      count = 0;
-      flushed = 0L;
-      by_txn = Hashtbl.create 16;
-      closed = false;
-      append_observer = ignore;
-      truncate_observer = ignore;
-      last_ckpt = 0L;
-      appended_bytes = 0;
-      truncations = 0;
-      truncated_bytes = 0;
-    }
+  let f =
+    { fd; path; size = 0; synced = 0; alloc = len; buf = Buffer.create 4096;
+      buffered = 0 }
   in
-  (* Replay frames; stop at the first torn/corrupt frame and truncate it.
-     Headers and checksums are decoded at offsets into the one immutable
-     string read above — replay is O(log size), not O(size) per frame. *)
-  let scan_start = if headered then header_len else 0 in
-  let pos = ref scan_start in
-  let valid_end = ref scan_start in
-  (try
-     while !pos + 8 <= size do
-       let len = Int32.to_int (String.get_int32_le data !pos) in
-       if len < 0 || !pos + 8 + len > size then raise Exit;
-       let payload = String.sub data (!pos + 4) len in
-       let sum = Int32.to_int (String.get_int32_le data (!pos + 4 + len)) in
-       if sum <> checksum payload then raise Exit;
-       let txid, kind = Log_record.decode (Codec.Dec.of_string payload) in
-       ignore (add_index t txid kind);
-       pos := !pos + 8 + len;
-       valid_end := !pos
-     done
-   with Exit | Failure _ | Invalid_argument _ -> ());
-  (match t.backend with
-  | File f ->
-    if !valid_end < size then Unix.ftruncate fd !valid_end;
-    if !valid_end = 0 then begin
-      (* fresh log (or a fully torn headerless one): stamp the header now;
-         it becomes durable with the first fsync *)
-      ignore (Unix.LargeFile.lseek fd 0L Unix.SEEK_SET);
-      really_write fd (header_string 0);
-      f.size <- header_len;
-      (* counted as synced: losing an unsynced fresh header is harmless —
-         reopen regenerates the identical bytes *)
-      f.synced <- header_len
-    end
-    else begin
-      f.size <- !valid_end;
-      f.synced <- !valid_end
-    end
-  | Mem -> ());
+  let t = { (in_memory ()) with backend = File f; base } in
+  (* The log's end is the first frame that fails to read: a length of 0 or
+     less, a frame that overruns the bytes read, a bad checksum or a payload
+     that does not decode. Headers and checksums are decoded at offsets into
+     the one immutable string read above — replay is O(log size), not
+     O(size) per frame. *)
+  let rec replay pos =
+    match
+      if pos + 8 > size then raise Exit;
+      let n = Int32.to_int (String.get_int32_le data pos) in
+      if n <= 0 || pos + 8 + n > size then raise Exit;
+      let payload = String.sub data (pos + 4) n in
+      if Int32.to_int (String.get_int32_le data (pos + 4 + n)) <> checksum payload
+      then raise Exit;
+      (Log_record.decode (Codec.Dec.of_string payload), pos + 8 + n)
+    with
+    | (txid, kind), next ->
+      ignore (add_index t txid kind);
+      replay next
+    | exception (Exit | Failure _ | Invalid_argument _) -> pos
+  in
+  let valid_end = replay (if headered then header_len else 0) in
+  (* a fresh log, or a fully torn headerless one, gets a header *)
+  if valid_end = 0 then begin
+    seek fd 0;
+    really_write fd (header_string 0)
+  end;
+  f.size <- (if valid_end = 0 then header_len else valid_end);
+  f.synced <- f.size;
+  (* Before the first append nothing past the end may read as a frame: a
+     valid frame behind a torn one would be replayed once new frames fill
+     the gap in front of it. So the bytes past the end that are not zeros
+     yet are zeroed, a log without a tail gets one, and both are synced. *)
+  zero_range fd ~from:f.size ~upto:dirty;
+  f.alloc <- max len (next_step f.size);
+  zero_range fd ~from:(max len f.size) ~upto:f.alloc;
+  sync fd;
+  seek fd f.size;
   t.flushed <- Int64.of_int (t.base + t.count);
   t
 
@@ -258,6 +308,20 @@ let appended_bytes t = t.appended_bytes
 let truncations t = t.truncations
 let truncated_bytes t = t.truncated_bytes
 
+let end_offset t = match t.backend with Mem -> 0 | File f -> f.size
+let allocated t = match t.backend with Mem -> 0 | File f -> f.alloc
+
+(* Zero-fill to the step past [upto] and sync, so the frames written next
+   overwrite blocks that exist. *)
+let grow f upto =
+  let alloc = next_step upto in
+  Fun.protect
+    ~finally:(fun () -> seek f.fd f.size)
+    (fun () ->
+      zero_range f.fd ~from:f.alloc ~upto:alloc;
+      sync f.fd;
+      f.alloc <- alloc)
+
 let flush ?upto t =
   check_open t;
   let upto = Option.value ~default:(last_lsn t) upto in
@@ -281,16 +345,21 @@ let flush ?upto t =
            partial flush is not worth the bookkeeping since pending records
            are contiguous. *)
         let data = Buffer.contents f.buf in
-        ignore (Unix.LargeFile.lseek f.fd (Int64.of_int f.size) Unix.SEEK_SET);
-        really_write f.fd data;
-        f.size <- f.size + String.length data;
+        let end_ = f.size + String.length data in
+        if end_ > f.alloc then grow f end_;
+        (* a failed write must not leave the offset past the end *)
+        (match really_write f.fd data with
+        | () -> ()
+        | exception e ->
+          seek f.fd f.size;
+          raise e);
+        f.size <- end_;
         Buffer.clear f.buf;
         f.buffered <- 0;
         t.flushed <- last_lsn t
       end;
-      Unix.fsync f.fd;
+      sync f.fd;
       f.synced <- f.size;
-      Dmx_obs.Metrics.incr m_fsyncs;
       if observed then begin
         let us = (Unix.gettimeofday () -. t0) *. 1e6 in
         if need_write then begin
@@ -347,8 +416,9 @@ let record_count t = t.count
 
 (* Drop every record with LSN < [cut], clamped to the covered range — asking
    to truncate past the end (or before the base) is a no-op on the excess,
-   never an error. The file backend rewrites the retained suffix plus a new
-   header into a temp file, fsyncs it and renames it over the log, so a crash
+   never an error. The file backend rewrites the retained suffix behind a new
+   header and ahead of a zero tail into a temp file, fsyncs it once and
+   renames it over the log, so a crash
    at any point leaves either the old or the new log intact. Pending and
    unsynced records are folded into the rewrite (the retained suffix is
    re-framed from the in-memory index), so truncation only ever strengthens
@@ -376,20 +446,25 @@ let truncate_before t cut =
           let r = t.records.(i) in
           frame_into buf r.Log_record.txid r.Log_record.kind
         done;
+        let size = Buffer.length buf in
+        let alloc = next_step size in
         (try
            really_write fd2 (Buffer.contents buf);
-           Unix.fsync fd2;
+           zero_range fd2 ~from:size ~upto:alloc;
+           sync fd2;
            t.truncate_observer Trunc_rename
          with e ->
            Unix.close fd2;
            (try Sys.remove tmp with Sys_error _ -> ());
            raise e);
         Unix.rename tmp f.path;
+        seek fd2 size;
         let old_size = f.size + Buffer.length f.buf in
         Unix.close f.fd;
         f.fd <- fd2;
-        f.size <- Buffer.length buf;
-        f.synced <- f.size;
+        f.size <- size;
+        f.synced <- size;
+        f.alloc <- alloc;
         Buffer.clear f.buf;
         f.buffered <- 0;
         max 0 (old_size - f.size)
@@ -440,10 +515,11 @@ let crash t =
     (match t.backend with
     | Mem -> ()
     | File f ->
-      (* Power loss: written-but-unsynced bytes are not durable. Dropping
-         them all is the deterministic worst case; torn-tail tests cover the
-         partial-persistence prefixes in between. *)
-      if f.synced < f.size then Unix.ftruncate f.fd f.synced;
+      (* Power loss: written-but-unsynced bytes are not durable, and in the
+         preallocated file they read back as the zeros that were there.
+         Losing them all is the deterministic worst case; torn-tail tests
+         cover the partial-persistence prefixes in between. *)
+      zero_range f.fd ~from:f.synced ~upto:f.size;
       Unix.close f.fd);
     t.closed <- true
   end
@@ -453,7 +529,8 @@ let simulate_torn_tail t ~bytes_to_truncate =
   | Mem -> invalid_arg "Wal.simulate_torn_tail: memory-backed log"
   | File f ->
     flush t;
-    let new_size = max 0 (f.size - bytes_to_truncate) in
-    Unix.ftruncate f.fd new_size;
-    f.size <- new_size;
-    f.synced <- min f.synced new_size
+    let cut = max 0 (f.size - bytes_to_truncate) in
+    zero_range f.fd ~from:cut ~upto:f.size;
+    seek f.fd cut;
+    f.size <- cut;
+    f.synced <- min f.synced cut

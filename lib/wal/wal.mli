@@ -7,8 +7,13 @@
 
     LSNs are 1-based sequence numbers. A file-backed log buffers appended
     records in memory and hardens them on {!flush} (the buffer-pool hook and
-    the commit protocol call it); torn tails are detected by checksum and
-    truncated on open.
+    the commit protocol call it).
+
+    The file is kept zero-filled and synced from the log's end to a
+    1 MB step past it, so a flush overwrites blocks that exist and its
+    fsync journals no new file size. On open, the log's end is the first
+    frame that fails to read (a length of 0 or less, an overrun, a bad
+    checksum); whatever lies past it is zeroed before the first append.
 
     Checkpoint truncation ({!truncate_before}) drops a prefix of the log
     without renumbering: the log remembers a {!base_lsn} (persisted in the
@@ -25,10 +30,13 @@ type truncate_phase = Trunc_begin | Trunc_rename | Trunc_done
 val in_memory : unit -> t
 val open_file : string -> t
 (** Opens (creating if needed) a log file, replaying existing records into the
-    in-memory index. Raises [Sys_error] naming the path, and leaves the file
-    as it is, on a log whose header names another [DMXWAL..] record format
-    than the current [DMXWAL03] ([DMXWAL01], or [DMXWAL02], which opened
-    every transaction with a record of its own). *)
+    in-memory index up to the first frame that fails to read. Bytes past
+    that end that are not zeros are zeroed, a file with no zero tail (a
+    fresh log, or one written before logs were preallocated) is extended by
+    one, and the file is synced. Raises [Sys_error] naming the path, and
+    leaves the file as it is, on a log whose header names another
+    [DMXWAL..] record format than the current [DMXWAL03] ([DMXWAL01], or
+    [DMXWAL02], which opened every transaction with a record of its own). *)
 
 val append : t -> Log_record.txid -> Log_record.kind -> Log_record.lsn
 
@@ -72,8 +80,8 @@ val truncate_before : t -> Log_record.lsn -> int * int
     [(records_dropped, bytes_freed)]. The cut is clamped to the covered
     range, so an out-of-range cut is a no-op rather than an error. Surviving
     LSNs are unchanged ({!base_lsn} advances). File-backed logs rewrite the
-    retained suffix plus an updated header into a temp file, fsync it, and
-    rename it over the log — a crash at any point leaves either the old or
+    retained suffix plus an updated header and a zero tail into a temp file,
+    fsync it once, and rename it over the log — a crash at any point leaves either the old or
     the new log intact. Pending/unsynced records are folded into the rewrite,
     so truncation never weakens durability. The caller is responsible for
     cutting only below the undo horizon (no active transaction's first LSN,
@@ -82,9 +90,18 @@ val truncate_before : t -> Log_record.lsn -> int * int
 val flush : ?upto:Log_record.lsn -> t -> unit
 (** Harden records up to [upto] (default: all). All pending records are
     framed into one contiguous write — one write syscall per flush however
-    many records are buffered — followed by a single fsync. Bytes an earlier
-    flush wrote but failed to fsync are fsynced by the next flush, even when
-    nothing new is pending. *)
+    many records are buffered — followed by a single fsync. A flush whose
+    bytes would cross the zero tail first zero-fills to the next step and
+    syncs that. Bytes an earlier flush wrote but failed to fsync are
+    fsynced by the next flush, even when nothing new is pending. *)
+
+val end_offset : t -> int
+(** The log's logical end in its file: the header and every frame written;
+    0 for memory-backed logs. *)
+
+val allocated : t -> int
+(** The file's length: {!end_offset} plus the zero-filled, synced tail; 0
+    for memory-backed logs. *)
 
 val pending_records : t -> int
 (** Appended records still sitting in the flush buffer (not yet written to
@@ -126,9 +143,12 @@ val abandon : t -> unit
     every byte already written, synced or not. *)
 
 val crash : t -> unit
-(** Power-loss simulation: drop buffered records, truncate the file to the
-    last fsynced byte (bytes written by a flush whose fsync raised are not
-    durable), then close. *)
+(** Power-loss simulation: drop buffered records, zero the bytes written
+    past the last fsynced one (bytes written by a flush whose fsync raised
+    are not durable) and keep the file's length, as a preallocated file
+    holds them after a power loss, then close. *)
 
 val simulate_torn_tail : t -> bytes_to_truncate:int -> unit
-(** Chop bytes off the end of a file-backed log (crash-injection tests). *)
+(** Flush, then zero the last [bytes_to_truncate] bytes before the log's
+    end and move the end back over them (crash-injection tests). Bytes that
+    were zeros already tear nothing. *)

@@ -669,6 +669,21 @@ let test_count_after_rollback () =
       ("readonly", [], false);
     ]
 
+(* Property: replacing the heap descriptor's count in place gives the bytes
+   a full re-encode gives, whatever the page ids (varints of any width) and
+   counts. *)
+let prop_heap_with_count =
+  let module H = Dmx_smethod.Heap in
+  QCheck.Test.make ~name:"heap count replaced in place = re-encoded" ~count:300
+    QCheck.(
+      triple
+        (small_list (oneof [ small_nat; int_bound 0x3fff; int_bound max_int ]))
+        (oneof [ small_nat; int_bound max_int ])
+        (oneof [ small_nat; int_bound max_int ]))
+    (fun (pages, count, count') ->
+      H.with_count (H.enc_desc { H.pages; count }) count'
+      = H.enc_desc { H.pages; count = count' })
+
 let suite =
   [
     Alcotest.test_case "heap grows across pages" `Quick test_heap_grows_pages;
@@ -709,4 +724,5 @@ let suite =
     Alcotest.test_case "btree-organised composite key" `Quick
       test_btree_org_composite_key;
     Alcotest.test_case "DDL attribute validation" `Quick test_create_bad_attrs;
+    QCheck_alcotest.to_alcotest prop_heap_with_count;
   ]

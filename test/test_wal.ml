@@ -85,7 +85,9 @@ let test_torn_frame_truncated () =
   ignore (Wal.append w 1 (ext "first"));
   ignore (Wal.append w 1 (ext "aaaa"));
   Wal.flush w;
-  Wal.simulate_torn_tail w ~bytes_to_truncate:2;
+  (* the checksum's high bytes are zeros, and zeroing them tears nothing:
+     the tear reaches into the payload *)
+  Wal.simulate_torn_tail w ~bytes_to_truncate:5;
   Wal.abandon w;
   let w2 = Wal.open_file path in
   Alcotest.(check int) "torn frame dropped" 1 (Wal.record_count w2);
@@ -112,9 +114,46 @@ let test_empty_log () =
   Wal.close w2;
   Sys.remove path
 
+(* The bytes [from, upto) of the file at [path]. *)
+let file_bytes path ~from ~upto =
+  In_channel.with_open_bin path (fun ic ->
+      In_channel.seek ic (Int64.of_int from);
+      really_input_string ic (upto - from))
+
+let all_zero s = String.for_all (fun c -> c = '\000') s
+
+let file_length path = (Unix.stat path).Unix.st_size
+
+(* The file is the log's end plus its zero tail, and holds no byte past
+   the end that is not a zero. *)
+let check_tail what w path =
+  let e = Wal.end_offset w and a = Wal.allocated w in
+  Alcotest.(check bool) (what ^ ": a tail past the end") true (a > e);
+  Alcotest.(check int) (what ^ ": file length is the allocation") a
+    (file_length path);
+  Alcotest.(check bool) (what ^ ": tail is zeros") true
+    (all_zero (file_bytes path ~from:e ~upto:a))
+
+(* Append one record, reopen, and expect [before] records and then it: a
+   log that opened at a torn or zeroed end keeps growing from there. *)
+let check_appendable what path before =
+  let w = Wal.open_file path in
+  ignore (Wal.append w 9 (ext "after"));
+  Wal.flush w;
+  Wal.close w;
+  let w = Wal.open_file path in
+  Alcotest.(check int) (what ^ ": appended after the end") (before + 1)
+    (Wal.record_count w);
+  (match (Wal.read w (Wal.last_lsn w)).LR.kind with
+  | LR.Ext { data = "after"; _ } -> ()
+  | _ -> Alcotest.fail (what ^ ": last record is not the appended one"));
+  Wal.close w
+
 let test_torn_tail_every_offset () =
-  (* Cut the log at every byte offset inside the final frame: each cut must
-     drop exactly that frame (cut 0 = clean log keeps all three). *)
+  (* Zero the log at every byte offset inside the final frame, the rest of
+     the step zero-filled behind it: each tear must drop exactly that frame
+     (cut 0 = clean log keeps all three), unless every byte it zeroed was a
+     zero already, and the log keeps growing from its end. *)
   let path = Filename.temp_file "dmx_wal_cut" ".log" in
   Sys.remove path;
   Fun.protect
@@ -133,24 +172,28 @@ let test_torn_tail_every_offset () =
         ignore (Wal.append w 1 (ext "first"));
         ignore (Wal.append w 1 (ext "penultimate"));
         Wal.flush w;
-        let prefix = (Unix.stat path).Unix.st_size in
+        let prefix = Wal.end_offset w in
         ignore (Wal.append w 1 (ext "final-record"));
         Wal.flush w;
-        let full = (Unix.stat path).Unix.st_size in
+        let full = Wal.end_offset w in
         Wal.close w;
         full - prefix
       in
+      Alcotest.(check bool) "a whole frame to tear" true (last_frame > 8);
       for cut = 0 to last_frame do
         Sys.remove path;
         let w = build () in
+        let full = Wal.end_offset w in
+        let intact = all_zero (file_bytes path ~from:(full - cut) ~upto:full) in
         Wal.simulate_torn_tail w ~bytes_to_truncate:cut;
         Wal.abandon w;
         let w2 = Wal.open_file path in
-        Alcotest.(check int)
-          (Fmt.str "cut %d of %d" cut last_frame)
-          (if cut = 0 then 3 else 2)
-          (Wal.record_count w2);
-        Wal.close w2
+        let what = Fmt.str "cut %d of %d" cut last_frame in
+        let kept = if intact then 3 else 2 in
+        Alcotest.(check int) what kept (Wal.record_count w2);
+        check_tail what w2 path;
+        Wal.close w2;
+        check_appendable what path kept
       done)
 
 let test_corrupt_byte_drops_tail () =
@@ -164,7 +207,7 @@ let test_corrupt_byte_drops_tail () =
       let w = Wal.open_file path in
       ignore (Wal.append w 1 (ext "first"));
       Wal.flush w;
-      let first_frame = (Unix.stat path).Unix.st_size in
+      let first_frame = Wal.end_offset w in
       ignore (Wal.append w 1 (ext "second"));
       ignore (Wal.append w 1 (ext "third"));
       Wal.flush w;
@@ -218,6 +261,177 @@ let test_flush_is_one_write_one_fsync () =
         (Metrics.value writes - w1);
       Alcotest.(check int) "empty flush syncs nothing" 0
         (Metrics.value fsyncs - f1);
+      Wal.close w)
+
+let with_log name f =
+  let path = Filename.temp_file name ".log" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+let datas w =
+  List.rev
+    (Wal.fold w ~init:[] ~f:(fun acc r ->
+         match r.LR.kind with
+         | LR.Ext { data; _ } -> data :: acc
+         | k -> Fmt.str "%a" LR.pp_kind k :: acc))
+
+(* [bytes] written at offset [pos] of the file at [path]. *)
+let overwrite path ~pos bytes =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  Unix.close fd
+
+let test_zero_tail_reopen () =
+  (* A closed log is its frames and a tail of zeros. Reopening it replays
+     exactly its records and writes nothing, and it keeps growing. *)
+  let module Metrics = Dmx_obs.Metrics in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  with_log "dmx_wal_zeros" (fun path ->
+      let w = Wal.open_file path in
+      check_tail "fresh" w path;
+      List.iter (fun d -> ignore (Wal.append w 1 (ext d))) [ "r1"; "r2"; "r3" ];
+      Wal.flush w;
+      Wal.close w;
+      let writes = Metrics.counter "wal.write_syscalls" in
+      let w0 = Metrics.value writes in
+      let w = Wal.open_file path in
+      Alcotest.(check int) "a clean tail is not rewritten" 0
+        (Metrics.value writes - w0);
+      Alcotest.(check (list string)) "exactly its records" [ "r1"; "r2"; "r3" ]
+        (datas w);
+      check_tail "reopened" w path;
+      Wal.close w;
+      check_appendable "zero tail" path 3)
+
+let test_frame_past_torn_one () =
+  (* Frames A, B, C and a Commit; zeroing B's checksum ends the log after A,
+     with C and the Commit still valid behind it. D has B's frame length,
+     so once D fills B's place the scan would go on into C if open had not
+     zeroed everything past the end. *)
+  with_log "dmx_wal_planted" (fun path ->
+      let w = Wal.open_file path in
+      ignore (Wal.append w 1 (ext "aaaa"));
+      ignore (Wal.append w 1 LR.Commit);
+      Wal.flush w;
+      ignore (Wal.append w 2 (ext "bbbb"));
+      Wal.flush w;
+      let b_end = Wal.end_offset w in
+      ignore (Wal.append w 2 (ext "cccc"));
+      ignore (Wal.append w 2 LR.Commit);
+      Wal.close w;
+      overwrite path ~pos:(b_end - 4) "\000\000\000\000";
+      let w = Wal.open_file path in
+      Alcotest.(check (list string)) "the log ends at the torn frame"
+        [ "aaaa"; "COMMIT" ] (datas w);
+      Alcotest.(check bool) "nothing past the end is left" true
+        (all_zero (file_bytes path ~from:(Wal.end_offset w) ~upto:(file_length path)));
+      ignore (Wal.append w 3 (ext "dddd"));
+      Wal.flush w;
+      Alcotest.(check int) "D fills B's place" b_end (Wal.end_offset w);
+      Wal.close w;
+      let w = Wal.open_file path in
+      Alcotest.(check (list string)) "the frames behind it never replay"
+        [ "aaaa"; "COMMIT"; "dddd" ] (datas w);
+      Wal.close w)
+
+(* A frame as the log writes it: [u32 len][payload][u32 checksum]. *)
+let frame payload =
+  let n = String.length payload in
+  let b = Bytes.create (n + 8) in
+  Bytes.set_int32_le b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  Bytes.set_int32_le b (n + 4)
+    (Int32.of_int (String.fold_left (fun n c -> n + Char.code c) 0 payload));
+  Bytes.to_string b
+
+let test_zero_length_frame () =
+  (* A zero length reads as the end of the log, even with a valid frame
+     right behind it. *)
+  with_log "dmx_wal_zerolen" (fun path ->
+      let w = Wal.open_file path in
+      ignore (Wal.append w 1 (ext "aaaa"));
+      Wal.flush w;
+      let e = Wal.end_offset w in
+      Wal.close w;
+      let planted =
+        let enc = Dmx_value.Codec.Enc.create () in
+        LR.encode enc 2 (ext "planted");
+        frame (Dmx_value.Codec.Enc.to_string enc)
+      in
+      overwrite path ~pos:e (String.make 8 '\000' ^ planted);
+      let w = Wal.open_file path in
+      Alcotest.(check (list string)) "the zero-length frame ends the log"
+        [ "aaaa" ] (datas w);
+      Alcotest.(check int) "at its offset" e (Wal.end_offset w);
+      Wal.close w;
+      check_appendable "zero-length frame" path 1)
+
+let test_no_tail_every_offset () =
+  (* A log with no zero tail, as every log was written before the file was
+     preallocated, cut at every byte offset inside its final frame: it
+     opens with exactly the frames that are whole, and gets a tail. *)
+  with_log "dmx_wal_notail" (fun path ->
+      let build () =
+        let w = Wal.open_file path in
+        ignore (Wal.append w 1 (ext "first"));
+        ignore (Wal.append w 1 (ext "penultimate"));
+        Wal.flush w;
+        let prefix = Wal.end_offset w in
+        ignore (Wal.append w 1 (ext "final-record"));
+        Wal.flush w;
+        let full = Wal.end_offset w in
+        Wal.close w;
+        (prefix, full)
+      in
+      let prefix, full = build () in
+      for cut = 0 to full - prefix do
+        Sys.remove path;
+        ignore (build ());
+        Unix.truncate path (full - cut);
+        let what = Fmt.str "cut %d of %d" cut (full - prefix) in
+        let w = Wal.open_file path in
+        let kept = if cut = 0 then 3 else 2 in
+        Alcotest.(check int) what kept (Wal.record_count w);
+        check_tail what w path;
+        Wal.close w;
+        check_appendable what path kept
+      done)
+
+let test_every_fsync_counted () =
+  (* Opening a fresh log zero-fills its first step: one sync. A flush that
+     crosses the tail syncs the next step, then its frames: two. The
+     truncation rewrite syncs its temp file once. *)
+  let module Metrics = Dmx_obs.Metrics in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  with_log "dmx_wal_fsyncs" (fun path ->
+      let fsyncs = Metrics.counter "wal.fsyncs" in
+      let delta f =
+        let f0 = Metrics.value fsyncs in
+        let r = f () in
+        (Metrics.value fsyncs - f0, r)
+      in
+      let n, w = delta (fun () -> Wal.open_file path) in
+      Alcotest.(check int) "open syncs the fresh tail once" 1 n;
+      let step = Wal.allocated w in
+      for i = 1 to 3 do
+        ignore (Wal.append w 1 (ext (String.make 400_000 (Char.chr (96 + i)))))
+      done;
+      let n, () = delta (fun () -> Wal.flush w) in
+      Alcotest.(check int) "a flush past the tail: two syncs" 2 n;
+      Alcotest.(check int) "the tail grew by one step" (2 * step)
+        (Wal.allocated w);
+      check_tail "grown" w path;
+      ignore (Wal.append w 1 LR.Commit);
+      let n, () = delta (fun () -> Wal.flush w) in
+      Alcotest.(check int) "a flush inside the tail: one sync" 1 n;
+      let n, _ = delta (fun () -> Wal.truncate_before w 4L) in
+      Alcotest.(check int) "truncation syncs its rewrite once" 1 n;
+      check_tail "truncated" w path;
       Wal.close w)
 
 let test_recovery_analysis () =
@@ -378,18 +592,24 @@ let test_truncate_before_file_reopen () =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let w = Wal.open_file path in
-      ignore (Wal.append w 1 (ext "old"));
-      ignore (Wal.append w 1 (ext "old-old-old"));
+      (* the dropped records outgrow the first step, so the file has one
+         to give back *)
+      ignore (Wal.append w 1 (ext (String.make 600_000 'o')));
+      ignore (Wal.append w 1 (ext (String.make 600_000 'O')));
       ignore (Wal.append w 1 LR.Commit);
       ignore (Wal.append w 2 (ext "kept-first"));
       ignore (Wal.append w 2 (ext "kept"));
       Wal.flush w;
-      let size_before = (Unix.stat path).Unix.st_size in
+      let end_before = Wal.end_offset w and alloc_before = Wal.allocated w in
+      check_tail "before truncation" w path;
       let dropped, freed = Wal.truncate_before w 4L in
       Alcotest.(check int) "three dropped" 3 dropped;
       Alcotest.(check bool) "bytes freed" true (freed > 0);
-      Alcotest.(check bool) "file shrank" true
-        ((Unix.stat path).Unix.st_size < size_before);
+      Alcotest.(check bool) "logical end shrank" true
+        (Wal.end_offset w < end_before);
+      Alcotest.(check bool) "allocation shrank" true
+        (Wal.allocated w < alloc_before);
+      check_tail "after truncation" w path;
       Wal.close w;
       let w2 = Wal.open_file path in
       Alcotest.(check int64) "base survives reopen" 3L (Wal.base_lsn w2);
@@ -459,26 +679,32 @@ let test_torn_checkpoint_every_offset () =
         ignore (Wal.append w 1 (ext "first"));
         ignore (Wal.append w 1 (ext "work"));
         Wal.flush w;
-        let prefix = (Unix.stat path).Unix.st_size in
+        let prefix = Wal.end_offset w in
         ignore (Wal.append w 0 ck);
         Wal.flush w;
-        let full = (Unix.stat path).Unix.st_size in
+        let full = Wal.end_offset w in
         Wal.close w;
         full - prefix
       in
+      Alcotest.(check bool) "a whole frame to tear" true (last_frame > 8);
       for cut = 0 to last_frame do
         Sys.remove path;
         let w = build () in
+        let full = Wal.end_offset w in
+        (* zeroing bytes that were zeros tears nothing *)
+        let intact =
+          all_zero (file_bytes path ~from:(full - cut) ~upto:full)
+        in
         Wal.simulate_torn_tail w ~bytes_to_truncate:cut;
         Wal.abandon w;
         let w2 = Wal.open_file path in
         Alcotest.(check int)
           (Fmt.str "cut %d of %d" cut last_frame)
-          (if cut = 0 then 3 else 2)
+          (if intact then 3 else 2)
           (Wal.record_count w2);
         Alcotest.(check int64)
           (Fmt.str "ckpt visibility at cut %d" cut)
-          (if cut = 0 then 3L else 0L)
+          (if intact then 3L else 0L)
           (Wal.last_checkpoint_lsn w2);
         Wal.close w2
       done)
@@ -526,14 +752,7 @@ let old_format_refused magic payload () =
       let oc = open_out_bin path in
       output_string oc magic;
       output_string oc (String.make 8 '\000');
-      let frame = Bytes.create 4 in
-      Bytes.set_int32_le frame 0 (Int32.of_int (String.length payload));
-      output_bytes oc frame;
-      output_string oc payload;
-      Bytes.set_int32_le frame 0
-        (Int32.of_int
-           (String.fold_left (fun n c -> n + Char.code c) 0 payload));
-      output_bytes oc frame;
+      output_string oc (frame payload);
       close_out oc;
       let read_all () = In_channel.with_open_bin path In_channel.input_all in
       let before = read_all () in
@@ -599,6 +818,16 @@ let suite =
       test_corrupt_byte_drops_tail;
     Alcotest.test_case "flush is one write + one fsync" `Quick
       test_flush_is_one_write_one_fsync;
+    Alcotest.test_case "a zero tail reopens with exactly its records" `Quick
+      test_zero_tail_reopen;
+    Alcotest.test_case "a frame past a torn one never replays" `Quick
+      test_frame_past_torn_one;
+    Alcotest.test_case "a zero-length frame ends the log" `Quick
+      test_zero_length_frame;
+    Alcotest.test_case "a log with no tail opens and gets one" `Quick
+      test_no_tail_every_offset;
+    Alcotest.test_case "every log fsync is counted" `Quick
+      test_every_fsync_counted;
     Alcotest.test_case "recovery analysis" `Quick test_recovery_analysis;
     Alcotest.test_case "analysis: fully compensated loser" `Quick
       test_analysis_fully_compensated;
