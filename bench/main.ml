@@ -680,20 +680,19 @@ let e7 () =
               Ok ())))
   in
   (* undoable (Ext) records the transaction has logged so far *)
-  let ext_records db ctx =
-    Dmx_wal.Wal.records_of_txn db.Db.services.Dmx_core.Services.wal
-      ctx.Dmx_core.Ctx.txn.Dmx_txn.Txn.id
+  let ext_records ctx =
+    ctx.Dmx_core.Ctx.txn.Dmx_txn.Txn.chain
     |> List.filter (fun (r : Dmx_wal.Log_record.t) ->
            match r.kind with Ext _ -> true | _ -> false)
     |> List.length
   in
   (* undoable records logged by inserting ids [lo..hi] *)
   let insert db ctx lo hi =
-    let l0 = ext_records db ctx in
+    let l0 = ext_records ctx in
     for i = lo to hi do
       ignore (ok "ins" (Db.insert db ctx ~relation:"t" (emp_record i ~depts:10)))
     done;
-    ext_records db ctx - l0
+    ext_records ctx - l0
   in
   (* records the undo pass dispatched, and its wall-clock *)
   let undo f =
@@ -1420,7 +1419,7 @@ let e14 () =
   Db.close db
 
 (* E15 — bounded restart via checkpoints: the auto policy checkpoints
-   every 500 records, each checkpoint writes the dirty pages and logs one
+   every 25 KB of log (about 500 records), each checkpoint writes the dirty pages and logs one
    record, and truncation drops the log behind the cut — so the records a
    restart must rescan track the distance to the last checkpoint, not the
    length of history. Without checkpoints the same workload's restart scan
@@ -1439,7 +1438,7 @@ let e15 () =
     Db.register_defaults ();
     let db = Db.open_database ~dir () in
     if ckpt then
-      Dmx_core.Services.set_checkpoint_policy ~every_records:500
+      Dmx_core.Services.set_checkpoint_policy ~every_bytes:25_000
         db.Db.services;
     ignore
       (ok "create"
@@ -1489,8 +1488,8 @@ let e15 () =
         "records retained"; "reopen (ms)";
       ]
     [
-      row "2000 rows, ckpt every 500" (s2c, h2c, r2c, t2c);
-      row "8000 rows, ckpt every 500" (s8c, h8c, r8c, t8c);
+      row "2000 rows, ckpt every 25 KB" (s2c, h2c, r2c, t2c);
+      row "8000 rows, ckpt every 25 KB" (s8c, h8c, r8c, t8c);
       row "2000 rows, no checkpoints" (s2p, h2p, r2p, t2p);
       row "8000 rows, no checkpoints" (s8p, h8p, r8p, t8p);
     ];

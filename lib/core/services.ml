@@ -20,36 +20,25 @@ type t = {
   txn_mgr : Dmx_txn.Txn_mgr.t;
   catalog : Dmx_catalog.Catalog.t;
   mutable last_recovery : Recovery.analysis option;
-  (* checkpoint policy: 0 disables the corresponding trigger *)
-  mutable ckpt_every_records : int;
-  mutable ckpt_every_bytes : int;
+  mutable ckpt_every_bytes : int;  (* checkpoint policy; 0 = off *)
   mutable ckpt_bytes_mark : int;  (* Wal.appended_bytes at last checkpoint *)
 }
 
-let set_checkpoint_policy ?(every_records = 0) ?(every_bytes = 0) t =
-  t.ckpt_every_records <- max 0 every_records;
+let set_checkpoint_policy ~every_bytes t =
   t.ckpt_every_bytes <- max 0 every_bytes
 
-let checkpoint_policy t = (t.ckpt_every_records, t.ckpt_every_bytes)
+let checkpoint_policy t = t.ckpt_every_bytes
 
 let checkpoint_due t =
-  (t.ckpt_every_records > 0
-  &&
-  let horizon =
-    let c = Wal.last_checkpoint_lsn t.wal in
-    if c > Wal.base_lsn t.wal then c else Wal.base_lsn t.wal
-  in
-  Int64.sub (Wal.last_lsn t.wal) horizon
-  >= Int64.of_int t.ckpt_every_records)
-  || t.ckpt_every_bytes > 0
-     && Wal.appended_bytes t.wal - t.ckpt_bytes_mark >= t.ckpt_every_bytes
+  t.ckpt_every_bytes > 0
+  && Wal.appended_bytes t.wal - t.ckpt_bytes_mark >= t.ckpt_every_bytes
 
 (* A checkpoint runs between operations, never inside one, so no change is
    half made and nothing appends while it runs: force every dirty page and
    sync the store, then log one [Checkpoint] record listing the active
-   transactions that have logged a record (one that has not is in no chain:
-   it pins no truncation and is no restart loser) and the next txid, and
-   flush it. The store then holds every change logged before that record,
+   transactions that have logged a record (one that has not has an empty
+   chain: it pins no truncation and is no restart loser) and the next txid,
+   and flush it. The store then holds every change logged before that record,
    so restart's analysis and redo start there. With [truncate] (default),
    the log below min(checkpoint LSN, each active transaction's first LSN)
    is then dropped: redo never reads below the checkpoint, and undo reads
@@ -59,12 +48,13 @@ let checkpoint_due t =
 let checkpoint ?(truncate = true) t =
   let wal = t.wal in
   let written = Buffer_pool.flush_all t.bp in
+  let txns = Dmx_txn.Txn_mgr.active_txns t.txn_mgr in
   let active =
     List.sort compare
       (List.filter_map
          (fun (txn : Dmx_txn.Txn.t) ->
-           if txn.logged then Some txn.id else None)
-         (Dmx_txn.Txn_mgr.active_txns t.txn_mgr))
+           if txn.chain <> [] then Some txn.id else None)
+         txns)
   in
   let next_txid = Dmx_txn.Txn_mgr.next_txid t.txn_mgr in
   let ck_lsn =
@@ -73,13 +63,13 @@ let checkpoint ?(truncate = true) t =
   Wal.flush wal;
   let trecords, tbytes =
     if truncate then
-      (* an active transaction's whole chain stays: rollback may read it *)
-      let first_lsn cut id =
+      (* an active transaction's whole chain stays: restart may undo it *)
+      let first_lsn cut (txn : Dmx_txn.Txn.t) =
         List.fold_left
           (fun cut (r : Log_record.t) -> min cut r.lsn)
-          cut (Wal.records_of_txn wal id)
+          cut txn.chain
       in
-      Wal.truncate_before wal (List.fold_left first_lsn ck_lsn active)
+      Wal.truncate_before wal (List.fold_left first_lsn ck_lsn txns)
     else (0, 0)
   in
   t.ckpt_bytes_mark <- Wal.appended_bytes wal;
@@ -186,7 +176,6 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
       txn_mgr;
       catalog;
       last_recovery = None;
-      ckpt_every_records = 0;
       ckpt_every_bytes = 0;
       ckpt_bytes_mark = Wal.appended_bytes wal;
     }

@@ -18,7 +18,6 @@ type t = {
   txn_mgr : Dmx_txn.Txn_mgr.t;
   catalog : Dmx_catalog.Catalog.t;
   mutable last_recovery : Dmx_wal.Recovery.analysis option;
-  mutable ckpt_every_records : int;
   mutable ckpt_every_bytes : int;
   mutable ckpt_bytes_mark : int;
 }
@@ -50,14 +49,14 @@ val checkpoint : ?truncate:bool -> t -> checkpoint_stats
     active transaction's first LSN) is dropped via
     {!Dmx_wal.Wal.truncate_before}. *)
 
-val set_checkpoint_policy : ?every_records:int -> ?every_bytes:int -> t -> unit
-(** Arm (or with 0/0, disarm) the automatic policy: after each commit, if at
-    least [every_records] log records or [every_bytes] appended log bytes
-    have accumulated since the last checkpoint, one is taken. Off at
-    setup. *)
+val set_checkpoint_policy : every_bytes:int -> t -> unit
+(** Arm (or with 0, disarm) the automatic policy: after each commit, if at
+    least [every_bytes] log bytes ({!Dmx_wal.Wal.appended_bytes}, on either
+    backend) have been appended since the last checkpoint, one is taken.
+    Off at setup. *)
 
-val checkpoint_policy : t -> int * int
-(** Current [(every_records, every_bytes)] policy; 0 means disabled. *)
+val checkpoint_policy : t -> int
+(** The armed [every_bytes]; 0 means disabled. *)
 
 val checkpoint_due : t -> bool
 (** Whether the armed policy would trigger a checkpoint right now. *)

@@ -40,11 +40,12 @@ let dispatch ~txn_mgr ~bp ~catalog txn ~lsn (r : Log_record.t) =
     undo_ext (Ctx.make ~lsn ~txn ~txn_mgr ~bp ~catalog ()) catalog r
   end
 
-(* A Clr is redone by repeating the undo it records, with the Clr's LSN.
-   Catalog records are not redone, nor are their undos: the catalog
-   snapshot saved at commit (and at abort and restart) already holds them,
-   and restart undoes a loser's catalog records again in full. *)
-let redo ~txn_mgr ~bp ~catalog txn (r : Log_record.t) =
+(* A Clr is redone by repeating the undo it records, with the Clr's LSN, on
+   the record [find] returns (none once truncation dropped it). Catalog
+   records are not redone, nor are their undos: the catalog snapshot saved
+   at commit (and at abort and restart) already holds them, and restart
+   undoes a loser's catalog records again in full. *)
+let redo ~txn_mgr ~bp ~catalog txn ~find (r : Log_record.t) =
   let ctx () = Ctx.make ~lsn:r.lsn ~replay:true ~txn ~txn_mgr ~bp ~catalog () in
   match r.Log_record.kind with
   | Ext { source; rel_id; data } when not (skipped !chaos_skip.skip_redo r) -> (
@@ -52,14 +53,10 @@ let redo ~txn_mgr ~bp ~catalog txn (r : Log_record.t) =
     | Smethod id -> Registry.sm_redo id (ctx ()) ~rel_id ~data
     | Attachment id -> Registry.at_redo id (ctx ()) ~rel_id ~data
     | Catalog -> ())
-  | Clr { undone } ->
-    let wal = Dmx_txn.Txn_mgr.wal txn_mgr in
-    if undone > Wal.base_lsn wal then begin
-      let u = Wal.read wal undone in
-      match u.Log_record.kind with
-      | Ext { source = Smethod _ | Attachment _; _ }
-        when not (skipped !chaos_skip.skip_undo u) ->
-        undo_ext (ctx ()) catalog u
-      | _ -> ()
-    end
+  | Clr { undone } -> (
+    match (find undone : Log_record.t option) with
+    | Some ({ kind = Ext { source = Smethod _ | Attachment _; _ }; _ } as u)
+      when not (skipped !chaos_skip.skip_undo u) ->
+      undo_ext (ctx ()) catalog u
+    | _ -> ())
   | Ext _ | Commit | Abort | Checkpoint _ -> ()

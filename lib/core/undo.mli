@@ -28,11 +28,13 @@ val redo :
   bp:Dmx_page.Buffer_pool.t ->
   catalog:Dmx_catalog.Catalog.t ->
   Dmx_txn.Txn.t ->
+  find:(Dmx_wal.Log_record.lsn -> Dmx_wal.Log_record.t option) ->
   Dmx_wal.Log_record.t ->
   unit
 (** Repeat one record at restart, with its LSN as [Ctx.lsn] and
     [Ctx.replay] set: an [Ext] record through {!Registry.sm_redo} /
-    {!Registry.at_redo}, a [Clr] by repeating the undo it records. Catalog records
+    {!Registry.at_redo}, a [Clr] by repeating the undo of the record
+    [find] returns for the LSN it undid. Catalog records
     and their undos are not repeated: the catalog snapshot already holds
     them. *)
 

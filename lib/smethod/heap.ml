@@ -201,19 +201,23 @@ let undo_slot ctx ~pages data =
 
 (* Whether a record logged before the one being replayed changed [target]:
    the same source and relation, so the same image encoding, and a page
-   belongs to one relation. Read only on the rare image that does not fit. *)
+   belongs to one relation. Read only on the rare image that does not fit,
+   so it decodes the log itself. *)
 let slot_logged_before ctx target =
   let wal = Dmx_txn.Txn_mgr.wal ctx.Ctx.txn_mgr in
-  match (Dmx_wal.Wal.read wal ctx.Ctx.lsn).kind with
-  | Ext { source; rel_id; _ } ->
-    Dmx_wal.Wal.fold wal ~init:false ~f:(fun found (r : Log_record.t) ->
-        found
-        ||
+  let log = Dmx_wal.Wal.read_all wal in
+  match
+    Dmx_wal.Recovery.find ~base:(Dmx_wal.Wal.base_lsn wal) log ctx.Ctx.lsn
+  with
+  | Some { kind = Ext { source; rel_id; _ }; _ } ->
+    Array.exists
+      (fun (r : Log_record.t) ->
         match r.kind with
         | Ext { source = s; rel_id = id; data }
           when r.lsn < ctx.Ctx.lsn && s = source && id = rel_id ->
           (Image.decode dec_rid data).target = target
         | _ -> false)
+      log
   | _ -> true (* redo replays only Ext records; assume the worst *)
 
 (* An image that does not fit meets a page newer than its record: the page

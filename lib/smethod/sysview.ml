@@ -124,7 +124,6 @@ let lock_waits_rows ctx =
     (Lock_table.all_edges ctx.Ctx.locks)
 
 let txns_rows ctx =
-  let wal = Txn_mgr.wal ctx.Ctx.txn_mgr in
   List.map
     (fun (txn : Txn.t) ->
       let state =
@@ -133,10 +132,9 @@ let txns_rows ctx =
         | Txn.Committed -> "committed"
         | Txn.Aborted -> "aborted"
       in
-      let chain = Wal.records_of_txn wal txn.id in
-      let log_records = List.length chain in
+      let log_records = List.length txn.chain in
       (* Undoable work still on the chain: what a rollback would undo. *)
-      let undo_depth = List.length (Recovery.uncompensated chain) in
+      let undo_depth = List.length (Recovery.uncompensated txn.chain) in
       [| Value.int txn.id; str state; Value.int log_records;
          Value.int undo_depth; Value.int (List.length txn.savepoints);
          Value.int (List.length txn.scans);

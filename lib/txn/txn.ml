@@ -24,8 +24,8 @@ type t = {
   mutable attrs : Tmap.t;
   mutable next_scan_id : int;
   mutable mods : int;
-  mutable logged : bool;
   mutable logged_catalog : bool;
+  mutable chain : Dmx_wal.Log_record.t list;
 }
 
 let make id =
@@ -38,8 +38,8 @@ let make id =
     attrs = Tmap.empty;
     next_scan_id = 0;
     mods = 0;
-    logged = false;
     logged_catalog = false;
+    chain = [];
   }
 
 let is_active t = t.state = Active

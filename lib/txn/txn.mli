@@ -4,8 +4,8 @@
     action queues ("before transaction enters the prepared state" and commit,
     paper p. 225), registered key-sequential scans (closed at transaction
     termination; positions captured at savepoints and restored after partial
-    rollback, paper p. 224), savepoints, and a typed map of extension-private
-    state. *)
+    rollback, paper p. 224), savepoints, the chain of records it has
+    logged, and a typed map of extension-private state. *)
 
 type state = Active | Committed | Aborted
 
@@ -45,11 +45,13 @@ type t = {
   mutable mods : int;
       (** relation modifications issued so far; a buffered record cursor
           re-reads its run when this moves *)
-  mutable logged : bool;
-      (** appended an [Ext] record, so it is in the log: commit and abort
-          append their record, and a checkpoint lists it as active *)
   mutable logged_catalog : bool;
       (** appended a [Catalog] record: commit forces the pool *)
+  mutable chain : Dmx_wal.Log_record.t list;
+      (** its [Ext] records and their undos' [Clr]s, newest first; rollback
+          reads it, and it dies with the transaction. A transaction with a
+          chain is in the log: commit and abort append its record, and a
+          checkpoint lists it as active *)
 }
 
 val make : int -> t

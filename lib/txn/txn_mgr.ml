@@ -15,7 +15,10 @@ type t = {
   active : (int, Txn.t) Hashtbl.t;
   mutable undo_dispatch :
     (Txn.t -> lsn:Log_record.lsn -> Log_record.t -> unit) option;
-  mutable redo_dispatch : (Txn.t -> Log_record.t -> unit) option;
+  mutable redo_dispatch :
+    (Txn.t -> find:(Log_record.lsn -> Log_record.t option) -> Log_record.t ->
+     unit)
+    option;
   mutable force_hook : unit -> unit;
   mutable snapshot_hook : unit -> bool;
   mutable commit_observer : unit -> unit;
@@ -28,7 +31,7 @@ let create ~wal ~locks () =
   {
     wal;
     locks;
-    next_txid = Recovery.next_txid wal;
+    next_txid = Wal.next_txid wal;
     active = Hashtbl.create 8;
     undo_dispatch = None;
     redo_dispatch = None;
@@ -61,20 +64,19 @@ let begin_txn t =
 let find_txn t id = Hashtbl.find_opt t.active id
 let active_txns t = Hashtbl.fold (fun _ tx acc -> tx :: acc) t.active []
 
-let note_logged t txn (source : Log_record.source) lsn =
-  txn.Txn.logged <- true;
-  match source with
-  | Catalog ->
-    txn.Txn.logged_catalog <- true;
-    t.catalog_lsn <- lsn
-  | Smethod _ | Attachment _ -> ()
+let append_chained t txn kind =
+  let lsn = Wal.append t.wal txn.Txn.id kind in
+  txn.Txn.chain <- { Log_record.lsn; txid = txn.Txn.id; kind } :: txn.Txn.chain;
+  lsn
 
 let log_ext t txn ~source ~rel_id ~data =
   Txn.check_active txn;
-  let lsn =
-    Wal.append t.wal txn.Txn.id (Log_record.Ext { source; rel_id; data })
-  in
-  note_logged t txn source lsn;
+  let lsn = append_chained t txn (Log_record.Ext { source; rel_id; data }) in
+  (match (source : Log_record.source) with
+  | Catalog ->
+    txn.Txn.logged_catalog <- true;
+    t.catalog_lsn <- lsn
+  | Smethod _ | Attachment _ -> ());
   lsn
 
 (* The undo runs with the LSN its Clr will take, which is what an extension
@@ -88,7 +90,7 @@ let dispatch_undo t txn (r : Log_record.t) =
   | Some f ->
     let lsn = Int64.succ (Wal.last_lsn t.wal) in
     f txn ~lsn r;
-    let clr = Wal.append t.wal txn.Txn.id (Log_record.Clr { undone = r.lsn }) in
+    let clr = append_chained t txn (Log_record.Clr { undone = r.lsn }) in
     assert (clr = lsn);
     t.undone_count <- t.undone_count + 1;
     Dmx_obs.Metrics.incr m_undo_records
@@ -96,7 +98,7 @@ let dispatch_undo t txn (r : Log_record.t) =
 (* Undo the transaction's uncompensated records with lsn > limit, newest
    first. *)
 let undo_back_to t txn ~limit =
-  Recovery.uncompensated (Wal.records_of_txn t.wal txn.Txn.id)
+  Recovery.uncompensated txn.Txn.chain
   |> List.iter (fun (r : Log_record.t) ->
          if r.lsn > limit then dispatch_undo t txn r)
 
@@ -104,7 +106,7 @@ let finish t txn state =
   txn.Txn.state <- state;
   Txn.close_all_scans txn;
   Hashtbl.remove t.active txn.Txn.id;
-  Wal.forget_txn t.wal txn.Txn.id;
+  txn.Txn.chain <- [];
   Dmx_lock.Lock_table.release_all t.locks txn.Txn.id
 
 (* Span bracketing without [try ... with]: this directory's error-discipline
@@ -130,7 +132,7 @@ let do_abort t txn =
   Txn.check_active txn;
   undo_back_to t txn ~limit:0L;
   if txn.Txn.logged_catalog then ignore (t.snapshot_hook ());
-  if txn.Txn.logged then
+  if txn.Txn.chain <> [] then
     ignore (Wal.append t.wal txn.Txn.id Log_record.Abort);
   let after = Txn.take_deferred txn On_abort in
   finish t txn Aborted;
@@ -159,7 +161,7 @@ let do_commit t txn =
   if t.catalog_lsn > Wal.flushed_lsn t.wal || Wal.unsynced_bytes t.wal > 0
   then Wal.flush t.wal;
   let saved = t.snapshot_hook () in
-  if txn.Txn.logged || saved then begin
+  if txn.Txn.chain <> [] || saved then begin
     (* DDL index builds on a fresh structure are not logged, so redo could
        not rebuild them: a transaction that logged a catalog change forces
        the pool before its Commit record. *)
@@ -212,10 +214,10 @@ let rollback_to t txn name =
 (* Repeat history from the analysis start through the redo dispatcher:
    every Ext record through its extension's redo entry, every Clr by
    repeating the undo it records (state-checked, so repeating it is
-   harmless). Counts the records replayed, and the winners' uncompensated
-   records whose redo changed state: the committed work the store had
-   lost. *)
-let redo_pass t (analysis : Recovery.analysis) =
+   harmless), finding the record it undid in restart's decode. Counts the
+   records replayed, and the winners' uncompensated records whose redo
+   changed state: the committed work the store had lost. *)
+let redo_pass t ~base log (analysis : Recovery.analysis) =
   let redo =
     match t.redo_dispatch with
     | Some redo -> redo
@@ -232,8 +234,10 @@ let redo_pass t (analysis : Recovery.analysis) =
   in
   let winners = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace winners id ()) analysis.winners;
+  let from = Int64.to_int (Int64.sub analysis.restart_lsn base) - 1 in
+  let each f = Array.iter f (Array.sub log from (Array.length log - from)) in
   let compensated = Hashtbl.create 16 in
-  Wal.iter_from t.wal analysis.restart_lsn (fun (r : Log_record.t) ->
+  each (fun (r : Log_record.t) ->
       match r.kind with
       | Clr { undone } -> Hashtbl.replace compensated undone ()
       | _ -> ());
@@ -241,22 +245,26 @@ let redo_pass t (analysis : Recovery.analysis) =
     Hashtbl.mem winners r.txid && not (Hashtbl.mem compensated r.lsn)
   in
   let records = ref 0 and applied = ref 0 in
-  Wal.iter_from t.wal analysis.restart_lsn (fun (r : Log_record.t) ->
+  each (fun (r : Log_record.t) ->
       match r.kind with
       | Ext _ | Clr _ ->
         incr records;
         let before = t.applied_count in
-        redo (txn_of r.txid) r;
+        redo (txn_of r.txid) ~find:(Recovery.find ~base log) r;
         if t.applied_count > before && committed r then incr applied
       | Commit | Abort | Checkpoint _ -> ());
   Dmx_obs.Metrics.add m_redo_applied !applied;
   { analysis with redo_records = !records; redo_applied = !applied }
 
-(* The losers' catalog records are undone before redo: redo reads the
-   descriptors, and a loser's drop (of a relation or an index) would
-   otherwise hide the committed changes redo must repeat on it. *)
+(* Restart decodes the retained log once, from its base, and every pass
+   reads that array. The losers' catalog records are undone before redo:
+   redo reads the descriptors, and a loser's drop (of a relation or an
+   index) would otherwise hide the committed changes redo must repeat on
+   it. *)
 let recover t =
-  let analysis = Recovery.analyze t.wal in
+  let base = Wal.base_lsn t.wal in
+  let log = Wal.read_all t.wal in
+  let analysis = Recovery.analyze ~base log in
   let undo_losers keep =
     List.iter
       (fun (txid, records) ->
@@ -268,7 +276,7 @@ let recover t =
     match r.kind with Ext { source = Catalog; _ } -> true | _ -> false
   in
   undo_losers catalog;
-  let analysis = redo_pass t analysis in
+  let analysis = redo_pass t ~base log analysis in
   undo_losers (fun r -> not (catalog r));
   (* the losers' catalog undo must reach the snapshot before their Aborts
      make them finished *)

@@ -7,12 +7,12 @@
     [On_commit]; a read-only transaction (no [Ext] record, clean catalog)
     writes no record and no flush, and a transaction that logged a
     [Catalog] record forces the pool first. Pages reach disk only through
-    eviction and checkpoints. Abort and partial rollback walk the
-    transaction's log chain newest-first and dispatch each uncompensated
-    [Ext] record to the owning extension's undo entry point, appending a
-    [Clr] after each undo; a savepoint is an in-memory mark and logs
-    nothing, and an abort of a transaction that logged nothing appends no
-    [Abort]. Restart repeats history through the extensions' redo entries,
+    eviction and checkpoints. Abort and partial rollback walk the chain of
+    records the transaction carries ([Txn.chain]) newest-first and
+    dispatch each uncompensated [Ext] record to the owning extension's undo
+    entry point, appending a [Clr] after each undo; a savepoint is an
+    in-memory mark and logs nothing, and an abort of a transaction that
+    logged nothing appends no [Abort]. Restart repeats history through the extensions' redo entries,
     then undoes the losers' uncompensated records.
 
     Extension redo and undo routines must be *testable*: repeating a change
@@ -35,10 +35,14 @@ val set_undo_dispatch :
     owning extension's undo routine. [lsn] is the LSN of the [Clr] that
     records the undo, appended as soon as the routine returns. *)
 
-val set_redo_dispatch : t -> (Txn.t -> Log_record.t -> unit) -> unit
+val set_redo_dispatch :
+  t ->
+  (Txn.t -> find:(Log_record.lsn -> Log_record.t option) -> Log_record.t ->
+   unit) ->
+  unit
 (** Installed by the extension architecture: restart's redo pass hands it
     every [Ext] record (for the owning extension's redo entry) and every
-    [Clr] (to repeat the undo it records). *)
+    [Clr] (to repeat the undo it records, of the record [find] returns). *)
 
 val set_force_hook : t -> (unit -> unit) -> unit
 (** Installed by the storage layer: write every dirty page and sync — the
@@ -58,7 +62,7 @@ val set_commit_observer : t -> (unit -> unit) -> unit
 
 val next_txid : t -> Log_record.txid
 (** The id the next {!begin_txn} takes; a checkpoint records it. Starts at
-    [Recovery.next_txid] of the log. *)
+    {!Wal.next_txid} of the log. *)
 
 val begin_txn : t -> Txn.t
 (** Appends nothing: a transaction enters the log with its first

@@ -28,50 +28,47 @@ let uncompensated chain =
       | Commit | Abort | Clr _ | Checkpoint _ -> false)
     chain
 
-(* The newest checkpoint: where analysis and redo start, the transactions
-   it saw running with logged records, and the next txid it recorded. With
-   no checkpoint the scan starts at the first retained record — the log may
-   have a truncated prefix (base LSN > 0), which is only legal when every
-   dropped record belonged to a finished transaction, so treating the
-   retained suffix as the whole history is sound. *)
-let seed wal =
-  let first = (Int64.add (Wal.base_lsn wal) 1L, [], 1) in
-  match Wal.last_checkpoint_lsn wal with
-  | 0L -> first
-  | l -> begin
-    match (Wal.read wal l).Log_record.kind with
-    | Checkpoint { active; next_txid } -> (l, active, next_txid)
-    | Commit | Abort | Ext _ | Clr _ -> first
-  end
+let find ~base (log : Log_record.t array) lsn =
+  let i = Int64.to_int (Int64.sub lsn base) - 1 in
+  if i >= 0 && i < Array.length log then Some log.(i) else None
 
-(* Every record before the newest checkpoint belongs to a transaction that
-   began before it, so its txid is below the checkpoint's [next_txid]: the
-   records from the checkpoint on are the only ones that can raise it. *)
-let next_txid wal =
-  let start, _, next = seed wal in
-  let next = ref next in
-  Wal.iter_from wal start (fun r ->
-      if r.Log_record.txid >= !next then next := r.txid + 1);
-  !next
+(* The newest checkpoint: where analysis and redo start, and the
+   transactions it saw running with logged records. With no checkpoint the
+   scan starts at the first retained record — the log may have a truncated
+   prefix (base LSN > 0), which is only legal when every dropped record
+   belonged to a finished transaction, so treating the retained suffix as
+   the whole history is sound. *)
+let seed ~base (log : Log_record.t array) =
+  let rec newest i =
+    if i < 0 then (Int64.add base 1L, [])
+    else
+      match log.(i).kind with
+      | Checkpoint { active; _ } -> (log.(i).lsn, active)
+      | Commit | Abort | Ext _ | Clr _ -> newest (i - 1)
+  in
+  newest (Array.length log - 1)
 
 (* A transaction is started by its first record: an [Ext] or [Clr] in the
    scan window, or a place in the checkpoint's active list when its first
-   record precedes the window. *)
-let analyze wal =
-  let seed_start, seed_active, _ = seed wal in
+   record precedes the window. A loser's chain is read from the whole
+   decode: truncation keeps every record of a transaction active at the
+   checkpoint. *)
+let analyze ~base log =
+  let seed_start, seed_active = seed ~base log in
   let started = ref (Iset.of_list seed_active) in
   let finished = ref Iset.empty in
   let winners = ref Iset.empty in
-  let scanned = ref 0 in
-  Wal.iter_from wal seed_start (fun r ->
-      incr scanned;
-      match r.Log_record.kind with
-      | Commit ->
-        finished := Iset.add r.txid !finished;
-        winners := Iset.add r.txid !winners
-      | Abort -> finished := Iset.add r.txid !finished
-      | Clr _ | Ext _ -> started := Iset.add r.txid !started
-      | Checkpoint _ -> ());
+  let from = Int64.to_int (Int64.sub seed_start base) - 1 in
+  for i = from to Array.length log - 1 do
+    let r = log.(i) in
+    match r.Log_record.kind with
+    | Commit ->
+      finished := Iset.add r.txid !finished;
+      winners := Iset.add r.txid !winners
+    | Abort -> finished := Iset.add r.txid !finished
+    | Clr _ | Ext _ -> started := Iset.add r.txid !started
+    | Checkpoint _ -> ()
+  done;
   let losers = Iset.diff !started !finished in
   (* A loser's worklist is its uncompensated chain: the redo pass repeats
      every durable Clr's undo before the undo pass runs, so a compensated
@@ -81,18 +78,23 @@ let analyze wal =
      restores state, so undoing one again is harmless. *)
   let catalog_clr (r : Log_record.t) =
     match r.kind with
-    | Clr { undone } when undone > Wal.base_lsn wal -> (
-      match (Wal.read wal undone).kind with
-      | Ext { source = Catalog; _ } -> true
+    | Clr { undone } -> (
+      match find ~base log undone with
+      | Some { kind = Ext { source = Catalog; _ }; _ } -> true
       | _ -> false)
     | _ -> false
   in
+  let chains = Hashtbl.create 64 in
+  Array.iter
+    (fun (r : Log_record.t) ->
+      if Iset.mem r.txid losers && not (catalog_clr r) then
+        Hashtbl.add chains r.txid r)
+    log;
+  (* [find_all] returns a key's bindings newest first: the chain's order *)
   let undo_work =
     Iset.fold
       (fun txid acc ->
-        let chain = Wal.records_of_txn wal txid in
-        (txid, uncompensated (List.filter (Fun.negate catalog_clr) chain))
-        :: acc)
+        (txid, uncompensated (Hashtbl.find_all chains txid)) :: acc)
       losers []
   in
   {
@@ -100,7 +102,7 @@ let analyze wal =
     losers = Iset.elements losers;
     undo_work;
     restart_lsn = seed_start;
-    scanned = !scanned;
+    scanned = Array.length log - from;
     redo_records = 0;
     redo_applied = 0;
   }

@@ -1,7 +1,9 @@
 (** Restart-recovery analysis.
 
-    Scans the log and classifies transactions into winners (Commit record
-    present) and losers (a record but no terminal one). A transaction
+    Reads restart's one decode of the retained log ({!Wal.read_all}: an
+    array whose first element holds LSN [base + 1]) and classifies
+    transactions into winners (Commit record present) and losers (a record
+    but no terminal one). A transaction
     enters the log with its first [Ext] record, so a read-only transaction,
     which logs nothing, is neither. Each loser's worklist is its
     {!uncompensated} chain (catalog records stay, compensated or not: their
@@ -38,15 +40,16 @@ type analysis = {
 }
 
 val uncompensated : Log_record.t list -> Log_record.t list
-(** The undo work left on a transaction's chain ({!Wal.records_of_txn}):
-    its [Ext] records that no [Clr] in it compensates, in the chain's
-    order. Rollback, restart and the [dmx_txns] view all use this rule. *)
+(** The undo work left on a transaction's chain (newest first, as
+    [Txn.t]'s [chain]): its [Ext] records that no [Clr] in it compensates,
+    in the chain's order. Rollback, restart and the [dmx_txns] view all use
+    this rule. *)
 
-val next_txid : Wal.t -> Log_record.txid
-(** The id the next transaction takes when the log is opened: the larger of
-    the newest checkpoint's [next_txid] and one above the largest txid in
-    the retained log (1 for an empty log). *)
+val find :
+  base:Log_record.lsn -> Log_record.t array -> Log_record.lsn ->
+  Log_record.t option
+(** The record at an LSN in a decode of a log with base LSN [base]. *)
 
-val analyze : Wal.t -> analysis
+val analyze : base:Log_record.lsn -> Log_record.t array -> analysis
 
 val pp : Format.formatter -> analysis -> unit

@@ -6,8 +6,7 @@ let m_flushed_records = Dmx_obs.Metrics.counter "wal.flushed_records"
 let m_write_syscalls = Dmx_obs.Metrics.counter "wal.write_syscalls"
 let m_fsyncs = Dmx_obs.Metrics.counter "wal.fsyncs"
 
-(* Physical framed bytes buffered for the log. The in-memory backend frames
-   nothing, so it contributes 0 — the hot test path pays no encode cost. *)
+(* Physical framed bytes appended to the log, by either backend. *)
 let m_appended_bytes = Dmx_obs.Metrics.counter "wal.appended_bytes"
 let m_truncations = Dmx_obs.Metrics.counter "wal.truncations"
 let m_truncated_bytes = Dmx_obs.Metrics.counter "wal.truncated_bytes"
@@ -16,7 +15,7 @@ let h_flush_us = Dmx_obs.Metrics.histogram "wal.flush_us"
 (* The file is kept zero-filled and synced from the log's logical end
    [size] to its length [alloc], so a flush overwrites blocks that exist and
    its fsync journals no new file size. The descriptor's offset stays at
-   [size]: a flush writes there without a seek. *)
+   [size]: a flush writes there without a seek, and every read seeks back. *)
 type file = {
   mutable fd : Unix.file_descr;
   path : string;  (* for truncation's rewrite-and-rename *)
@@ -24,64 +23,76 @@ type file = {
   mutable synced : int;  (* prefix of [size] known durable (fsynced) *)
   mutable alloc : int;  (* file length; [size, alloc) holds zeros *)
   buf : Buffer.t;  (* pending records, already framed *)
-  mutable buffered : int;  (* record count in [buf] *)
 }
 
-type backend = Mem | File of file
+(* A memory log's buffer holds what a log file holds up to its end. *)
+type backend = Mem of Buffer.t | File of file
 
 type truncate_phase = Trunc_begin | Trunc_rename | Trunc_done
 
+(* Nothing here grows with the log: its records live only in their frames. *)
 type t = {
   backend : backend;
   (* LSNs stay stable across truncation: [base] records have been dropped
-     from the front, so LSN [n] lives at [records.(n - base - 1)]. *)
+     from the front, so the first retained frame holds LSN [base + 1]. *)
   mutable base : int;
-  mutable records : Log_record.t array;  (* index 0 holds LSN base+1 *)
-  mutable count : int;
+  mutable last : int;  (* LSN of the newest record; [base] when none *)
   mutable flushed : Log_record.lsn;
-  by_txn : (Log_record.txid, Log_record.t list) Hashtbl.t;  (* newest first *)
   mutable closed : bool;
   mutable append_observer : Log_record.lsn -> unit;
   mutable truncate_observer : truncate_phase -> unit;
   mutable last_ckpt : Log_record.lsn;  (* newest Checkpoint record; 0 = none *)
+  mutable next_txid : Log_record.txid;
   mutable appended_bytes : int;  (* monotone framed bytes, immune to truncation *)
   mutable truncations : int;
   mutable truncated_bytes : int;
 }
 
-let add_index t txid kind =
-  let lsn = Int64.of_int (t.base + t.count + 1) in
-  let r = { Log_record.lsn; txid; kind } in
-  if t.count >= Array.length t.records then begin
-    let bigger =
-      Array.make (max 64 (2 * Array.length t.records)) r
-    in
-    Array.blit t.records 0 bigger 0 t.count;
-    t.records <- bigger
-  end;
-  t.records.(t.count) <- r;
-  t.count <- t.count + 1;
-  let chain = Option.value ~default:[] (Hashtbl.find_opt t.by_txn txid) in
-  Hashtbl.replace t.by_txn txid (r :: chain);
-  (match kind with Log_record.Checkpoint _ -> t.last_ckpt <- lsn | _ -> ());
-  r
+(* File header: magic + little-endian base LSN. Records start at
+   [header_len]; a truncated log persists its base here so LSNs stay stable
+   across restart. The magic names the record format; a log whose magic
+   names another [DMXWAL..] format numbers or shapes its records differently
+   (Savepoint, Ckpt_begin/Ckpt_end or transaction-start frames): replaying
+   it would misread records, then cut the log at the first frame that fails
+   to decode as if it were a torn tail. It is refused instead, as is any
+   file with data past where a header would end but no header: it is not a
+   log, and opening it as one would overwrite it. *)
+let header_magic = "DMXWAL03"
+let header_len = 16
+
+let header_string base =
+  let hdr = Bytes.create header_len in
+  Bytes.blit_string header_magic 0 hdr 0 8;
+  Bytes.set_int64_le hdr 8 (Int64.of_int base);
+  Bytes.unsafe_to_string hdr
 
 let in_memory () =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (header_string 0);
   {
-    backend = Mem;
+    backend = Mem buf;
     base = 0;
-    records = [||];
-    count = 0;
+    last = 0;
     flushed = 0L;
-    by_txn = Hashtbl.create 16;
     closed = false;
     append_observer = ignore;
     truncate_observer = ignore;
     last_ckpt = 0L;
+    next_txid = 1;
     appended_bytes = 0;
     truncations = 0;
     truncated_bytes = 0;
   }
+
+(* A record takes the next LSN; the log keeps its checkpoint and txid. *)
+let note t txid (kind : Log_record.kind) =
+  t.last <- t.last + 1;
+  t.next_txid <- Int.max t.next_txid (txid + 1);
+  match kind with
+  | Checkpoint { next_txid; _ } ->
+    t.last_ckpt <- Int64.of_int t.last;
+    t.next_txid <- Int.max t.next_txid next_txid
+  | Commit | Abort | Ext _ | Clr _ -> ()
 
 (* Frame: [u32 len][payload][u32 sum-of-bytes checksum] *)
 let checksum s =
@@ -89,7 +100,7 @@ let checksum s =
   String.iter (fun c -> acc := (!acc + Char.code c) land 0x3fffffff) s;
   !acc
 
-(* Records are framed straight into the pending buffer at append time, so a
+(* Records are framed straight into the log's buffer at append time, so a
    flush is one contiguous write of everything buffered — no per-record
    [Bytes] allocation, no per-record write syscall. *)
 let frame_into buf txid kind =
@@ -100,19 +111,46 @@ let frame_into buf txid kind =
   Buffer.add_string buf payload;
   Buffer.add_int32_le buf (Int32.of_int (checksum payload))
 
+(* The one decoder, which open's replay and [read_all] share: hand each
+   record framed in [data] from [pos] to [f], up to the first frame that
+   fails to read — a length of 0 or less, a frame that overruns [data], a
+   bad checksum or a payload that does not decode — and return its
+   offset. *)
+let rec walk data pos f =
+  match
+    if pos + 8 > String.length data then raise Exit;
+    let n = Int32.to_int (String.get_int32_le data pos) in
+    if n <= 0 || pos + 8 + n > String.length data then raise Exit;
+    let payload = String.sub data (pos + 4) n in
+    if Int32.to_int (String.get_int32_le data (pos + 4 + n)) <> checksum payload
+    then raise Exit;
+    (Log_record.decode (Codec.Dec.of_string payload), pos + 8 + n)
+  with
+  | (txid, kind), next ->
+    f txid kind;
+    walk data next f
+  | exception (Exit | Failure _ | Invalid_argument _) -> pos
+
+(* The offset past [k] frames from [pos] in [s]: only their lengths are
+   read. *)
+let rec skip_frames s pos k =
+  if k = 0 then pos
+  else
+    skip_frames s (pos + 8 + Int32.to_int (String.get_int32_le s pos)) (k - 1)
+
 let seek fd pos = ignore (Unix.LargeFile.lseek fd (Int64.of_int pos) Unix.SEEK_SET)
 
-let write_sub fd s len =
+let write_sub fd s ~off ~len =
   let rec loop done_ =
     if done_ < len then begin
-      let w = Unix.write_substring fd s done_ (len - done_) in
+      let w = Unix.write_substring fd s (off + done_) (len - done_) in
       Dmx_obs.Metrics.incr m_write_syscalls;
       loop (done_ + w)
     end
   in
   loop 0
 
-let really_write fd s = write_sub fd s (String.length s)
+let really_write fd s = write_sub fd s ~off:0 ~len:(String.length s)
 
 let sync fd =
   Unix.fsync fd;
@@ -142,7 +180,7 @@ let zero_range fd ~from ~upto =
     let rec loop n =
       if n > 0 then begin
         let k = min n (String.length zero_block) in
-        write_sub fd zero_block k;
+        write_sub fd zero_block ~off:0 ~len:k;
         loop (n - k)
       end
     in
@@ -171,29 +209,7 @@ let data_end fd len =
   in
   back len
 
-(* File header: magic + little-endian base LSN. Records start at
-   [header_len]; a truncated log persists its base here so LSNs stay stable
-   across restart. Headerless files (pre-truncation format, or a file whose
-   torn header was dropped) scan from offset 0 with base 0. The magic names
-   the record format; a log whose magic names another [DMXWAL..] format
-   numbers or shapes its records differently (Savepoint, Ckpt_begin/Ckpt_end
-   or transaction-start frames): replaying it would misread records, then
-   cut the log at the first frame that fails to decode as if it were a torn
-   tail. It is refused instead. *)
-let header_magic = "DMXWAL03"
-let header_len = 16
-
-let header_string base =
-  let hdr = Bytes.create header_len in
-  Bytes.blit_string header_magic 0 hdr 0 8;
-  Bytes.set_int64_le hdr 8 (Int64.of_int base);
-  Bytes.unsafe_to_string hdr
-
 let open_file path =
-  (* a crash between truncation's rewrite and rename can leave the temp
-     file behind; the original log is still authoritative *)
-  let tmp = path ^ ".tmp" in
-  if Sys.file_exists tmp then Sys.remove tmp;
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let len = (Unix.fstat fd).Unix.st_size in
   (* Only the bytes up to the zero tail are read. A frame's last nonzero
@@ -208,49 +224,34 @@ let open_file path =
     Bytes.unsafe_to_string buf
   in
   let magic = if size >= 8 then String.sub data 0 8 else "" in
-  if String.starts_with ~prefix:"DMXWAL" magic && magic <> header_magic
-  then begin
+  let headered = size >= header_len && magic = header_magic in
+  (* Without a header, only a file with nothing past where the header ends
+     is a log: a fresh one, or one whose header was torn before any frame
+     followed it. *)
+  if (not headered) && dirty > header_len then begin
     Unix.close fd;
     raise
       (Sys_error
-         (Fmt.str "%s: log written in the %s record format, not %s" path
-            magic header_magic))
+         (Fmt.str "%s: not a %s log (it begins %S)" path header_magic
+            (String.sub data 0 (min 8 size))))
   end;
-  let headered = size >= header_len && magic = header_magic in
+  (* a crash between truncation's rewrite and rename can leave the temp
+     file behind; the original log is still authoritative *)
+  let tmp = path ^ ".tmp" in
+  if Sys.file_exists tmp then Sys.remove tmp;
   let base = if headered then Int64.to_int (String.get_int64_le data 8) else 0 in
   let f =
-    { fd; path; size = 0; synced = 0; alloc = len; buf = Buffer.create 4096;
-      buffered = 0 }
+    { fd; path; size = 0; synced = 0; alloc = len; buf = Buffer.create 4096 }
   in
-  let t = { (in_memory ()) with backend = File f; base } in
-  (* The log's end is the first frame that fails to read: a length of 0 or
-     less, a frame that overruns the bytes read, a bad checksum or a payload
-     that does not decode. Headers and checksums are decoded at offsets into
-     the one immutable string read above — replay is O(log size), not
-     O(size) per frame. *)
-  let rec replay pos =
-    match
-      if pos + 8 > size then raise Exit;
-      let n = Int32.to_int (String.get_int32_le data pos) in
-      if n <= 0 || pos + 8 + n > size then raise Exit;
-      let payload = String.sub data (pos + 4) n in
-      if Int32.to_int (String.get_int32_le data (pos + 4 + n)) <> checksum payload
-      then raise Exit;
-      (Log_record.decode (Codec.Dec.of_string payload), pos + 8 + n)
-    with
-    | (txid, kind), next ->
-      ignore (add_index t txid kind);
-      replay next
-    | exception (Exit | Failure _ | Invalid_argument _) -> pos
-  in
-  let valid_end = replay (if headered then header_len else 0) in
-  (* a fresh log, or a fully torn headerless one, gets a header *)
-  if valid_end = 0 then begin
+  let t = { (in_memory ()) with backend = File f; base; last = base } in
+  (* The log's end is the first frame that fails to read; replay keeps
+     nothing of a record but what [note] tracks. *)
+  f.size <- walk data header_len (note t);
+  f.synced <- f.size;
+  if not headered then begin
     seek fd 0;
     really_write fd (header_string 0)
   end;
-  f.size <- (if valid_end = 0 then header_len else valid_end);
-  f.synced <- f.size;
   (* Before the first append nothing past the end may read as a frame: a
      valid frame behind a torn one would be replayed once new frames fill
      the gap in front of it. So the bytes past the end that are not zeros
@@ -260,7 +261,7 @@ let open_file path =
   zero_range fd ~from:(max len f.size) ~upto:f.alloc;
   sync fd;
   seek fd f.size;
-  t.flushed <- Int64.of_int (t.base + t.count);
+  t.flushed <- Int64.of_int t.last;
   t
 
 let check_open t = if t.closed then invalid_arg "Wal: log is closed"
@@ -269,19 +270,18 @@ let set_append_observer t f = t.append_observer <- f
 let set_truncate_observer t f = t.truncate_observer <- f
 
 let append_now t txid kind =
-  let r = add_index t txid kind in
-  (match t.backend with
-  | Mem -> t.flushed <- r.Log_record.lsn
-  | File f ->
-    let before = Buffer.length f.buf in
-    frame_into f.buf txid kind;
-    let framed = Buffer.length f.buf - before in
-    t.appended_bytes <- t.appended_bytes + framed;
-    Dmx_obs.Metrics.add m_appended_bytes framed;
-    f.buffered <- f.buffered + 1);
-  t.append_observer r.Log_record.lsn;
+  let buf = match t.backend with Mem b -> b | File f -> f.buf in
+  let before = Buffer.length buf in
+  frame_into buf txid kind;
+  let framed = Buffer.length buf - before in
+  t.appended_bytes <- t.appended_bytes + framed;
+  Dmx_obs.Metrics.add m_appended_bytes framed;
+  note t txid kind;
+  let lsn = Int64.of_int t.last in
+  (match t.backend with Mem _ -> t.flushed <- lsn | File _ -> ());
+  t.append_observer lsn;
   Dmx_obs.Metrics.incr m_appends;
-  r.Log_record.lsn
+  lsn
 
 let append t txid kind =
   check_open t;
@@ -300,16 +300,19 @@ let append t txid kind =
       raise e
   end
 
-let last_lsn t = Int64.of_int (t.base + t.count)
+let last_lsn t = Int64.of_int t.last
 let flushed_lsn t = t.flushed
 let base_lsn t = Int64.of_int t.base
 let last_checkpoint_lsn t = t.last_ckpt
+let next_txid t = t.next_txid
+let record_count t = t.last - t.base
 let appended_bytes t = t.appended_bytes
 let truncations t = t.truncations
 let truncated_bytes t = t.truncated_bytes
 
-let end_offset t = match t.backend with Mem -> 0 | File f -> f.size
-let allocated t = match t.backend with Mem -> 0 | File f -> f.alloc
+let end_offset t =
+  match t.backend with Mem b -> Buffer.length b | File f -> f.size
+let allocated t = match t.backend with Mem _ -> 0 | File f -> f.alloc
 
 (* Zero-fill to the step past [upto] and sync, so the frames written next
    overwrite blocks that exist. *)
@@ -326,7 +329,7 @@ let flush ?upto t =
   check_open t;
   let upto = Option.value ~default:(last_lsn t) upto in
   match t.backend with
-  | Mem -> ()
+  | Mem _ -> ()
   | File f ->
     let need_write = upto > t.flushed in
     (* Also harden bytes an earlier flush wrote but failed to fsync, even
@@ -339,7 +342,7 @@ let flush ?upto t =
       let sp = Dmx_obs.Emit.enter "wal.flush" ~key:Dmx_obs.Profile.Wal in
       let observed = Dmx_obs.Metrics.enabled () || Dmx_obs.Emit.active () in
       let t0 = if observed then Unix.gettimeofday () else 0. in
-      let records = f.buffered in
+      let records = t.last - Int64.to_int t.flushed in
       if need_write then begin
         (* Write every pending record in one contiguous write; fine-grained
            partial flush is not worth the bookkeeping since pending records
@@ -355,7 +358,6 @@ let flush ?upto t =
           raise e);
         f.size <- end_;
         Buffer.clear f.buf;
-        f.buffered <- 0;
         t.flushed <- last_lsn t
       end;
       sync f.fd;
@@ -375,114 +377,97 @@ let flush ?upto t =
     end
 
 let unsynced_bytes t =
-  match t.backend with Mem -> 0 | File f -> f.size - f.synced
+  match t.backend with Mem _ -> 0 | File f -> f.size - f.synced
 
 let pending_records t =
-  match t.backend with Mem -> 0 | File f -> f.buffered
+  match t.backend with Mem _ -> 0 | File _ -> t.last - Int64.to_int t.flushed
 
 let pending_bytes t =
-  match t.backend with Mem -> 0 | File f -> Buffer.length f.buf
+  match t.backend with Mem _ -> 0 | File f -> Buffer.length f.buf
 
-let read t lsn =
+(* The retained frames, pending ones included, laid out as the file is past
+   its header. A file log reads them in one read and leaves the offset at
+   its end, where the next flush writes. *)
+let frames t =
+  match t.backend with
+  | Mem b -> Buffer.sub b header_len (Buffer.length b - header_len)
+  | File f ->
+    let n = f.size - header_len in
+    let data = Bytes.create (n + Buffer.length f.buf) in
+    Fun.protect
+      ~finally:(fun () -> seek f.fd f.size)
+      (fun () -> read_into f.fd data ~pos:header_len ~len:n);
+    Buffer.blit f.buf 0 data n (Buffer.length f.buf);
+    Bytes.unsafe_to_string data
+
+let read_all t =
   check_open t;
-  let i = Int64.to_int lsn - t.base - 1 in
-  if i < 0 || i >= t.count then
-    invalid_arg
-      (Fmt.str "Wal.read: no record at LSN %Ld (log covers %d..%d)" lsn
-         (t.base + 1) (t.base + t.count));
-  t.records.(i)
-
-let iter t f =
-  for i = 0 to t.count - 1 do
-    f t.records.(i)
-  done
-
-let iter_from t lsn f =
-  let start = max 0 (Int64.to_int lsn - t.base - 1) in
-  for i = start to t.count - 1 do
-    f t.records.(i)
-  done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun r -> acc := f !acc r);
-  !acc
-
-let records_of_txn t txid =
-  Option.value ~default:[] (Hashtbl.find_opt t.by_txn txid)
-
-let forget_txn t txid = Hashtbl.remove t.by_txn txid
-let record_count t = t.count
+  let records =
+    Array.make (t.last - t.base)
+      { Log_record.lsn = 0L; txid = 0; kind = Log_record.Commit }
+  in
+  let i = ref 0 in
+  ignore
+    (walk (frames t) 0 (fun txid kind ->
+         records.(!i) <-
+           { Log_record.lsn = Int64.of_int (t.base + 1 + !i); txid; kind };
+         incr i));
+  if !i < Array.length records then
+    raise (Sys_error (Fmt.str "Wal: LSN %d no longer reads" (t.base + 1 + !i)));
+  records
 
 (* Drop every record with LSN < [cut], clamped to the covered range — asking
    to truncate past the end (or before the base) is a no-op on the excess,
-   never an error. The file backend rewrites the retained suffix behind a new
-   header and ahead of a zero tail into a temp file, fsyncs it once and
-   renames it over the log, so a crash
-   at any point leaves either the old or the new log intact. Pending and
-   unsynced records are folded into the rewrite (the retained suffix is
-   re-framed from the in-memory index), so truncation only ever strengthens
-   durability. Returns (records_dropped, bytes_freed). *)
+   never an error. The cut's offset is found by walking frame lengths, and
+   the frames past it are kept as they are, never decoded. The file backend
+   writes a new header, those frames, pending ones included, and a zero
+   tail into a temp file, fsyncs it once and renames it over the log, so a
+   crash at any point leaves either the old or the new log intact, and
+   truncation only ever strengthens durability. Returns (records_dropped,
+   bytes_freed). *)
 let truncate_before t cut =
   check_open t;
-  let keep_from =
-    min (max (Int64.to_int cut) (t.base + 1)) (t.base + t.count + 1)
-  in
+  let keep_from = min (max (Int64.to_int cut) (t.base + 1)) (t.last + 1) in
   let drop = keep_from - t.base - 1 in
   if drop <= 0 then (0, 0)
   else begin
     t.truncate_observer Trunc_begin;
-    let freed =
-      match t.backend with
-      | Mem -> 0
-      | File f ->
-        let tmp = f.path ^ ".tmp" in
-        let fd2 =
-          Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-        in
-        let buf = Buffer.create 4096 in
-        Buffer.add_string buf (header_string (t.base + drop));
-        for i = drop to t.count - 1 do
-          let r = t.records.(i) in
-          frame_into buf r.Log_record.txid r.Log_record.kind
-        done;
-        let size = Buffer.length buf in
-        let alloc = next_step size in
-        (try
-           really_write fd2 (Buffer.contents buf);
-           zero_range fd2 ~from:size ~upto:alloc;
-           sync fd2;
-           t.truncate_observer Trunc_rename
-         with e ->
-           Unix.close fd2;
-           (try Sys.remove tmp with Sys_error _ -> ());
-           raise e);
-        Unix.rename tmp f.path;
-        seek fd2 size;
-        let old_size = f.size + Buffer.length f.buf in
-        Unix.close f.fd;
-        f.fd <- fd2;
-        f.size <- size;
-        f.synced <- size;
-        f.alloc <- alloc;
-        Buffer.clear f.buf;
-        f.buffered <- 0;
-        max 0 (old_size - f.size)
-    in
-    Array.blit t.records drop t.records 0 (t.count - drop);
-    t.count <- t.count - drop;
-    t.base <- t.base + drop;
-    let base_lsn = Int64.of_int t.base in
-    Hashtbl.filter_map_inplace
-      (fun _ chain ->
-        match
-          List.filter (fun r -> r.Log_record.lsn > base_lsn) chain
-        with
-        | [] -> None
-        | keep -> Some keep)
-      t.by_txn;
-    if t.last_ckpt <= base_lsn && t.last_ckpt <> 0L then t.last_ckpt <- 0L;
-    t.flushed <- Int64.of_int (t.base + t.count);
+    let base = t.base + drop in
+    let data = frames t in
+    let freed = skip_frames data 0 drop in
+    let kept = String.length data - freed in
+    (match t.backend with
+    | Mem b ->
+      Buffer.clear b;
+      Buffer.add_string b (header_string base);
+      Buffer.add_substring b data freed kept
+    | File f ->
+      let tmp = f.path ^ ".tmp" in
+      let fd2 =
+        Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+      in
+      let size = header_len + kept in
+      (try
+         really_write fd2 (header_string base);
+         write_sub fd2 data ~off:freed ~len:kept;
+         zero_range fd2 ~from:size ~upto:(next_step size);
+         sync fd2;
+         t.truncate_observer Trunc_rename
+       with e ->
+         Unix.close fd2;
+         (try Sys.remove tmp with Sys_error _ -> ());
+         raise e);
+      Unix.rename tmp f.path;
+      seek fd2 size;
+      Unix.close f.fd;
+      f.fd <- fd2;
+      f.size <- size;
+      f.synced <- size;
+      f.alloc <- next_step size;
+      Buffer.clear f.buf);
+    t.base <- base;
+    if t.last_ckpt <= Int64.of_int base then t.last_ckpt <- 0L;
+    t.flushed <- last_lsn t;
     t.truncations <- t.truncations + 1;
     t.truncated_bytes <- t.truncated_bytes + freed;
     Dmx_obs.Metrics.incr m_truncations;
@@ -500,20 +485,20 @@ let truncate_before t cut =
 let close t =
   if not t.closed then begin
     (try flush t with Unix.Unix_error _ | Sys_error _ -> ());
-    (match t.backend with Mem -> () | File f -> Unix.close f.fd);
+    (match t.backend with Mem _ -> () | File f -> Unix.close f.fd);
     t.closed <- true
   end
 
 let abandon t =
   if not t.closed then begin
-    (match t.backend with Mem -> () | File f -> Unix.close f.fd);
+    (match t.backend with Mem _ -> () | File f -> Unix.close f.fd);
     t.closed <- true
   end
 
 let crash t =
   if not t.closed then begin
     (match t.backend with
-    | Mem -> ()
+    | Mem _ -> ()
     | File f ->
       (* Power loss: written-but-unsynced bytes are not durable, and in the
          preallocated file they read back as the zeros that were there.
@@ -526,7 +511,7 @@ let crash t =
 
 let simulate_torn_tail t ~bytes_to_truncate =
   match t.backend with
-  | Mem -> invalid_arg "Wal.simulate_torn_tail: memory-backed log"
+  | Mem _ -> invalid_arg "Wal.simulate_torn_tail: memory-backed log"
   | File f ->
     flush t;
     let cut = max 0 (f.size - bytes_to_truncate) in

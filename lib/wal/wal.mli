@@ -2,12 +2,15 @@
 
     An append-only, LSN-addressed log shared by the transaction manager and
     every extension. Extensions append [Ext] records through the common
-    services context; the rollback/abort/restart drivers read the log
-    backwards and dispatch undo to the owning extension.
+    services context; the rollback/abort/restart drivers dispatch their
+    undo and redo to the owning extension.
 
-    LSNs are 1-based sequence numbers. A file-backed log buffers appended
-    records in memory and hardens them on {!flush} (the buffer-pool hook and
-    the commit protocol call it).
+    LSNs are 1-based sequence numbers. Both backends frame a record at
+    append, laid out as the file is: a memory log keeps its frames in a
+    buffer, a file log buffers them until {!flush} (the buffer-pool hook
+    and the commit protocol call it). The log keeps no decoded record: a
+    transaction carries its own chain for rollback, and restart decodes the
+    retained log once ({!read_all}).
 
     The file is kept zero-filled and synced from the log's end to a
     1 MB step past it, so a flush overwrites blocks that exist and its
@@ -29,14 +32,16 @@ type truncate_phase = Trunc_begin | Trunc_rename | Trunc_done
 
 val in_memory : unit -> t
 val open_file : string -> t
-(** Opens (creating if needed) a log file, replaying existing records into the
-    in-memory index up to the first frame that fails to read. Bytes past
-    that end that are not zeros are zeroed, a file with no zero tail (a
-    fresh log, or one written before logs were preallocated) is extended by
-    one, and the file is synced. Raises [Sys_error] naming the path, and
-    leaves the file as it is, on a log whose header names another
-    [DMXWAL..] record format than the current [DMXWAL03] ([DMXWAL01], or
-    [DMXWAL02], which opened every transaction with a record of its own). *)
+(** Opens (creating if needed) a log file, walking its frames up to the
+    first that fails to read. Bytes past that end that are not zeros are
+    zeroed, a file with no zero tail (a fresh log, or one written before
+    logs were preallocated) is extended by one, and the file is synced. A
+    file whose first 8 bytes are not the [DMXWAL03] magic is a fresh log
+    when no byte at or past offset 16 is nonzero (an empty file, or a torn
+    header with nothing behind it). Any other such file raises [Sys_error]
+    naming the path, and is left as it is: it is not a log, or a log in
+    another [DMXWAL..] record format ([DMXWAL01], or [DMXWAL02], which
+    opened every transaction with a record of its own). *)
 
 val append : t -> Log_record.txid -> Log_record.kind -> Log_record.lsn
 
@@ -64,26 +69,33 @@ val last_checkpoint_lsn : t -> Log_record.lsn
 (** LSN of the newest [Checkpoint] record in the log (tracked at append
     and restored by {!open_file}'s replay); 0 when none. *)
 
+val next_txid : t -> Log_record.txid
+(** Above every txid the log has carried since it was opened, and at least
+    the newest checkpoint's [next_txid]; 1 for an empty log. *)
+
+val record_count : t -> int
+
 val appended_bytes : t -> int
 (** Monotone total of framed bytes ever appended to this log instance —
     unlike the file size it never decreases on truncation, so checkpoint
-    policy can meter on it. 0 for memory-backed logs. *)
+    policy can meter on it. *)
 
 val truncations : t -> int
 (** Number of {!truncate_before} calls that dropped at least one record. *)
 
 val truncated_bytes : t -> int
-(** Cumulative file bytes freed by truncation on this log instance. *)
+(** Cumulative framed bytes truncation dropped on this log instance. *)
 
 val truncate_before : t -> Log_record.lsn -> int * int
 (** [truncate_before t cut] drops every record with LSN < [cut] and returns
     [(records_dropped, bytes_freed)]. The cut is clamped to the covered
     range, so an out-of-range cut is a no-op rather than an error. Surviving
-    LSNs are unchanged ({!base_lsn} advances). File-backed logs rewrite the
-    retained suffix plus an updated header and a zero tail into a temp file,
-    fsync it once, and rename it over the log — a crash at any point leaves either the old or
-    the new log intact. Pending/unsynced records are folded into the rewrite,
-    so truncation never weakens durability. The caller is responsible for
+    LSNs are unchanged ({!base_lsn} advances). The retained frames are
+    found by walking frame lengths and kept as they are. A file log writes
+    them, pending ones included, behind an updated header and ahead of a
+    zero tail into a temp file, fsyncs it once, and renames it over the
+    log — a crash at any point leaves either the old or the new log intact,
+    and truncation never weakens durability. The caller is responsible for
     cutting only below the undo horizon (no active transaction's first LSN,
     and not the checkpoint restart starts from, may be dropped). *)
 
@@ -96,8 +108,8 @@ val flush : ?upto:Log_record.lsn -> t -> unit
     fsynced by the next flush, even when nothing new is pending. *)
 
 val end_offset : t -> int
-(** The log's logical end in its file: the header and every frame written;
-    0 for memory-backed logs. *)
+(** The log's logical end in its file: the header and every frame written
+    (for a memory log, the length of its buffer). *)
 
 val allocated : t -> int
 (** The file's length: {!end_offset} plus the zero-filled, synced tail; 0
@@ -115,27 +127,12 @@ val unsynced_bytes : t -> int
 (** Bytes written to the file but not yet known durable (a flush whose fsync
     raised); 0 for memory-backed logs and whenever the last flush synced. *)
 
-val read : t -> Log_record.lsn -> Log_record.t
-(** Raises [Invalid_argument] for an unknown LSN. *)
+val read_all : t -> Log_record.t array
+(** Decode every retained record, pending ones included, with the frame
+    walk {!open_file} replays with: element [i] holds LSN
+    [base_lsn + 1 + i]. Raises [Sys_error] if a retained frame no longer
+    reads (the file was changed under the log). *)
 
-val iter : t -> (Log_record.t -> unit) -> unit
-(** Forward scan over all records. *)
-
-val iter_from : t -> Log_record.lsn -> (Log_record.t -> unit) -> unit
-(** Forward scan starting at the given LSN (clamped to the first retained
-    record) — restart analysis seeds here from the last checkpoint. *)
-
-val fold : t -> init:'a -> f:('a -> Log_record.t -> 'a) -> 'a
-
-val records_of_txn : t -> Log_record.txid -> Log_record.t list
-(** All records of a transaction, most recent first (drives rollback). *)
-
-val forget_txn : t -> Log_record.txid -> unit
-(** Drop a finished transaction's chain from the per-transaction index:
-    only active transactions' chains are read in a running system (restart
-    rebuilds the index from the file). The records stay in the log. *)
-
-val record_count : t -> int
 val close : t -> unit
 
 val abandon : t -> unit

@@ -83,8 +83,7 @@ let test_active_txn_pins_truncation () =
       let first_lsn =
         match
           List.rev
-            (Wal.records_of_txn services.Services.wal
-               ctx.Ctx.txn.Dmx_txn.Txn.id)
+            ctx.Ctx.txn.Dmx_txn.Txn.chain
         with
         | r :: _ -> r.Dmx_wal.Log_record.lsn
         | [] -> Alcotest.fail "no records for active txn"
@@ -162,7 +161,10 @@ let test_one_record_seeds_restart () =
         (Wal.last_lsn wal);
       Alcotest.(check int64) "it is the checkpoint" stats.Services.ck_lsn
         (Wal.last_lsn wal);
-      (match (Wal.read wal stats.Services.ck_lsn).Dmx_wal.Log_record.kind with
+      (match
+         (Dmx_wal.Wal.read_all wal).(Dmx_wal.Wal.record_count wal - 1)
+           .Dmx_wal.Log_record.kind
+       with
       | Dmx_wal.Log_record.Checkpoint { active; next_txid } ->
         Alcotest.(check (list int)) "active list"
           [ ctx.Ctx.txn.Dmx_txn.Txn.id ] active;
@@ -189,38 +191,88 @@ let test_one_record_seeds_restart () =
       Services.commit services ctx;
       Services.close services)
 
-(* the automatic policy fires from the post-commit hook *)
-let test_auto_policy_records () =
-  with_dir (fun dir ->
-      let services = fresh_services ~dir () in
-      Services.set_checkpoint_policy ~every_records:10 services;
-      Alcotest.(check (pair int int)) "policy armed" (10, 0)
-        (Services.checkpoint_policy services);
-      let ctx = Services.begin_txn services in
-      ignore (create_emp ctx);
-      Services.commit services ctx;
-      for b = 0 to 3 do
-        insert_batch services ~from:(10 * b) ~count:5
-      done;
-      let wal = services.Services.wal in
-      Alcotest.(check bool) "auto checkpoint happened" true
-        (Wal.last_checkpoint_lsn wal > 0L);
-      Alcotest.(check bool) "auto truncation happened" true
-        (Wal.truncations wal > 0);
-      Services.close services)
-
+(* The automatic policy fires from the post-commit hook once enough log
+   bytes were appended, on a file log and on an in-memory one: both frame
+   their records, so both count bytes. *)
 let test_auto_policy_bytes () =
+  let run what ?dir () =
+    let services = fresh_services ?dir () in
+    Services.set_checkpoint_policy ~every_bytes:512 services;
+    Alcotest.(check int) (what ^ ": policy armed") 512
+      (Services.checkpoint_policy services);
+    let wal = services.Services.wal in
+    let truncations = Wal.truncations wal in
+    let ctx = Services.begin_txn services in
+    ignore (create_emp ctx);
+    Services.commit services ctx;
+    for b = 0 to 3 do
+      insert_batch services ~from:(10 * b) ~count:5
+    done;
+    Alcotest.(check bool) (what ^ ": auto checkpoint happened") true
+      (Wal.last_checkpoint_lsn wal > 0L);
+    Alcotest.(check bool) (what ^ ": auto truncation happened") true
+      (Wal.truncations wal > truncations);
+    let ctx = Services.begin_txn services in
+    let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+    Alcotest.(check int) (what ^ ": rows intact") 20 (count_records ctx desc);
+    Services.commit services ctx;
+    Services.close services
+  in
+  with_dir (fun dir -> run "file" ~dir ());
+  run "memory" ()
+
+(* A transaction logs inserts, a checkpoint writes their pages, and then
+   the transaction rolls back to a savepoint taken before them and commits.
+   The Clrs of that rollback lie past the checkpoint, the inserts they undo
+   below it. After a crash the store holds the inserts; restart's redo must
+   repeat each Clr's undo, reading its target from below the restart point,
+   or the rolled-back rows come back. *)
+let test_clr_target_below_checkpoint () =
   with_dir (fun dir ->
       let services = fresh_services ~dir () in
-      Services.set_checkpoint_policy ~every_bytes:512 services;
       let ctx = Services.begin_txn services in
       ignore (create_emp ctx);
       Services.commit services ctx;
-      for b = 0 to 3 do
-        insert_batch services ~from:(10 * b) ~count:5
+      insert_batch services ~from:0 ~count:3;
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      Services.savepoint ctx "sp";
+      for i = 10 to 14 do
+        ignore (check_ok "ins" (Relation.insert ctx desc (emp i "gone" "eng" i)))
       done;
-      Alcotest.(check bool) "byte policy fired" true
-        (Wal.truncations services.Services.wal > 0);
+      let first_lsn =
+        match List.rev ctx.Ctx.txn.Dmx_txn.Txn.chain with
+        | r :: _ -> r.Dmx_wal.Log_record.lsn
+        | [] -> Alcotest.fail "no records for the active txn"
+      in
+      let stats = Services.checkpoint services in
+      Alcotest.(check bool) "the inserts precede the checkpoint" true
+        (first_lsn < stats.Services.ck_lsn);
+      Services.rollback_to ctx "sp";
+      ignore (check_ok "ins" (Relation.insert ctx desc (emp 20 "kept" "eng" 1)));
+      Services.commit services ctx;
+      Wal.flush services.Services.wal;
+      Services.simulate_crash services;
+      let services = fresh_services ~dir () in
+      (match services.Services.last_recovery with
+      | None -> Alcotest.fail "no recovery"
+      | Some a ->
+        Alcotest.(check int64) "restart starts at the checkpoint"
+          stats.Services.ck_lsn a.Dmx_wal.Recovery.restart_lsn;
+        Alcotest.(check (list int)) "no loser" [] a.Dmx_wal.Recovery.losers);
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      let names =
+        List.sort compare
+          (List.map
+             (fun r ->
+               match r.(1) with Dmx_value.Value.String s -> s | _ -> "?")
+             (all_records ctx desc))
+      in
+      Alcotest.(check (list string)) "the committed state: rolled-back rows \
+                                      stay gone"
+        [ "kept"; "w"; "w"; "w" ] names;
+      Services.commit services ctx;
       Services.close services)
 
 (* a torn Checkpoint record is treated as absent: restart falls back to the
@@ -357,8 +409,9 @@ let suite =
       test_one_record_seeds_restart;
     Alcotest.test_case "loser seeded from checkpoint ATT" `Quick
       test_loser_seeded_from_checkpoint_att;
-    Alcotest.test_case "auto policy (records)" `Quick test_auto_policy_records;
     Alcotest.test_case "auto policy (bytes)" `Quick test_auto_policy_bytes;
+    Alcotest.test_case "a Clr whose target precedes the checkpoint is redone"
+      `Quick test_clr_target_below_checkpoint;
     Alcotest.test_case "torn Checkpoint tolerated as absent" `Quick
       test_torn_checkpoint_tolerated;
     Alcotest.test_case "crash before truncate rename keeps old log" `Quick

@@ -178,7 +178,7 @@ let run user steps =
   let held tail = Option.value ~default:None (Hashtbl.find_opt model tail) in
   let logged = ref [||] in
   let images () =
-    Dmx_wal.Wal.records_of_txn services.Services.wal ctx.Ctx.txn.Dmx_txn.Txn.id
+    ctx.Ctx.txn.Dmx_txn.Txn.chain
     |> List.rev
     |> List.filter_map (fun (r : Log_record.t) ->
            match r.kind with

@@ -315,14 +315,18 @@ let test_update_logs_only_its_change () =
   ignore (check_ok "upd" (Relation.update ctx desc key (emp 1 "a" "eng" 2)));
   Services.commit services ctx;
   let kinds = ref [] in
-  Dmx_wal.Wal.iter_from wal from (fun r ->
-      let name =
-        match r.Dmx_wal.Log_record.kind with
-        | Ext _ -> "Ext"
-        | Commit -> "Commit"
-        | k -> Fmt.str "%a" Dmx_wal.Log_record.pp_kind k
-      in
-      kinds := name :: !kinds);
+  Array.iter
+    (fun (r : Dmx_wal.Log_record.t) ->
+      if r.lsn >= from then begin
+        let name =
+          match r.kind with
+          | Ext _ -> "Ext"
+          | Commit -> "Commit"
+          | k -> Fmt.str "%a" Dmx_wal.Log_record.pp_kind k
+        in
+        kinds := name :: !kinds
+      end)
+    (Dmx_wal.Wal.read_all wal);
   Alcotest.(check (list string)) "the transaction's records"
     [ "Ext"; "Commit" ] (List.rev !kinds)
 

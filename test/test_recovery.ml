@@ -499,8 +499,10 @@ let test_read_only_commit_then_crash () =
       Alcotest.(check int64) "no log flush" before (Dmx_wal.Wal.flushed_lsn wal);
       let reader_id = reader.Ctx.txn.Dmx_txn.Txn.id in
       Alcotest.(check int) "the reader has no record" 0
-        (Dmx_wal.Wal.fold wal ~init:0 ~f:(fun n r ->
-             if r.Dmx_wal.Log_record.txid = reader_id then n + 1 else n));
+        (Array.fold_left
+           (fun n (r : Dmx_wal.Log_record.t) ->
+             if r.txid = reader_id then n + 1 else n)
+           0 (Dmx_wal.Wal.read_all wal));
       Services.simulate_crash services;
       let services = fresh_services ~dir () in
       (match services.Services.last_recovery with
@@ -612,8 +614,9 @@ let test_txids_across_crash_after_truncation () =
       ignore (Services.checkpoint services);
       let wal = services.Services.wal in
       Alcotest.(check int) "no record carries a txid" 0
-        (Dmx_wal.Wal.fold wal ~init:0 ~f:(fun n r ->
-             max n r.Dmx_wal.Log_record.txid));
+        (Array.fold_left
+           (fun n (r : Dmx_wal.Log_record.t) -> max n r.txid)
+           0 (Dmx_wal.Wal.read_all wal));
       Services.simulate_crash services;
       let services = fresh_services ~dir () in
       let ctx = Services.begin_txn services in

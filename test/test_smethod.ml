@@ -475,7 +475,7 @@ let test_heap_batch_logs_before_write () =
   let ctx = Services.begin_txn services in
   let heap = Dmx_smethod.Heap.id () in
   let logged () =
-    Dmx_wal.Wal.records_of_txn services.Services.wal ctx.Ctx.txn.Dmx_txn.Txn.id
+    ctx.Ctx.txn.Dmx_txn.Txn.chain
     |> List.filter_map (fun (r : Dmx_wal.Log_record.t) ->
            match r.kind with
            | Dmx_wal.Log_record.Ext
@@ -549,11 +549,13 @@ let logs_before_page_write ~storage_method ?attrs ?(attach = fun _ -> ()) ()
   let in_flight = ref None in
   let logged i lsn0 =
     let found = ref false in
-    Dmx_wal.Wal.iter_from wal (Int64.succ lsn0) (fun r ->
-        match r.Dmx_wal.Log_record.kind with
-        | Dmx_wal.Log_record.Ext { data; _ } ->
+    Array.iter
+      (fun (r : Dmx_wal.Log_record.t) ->
+        match r.kind with
+        | Dmx_wal.Log_record.Ext { data; _ } when r.lsn > lsn0 ->
           if Astring_contains.contains data (marker i) then found := true
-        | _ -> ());
+        | _ -> ())
+      (Dmx_wal.Wal.read_all wal);
     !found
   in
   on_write :=

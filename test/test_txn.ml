@@ -21,7 +21,7 @@ let test_begin_commit () =
     (List.length (Dmx_lock.Lock_table.locked_resources locks txn.Txn.id));
   (* a transaction that logged nothing is read-only: not in the log *)
   let kinds () =
-    List.rev (Dmx_wal.Wal.fold wal ~init:[] ~f:(fun acc r -> r.LR.kind :: acc))
+    Array.to_list (Array.map (fun r -> r.LR.kind) (Dmx_wal.Wal.read_all wal))
   in
   Alcotest.(check bool) "log shape" true (kinds () = []);
   (* one that logged a change enters the log with it and commits with a
@@ -57,7 +57,7 @@ let test_unlogged_txn_appends_nothing () =
   Txn_mgr.rollback_to_mark mgr writer m;
   Txn_mgr.abort mgr writer;
   Alcotest.(check bool) "a logged txn's abort is logged" true
-    (match Dmx_wal.Wal.fold wal ~init:[] ~f:(fun acc r -> r :: acc) with
+    (match List.rev (Array.to_list (Dmx_wal.Wal.read_all wal)) with
     | [ { LR.kind = LR.Abort; txid; _ }; { kind = LR.Clr _; _ };
         { kind = LR.Ext _; _ } ] ->
       txid = writer.Txn.id

@@ -4,6 +4,16 @@ module LR = Log_record
 let ext ?(rel = 1) data =
   LR.Ext { source = LR.Smethod 0; rel_id = rel; data }
 
+(* The record at [lsn] in a decode of the retained log. *)
+let read w lsn =
+  match Recovery.find ~base:(Wal.base_lsn w) (Wal.read_all w) lsn with
+  | Some r -> r
+  | None -> Alcotest.failf "no record at LSN %Ld" lsn
+
+let fold w ~init ~f = Array.fold_left f init (Wal.read_all w)
+
+let analyze w = Recovery.analyze ~base:(Wal.base_lsn w) (Wal.read_all w)
+
 let test_append_read () =
   let w = Wal.in_memory () in
   let l1 = Wal.append w 1 (ext "op0") in
@@ -11,29 +21,51 @@ let test_append_read () =
   let l3 = Wal.append w 2 (ext "op2") in
   Alcotest.(check bool) "lsns ascend" true (l1 < l2 && l2 < l3);
   Alcotest.(check int) "count" 3 (Wal.record_count w);
-  let r = Wal.read w l2 in
+  let r = read w l2 in
   Alcotest.(check int) "txid" 1 r.LR.txid;
   (match r.kind with
   | LR.Ext { data = "op1"; _ } -> ()
   | _ -> Alcotest.fail "wrong record");
-  match Wal.read w 99L with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad lsn accepted"
+  Alcotest.(check bool) "no record past the end" true
+    (Recovery.find ~base:(Wal.base_lsn w) (Wal.read_all w) 99L = None)
 
+(* A transaction carries its own chain, newest first: the records it
+   logged and the Clrs of their undos. The chain dies with it. *)
 let test_txn_chains () =
   let w = Wal.in_memory () in
-  ignore (Wal.append w 1 (ext "a"));
-  ignore (Wal.append w 2 (ext "b"));
-  ignore (Wal.append w 1 (ext "c"));
-  ignore (Wal.append w 2 LR.Commit);
-  let chain = Wal.records_of_txn w 1 in
+  let mgr =
+    Dmx_txn.Txn_mgr.create ~wal:w ~locks:(Dmx_lock.Lock_table.create ()) ()
+  in
+  Dmx_txn.Txn_mgr.set_undo_dispatch mgr (fun _ ~lsn:_ _ -> ());
+  let log txn data =
+    Dmx_txn.Txn_mgr.log_ext mgr txn ~source:(LR.Smethod 0) ~rel_id:1 ~data
+  in
+  let t1 = Dmx_txn.Txn_mgr.begin_txn mgr in
+  let t2 = Dmx_txn.Txn_mgr.begin_txn mgr in
+  ignore (log t1 "a");
+  ignore (log t2 "b");
+  let m = Dmx_txn.Txn_mgr.mark mgr t1 in
+  let l_c = log t1 "c" in
+  let chain = t1.Dmx_txn.Txn.chain in
   Alcotest.(check int) "chain length" 2 (List.length chain);
   (* newest first *)
   (match (List.hd chain).LR.kind with
   | LR.Ext { data = "c"; _ } -> ()
   | _ -> Alcotest.fail "chain order");
-  Alcotest.(check int) "other chain" 2 (List.length (Wal.records_of_txn w 2));
-  Alcotest.(check int) "unknown txn" 0 (List.length (Wal.records_of_txn w 9))
+  Alcotest.(check int) "other chain" 1 (List.length t2.Dmx_txn.Txn.chain);
+  (* a rollback pushes the Clr of each undo onto the chain *)
+  Dmx_txn.Txn_mgr.rollback_to_mark mgr t1 m;
+  (match t1.Dmx_txn.Txn.chain with
+  | { LR.kind = LR.Clr { undone }; lsn; _ } :: _ ->
+    Alcotest.(check int64) "the Clr compensates c" l_c undone;
+    Alcotest.(check int64) "the Clr is the log's newest record" lsn
+      (Wal.last_lsn w)
+  | _ -> Alcotest.fail "no Clr on the chain");
+  Alcotest.(check int) "one record left to undo" 1
+    (List.length (Recovery.uncompensated t1.Dmx_txn.Txn.chain));
+  Dmx_txn.Txn_mgr.commit mgr t2;
+  Alcotest.(check int) "a finished txn's chain is gone" 0
+    (List.length t2.Dmx_txn.Txn.chain)
 
 let test_file_roundtrip () =
   let path = Filename.temp_file "dmx_wal" ".log" in
@@ -47,7 +79,7 @@ let test_file_roundtrip () =
   Wal.close w;
   let w2 = Wal.open_file path in
   Alcotest.(check int) "replayed" 4 (Wal.record_count w2);
-  let kinds = Wal.fold w2 ~init:[] ~f:(fun acc r -> r.LR.kind :: acc) in
+  let kinds = fold w2 ~init:[] ~f:(fun acc r -> r.LR.kind :: acc) in
   (match List.rev kinds with
   | [ LR.Ext _; LR.Clr { undone = 1L };
       LR.Checkpoint { active = [ 1 ]; next_txid = 2 }; LR.Commit ] ->
@@ -144,7 +176,7 @@ let check_appendable what path before =
   let w = Wal.open_file path in
   Alcotest.(check int) (what ^ ": appended after the end") (before + 1)
     (Wal.record_count w);
-  (match (Wal.read w (Wal.last_lsn w)).LR.kind with
+  (match (read w (Wal.last_lsn w)).LR.kind with
   | LR.Ext { data = "after"; _ } -> ()
   | _ -> Alcotest.fail (what ^ ": last record is not the appended one"));
   Wal.close w
@@ -272,7 +304,7 @@ let with_log name f =
 
 let datas w =
   List.rev
-    (Wal.fold w ~init:[] ~f:(fun acc r ->
+    (fold w ~init:[] ~f:(fun acc r ->
          match r.LR.kind with
          | LR.Ext { data; _ } -> data :: acc
          | k -> Fmt.str "%a" LR.pp_kind k :: acc))
@@ -449,7 +481,7 @@ let test_recovery_analysis () =
   (* crash interrupted tx4's rollback after undoing 4b *)
   let lsn_4b = Wal.last_lsn w in
   ignore (Wal.append w 4 (LR.Clr { undone = lsn_4b }));
-  let a = Recovery.analyze w in
+  let a = analyze w in
   Alcotest.(check (list int)) "winners" [ 1 ] a.Recovery.winners;
   Alcotest.(check (list int)) "losers" [ 3; 4 ] (List.sort compare a.losers);
   let work_of tx =
@@ -473,7 +505,7 @@ let test_analysis_fully_compensated () =
   let l_b = Wal.append w 1 (ext "b") in
   ignore (Wal.append w 1 (LR.Clr { undone = l_b }));
   ignore (Wal.append w 1 (LR.Clr { undone = l_a }));
-  let a = Recovery.analyze w in
+  let a = analyze w in
   Alcotest.(check (list int)) "still a loser" [ 1 ] a.Recovery.losers;
   Alcotest.(check int) "compensated records are not undone again" 0
     (List.length (List.assoc 1 a.undo_work))
@@ -489,7 +521,7 @@ let test_analysis_interleaved () =
   ignore (Wal.append w 3 (ext "3a"));
   ignore (Wal.append w 2 (ext "2b"));
   ignore (Wal.append w 3 LR.Commit);
-  let a = Recovery.analyze w in
+  let a = analyze w in
   Alcotest.(check (list int)) "winners" [ 1; 3 ]
     (List.sort compare a.Recovery.winners);
   Alcotest.(check (list int)) "losers" [ 2 ] a.losers;
@@ -510,13 +542,12 @@ let test_analysis_no_record_no_loser () =
   ignore (Wal.append w 1 LR.Commit);
   ignore (Wal.append w 3 (ext "3a"));
   ignore (Wal.append w 0 (LR.Checkpoint { active = [ 3 ]; next_txid = 4 }));
-  let a = Recovery.analyze w in
+  let a = analyze w in
   Alcotest.(check (list int)) "winners" [] a.Recovery.winners;
   Alcotest.(check (list int)) "only the logged loser" [ 3 ] a.losers;
   Alcotest.(check (list int)) "undo work only for it" [ 3 ]
     (List.map fst a.undo_work);
-  Alcotest.(check int) "next txid from the checkpoint" 4
-    (Recovery.next_txid w)
+  Alcotest.(check int) "next txid from the checkpoint" 4 (Wal.next_txid w)
 
 let test_log_record_codec () =
   let roundtrip kind =
@@ -568,18 +599,17 @@ let test_truncate_before_mem () =
   Alcotest.(check int64) "base advanced" 3L (Wal.base_lsn w);
   Alcotest.(check int) "two retained" 2 (Wal.record_count w);
   (* surviving LSNs are stable *)
-  (match (Wal.read w l_b).LR.kind with
+  (match (read w l_b).LR.kind with
   | LR.Ext { data = "b"; _ } -> ()
   | _ -> Alcotest.fail "surviving record moved");
-  (match Wal.read w 2L with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "read below base accepted");
+  Alcotest.(check bool) "no record below the base" true
+    (Recovery.find ~base:(Wal.base_lsn w) (Wal.read_all w) 2L = None);
   (* the sequence keeps counting from where it was *)
   Alcotest.(check int64) "lsns keep ascending" 6L (Wal.append w 2 LR.Commit);
-  (* per-txn chains only lose the truncated records *)
-  Alcotest.(check int) "txn 1 chain gone" 0 (List.length (Wal.records_of_txn w 1));
-  Alcotest.(check int) "txn 2 chain intact" 3
-    (List.length (Wal.records_of_txn w 2));
+  (* the memory log keeps its frames' suffix: the retained records and the
+     new one decode in order *)
+  Alcotest.(check (list int64)) "retained frames decode" [ 4L; 5L; 6L ]
+    (Array.to_list (Array.map (fun (r : LR.t) -> r.lsn) (Wal.read_all w)));
   (* a cut at or below the base is a no-op, not an error *)
   let dropped, freed = Wal.truncate_before w 2L in
   Alcotest.(check int) "below-base cut drops nothing" 0 dropped;
@@ -615,7 +645,7 @@ let test_truncate_before_file_reopen () =
       Alcotest.(check int64) "base survives reopen" 3L (Wal.base_lsn w2);
       Alcotest.(check int) "retained records replayed" 2 (Wal.record_count w2);
       Alcotest.(check int64) "last lsn preserved" 5L (Wal.last_lsn w2);
-      (match (Wal.read w2 5L).LR.kind with
+      (match (read w2 5L).LR.kind with
       | LR.Ext { data = "kept"; _ } -> ()
       | _ -> Alcotest.fail "retained record corrupted");
       ignore (Wal.append w2 2 LR.Commit);
@@ -651,7 +681,7 @@ let test_truncate_folds_pending () =
       Alcotest.(check int64) "base" 2L (Wal.base_lsn w2);
       Alcotest.(check int) "pending records survived via the rewrite" 2
         (Wal.record_count w2);
-      (match (Wal.read w2 4L).LR.kind with
+      (match (read w2 4L).LR.kind with
       | LR.Ext { data = "pending"; _ } -> ()
       | _ -> Alcotest.fail "folded record corrupted");
       Wal.close w2)
@@ -723,7 +753,7 @@ let test_analysis_seeded_from_ckpt () =
   ignore (Wal.append w 3 (ext "3a"));
   ignore (Wal.append w 3 LR.Commit);
   ignore (Wal.append w 2 (ext "2b"));
-  let a = Recovery.analyze w in
+  let a = analyze w in
   Alcotest.(check int64) "restart seeds at the Checkpoint record" ck
     a.Recovery.restart_lsn;
   Alcotest.(check int) "only the tail rescanned" 4 a.Recovery.scanned;
@@ -740,31 +770,45 @@ let test_analysis_seeded_from_ckpt () =
     "undo work reaches below the scan window, newest first" [ "2b"; "2a" ]
     work
 
-(* A log in an older format holds frames this one cannot decode. Opening it
-   must fail and leave the file byte for byte alone: replaying it would cut
-   the log at the first such frame, or, read as headerless, at byte 0.
-   [payload] is a checksum-valid frame the old format wrote. *)
-let old_format_refused magic payload () =
+(* A log in an older format holds frames this one cannot decode, and a
+   file without the header is not a log at all. Opening either must fail
+   and leave the file byte for byte alone: replaying an old log would cut
+   it at the first such frame, and opening a file that is not a log as a
+   fresh one would write a header over it and zero the rest. *)
+let refused contents () =
   let path = Filename.temp_file "dmx_wal_old" ".log" in
+  let tmp = path ^ ".tmp" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () ->
+      Sys.remove path;
+      if Sys.file_exists tmp then Sys.remove tmp)
     (fun () ->
       let oc = open_out_bin path in
-      output_string oc magic;
-      output_string oc (String.make 8 '\000');
-      output_string oc (frame payload);
+      output_string oc contents;
       close_out oc;
+      close_out (open_out_bin tmp);
       let read_all () = In_channel.with_open_bin path In_channel.input_all in
       let before = read_all () in
       (match Wal.open_file path with
       | w ->
         Wal.abandon w;
-        Alcotest.fail (Fmt.str "a %s log opened" magic)
+        Alcotest.fail "the file opened as a log"
       | exception Sys_error msg ->
         Alcotest.(check bool) "message names the file" true
           (String.length msg >= String.length path
           && String.sub msg 0 (String.length path) = path));
-      Alcotest.(check bool) "file byte-identical" true (read_all () = before))
+      Alcotest.(check bool) "file byte-identical" true (read_all () = before);
+      Alcotest.(check bool) "a .tmp beside it left alone" true
+        (Sys.file_exists tmp))
+
+(* [payload] is a checksum-valid frame the old format wrote. *)
+let old_format_refused magic payload =
+  refused (magic ^ String.make 8 '\000' ^ frame payload)
+
+let text_file =
+  String.concat ""
+    (List.init 100 (fun i ->
+         Fmt.str "line %03d: this file holds text, not log frames\n" i))
 
 (* Property: any torn tail leaves a readable prefix of the log. *)
 let prop_torn_tail_prefix =
@@ -793,14 +837,42 @@ let prop_torn_tail_prefix =
              in order *)
           let good = ref (count <= n_records) in
           let i = ref 0 in
-          Wal.iter w2 (fun r ->
+          Array.iter
+            (fun (r : LR.t) ->
               incr i;
-              match r.LR.kind with
+              match r.kind with
               | LR.Ext { data; _ } ->
                 if data <> Fmt.str "op%03d" !i then good := false
-              | _ -> good := false);
+              | _ -> good := false)
+            (Wal.read_all w2);
           Wal.close w2;
           !good))
+
+(* The log keeps no decoded record: its memory is the frames not yet
+   flushed. Appending 19,000 more Ext + Commit pairs to a file log, flushing
+   as it goes, must leave its reachable size within 64 KB. *)
+let test_memory_flat () =
+  with_log "dmx_wal_flat" (fun path ->
+      let w = Wal.open_file path in
+      let pairs n =
+        for i = 1 to n do
+          ignore (Wal.append w i (ext (String.make 58 'x')));
+          ignore (Wal.append w i LR.Commit);
+          if i mod 100 = 0 then Wal.flush w
+        done;
+        Wal.flush w
+      in
+      let bytes () = Obj.reachable_words (Obj.repr w) * (Sys.word_size / 8) in
+      pairs 1_000;
+      let at_1k = bytes () in
+      pairs 19_000;
+      let at_20k = bytes () in
+      Wal.close w;
+      Alcotest.(check bool)
+        (Fmt.str "grew by %d bytes from 1,000 to 20,000 pairs (bound 64 KB)"
+           (at_20k - at_1k))
+        true
+        (at_20k - at_1k < 65_536))
 
 let suite =
   [
@@ -853,4 +925,8 @@ let suite =
     (* a Begin frame of txid 1: kind tag 0, which this format lacks *)
     Alcotest.test_case "a DMXWAL02 log is refused, not truncated" `Quick
       (old_format_refused "DMXWAL02" "\001\000");
+    Alcotest.test_case "a file that is not a log is refused, not overwritten"
+      `Quick (refused text_file);
+    Alcotest.test_case "the log's memory stays flat as it grows" `Quick
+      test_memory_flat;
   ]
