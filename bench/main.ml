@@ -190,17 +190,25 @@ let e2 () =
       [ "hash access path"; Report.f1 (fst hash_point); Report.f1 (snd hash_point) ];
     ];
   Report.verdict
-    ~ok:(snd btree_point < snd scan_point /. 10. && snd hash_point <= snd btree_point)
-    "index point access orders of magnitude below scan; hash <= B-tree";
-  (* The unique index on 20k ids has height 2: its root, the leaf, one
-     revisit of the leaf to see the window close, then the record fetch. A
-     probe whose key ends its leaf visits the next leaf too (1 of the 100
-     here), hence the 0.05 of slack. *)
+    ~ok:
+      (snd btree_point < snd scan_point /. 10.
+      && snd hash_point < snd scan_point /. 10.)
+    "index point access orders of magnitude below scan, B-tree and hash";
+  (* The unique index on 20k ids has height 2: a point lookup pins its
+     root and the leaf and stops at the one entry, then fetches the
+     record. *)
   Report.verdict
-    ~ok:(snd btree_point <= 4.05)
-    "B-tree point access reads %.2f logical I/O per op (gate: <= 4.05: \
-     root, leaf, the leaf again to close the window, the fetch)"
+    ~ok:(snd btree_point <= 3.0)
+    "B-tree point access reads %.2f logical I/O per op (gate: <= 3.00: \
+     root, leaf, the fetch)"
     (snd btree_point);
+  (* The hash index's 64 buckets get about 310 ids each, more than a page
+     holds: the directory, a chain of one or two pages, the fetch. *)
+  Report.verdict
+    ~ok:(snd hash_point <= 4.0)
+    "hash point access reads %.2f logical I/O per op (gate: <= 4.00: \
+     directory, a bucket chain of at most two pages, the fetch)"
+    (snd hash_point);
   (* range selectivity sweep: planner choice + costs *)
   let widths = [ (20, "0.1%"); (200, "1%"); (2000, "10%"); (10000, "50%") ] in
   let rows =

@@ -125,10 +125,29 @@ module Impl = struct
             let inst =
               { group_fields; sum_field = s.(0); root = Btree.root btree }
             in
+            (* one (count, sum) cell per group, built in group order *)
+            let rows = ref [] in
             Attach_util.scan_relation ctx desc (fun _ record ->
-                apply_delta btree ~log:ignore
-                  (Record.project record inst.group_fields)
-                  1 (sum_of inst record));
+                rows :=
+                  (Record.project record inst.group_fields, sum_of inst record)
+                  :: !rows);
+            let rows = Array.of_list !rows in
+            Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) rows;
+            let cells =
+              Array.fold_left
+                (fun cells (group, sum) ->
+                  match cells with
+                  | (g, count, total) :: rest
+                    when Btree.compare_full g group = 0 ->
+                    (g, count + 1, Int64.add total sum) :: rest
+                  | _ -> (group, 1, sum) :: cells)
+                [] rows
+            in
+            Btree.build btree
+              (Array.of_list
+                 (List.rev_map
+                    (fun (group, count, sum) -> (group, enc_cell count sum))
+                    cells));
             Ok inst)
 
   let drop_instance _ctx desc ~instance_name =

@@ -45,6 +45,31 @@ let tree ctx inst = Btree.open_tree ctx.Ctx.bp ~root:inst.root
 
 let entry_payload reckey = Bytes.to_string (Record_key.encode reckey)
 
+let entry_of inst (reckey, record) =
+  (entry_key inst record reckey, entry_payload reckey)
+
+(* Entries in the tree's key order: indexed fields, then the record key. *)
+let sorted entries =
+  Array.sort (fun (k1, _) (k2, _) -> Btree.compare_full k1 k2) entries;
+  entries
+
+let field_values inst (key, _) = Array.sub key 0 (Array.length inst.fields)
+
+(* The first sorted entry whose indexed fields repeat its predecessor's. *)
+let first_duplicate inst entries =
+  let same i =
+    Btree.compare_full
+      (field_values inst entries.(i - 1))
+      (field_values inst entries.(i))
+    = 0
+  in
+  let rec scan i =
+    if i >= Array.length entries then None
+    else if same i then Some i
+    else scan (i + 1)
+  in
+  scan 1
+
 let add_entry ctx desc name inst record reckey =
   let vals = Record.project record inst.fields in
   if inst.unique && Btree.prefix_present (tree ctx inst) vals then
@@ -101,26 +126,22 @@ module Impl = struct
             in
             let btree = Btree.create ctx.Ctx.bp in
             let inst = { fields; unique; root = Btree.root btree } in
-            (* Build the index from the relation's current contents. *)
-            let dup = ref None in
+            (* Build the index from the relation's current contents: sorted,
+               a unique index's duplicates are neighbours. *)
+            let entries = ref [] in
             Attach_util.scan_relation ctx desc (fun reckey record ->
-                let vals = Record.project record fields in
-                if unique && !dup = None && Btree.prefix_present btree vals then
-                  dup := Some vals
-                else
-                  ignore
-                    (Btree.set btree
-                       ~key:(entry_key inst record reckey)
-                       ~log:ignore
-                       (Btree.if_absent (entry_payload reckey))));
-            match !dup with
-            | Some vals ->
+                entries := entry_of inst (reckey, record) :: !entries);
+            let entries = sorted (Array.of_list !entries) in
+            match if unique then first_duplicate inst entries else None with
+            | Some j ->
               Error
                 (Error.Constraint_violation
                    (Fmt.str "existing records duplicate key (%a)"
                       Fmt.(array ~sep:(any ",") Value.pp)
-                      vals))
-            | None -> Ok inst))
+                      (field_values inst entries.(j))))
+            | None ->
+              Btree.build btree entries;
+              Ok inst))
 
   (* Page storage is abandoned (no deallocator); nothing to defer. *)
   let drop_instance _ctx desc ~instance_name =
@@ -138,22 +159,7 @@ module Impl = struct
      leaf is written. *)
   let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =
     Slot.each slot (fun _no name inst ->
-        let keyed =
-          Array.map
-            (fun (rk, record) -> (entry_key inst record rk, entry_payload rk))
-            entries
-        in
-        Array.sort
-          (fun (k1, _) (k2, _) ->
-            (* lexicographic over the full key (fields + discriminator) *)
-            let rec cmp i =
-              if i >= Array.length k1 then 0
-              else
-                let c = Value.compare k1.(i) k2.(i) in
-                if c <> 0 then c else cmp (i + 1)
-            in
-            cmp 0)
-          keyed;
+        let keyed = sorted (Array.map (entry_of inst) entries) in
         let unique_prefix =
           if inst.unique then Some (Array.length inst.fields) else None
         in
@@ -169,13 +175,12 @@ module Impl = struct
         with
         | Ok () -> Ok ()
         | Error j ->
-          let vals = Array.sub (fst keyed.(j)) 0 (Array.length inst.fields) in
           Error
             (Error.veto
                ~attachment:(Fmt.str "unique index %S" name)
                (Fmt.str "duplicate key (%a)"
                   Fmt.(array ~sep:(any ",") Value.pp)
-                  vals)))
+                  (field_values inst keyed.(j)))))
 
   let on_delete ctx (desc : Descriptor.t) ~slot reckey record =
     Slot.each slot (fun _no _name inst ->
@@ -204,11 +209,14 @@ module Impl = struct
       let c =
         Btree.cursor ~lo:(Btree.Incl key) ~hi:(Btree.Incl key) (tree ctx inst)
       in
+      (* a unique index holds at most one entry per full field key *)
+      let single = inst.unique && Array.length key = Array.length inst.fields in
       let rec loop acc =
         match Btree.next c with
         | None -> List.rev acc
         | Some (_, payload) ->
-          loop (Record_key.decode (Bytes.of_string payload) :: acc)
+          let acc = Record_key.decode (Bytes.of_string payload) :: acc in
+          if single then acc else loop acc
       in
       loop []
 

@@ -140,12 +140,22 @@ module Impl = struct
               theirs_root = Btree.root sr;
             }
           in
-          (* Precompute the join: for each of my records, find partners. *)
+          (* Precompute the join: for each of my records, find partners;
+             build each tree from its pairs in key order. *)
+          let mine = ref [] and theirs = ref [] in
           Attach_util.scan_relation ctx desc (fun my_key my_record ->
               List.iter
                 (fun (other_key, _) ->
-                  set_pair ctx ~log:ignore inst my_key other_key (Some ""))
+                  mine := (pair_key my_key other_key, "") :: !mine;
+                  theirs := (pair_key other_key my_key, "") :: !theirs)
                 (other_matches ctx inst my_record.(my_field)));
+          let build tree pairs =
+            let pairs = Array.of_list pairs in
+            Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) pairs;
+            Btree.build tree pairs
+          in
+          build rs !mine;
+          build sr !theirs;
           (* Install the mirror instance on the other relation. *)
           Slot.set_on ctx other_desc
             (Slot.append instance_name

@@ -667,6 +667,108 @@ let insert_batch ?unique_prefix t ~log entries =
    with Halt idx -> halted := Some idx);
   match !halted with None -> Ok () | Some idx -> Error idx
 
+(* ---- bottom-up build ---- *)
+
+let varint_size n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
+
+let record_size k = Bytes.length (Codec.encode_record k)
+
+(* Cut items [0, n) into consecutive runs [(i, j)], each the longest from
+   its start whose node fits [capacity t]: [header count] is a node's size
+   without its items, [size ~first j] what item [j] adds ([first]: it opens
+   its node). *)
+let pack t ~header ~size n =
+  let cap = capacity t in
+  let rec runs i acc =
+    if i >= n then List.rev acc
+    else
+      let rec grow j total =
+        if j >= n then j
+        else
+          let total = total + size ~first:(j = i) j in
+          if header (j - i + 1) + total <= cap then grow (j + 1) total else j
+      in
+      let j = grow i 0 in
+      if j = i then failwith "Btree: cannot split a single oversized entry";
+      runs j ((i, j) :: acc)
+  in
+  runs 0 []
+
+(* One internal level over [children] (each child's first key and page),
+   each node written once; the level that fits one node goes into the
+   root page. *)
+let rec build_level t children =
+  let runs =
+    pack t
+      ~header:(fun c -> 1 + varint_size (c - 1) + varint_size c)
+      ~size:(fun ~first j ->
+        let key, page = children.(j) in
+        varint_size page + if first then 0 else record_size key)
+      (Array.length children)
+  in
+  let node (i, j) =
+    Internal
+      {
+        seps = List.init (j - i - 1) (fun d -> fst children.(i + 1 + d));
+        children = List.init (j - i) (fun d -> snd children.(i + d));
+      }
+  in
+  match runs with
+  | [ run ] -> write_node t t.root (node run)
+  | runs ->
+    build_level t
+      (Array.of_list
+         (List.map
+            (fun ((i, _) as run) ->
+              let page = alloc_page t in
+              write_node t page (node run);
+              (fst children.(i), page))
+            runs))
+
+let build t entries =
+  (match read_node t t.root with
+  | Leaf { entries = []; _ } -> ()
+  | Leaf _ | Internal _ -> invalid_arg "Btree.build: the tree is not empty");
+  let n = Array.length entries in
+  for i = 1 to n - 1 do
+    if compare_full (fst entries.(i - 1)) (fst entries.(i)) >= 0 then
+      invalid_arg "Btree.build: entries not strictly ascending"
+  done;
+  let sizes =
+    Array.map
+      (fun (k, p) ->
+        let len = String.length p in
+        record_size k + varint_size len + len)
+      entries
+  in
+  let leaf_header ~link count = 1 + link + varint_size count in
+  let leaf ?(next = 0) (i, j) =
+    Leaf { entries = Array.to_list (Array.sub entries i (j - i)); next }
+  in
+  if leaf_header ~link:1 n + Array.fold_left ( + ) 0 sizes <= capacity t then
+    write_node t t.root (leaf (0, n))
+  else begin
+    (* A leaf's link is the next leaf's page, unknown while packing: leave
+       room for the longest. Each page is allocated just before its left
+       neighbour is written. *)
+    let runs =
+      pack t
+        ~header:(leaf_header ~link:(varint_size max_int))
+        ~size:(fun ~first:_ j -> sizes.(j))
+        n
+    in
+    let rec write_leaves page = function
+      | [] -> []
+      | run :: rest ->
+        let next = if rest = [] then 0 else alloc_page t in
+        write_node t page (leaf ~next run);
+        (fst entries.(fst run), page) :: write_leaves next rest
+    in
+    build_level t (Array.of_list (write_leaves (alloc_page t) runs))
+  end
+
 (* ---- invariants ---- *)
 
 let check_invariants t =

@@ -88,6 +88,15 @@ val insert_batch :
     repeats an earlier batch entry) is skipped, unlogged, and the result is
     [Ok ()]. *)
 
+val build : t -> (Value.t array * string) array -> unit
+(** [build t entries] fills a freshly created, empty tree bottom-up, the
+    way an instance is built over a relation's existing records: leaves
+    packed in key order up to the page capacity, then each internal level
+    from the first key of each child, the top node in the root page. Each
+    page is written once; nothing is logged. [entries] must be strictly
+    ascending by {!compare_full}. Raises [Invalid_argument] on unsorted or
+    repeated keys, or when the tree holds an entry. *)
+
 val undo : Dmx_page.Buffer_pool.t -> string -> change option
 (** Reverse a logged change by {!Dmx_value.Image.undo}. A no-op when the
     root page is not live (a tree whose creation never reached the store).

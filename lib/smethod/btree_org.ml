@@ -120,6 +120,33 @@ module Impl = struct
       store_desc ctx desc { bd with count = bd.count + 1 };
       Ok (Record_key.fields key)
 
+  (* Batch vector entry: the records enter the tree in key order, each
+     leaf decoded and written once per run ({!Btree.insert_batch}); a key
+     already stored or repeated in the batch refuses it. The descriptor is
+     stored once, counting the entries applied, so the rollback of a refused
+     batch brings the count back. *)
+  let insert_batch ctx (desc : Descriptor.t) records =
+    let bd = bdesc_of desc in
+    let entries = Array.map (fun r -> (key_of bd r, payload_of r)) records in
+    let keys = Array.map (fun (k, _) -> Record_key.fields k) entries in
+    Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) entries;
+    let stored applied =
+      store_desc ctx desc { bd with count = bd.count + applied }
+    in
+    match
+      Btree.insert_batch
+        ~unique_prefix:(Array.length bd.key_fields)
+        (tree_of ctx bd)
+        ~log:(List.iter (log ctx desc.rel_id))
+        entries
+    with
+    | Ok () ->
+      stored (Array.length entries);
+      Ok keys
+    | Error j ->
+      stored j;
+      duplicate (fst entries.(j))
+
   let fields_key = function
     | Record_key.Fields k -> Some k
     | Record_key.Rid _ -> None
@@ -282,4 +309,5 @@ let register () =
     reg_id := Some id;
     Registry.set_sm_redo id Impl.redo;
     Registry.set_sm_scan_batch id Impl.scan_batch;
+    Registry.set_sm_insert_batch id Impl.insert_batch;
     id

@@ -522,6 +522,118 @@ let test_agg_attachment () =
   | None -> Alcotest.fail "group missing");
   Services.commit services ctx
 
+(* An aggregate built over existing rows holds what one maintained row by
+   row holds: both instances on one relation, over enough groups that the
+   build spans several leaves. *)
+let test_agg_build_matches_maintained () =
+  let services = fresh_services () in
+  let ctx, desc = setup services in
+  let attrs group = [ ("group", group); ("sum", "salary") ] in
+  let create name group =
+    check_ok name
+      (Ddl.create_attachment ctx ~relation:"t" ~attachment_type:"agg" ~name
+         ~attrs:(attrs group) ())
+  in
+  create "live_id" "id";
+  create "live_dept" "dept,name";
+  for i = 1 to 1500 do
+    ignore
+      (check_ok "ins"
+         (Relation.insert ctx desc
+            (emp (i mod 700)
+               (Fmt.str "n%d" (i mod 3))
+               (Fmt.str "d%d" (i mod 11))
+               ((i * 37 mod 1000) - 500))))
+  done;
+  create "built_id" "id";
+  create "built_dept" "dept,name";
+  let groups name =
+    Dmx_attach.Agg.groups ctx desc ~name
+    |> List.map (fun g ->
+           ( Array.to_list
+               (Array.map Value.to_string g.Dmx_attach.Agg.group_values),
+             g.count,
+             g.sum ))
+  in
+  List.iter
+    (fun (live, built, n) ->
+      Alcotest.(check int) (live ^ " groups") n (List.length (groups live));
+      Alcotest.(check bool) (built ^ " = " ^ live) true
+        (groups built = groups live))
+    [ ("live_id", "built_id", 700); ("live_dept", "built_dept", 33) ];
+  Services.commit services ctx
+
+(* A unique index over records that repeat a key far apart in scan order
+   is refused, naming the key; over distinct keys it is built. *)
+let test_unique_build_refuses_far_duplicate () =
+  let services = fresh_services () in
+  let ctx, desc = setup services in
+  for i = 1 to 600 do
+    ignore
+      (check_ok "ins"
+         (Relation.insert ctx desc (emp i "x" "d" (if i = 590 then 3 else i))))
+  done;
+  (match
+     Ddl.create_attachment ctx ~relation:"t" ~attachment_type:"btree_index"
+       ~name:"u" ~attrs:[ ("fields", "salary"); ("unique", "true") ] ()
+   with
+  | Error (Error.Constraint_violation msg) ->
+    Alcotest.(check string) "names the key" "existing records duplicate key (3)"
+      msg
+  | _ -> Alcotest.fail "unique index built over duplicates");
+  Alcotest.(check (list string)) "no instance added" []
+    (Dmx_attach.Btree_index.instance_names desc);
+  check_ok "unique id"
+    (Ddl.create_attachment ctx ~relation:"t" ~attachment_type:"btree_index"
+       ~name:"pk" ~attrs:[ ("fields", "id"); ("unique", "true") ] ());
+  let at_id = Option.get (Registry.attachment_id "btree_index") in
+  for i = 1 to 600 do
+    Alcotest.(check int) "one entry per id" 1
+      (List.length
+         (check_ok "lookup"
+            (Relation.lookup ctx desc ~attachment_id:at_id ~instance:1
+               ~key:[| vi i |])))
+  done;
+  Services.commit services ctx
+
+(* A unique index's point lookup pins the tree's height in pages and stops:
+   a two-level index pins root and leaf. A non-unique index over the same
+   field pins its leaves once more to see the key's run end. *)
+let test_unique_lookup_pins_height () =
+  let services = fresh_services () in
+  let ctx, desc = setup services in
+  ignore
+    (check_ok "load"
+       (Relation.insert_many ctx desc
+          (Array.init 3000 (fun i -> emp i "x" "d" i))));
+  List.iter
+    (fun (name, unique) ->
+      check_ok name
+        (Ddl.create_attachment ctx ~relation:"t"
+           ~attachment_type:"btree_index" ~name
+           ~attrs:[ ("fields", "id"); ("unique", unique) ] ()))
+    [ ("pk", "true"); ("by_id", "false") ];
+  let at_id = Option.get (Registry.attachment_id "btree_index") in
+  let slot = Option.get (Dmx_catalog.Descriptor.attachment_desc desc at_id) in
+  let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk ctx.Ctx.bp) in
+  let lookup instance i =
+    let before = Dmx_page.Io_stats.copy io in
+    let keys =
+      Dmx_attach.Btree_index.lookup ctx desc ~slot ~instance ~key:[| vi i |]
+    in
+    let d = Dmx_page.Io_stats.diff ~after:io ~before in
+    (List.length keys, d.pool_hits + d.pool_misses)
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check (pair int int)) (Fmt.str "unique %d" i) (1, 2)
+        (lookup 1 i);
+      let found, pins = lookup 2 i in
+      Alcotest.(check int) (Fmt.str "non-unique %d" i) 1 found;
+      if pins < 3 then Alcotest.failf "non-unique %d pinned %d pages" i pins)
+    [ 0; 1; 1234; 2999 ];
+  Services.commit services ctx
+
 let suite =
   [
     Alcotest.test_case "multiple instances in one slot" `Quick
@@ -536,6 +648,12 @@ let suite =
       test_attachment_ddl_validation;
     Alcotest.test_case "mirror instances on the same relation" `Quick
       test_self_relation_mirrors;
+    Alcotest.test_case "agg built over rows = agg maintained per row" `Quick
+      test_agg_build_matches_maintained;
+    Alcotest.test_case "unique build refuses a far duplicate" `Quick
+      test_unique_build_refuses_far_duplicate;
+    Alcotest.test_case "unique lookup pins the tree height" `Quick
+      test_unique_lookup_pins_height;
     Alcotest.test_case "building attachments from existing records" `Quick
       test_index_build_from_existing;
   ]

@@ -449,160 +449,303 @@ type mcursor = {
 
 let int_key key = Int64.to_int (Option.get (Value.to_int key.(0)))
 
+module Imap = Map.Make (Int)
+
+(* Run [ops] over tree [t] and a model holding [init] (what [t] holds, by
+   [wide_key] index), checking every step against the model; whether the
+   tree ends holding the model's bindings. *)
+let agrees_with_model bp t init ops =
+  let module M = Imap in
+  let model = ref init in
+  let bind i = function
+    | Some p -> model := M.add i p !model
+    | None -> model := M.remove i !model
+  in
+  (* every change logged so far, with the (key, before, after) the
+     model expects it to encode *)
+  let changes = ref [||] in
+  let fail fmt = Fmt.kstr QCheck.Test.fail_report fmt in
+  let open_cursor lo hi =
+    ( Btree.cursor ~lo:(tree_bound lo) ~hi:(tree_bound hi) t,
+      { lo; hi; last = None; finished = false; captured = [ None ] } )
+  in
+  let cursors = Array.init 2 (fun _ -> open_cursor Unb Unb) in
+  (* the in-window entries after the model cursor's position *)
+  let remaining m =
+    M.bindings !model
+    |> List.filter (fun (i, _) ->
+           match m.last with Some l -> i > l | None -> lo_admits m.lo i)
+    |> List.filter (fun (i, _) -> hi_admits m.hi i)
+  in
+  (* the first entry after the position, whatever [hi] says: the
+     cursor finishes when it falls outside the window *)
+  let first_after m =
+    M.bindings !model
+    |> List.find_opt (fun (i, _) ->
+           match m.last with Some l -> i > l | None -> lo_admits m.lo i)
+  in
+  let expect_next s c m =
+    match Btree.next c, (if m.finished then None else first_after m) with
+    | None, None -> m.finished <- true
+    | None, Some (i, _) when not (hi_admits m.hi i) -> m.finished <- true
+    | Some (key, p), Some (i, p') when hi_admits m.hi i ->
+      if int_key key <> i || p <> p' then
+        fail "next%d: got %d, expected %d" s (int_key key) i;
+      m.last <- Some i
+    | got, _ ->
+      fail "next%d: got %a" s
+        Fmt.(option ~none:(any "end") int)
+        (Option.map (fun (key, _) -> int_key key) got)
+  in
+  List.iter
+    (fun op ->
+      let logged = ref [] in
+      let log c = logged := c :: !logged in
+      (match op with
+      | Set (i, len) ->
+        let after = Option.map (payload i) len in
+        let before = Btree.set t ~key:(wide_key i) ~log (fun _ -> after) in
+        if before <> M.find_opt i !model then fail "set %d: before" i;
+        let expect =
+          if before = after then [] else [ (i, before, after) ]
+        in
+        if List.length !logged <> List.length expect then
+          fail "set %d: logged %d" i (List.length !logged);
+        changes :=
+          Array.append !changes
+            (Array.of_list (List.combine !logged expect));
+        bind i after
+      | Batch (es, unique) ->
+        let es = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) es in
+        let r =
+          Btree.insert_batch
+            ?unique_prefix:(if unique then Some 1 else None)
+            t
+            ~log:(List.iter log)
+            (Array.of_list
+               (List.map (fun (i, l) -> (wide_key i, payload i l)) es))
+        in
+        (* the model: apply in order, skipping present keys, or halting
+           at the first one under a unique prefix *)
+        let rec apply j applied = function
+          | [] -> (Ok (), applied)
+          | (i, l) :: rest ->
+            if M.mem i !model then
+              if unique then (Error j, applied)
+              else apply (j + 1) applied rest
+            else begin
+              bind i (Some (payload i l));
+              apply (j + 1) ((i, None, Some (payload i l)) :: applied) rest
+            end
+        in
+        let expect, applied = apply 0 [] es in
+        if r <> expect then fail "batch: result";
+        if List.length !logged <> List.length applied then
+          fail "batch: logged %d, applied %d" (List.length !logged)
+            (List.length applied);
+        changes :=
+          Array.append !changes
+            (Array.of_list (List.rev (List.combine !logged applied)))
+      | Undo j ->
+        let n = Array.length !changes in
+        if n > 0 then begin
+          let data, (i, before, after) = !changes.(j mod n) in
+          let expect = M.find_opt i !model = after in
+          match Btree.undo bp data, expect with
+          | None, false -> ()
+          | Some c, true ->
+            if (c.Image.before, c.Image.after) <> (before, after) then
+              fail "undo %d: change decoded differently" i;
+            bind i before
+          | got, _ -> fail "undo %d: reversed %b" i (got <> None)
+        end
+      | Open (s, lo, hi) -> cursors.(s) <- open_cursor lo hi
+      | Next s ->
+        let c, m = cursors.(s) in
+        expect_next s c m
+      | Run s -> (
+        let c, m = cursors.(s) in
+        let window = if m.finished then [] else remaining m in
+        match Btree.next_run c, window with
+        | None, [] -> m.finished <- true
+        | Some run, _ :: _ ->
+          let got =
+            Array.to_list run |> List.map (fun (k, p) -> (int_key k, p))
+          in
+          let n = List.length got in
+          if n > List.length window
+             || got <> List.filteri (fun j _ -> j < n) window
+          then fail "run%d: not a prefix of the window" s;
+          m.last <- Some (fst (List.nth got (n - 1)));
+          (* a run that took the whole window may or may not have seen
+             the window close; a further step settles it *)
+          if n = List.length window then expect_next s c m
+        | got, _ ->
+          fail "run%d: got %d entries, window %d" s
+            (match got with Some r -> Array.length r | None -> 0)
+            (List.length window))
+      | Capture s ->
+        let c, m = cursors.(s) in
+        if Btree.position c <> Option.map wide_key m.last then
+          fail "capture%d: position" s;
+        m.captured <- m.captured @ [ m.last ]
+      | Seek (s, j) ->
+        let c, m = cursors.(s) in
+        let pos = List.nth m.captured (j mod List.length m.captured) in
+        Btree.seek c (Option.map wide_key pos);
+        m.last <- pos;
+        m.finished <- false);
+      match Btree.check_invariants t with
+      | Ok () -> ()
+      | Error e -> fail "%a: %s" pp_op op e)
+    ops;
+  let tree_list = ref [] in
+  Btree.iter t (fun key p -> tree_list := (int_key key, p) :: !tree_list);
+  List.rev !tree_list = M.bindings !model
+
+let pp_ops = Fmt.(list ~sep:semi pp_op)
+
 let prop_model =
   QCheck.Test.make ~name:"btree matches Map model" ~count:80
-    (QCheck.make ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_op))
+    (QCheck.make ~print:(Fmt.str "%a" pp_ops)
        QCheck.Gen.(list_size (int_range 1 80) gen_op))
     (fun ops ->
       let bp = Buffer_pool.create ~capacity:4 (Disk.in_memory ()) in
-      let t = Btree.create bp in
-      let module M = Map.Make (Int) in
-      let model = ref M.empty in
-      let bind i = function
-        | Some p -> model := M.add i p !model
-        | None -> model := M.remove i !model
+      agrees_with_model bp (Btree.create bp) Imap.empty ops)
+
+let contents t =
+  let acc = ref [] in
+  Btree.iter t (fun k p -> acc := (k, p) :: !acc);
+  List.rev !acc
+
+(* [build] over sorted distinct entries holds what per-row [set] holds, in
+   a valid tree, and the built tree then follows the model through random
+   changes, batches, undos and cursors. Wide keys make builds of a few
+   dozen entries three levels deep. *)
+let prop_build =
+  QCheck.Test.make ~name:"build = per-row set, then matches Map model"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (init, ops) ->
+         Fmt.str "init %a; ops %a"
+           Fmt.(list ~sep:comma (pair ~sep:(any ":") int int))
+           init pp_ops ops)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 60)
+              (pair (int_range 0 60) (int_range 1 700)))
+           (list_size (int_range 0 40) gen_op)))
+    (fun (init, ops) ->
+      let init = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) init in
+      let entries =
+        Array.of_list (List.map (fun (i, l) -> (wide_key i, payload i l)) init)
       in
-      (* every change logged so far, with the (key, before, after) the
-         model expects it to encode *)
-      let changes = ref [||] in
-      let fail fmt = Fmt.kstr QCheck.Test.fail_report fmt in
-      let open_cursor lo hi =
-        ( Btree.cursor ~lo:(tree_bound lo) ~hi:(tree_bound hi) t,
-          { lo; hi; last = None; finished = false; captured = [ None ] } )
+      let bp = Buffer_pool.create ~capacity:4 (Disk.in_memory ()) in
+      let built = Btree.create bp and by_set = Btree.create bp in
+      Btree.build built entries;
+      Array.iter (fun (key, payload) -> ignore (insert by_set ~key ~payload))
+        entries;
+      (match Btree.check_invariants built with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "built tree: %s" e);
+      if contents built <> contents by_set then
+        QCheck.Test.fail_report "built tree differs from per-row set";
+      let model =
+        List.fold_left
+          (fun m (i, l) -> Imap.add i (payload i l) m)
+          Imap.empty init
       in
-      let cursors = Array.init 2 (fun _ -> open_cursor Unb Unb) in
-      (* the in-window entries after the model cursor's position *)
-      let remaining m =
-        M.bindings !model
-        |> List.filter (fun (i, _) ->
-               match m.last with Some l -> i > l | None -> lo_admits m.lo i)
-        |> List.filter (fun (i, _) -> hi_admits m.hi i)
-      in
-      (* the first entry after the position, whatever [hi] says: the
-         cursor finishes when it falls outside the window *)
-      let first_after m =
-        M.bindings !model
-        |> List.find_opt (fun (i, _) ->
-               match m.last with Some l -> i > l | None -> lo_admits m.lo i)
-      in
-      let expect_next s c m =
-        match Btree.next c, (if m.finished then None else first_after m) with
-        | None, None -> m.finished <- true
-        | None, Some (i, _) when not (hi_admits m.hi i) -> m.finished <- true
-        | Some (key, p), Some (i, p') when hi_admits m.hi i ->
-          if int_key key <> i || p <> p' then
-            fail "next%d: got %d, expected %d" s (int_key key) i;
-          m.last <- Some i
-        | got, _ ->
-          fail "next%d: got %a" s
-            Fmt.(option ~none:(any "end") int)
-            (Option.map (fun (key, _) -> int_key key) got)
-      in
-      List.iter
-        (fun op ->
-          let logged = ref [] in
-          let log c = logged := c :: !logged in
-          (match op with
-          | Set (i, len) ->
-            let after = Option.map (payload i) len in
-            let before = Btree.set t ~key:(wide_key i) ~log (fun _ -> after) in
-            if before <> M.find_opt i !model then fail "set %d: before" i;
-            let expect =
-              if before = after then [] else [ (i, before, after) ]
-            in
-            if List.length !logged <> List.length expect then
-              fail "set %d: logged %d" i (List.length !logged);
-            changes :=
-              Array.append !changes
-                (Array.of_list (List.combine !logged expect));
-            bind i after
-          | Batch (es, unique) ->
-            let es = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) es in
-            let r =
-              Btree.insert_batch
-                ?unique_prefix:(if unique then Some 1 else None)
-                t
-                ~log:(List.iter log)
-                (Array.of_list
-                   (List.map (fun (i, l) -> (wide_key i, payload i l)) es))
-            in
-            (* the model: apply in order, skipping present keys, or halting
-               at the first one under a unique prefix *)
-            let rec apply j applied = function
-              | [] -> (Ok (), applied)
-              | (i, l) :: rest ->
-                if M.mem i !model then
-                  if unique then (Error j, applied)
-                  else apply (j + 1) applied rest
-                else begin
-                  bind i (Some (payload i l));
-                  apply (j + 1) ((i, None, Some (payload i l)) :: applied) rest
-                end
-            in
-            let expect, applied = apply 0 [] es in
-            if r <> expect then fail "batch: result";
-            if List.length !logged <> List.length applied then
-              fail "batch: logged %d, applied %d" (List.length !logged)
-                (List.length applied);
-            changes :=
-              Array.append !changes
-                (Array.of_list (List.rev (List.combine !logged applied)))
-          | Undo j ->
-            let n = Array.length !changes in
-            if n > 0 then begin
-              let data, (i, before, after) = !changes.(j mod n) in
-              let expect = M.find_opt i !model = after in
-              match Btree.undo bp data, expect with
-              | None, false -> ()
-              | Some c, true ->
-                if (c.Image.before, c.Image.after) <> (before, after) then
-                  fail "undo %d: change decoded differently" i;
-                bind i before
-              | got, _ -> fail "undo %d: reversed %b" i (got <> None)
-            end
-          | Open (s, lo, hi) -> cursors.(s) <- open_cursor lo hi
-          | Next s ->
-            let c, m = cursors.(s) in
-            expect_next s c m
-          | Run s -> (
-            let c, m = cursors.(s) in
-            let window = if m.finished then [] else remaining m in
-            match Btree.next_run c, window with
-            | None, [] -> m.finished <- true
-            | Some run, _ :: _ ->
-              let got =
-                Array.to_list run |> List.map (fun (k, p) -> (int_key k, p))
-              in
-              let n = List.length got in
-              if n > List.length window
-                 || got <> List.filteri (fun j _ -> j < n) window
-              then fail "run%d: not a prefix of the window" s;
-              m.last <- Some (fst (List.nth got (n - 1)));
-              (* a run that took the whole window may or may not have seen
-                 the window close; a further step settles it *)
-              if n = List.length window then expect_next s c m
-            | got, _ ->
-              fail "run%d: got %d entries, window %d" s
-                (match got with Some r -> Array.length r | None -> 0)
-                (List.length window))
-          | Capture s ->
-            let c, m = cursors.(s) in
-            if Btree.position c <> Option.map wide_key m.last then
-              fail "capture%d: position" s;
-            m.captured <- m.captured @ [ m.last ]
-          | Seek (s, j) ->
-            let c, m = cursors.(s) in
-            let pos = List.nth m.captured (j mod List.length m.captured) in
-            Btree.seek c (Option.map wide_key pos);
-            m.last <- pos;
-            m.finished <- false);
-          match Btree.check_invariants t with
-          | Ok () -> ()
-          | Error e -> fail "%a: %s" pp_op op e)
-        ops;
-      let tree_list = ref [] in
-      Btree.iter t (fun key p -> tree_list := (int_key key, p) :: !tree_list);
-      List.rev !tree_list = M.bindings !model)
+      agrees_with_model bp built model ops)
+
+(* A built tree of [entries], checked against one [set] builds. *)
+let check_build what entries =
+  let bp = Buffer_pool.create ~capacity:128 (Disk.in_memory ()) in
+  let built = Btree.create bp and by_set = Btree.create bp in
+  Btree.build built entries;
+  Array.iter (fun (key, payload) -> ignore (insert by_set ~key ~payload))
+    entries;
+  (match Btree.check_invariants built with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" what e);
+  Alcotest.(check int) (what ^ ": count") (Array.length entries)
+    (Btree.count built);
+  Alcotest.(check bool) (what ^ ": same entries as set") true
+    (contents built = contents by_set);
+  Array.iter
+    (fun (key, payload) ->
+      Alcotest.(check (option string)) (what ^ ": find") (Some payload)
+        (Btree.find built ~key))
+    entries;
+  built
+
+let test_build_edges () =
+  let entry i = (k i, String.make 40 'p') in
+  let empty = check_build "0 entries" [||] in
+  Alcotest.(check int) "0 entries: height" 1 (Btree.height empty);
+  ignore (insert empty ~key:(k 1) ~payload:"x");
+  Alcotest.(check (option string)) "0 entries: then set" (Some "x")
+    (Btree.find empty ~key:(k 1));
+  Alcotest.(check int) "1 entry: height" 1
+    (Btree.height (check_build "1 entry" [| entry 0 |]));
+  (* the most entries one leaf holds: per-row set splits at the next *)
+  let t = make_tree () in
+  let full = ref 0 in
+  while Btree.height t = 1 do
+    ignore (insert t ~key:(fst (entry !full)) ~payload:(snd (entry !full)));
+    incr full
+  done;
+  let full = !full - 1 in
+  Alcotest.(check int) "one full leaf: height" 1
+    (Btree.height (check_build "one full leaf" (Array.init full entry)));
+  Alcotest.(check int) "one full leaf + 1: height" 2
+    (Btree.height
+       (check_build "one full leaf + 1" (Array.init (full + 1) entry)));
+  (* keys of ~1 KB: three to a node, so 40 entries need three levels *)
+  let big i = ([| vi i; vs (String.make 1000 'k') |], string_of_int i) in
+  Alcotest.(check int) "large keys: height" 3
+    (Btree.height (check_build "large keys" (Array.init 40 big)))
+
+let test_build_refuses () =
+  let refused what entries =
+    let t = make_tree () in
+    match Btree.build t entries with
+    | () -> Alcotest.failf "%s: built" what
+    | exception Invalid_argument _ ->
+      Alcotest.(check int) (what ^ ": tree left empty") 0 (Btree.count t)
+  in
+  refused "unsorted" [| (k 2, "b"); (k 1, "a") |];
+  refused "duplicate" [| (k 1, "a"); (k 2, "b"); (k 2, "c") |];
+  let t = make_tree () in
+  ignore (insert t ~key:(k 5) ~payload:"held");
+  match Btree.build t [| (k 1, "a") |] with
+  | () -> Alcotest.fail "built into a non-empty tree"
+  | exception Invalid_argument _ ->
+    Alcotest.(check bool) "non-empty tree unchanged" true
+      (contents t = [ (k 5, "held") ])
+
+(* A build writes each page of the tree once: through a 4-frame pool,
+   per-row [set] writes pages back many times over. *)
+let test_build_writes_once () =
+  let writes build =
+    let d = Disk.in_memory () in
+    let bp = Buffer_pool.create ~capacity:4 d in
+    let t = Btree.create bp in
+    ignore (Buffer_pool.flush_all bp);
+    let s = Disk.stats d in
+    let before = s.Io_stats.page_writes in
+    build t (Array.init 3000 (fun i -> (k i, String.make 30 'p')));
+    ignore (Buffer_pool.flush_all bp);
+    (s.Io_stats.page_writes - before, Disk.page_count d)
+  in
+  let built, pages = writes Btree.build in
+  Alcotest.(check int) "one write per page" pages built;
+  let by_set, _ =
+    writes (fun t -> Array.iter (fun (key, payload) ->
+        ignore (insert t ~key ~payload)))
+  in
+  Alcotest.(check bool)
+    (Fmt.str "per-row set writes more (%d vs %d)" by_set built)
+    true (by_set > built)
 
 (* The in-frame key compare is [compare_full]/[compare_prefix] on the
    encoded key, over random arities; values come from a small pool so keys
@@ -768,4 +911,11 @@ let suite =
       test_point_lookup_pins;
     QCheck_alcotest.to_alcotest prop_compare_encoded;
     QCheck_alcotest.to_alcotest prop_model;
+    Alcotest.test_case "build: empty, one entry, full leaf, three levels"
+      `Quick test_build_edges;
+    Alcotest.test_case "build refuses unsorted, repeated or non-empty"
+      `Quick test_build_refuses;
+    Alcotest.test_case "build writes each page once" `Quick
+      test_build_writes_once;
+    QCheck_alcotest.to_alcotest prop_build;
   ]

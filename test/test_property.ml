@@ -379,13 +379,14 @@ let insert_many_state ctx desc batch_ids =
   in
   (contents, id_hits, dept_hits, stats)
 
-let run_insert_many_side ~storage_method ~batched pairs =
+let run_insert_many_side ~storage_method ?attrs ~batched pairs =
   let batch = Array.of_list (List.map (fun (i, s) -> record_of i s) pairs) in
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
   let desc =
     check_ok "create"
-      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema ~storage_method ())
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema ~storage_method
+         ?attrs ())
   in
   check_ok "pk"
     (Ddl.create_attachment ctx ~relation:"t" ~attachment_type:"btree_index"
@@ -435,14 +436,16 @@ let run_insert_many_side ~storage_method ~batched pairs =
   Services.commit services ctx;
   (ok, state)
 
-let prop_insert_many_equiv_of ~storage_method =
+let prop_insert_many_equiv_of ~storage_method ?attrs () =
   QCheck.Test.make
     ~name:(Fmt.str "insert_many = savepointed loop (%s)" storage_method)
     ~count:30 arb_batch
     (fun pairs ->
-      let ok_b, st_b = run_insert_many_side ~storage_method ~batched:true pairs in
+      let ok_b, st_b =
+        run_insert_many_side ~storage_method ?attrs ~batched:true pairs
+      in
       let ok_l, st_l =
-        run_insert_many_side ~storage_method ~batched:false pairs
+        run_insert_many_side ~storage_method ?attrs ~batched:false pairs
       in
       if ok_b <> ok_l then
         QCheck.Test.fail_reportf "outcome diverges: batched %b vs loop %b" ok_b
@@ -450,12 +453,17 @@ let prop_insert_many_equiv_of ~storage_method =
       if st_b <> st_l then QCheck.Test.fail_report "post-state diverges";
       true)
 
-(* heap registers a specialized sm_insert_batch; memory rides the registry's
-   default per-record fallback — both must match the loop *)
-let prop_insert_many_equiv_heap = prop_insert_many_equiv_of ~storage_method:"heap"
+(* heap and btree register a specialized sm_insert_batch; memory rides the
+   registry's default per-record fallback — all must match the loop. A
+   btree keyed on id refuses a repeated id itself. *)
+let prop_insert_many_equiv_heap =
+  prop_insert_many_equiv_of ~storage_method:"heap" ()
 
 let prop_insert_many_equiv_memory =
-  prop_insert_many_equiv_of ~storage_method:"memory"
+  prop_insert_many_equiv_of ~storage_method:"memory" ()
+
+let prop_insert_many_equiv_btree =
+  prop_insert_many_equiv_of ~storage_method:"btree" ~attrs:[ ("key", "id") ] ()
 
 (* Whatever access path the planner picks, the answer must equal a naive
    full-scan + common-evaluator filter. Predicates are random combinations of
@@ -654,6 +662,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_dispatch;
     QCheck_alcotest.to_alcotest prop_insert_many_equiv_heap;
     QCheck_alcotest.to_alcotest prop_insert_many_equiv_memory;
+    QCheck_alcotest.to_alcotest prop_insert_many_equiv_btree;
     QCheck_alcotest.to_alcotest prop_btree_org_dispatch;
     QCheck_alcotest.to_alcotest prop_memory_dispatch;
     QCheck_alcotest.to_alcotest prop_abort_restores;

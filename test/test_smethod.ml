@@ -289,6 +289,44 @@ let test_btree_org_composite_key () =
   | _ -> Alcotest.fail "nullable key field accepted");
   Services.commit services ctx
 
+(* btree_org's batch entry: keys come back in input order, and a key
+   repeated in the batch or already stored refuses the whole batch with
+   [Duplicate_key], leaving records and count as they were. *)
+let test_btree_org_insert_many () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"btree" ~attrs:[ ("key", "id") ] ())
+  in
+  let row i = emp i (Fmt.str "n%d" i) "d" i in
+  let batch ids = Array.map row ids in
+  let ids = Array.init 600 (fun i -> (i * 7919) mod 600) in
+  let keys = check_ok "load" (Relation.insert_many ctx desc (batch ids)) in
+  Alcotest.(check (array key_testable)) "keys in input order"
+    (Array.map (fun i -> Record_key.fields [| vi i |]) ids)
+    keys;
+  let state () =
+    (all_records ctx desc, check_ok "count" (Relation.record_count ctx desc))
+  in
+  let loaded = state () in
+  Alcotest.(check int) "count" 600 (snd loaded);
+  let refused what ids =
+    (match Relation.insert_many ctx desc (batch ids) with
+    | Error (Error.Duplicate_key _) -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e));
+    Alcotest.(check bool) (what ^ ": relation unchanged") true
+      (state () = loaded)
+  in
+  refused "duplicate in the batch" [| 700; 650; 701; 650 |];
+  refused "duplicate of a stored key" [| 800; 801; 599; 802 |];
+  ignore (check_ok "more" (Relation.insert_many ctx desc (batch [| 900; 600 |])));
+  Alcotest.(check int) "count after" 602
+    (check_ok "count" (Relation.record_count ctx desc));
+  Services.commit services ctx
+
 let test_create_bad_attrs () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
@@ -725,6 +763,8 @@ let suite =
       test_foreign_missing_attrs;
     Alcotest.test_case "btree-organised composite key" `Quick
       test_btree_org_composite_key;
+    Alcotest.test_case "btree-organised insert_many" `Quick
+      test_btree_org_insert_many;
     Alcotest.test_case "DDL attribute validation" `Quick test_create_bad_attrs;
     QCheck_alcotest.to_alcotest prop_heap_with_count;
   ]
