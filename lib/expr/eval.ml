@@ -197,16 +197,6 @@ let eval ?(params = no_params) record e = eval_v params record e
 let truth ?(params = no_params) record e = eval_t params record e
 let test ?(params = no_params) record e = eval_t params record e = True
 
-(* [int -> bool] decision for a comparison operator, applied to a
-   [compare] result; the span matcher specializes on it. *)
-let cmp_decision : Expr.cmp -> int -> bool = function
-  | Eq -> fun c -> c = 0
-  | Ne -> fun c -> c <> 0
-  | Lt -> fun c -> c < 0
-  | Le -> fun c -> c <= 0
-  | Gt -> fun c -> c > 0
-  | Ge -> fun c -> c >= 0
-
 (* ------------------------------------------------------------------ *)
 (* Span-compiled predicates.
 
@@ -222,48 +212,106 @@ let cmp_decision : Expr.cmp -> int -> bool = function
    {!test}: the constant's type must equal the field's declared
    schema type (no cross-type numeric coercion), so on schema-validated
    data every field tag is either the declared type or NULL and no
-   comparison can raise. All conjuncts are still evaluated (no boolean
-   short-circuit), matching the pinned left-to-right evaluation of the
-   interpreter. A payload whose shape deviates (width drift, unexpected
-   tag) makes the matcher return [None]: the caller must fall back to
-   materializing the record and evaluating the predicate on it. *)
+   comparison can raise. The matcher returns at the first conjunct, in
+   field order, that is not TRUE: a conjunction with one FALSE or UNKNOWN
+   conjunct is not TRUE whatever the others are, and none of them can
+   raise. A payload whose shape deviates before that point (width drift,
+   unexpected tag) makes the matcher return [None]: the caller must fall
+   back to materializing the record and evaluating the predicate on it.
+
+   It runs per record in the innermost scan loop and allocates nothing:
+   one loop reads the fields, with its read position and verdict in local
+   variables that no closure or call captures, and its helpers below are
+   top-level functions that return ints and bools. *)
 
 type span_check =
-  | Sc_int of (int -> bool) * int64
-  | Sc_float of (int -> bool) * float
-  | Sc_string of (int -> bool) * string
-  | Sc_bool of (int -> bool) * bool
+  | Sc_int of Expr.cmp * int64
+  | Sc_float of Expr.cmp * float
+  | Sc_string of Expr.cmp * string
+  | Sc_bool of Expr.cmp * bool
 
 (* Per-field matcher step, specialized from the [span_check]s on the field. *)
 type span_field =
   | Sf_skip
-  | Sf_int of (int -> bool) * int * int
-    (* decide, constant split as (signed high 32, unsigned low 32) *)
-  | Sf_string of (int -> bool) * string
+  | Sf_int of Expr.cmp * int * int
+    (* operator, constant split as (signed high 32, unsigned low 32) *)
+  | Sf_string of Expr.cmp * string
   | Sf_checks of span_check list
 
 exception Span_unsupported
 
-(* Continue a LEB128 varint whose bytes so far accumulated [acc] with the
-   continuation bit still set; [p] is past the first byte. *)
-let rec span_varint_rest s (p : int ref) limit shift acc =
-  if !p >= limit then raise Exit;
-  let b = Char.code (String.unsafe_get s !p) in
-  incr p;
-  let acc = acc lor ((b land 0x7f) lsl shift) in
-  if b land 0x80 = 0 then acc else span_varint_rest s p limit (shift + 7) acc
+(* Whether a [compare] result [c] satisfies the comparison operator. *)
+let holds (op : Expr.cmp) c =
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
 
-(* String.compare, but the left operand is [s.[pos .. pos+len-1]]. *)
-let span_str_cmp s pos len const =
-  let cl = String.length const in
-  let m = if len < cl then len else cl in
-  let rec go k =
-    if k = m then Int.compare len cl
-    else
-      let c = Char.compare (String.unsafe_get s (pos + k)) (String.unsafe_get const k) in
-      if c <> 0 then c else go (k + 1)
+(* The readers take [String.unsafe_get] only after checking the position
+   against [limit], the end of the payload. *)
+let byte s p = Char.code (String.unsafe_get s p)
+
+(* String.compare, but the left operand is [s.[pos .. pos+len-1]]; [k]
+   bytes of both are already equal. *)
+let rec span_str_cmp_from s pos len const k =
+  if k = len || k = String.length const then Int.compare len (String.length const)
+  else
+    let c = Char.compare (String.unsafe_get s (pos + k)) (String.unsafe_get const k) in
+    if c <> 0 then c else span_str_cmp_from s pos len const (k + 1)
+
+(* Whether [s.[pos .. pos+len-1]] [op] [const] holds; equality needs
+   equal lengths before any byte is compared. *)
+let span_str_holds op s pos len const =
+  match (op : Expr.cmp) with
+  | Eq -> len = String.length const && span_str_cmp_from s pos len const 0 = 0
+  | Ne -> len <> String.length const || span_str_cmp_from s pos len const 0 <> 0
+  | _ -> holds op (span_str_cmp_from s pos len const 0)
+
+(* [Int64.compare] of the little-endian int64 at [s.[q .. q+7]] with a
+   constant split as (signed high 32, unsigned low 32) words, compared
+   lexicographically without building an [int64]. *)
+let[@inline] span_int_cmp s q yhi ylo =
+  let lo =
+    byte s q
+    lor (byte s (q + 1) lsl 8)
+    lor (byte s (q + 2) lsl 16)
+    lor (byte s (q + 3) lsl 24)
   in
-  go 0
+  let hi_raw =
+    byte s (q + 4)
+    lor (byte s (q + 5) lsl 8)
+    lor (byte s (q + 6) lsl 16)
+    lor (byte s (q + 7) lsl 24)
+  in
+  let hi = if hi_raw >= 0x8000_0000 then hi_raw - 0x1_0000_0000 else hi_raw in
+  if hi < yhi then -1
+  else if hi > yhi then 1
+  else if lo < ylo then -1
+  else if lo > ylo then 1
+  else 0
+
+(* Whether every conjunct of an [Sf_checks] field holds on the value of tag
+   [tag] at [q]: a 64-bit scalar (tag 2 int, tag 3 float), a bool (tag 1),
+   or the string [s.[q .. q+slen-1]] (tag 4). A conjunct of another type
+   than the value raises [Exit]. *)
+let rec span_checks s tag q slen = function
+  | [] -> true
+  | c :: cs ->
+    let ok =
+      match c, tag with
+      | Sc_int (op, y), 2 -> holds op (Int64.compare (String.get_int64_le s q) y)
+      | Sc_float (op, y), 3 ->
+        holds op (Float.compare (Int64.float_of_bits (String.get_int64_le s q)) y)
+      | Sc_bool (op, y), 1 ->
+        let x = match byte s q with 0 -> false | 1 -> true | _ -> raise Exit in
+        holds op (Bool.compare x y)
+      | Sc_string (op, y), 4 -> span_str_holds op s q slen y
+      | _ -> raise Exit
+    in
+    ok && span_checks s tag q slen cs
 
 let compile_span schema e =
   let arity = Schema.arity schema in
@@ -275,13 +323,12 @@ let compile_span schema e =
   let to_check (e : Expr.t) =
     match e with
     | Cmp (op, Field i, Const c) when i >= 0 && i < arity ->
-      let decide = cmp_decision op in
       let check =
         match c, Schema.field_ty schema i with
-        | Value.Int y, Value.Tint -> Sc_int (decide, y)
-        | Value.Float y, Value.Tfloat -> Sc_float (decide, y)
-        | Value.String y, Value.Tstring -> Sc_string (decide, y)
-        | Value.Bool y, Value.Tbool -> Sc_bool (decide, y)
+        | Value.Int y, Value.Tint -> Sc_int (op, y)
+        | Value.Float y, Value.Tfloat -> Sc_float (op, y)
+        | Value.String y, Value.Tstring -> Sc_string (op, y)
+        | Value.Bool y, Value.Tbool -> Sc_bool (op, y)
         | _ -> raise Span_unsupported
       in
       (i, check)
@@ -302,12 +349,12 @@ let compile_span schema e =
         (fun cs ->
           match cs with
           | [] -> Sf_skip
-          | [ Sc_int (decide, y) ] ->
+          | [ Sc_int (op, y) ] ->
             Sf_int
-              ( decide,
+              ( op,
                 Int64.to_int (Int64.shift_right y 32),
                 Int64.to_int (Int64.logand y 0xFFFF_FFFFL) )
-          | [ Sc_string (decide, y) ] -> Sf_string (decide, y)
+          | [ Sc_string (op, y) ] -> Sf_string (op, y)
           | cs -> Sf_checks cs)
         by_field
     in
@@ -319,166 +366,83 @@ let compile_span schema e =
       !l
     in
     (* The matcher reads the [Codec] wire format directly (tag byte, LEB128
-       varints, little-endian 64-bit scalars, length-prefixed strings) with
-       hand-inlined readers: it runs per record in the innermost scan loop,
-       and each [Codec.Dec] primitive would be a cross-module call. Any
-       shape deviation — truncation, width drift, a tag that is not the
-       declared type — raises [Exit] and reports [None]: the caller
-       materializes the record, which re-raises the decoder's own error on
-       truly malformed input. *)
+       varints, little-endian 64-bit scalars, length-prefixed strings) in
+       one loop whose read position [p] and verdict [keep] are locals no
+       closure or call captures, so they stay out of the heap. Any shape
+       deviation — truncation, width drift, a tag that is not the declared
+       type — raises [Exit] and reports [None]: the caller materializes the
+       record, which re-raises the decoder's own error on truly malformed
+       input. *)
     Some
       (fun s ~pos ~len ->
         let limit = pos + len in
-        let p = ref pos in
         match
-          (* field count: single-byte varint fast path *)
-          (if !p >= limit then raise Exit);
-          let b0 = Char.code (String.unsafe_get s !p) in
+          let p = ref pos in
+          (* field count, a LEB128 varint *)
+          if pos >= limit then raise Exit;
+          let count = ref (byte s pos) in
           incr p;
-          let count =
-            if b0 < 0x80 then b0
-            else span_varint_rest s p limit 7 (b0 land 0x7f)
-          in
-          if count <> arity then raise Exit;
-          let keep = ref true in
-          for i = 0 to last do
-            (if !p >= limit then raise Exit);
-            let tag = Char.code (String.unsafe_get s !p) in
-            incr p;
-            match plan.(i) with
-            | Sf_skip ->
-              if tag = 2 || tag = 3 then begin
-                if !p + 8 > limit then raise Exit;
-                p := !p + 8
-              end
-              else if tag = 4 then begin
-                (if !p >= limit then raise Exit);
-                let b = Char.code (String.unsafe_get s !p) in
-                incr p;
-                let n =
-                  if b < 0x80 then b
-                  else span_varint_rest s p limit 7 (b land 0x7f)
-                in
-                if !p + n > limit then raise Exit;
-                p := !p + n
-              end
-              else if tag = 1 then begin
-                if !p >= limit then raise Exit;
-                incr p
-              end
-              else if tag <> 0 then raise Exit
-            | Sf_int (decide, yhi, ylo) ->
-              if tag = 0 then
-                (* NULL: every comparison on it is UNKNOWN, never TRUE *)
-                keep := false
+          if !count >= 0x80 then begin
+            count := !count land 0x7f;
+            let shift = ref 7 and more = ref true in
+            while !more do
+              if !p >= limit then raise Exit;
+              let b = byte s !p in
+              incr p;
+              count := !count lor ((b land 0x7f) lsl !shift);
+              shift := !shift + 7;
+              more := b >= 0x80
+            done
+          end;
+          if !count <> arity then raise Exit;
+          let keep = ref true and i = ref 0 in
+          while !keep && !i <= last do
+            if !p >= limit then raise Exit;
+            let tag = byte s !p in
+            let q = !p + 1 in
+            (* step [p] past the value; a string's bytes are [q, q+slen) *)
+            let slen = ref 0 in
+            (match tag with
+            | 0 -> p := q
+            | 1 -> if q >= limit then raise Exit else p := q + 1
+            | 2 | 3 -> if q + 8 > limit then raise Exit else p := q + 8
+            | 4 ->
+              if q >= limit then raise Exit;
+              slen := byte s q;
+              let r = ref (q + 1) in
+              if !slen >= 0x80 then begin
+                slen := !slen land 0x7f;
+                let shift = ref 7 and more = ref true in
+                while !more do
+                  if !r >= limit then raise Exit;
+                  let b = byte s !r in
+                  incr r;
+                  slen := !slen lor ((b land 0x7f) lsl !shift);
+                  shift := !shift + 7;
+                  more := b >= 0x80
+                done
+              end;
+              if !slen < 0 || !slen > limit - !r then raise Exit;
+              p := !r + !slen
+            | _ -> raise Exit);
+            (match plan.(!i) with
+            | Sf_skip -> ()
+            | Sf_int (op, yhi, ylo) ->
+              if tag = 0 then keep := false (* NULL: UNKNOWN, never TRUE *)
               else if tag <> 2 then raise Exit
-              else begin
-                if !p + 8 > limit then raise Exit;
-                let q = !p in
-                p := q + 8;
-                let lo =
-                  Char.code (String.unsafe_get s q)
-                  lor (Char.code (String.unsafe_get s (q + 1)) lsl 8)
-                  lor (Char.code (String.unsafe_get s (q + 2)) lsl 16)
-                  lor (Char.code (String.unsafe_get s (q + 3)) lsl 24)
-                in
-                let hi_raw =
-                  Char.code (String.unsafe_get s (q + 4))
-                  lor (Char.code (String.unsafe_get s (q + 5)) lsl 8)
-                  lor (Char.code (String.unsafe_get s (q + 6)) lsl 16)
-                  lor (Char.code (String.unsafe_get s (q + 7)) lsl 24)
-                in
-                let hi =
-                  if hi_raw >= 0x8000_0000 then hi_raw - 0x1_0000_0000
-                  else hi_raw
-                in
-                let c =
-                  if hi < yhi then -1
-                  else if hi > yhi then 1
-                  else if lo < ylo then -1
-                  else if lo > ylo then 1
-                  else 0
-                in
-                if not (decide c) then keep := false
-              end
-            | Sf_string (decide, y) ->
+              else keep := holds op (span_int_cmp s q yhi ylo)
+            | Sf_string (op, y) ->
               if tag = 0 then keep := false
               else if tag <> 4 then raise Exit
-              else begin
-                (if !p >= limit then raise Exit);
-                let b = Char.code (String.unsafe_get s !p) in
-                incr p;
-                let slen =
-                  if b < 0x80 then b
-                  else span_varint_rest s p limit 7 (b land 0x7f)
-                in
-                let spos = !p in
-                if spos + slen > limit then raise Exit;
-                p := spos + slen;
-                if not (decide (span_str_cmp s spos slen y)) then keep := false
-              end
+              else keep := span_str_holds op s (!p - !slen) !slen y
             | Sf_checks cs ->
-              (* several conjuncts on one field, or float/bool *)
               if tag = 0 then keep := false
-              else begin
-                match tag with
-                | 2 | 3 ->
-                  if !p + 8 > limit then raise Exit;
-                  let bits = String.get_int64_le s !p in
-                  p := !p + 8;
-                  List.iter
-                    (fun c ->
-                      match c, tag with
-                      | Sc_int (decide, y), 2 ->
-                        if not (decide (Int64.compare bits y)) then
-                          keep := false
-                      | Sc_float (decide, y), 3 ->
-                        if
-                          not
-                            (decide
-                               (Float.compare (Int64.float_of_bits bits) y))
-                        then keep := false
-                      | _ -> raise Exit)
-                    cs
-                | 1 ->
-                  (if !p >= limit then raise Exit);
-                  let x =
-                    match Char.code (String.unsafe_get s !p) with
-                    | 0 -> false
-                    | 1 -> true
-                    | _ -> raise Exit
-                  in
-                  incr p;
-                  List.iter
-                    (fun c ->
-                      match c with
-                      | Sc_bool (decide, y) ->
-                        if not (decide (Bool.compare x y)) then keep := false
-                      | _ -> raise Exit)
-                    cs
-                | 4 ->
-                  (if !p >= limit then raise Exit);
-                  let b = Char.code (String.unsafe_get s !p) in
-                  incr p;
-                  let slen =
-                    if b < 0x80 then b
-                    else span_varint_rest s p limit 7 (b land 0x7f)
-                  in
-                  let spos = !p in
-                  if spos + slen > limit then raise Exit;
-                  p := spos + slen;
-                  List.iter
-                    (fun c ->
-                      match c with
-                      | Sc_string (decide, y) ->
-                        if not (decide (span_str_cmp s spos slen y)) then
-                          keep := false
-                      | _ -> raise Exit)
-                    cs
-                | _ -> raise Exit
-              end
+              else if tag = 4 then keep := span_checks s tag (!p - !slen) !slen cs
+              else keep := span_checks s tag q 0 cs);
+            incr i
           done;
           !keep
         with
-        | keep -> if keep then Some true else Some false
+        | true -> Some true
+        | false -> Some false
         | exception Exit -> None)

@@ -10,9 +10,17 @@ type ops = {
   o_durable : bool;
 }
 
+(* An open page file and the file offset its last read or write ended at,
+   [-1] when unknown. A transfer that starts there issues no [lseek]: a
+   sequential scan's misses are one [read] each. A transfer sets the offset
+   unknown before it starts and records the new one only once it is
+   complete, so an exception leaves it unknown and the next transfer
+   seeks. *)
+type file = { fd : Unix.file_descr; mutable at : int }
+
 type backend =
   | Mem of bytes array ref
-  | File of Unix.file_descr
+  | File of file
   | Custom of ops
 
 type t = {
@@ -56,33 +64,45 @@ let header_bytes t =
   Bytes.set_int32_le b 12 (Int32.of_int t.pages);
   b
 
-let really_pread fd ~off buf =
+let m_seeks = Dmx_obs.Metrics.counter "disk.seeks"
+
+let seek f off =
+  let at = f.at in
+  f.at <- -1;
+  if at <> off then begin
+    Dmx_obs.Metrics.incr m_seeks;
+    ignore (Unix.LargeFile.lseek f.fd (Int64.of_int off) Unix.SEEK_SET)
+  end
+
+let really_pread f ~off buf =
   let n = Bytes.length buf in
-  ignore (Unix.LargeFile.lseek fd (Int64.of_int off) Unix.SEEK_SET);
+  seek f off;
   let rec loop done_ =
     if done_ < n then begin
-      let r = Unix.read fd buf done_ (n - done_) in
+      let r = Unix.read f.fd buf done_ (n - done_) in
       if r = 0 then failwith "Disk: short read";
       loop (done_ + r)
     end
   in
-  loop 0
+  loop 0;
+  f.at <- off + n
 
-let really_pwrite fd ~off buf =
+let really_pwrite f ~off buf =
   let n = Bytes.length buf in
-  ignore (Unix.LargeFile.lseek fd (Int64.of_int off) Unix.SEEK_SET);
+  seek f off;
   let rec loop done_ =
     if done_ < n then begin
-      let w = Unix.write fd buf done_ (n - done_) in
+      let w = Unix.write f.fd buf done_ (n - done_) in
       loop (done_ + w)
     end
   in
-  loop 0
+  loop 0;
+  f.at <- off + n
 
 let write_header t =
   match t.backend with
   | Mem _ | Custom _ -> ()
-  | File fd -> really_pwrite fd ~off:0 (header_bytes t)
+  | File f -> really_pwrite f ~off:0 (header_bytes t)
 
 let custom ?(page_size = default_page_size) ops =
   {
@@ -96,11 +116,12 @@ let custom ?(page_size = default_page_size) ops =
 let open_file ?(page_size = default_page_size) path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
+  let f = { fd; at = 0 } in
   if size = 0 then begin
     let t =
       {
         page_size;
-        backend = File fd;
+        backend = File f;
         pages = 0;
         stats = Io_stats.create ();
         closed = false;
@@ -113,7 +134,7 @@ let open_file ?(page_size = default_page_size) path =
     let hdr = Bytes.create page_size in
     (* Read just the fixed part first in case page size differs. *)
     let fixed = Bytes.create 16 in
-    really_pread fd ~off:0 fixed;
+    really_pread f ~off:0 fixed;
     if Bytes.sub_string fixed 0 8 <> magic then
       failwith (Fmt.str "Disk.open_file: %s is not a dmx page store" path);
     let stored_ps = Int32.to_int (Bytes.get_int32_le fixed 8) in
@@ -125,7 +146,7 @@ let open_file ?(page_size = default_page_size) path =
     let pages = Int32.to_int (Bytes.get_int32_le fixed 12) in
     {
       page_size;
-      backend = File fd;
+      backend = File f;
       pages;
       stats = Io_stats.create ();
       closed = false;
@@ -158,10 +179,10 @@ let alloc t =
     end;
     !store.(id - 1) <- zero;
     id
-  | File fd ->
+  | File f ->
     t.pages <- t.pages + 1;
     let id = t.pages in
-    really_pwrite fd ~off:(id * t.page_size) (Bytes.make t.page_size '\000');
+    really_pwrite f ~off:(id * t.page_size) (Bytes.make t.page_size '\000');
     write_header t;
     id
 
@@ -171,9 +192,9 @@ let read t id =
   t.stats.page_reads <- t.stats.page_reads + 1;
   match t.backend with
   | Mem store -> Bytes.copy !store.(id - 1)
-  | File fd ->
+  | File f ->
     let buf = Bytes.create t.page_size in
-    really_pread fd ~off:(id * t.page_size) buf;
+    really_pread f ~off:(id * t.page_size) buf;
     buf
   | Custom o -> o.o_read id
 
@@ -185,21 +206,21 @@ let write t id data =
   t.stats.page_writes <- t.stats.page_writes + 1;
   match t.backend with
   | Mem store -> !store.(id - 1) <- Bytes.copy data
-  | File fd -> really_pwrite fd ~off:(id * t.page_size) data
+  | File f -> really_pwrite f ~off:(id * t.page_size) data
   | Custom o -> o.o_write id data
 
 let sync t =
   check_open t;
   match t.backend with
   | Mem _ -> ()
-  | File fd -> Unix.fsync fd
+  | File f -> Unix.fsync f.fd
   | Custom o -> o.o_sync ()
 
 let close t =
   if not t.closed then begin
     (match t.backend with
     | Mem _ -> ()
-    | File fd -> Unix.close fd
+    | File f -> Unix.close f.fd
     | Custom o -> o.o_close ());
     t.closed <- true
   end

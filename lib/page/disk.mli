@@ -34,7 +34,9 @@ val custom : ?page_size:int -> ops -> t
 val open_file : ?page_size:int -> string -> t
 (** Opens (creating if needed) a file-backed store. Page 0 is reserved for the
     store header (page size, page count); user pages start at 1. An existing
-    file must have a matching page size. *)
+    file must have a matching page size. The store remembers the file offset
+    its last transfer ended at: a read or write that starts there issues no
+    [lseek], and the metrics counter [disk.seeks] counts those that do. *)
 
 val page_size : t -> int
 val page_count : t -> int

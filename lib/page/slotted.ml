@@ -212,10 +212,3 @@ let iter page f =
   for s = 0 to n - 1 do
     match read page s with None -> () | Some payload -> f s payload
   done
-
-let iter_spans page f =
-  let n = slot_count page in
-  for s = 0 to n - 1 do
-    let off = get16 page (header_size + (s * slot_size)) in
-    if off <> dead then f s off (get16 page (header_size + (s * slot_size) + 2))
-  done

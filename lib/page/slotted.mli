@@ -77,7 +77,14 @@ val set : bytes -> slot -> string option -> bool
 val iter : bytes -> (slot -> string -> unit) -> unit
 (** Live records in slot order. *)
 
-val iter_spans : bytes -> (slot -> int -> int -> unit) -> unit
-(** [iter_spans page f] calls [f slot offset length] for each live payload in
-    slot order, without copying anything — the allocation-free counterpart of
-    {!iter} for callers that decode in place under the pin. *)
+(** {2 The slot directory, read in place}
+
+    Slot [s]'s directory entry is two little-endian u16s at
+    [header_size + (s * slot_size)]: the payload's offset in the page, or
+    [dead] for a tombstone, then the payload's length. A page scan reads
+    the entries with [Bytes.get_uint16_le] in its own loop, which allocates
+    nothing and costs no call per slot. *)
+
+val header_size : int
+val slot_size : int
+val dead : int

@@ -255,27 +255,23 @@ let log_image ctx (desc : Descriptor.t) data =
 
 (* One run per data page, every live slot decoded under a single pin —
    buffer-pool pins per scan are O(pages). The position between runs is the
-   index of the last delivered page. Payloads are decoded in place from the
-   page image ([Slotted.iter_spans] + [Codec.Dec.of_string_span]) instead of
-   being copied out first. With a filter, the span matcher answers on the
-   payload when the predicate has its shape; otherwise the predicate is
-   tested on the decoded record. *)
+   index of the last delivered page. One loop walks a page's slot directory
+   whatever the filter. Without one, every live record is a hit. With one,
+   the span matcher answers on the payload in the page image when the
+   predicate has its shape; otherwise, or when the matcher falls back, the
+   predicate is tested on the decoded record. A hit is decoded in place
+   ([Codec.Dec.of_string_span]) and written straight into the page's run,
+   made at the page's first hit with room for every slot left and trimmed
+   at the end if the page had fewer hits, so a record the matcher rejects
+   allocates nothing. *)
 let scan_pages ctx (desc : Descriptor.t) ~pages ~filter =
-  let span_test =
-    Option.bind filter (Dmx_expr.Eval.compile_span desc.Descriptor.schema)
-  in
-  (* [Some keep] when the span matcher answers on the payload, [None] when
-     the decoded record must be tested. Chosen once per scan open. *)
-  let on_payload =
-    match filter, span_test with
-    | None, _ -> fun _ _ _ -> Some true
-    | Some _, Some f -> fun img off len -> f img ~pos:off ~len
-    | Some _, None -> fun _ _ _ -> None
-  in
-  let on_record =
+  let matcher =
     match filter with
-    | None -> fun _ -> true
-    | Some pred -> fun record -> Dmx_expr.Eval.test record pred
+    | None -> fun _ ~pos:_ ~len:_ -> Some true
+    | Some pred -> (
+      match Dmx_expr.Eval.compile_span desc.Descriptor.schema pred with
+      | Some f -> f
+      | None -> fun _ ~pos:_ ~len:_ -> None)
   in
   let pages = Array.of_list pages in
   let pos = ref (-1) in
@@ -283,36 +279,40 @@ let scan_pages ctx (desc : Descriptor.t) ~pages ~filter =
     (* Read-only view of the pinned frame; decoded values copy what they
        need out of it, nothing retains the view past the unpin. *)
     let img = Bytes.unsafe_to_string data in
-    let hits = ref [] in
-    let count = ref 0 in
-    let hit s record =
-      hits := (Record_key.rid ~page ~slot:s, record) :: !hits;
-      incr count
-    in
+    let slots = Slotted.slot_count data in
     let decode off len =
       Codec.Dec.record (Codec.Dec.of_string_span img ~pos:off ~len)
     in
-    Slotted.iter_spans data (fun s off len ->
-        match on_payload img off len with
-        | Some false -> ()
-        | Some true -> hit s (decode off len)
-        | None ->
-          let record = decode off len in
-          if on_record record then hit s record);
-    match !hits with
-    | [] -> None
-    | first :: _ ->
-      (* ascending slot iteration prepended, so fill back-to-front *)
-      let run = Array.make !count first in
-      let rec fill i hs =
-        match hs with
-        | [] -> ()
-        | h :: tl ->
-          run.(i) <- h;
-          fill (i - 1) tl
-      in
-      fill (!count - 1) !hits;
-      Some run
+    (* [run.(0 .. k-1)] are the hits before slot [s] *)
+    let rec walk s run k =
+      if s >= slots then
+        if k = 0 then None
+        else if k = Array.length run then Some run
+        else Some (Array.sub run 0 k)
+      else
+        let entry = Slotted.header_size + (s * Slotted.slot_size) in
+        let off = Bytes.get_uint16_le data entry in
+        if off = Slotted.dead then walk (s + 1) run k
+        else
+          let len = Bytes.get_uint16_le data (entry + 2) in
+          match matcher img ~pos:off ~len with
+          | Some false -> walk (s + 1) run k
+          | Some true -> hit s run k (decode off len)
+          | None ->
+            let record = decode off len in
+            let keep =
+              match filter with
+              | Some pred -> Dmx_expr.Eval.test record pred
+              | None -> true
+            in
+            if keep then hit s run k record else walk (s + 1) run k
+    and hit s run k record =
+      let h = (Record_key.rid ~page ~slot:s, record) in
+      let run = if k = 0 then Array.make (slots - s) h else run in
+      run.(k) <- h;
+      walk (s + 1) run (k + 1)
+    in
+    walk 0 [||] 0
   in
   let next_run () =
     let rec advance page_idx =

@@ -192,21 +192,124 @@ let gen_span_case =
   in
   pair pred record
 
+(* A schema with every column type, so float and bool fields (always
+   [Sf_checks]) and several conjuncts on one int or string field are
+   generated: id INT NOT NULL, score FLOAT, flag BOOL, tag STRING. *)
+let mixed_schema =
+  Schema.make_exn
+    [
+      Schema.column ~nullable:false "id" Value.Tint;
+      Schema.column "score" Value.Tfloat;
+      Schema.column "flag" Value.Tbool;
+      Schema.column "tag" Value.Tstring;
+    ]
+
+let gen_span_mixed =
+  let open QCheck.Gen in
+  let op = oneofl [ Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ] in
+  let small_int =
+    frequency
+      [ (6, int_range (-5) 5); (1, oneofl [ min_int; max_int; -0x8000_0000 ]) ]
+  in
+  let small_float =
+    frequency
+      [
+        (6, map float_of_int (int_range (-5) 5));
+        (1, oneofl [ -0.; 0.5; Float.nan; Float.infinity; Float.neg_infinity ]);
+      ]
+  in
+  let small_str = string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 0 3) in
+  let cmp i o v = Expr.Cmp (o, Expr.Field i, Expr.Const v) in
+  let conj =
+    oneof
+      [
+        map2 (fun o n -> cmp 0 o (Value.int n)) op small_int;
+        map2 (fun o f -> cmp 1 o (Value.Float f)) op small_float;
+        map2 (fun o b -> cmp 2 o (Value.Bool b)) op bool;
+        map2 (fun o t -> cmp 3 o (Value.String t)) op small_str;
+      ]
+  in
+  let pred =
+    map
+      (fun cs ->
+        match cs with
+        | [] -> assert false
+        | c :: tl -> List.fold_left (fun acc c -> Expr.And (acc, c)) c tl)
+      (list_size (int_range 1 5) conj)
+  in
+  let value_or_null g = frequency [ (4, g); (1, return Value.Null) ] in
+  let record =
+    map
+      (fun (a, b, c, d) -> [| Value.int a; b; c; d |])
+      (tup4 small_int
+         (value_or_null (map (fun f -> Value.Float f) small_float))
+         (value_or_null (map (fun b -> Value.Bool b) bool))
+         (value_or_null (map (fun t -> Value.String t) small_str)))
+  in
+  pair pred record
+
+let arb_span gen =
+  QCheck.make gen ~print:(fun (e, r) ->
+      Fmt.str "%s on %a" (Expr.to_string e) Fmt.(Dump.array Value.pp) r)
+
+let span_matcher schema e =
+  match Eval.compile_span schema e with
+  | None -> QCheck.Test.fail_report "span-compilable shape was rejected"
+  | Some f -> f
+
+(* On the whole encoded record the matcher answers, and agrees with
+   [Eval.test]. *)
+let span_agrees schema (e, r) =
+  let f = span_matcher schema e in
+  let payload = Bytes.to_string (Codec.encode_record r) in
+  match f payload ~pos:0 ~len:(String.length payload) with
+  | None -> QCheck.Test.fail_report "schema-shaped payload must not fall back"
+  | Some keep -> keep = Eval.test r e
+
 let prop_span_matcher_equiv =
   QCheck.Test.make ~name:"span matcher agrees with test on encoded payloads"
-    ~count:1000
-    (QCheck.make gen_span_case ~print:(fun (e, r) ->
+    ~count:1000 (arb_span gen_span_case) (span_agrees Test_util.emp_schema)
+
+let prop_span_matcher_mixed =
+  QCheck.Test.make
+    ~name:"span matcher agrees with test on float and bool columns"
+    ~count:1000 (arb_span gen_span_mixed) (span_agrees mixed_schema)
+
+(* On every prefix of an encoded record the matcher answers [None] or the
+   whole record's verdict: it stops at the first false conjunct, and it
+   never reads past the span it is given. Each prefix sits between other
+   bytes, so a read outside it would see them instead of the record. *)
+let prop_span_matcher_prefix =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun c -> (Test_util.emp_schema, c)) gen_span_case;
+          map (fun c -> (mixed_schema, c)) gen_span_mixed;
+        ])
+  in
+  QCheck.Test.make
+    ~name:"span matcher on a truncated payload: None or the verdict"
+    ~count:500
+    (QCheck.make gen ~print:(fun (_, (e, r)) ->
          Fmt.str "%s on %a" (Expr.to_string e) Fmt.(Dump.array Value.pp) r))
-    (fun (e, r) ->
-      match Eval.compile_span Test_util.emp_schema e with
-      | None -> QCheck.Test.fail_report "span-compilable shape was rejected"
-      | Some f -> begin
-        let payload = Bytes.to_string (Codec.encode_record r) in
-        match f payload ~pos:0 ~len:(String.length payload) with
-        | None ->
-          QCheck.Test.fail_report "schema-shaped payload must not fall back"
-        | Some keep -> keep = Eval.test r e
-      end)
+    (fun (schema, (e, r)) ->
+      let f = span_matcher schema e in
+      let verdict = Eval.test r e in
+      let payload = Bytes.to_string (Codec.encode_record r) in
+      let n = String.length payload in
+      let rec every k =
+        k > n
+        ||
+        let framed = "\x04\x7f" ^ String.sub payload 0 k ^ "\xff\x02\x01" in
+        match f framed ~pos:2 ~len:k with
+        | None -> every (k + 1)
+        | Some keep when keep = verdict -> every (k + 1)
+        | Some keep ->
+          QCheck.Test.fail_reportf "prefix of %d of %d bytes: %b, record: %b" k
+            n keep verdict
+      in
+      every 0)
 
 (* LIKE against a dynamic-programming reference: [m.(i).(j)] holds when
    [pattern.[i..]] matches [s.[j..]]. *)
@@ -275,5 +378,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fields_used_sound;
     QCheck_alcotest.to_alcotest prop_not_involution;
     QCheck_alcotest.to_alcotest prop_span_matcher_equiv;
+    QCheck_alcotest.to_alcotest prop_span_matcher_mixed;
+    QCheck_alcotest.to_alcotest prop_span_matcher_prefix;
     QCheck_alcotest.to_alcotest prop_like_matches_reference;
   ]

@@ -120,6 +120,98 @@ let test_disk_file_persistence () =
   Disk.close d2;
   Sys.remove path
 
+(* A file store reads back what an in-memory store does, byte for byte,
+   under random alloc / write / read sequences and across close and reopen:
+   skipping the [lseek] of a transfer that starts where the last one ended
+   never lands a page at the wrong offset. *)
+let prop_disk_file_matches_memory =
+  QCheck.Test.make ~name:"file store matches the in-memory store" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> Fmt.str "%d ops" (List.length ops))
+       QCheck.Gen.(
+         list_size (int_range 1 60)
+           (frequency
+              [
+                (2, return `Alloc);
+                (4, map2 (fun i c -> `Write (i, c)) nat (int_range 0 255));
+                (4, map (fun i -> `Read i) nat);
+                (1, return `Reopen);
+              ])))
+    (fun ops ->
+      let page_size = 256 in
+      let path = Filename.temp_file "dmx_disk_prop" ".pages" in
+      Sys.remove path;
+      let file = ref (Disk.open_file ~page_size path) in
+      let mem = Disk.in_memory ~page_size () in
+      let agree id =
+        if Disk.read !file id <> Disk.read mem id then
+          QCheck.Test.fail_reportf "page %d differs" id
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Disk.close !file;
+          Sys.remove path)
+        (fun () ->
+          List.iter
+            (fun op ->
+              let n = Disk.page_count mem in
+              match op with
+              | `Alloc ->
+                let a = Disk.alloc !file and b = Disk.alloc mem in
+                if a <> b then QCheck.Test.fail_reportf "alloc %d vs %d" a b
+              | `Write (i, c) when n > 0 ->
+                let data =
+                  Bytes.init page_size (fun k -> Char.chr ((c + (k * 7)) land 255))
+                in
+                Disk.write !file ((i mod n) + 1) data;
+                Disk.write mem ((i mod n) + 1) data
+              | `Read i when n > 0 -> agree ((i mod n) + 1)
+              | `Reopen ->
+                Disk.close !file;
+                file := Disk.open_file ~page_size path
+              | `Write _ | `Read _ -> ())
+            ops;
+          Disk.close !file;
+          file := Disk.open_file ~page_size path;
+          if Disk.page_count !file <> Disk.page_count mem then
+            QCheck.Test.fail_report "page count differs after reopen";
+          for id = 1 to Disk.page_count mem do
+            agree id
+          done;
+          true))
+
+(* Reading pages 1..N of a file in order costs one [lseek]: the first read's
+   (the open left the offset after the header's fixed part); each later one
+   starts where the last ended. *)
+let test_disk_sequential_read_one_seek () =
+  let path = Filename.temp_file "dmx_disk_seq" ".pages" in
+  Sys.remove path;
+  let d = Disk.open_file ~page_size:256 path in
+  for _ = 1 to 8 do
+    ignore (Disk.alloc d)
+  done;
+  Disk.close d;
+  let d = Disk.open_file ~page_size:256 path in
+  let seeks = Dmx_obs.Metrics.counter "disk.seeks" in
+  let was = Dmx_obs.Metrics.enabled () in
+  Dmx_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Dmx_obs.Metrics.set_enabled was;
+      Disk.close d;
+      Sys.remove path)
+    (fun () ->
+      let before = Dmx_obs.Metrics.value seeks in
+      for id = 1 to 8 do
+        ignore (Disk.read d id)
+      done;
+      Alcotest.(check int) "8 sequential reads, one seek" 1
+        (Dmx_obs.Metrics.value seeks - before);
+      ignore (Disk.read d 3);
+      ignore (Disk.read d 4);
+      Alcotest.(check int) "a jump back seeks once more" 2
+        (Dmx_obs.Metrics.value seeks - before))
+
 let test_buffer_pool_pin_evict () =
   let d = Disk.in_memory ~page_size:256 () in
   let bp = Buffer_pool.create ~capacity:2 d in
@@ -345,6 +437,9 @@ let suite =
     Alcotest.test_case "disk memory backend" `Quick test_disk_mem_roundtrip;
     Alcotest.test_case "disk file persistence" `Quick
       test_disk_file_persistence;
+    QCheck_alcotest.to_alcotest prop_disk_file_matches_memory;
+    Alcotest.test_case "sequential disk reads seek once" `Quick
+      test_disk_sequential_read_one_seek;
     Alcotest.test_case "buffer pool pin/evict" `Quick test_buffer_pool_pin_evict;
     Alcotest.test_case "clock skips pinned frames" `Quick
       test_clock_skips_pinned;

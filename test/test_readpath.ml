@@ -248,6 +248,66 @@ let test_heap_pins_per_page () =
       ("record scan", records_of_record_scan ?filter:None) ];
   Services.commit services ctx
 
+(* A record the span matcher rejects costs no allocation: a never-matching
+   filtered heap scan over a cached table allocates under one minor word
+   per record, and its minor words grow with the pages it pins, not with
+   the records on them: a page holds about 110 of these records, so one
+   word per record would add 110 words per page, above the bound of 100
+   that the page's pin and loop set-up stay under. *)
+let test_rejected_record_allocates_nothing () =
+  let services = fresh_services ~pool_capacity:1024 () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"quiet" ~schema:emp_schema
+         ~storage_method:"heap" ())
+  in
+  let load lo hi =
+    ignore
+      (check_ok "load"
+         (Relation.insert_many ctx desc
+            (Array.init (hi - lo) (fun k ->
+                 let i = lo + k in
+                 [| vi i; vs (Fmt.str "name%d" i); vs "d"; vi i |]))))
+  in
+  let never = Dmx_expr.Parse.parse_exn emp_schema "salary < 0 AND dept = 'x'" in
+  let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk ctx.Ctx.bp) in
+  (* minor words and pins of one scan, after a scan that warms the pool *)
+  let scan () =
+    let once () =
+      let scan = check_ok "scan_batch" (Relation.scan_batch ctx desc ~filter:never ()) in
+      let rec drain n =
+        match scan.Intf.rn_next () with
+        | None -> scan.rn_close (); n
+        | Some run -> drain (n + Array.length run)
+      in
+      drain 0
+    in
+    ignore (once ());
+    let before = Dmx_page.Io_stats.copy io in
+    let w0 = Gc.minor_words () in
+    let hits = once () in
+    let words = Gc.minor_words () -. w0 in
+    let d = Dmx_page.Io_stats.diff ~after:io ~before in
+    Alcotest.(check int) "nothing matches" 0 hits;
+    Alcotest.(check int) "the pool holds the table" 0 d.Dmx_page.Io_stats.pool_misses;
+    (words, d.Dmx_page.Io_stats.pool_hits)
+  in
+  load 0 10_000;
+  let w10, p10 = scan () in
+  load 10_000 40_000;
+  let w40, p40 = scan () in
+  Services.commit services ctx;
+  let per_record = w40 /. 40_000. in
+  Alcotest.(check bool)
+    (Fmt.str "%.3f minor words per rejected record (bound 1)" per_record)
+    true (per_record < 1.);
+  let per_page = (w40 -. w10) /. float_of_int (p40 - p10) in
+  Alcotest.(check bool)
+    (Fmt.str "%.0f -> %.0f words over %d -> %d pages: %.1f per added page \
+              (bound 100)" w10 w40 p10 p40 per_page)
+    true (per_page < 100.)
+
 (* run length: the test override wins, and the default is 256 *)
 let test_run_length_override () =
   Alcotest.(check int) "default" 256 (Scan_help.run_length ());
@@ -310,6 +370,8 @@ let suite =
     Alcotest.test_case "record cursor sees modifications ahead" `Quick
       test_record_scan_visibility;
     Alcotest.test_case "heap pins = page count" `Quick test_heap_pins_per_page;
+    Alcotest.test_case "a rejected record allocates nothing" `Quick
+      test_rejected_record_allocates_nothing;
     Alcotest.test_case "run-length override" `Quick test_run_length_override;
     Alcotest.test_case "join parity" `Quick test_join_parity;
   ]

@@ -66,11 +66,11 @@ let registered =
            Error (Dmx_core.Error.veto ~attachment:"trigger no_friday" "not on friday")
          | _ -> Ok ()))
 
-let fresh_services ?dir () =
+let fresh_services ?dir ?(pool_capacity = 128) () =
   ignore (Lazy.force registered);
   Dmx_smethod.Memory.reset_all ();
   Dmx_smethod.Temp.reset_all ();
-  Dmx_core.Services.setup ?dir ~pool_capacity:128 ()
+  Dmx_core.Services.setup ?dir ~pool_capacity ()
 
 let emp_schema =
   Schema.make_exn
