@@ -26,6 +26,7 @@ let wal_write_syscalls = Dmx_obs.Metrics.counter "wal.write_syscalls"
 let wal_fsyncs = Dmx_obs.Metrics.counter "wal.fsyncs"
 let wal_flushed_records = Dmx_obs.Metrics.counter "wal.flushed_records"
 let undo_records = Dmx_obs.Metrics.counter "txn.undo_records"
+let catalog_snapshots = Dmx_obs.Metrics.counter "catalog.snapshots"
 
 (* ---------------------------------------------------------------------- *)
 (* E1 — procedure-vector dispatch overhead (Bechamel)                      *)
@@ -527,6 +528,12 @@ let e6 () =
   let ctx = Db.begin_txn db in
   let hdesc = ok "employee" (Db.relation db ctx "employee") in
   let bdesc = ok "kemp" (Db.relation db ctx "kemp") in
+  (* a scan also pins each directory page listing the data pages *)
+  let heap_pages =
+    heap_pages
+    + List.length
+        (Dmx_smethod.Heap.directory ctx (Dmx_smethod.Heap.head_of hdesc))
+  in
   let ddesc = ok "dept" (Db.relation db ctx "dept") in
   let drain_runs (scan : Dmx_core.Intf.run_scan) f =
     let rec loop () =
@@ -669,7 +676,7 @@ let e6 () =
   Report.verdict
     ~ok:(hp_record = heap_pages && hp_batch = heap_pages)
     "record and batch scans pin each heap page exactly once: %d and %d pins \
-     over %d pages"
+     over %d data and directory pages"
     hp_record hp_batch heap_pages;
   Report.verdict
     ~ok:(never_rows = 0 && never_words < 1.)
@@ -747,22 +754,25 @@ let e7 () =
               let logged = insert db ctx 1 n in
               (logged, undo (fun () -> Db.abort db ctx)))
         in
-        let half_logged, (half_undone, partial) =
+        let first_logged, half_logged, (half_undone, partial) =
           in_txn (fun db ctx ->
-              ignore (insert db ctx 1 (n / 2));
+              let first = insert db ctx 1 (n / 2) in
               Dmx_core.Services.savepoint ctx "half";
               let logged = insert db ctx ((n / 2) + 1) n in
               let r = undo (fun () -> Dmx_core.Services.rollback_to ctx "half") in
               Db.abort db ctx;
-              (logged, r))
+              (first, logged, r))
         in
-        (n, commit, (logged, undone, abort), (half_logged, half_undone, partial)))
+        ( n,
+          commit,
+          (logged, undone, abort),
+          (first_logged, half_logged, half_undone, partial) ))
       sizes
   in
   Report.table
     ~columns:[ "txn size"; "outcome"; "log records"; "undone"; "ms" ]
     (List.concat_map
-       (fun (n, commit, (l, u, a), (hl, hu, p)) ->
+       (fun (n, commit, (l, u, a), (_, hl, hu, p)) ->
          [
            [ Report.i n; "commit"; ""; ""; Report.f2 (ms commit) ];
            [ ""; "abort (full undo)"; Report.i l; Report.i u; Report.f2 (ms a) ];
@@ -775,11 +785,12 @@ let e7 () =
   Report.verdict
     ~ok:
       (List.for_all
-         (fun (_, _, (l, u, _), (hl, hu, _)) -> u = l && hu = hl && 2 * hl = l)
+         (fun (_, _, (l, u, _), (fl, hl, hu, _)) ->
+           u = l && hu = hl && fl + hl = l)
          runs)
     "undo walks exactly the transaction's log suffix: at every size a full \
      abort undid all the records its inserts logged, and a rollback to the \
-     half-way savepoint undid half of them";
+     half-way savepoint undid those the second half logged";
   (* restart recovery: a crashed transaction with flushed effects is undone
      by the log-driven restart pass *)
   let dir = temp_dir "rec" in
@@ -803,7 +814,33 @@ let e7 () =
     "restart recovery of a crashed 1000-insert transaction (flushed, with \
      index): %.2f ms, %d loser@."
     (ms restart_secs) losers;
-  Report.verdict ~ok:(losers = 1) "restart undid the crashed transaction"
+  Report.verdict ~ok:(losers = 1) "restart undid the crashed transaction";
+  (* The catalog snapshot is DDL's: a descriptor changes only there, so a
+     commit of inserts and deletes writes none. *)
+  let dir = temp_dir "snap" in
+  let db = Db.open_database ~dir () in
+  let s0 = v catalog_snapshots in
+  create_t db;
+  let ddl = v catalog_snapshots - s0 in
+  let s1 = v catalog_snapshots in
+  let commits = 20 in
+  let dml_txn f = ok "dml" (Db.with_txn db f) in
+  for i = 1 to commits / 2 do
+    let key =
+      dml_txn (fun ctx ->
+          Db.insert db ctx ~relation:"t" (emp_record i ~depts:10))
+    in
+    ignore (dml_txn (fun ctx -> Db.delete db ctx ~relation:"t" key))
+  done;
+  let dml = v catalog_snapshots - s1 in
+  Db.close db;
+  rm_dir dir;
+  Fmt.pr "catalog snapshots: %d at the DDL commit, %d over %d DML commits@." ddl
+    dml commits;
+  Report.verdict ~ok:(dml = 0 && ddl = 1)
+    "a DML commit writes %d catalog snapshots (%d DML commits; the DDL \
+     commit wrote %d)"
+    dml commits ddl
 
 (* ---------------------------------------------------------------------- *)
 (* E8 — join via join-index attachment (claim C8)                           *)

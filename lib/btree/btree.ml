@@ -98,11 +98,15 @@ let with_node t page_id f =
 
 let read_node t page_id = with_node t page_id decode_node
 
+(* The last [trailer] bytes of a page are no node's: on the root they hold
+   the tree's advisory count. *)
+let trailer = 8
+
 let write_node t page_id node =
   let data = encode_node node in
   let len = String.length data in
   let page_size = Disk.page_size (Buffer_pool.disk t.bp) in
-  if len + 2 > page_size then failwith "Btree: node exceeds page size";
+  if len + 2 > page_size - trailer then failwith "Btree: node exceeds page size";
   Buffer_pool.with_page_mut t.bp page_id (fun frame ->
       Bytes.set_uint16_le frame.Buffer_pool.data 0 len;
       Bytes.blit_string data 0 frame.Buffer_pool.data 2 len)
@@ -123,6 +127,18 @@ let create bp =
 
 let open_tree bp ~root = { bp; root }
 let root t = t.root
+
+let advisory_count t =
+  Buffer_pool.with_page t.bp t.root (fun frame ->
+      let d = frame.Buffer_pool.data in
+      Int64.to_int (Bytes.get_int64_le d (Bytes.length d - trailer)))
+
+let add_advisory_count t delta =
+  Buffer_pool.with_page_mut t.bp t.root (fun frame ->
+      let d = frame.Buffer_pool.data in
+      let at = Bytes.length d - trailer in
+      let n = Int64.to_int (Bytes.get_int64_le d at) in
+      Bytes.set_int64_le d at (Int64.of_int (max 0 (n + delta))))
 
 let alloc_page t =
   let frame = Buffer_pool.alloc t.bp in

@@ -44,6 +44,15 @@ val create : Dmx_page.Buffer_pool.t -> t
 val open_tree : Dmx_page.Buffer_pool.t -> root:int -> t
 val root : t -> int
 
+val advisory_count : t -> int
+(** A count the tree's owner keeps with it ([btree_org]'s record count),
+    held in the root page's last bytes, which no node reaches. 0 in a
+    fresh tree. *)
+
+val add_advisory_count : t -> int -> unit
+(** Move {!advisory_count} by a delta (floored at 0), unlogged: exact
+    within a process, as last written across a crash. *)
+
 (** {2 Logged changes}
 
     Every change to a tree is one {!Dmx_value.Image}: the target is the

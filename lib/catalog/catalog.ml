@@ -8,17 +8,15 @@ type t = {
   mutable by_name : int Smap.t;
   mutable next_id : int;
   mutable is_dirty : bool;
-  mutable store_pages : int;
   path : string option;
 }
 
 let create ?path () =
   { rels = Imap.empty; by_name = Smap.empty; next_id = 1; is_dirty = false;
-    store_pages = 0; path }
+    path }
 
 let canon = String.lowercase_ascii
 let dirty t = t.is_dirty
-let store_pages t = t.store_pages
 let next_rel_id t = t.next_id
 
 let add_relation t ~rel_name ~schema ~smethod_id ~smethod_desc =
@@ -68,14 +66,22 @@ let set_smethod_desc t ~rel_id desc =
 
 (* ---- persistence ---- *)
 
-(* The magic names the descriptor formats: [DMXCATLG] catalogs hold hash
-   index descriptors with one page id per bucket, which this version would
-   misread, so it refuses them. *)
-let magic = "DMXCATL2"
-let old_magic = "DMXCATLG"
+(* The magic names the descriptor formats. This version would misread
+   both older ones, so it refuses them by name: [DMXCATLG] catalogs hold
+   hash index descriptors with one page id per bucket, and [DMXCATL2]
+   catalogs hold heap, [btree] and [readonly] descriptors with page lists
+   and record counts in them, and the page store's size. *)
+let magic = "DMXCATL3"
+let old_magics = [ "DMXCATLG"; "DMXCATL2" ]
 
-let save ?store_pages t =
-  Option.iter (fun n -> t.store_pages <- n) store_pages;
+let m_snapshots = Dmx_obs.Metrics.counter "catalog.snapshots"
+let m_fsyncs = Dmx_obs.Metrics.counter "catalog.fsyncs"
+
+let fsync fd =
+  Unix.fsync fd;
+  Dmx_obs.Metrics.incr m_fsyncs
+
+let save t =
   match t.path with
   | None -> ()
   | Some path ->
@@ -83,12 +89,13 @@ let save ?store_pages t =
     Codec.Enc.string e magic;
     Codec.Enc.varint e t.next_id;
     Codec.Enc.list e Descriptor.enc (relations t);
-    Codec.Enc.varint e t.store_pages;
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc (Codec.Enc.to_string e);
-    close_out oc;
-    Sys.rename tmp path;
+    let data = Codec.Enc.to_string e in
+    let rec write fd off =
+      if off < String.length data then
+        write fd (off + Unix.write_substring fd data off (String.length data - off))
+    in
+    Unix.close (Dmx_wal.Durable.replace ~sync:fsync path (fun fd -> write fd 0));
+    Dmx_obs.Metrics.incr m_snapshots;
     t.is_dirty <- false
 
 let load ~path =
@@ -101,18 +108,17 @@ let load ~path =
     let d = Codec.Dec.of_string data in
     (match Codec.Dec.string d with
     | m when m = magic -> ()
-    | m when m = old_magic ->
+    | m when List.mem m old_magics ->
       failwith
         (Fmt.str
            "Catalog.load: %s was written by an older dmx (%s); this version \
             reads %s only"
-           path old_magic magic)
+           path m magic)
     | _ -> failwith (Fmt.str "Catalog.load: %s is not a dmx catalog" path));
     let next_id = Codec.Dec.varint d in
     let descs = Codec.Dec.list d Descriptor.dec in
     let t = create ~path () in
     t.next_id <- next_id;
-    if not (Codec.Dec.at_end d) then t.store_pages <- Codec.Dec.varint d;
     List.iter
       (fun (desc : Descriptor.t) ->
         t.rels <- Imap.add desc.rel_id desc t.rels;
@@ -133,6 +139,7 @@ type op =
       old_desc : string option;
       new_desc : string option;
     }
+  | Set_smethod of { rel_id : int; old_desc : string; new_desc : string }
 
 let encode_op op =
   let e = Codec.Enc.create () in
@@ -148,7 +155,12 @@ let encode_op op =
     Codec.Enc.varint e rel_id;
     Codec.Enc.varint e slot;
     Codec.Enc.option e Codec.Enc.string old_desc;
-    Codec.Enc.option e Codec.Enc.string new_desc);
+    Codec.Enc.option e Codec.Enc.string new_desc
+  | Set_smethod { rel_id; old_desc; new_desc } ->
+    Codec.Enc.byte e 3;
+    Codec.Enc.varint e rel_id;
+    Codec.Enc.string e old_desc;
+    Codec.Enc.string e new_desc);
   Codec.Enc.to_string e
 
 let decode_op data =
@@ -162,6 +174,11 @@ let decode_op data =
     let old_desc = Codec.Dec.option d Codec.Dec.string in
     let new_desc = Codec.Dec.option d Codec.Dec.string in
     Set_attachment { rel_id; slot; old_desc; new_desc }
+  | 3 ->
+    let rel_id = Codec.Dec.varint d in
+    let old_desc = Codec.Dec.string d in
+    let new_desc = Codec.Dec.string d in
+    Set_smethod { rel_id; old_desc; new_desc }
   | n -> failwith (Fmt.str "Catalog.decode_op: bad tag %d" n)
 
 let undo_op t = function
@@ -183,5 +200,12 @@ let undo_op t = function
     | None -> ()  (* relation gone: nothing to restore *)
     | Some d ->
       Descriptor.set_attachment_desc d slot old_desc;
+      t.is_dirty <- true
+  end
+  | Set_smethod { rel_id; old_desc; _ } -> begin
+    match Imap.find_opt rel_id t.rels with
+    | None -> ()
+    | Some d ->
+      Descriptor.set_smethod_desc d old_desc;
       t.is_dirty <- true
   end

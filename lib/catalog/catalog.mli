@@ -11,8 +11,11 @@
     calls {!undo_op}. Undo is testable (tolerates never-applied /
     already-undone states) per the recovery policy in DESIGN.md.
 
-    Persistence is a snapshot file written by {!save} during the commit force
-    step and on clean shutdown. *)
+    Persistence is a snapshot file written by {!save}. A descriptor changes
+    only through a logged operation (DDL), so the snapshot is saved only
+    at the commit or abort of a transaction that logged one, after
+    restart's undo of a loser that did, and on clean shutdown — never at
+    the commit of DML. *)
 
 open Dmx_value
 
@@ -24,19 +27,17 @@ val create : ?path:string -> unit -> t
 val load : path:string -> t
 (** Load a snapshot if the file exists, else an empty catalog bound to it.
     Raises [Failure], naming the path, on a file that is not a catalog or
-    was written by an older version (magic [DMXCATLG]), leaving it alone. *)
+    was written by an older version (magic [DMXCATLG] or [DMXCATL2]),
+    leaving it alone. *)
 
-val save : ?store_pages:int -> t -> unit
-(** Write the snapshot. [store_pages] records the page store's size with
-    it: restart extends the store to {!store_pages} before redo, so every
-    page a saved descriptor lists exists even when the crash dropped pages
-    allocated since the last sync (DESIGN.md §15). *)
-
-val store_pages : t -> int
-(** The page-store size the last saved (or loaded) snapshot recorded; 0
-    when none did. *)
+val save : t -> unit
+(** Write the snapshot durably ({!Dmx_wal.Durable.replace}): the file's
+    fsync counts in the metrics counter [catalog.fsyncs], the directory's
+    in [durable.dir_fsyncs], and each snapshot written in
+    [catalog.snapshots]. A catalog without a path writes nothing. *)
 
 val dirty : t -> bool
+(** Whether the catalog changed since the last snapshot. *)
 
 val next_rel_id : t -> int
 (** Peek at the id the next {!add_relation} will use. *)
@@ -64,6 +65,9 @@ type op =
       old_desc : string option;
       new_desc : string option;
     }
+  | Set_smethod of { rel_id : int; old_desc : string; new_desc : string }
+      (** a storage method's own descriptor change at DDL (sealing a
+          [readonly] relation) *)
 
 val encode_op : op -> string
 val decode_op : string -> op

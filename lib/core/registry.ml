@@ -98,6 +98,10 @@ let sm_redos : (string, redo) Hashtbl.t =
 let at_redos : (string, redo) Hashtbl.t =
   Hashtbl.create 16 [@@dmx.global "config-immutable-after-setup"]
 
+(* Page bounds, by name like the redo entries. *)
+let sm_page_bounds : (string, string -> int) Hashtbl.t =
+  Hashtbl.create 4 [@@dmx.global "config-immutable-after-setup"]
+
 let check_not_frozen what =
   if !frozen then
     invalid_arg
@@ -219,6 +223,17 @@ let set_at_redo id f =
   check_not_frozen (Fmt.str "redo for attachment %d" id);
   let (module M : Intf.ATTACHMENT) = attachment id in
   Hashtbl.replace at_redos M.name f
+
+let set_sm_page_bound id f =
+  check_not_frozen (Fmt.str "page bound for storage method %d" id);
+  let (module M : Intf.STORAGE_METHOD) = storage_method id in
+  Hashtbl.replace sm_page_bounds M.name f
+
+let sm_page_bound id =
+  let (module M : Intf.STORAGE_METHOD) = storage_method id in
+  match Hashtbl.find_opt sm_page_bounds M.name with
+  | Some f -> f
+  | None -> fun _ -> 0
 
 let sm_redo id =
   let (module M : Intf.STORAGE_METHOD) = storage_method id in

@@ -72,6 +72,19 @@ val set_sm_redo : int -> redo -> unit
 val set_at_redo : int -> redo -> unit
 (** Same for an attachment type. *)
 
+val set_sm_page_bound : int -> (string -> int) -> unit
+(** Install a storage method's page bound: the highest page id one of its
+    [Ext] records names (0 for none). Restart grows the page store to the
+    largest bound of the retained log before redo, so a page a logged
+    record names exists, and no allocation redo repeats (a B-tree split run
+    again) can take it. A method whose records name the pages it allocated
+    (the heap's directory appends) installs one; the entry belongs to the
+    name, like {!set_sm_redo}. *)
+
+val sm_page_bound : int -> string -> int
+(** The page bound of the storage method with this id; [fun _ -> 0] when
+    none was installed. *)
+
 val sm_redo : int -> redo
 (** The redo entry of the storage method with this id, found by its name;
     raises when none was installed. *)

@@ -44,7 +44,7 @@ let checkpoint_due t =
    is then dropped: redo never reads below the checkpoint, and undo reads
    only the active transactions' chains. A crash before the record is
    durable restarts from the previous checkpoint. The catalog needs no
-   snapshot here: every commit that dirtied it saved it. *)
+   snapshot here: only DDL changes it, and every DDL commit saves it. *)
 let checkpoint ?(truncate = true) t =
   let wal = t.wal in
   let written = Buffer_pool.flush_all t.bp in
@@ -91,8 +91,23 @@ let checkpoint ?(truncate = true) t =
     ck_truncated_bytes = tbytes;
   }
 
-let save_catalog t =
-  Dmx_catalog.Catalog.save ~store_pages:(Disk.page_count t.disk) t.catalog
+(* The crash may have dropped pages allocated since the last sync. Every
+   page a retained record names is brought back, zeroed, before redo, so
+   redo finds it and no allocation redo repeats (a B-tree split run again)
+   takes it. *)
+let grow_store disk log =
+  let top =
+    Array.fold_left
+      (fun top (r : Log_record.t) ->
+        match r.kind with
+        | Ext { source = Smethod id; data; _ } ->
+          max top (Registry.sm_page_bound id data)
+        | Ext _ | Commit | Abort | Clr _ | Checkpoint _ -> top)
+      0 log
+  in
+  while Disk.page_count disk < top do
+    ignore (Disk.alloc disk)
+  done
 
 let rec setup ?dir ?disk ?(pool_capacity = 256) () =
   Registry.freeze ();
@@ -180,26 +195,17 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
       ckpt_bytes_mark = Wal.appended_bytes wal;
     }
   in
-  (* Commit: every commit saves a dirty catalog snapshot, with the store's
-     size; a commit that logged a catalog change forces the pool. *)
-  Dmx_txn.Txn_mgr.set_snapshot_hook txn_mgr (fun () ->
-      Dmx_catalog.Catalog.dirty catalog
-      && begin
-           save_catalog t;
-           true
-         end);
-  Dmx_txn.Txn_mgr.set_force_hook txn_mgr (fun () ->
-      ignore (Buffer_pool.flush_all bp));
+  (* Only DDL changes the catalog: its commit forces the pool, then saves
+     the snapshot. *)
+  Dmx_txn.Txn_mgr.set_catalog_hook txn_mgr (fun ~force ->
+      if force then ignore (Buffer_pool.flush_all bp);
+      if Dmx_catalog.Catalog.dirty catalog then Dmx_catalog.Catalog.save catalog);
   Dmx_txn.Txn_mgr.set_undo_dispatch txn_mgr (Undo.dispatch ~txn_mgr ~bp ~catalog);
   Dmx_txn.Txn_mgr.set_redo_dispatch txn_mgr (Undo.redo ~txn_mgr ~bp ~catalog);
   Dmx_txn.Txn_mgr.set_commit_observer txn_mgr (fun () ->
       if checkpoint_due t then ignore (checkpoint t));
-  (* The crash may have dropped pages allocated since the last sync; bring
-     back every page the catalog snapshot may list before redo runs. *)
-  while Disk.page_count disk < Dmx_catalog.Catalog.store_pages catalog do
-    ignore (Disk.alloc disk)
-  done;
-  t.last_recovery <- Some (Dmx_txn.Txn_mgr.recover txn_mgr);
+  t.last_recovery <-
+    Some (Dmx_txn.Txn_mgr.recover ~grow:(grow_store disk) txn_mgr);
   (* the next restart starts here, with nothing to redo *)
   ignore (checkpoint t);
   t
@@ -247,7 +253,7 @@ let close t =
     (fun txn -> Dmx_txn.Txn_mgr.abort t.txn_mgr txn)
     (Dmx_txn.Txn_mgr.active_txns t.txn_mgr);
   ignore (checkpoint t);
-  save_catalog t;
+  Dmx_catalog.Catalog.save t.catalog;
   Wal.close t.wal;
   Disk.close t.disk;
   Dmx_obs.Emit.flush ()

@@ -30,12 +30,13 @@ val setup :
     store regardless of [dir] (the chaos harness injects a
     {!Dmx_page.Fault_disk} view here while keeping the log and catalog in
     [dir]). Freezes the registry — all extensions must be registered before
-    this call — then wires the WAL-before-page hook, the commit hooks
-    (catalog snapshot; the pool force for a transaction that logged a
-    catalog change) and the undo and redo dispatchers, and runs restart
-    recovery: the store is extended to the page count the catalog snapshot
-    recorded, then analysis and redo from the last checkpoint, the
-    undo of losers, and a checkpoint (DESIGN.md §15). *)
+    this call — then wires the WAL-before-page hook, the catalog hook (a
+    transaction that logged a catalog change forces the pool at commit and
+    saves the snapshot at commit or abort; DML saves nothing) and the undo
+    and redo dispatchers, and runs restart recovery: the store is extended
+    to every page a retained log record names ({!Registry.set_sm_page_bound}),
+    then analysis and redo from the last checkpoint, the undo of losers,
+    and a checkpoint (DESIGN.md §15). *)
 
 val checkpoint : ?truncate:bool -> t -> checkpoint_stats
 (** Take a checkpoint now: write every dirty page and sync the store

@@ -24,10 +24,11 @@ let set_data_start page off = set16 page 2 off
 
 let slot_off _page s = header_size + (s * slot_size)
 
-let slot_entry page s =
-  let off = get16 page (slot_off page s) in
-  let len = get16 page (slot_off page s + 2) in
-  (off, len)
+(* The loops over every slot read the two fields apart: a pair returned
+   per slot would allocate. *)
+let entry_off page s = get16 page (slot_off page s)
+let entry_len page s = get16 page (slot_off page s + 2)
+let slot_entry page s = (entry_off page s, entry_len page s)
 
 let set_slot_entry page s ~off ~len =
   set16 page (slot_off page s) off;
@@ -44,8 +45,7 @@ let live_count page =
   let rec loop i acc =
     if i >= n then acc
     else
-      let off, _ = slot_entry page i in
-      loop (i + 1) (if off = dead then acc else acc + 1)
+      loop (i + 1) (if entry_off page i = dead then acc else acc + 1)
   in
   loop 0 0
 
@@ -90,9 +90,8 @@ let find_dead_slot page =
   let n = slot_count page in
   let rec loop s =
     if s >= n then None
-    else
-      let off, len = slot_entry page s in
-      if off = dead && len = 0 then Some s else loop (s + 1)
+    else if entry_off page s = dead && entry_len page s = 0 then Some s
+    else loop (s + 1)
   in
   loop 0
 
@@ -103,8 +102,7 @@ let garbage page =
   let n = slot_count page in
   let used = ref 0 in
   for s = 0 to n - 1 do
-    let off, len = slot_entry page s in
-    if off <> dead then used := !used + len
+    if entry_off page s <> dead then used := !used + entry_len page s
   done;
   Bytes.length page - data_start page - !used
 

@@ -15,26 +15,23 @@ let id () =
 
 (* ---- descriptor ---- *)
 
-type bdesc = { root : int; key_fields : int array; count : int }
+(* Fixed at creation. The advisory record count lives with the tree
+   ({!Btree.advisory_count}). *)
+type bdesc = { root : int; key_fields : int array }
 
 let enc_desc d =
   let e = Codec.Enc.create () in
   Codec.Enc.varint e d.root;
   Codec.Enc.list e (fun e f -> Codec.Enc.varint e f) (Array.to_list d.key_fields);
-  Codec.Enc.varint e d.count;
   Codec.Enc.to_string e
 
 let dec_desc s =
   let d = Codec.Dec.of_string s in
   let root = Codec.Dec.varint d in
   let key_fields = Array.of_list (Codec.Dec.list d Codec.Dec.varint) in
-  let count = Codec.Dec.varint d in
-  { root; key_fields; count }
+  { root; key_fields }
 
 let bdesc_of (desc : Descriptor.t) = dec_desc desc.smethod_desc
-
-let store_desc ctx (desc : Descriptor.t) bd =
-  Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id (enc_desc bd)
 
 let tree_of ctx bd = Btree.open_tree ctx.Ctx.bp ~root:bd.root
 
@@ -99,7 +96,7 @@ module Impl = struct
                   (Schema.field_name schema (List.hd nullable))))
         else begin
           let tree = Btree.create ctx.Ctx.bp in
-          Ok (enc_desc { root = Btree.root tree; key_fields; count = 0 })
+          Ok (enc_desc { root = Btree.root tree; key_fields })
         end
     end
 
@@ -111,32 +108,32 @@ module Impl = struct
   let insert ctx (desc : Descriptor.t) record =
     let bd = bdesc_of desc in
     let key = key_of bd record in
+    let tree = tree_of ctx bd in
     match
-      Btree.set (tree_of ctx bd) ~key ~log:(log ctx desc.rel_id)
+      Btree.set tree ~key ~log:(log ctx desc.rel_id)
         (Btree.if_absent (payload_of record))
     with
     | Some _ -> duplicate key
     | None ->
-      store_desc ctx desc { bd with count = bd.count + 1 };
+      Btree.add_advisory_count tree 1;
       Ok (Record_key.fields key)
 
   (* Batch vector entry: the records enter the tree in key order, each
      leaf decoded and written once per run ({!Btree.insert_batch}); a key
-     already stored or repeated in the batch refuses it. The descriptor is
-     stored once, counting the entries applied, so the rollback of a refused
-     batch brings the count back. *)
+     already stored or repeated in the batch refuses it. The count moves
+     once, by the entries applied, so the rollback of a refused batch brings
+     it back. *)
   let insert_batch ctx (desc : Descriptor.t) records =
     let bd = bdesc_of desc in
     let entries = Array.map (fun r -> (key_of bd r, payload_of r)) records in
     let keys = Array.map (fun (k, _) -> Record_key.fields k) entries in
     Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) entries;
-    let stored applied =
-      store_desc ctx desc { bd with count = bd.count + applied }
-    in
+    let tree = tree_of ctx bd in
+    let stored applied = Btree.add_advisory_count tree applied in
     match
       Btree.insert_batch
         ~unique_prefix:(Array.length bd.key_fields)
-        (tree_of ctx bd)
+        tree
         ~log:(List.iter (log ctx desc.rel_id))
         entries
     with
@@ -167,16 +164,15 @@ module Impl = struct
     end
 
   let delete ctx (desc : Descriptor.t) key =
-    let bd = bdesc_of desc in
+    let tree = tree_of ctx (bdesc_of desc) in
     let removed =
       Option.bind (fields_key key) (fun k ->
-          Btree.set (tree_of ctx bd) ~key:k ~log:(log ctx desc.rel_id)
-            (fun _ -> None))
+          Btree.set tree ~key:k ~log:(log ctx desc.rel_id) (fun _ -> None))
     in
     match removed with
     | None -> Error (Error.Key_not_found (Record_key.to_string key))
     | Some payload ->
-      store_desc ctx desc { bd with count = max 0 (bd.count - 1) };
+      Btree.add_advisory_count tree (-1);
       Ok (record_of payload)
 
   let update ctx (desc : Descriptor.t) key new_record =
@@ -206,9 +202,7 @@ module Impl = struct
 
   let key_fields desc = Some (bdesc_of desc).key_fields
 
-  let record_count ctx (desc : Descriptor.t) =
-    ignore ctx;
-    (bdesc_of desc).count
+  let record_count ctx desc = Btree.advisory_count (tree_of ctx (bdesc_of desc))
 
   (* The one scan implementation (registered as the batch vector entry; the
      record cursor [scan] adapts it): one run per leaf via [Btree.next_run].
@@ -237,8 +231,9 @@ module Impl = struct
 
   let estimate_scan ctx (desc : Descriptor.t) ~eligible =
     let bd = bdesc_of desc in
-    let rows = float_of_int bd.count in
-    let height = float_of_int (Btree.height (tree_of ctx bd)) in
+    let tree = tree_of ctx bd in
+    let rows = float_of_int (Btree.advisory_count tree) in
+    let height = float_of_int (Btree.height tree) in
     let pred = Dmx_expr.Analyze.conjoin eligible in
     let m =
       match pred with
@@ -277,8 +272,8 @@ module Impl = struct
 
   (* ---- undo ---- *)
 
-  (* The descriptor's advisory count follows an insert or delete that undo
-     actually reversed, except when restart repeats a Clr. *)
+  (* The advisory count follows an insert or delete that undo actually
+     reversed, except when restart repeats a Clr. *)
   let undo ctx ~rel_id ~data =
     match Btree.undo ctx.Ctx.bp data with
     | None -> ()
@@ -288,11 +283,10 @@ module Impl = struct
       | Some desc
         when delta <> 0 && (not ctx.Ctx.replay)
              && (bdesc_of desc).root = fst c.target ->
-        let bd = bdesc_of desc in
-        store_desc ctx desc { bd with count = max 0 (bd.count + delta) }
+        Btree.add_advisory_count (tree_of ctx (bdesc_of desc)) delta
       | Some _ | None -> ())
 
-  (* The catalog snapshot saved at commit already holds the count. *)
+  (* The count is advisory: redo leaves it alone. *)
   let redo ctx ~rel_id:_ ~data =
     if Btree.redo ctx.Ctx.bp data then Ctx.applied ctx
 end

@@ -13,58 +13,6 @@ let id () =
   | Some id -> id
   | None -> Error.raise_err (Error.Internal "Heap: storage method not registered")
 
-(* ---- descriptor: data page list + advisory record count ---- *)
-
-type hdesc = { pages : int list; count : int }
-
-let enc_desc d =
-  let e = Codec.Enc.create () in
-  Codec.Enc.list e (fun e p -> Codec.Enc.varint e p) d.pages;
-  Codec.Enc.varint e d.count;
-  Codec.Enc.to_string e
-
-let dec_desc s =
-  let d = Codec.Dec.of_string s in
-  let pages = Codec.Dec.list d Codec.Dec.varint in
-  let count = Codec.Dec.varint d in
-  { pages; count }
-
-let hdesc_of (desc : Descriptor.t) = dec_desc desc.smethod_desc
-
-let store_desc ctx (desc : Descriptor.t) hd =
-  Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id (enc_desc hd)
-
-(* The count is the descriptor's last varint. Walking back from its last
-   byte, bytes of 0x80 and above are its own, and the first byte below is
-   the end of the varint ahead of it. So the count is read and replaced
-   without walking the page list. *)
-let count_start s =
-  let rec back p =
-    if p > 0 && Char.code s.[p - 1] >= 0x80 then back (p - 1) else p
-  in
-  back (String.length s - 1)
-
-let count_of s =
-  let d = Codec.Dec.of_string s in
-  Codec.Dec.seek d (count_start s);
-  Codec.Dec.varint d
-
-let with_count s count =
-  let e = Codec.Enc.create ~size:10 () in
-  Codec.Enc.varint e count;
-  let c = Codec.Enc.to_string e and p = count_start s in
-  (* one copy of the page list, not a substring and then a concatenation *)
-  let b = Bytes.create (p + String.length c) in
-  Bytes.blit_string s 0 b 0 p;
-  Bytes.blit_string c 0 b p (String.length c);
-  Bytes.unsafe_to_string b
-
-(* Delete and undo change only the count. *)
-let add_count ctx (desc : Descriptor.t) delta =
-  let s = desc.smethod_desc in
-  Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id
-    (with_count s (max 0 (count_of s + delta)))
-
 (* ---- page helpers ---- *)
 
 (* Pins name the transaction explicitly so a page fill (and any eviction
@@ -85,6 +33,190 @@ let with_page_mut ctx page f =
   Fun.protect
     ~finally:(fun () -> Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame)
     (fun () -> f frame.Buffer_pool.data)
+
+(* [f] says whether it changed the page; the page is marked dirty only
+   then. *)
+let with_page_if ctx page f =
+  let frame =
+    Buffer_pool.pin ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ctx.Ctx.bp page
+  in
+  let changed = ref false in
+  Fun.protect
+    ~finally:(fun () -> Buffer_pool.unpin ~dirty:!changed ctx.Ctx.bp frame)
+    (fun () ->
+      changed := f frame.Buffer_pool.data;
+      !changed)
+
+(* ---- descriptor: the directory's head page ---- *)
+
+let enc_desc head =
+  let e = Codec.Enc.create ~size:8 () in
+  Codec.Enc.varint e head;
+  Codec.Enc.to_string e
+
+let head_of (desc : Descriptor.t) =
+  Codec.Dec.varint (Codec.Dec.of_string desc.smethod_desc)
+
+(* ---- directory pages ---- *)
+
+(* The relation's data pages are listed, in the order they were added, by a
+   chain of directory pages from the head. A directory page holds its next
+   and previous links and its entry count, then one 4-byte page id per
+   entry. The head also holds the chain's tail (0: the head itself) and the
+   relation's advisory record count. A zeroed page is an empty directory,
+   so a fresh head or link needs no format. *)
+let off_next = 0
+let off_prev = 4
+let off_len = 8
+let off_tail = 12
+let off_count = 16
+let dir_header = 24
+
+let get data off = Int32.to_int (Bytes.get_int32_le data off)
+let put data off v = Bytes.set_int32_le data off (Int32.of_int v)
+let entry i = dir_header + (4 * i)
+let dir_capacity data = (Bytes.length data - dir_header) / 4
+
+let tail_of ctx head =
+  with_page ctx head (fun d -> match get d off_tail with 0 -> head | t -> t)
+
+let rec page_total ctx dir acc =
+  if dir = 0 then acc
+  else
+    let next, n = with_page ctx dir (fun d -> (get d off_next, get d off_len)) in
+    page_total ctx next (acc + n)
+
+(* Every data page, oldest first, each directory page pinned once. *)
+let data_pages ctx head =
+  let rec walk dir acc =
+    if dir = 0 then Array.concat (List.rev acc)
+    else
+      let next, ids =
+        with_page ctx dir (fun d ->
+            (get d off_next, Array.init (get d off_len) (fun i -> get d (entry i))))
+      in
+      walk next (ids :: acc)
+  in
+  walk head []
+
+(* The directory's own pages, head first. *)
+let directory ctx head =
+  let rec walk dir acc =
+    if dir = 0 then List.rev acc
+    else walk (with_page ctx dir (fun d -> get d off_next)) (dir :: acc)
+  in
+  walk head []
+
+(* The newest data page [accept] takes, searching back from the chain's
+   tail, each directory page under one pin; a directory of one page is
+   searched under the pin that reads the tail. A step returns a page id
+   (> 0) found, or minus the directory page to search next (0: none). *)
+let find_back ctx head accept =
+  let search data =
+    let rec back i =
+      if i < 0 then -get data off_prev
+      else
+        let p = get data (entry i) in
+        if accept p then p else back (i - 1)
+    in
+    back (get data off_len - 1)
+  in
+  let rec from r =
+    if r > 0 then Some r
+    else if r = 0 then None
+    else from (with_page ctx (-r) search)
+  in
+  from
+    (with_page ctx head (fun data ->
+         match get data off_tail with 0 -> search data | tail -> -tail))
+
+(* ---- advisory record count ---- *)
+
+(* On the head page, unlogged: exact within a process (inserts, deletes and
+   the undos that reverse them adjust it), advisory across a crash, where
+   it is whatever the head held when it was last written. *)
+let count_of ctx head =
+  with_page ctx head (fun d -> Int64.to_int (Bytes.get_int64_le d off_count))
+
+let add_count ctx head delta =
+  with_page_mut ctx head (fun d ->
+      let n = Int64.to_int (Bytes.get_int64_le d off_count) in
+      Bytes.set_int64_le d off_count (Int64.of_int (max 0 (n + delta))))
+
+(* ---- directory records ---- *)
+
+(* Logged under the heap's source beside its slot images, tagged with a
+   first byte above the image flags ({!Image.encode}). [Append] makes entry
+   [index] of directory page [dir] name [page]; [Link] chains the fresh
+   directory page [page] after [from] and makes it the head's tail. Neither
+   is undone: a page a rolled-back transaction added stays listed, empty,
+   for later inserts. Redo checks the state, so it can repeat. *)
+type dir_op =
+  | Append of { dir : int; index : int; page : int }
+  | Link of { head : int; from : int; page : int }
+
+let enc_dir_op op =
+  let e = Codec.Enc.create ~size:16 () in
+  (match op with
+  | Append { dir; index; page } ->
+    Codec.Enc.byte e 4;
+    Codec.Enc.varint e dir;
+    Codec.Enc.varint e index;
+    Codec.Enc.varint e page
+  | Link { head; from; page } ->
+    Codec.Enc.byte e 5;
+    Codec.Enc.varint e head;
+    Codec.Enc.varint e from;
+    Codec.Enc.varint e page);
+  Codec.Enc.to_string e
+
+let dec_dir_op data =
+  let d = Codec.Dec.of_string data in
+  let tag = Codec.Dec.byte d in
+  let a = Codec.Dec.varint d in
+  let b = Codec.Dec.varint d in
+  let page = Codec.Dec.varint d in
+  if tag = 4 then Append { dir = a; index = b; page }
+  else Link { head = a; from = b; page }
+
+let is_dir_op data = String.length data > 0 && Char.code data.[0] >= 4
+
+(* The highest page a heap record names: only directory records name pages
+   that may postdate the store's last sync, and a slot image's page was
+   named by the append logged before it. *)
+let page_bound data =
+  if not (is_dir_op data) then 0
+  else
+    match dec_dir_op data with
+    | Append { dir; page; _ } -> max dir page
+    | Link { head; from; page } -> max head (max from page)
+
+(* Make the pages hold [op]; whether that changed anything. An entry that
+   names another page is written again: a torn directory page, or an
+   append whose write an exception cut short before a later one reused
+   its entry, leaves no other state to keep. *)
+let apply_dir_op ctx op =
+  let set page off v =
+    with_page_if ctx page (fun d ->
+        get d off <> v
+        && begin
+             put d off v;
+             true
+           end)
+  in
+  match op with
+  | Append { dir; index; page } ->
+    with_page_if ctx dir (fun d ->
+        if get d off_len > index && get d (entry index) = page then false
+        else begin
+          put d (entry index) page;
+          put d off_len (max (get d off_len) (index + 1));
+          true
+        end)
+  | Link { head; from; page } ->
+    let a = set from off_next page in
+    let b = set page off_prev from in
+    set head off_tail page || a || b
 
 (* ---- bytes held for undo ---- *)
 
@@ -154,40 +286,28 @@ let set_slot data (page, slot) ~log f =
              (Fmt.str "heap: cannot write record at rid(%d,%d)" page slot)))
     (page, slot) f
 
-(* Restart replays images on the pages the relation's descriptor lists.
-   Restart extends the store to the last catalog snapshot's page count, so a
-   listed page exists, though it may be zeroed: redo formats it before its
-   first write. A page no snapshot listed belonged to a loser and may since
-   have been allocated to a re-run split, so its images are left alone.
-   The page is marked dirty only when the replay changed it. *)
-let redo_undo_slot ctx ~pages data f =
+(* An image's page was added to the directory, under a record logged before
+   it, when it was allocated. Restart grows the store to every page the log
+   names ({!page_bound}), so the page exists, though it may be zeroed: redo
+   formats it before its first write. The page is marked dirty only when
+   the replay changed it. *)
+let redo_undo_slot ctx data f =
   let img = Image.decode dec_rid data in
   let page, _ = img.target in
-  if not (List.mem page pages && Buffer_pool.page_live ctx.Ctx.bp page) then
-    (img, false)
-  else begin
-    let frame =
-      Buffer_pool.pin ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ctx.Ctx.bp page
-    in
-    let changed = ref false in
-    Fun.protect
-      ~finally:(fun () ->
-        Buffer_pool.unpin ~dirty:!changed ctx.Ctx.bp frame)
-      (fun () ->
-        let data = frame.Buffer_pool.data in
-        if not (Slotted.formatted data) then begin
-          Slotted.init data;
-          changed := true
-        end;
-        let applied = f img data in
-        if applied then changed := true;
-        (img, applied))
-  end
+  let applied = ref false in
+  if Buffer_pool.page_live ctx.Ctx.bp page then
+    ignore
+      (with_page_if ctx page (fun data ->
+           let formatted = Slotted.formatted data in
+           if not formatted then Slotted.init data;
+           applied := f img data;
+           !applied || not formatted));
+  (img, !applied)
 
 (* An undone insert releases its slot at once. *)
-let undo_slot ctx ~pages data =
+let undo_slot ctx data =
   let img, reversed =
-    redo_undo_slot ctx ~pages data (fun img data ->
+    redo_undo_slot ctx data (fun img data ->
         let reversed =
           Image.undo img ~set:(set_slot data img.target ~log:ignore)
         in
@@ -227,11 +347,11 @@ let slot_logged_before ctx target =
    applied. Otherwise redo may have walked the slot back to an earlier
    state by a false match (an insert re-applied to a slot a later delete
    emptied), and skipping would leave that state behind; the page's age is
-   not on it, so restart stops instead. The catalog snapshot saved at
-   commit already holds the record count, so redo leaves it alone. *)
-let redo_slot ctx ~pages data =
+   not on it, so restart stops instead. The record count is advisory, so
+   redo leaves it alone. *)
+let redo_slot ctx data =
   snd
-    (redo_undo_slot ctx ~pages data (fun img data ->
+    (redo_undo_slot ctx data (fun img data ->
          let page, slot = img.target in
          match img.after with
          | Some p when not (Slotted.fits data slot p) ->
@@ -251,7 +371,39 @@ let log_image ctx (desc : Descriptor.t) data =
     (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
        ~data)
 
-(* ---- scans over a page list (shared with readonly) ---- *)
+(* A fresh data page, formatted and added to the directory of [head]: each
+   directory record goes to [log], then is written. A full tail first
+   chains a fresh directory page. *)
+let log_new_page ctx ~log head =
+  let listed op =
+    log (enc_dir_op op);
+    ignore (apply_dir_op ctx op)
+  in
+  let fresh format =
+    let frame = Buffer_pool.alloc ctx.Ctx.bp in
+    if format then Slotted.init frame.Buffer_pool.data;
+    Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
+    frame.Buffer_pool.page_id
+  in
+  let page = fresh true in
+  let tail = tail_of ctx head in
+  let n, room = with_page ctx tail (fun d -> (get d off_len, dir_capacity d)) in
+  if n < room then listed (Append { dir = tail; index = n; page })
+  else begin
+    let dir = fresh false in
+    listed (Link { head; from = tail; page = dir });
+    listed (Append { dir; index = 0; page })
+  end;
+  page
+
+let last_page ctx head = find_back ctx head (fun _ -> true)
+
+(* The head of a fresh directory is a zeroed page, so it is allocated in
+   the store with nothing written to it: there is no change to log, and the
+   DDL commit's sync makes the allocation durable. *)
+let create_head ctx = Disk.alloc (Buffer_pool.disk ctx.Ctx.bp)
+
+(* ---- scans over the directory's pages (shared with readonly) ---- *)
 
 (* One run per data page, every live slot decoded under a single pin —
    buffer-pool pins per scan are O(pages). The position between runs is the
@@ -264,7 +416,7 @@ let log_image ctx (desc : Descriptor.t) data =
    made at the page's first hit with room for every slot left and trimmed
    at the end if the page had fewer hits, so a record the matcher rejects
    allocates nothing. *)
-let scan_pages ctx (desc : Descriptor.t) ~pages ~filter =
+let scan_pages ctx (desc : Descriptor.t) ~filter =
   let matcher =
     match filter with
     | None -> fun _ ~pos:_ ~len:_ -> Some true
@@ -273,7 +425,9 @@ let scan_pages ctx (desc : Descriptor.t) ~pages ~filter =
       | Some f -> f
       | None -> fun _ ~pos:_ ~len:_ -> None)
   in
-  let pages = Array.of_list pages in
+  (* the pages listed at open: a record an update moves to a page added
+     later is not met again *)
+  let pages = data_pages ctx (head_of desc) in
   let pos = ref (-1) in
   let decode_page page data =
     (* Read-only view of the pinned frame; decoded values copy what they
@@ -336,22 +490,6 @@ let scan_pages ctx (desc : Descriptor.t) ~pages ~filter =
         fun () -> pos := saved);
   }
 
-let estimate_pages ~pages ~count ~eligible =
-  let pages = float_of_int (max 1 (List.length pages)) in
-  let rows = float_of_int count in
-  let sel =
-    List.fold_left
-      (fun acc p -> acc *. Dmx_expr.Analyze.selectivity p)
-      1.0 eligible
-  in
-  {
-    Cost.cost = Cost.make ~io:pages ~cpu:(rows *. 2.);
-    est_rows = rows *. sel;
-    matched = eligible;  (* the common filter service applies them all *)
-    residual = [];
-    ordered_by = None;
-  }
-
 (* ---- generic operations ---- *)
 
 module Impl = struct
@@ -359,11 +497,10 @@ module Impl = struct
   let attr_specs = []
 
   let create ctx ~rel_id (_schema : Schema.t) attrs =
-    ignore ctx;
     ignore rel_id;
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> Ok (enc_desc { pages = []; count = 0 })
+    | Ok () -> Ok (enc_desc (create_head ctx))
 
   let destroy ctx ~rel_id ~smethod_desc =
     (* The page store has no deallocation; pages of dropped relations are
@@ -381,7 +518,8 @@ module Impl = struct
      bytes other transactions hold. Each record's image is logged before the
      slot write that places it, so a page evicted mid-batch never reaches
      disk ahead of its undo information; a record logged but never placed
-     undoes as a no-op. One descriptor write-back per batch. *)
+     undoes as a no-op. A fresh page is listed in the directory before its
+     first record goes in. *)
   let insert_batch ctx (desc : Descriptor.t) records =
     let n = Array.length records in
     let page_size = Disk.page_size (Buffer_pool.disk ctx.Ctx.bp) in
@@ -397,7 +535,7 @@ module Impl = struct
            (Fmt.str "record of %d bytes exceeds page capacity"
               (String.length p)))
     | None ->
-      let hd = hdesc_of desc in
+      let head = head_of desc in
       let keys = Array.make n (Record_key.rid ~page:0 ~slot:0) in
       let failure = ref None in
       let log = log_image ctx desc in
@@ -427,34 +565,31 @@ module Impl = struct
             in
             fill i 0)
       in
-      (* The relation's pages, newest first, with their free space once
-         probed; a page this batch filled is never a candidate again. *)
-      let pages = Array.of_list (List.rev hd.pages) in
-      let free = Array.make (Array.length pages) None in
-      let rec candidate len k =
-        if k >= Array.length pages then None
-        else begin
-          if free.(k) = None then
-            free.(k) <- Some (with_page ctx pages.(k) (free_space pages.(k)));
-          match free.(k) with
-          | Some fs when fs >= len -> Some k
-          | Some _ | None -> candidate len (k + 1)
-        end
+      (* Each page's free space once probed, newest page first, read from
+         the directory as far as the search goes; a page this batch filled
+         (-1) is never a candidate again. *)
+      let free = Hashtbl.create 8 in
+      let fits len p =
+        let fs =
+          match Hashtbl.find_opt free p with
+          | Some fs -> fs
+          | None ->
+            let fs = with_page ctx p (free_space p) in
+            Hashtbl.replace free p fs;
+            fs
+        in
+        fs >= len
       in
-      let new_pages = ref [] in
       let rec place i =
         if i >= n || !failure <> None then ()
         else begin
-          match candidate (String.length payloads.(i)) 0 with
-          | Some k ->
-            free.(k) <- Some (-1);
-            place (fill_page pages.(k) i)
+          match find_back ctx head (fits (String.length payloads.(i))) with
+          | Some p ->
+            Hashtbl.replace free p (-1);
+            place (fill_page p i)
           | None ->
-            let frame = Buffer_pool.alloc ctx.Ctx.bp in
-            Slotted.init frame.Buffer_pool.data;
-            Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
-            let p = frame.Buffer_pool.page_id in
-            new_pages := p :: !new_pages;
+            let p = log_new_page ctx ~log head in
+            Hashtbl.replace free p (-1);
             let next = fill_page p i in
             if next = i && !failure = None then
               failure := Some (Error.Internal "heap: fresh page rejected record")
@@ -465,8 +600,7 @@ module Impl = struct
       match !failure with
       | Some e -> Error e
       | None ->
-        store_desc ctx desc
-          { pages = hd.pages @ List.rev !new_pages; count = hd.count + n };
+        add_count ctx head n;
         Ok keys
 
   let insert ctx desc record =
@@ -510,7 +644,7 @@ module Impl = struct
             let frame = Buffer_pool.pin bp page in
             Slotted.make_reusable frame.Buffer_pool.data slot;
             Buffer_pool.unpin ~dirty:true bp frame);
-        add_count ctx desc (-1);
+        add_count ctx (head_of desc) (-1);
         Ok (Codec.decode_record (Bytes.of_string payload))
     end
 
@@ -544,40 +678,54 @@ module Impl = struct
 
   let key_fields _desc = None
 
-  let record_count ctx (desc : Descriptor.t) =
-    ignore ctx;
-    count_of desc.smethod_desc
+  let record_count ctx desc = count_of ctx (head_of desc)
 
   (* The one scan implementation (registered as the batch vector entry; the
      record cursor [scan] adapts it). RIDs have no order, so key bounds are
      ignored (the planner never produces them for address-keyed methods). *)
-  let scan_batch ctx desc ~lo:_ ~hi:_ ~filter =
-    scan_pages ctx desc ~pages:(hdesc_of desc).pages ~filter
+  let scan_batch ctx desc ~lo:_ ~hi:_ ~filter = scan_pages ctx desc ~filter
 
   let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
     Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
 
-  let estimate_scan _ctx desc ~eligible =
-    let hd = hdesc_of desc in
-    estimate_pages ~pages:hd.pages ~count:hd.count ~eligible
+  let estimate_scan ctx (desc : Descriptor.t) ~eligible =
+    let head = head_of desc in
+    let pages = float_of_int (max 1 (page_total ctx head 0)) in
+    let rows = float_of_int (count_of ctx head) in
+    let sel =
+      List.fold_left
+        (fun acc p -> acc *. Dmx_expr.Analyze.selectivity p)
+        1.0 eligible
+    in
+    {
+      Cost.cost = Cost.make ~io:pages ~cpu:(rows *. 2.);
+      est_rows = rows *. sel;
+      matched = eligible;  (* the common filter service applies them all *)
+      residual = [];
+      ordered_by = None;
+    }
 
-  (* ---- log-driven undo (testable) ---- *)
+  (* ---- log-driven undo and redo (testable) ---- *)
 
-  (* The descriptor's advisory count follows an insert or delete that undo
-     actually reversed, except when restart repeats a Clr: the catalog
-     snapshot already holds that count. *)
+  (* The advisory count follows an insert or delete that undo actually
+     reversed, except when restart repeats a Clr. A directory record is not
+     undone. *)
   let undo ctx ~rel_id ~data =
     Option.iter
       (fun desc ->
-        let delta = undo_slot ctx ~pages:(hdesc_of desc).pages data in
-        if delta <> 0 && not ctx.Ctx.replay then add_count ctx desc delta)
+        if not (is_dir_op data) then begin
+          let delta = undo_slot ctx data in
+          if delta <> 0 && not ctx.Ctx.replay then
+            add_count ctx (head_of desc) delta
+        end)
       (Catalog.find_by_id ctx.Ctx.catalog rel_id)
 
   let redo ctx ~rel_id ~data =
-    Option.iter
-      (fun desc ->
-        if redo_slot ctx ~pages:(hdesc_of desc).pages data then Ctx.applied ctx)
-      (Catalog.find_by_id ctx.Ctx.catalog rel_id)
+    if Catalog.find_by_id ctx.Ctx.catalog rel_id <> None then
+      if
+        if is_dir_op data then apply_dir_op ctx (dec_dir_op data)
+        else redo_slot ctx data
+      then Ctx.applied ctx
 end
 
 include Impl
@@ -591,6 +739,7 @@ let register () =
     in
     reg_id := Some id;
     Registry.set_sm_redo id Impl.redo;
+    Registry.set_sm_page_bound id page_bound;
     Registry.set_sm_insert_batch id Impl.insert_batch;
     Registry.set_sm_scan_batch id Impl.scan_batch;
     id

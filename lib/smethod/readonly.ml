@@ -13,43 +13,47 @@ let id () =
   | Some id -> id
   | None -> Error.raise_err (Error.Internal "Readonly: storage method not registered")
 
-type rdesc = { pages : int list; count : int; sealed : bool }
+(* The heap's descriptor (its directory's head) and the seal flag: the
+   heap's entries that read only the head take it as it is. *)
+type rdesc = { head : int; sealed : bool }
 
 let enc_desc d =
-  let e = Codec.Enc.create () in
-  Codec.Enc.list e (fun e p -> Codec.Enc.varint e p) d.pages;
-  Codec.Enc.varint e d.count;
+  let e = Codec.Enc.create ~size:8 () in
+  Codec.Enc.varint e d.head;
   Codec.Enc.bool e d.sealed;
   Codec.Enc.to_string e
 
-let dec_desc s =
-  let d = Codec.Dec.of_string s in
-  let pages = Codec.Dec.list d Codec.Dec.varint in
-  let count = Codec.Dec.varint d in
-  let sealed = Codec.Dec.bool d in
-  { pages; count; sealed }
-
-let rdesc_of (desc : Descriptor.t) = dec_desc desc.smethod_desc
-
-let store_desc ctx (desc : Descriptor.t) rd =
-  Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id (enc_desc rd)
+let rdesc_of (desc : Descriptor.t) =
+  let d = Codec.Dec.of_string desc.smethod_desc in
+  let head = Codec.Dec.varint d in
+  { head; sealed = Codec.Dec.bool d }
 
 let is_sealed desc = (rdesc_of desc).sealed
 
-let seal ctx desc =
+(* Sealing changes the descriptor, so it is logged as a catalog change: its
+   transaction saves the snapshot at commit, and an abort undoes it. *)
+let seal ctx (desc : Descriptor.t) =
   let rd = rdesc_of desc in
-  store_desc ctx desc { rd with sealed = true }
+  if not rd.sealed then begin
+    let new_desc = enc_desc { rd with sealed = true } in
+    ignore
+      (Ctx.log ctx ~source:Log_record.Catalog ~rel_id:desc.rel_id
+         ~data:
+           (Catalog.encode_op
+              (Catalog.Set_smethod
+                 { rel_id = desc.rel_id; old_desc = desc.smethod_desc; new_desc })));
+    Catalog.set_smethod_desc ctx.Ctx.catalog ~rel_id:desc.rel_id new_desc
+  end
 
 module Impl = struct
   let name = "readonly"
   let attr_specs = []
 
   let create ctx ~rel_id _schema attrs =
-    ignore ctx;
     ignore rel_id;
     match Attrlist.validate attr_specs attrs with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> Ok (enc_desc { pages = []; count = 0; sealed = false })
+    | Ok () -> Ok (enc_desc { head = Heap.create_head ctx; sealed = false })
 
   let destroy ctx ~rel_id ~smethod_desc =
     ignore ctx;
@@ -81,21 +85,14 @@ module Impl = struct
       (* Strictly append to the last page: write-once media do not seek
          backwards for free space. *)
       let placed =
-        match Option.bind (List.nth_opt (List.rev rd.pages) 0) append with
-        | Some key -> Some (key, rd)
-        | None ->
-          let frame = Buffer_pool.alloc ctx.Ctx.bp in
-          Slotted.init frame.Buffer_pool.data;
-          Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
-          let p = frame.Buffer_pool.page_id in
-          Option.map
-            (fun key -> (key, { rd with pages = rd.pages @ [ p ] }))
-            (append p)
+        match Option.bind (Heap.last_page ctx rd.head) append with
+        | Some key -> Some key
+        | None -> append (Heap.log_new_page ctx ~log rd.head)
       in
       match placed with
       | None -> Error (Error.Internal "readonly: append failed")
-      | Some (key, rd) ->
-        store_desc ctx desc { rd with count = rd.count + 1 };
+      | Some key ->
+        Heap.add_count ctx rd.head 1;
         Ok key
     end
 
@@ -108,38 +105,12 @@ module Impl = struct
   let update _ctx desc _key _record = write_once desc
 
   let key_fields _ = None
-
-  let record_count ctx (desc : Descriptor.t) =
-    ignore ctx;
-    (rdesc_of desc).count
-
-  let scan_batch ctx desc ~lo:_ ~hi:_ ~filter =
-    Heap.scan_pages ctx desc ~pages:(rdesc_of desc).pages ~filter
-
-  let scan ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter () =
-    Scan_help.records_of_runs ctx (scan_batch ctx desc ~lo ~hi ~filter)
-
-  let estimate_scan _ctx desc ~eligible =
-    let rd = rdesc_of desc in
-    Heap.estimate_pages ~pages:rd.pages ~count:rd.count ~eligible
-
-  (* The count follows an insert that undo actually reversed (not when
-     restart repeats a Clr). *)
-  let undo ctx ~rel_id ~data =
-    Option.iter
-      (fun desc ->
-        let rd = rdesc_of desc in
-        let delta = Heap.undo_slot ctx ~pages:rd.pages data in
-        if delta <> 0 && not ctx.Ctx.replay then
-          store_desc ctx desc { rd with count = max 0 (rd.count + delta) })
-      (Catalog.find_by_id ctx.Ctx.catalog rel_id)
-
-  let redo ctx ~rel_id ~data =
-    Option.iter
-      (fun desc ->
-        if Heap.redo_slot ctx ~pages:(rdesc_of desc).pages data then
-          Ctx.applied ctx)
-      (Catalog.find_by_id ctx.Ctx.catalog rel_id)
+  let record_count = Heap.record_count
+  let scan_batch ctx desc ~lo:_ ~hi:_ ~filter = Heap.scan_pages ctx desc ~filter
+  let scan = Heap.scan
+  let estimate_scan = Heap.estimate_scan
+  let undo = Heap.undo
+  let redo = Heap.redo
 end
 
 include Impl
@@ -153,5 +124,6 @@ let register () =
     in
     reg_id := Some id;
     Registry.set_sm_redo id Impl.redo;
+    Registry.set_sm_page_bound id Heap.page_bound;
     Registry.set_sm_scan_batch id Impl.scan_batch;
     id

@@ -8,13 +8,17 @@
     before sealing (the medium cannot rewrite). *)
 
 include Dmx_core.Intf.STORAGE_METHOD
+(** Records live in heap pages listed by a heap directory
+    ({!Heap.log_new_page}), whose head the descriptor starts with, so the
+    heap's scan, count, estimate, undo and redo serve as they are. *)
 
 val register : unit -> int
 val id : unit -> int
 
 val seal : Dmx_core.Ctx.t -> Dmx_catalog.Descriptor.t -> unit
-(** Extension-specific operation: finalise the published relation. Immediate
-    and unlogged — seal when the mastering transaction is alone and about to
-    commit. *)
+(** Extension-specific operation: finalise the published relation. The
+    descriptor change is logged as a catalog change ([Set_smethod]), so it
+    is DDL: the transaction's commit saves the catalog snapshot, and its
+    abort undoes the seal. *)
 
 val is_sealed : Dmx_catalog.Descriptor.t -> bool

@@ -19,12 +19,10 @@ type t = {
     (Txn.t -> find:(Log_record.lsn -> Log_record.t option) -> Log_record.t ->
      unit)
     option;
-  mutable force_hook : unit -> unit;
-  mutable snapshot_hook : unit -> bool;
+  mutable catalog_hook : force:bool -> unit;
   mutable commit_observer : unit -> unit;
   mutable undone_count : int;
   mutable applied_count : int;
-  mutable catalog_lsn : Log_record.lsn;  (* newest Catalog record *)
 }
 
 let create ~wal ~locks () =
@@ -35,20 +33,17 @@ let create ~wal ~locks () =
     active = Hashtbl.create 8;
     undo_dispatch = None;
     redo_dispatch = None;
-    force_hook = ignore;
-    snapshot_hook = (fun () -> false);
+    catalog_hook = (fun ~force:_ -> ());
     commit_observer = ignore;
     undone_count = 0;
     applied_count = 0;
-    catalog_lsn = Log_record.no_lsn;
   }
 
 let wal t = t.wal
 let locks t = t.locks
 let set_undo_dispatch t f = t.undo_dispatch <- Some f
 let set_redo_dispatch t f = t.redo_dispatch <- Some f
-let set_force_hook t f = t.force_hook <- f
-let set_snapshot_hook t f = t.snapshot_hook <- f
+let set_catalog_hook t f = t.catalog_hook <- f
 let set_commit_observer t f = t.commit_observer <- f
 let next_txid t = t.next_txid
 
@@ -73,9 +68,7 @@ let log_ext t txn ~source ~rel_id ~data =
   Txn.check_active txn;
   let lsn = append_chained t txn (Log_record.Ext { source; rel_id; data }) in
   (match (source : Log_record.source) with
-  | Catalog ->
-    txn.Txn.logged_catalog <- true;
-    t.catalog_lsn <- lsn
+  | Catalog -> txn.Txn.logged_catalog <- true
   | Smethod _ | Attachment _ -> ());
   lsn
 
@@ -131,7 +124,7 @@ let with_txn_span name t txn f =
 let do_abort t txn =
   Txn.check_active txn;
   undo_back_to t txn ~limit:0L;
-  if txn.Txn.logged_catalog then ignore (t.snapshot_hook ());
+  if txn.Txn.logged_catalog then t.catalog_hook ~force:false;
   if txn.Txn.chain <> [] then
     ignore (Wal.append t.wal txn.Txn.id Log_record.Abort);
   let after = Txn.take_deferred txn On_abort in
@@ -153,19 +146,19 @@ let do_commit t txn =
   | exception e ->
     abort t txn;
     raise e);
-  (* The catalog snapshot goes first: restart trusts it for every committed
-     descriptor. The catalog records behind it must be durable before it is
-     written, as a page's log records before the page. A transaction that
-     logged no change and left nothing to save is read-only: no record, no
-     flush; it never entered the log, so restart never sees it. *)
-  if t.catalog_lsn > Wal.flushed_lsn t.wal || Wal.unsynced_bytes t.wal > 0
-  then Wal.flush t.wal;
-  let saved = t.snapshot_hook () in
-  if txn.Txn.chain <> [] || saved then begin
-    (* DDL index builds on a fresh structure are not logged, so redo could
-       not rebuild them: a transaction that logged a catalog change forces
-       the pool before its Commit record. *)
-    if txn.Txn.logged_catalog then t.force_hook ();
+  (* A transaction that logged nothing is read-only: no record, no flush;
+     it never entered the log, so restart never sees it. One that logged a
+     catalog change (DDL) makes it durable before its Commit record: DDL
+     index builds on a fresh structure are not logged, so redo could not
+     rebuild them, and restart trusts the catalog snapshot for every
+     committed descriptor. The catalog records behind the snapshot are
+     flushed first, as a page's log records before the page. A DML commit
+     writes its Commit record and flushes, nothing more. *)
+  if txn.Txn.chain <> [] then begin
+    if txn.Txn.logged_catalog then begin
+      Wal.flush t.wal;
+      t.catalog_hook ~force:true
+    end;
     ignore (Wal.append t.wal txn.Txn.id Log_record.Commit);
     Wal.flush t.wal
   end;
@@ -257,13 +250,15 @@ let redo_pass t ~base log (analysis : Recovery.analysis) =
   { analysis with redo_records = !records; redo_applied = !applied }
 
 (* Restart decodes the retained log once, from its base, and every pass
-   reads that array. The losers' catalog records are undone before redo:
-   redo reads the descriptors, and a loser's drop (of a relation or an
-   index) would otherwise hide the committed changes redo must repeat on
-   it. *)
-let recover t =
+   reads that array. [grow] sees it first, so the page store holds every
+   page a record names before redo runs. The losers' catalog records are
+   undone before redo: redo reads the descriptors, and a loser's drop (of a
+   relation or an index) would otherwise hide the committed changes redo
+   must repeat on it. *)
+let recover ?(grow = ignore) t =
   let base = Wal.base_lsn t.wal in
   let log = Wal.read_all t.wal in
+  grow log;
   let analysis = Recovery.analyze ~base log in
   let undo_losers keep =
     List.iter
@@ -280,7 +275,7 @@ let recover t =
   undo_losers (fun r -> not (catalog r));
   (* the losers' catalog undo must reach the snapshot before their Aborts
      make them finished *)
-  ignore (t.snapshot_hook ());
+  t.catalog_hook ~force:false;
   List.iter
     (fun (txid, _) -> ignore (Wal.append t.wal txid Log_record.Abort))
     analysis.Recovery.undo_work;

@@ -44,15 +44,14 @@ val set_redo_dispatch :
     every [Ext] record (for the owning extension's redo entry) and every
     [Clr] (to repeat the undo it records, of the record [find] returns). *)
 
-val set_force_hook : t -> (unit -> unit) -> unit
-(** Installed by the storage layer: write every dirty page and sync — the
-    commit of a transaction that logged a [Catalog] record runs it. *)
-
-val set_snapshot_hook : t -> (unit -> bool) -> unit
-(** Installed by the services layer: save the catalog snapshot if it is
-    dirty, and say whether it was. Every commit runs it before its [Commit]
-    record, an abort that undid a catalog change before its [Abort], and
-    restart before the losers' [Abort]s. *)
+val set_catalog_hook : t -> (force:bool -> unit) -> unit
+(** Installed by the services layer: save the catalog snapshot if the
+    catalog changed since the last one; with [force], first write every
+    dirty page and sync the store. Only a transaction that logged a
+    [Catalog] record (DDL) runs it: its commit with [force], before the
+    [Commit] record; its abort without, before the [Abort]. Restart runs
+    it without [force] after undoing the losers, before their [Abort]s.
+    A DML commit never runs it. *)
 
 val set_commit_observer : t -> (unit -> unit) -> unit
 (** Installed by the services layer: called after every commit completes
@@ -103,8 +102,10 @@ val rollback_to : t -> Txn.t -> string -> unit
     established; those established after it are gone. Raises [Not_found]
     for an unknown savepoint name. *)
 
-val recover : t -> Recovery.analysis
-(** Restart recovery: analysis from the last [Checkpoint] record (its
+val recover : ?grow:(Log_record.t array -> unit) -> t -> Recovery.analysis
+(** Restart recovery: [grow] on the retained log, decoded once (the
+    services layer grows the page store to every page a record names),
+    analysis from the last [Checkpoint] record (its
     active list seeds the started set), the undo of the losers' catalog
     records (so redo sees the committed descriptors), a redo pass that
     repeats history from there (every [Ext] record through its extension's

@@ -10,6 +10,7 @@ let m_fsyncs = Dmx_obs.Metrics.counter "wal.fsyncs"
 let m_appended_bytes = Dmx_obs.Metrics.counter "wal.appended_bytes"
 let m_truncations = Dmx_obs.Metrics.counter "wal.truncations"
 let m_truncated_bytes = Dmx_obs.Metrics.counter "wal.truncated_bytes"
+let m_decoded = Dmx_obs.Metrics.counter "wal.decoded_frames"
 let h_flush_us = Dmx_obs.Metrics.histogram "wal.flush_us"
 
 (* The file is kept zero-filled and synced from the log's logical end
@@ -30,7 +31,9 @@ type backend = Mem of Buffer.t | File of file
 
 type truncate_phase = Trunc_begin | Trunc_rename | Trunc_done
 
-(* Nothing here grows with the log: its records live only in their frames. *)
+(* Nothing here grows with the log: its records live only in their frames,
+   except that [replayed] holds what {!open_file} decoded until the first
+   {!read_all} or append. *)
 type t = {
   backend : backend;
   (* LSNs stay stable across truncation: [base] records have been dropped
@@ -46,6 +49,7 @@ type t = {
   mutable appended_bytes : int;  (* monotone framed bytes, immune to truncation *)
   mutable truncations : int;
   mutable truncated_bytes : int;
+  mutable replayed : Log_record.t array;
 }
 
 (* File header: magic + little-endian base LSN. Records start at
@@ -82,6 +86,7 @@ let in_memory () =
     appended_bytes = 0;
     truncations = 0;
     truncated_bytes = 0;
+    replayed = [||];
   }
 
 (* A record takes the next LSN; the log keeps its checkpoint and txid. *)
@@ -127,6 +132,7 @@ let rec walk data pos f =
     (Log_record.decode (Codec.Dec.of_string payload), pos + 8 + n)
   with
   | (txid, kind), next ->
+    Dmx_obs.Metrics.incr m_decoded;
     f txid kind;
     walk data next f
   | exception (Exit | Failure _ | Invalid_argument _) -> pos
@@ -244,9 +250,15 @@ let open_file path =
     { fd; path; size = 0; synced = 0; alloc = len; buf = Buffer.create 4096 }
   in
   let t = { (in_memory ()) with backend = File f; base; last = base } in
-  (* The log's end is the first frame that fails to read; replay keeps
-     nothing of a record but what [note] tracks. *)
-  f.size <- walk data header_len (note t);
+  (* The log's end is the first frame that fails to read. Replay keeps
+     the records it decoded for the first [read_all]: restart reads them
+     right after. *)
+  let records = ref [] in
+  f.size <-
+    walk data header_len (fun txid kind ->
+        note t txid kind;
+        records := { Log_record.lsn = Int64.of_int t.last; txid; kind } :: !records);
+  t.replayed <- Array.of_list (List.rev !records);
   f.synced <- f.size;
   if not headered then begin
     seek fd 0;
@@ -278,6 +290,7 @@ let append_now t txid kind =
   Dmx_obs.Metrics.add m_appended_bytes framed;
   note t txid kind;
   let lsn = Int64.of_int t.last in
+  t.replayed <- [||];
   (match t.backend with Mem _ -> t.flushed <- lsn | File _ -> ());
   t.append_observer lsn;
   Dmx_obs.Metrics.incr m_appends;
@@ -402,6 +415,11 @@ let frames t =
 
 let read_all t =
   check_open t;
+  let replayed = t.replayed in
+  t.replayed <- [||];
+  if Array.length replayed > 0 && Array.length replayed = t.last - t.base then
+    replayed
+  else
   let records =
     Array.make (t.last - t.base)
       { Log_record.lsn = 0L; txid = 0; kind = Log_record.Commit }
@@ -421,9 +439,10 @@ let read_all t =
    never an error. The cut's offset is found by walking frame lengths, and
    the frames past it are kept as they are, never decoded. The file backend
    writes a new header, those frames, pending ones included, and a zero
-   tail into a temp file, fsyncs it once and renames it over the log, so a
-   crash at any point leaves either the old or the new log intact, and
-   truncation only ever strengthens durability. Returns (records_dropped,
+   tail into a temp file, fsyncs it once, renames it over the log and
+   fsyncs the directory ({!Durable.replace}), so a crash at any point
+   leaves either the old or the new log intact, and truncation only ever
+   strengthens durability. Returns (records_dropped,
    bytes_freed). *)
 let truncate_before t cut =
   check_open t;
@@ -432,6 +451,7 @@ let truncate_before t cut =
   if drop <= 0 then (0, 0)
   else begin
     t.truncate_observer Trunc_begin;
+    t.replayed <- [||];
     let base = t.base + drop in
     let data = frames t in
     let freed = skip_frames data 0 drop in
@@ -442,22 +462,15 @@ let truncate_before t cut =
       Buffer.add_string b (header_string base);
       Buffer.add_substring b data freed kept
     | File f ->
-      let tmp = f.path ^ ".tmp" in
-      let fd2 =
-        Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-      in
       let size = header_len + kept in
-      (try
-         really_write fd2 (header_string base);
-         write_sub fd2 data ~off:freed ~len:kept;
-         zero_range fd2 ~from:size ~upto:(next_step size);
-         sync fd2;
-         t.truncate_observer Trunc_rename
-       with e ->
-         Unix.close fd2;
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Unix.rename tmp f.path;
+      let fd2 =
+        Durable.replace f.path ~sync
+          ~before_rename:(fun () -> t.truncate_observer Trunc_rename)
+          (fun fd2 ->
+            really_write fd2 (header_string base);
+            write_sub fd2 data ~off:freed ~len:kept;
+            zero_range fd2 ~from:size ~upto:(next_step size))
+      in
       seek fd2 size;
       Unix.close f.fd;
       f.fd <- fd2;

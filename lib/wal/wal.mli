@@ -93,8 +93,8 @@ val truncate_before : t -> Log_record.lsn -> int * int
     LSNs are unchanged ({!base_lsn} advances). The retained frames are
     found by walking frame lengths and kept as they are. A file log writes
     them, pending ones included, behind an updated header and ahead of a
-    zero tail into a temp file, fsyncs it once, and renames it over the
-    log — a crash at any point leaves either the old or the new log intact,
+    zero tail into a temp file, fsyncs it once, renames it over the log
+    and fsyncs the directory ({!Durable.replace}) — a crash at any point leaves either the old or the new log intact,
     and truncation never weakens durability. The caller is responsible for
     cutting only below the undo horizon (no active transaction's first LSN,
     and not the checkpoint restart starts from, may be dropped). *)
@@ -130,8 +130,12 @@ val unsynced_bytes : t -> int
 val read_all : t -> Log_record.t array
 (** Decode every retained record, pending ones included, with the frame
     walk {!open_file} replays with: element [i] holds LSN
-    [base_lsn + 1 + i]. Raises [Sys_error] if a retained frame no longer
-    reads (the file was changed under the log). *)
+    [base_lsn + 1 + i]. The first call after {!open_file}, before any
+    append or truncation, returns the records the open's walk decoded
+    rather than decoding the file again: restart decodes each frame once
+    (the metrics counter [wal.decoded_frames] counts decodes). Raises
+    [Sys_error] if a retained frame no longer reads (the file was changed
+    under the log). *)
 
 val close : t -> unit
 

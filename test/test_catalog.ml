@@ -153,6 +153,7 @@ let test_catalog_op_codec_and_undo () =
       Catalog.Drop_rel (Descriptor.copy d);
       Catalog.Set_attachment
         { rel_id; slot = 3; old_desc = None; new_desc = Some "n" };
+      Catalog.Set_smethod { rel_id; old_desc = "o"; new_desc = "n" };
     ]
   in
   List.iter
@@ -168,6 +169,10 @@ let test_catalog_op_codec_and_undo () =
             { rel_id = r2; slot = s2; old_desc = o2; new_desc = n2 } ) ->
         Alcotest.(check bool) "set_attachment" true
           (r1 = r2 && s1 = s2 && o1 = o2 && n1 = n2)
+      | Catalog.Set_smethod a, Catalog.Set_smethod b ->
+        Alcotest.(check bool) "set_smethod" true
+          (a.rel_id = b.rel_id && a.old_desc = b.old_desc
+          && a.new_desc = b.new_desc)
       | _ -> Alcotest.fail "op kind changed")
     ops;
   (* undo Create_rel removes (and tolerates being re-run) *)
@@ -189,11 +194,39 @@ let test_catalog_op_codec_and_undo () =
     Alcotest.(check (option string)) "slot restored" (Some "old")
       (Descriptor.attachment_desc d' 4)
   | None -> Alcotest.fail "relation vanished");
+  (* undo Set_smethod restores the storage method's descriptor *)
+  Catalog.set_smethod_desc c ~rel_id "sealed";
+  Catalog.undo_op c
+    (Catalog.Set_smethod { rel_id; old_desc = ""; new_desc = "sealed" });
+  (match Catalog.find_by_id c rel_id with
+  | Some d' ->
+    Alcotest.(check string) "smethod desc restored" "" d'.Descriptor.smethod_desc
+  | None -> Alcotest.fail "relation vanished");
   (* undo against a dropped relation is a no-op *)
   ignore (Catalog.remove_relation c rel_id);
   Catalog.undo_op c
     (Catalog.Set_attachment
        { rel_id; slot = 4; old_desc = None; new_desc = None })
+
+(* A catalog written before heap page lists and record counts left the
+   descriptors (magic [DMXCATL2]) is refused by name, and left as it is. *)
+let test_dmxcatl2_refused () =
+  let path = Filename.temp_file "dmx_cat_l2" ".dmx" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let e = Codec.Enc.create () in
+  Codec.Enc.string e "DMXCATL2";
+  Codec.Enc.varint e 1;
+  Codec.Enc.list e Descriptor.enc [];
+  Codec.Enc.varint e 7;
+  let bytes = Codec.Enc.to_string e in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+  (match Catalog.load ~path with
+  | _ -> Alcotest.fail "a DMXCATL2 catalog loaded"
+  | exception Failure msg ->
+    Alcotest.(check bool) ("names the old format: " ^ msg) true
+      (Astring_contains.contains msg "DMXCATL2"));
+  Alcotest.(check string) "the file is unchanged" bytes
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* Property: descriptor encode/decode is the identity on slot contents. *)
 let prop_descriptor_roundtrip =
@@ -227,5 +260,7 @@ let suite =
     Alcotest.test_case "catalog persistence" `Quick test_catalog_persistence;
     Alcotest.test_case "catalog op codec + testable undo" `Quick
       test_catalog_op_codec_and_undo;
+    Alcotest.test_case "a DMXCATL2 catalog is refused" `Quick
+      test_dmxcatl2_refused;
     QCheck_alcotest.to_alcotest prop_descriptor_roundtrip;
   ]

@@ -453,7 +453,7 @@ let test_old_catalog_refused () =
       let at =
         Option.get
           (Seq.find
-             (fun i -> String.sub cat i 8 = "DMXCATL2")
+             (fun i -> String.sub cat i 8 = "DMXCATL3")
              (Seq.init (String.length cat - 7) Fun.id))
       in
       Out_channel.with_open_bin path (fun oc ->

@@ -182,7 +182,11 @@ let run user steps =
     |> List.rev
     |> List.filter_map (fun (r : Log_record.t) ->
            match r.kind with
-           | Log_record.Ext { source = s; data; _ } when s = source -> Some data
+           (* an image's flags byte is below 4; a source may log records
+              of its own beside them (the heap's directory appends) *)
+           | Log_record.Ext { source = s; data; _ }
+             when s = source && Char.code data.[0] < 4 ->
+             Some data
            | _ -> None)
   in
   let check what =

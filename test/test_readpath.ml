@@ -210,7 +210,8 @@ let test_record_scan_visibility () =
     [ ("heap", []); ("btree", [ ("key", "id") ]); ("memory", []) ];
   Services.commit services ctx
 
-(* a full heap scan, batch or record, pins each page exactly once — the
+(* a full heap scan, batch or record, pins each page it reads exactly once:
+   every data page and every directory page listing them — the
    deterministic counter E6 gates on *)
 let test_heap_pins_per_page () =
   let services = fresh_services () in
@@ -233,6 +234,10 @@ let test_heap_pins_per_page () =
     |> List.sort_uniq compare
   in
   Alcotest.(check bool) "spans several pages" true (List.length pages > 2);
+  let directory =
+    Dmx_smethod.Heap.directory ctx (Dmx_smethod.Heap.head_of desc)
+  in
+  Alcotest.(check int) "one directory page" 1 (List.length directory);
   let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk ctx.Ctx.bp) in
   List.iter
     (fun (what, scan) ->
@@ -242,7 +247,7 @@ let test_heap_pins_per_page () =
       let d = Dmx_page.Io_stats.diff ~after:io ~before in
       Alcotest.(check int)
         (what ^ ": pins = page count")
-        (List.length pages)
+        (List.length pages + List.length directory)
         (d.Dmx_page.Io_stats.pool_hits + d.Dmx_page.Io_stats.pool_misses))
     [ ("batch scan", records_of_batch_scan ?filter:None);
       ("record scan", records_of_record_scan ?filter:None) ];

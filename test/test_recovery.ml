@@ -627,6 +627,148 @@ let test_txids_across_crash_after_truncation () =
       Services.close services;
       check_ascending "ids" (List.rev !ids))
 
+
+(* ~1 KB records: three to a 4 KB heap page *)
+let wide i = emp i (String.make 1000 'w') "d" i
+
+let heap_pages ctx desc =
+  Array.to_list
+    (Dmx_smethod.Heap.data_pages ctx (Dmx_smethod.Heap.head_of desc))
+
+(* Pages a committed transaction added after the store's last sync vanish
+   with a power loss: the directory append that listed each one and the
+   records on it are in the log, and restart grows the store back to every
+   page the log names before redo fills them again. *)
+let test_directory_pages_after_sync () =
+  with_dir (fun dir ->
+      ignore (Lazy.force registered);
+      let fd = Dmx_page.Fault_disk.create () in
+      let open_services () =
+        Services.setup ~dir ~disk:(Dmx_page.Fault_disk.disk fd)
+          ~pool_capacity:128 ()
+      in
+      let services = open_services () in
+      let ctx = Services.begin_txn services in
+      ignore
+        (check_ok "create"
+           (Ddl.create_relation ctx ~name:"employee" ~schema:emp_schema
+              ~storage_method:"heap" ()));
+      Services.commit services ctx;
+      let synced = Dmx_page.Fault_disk.durable_page_count fd in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      ignore
+        (check_ok "rows" (Relation.insert_many ctx desc (Array.init 30 wide)));
+      let listed = heap_pages ctx desc in
+      Services.commit services ctx;
+      Alcotest.(check bool) "every data page postdates the sync" true
+        (List.for_all (fun p -> p > synced) listed && List.length listed >= 10);
+      Services.simulate_crash services;
+      Dmx_page.Fault_disk.crash fd;
+      Alcotest.(check int) "the power loss dropped them" synced
+        (Dmx_page.Fault_disk.durable_page_count fd);
+      let services = open_services () in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      Alcotest.(check (list int)) "the directory lists them again" listed
+        (heap_pages ctx desc);
+      Alcotest.(check (list int)) "with their records"
+        (List.init 30 Fun.id)
+        (List.map
+           (fun r -> match r.(0) with Dmx_value.Value.Int i -> Int64.to_int i | _ -> -1)
+           (all_records ctx desc));
+      Services.commit services ctx;
+      Services.close services)
+
+(* A page a loser added stays listed and empty: a directory append is not
+   undone, the loser's records on the page are. *)
+let test_loser_page_listed_empty () =
+  with_dir (fun dir ->
+      ignore (Lazy.force registered);
+      let fd = Dmx_page.Fault_disk.create () in
+      let open_services () =
+        Services.setup ~dir ~disk:(Dmx_page.Fault_disk.disk fd)
+          ~pool_capacity:128 ()
+      in
+      let services = open_services () in
+      let ctx = Services.begin_txn services in
+      let desc =
+        check_ok "create"
+          (Ddl.create_relation ctx ~name:"employee" ~schema:emp_schema
+             ~storage_method:"heap" ())
+      in
+      ignore (check_ok "row" (Relation.insert ctx desc (wide 0)));
+      Services.commit services ctx;
+      let committed = heap_pages ctx desc in
+      let loser = Services.begin_txn services in
+      ignore
+        (check_ok "loser rows"
+           (Relation.insert_many loser desc (Array.init 12 (fun i -> wide (i + 1)))));
+      let listed = heap_pages loser desc in
+      Dmx_wal.Wal.flush services.Services.wal;
+      Services.simulate_crash services;
+      Dmx_page.Fault_disk.crash fd;
+      let services = open_services () in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      Alcotest.(check (list int)) "the loser's pages are listed" listed
+        (heap_pages ctx desc);
+      Alcotest.(check bool) "the loser added pages" true
+        (List.length listed > List.length committed);
+      Alcotest.(check int) "and empty" 1 (count_records ctx desc);
+      Services.commit services ctx;
+      Services.close services)
+
+(* A DML commit writes no catalog snapshot: the descriptors of the heap,
+   [btree] and [readonly] change only at DDL. The snapshot counter and the
+   file's bytes stay as the DDL commit left them, and the catalog is not
+   dirty. *)
+let test_dml_writes_no_snapshot () =
+  let module Metrics = Dmx_obs.Metrics in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  with_dir (fun dir ->
+      let services = fresh_services ~dir () in
+      let snapshots = Metrics.counter "catalog.snapshots" in
+      let path = Filename.concat dir "catalog.dmx" in
+      let read () = In_channel.with_open_bin path In_channel.input_all in
+      let ctx = Services.begin_txn services in
+      let methods = [ ("heap", []); ("btree", [ ("key", "id") ]); ("readonly", []) ] in
+      List.iter
+        (fun (storage_method, attrs) ->
+          ignore
+            (check_ok "create"
+               (Ddl.create_relation ctx ~name:storage_method ~schema:emp_schema
+                  ~storage_method ~attrs ())))
+        methods;
+      let s0 = Metrics.value snapshots in
+      Services.commit services ctx;
+      Alcotest.(check int) "the DDL commit saves one snapshot" (s0 + 1)
+        (Metrics.value snapshots);
+      let bytes = read () and s1 = Metrics.value snapshots in
+      let unchanged what =
+        Alcotest.(check bool) (what ^ ": catalog clean") false
+          (Dmx_catalog.Catalog.dirty services.Services.catalog);
+        Alcotest.(check int) (what ^ ": no snapshot") s1 (Metrics.value snapshots);
+        Alcotest.(check bool) (what ^ ": file unchanged") true (read () = bytes)
+      in
+      List.iter
+        (fun (storage_method, _) ->
+          let ctx = Services.begin_txn services in
+          let desc = check_ok "find" (Ddl.find_relation ctx storage_method) in
+          let key = check_ok "insert" (Relation.insert ctx desc (emp 1 "a" "d" 1)) in
+          Services.commit services ctx;
+          unchanged (storage_method ^ " insert");
+          let ctx = Services.begin_txn services in
+          (match Relation.delete ctx desc key with
+          | Ok _ -> Services.commit services ctx
+          | Error (Error.Read_only _) when storage_method = "readonly" ->
+            Services.abort services ctx
+          | Error e -> Alcotest.failf "delete: %a" Error.pp e);
+          unchanged (storage_method ^ " delete"))
+        methods;
+      Services.close services)
+
 let suite =
   [
     Alcotest.test_case "committed state survives crash" `Quick
@@ -662,4 +804,10 @@ let suite =
       test_txids_across_clean_sessions;
     Alcotest.test_case "txids increase across crash + truncation" `Quick
       test_txids_across_crash_after_truncation;
+    Alcotest.test_case "heap pages added after the last sync come back"
+      `Quick test_directory_pages_after_sync;
+    Alcotest.test_case "a loser's heap page stays listed and empty" `Quick
+      test_loser_page_listed_empty;
+    Alcotest.test_case "a DML commit writes no catalog snapshot" `Quick
+      test_dml_writes_no_snapshot;
   ]

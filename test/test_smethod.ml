@@ -220,10 +220,26 @@ let test_readonly_overflow_pages () =
          (Relation.insert ctx desc
             [| vi i; vs (big_string 90 'p'); vs "d"; vi i |]))
   done;
-  Dmx_smethod.Readonly.seal ctx desc;
-  Alcotest.(check bool) "sealed" true (Dmx_smethod.Readonly.is_sealed desc);
-  Alcotest.(check int) "all published" 200 (count_records ctx desc);
-  Services.commit services ctx
+  Services.commit services ctx;
+  (* sealing is a logged catalog change: an abort undoes it *)
+  let seal_in txn_end =
+    let ctx = Services.begin_txn services in
+    let desc = check_ok "find" (Ddl.find_relation ctx "pub") in
+    Dmx_smethod.Readonly.seal ctx desc;
+    Alcotest.(check bool) "sealed" true (Dmx_smethod.Readonly.is_sealed desc);
+    txn_end services ctx;
+    let ctx = Services.begin_txn services in
+    let desc = check_ok "find" (Ddl.find_relation ctx "pub") in
+    Alcotest.(check int) "all published" 200 (count_records ctx desc);
+    Alcotest.(check int) "counted" 200
+      (check_ok "count" (Relation.record_count ctx desc));
+    let sealed = Dmx_smethod.Readonly.is_sealed desc in
+    Services.commit services ctx;
+    sealed
+  in
+  Alcotest.(check bool) "an aborted seal is undone" false
+    (seal_in Services.abort);
+  Alcotest.(check bool) "a committed seal stays" true (seal_in Services.commit)
 
 let test_foreign_unreachable_server () =
   let services = fresh_services () in
@@ -450,8 +466,9 @@ let pages_of keys =
   |> List.sort_uniq compare
 
 (* Free space is probed lazily, newest page first: a one-record batch into a
-   50-page heap pins the newest page twice (probe, fill) and no other —
-   a small record always fits there. *)
+   50-page heap pins the newest page twice (probe, fill) and no other data
+   page — a small record always fits there — besides the directory's head
+   twice (its entries, the record count). *)
 let test_heap_lazy_probe () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
@@ -469,7 +486,7 @@ let test_heap_lazy_probe () =
        (Relation.insert_many ctx desc [| [| vi 200; vs "s"; vs "d"; vi 0 |] |]));
   let d = Dmx_page.Io_stats.diff ~after:io ~before in
   let pins = d.Dmx_page.Io_stats.pool_hits + d.Dmx_page.Io_stats.pool_misses in
-  if pins > 2 then Alcotest.failf "one-record batch pinned %d pages" pins;
+  if pins > 4 then Alcotest.failf "one-record batch pinned %d pages" pins;
   Services.commit services ctx
 
 (* An in-memory disk that shows every page write to [!on_write] first. *)
@@ -709,20 +726,53 @@ let test_count_after_rollback () =
       ("readonly", [], false);
     ]
 
-(* Property: replacing the heap descriptor's count in place gives the bytes
-   a full re-encode gives, whatever the page ids (varints of any width) and
-   counts. *)
-let prop_heap_with_count =
-  let module H = Dmx_smethod.Heap in
-  QCheck.Test.make ~name:"heap count replaced in place = re-encoded" ~count:300
-    QCheck.(
-      triple
-        (small_list (oneof [ small_nat; int_bound 0x3fff; int_bound max_int ]))
-        (oneof [ small_nat; int_bound max_int ])
-        (oneof [ small_nat; int_bound max_int ]))
-    (fun (pages, count, count') ->
-      H.with_count (H.enc_desc { H.pages; count }) count'
-      = H.enc_desc { H.pages; count = count' })
+(* A single-row insert allocates the same whatever the table's size: it
+   reads the directory's tail and probes the newest page, never the whole
+   page list. The median minor words of 21 one-row transactions (a page
+   boundary can fall among them), at 10k and at 200k rows. *)
+let test_heap_insert_cost_flat () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"heap" ())
+  in
+  Services.commit services ctx;
+  let rows = ref 0 in
+  let load upto =
+    while !rows < upto do
+      let ctx = Services.begin_txn services in
+      let n = min 5000 (upto - !rows) in
+      ignore
+        (check_ok "load"
+           (Relation.insert_many ctx desc
+              (Array.init n (fun i -> emp (!rows + i) "n" "d" i))));
+      Services.commit services ctx;
+      rows := !rows + n
+    done
+  in
+  let insert_words () =
+    let words =
+      List.init 21 (fun i ->
+          let ctx = Services.begin_txn services in
+          let record = emp (-i) "n" "d" i in
+          let w0 = Gc.minor_words () in
+          ignore (check_ok "one" (Relation.insert ctx desc record));
+          let w = Gc.minor_words () -. w0 in
+          Services.commit services ctx;
+          w)
+      |> List.sort compare
+    in
+    List.nth words 10
+  in
+  load 10_000;
+  let small = insert_words () in
+  load 200_000;
+  let large = insert_words () in
+  if Float.abs (large -. small) > 32. then
+    Alcotest.failf "a single-row insert allocates %.0f words at 10k rows, %.0f at 200k"
+      small large
 
 let suite =
   [
@@ -741,6 +791,8 @@ let suite =
       test_join_index_logs_before_write;
     Alcotest.test_case "record count follows rollback" `Quick
       test_count_after_rollback;
+    Alcotest.test_case "heap insert cost does not grow with the table" `Quick
+      test_heap_insert_cost_flat;
     Alcotest.test_case "fetch selected fields" `Quick
       test_fetch_selected_fields;
     Alcotest.test_case "soak: mixed workload" `Quick test_soak_mixed_workload;
@@ -766,5 +818,4 @@ let suite =
     Alcotest.test_case "btree-organised insert_many" `Quick
       test_btree_org_insert_many;
     Alcotest.test_case "DDL attribute validation" `Quick test_create_bad_attrs;
-    QCheck_alcotest.to_alcotest prop_heap_with_count;
   ]

@@ -466,6 +466,91 @@ let test_every_fsync_counted () =
       check_tail "truncated" w path;
       Wal.close w)
 
+(* A catalog snapshot and a log truncation each replace a file durably: one
+   counted fsync of the file, then the rename, then one counted fsync of
+   its directory. *)
+let test_durable_replace_counted () =
+  let module Metrics = Dmx_obs.Metrics in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  Test_util.with_temp_dir ~prefix:"dmx_durable" (fun dir ->
+      let counters = [ "wal.fsyncs"; "catalog.fsyncs"; "durable.dir_fsyncs" ] in
+      let delta f =
+        let values () =
+          List.map (fun c -> Metrics.value (Metrics.counter c)) counters
+        in
+        let v0 = values () in
+        f ();
+        List.map2 ( - ) (values ()) v0
+      in
+      let catalog =
+        Dmx_catalog.Catalog.create ~path:(Filename.concat dir "catalog.dmx") ()
+      in
+      Alcotest.(check (list int)) "a snapshot: file and directory" [ 0; 1; 1 ]
+        (delta (fun () -> Dmx_catalog.Catalog.save catalog));
+      let w = Wal.open_file (Filename.concat dir "wal.dmx") in
+      for _ = 1 to 3 do
+        ignore (Wal.append w 1 (ext "x"))
+      done;
+      Wal.flush w;
+      Alcotest.(check (list int)) "a truncation: file and directory" [ 1; 0; 1 ]
+        (delta (fun () -> ignore (Wal.truncate_before w 3L)));
+      Alcotest.(check bool) "no temp file left" false
+        (Sys.file_exists (Filename.concat dir "wal.dmx.tmp")
+        || Sys.file_exists (Filename.concat dir "catalog.dmx.tmp"));
+      Wal.close w)
+
+(* Restart decodes each retained frame once: the open's walk finds the end,
+   and the first [read_all] hands back what it decoded. A later read
+   decodes the file again. *)
+let test_restart_decodes_once () =
+  let module Metrics = Dmx_obs.Metrics in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  let decoded = Metrics.counter "wal.decoded_frames" in
+  let delta f =
+    let d0 = Metrics.value decoded in
+    let r = f () in
+    (Metrics.value decoded - d0, r)
+  in
+  with_log "dmx_wal_decodes" (fun path ->
+      let w = Wal.open_file path in
+      for i = 1 to 40 do
+        ignore (Wal.append w (i mod 3) (ext (string_of_int i)))
+      done;
+      Wal.flush w;
+      Wal.close w;
+      let n, w = delta (fun () -> Wal.open_file path) in
+      Alcotest.(check int) "open decodes every frame" 40 n;
+      let n, log = delta (fun () -> Wal.read_all w) in
+      Alcotest.(check int) "the first read decodes nothing" 0 n;
+      Alcotest.(check int) "and returns every record" 40 (Array.length log);
+      Alcotest.(check int64) "numbered from the base" 40L log.(39).LR.lsn;
+      let n, again = delta (fun () -> Wal.read_all w) in
+      Alcotest.(check int) "a second read decodes again" 40 n;
+      Alcotest.(check bool) "the same records" true (again = log);
+      Wal.close w);
+  (* end to end: one restart over a crashed log *)
+  Test_util.with_temp_dir ~prefix:"dmx_restart_decodes" (fun dir ->
+      let services = Test_util.fresh_services ~dir () in
+      let ctx = Dmx_core.Services.begin_txn services in
+      let desc =
+        Test_util.check_ok "create"
+          (Dmx_ddl.Ddl.create_relation ctx ~name:"t"
+             ~schema:Test_util.emp_schema ~storage_method:"heap" ())
+      in
+      for i = 1 to 20 do
+        ignore
+          (Test_util.check_ok "ins"
+             (Dmx_core.Relation.insert ctx desc (Test_util.emp i "a" "d" i)))
+      done;
+      Dmx_core.Services.commit services ctx;
+      let retained = Wal.record_count services.Dmx_core.Services.wal in
+      Dmx_core.Services.simulate_crash services;
+      let n, services = delta (fun () -> Test_util.fresh_services ~dir ()) in
+      Alcotest.(check int) "restart decodes each retained frame once" retained n;
+      Dmx_core.Services.close services)
+
 let test_recovery_analysis () =
   let w = Wal.in_memory () in
   (* tx1 commits, tx2 aborts cleanly, tx3 is a loser, tx4 crashed mid-abort *)
@@ -900,6 +985,10 @@ let suite =
       test_no_tail_every_offset;
     Alcotest.test_case "every log fsync is counted" `Quick
       test_every_fsync_counted;
+    Alcotest.test_case "a durable replace fsyncs file and directory" `Quick
+      test_durable_replace_counted;
+    Alcotest.test_case "restart decodes each frame once" `Quick
+      test_restart_decodes_once;
     Alcotest.test_case "recovery analysis" `Quick test_recovery_analysis;
     Alcotest.test_case "analysis: fully compensated loser" `Quick
       test_analysis_fully_compensated;
