@@ -33,7 +33,8 @@ let instance_names desc =
 let instance_number desc ~name = Option.map fst (Slot.by_name desc name)
 
 (* Index entry: btree key = indexed field values + record key discriminator;
-   payload = encoded record key. *)
+   the payload is empty, since the key's last value already holds the
+   record key. *)
 let entry_key inst record reckey =
   Array.append
     (Record.project record inst.fields)
@@ -43,10 +44,10 @@ let tree ctx inst = Btree.open_tree ctx.Ctx.bp ~root:inst.root
 
 (* ---- entry maintenance ---- *)
 
-let entry_payload reckey = Bytes.to_string (Record_key.encode reckey)
+let entry_of inst (reckey, record) = (entry_key inst record reckey, "")
 
-let entry_of inst (reckey, record) =
-  (entry_key inst record reckey, entry_payload reckey)
+(* The record key an entry's key ends with. *)
+let reckey_of key = Attach_util.decode_reckey_value key.(Array.length key - 1)
 
 (* Entries in the tree's key order: indexed fields, then the record key. *)
 let sorted entries =
@@ -85,7 +86,7 @@ let add_entry ctx desc name inst record reckey =
       (Btree.set (tree ctx inst)
          ~key:(entry_key inst record reckey)
          ~log:(Slot.log ctx desc)
-         (Btree.if_absent (entry_payload reckey)));
+         (Btree.if_absent ""));
     Ok ()
   end
 
@@ -214,8 +215,8 @@ module Impl = struct
       let rec loop acc =
         match Btree.next c with
         | None -> List.rev acc
-        | Some (_, payload) ->
-          let acc = Record_key.decode (Bytes.of_string payload) :: acc in
+        | Some (key, _) ->
+          let acc = reckey_of key :: acc in
           if single then acc else loop acc
       in
       loop []
@@ -237,8 +238,7 @@ module Impl = struct
            ~next:(fun () ->
              match Btree.next c with
              | None -> None
-             | Some (_, payload) ->
-               Some (Record_key.decode (Bytes.of_string payload)))
+             | Some (key, _) -> Some (reckey_of key))
            ~close:(fun () -> ())
            ~capture:(fun () ->
              let saved = Btree.position c in

@@ -10,8 +10,9 @@
     Instances are declared with DDL attributes [fields] (comma-separated
     column list) and optional [unique]; a unique instance vetoes modifications
     that would duplicate an index key. Update detects untouched index fields
-    and skips the instance. Index entries map (field values, record key) to
-    the record key, so non-unique duplicates coexist. *)
+    and skips the instance. Index entry keys are (field values, record key),
+    so non-unique duplicates coexist; the record key is read back from the
+    key, and the payload is empty. *)
 
 include Dmx_core.Intf.ATTACHMENT
 

@@ -46,75 +46,171 @@ let compare_encoded ~prefix d key =
   done;
   if !c <> 0 || prefix then !c else Int.compare la lb
 
-(* ---- node (de)serialisation ---- *)
+(* ---- node layout ---- *)
 
-let encode_node node =
-  let e = Codec.Enc.create ~size:256 () in
-  (match node with
-  | Leaf { entries; next } ->
-    Codec.Enc.byte e 0;
-    Codec.Enc.varint e next;
-    Codec.Enc.list e
-      (fun e (k, p) ->
-        Codec.Enc.record e k;
-        Codec.Enc.string e p)
-      entries
-  | Internal { seps; children } ->
-    Codec.Enc.byte e 1;
-    Codec.Enc.list e Codec.Enc.record seps;
-    Codec.Enc.list e (fun e c -> Codec.Enc.varint e c) children);
-  Codec.Enc.to_string e
+(* A node page is a [header], then one 2-byte entry offset per entry in key
+   order, then the entries in key order, then free space up to the page's
+   last [trailer] bytes, which no node reaches (on the root they hold the
+   tree's advisory count). The header holds the entry count (bytes 0-1),
+   the tag (byte 2), the end of the content area (bytes 3-4) and a page
+   link (bytes 5-8): a leaf's right neighbour, an internal node's leftmost
+   child. A leaf entry is a key record and its payload string; an internal
+   entry is a separator record and the child to its right, so child [i]
+   holds keys at or above separator [i-1] and below separator [i].
+   Searches binary-search the offsets in the pinned frame.
 
-let leaf_tag = 0
+   A node's bytes are a prefix of its page, so a write torn after the
+   first half-page still lands a node that fits in that half whole, as
+   with the previous format (a length, then a tag and varint-counted
+   lists). The tag sits where that format kept its own, so a page of it
+   reads as tag 0 or 1 and is refused by name. *)
 
-let entry d =
-  let k = Codec.Dec.record d in
-  let p = Codec.Dec.string d in
-  (k, p)
-
-(* A leaf after its tag: the entries and the chain link. *)
-let decode_leaf d =
-  let next = Codec.Dec.varint d in
-  (Codec.Dec.list d entry, next)
-
-let decode_node d =
-  match Codec.Dec.byte d with
-  | 0 ->
-    let entries, next = decode_leaf d in
-    Leaf { entries; next }
-  | 1 ->
-    let seps = Codec.Dec.list d Codec.Dec.record in
-    let children = Codec.Dec.list d Codec.Dec.varint in
-    Internal { seps; children }
-  | n -> failwith (Fmt.str "Btree: bad node tag %d" n)
-
-(* [f] gets a decoder over the node image in the pinned frame. The view is
-   read-only and dies with the unpin, so [f] copies out (decodes) only what
-   it returns — the discipline of the heap's span scan. *)
-let with_node t page_id f =
-  Buffer_pool.with_page t.bp page_id (fun frame ->
-      let img = Bytes.unsafe_to_string frame.Buffer_pool.data in
-      f (Codec.Dec.of_string_span img ~pos:2 ~len:(String.get_uint16_le img 0)))
-
-let read_node t page_id = with_node t page_id decode_node
-
-(* The last [trailer] bytes of a page are no node's: on the root they hold
-   the tree's advisory count. *)
 let trailer = 8
+let header = 9
+let leaf_tag = 0x4c (* 'L' *)
+let internal_tag = 0x49 (* 'I' *)
 
-let write_node t page_id node =
-  let data = encode_node node in
-  let len = String.length data in
-  let page_size = Disk.page_size (Buffer_pool.disk t.bp) in
-  if len + 2 > page_size - trailer then failwith "Btree: node exceeds page size";
+let corrupt page_id fmt =
+  Fmt.kstr (fun s -> failwith (Fmt.str "Btree: page %d: %s" page_id s)) fmt
+
+(* A node image in a pinned frame. The view is read-only and dies with the
+   unpin, so readers copy out (decode) only what they return. *)
+type view = {
+  page_id : int;
+  buf : bytes;
+  d : Codec.Dec.t;  (* over the page up to its trailer *)
+  leaf : bool;
+  n : int;  (* entries *)
+  stop : int;  (* end of the content area *)
+  link : int;
+}
+
+let view page_id buf =
+  let limit = Bytes.length buf - trailer in
+  let tag = Bytes.get_uint8 buf 2 in
+  if tag <> leaf_tag && tag <> internal_tag then
+    if tag <= 1 then corrupt page_id "old-format or blank node (tag %d)" tag
+    else corrupt page_id "bad node tag %d" tag;
+  let n = Bytes.get_uint16_le buf 0 and stop = Bytes.get_uint16_le buf 3 in
+  if stop < header + (2 * n) || stop > limit then
+    corrupt page_id "content end %d outside [%d, %d] for %d entries" stop
+      (header + (2 * n)) limit n;
+  {
+    page_id;
+    buf;
+    d = Codec.Dec.of_string_span (Bytes.unsafe_to_string buf) ~pos:0 ~len:stop;
+    leaf = tag = leaf_tag;
+    n;
+    stop;
+    link = Int32.to_int (Bytes.get_int32_le buf 5) land 0xffff_ffff;
+  }
+
+(* Put the view's decoder on entry [i], [0 <= i < v.n]. *)
+let seek_entry v i =
+  let o = Bytes.get_uint16_le v.buf (header + (2 * i)) in
+  if o < header + (2 * v.n) || o >= v.stop then
+    corrupt v.page_id
+      "entry %d at offset %d, outside the content area [%d, %d)" i o
+      (header + (2 * v.n)) v.stop;
+  Codec.Dec.seek v.d o
+
+let leaf_entry d =
+  let k = Codec.Dec.record d in
+  (k, Codec.Dec.string d)
+
+let internal_entry d =
+  let sep = Codec.Dec.record d in
+  (sep, Codec.Dec.varint d)
+
+let entries v read =
+  List.init v.n (fun i ->
+      seek_entry v i;
+      read v.d)
+
+let leaf_entries v = entries v leaf_entry
+
+let decode v =
+  if v.leaf then Leaf { entries = leaf_entries v; next = v.link }
+  else
+    let seps, children = List.split (entries v internal_entry) in
+    Internal { seps; children = v.link :: children }
+
+let with_view t page_id f =
+  Buffer_pool.with_page t.bp page_id (fun frame ->
+      f (view page_id frame.Buffer_pool.data))
+
+let read_node t page_id = with_view t page_id decode
+
+(* A node encoded for a page: its header's tag and link ([first]), and its
+   entries back to back in [body], entry [i] at [offs.(i)] within it. *)
+type image = { tag : int; first : int; body : Codec.Enc.t; offs : int array }
+
+let encode node =
+  let body = Codec.Enc.create ~size:1024 () in
+  let put enc items =
+    Array.of_list
+      (List.map
+         (fun item ->
+           let o = Codec.Enc.length body in
+           enc item;
+           o)
+         items)
+  in
+  match node with
+  | Leaf { entries; next } ->
+    let offs =
+      put
+        (fun (k, p) ->
+          Codec.Enc.record body k;
+          Codec.Enc.string body p)
+        entries
+    in
+    { tag = leaf_tag; first = next; body; offs }
+  | Internal { seps; children = first :: rest } ->
+    let offs =
+      put
+        (fun (sep, child) ->
+          Codec.Enc.record body sep;
+          Codec.Enc.varint body child)
+        (List.combine seps rest)
+    in
+    { tag = internal_tag; first; body; offs }
+  | Internal { children = []; _ } ->
+    invalid_arg "Btree: internal node without children"
+
+let image_size img =
+  header + (2 * Array.length img.offs) + Codec.Enc.length img.body
+
+(* Lay [img] over page image [buf], up to its trailer, zeroing the free
+   space. *)
+let write_image buf img =
+  let limit = Bytes.length buf - trailer in
+  let start = header + (2 * Array.length img.offs) in
+  let stop = start + Codec.Enc.length img.body in
+  if stop > limit then failwith "Btree: node exceeds page size";
+  if limit > 0xffff || img.first > 0xffff_ffff then
+    failwith "Btree: page size or page id beyond the node format";
+  Bytes.set_uint16_le buf 0 (Array.length img.offs);
+  Bytes.set_uint8 buf 2 img.tag;
+  Bytes.set_uint16_le buf 3 stop;
+  Bytes.set_int32_le buf 5 (Int32.of_int img.first);
+  Array.iteri
+    (fun i o -> Bytes.set_uint16_le buf (header + (2 * i)) (start + o))
+    img.offs;
+  Codec.Enc.blit img.body buf start;
+  Bytes.fill buf stop (limit - stop) '\000'
+
+let write t page_id img =
   Buffer_pool.with_page_mut t.bp page_id (fun frame ->
-      Bytes.set_uint16_le frame.Buffer_pool.data 0 len;
-      Bytes.blit_string data 0 frame.Buffer_pool.data 2 len)
+      write_image frame.Buffer_pool.data img)
 
-let capacity t =
-  Disk.page_size (Buffer_pool.disk t.bp) - 64
+let write_node t page_id node = write t page_id (encode node)
 
-let node_size node = String.length (encode_node node)
+let decode_page ~page_id buf = decode (view page_id buf)
+let encode_page buf node = write_image buf (encode node)
+
+(* The bytes a node may use: the page up to its trailer. *)
+let capacity t = Disk.page_size (Buffer_pool.disk t.bp) - trailer
 
 (* ---- construction ---- *)
 
@@ -148,41 +244,54 @@ let alloc_page t =
 
 (* ---- search ---- *)
 
-(* In an internal node after its tag: the index and page of the child
-   covering [key] (the leftmost for [None]) — the first separator above
-   [key], found in place. *)
-let child_at d key =
-  let nseps = Codec.Dec.varint d in
-  let rec seps j i =
-    if j = nseps then if i < 0 then nseps else i
-    else
-      let i =
-        if i >= 0 then (Codec.Dec.skip_record d; i)
-        else
-          match key with
-          | None -> (Codec.Dec.skip_record d; j)
-          | Some k -> if compare_encoded ~prefix:false d k > 0 then j else -1
-      in
-      seps (j + 1) i
-  in
-  let i = seps 0 (-1) in
-  ignore (Codec.Dec.varint d);
-  for _ = 1 to i do
-    ignore (Codec.Dec.varint d)
-  done;
-  (i, Codec.Dec.varint d)
+(* Key compares the searches make, one [Metrics.add] per node searched. *)
+let compares = Dmx_obs.Metrics.counter "btree.compares"
+
+let compare_at v ~prefix i key =
+  seek_entry v i;
+  compare_encoded ~prefix v.d key
+
+let rec bsearch v ~prefix ~strict key lo hi steps =
+  if lo >= hi then begin
+    Dmx_obs.Metrics.add compares steps;
+    lo
+  end
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = compare_at v ~prefix mid key in
+    if c < 0 || (strict && c = 0) then
+      bsearch v ~prefix ~strict key (mid + 1) hi (steps + 1)
+    else bsearch v ~prefix ~strict key lo mid (steps + 1)
+
+(* The first entry of [v] whose key is at or above [key] (strictly above
+   when [strict]) by [compare_full] ([compare_prefix] when [prefix]);
+   [v.n] when there is none. At most ceil(log2 (n + 1)) compares. *)
+let search v ~prefix ~strict key = bsearch v ~prefix ~strict key 0 v.n 0
+
+(* In internal node [v]: the index and page of the child covering [key]
+   (the leftmost for [None]), after the last separator at or below it. *)
+let child_at v key =
+  match key with
+  | None -> (0, v.link)
+  | Some k ->
+    let i = search v ~prefix:false ~strict:true k in
+    if i = 0 then (0, v.link)
+    else begin
+      seek_entry v (i - 1);
+      Codec.Dec.skip_record v.d;
+      (i, Codec.Dec.varint v.d)
+    end
 
 (* Walk from [from] to the leaf covering [key] ([None]: the leftmost),
-   pinning each node once and choosing children in place; [leaf page_id d]
-   runs with the leaf pinned, [d] just past its tag. Returns its result and
-   the path above the leaf — (page id, index of the child taken), innermost
-   first. *)
+   pinning each node once and choosing children in place; [leaf v] runs
+   with the leaf pinned. Returns its result and the path above the leaf —
+   (page id, index of the child taken), innermost first. *)
 let descend ?from t key leaf =
   let rec go page_id path =
     match
-      with_node t page_id (fun d ->
-          if Codec.Dec.byte d = leaf_tag then Either.Left (leaf page_id d)
-          else Either.Right (child_at d key))
+      with_view t page_id (fun v ->
+          if v.leaf then Either.Left (leaf v)
+          else Either.Right (child_at v key))
     with
     | Either.Left r -> (r, path)
     | Either.Right (i, child) -> go child ((page_id, i) :: path)
@@ -196,29 +305,19 @@ let lookup entries key =
 
 let find t ~key =
   fst
-    (descend t (Some key) (fun _ d ->
-         ignore (Codec.Dec.varint d);
-         let n = Codec.Dec.varint d in
-         let rec entry i =
-           if i = n then None
-           else
-             let c = compare_encoded ~prefix:false d key in
-             if c = 0 then Some (Codec.Dec.string d)
-             else if c > 0 then None
-             else begin
-               Codec.Dec.skip_string d;
-               entry (i + 1)
-             end
-         in
-         entry 0))
+    (descend t (Some key) (fun v ->
+         let i = search v ~prefix:false ~strict:false key in
+         if i < v.n && compare_at v ~prefix:false i key = 0 then
+           Some (Codec.Dec.string v.d)
+         else None))
 
-(* The leaf covering [key], decoded for a write: its page id, entries and
-   chain link, and the path above it. *)
+(* The leaf covering [key], decoded for a write: its page id, entries,
+   chain link and bytes used, and the path above it. *)
 let descend_leaf t key =
-  let (leaf_id, (entries, next)), path =
-    descend t (Some key) (fun page_id d -> (page_id, decode_leaf d))
+  let (leaf_id, entries, next, used), path =
+    descend t (Some key) (fun v -> (v.page_id, leaf_entries v, v.link, v.stop))
   in
-  (leaf_id, entries, next, path)
+  (leaf_id, entries, next, used, path)
 
 (* ---- leaf writes and splits ---- *)
 
@@ -236,17 +335,33 @@ let split_entries entries size_of =
   in
   loop 0 [] entries
 
-let entry_size (k, p) =
-  String.length (Codec.encode_record k |> Bytes.to_string) + String.length p + 8
+let varint_size n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
 
+let record_size k = Bytes.length (Codec.encode_record k)
+
+(* What a leaf entry adds to its node: its offset and its bytes. *)
+let entry_size (k, p) =
+  let len = String.length p in
+  2 + record_size k + varint_size len + len
 
 (* Write a leaf's new entries, splitting it (and, through [promote], its
-   ancestors on [path]) when they overflow the page. *)
-let rec write_leaf t page_id path entries next =
-  let node = Leaf { entries; next } in
-  if node_size node <= capacity t then write_node t page_id node
+   ancestors on [path]) when they overflow the page. [appended]: the last
+   entry is new and above every old one. The rightmost leaf then splits at
+   its edge, keeping the old entries whole, so an ascending load fills its
+   pages. *)
+let rec write_leaf ?(appended = false) t page_id path entries next =
+  let img = encode (Leaf { entries; next }) in
+  if image_size img <= capacity t then write t page_id img
   else begin
-    let left, right = split_entries entries entry_size in
+    let left, right =
+      if appended && next = 0 then
+        match List.rev entries with
+        | last :: (_ :: _ as rest) -> (List.rev rest, [ last ])
+        | _ -> split_entries entries entry_size
+      else split_entries entries entry_size
+    in
     match right with
     | [] -> failwith "Btree: cannot split a single oversized entry"
     | (sep, _) :: _ ->
@@ -283,8 +398,8 @@ and promote t path sep new_child =
       @ [ new_child ]
       @ List.filteri (fun j _ -> j > i) children
     in
-    let node = Internal { seps; children } in
-    if node_size node <= capacity t then write_node t page_id node
+    let img = encode (Internal { seps; children }) in
+    if image_size img <= capacity t then write t page_id img
     else begin
       (* Split the internal node: promote the middle separator. *)
       let m = List.length seps / 2 in
@@ -305,7 +420,8 @@ and promote t path sep new_child =
       promote t up promoted right_id
     end
 
-(* [entries] with [key] bound to [payload] ([None] removes it). *)
+(* [entries] with [key] bound to [payload] ([None] removes it), and
+   whether the binding went past every old entry. *)
 let put entries key payload =
   let bind rest =
     match payload with Some p -> (key, p) :: rest | None -> rest
@@ -314,8 +430,10 @@ let put entries key payload =
     | ((k, _) as e) :: rest ->
       let c = compare_full key k in
       if c > 0 then go (e :: acc) rest
-      else List.rev_append acc (bind (if c = 0 then rest else e :: rest))
-    | [] -> List.rev_append acc (bind [])
+      else
+        ( List.rev_append acc (bind (if c = 0 then rest else e :: rest)),
+          false )
+    | [] -> (List.rev_append acc (bind []), payload <> None)
   in
   go [] entries
 
@@ -334,10 +452,12 @@ let dec_target d =
 (* The change is logged once the leaf is located and the new payload known,
    before [write_leaf] writes or allocates any page. *)
 let set t ~key ~log f =
-  let leaf_id, entries, next, path = descend_leaf t key in
+  let leaf_id, entries, next, _, path = descend_leaf t key in
   Image.change enc_target ~log
     ~read:(fun () -> lookup entries key)
-    ~write:(fun after -> write_leaf t leaf_id path (put entries key after) next)
+    ~write:(fun after ->
+      let entries, appended = put entries key after in
+      write_leaf ~appended t leaf_id path entries next)
     (t.root, key) f
 
 let if_absent payload = function None -> Some payload | held -> held
@@ -359,24 +479,29 @@ let redo bp data =
 
 (* ---- iteration ---- *)
 
+let chain_leaf v =
+  if not v.leaf then failwith "Btree: leaf chain hit an internal node"
+
 let iter t f =
   let rec walk page_id =
     if page_id <> 0 then begin
-      match read_node t page_id with
-      | Leaf { entries; next } ->
-        List.iter (fun (k, p) -> f k p) entries;
-        walk next
-      | Internal _ -> failwith "Btree.iter: leaf chain hit an internal node"
+      let entries, next =
+        with_view t page_id (fun v ->
+            chain_leaf v;
+            (leaf_entries v, v.link))
+      in
+      List.iter (fun (k, p) -> f k p) entries;
+      walk next
     end
   in
-  walk (fst (descend t None (fun page_id _ -> page_id)))
+  walk (fst (descend t None (fun v -> v.page_id)))
 
 let count t =
   let n = ref 0 in
   iter t (fun _ _ -> incr n);
   !n
 
-let height t = List.length (snd (descend t None (fun _ _ -> ()))) + 1
+let height t = List.length (snd (descend t None (fun _ -> ()))) + 1
 
 (* ---- cursors ---- *)
 
@@ -400,25 +525,22 @@ type cursor = {
 let cursor ?(lo = Unbounded) ?(hi = Unbounded) t =
   { tree = t; lo; hi; last = None; finished = false; leaf_hint = 0 }
 
-(* A key is admitted when it lies strictly after the cursor position (or
-   satisfies [lo] on the first step). Consumes the encoded key at [d]. *)
-let admits c d =
+(* The first entry of leaf [v] the cursor admits: strictly after its
+   position, or within [lo] on the first step. *)
+let first_admitted c v =
   match c.last, c.lo with
-  | Some k, _ -> compare_encoded ~prefix:false d k > 0
-  | None, Unbounded ->
-    Codec.Dec.skip_record d;
-    true
-  | None, Incl b -> compare_encoded ~prefix:true d b >= 0
-  | None, Excl b -> compare_encoded ~prefix:true d b > 0
+  | Some k, _ -> search v ~prefix:false ~strict:true k
+  | None, Unbounded -> 0
+  | None, Incl b -> search v ~prefix:true ~strict:false b
+  | None, Excl b -> search v ~prefix:true ~strict:true b
 
-(* Whether the key encoded at [d] is within [hi]; leaves [d] where it was. *)
-let below_hi hi d =
+(* Whether entry [i] of [v] is within [hi]. *)
+let below_hi hi v i =
   match hi with
   | Unbounded -> true
   | Incl b | Excl b ->
-    let start = Codec.Dec.offset d in
-    let c = compare_encoded ~prefix:true d b in
-    Codec.Dec.seek d start;
+    Dmx_obs.Metrics.incr compares;
+    let c = compare_at v ~prefix:true i b in
     (match hi with Incl _ -> c <= 0 | _ -> c < 0)
 
 type 'a found = Found of 'a | Skip of int  (* next leaf *)
@@ -426,40 +548,26 @@ type 'a found = Found of 'a | Skip of int  (* next leaf *)
 (* One cursor step: find the first entry after the cursor position in the
    hinted leaf (or by descent on the first step, after [seek], or when the
    root split under the hint) and along the chain from there, pinning each
-   leaf once. [f d remaining] runs in the pinned leaf with [d] on that
-   entry, [remaining] entries from it to the leaf's end, so sequential
-   access costs O(1) amortized pins. *)
+   leaf once. [f v i] runs in the pinned leaf [v] with [i] that entry's
+   index, so sequential access costs O(1) amortized pins. *)
 let step c f =
   let t = c.tree in
-  let scan page_id d =
-    let next_leaf = Codec.Dec.varint d in
-    let n = Codec.Dec.varint d in
-    let rec go i =
-      if i = n then Skip next_leaf
-      else begin
-        let start = Codec.Dec.offset d in
-        if admits c d then begin
-          Codec.Dec.seek d start;
-          c.leaf_hint <- page_id;
-          Found (f d (n - i))
-        end
-        else begin
-          Codec.Dec.skip_string d;
-          go (i + 1)
-        end
-      end
-    in
-    go 0
+  let scan v =
+    let i = first_admitted c v in
+    if i < v.n then begin
+      c.leaf_hint <- v.page_id;
+      Found (f v i)
+    end
+    else Skip v.link
   in
   let rec along = function
     | Found r -> Some r
     | Skip 0 -> None
     | Skip page_id ->
       along
-        (with_node t page_id (fun d ->
-             if Codec.Dec.byte d <> leaf_tag then
-               failwith "Btree: leaf chain hit an internal node";
-             scan page_id d))
+        (with_view t page_id (fun v ->
+             chain_leaf v;
+             scan v))
   in
   let key =
     match c.last, c.lo with
@@ -470,10 +578,14 @@ let step c f =
   let from = if c.leaf_hint = 0 then t.root else c.leaf_hint in
   along (fst (descend ~from t key scan))
 
+let entry_at v i =
+  seek_entry v i;
+  leaf_entry v.d
+
 let next c =
   if c.finished then None
   else
-    let first d _ = if below_hi c.hi d then Some (entry d) else None in
+    let first v i = if below_hi c.hi v i then Some (entry_at v i) else None in
     match step c first with
     | Some (Some ((k, _) as e)) ->
       c.last <- Some k;
@@ -490,16 +602,16 @@ let next c =
 let next_run c =
   if c.finished then None
   else
-    let run d remaining =
+    let run v i =
       let rec take j acc =
-        if j = remaining then acc
-        else if below_hi c.hi d then take (j + 1) (entry d :: acc)
+        if j = v.n then acc
+        else if below_hi c.hi v j then take (j + 1) (entry_at v j :: acc)
         else begin
           c.finished <- true;
           acc
         end
       in
-      take 0 []
+      take i []
     in
     match step c run with
     | Some ((k, _) :: _ as rev_run) ->
@@ -522,31 +634,24 @@ let seek c pos =
    nearest ancestor separators below (inclusive) and above (exclusive), None
    at the tree's edges. Pins each ancestor at most once, innermost first,
    and decodes only the separators it returns. *)
-let window t path =
+let window_of_path t path =
   let rec up lo hi = function
     | (page_id, i) :: rest when Option.is_none lo || Option.is_none hi ->
       let lo, hi =
-        with_node t page_id (fun d ->
-            ignore (Codec.Dec.byte d);
-            let nseps = Codec.Dec.varint d in
-            for _ = 2 to i do
-              Codec.Dec.skip_record d
-            done;
-            let lo =
-              if i = 0 then lo
-              else if Option.is_none lo then Some (Codec.Dec.record d)
-              else (Codec.Dec.skip_record d; lo)
+        with_view t page_id (fun v ->
+            let sep j =
+              seek_entry v j;
+              Some (Codec.Dec.record v.d)
             in
-            let hi =
-              if i < nseps && Option.is_none hi then Some (Codec.Dec.record d)
-              else hi
-            in
-            (lo, hi))
+            ( (if i > 0 && Option.is_none lo then sep (i - 1) else lo),
+              if i < v.n && Option.is_none hi then sep i else hi ))
       in
       up lo hi rest
     | _ -> (lo, hi)
   in
   up None None path
+
+let window t key = window_of_path t (snd (descend t (Some key) ignore))
 
 (* Equality on the first [p] key values (the unique-index field prefix). *)
 let equal_on p a b =
@@ -579,15 +684,13 @@ let insert_batch ?unique_prefix t ~log entries =
      let i = ref 0 in
      while !i < limit do
        let key0, payload0 = entries.(!i) in
-       let leaf_id, old_entries, next, path = descend_leaf t key0 in
-       let lo, hi = window t path in
+       let leaf_id, old_entries, next, used, path = descend_leaf t key0 in
+       let lo, hi = window_of_path t path in
        let in_leaf k =
          match hi with None -> true | Some s -> compare_full k s < 0
        in
        (* the maximal run that fits in this leaf without splitting *)
-       let budget =
-         ref (capacity t - node_size (Leaf { entries = old_entries; next }))
-       in
+       let budget = ref (capacity t - used) in
        let j = ref !i in
        let stop = ref false in
        while (not !stop) && !j < limit do
@@ -685,18 +788,11 @@ let insert_batch ?unique_prefix t ~log entries =
 
 (* ---- bottom-up build ---- *)
 
-let varint_size n =
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go n 1
-
-let record_size k = Bytes.length (Codec.encode_record k)
-
 (* Cut items [0, n) into consecutive runs [(i, j)], each the longest from
-   its start whose node fits [capacity t]: [header count] is a node's size
-   without its items, [size ~first j] what item [j] adds ([first]: it opens
-   its node). *)
-let pack t ~header ~size n =
-  let cap = capacity t in
+   its start whose node fits [capacity t]: [size ~first j] is what item [j]
+   adds to a node ([first]: it opens its node). *)
+let pack t ~size n =
+  let cap = capacity t - header in
   let rec runs i acc =
     if i >= n then List.rev acc
     else
@@ -704,7 +800,7 @@ let pack t ~header ~size n =
         if j >= n then j
         else
           let total = total + size ~first:(j = i) j in
-          if header (j - i + 1) + total <= cap then grow (j + 1) total else j
+          if total <= cap then grow (j + 1) total else j
       in
       let j = grow i 0 in
       if j = i then failwith "Btree: cannot split a single oversized entry";
@@ -714,14 +810,14 @@ let pack t ~header ~size n =
 
 (* One internal level over [children] (each child's first key and page),
    each node written once; the level that fits one node goes into the
-   root page. *)
+   root page. A node's first child is its link; each further child is an
+   entry under the child's first key. *)
 let rec build_level t children =
   let runs =
     pack t
-      ~header:(fun c -> 1 + varint_size (c - 1) + varint_size c)
       ~size:(fun ~first j ->
         let key, page = children.(j) in
-        varint_size page + if first then 0 else record_size key)
+        if first then 0 else 2 + record_size key + varint_size page)
       (Array.length children)
   in
   let node (i, j) =
@@ -752,38 +848,20 @@ let build t entries =
     if compare_full (fst entries.(i - 1)) (fst entries.(i)) >= 0 then
       invalid_arg "Btree.build: entries not strictly ascending"
   done;
-  let sizes =
-    Array.map
-      (fun (k, p) ->
-        let len = String.length p in
-        record_size k + varint_size len + len)
-      entries
-  in
-  let leaf_header ~link count = 1 + link + varint_size count in
   let leaf ?(next = 0) (i, j) =
     Leaf { entries = Array.to_list (Array.sub entries i (j - i)); next }
   in
-  if leaf_header ~link:1 n + Array.fold_left ( + ) 0 sizes <= capacity t then
-    write_node t t.root (leaf (0, n))
-  else begin
-    (* A leaf's link is the next leaf's page, unknown while packing: leave
-       room for the longest. Each page is allocated just before its left
-       neighbour is written. *)
-    let runs =
-      pack t
-        ~header:(leaf_header ~link:(varint_size max_int))
-        ~size:(fun ~first:_ j -> sizes.(j))
-        n
-    in
-    let rec write_leaves page = function
-      | [] -> []
-      | run :: rest ->
-        let next = if rest = [] then 0 else alloc_page t in
-        write_node t page (leaf ~next run);
-        (fst entries.(fst run), page) :: write_leaves next rest
-    in
-    build_level t (Array.of_list (write_leaves (alloc_page t) runs))
-  end
+  (* Each page is allocated just before its left neighbour is written. *)
+  let rec write_leaves page = function
+    | [] -> []
+    | run :: rest ->
+      let next = if rest = [] then 0 else alloc_page t in
+      write_node t page (leaf ~next run);
+      (fst entries.(fst run), page) :: write_leaves next rest
+  in
+  match pack t ~size:(fun ~first:_ j -> entry_size entries.(j)) n with
+  | [] | [ _ ] -> write_node t t.root (leaf (0, n))
+  | runs -> build_level t (Array.of_list (write_leaves (alloc_page t) runs))
 
 (* ---- invariants ---- *)
 

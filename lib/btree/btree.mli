@@ -151,3 +151,33 @@ val iter : t -> (Value.t array -> string -> unit) -> unit
 val check_invariants : t -> (unit, string) result
 (** Structural check used by tests: sorted leaves, consistent separators,
     leaf chaining. *)
+
+(** {2 Node pages}
+
+    A node page holds a header (entry count, tag, end of the content area,
+    and a link: a leaf's right neighbour or an internal node's leftmost
+    child), then one 2-byte entry offset per entry in key order, then the
+    entries in key order; the page's last 8 bytes are no node's. Searches
+    binary-search the offsets in the pinned frame. Reading a page of
+    another format (an old-format or blank node, a bad tag) or with an
+    offset or content end outside the page raises [Failure] naming the
+    page. *)
+
+type node =
+  | Leaf of { entries : (Value.t array * string) list; next : int }
+  | Internal of { seps : Value.t array list; children : int list }
+      (** [|children| = |seps| + 1]; child [i] holds keys below [seps.(i)]
+          and at or above [seps.(i-1)]. *)
+
+val decode_page : page_id:int -> bytes -> node
+(** The node a page image holds ([page_id] names it in errors). *)
+
+val encode_page : bytes -> node -> unit
+(** Lay a node over a page image, all but its last 8 bytes, zeroing the
+    free space after its entries. Raises [Failure] when the node does not
+    fit. *)
+
+val window : t -> Value.t array -> Value.t array option * Value.t array option
+(** The key window of the leaf covering a key: the nearest ancestor
+    separators below (inclusive) and above (exclusive), [None] at the
+    tree's edges. *)

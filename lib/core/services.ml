@@ -24,6 +24,32 @@ type t = {
   mutable ckpt_bytes_mark : int;  (* Wal.appended_bytes at last checkpoint *)
 }
 
+(* The I/O counters are always on (the cost model reads them); the "io"
+   probe folds them into the common metrics exposition at snapshot time.
+   It covers every database the process opened: [retired] holds what the
+   databases it moved on from counted while tracked, and [live] is the
+   newest database's counters with their values when it opened, so a store
+   reopened after a crash is not counted twice. One probe, registered
+   once, keeps its {!Dmx_obs.Metrics.reset} baseline across databases. *)
+type io_probe = { retired : Io_stats.t; live : Io_stats.t; opened : Io_stats.t }
+
+let io_probe = ref None [@@dmx.global "config-immutable-after-setup"]
+
+let io_total p =
+  Io_stats.add p.retired (Io_stats.diff ~after:p.live ~before:p.opened)
+
+let track_io disk =
+  let live = Disk.stats disk in
+  let fresh retired = Some { retired; live; opened = Io_stats.copy live } in
+  match !io_probe with
+  | Some p -> io_probe := fresh (io_total p)
+  | None ->
+    io_probe := fresh (Io_stats.create ());
+    Dmx_obs.Metrics.register_probe "io" (fun () ->
+        match !io_probe with
+        | Some p -> Io_stats.to_metrics (io_total p)
+        | None -> [])
+
 let set_checkpoint_policy ~every_bytes t =
   t.ckpt_every_bytes <- max 0 every_bytes
 
@@ -154,10 +180,7 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
     (Invariant.lsn_observer
        ~source:(match dir with None -> "wal (in-memory)" | Some d -> "wal " ^ d)
        ());
-  (* The I/O counters are always on (the cost model reads them); a probe
-     folds them into the common metrics exposition at snapshot time. *)
-  Dmx_obs.Metrics.register_probe "io" (fun () ->
-      Io_stats.to_metrics (Disk.stats disk));
+  track_io disk;
   (* Resolve the profiler's (vector, slot) keys to registry names. The
      registry is frozen above, so ids are stable for this process. *)
   Dmx_obs.Profile.set_key_namer (Dmx_obs.Emit.profile ()) (function

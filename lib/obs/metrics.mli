@@ -72,9 +72,9 @@ val all_histograms : unit -> (string * histogram) list
     [dmx_metrics] system view derives its quantile rows from this. *)
 
 val register_probe : string -> (unit -> (string * int) list) -> unit
-(** Registering under an existing probe name replaces it (a fresh
-    [Services.setup] re-points the probe at the new database's state) and
-    drops the probe's {!reset} baseline. *)
+(** Registering under an existing probe name replaces it (a fresh plan
+    cache re-points the ["plan_cache"] probe at its own state) and drops
+    the probe's {!reset} baseline. *)
 
 val snapshot : unit -> (string * int) list
 (** All counters plus all probe outputs, sorted by name. Probes are polled

@@ -30,6 +30,15 @@ let diff ~after ~before =
     pool_misses = d after.pool_misses before.pool_misses;
   }
 
+let add a b =
+  {
+    page_reads = a.page_reads + b.page_reads;
+    page_writes = a.page_writes + b.page_writes;
+    page_allocs = a.page_allocs + b.page_allocs;
+    pool_hits = a.pool_hits + b.pool_hits;
+    pool_misses = a.pool_misses + b.pool_misses;
+  }
+
 let hit_ratio t =
   let total = t.pool_hits + t.pool_misses in
   if total = 0 then None else Some (float_of_int t.pool_hits /. float_of_int total)

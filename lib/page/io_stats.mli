@@ -23,6 +23,9 @@ val diff : after:t -> before:t -> t
 (** Component-wise [after - before], clamped at 0: a concurrent [reset]
     between the two snapshots must not produce negative I/O counts. *)
 
+val add : t -> t -> t
+(** Component-wise sum. *)
+
 val hit_ratio : t -> float option
 (** Pool hits over all pins; [None] before any pin. *)
 

@@ -25,7 +25,7 @@ let create () =
     }
   in
   (* Replace-on-reregister: the latest cache created owns the exposition
-     name, matching how [Services.setup] re-registers the "io" probe. *)
+     name. *)
   Dmx_obs.Metrics.register_probe "plan_cache" (fun () ->
       [ ("plan_cache.translations", t.translations);
         ("plan_cache.hits", t.hits);

@@ -60,6 +60,8 @@ module Enc = struct
       byte t 1;
       f t x
 
+  let length t = Buffer.length t
+  let blit t dst pos = Buffer.blit t 0 dst pos (Buffer.length t)
   let to_bytes t = Buffer.to_bytes t
   let to_string t = Buffer.contents t
 end

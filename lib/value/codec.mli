@@ -24,6 +24,12 @@ module Enc : sig
   val record : t -> Value.t array -> unit
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
+  val length : t -> int
+  (** Bytes encoded so far. *)
+
+  val blit : t -> bytes -> int -> unit
+  (** [blit t dst pos] copies everything encoded into [dst] at [pos]. *)
+
   val to_bytes : t -> bytes
   val to_string : t -> string
 end

@@ -883,8 +883,327 @@ let test_node_format_golden () =
         Digest.to_hex (Digest.bytes (Disk.read d (i + 1))))
   in
   Alcotest.(check (pair int string))
-    "page images" (34, "621b7bd35fcea2b0406694d56ca52231")
+    "page images" (36, "3729dbaee08c5ebd27f28daf3ca75a39")
     (pages, Digest.to_hex (Digest.string (String.concat "" images)))
+
+(* ---- node pages ---- *)
+
+(* Differential of the in-frame searches against a linear reference over
+   the decoded entries. A tree of uniform arity (1 to 3) over a small value
+   pool, so keys share prefixes, with values long enough to split leaves
+   and internal nodes, goes through [set], deletes and [insert_batch];
+   then [find], [prefix_present], cursors ([Incl]/[Excl]/prefix bounds,
+   [next], [next_run], [seek]) and [window] must answer what a linear pass
+   over the decoded pages answers, and every page must re-encode to its own
+   bytes. Keys and bounds are arrays of indices into [node_pool]. *)
+let node_pool =
+  [| vi 0; vi 1; vi 2; vi 3; vs ""; vs "x"; vs (String.make 300 'q');
+     vs (String.make 301 'q') |]
+
+type node_op =
+  | N_set of int array * int  (* key, payload length *)
+  | N_delete of int array
+  | N_batch of (int array * int) list
+
+(* a cursor's bounds ([None]: unbounded; [true]: inclusive) and a key *)
+type probe = {
+  lo : int array option * bool;
+  hi : int array option * bool;
+  at : int array;
+}
+
+let node_key ix = Array.map (fun j -> node_pool.(j)) ix
+
+let gen_node_case =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun arity ->
+  let value = int_range 0 (Array.length node_pool - 1) in
+  let key = array_size (pure arity) value in
+  let part = int_range 0 arity >>= fun n -> array_size (pure n) value in
+  let len = int_range 0 600 in
+  let op =
+    frequency
+      [
+        (6, map2 (fun k l -> N_set (k, l)) key len);
+        (2, map (fun k -> N_delete k) key);
+        ( 1,
+          map
+            (fun es -> N_batch es)
+            (list_size (int_range 1 20) (pair key len)) );
+      ]
+  in
+  let bnd = pair (opt part) bool in
+  let probe = map3 (fun lo hi at -> { lo; hi; at }) bnd bnd key in
+  triple (pure arity)
+    (list_size (int_range 20 200) op)
+    (list_size (pure 12) probe)
+
+let print_node_case (arity, ops, probes) =
+  let ix = Fmt.(array ~sep:(any ".") int) in
+  let pp_op ppf = function
+    | N_set (k, l) -> Fmt.pf ppf "set %a:%d" ix k l
+    | N_delete k -> Fmt.pf ppf "del %a" ix k
+    | N_batch es ->
+      Fmt.pf ppf "batch %a"
+        Fmt.(list ~sep:comma (pair ~sep:(any ":") ix int))
+        es
+  in
+  let pp_b ppf (b, incl) =
+    match b with
+    | None -> Fmt.string ppf "_"
+    | Some k -> Fmt.pf ppf "%s%a" (if incl then "I" else "E") ix k
+  in
+  let pp_probe ppf p = Fmt.pf ppf "[%a,%a]@%a" pp_b p.lo pp_b p.hi ix p.at in
+  Fmt.str "arity %d; %a; probes %a" arity
+    Fmt.(list ~sep:semi pp_op)
+    ops
+    Fmt.(list ~sep:semi pp_probe)
+    probes
+
+let node_payload len = String.make len 'p'
+
+(* Every node page reachable from the root: its id, node and image, read
+   through raw frames. *)
+let node_pages bp root =
+  let read page_id =
+    Buffer_pool.with_page bp page_id (fun f ->
+        let data = f.Buffer_pool.data in
+        (Btree.decode_page ~page_id data, Bytes.copy data))
+  in
+  let rec walk page_id =
+    let node, img = read page_id in
+    (page_id, node, img)
+    ::
+    (match node with
+    | Btree.Leaf _ -> []
+    | Btree.Internal { children; _ } -> List.concat_map walk children)
+  in
+  walk root
+
+let prop_node_search =
+  QCheck.Test.make
+    ~name:"in-frame searches = linear reference over decoded nodes"
+    ~count:60
+    (QCheck.make ~print:print_node_case gen_node_case)
+    (fun (_, ops, probes) ->
+      let fail fmt = Fmt.kstr QCheck.Test.fail_report fmt in
+      let bp = Buffer_pool.create ~capacity:8 (Disk.in_memory ()) in
+      let t = Btree.create bp in
+      let set k after =
+        ignore (Btree.set t ~key:(node_key k) ~log:ignore after)
+      in
+      List.iter
+        (function
+          | N_set (k, l) -> set k (fun _ -> Some (node_payload l))
+          | N_delete k -> set k (fun _ -> None)
+          | N_batch es ->
+            let es =
+              List.map (fun (k, l) -> (node_key k, node_payload l)) es
+              |> List.sort_uniq (fun (a, _) (b, _) -> Btree.compare_full a b)
+            in
+            ignore (Btree.insert_batch t ~log:ignore (Array.of_list es)))
+        ops;
+      (match Btree.check_invariants t with
+      | Ok () -> ()
+      | Error e -> fail "invariants: %s" e);
+      let pages = node_pages bp (Btree.root t) in
+      (* encode (decode page) = page, byte for byte *)
+      List.iter
+        (fun (page_id, node, img) ->
+          let again = Bytes.copy img in
+          Btree.encode_page again node;
+          if not (Bytes.equal again img) then
+            fail "page %d does not re-encode to itself" page_id)
+        pages;
+      (* the reference: the leaves' entries in chain order *)
+      let node_of = List.map (fun (id, node, _) -> (id, node)) pages in
+      let rec leftmost id =
+        match List.assoc id node_of with
+        | Btree.Internal { children; _ } -> leftmost (List.hd children)
+        | Btree.Leaf _ -> id
+      in
+      let rec chain id =
+        if id = 0 then []
+        else
+          match List.assoc id node_of with
+          | Btree.Leaf { entries; next } -> entries @ chain next
+          | Btree.Internal _ -> fail "chain hit internal page %d" id
+      in
+      let entries = chain (leftmost (Btree.root t)) in
+      let keys = List.map fst entries in
+      let bound (b, incl) =
+        match b with
+        | None -> Btree.Unbounded
+        | Some k ->
+          if incl then Btree.Incl (node_key k) else Btree.Excl (node_key k)
+      in
+      let drain step =
+        let rec go acc =
+          match step () with
+          | Some es -> go (List.rev_append es acc)
+          | None -> List.rev acc
+        in
+        go []
+      in
+      List.iter
+        (fun { lo; hi; at } ->
+          let at = node_key at in
+          let expect =
+            List.find_map
+              (fun (k, p) ->
+                if Btree.compare_full k at = 0 then Some p else None)
+              entries
+          in
+          if Btree.find t ~key:at <> expect then fail "find";
+          for n = 0 to Array.length at do
+            let p = Array.sub at 0 n in
+            let held =
+              List.exists (fun k -> Btree.compare_prefix k p = 0) keys
+            in
+            if Btree.prefix_present t p <> held then
+              fail "prefix_present (%d values)" n
+          done;
+          let admits k =
+            let c b = Btree.compare_prefix k b in
+            (match bound lo with
+            | Btree.Incl b -> c b >= 0
+            | Btree.Excl b -> c b > 0
+            | Btree.Unbounded -> true)
+            &&
+            match bound hi with
+            | Btree.Incl b -> c b <= 0
+            | Btree.Excl b -> c b < 0
+            | Btree.Unbounded -> true
+          in
+          let in_window = List.filter (fun (k, _) -> admits k) entries in
+          let cursor () = Btree.cursor ~lo:(bound lo) ~hi:(bound hi) t in
+          let by_next c =
+            drain (fun () -> Option.map (fun e -> [ e ]) (Btree.next c))
+          in
+          let by_run c =
+            drain (fun () -> Option.map Array.to_list (Btree.next_run c))
+          in
+          if by_next (cursor ()) <> in_window then fail "cursor next";
+          if by_run (cursor ()) <> in_window then fail "cursor next_run";
+          (* seek back to a position captured halfway *)
+          let c = cursor () in
+          let half = List.length in_window / 2 in
+          for _ = 1 to half do
+            ignore (Btree.next c)
+          done;
+          let pos = Btree.position c in
+          ignore (by_next c);
+          Btree.seek c pos;
+          if by_next c <> List.filteri (fun i _ -> i >= half) in_window then
+            fail "seek";
+          (* the nearest separators around the leaf covering [at], by a
+             linear pass over each decoded internal node *)
+          let rec ref_window id lo hi =
+            match List.assoc id node_of with
+            | Btree.Leaf _ -> (lo, hi)
+            | Btree.Internal { seps; children } ->
+              let i =
+                List.length
+                  (List.filter (fun s -> Btree.compare_full s at <= 0) seps)
+              in
+              let lo = if i > 0 then Some (List.nth seps (i - 1)) else lo in
+              let hi =
+                if i < List.length seps then Some (List.nth seps i) else hi
+              in
+              ref_window (List.nth children i) lo hi
+          in
+          if Btree.window t at <> ref_window (Btree.root t) None None then
+            fail "window")
+        probes;
+      true)
+
+(* A malformed node is refused by name: an offset outside the content
+   area, a content end below the offsets, an old-format tag. *)
+let test_corrupt_node () =
+  let t, bp = make_tree_bp () in
+  for i = 1 to 5 do
+    ignore (insert t ~key:(k i) ~payload:(string_of_int i))
+  done;
+  let root = Btree.root t in
+  let refused what corrupt =
+    let saved =
+      Buffer_pool.with_page bp root (fun f -> Bytes.copy f.Buffer_pool.data)
+    in
+    Buffer_pool.with_page_mut bp root (fun f -> corrupt f.Buffer_pool.data);
+    (match Btree.find t ~key:(k 3) with
+    | _ -> Alcotest.failf "%s: read" what
+    | exception Failure msg ->
+      let named = Fmt.str "Btree: page %d" root in
+      Alcotest.(check string) (what ^ ": names the page") named
+        (String.sub msg 0 (min (String.length msg) (String.length named))));
+    Buffer_pool.with_page_mut bp root (fun f ->
+        Bytes.blit saved 0 f.Buffer_pool.data 0 (Bytes.length saved))
+  in
+  (* entry 2's offset past the content area (probed by the binary search) *)
+  refused "offset" (fun b -> Bytes.set_uint16_le b (9 + (2 * 2)) 0xfff0);
+  refused "content end" (fun b -> Bytes.set_uint16_le b 3 4);
+  refused "old leaf tag" (fun b -> Bytes.set_uint8 b 2 0);
+  refused "old internal tag" (fun b -> Bytes.set_uint8 b 2 1);
+  Alcotest.(check (option string)) "restored page reads" (Some "3")
+    (Btree.find t ~key:(k 3))
+
+(* A node's bytes are a prefix of its page: a write torn after the first
+   half-page (the chaos harness's torn mode) still lands a node that fits
+   in that half whole. *)
+let test_torn_half_page () =
+  let t, bp = make_tree_bp () in
+  for i = 1 to 20 do
+    ignore (insert t ~key:(k i) ~payload:(String.make 30 'a'))
+  done;
+  let root = Btree.root t in
+  let image () =
+    Buffer_pool.with_page bp root (fun f -> Bytes.copy f.Buffer_pool.data)
+  in
+  let before = image () in
+  for i = 1 to 20 do
+    ignore (replace t ~key:(k i) ~payload:(String.make 40 'b'))
+  done;
+  let after = image () in
+  let half = Bytes.length after / 2 in
+  let torn = Bytes.copy before in
+  Bytes.blit after 0 torn 0 half;
+  Alcotest.(check bool) "the node fits in half a page" true
+    (Bytes.get_uint16_le after 3 <= half);
+  Alcotest.(check bool) "the torn page holds the new node" true
+    (Btree.decode_page ~page_id:root torn
+    = Btree.decode_page ~page_id:root after)
+
+(* An ascending load through [insert_batch] fills its leaves: the rightmost
+   leaf splits at its edge, so the load takes within 5% of the pages a
+   bottom-up [build] of the same entries takes. *)
+let test_ascending_load_pages () =
+  let n = 20_000 in
+  let reckey i =
+    Record_key.rid ~page:(1 + (i / 50)) ~slot:(i mod 50)
+    |> Record_key.encode |> Bytes.to_string
+  in
+  let entries = Array.init n (fun i -> ([| vi i; vs (reckey i) |], "")) in
+  let pages load =
+    let d = Disk.in_memory () in
+    let t = Btree.create (Buffer_pool.create ~capacity:64 d) in
+    load t;
+    Alcotest.(check int) "count" n (Btree.count t);
+    Disk.page_count d
+  in
+  let built = pages (fun t -> Btree.build t entries) in
+  let loaded =
+    pages (fun t ->
+        for b = 0 to (n / 100) - 1 do
+          let batch = Array.sub entries (b * 100) 100 in
+          match Btree.insert_batch t ~log:ignore batch with
+          | Ok () -> ()
+          | Error j -> Alcotest.failf "batch halted at %d" j
+        done)
+  in
+  Alcotest.(check bool)
+    (Fmt.str "ascending load %d pages, build %d (gate: <= 1.05x)" loaded built)
+    true
+    (float_of_int loaded <= 1.05 *. float_of_int built)
 
 let suite =
   [
@@ -918,4 +1237,11 @@ let suite =
     Alcotest.test_case "build writes each page once" `Quick
       test_build_writes_once;
     QCheck_alcotest.to_alcotest prop_build;
+    QCheck_alcotest.to_alcotest prop_node_search;
+    Alcotest.test_case "a malformed node is refused by name" `Quick
+      test_corrupt_node;
+    Alcotest.test_case "a torn write keeps a half-page node whole" `Quick
+      test_torn_half_page;
+    Alcotest.test_case "ascending load fills its pages" `Quick
+      test_ascending_load_pages;
   ]

@@ -275,6 +275,45 @@ let test_reset_rebases_probes () =
         snap);
   Db.close db
 
+(* The "io" probe covers every database the process opened, not just the
+   newest: the page reads of two databases opened in turn add up. *)
+let test_io_probe_spans_databases () =
+  ignore (fresh_services ());
+  with_obs (fun () ->
+      Metrics.set_enabled true;
+      Metrics.reset ();
+      let reads_of () =
+        (* a 4-frame pool: the scan re-reads pages the inserts evicted *)
+        let db = Db.open_database ~pool_capacity:4 () in
+        ignore
+          (check_ok "work"
+             (Db.with_txn db (fun ctx ->
+                  ignore
+                    (check_ok "create"
+                       (Db.create_relation db ctx ~name:"emp_io"
+                          ~schema:emp_schema ()));
+                  for i = 1 to 300 do
+                    ignore
+                      (check_ok "insert"
+                         (Db.insert db ctx ~relation:"emp_io"
+                            (emp i (String.make 40 'n') "eng" i)))
+                  done;
+                  ignore
+                    (check_ok "q" (Db.query db ctx (Query.select "emp_io") ()));
+                  Ok ())));
+        let io = Dmx_core.Services.io_stats db.Db.services in
+        let reads = io.Dmx_page.Io_stats.page_reads in
+        Db.close db;
+        reads
+      in
+      let first = reads_of () in
+      let second = reads_of () in
+      Alcotest.(check bool) "each database read pages" true
+        (first > 0 && second > 0);
+      Alcotest.(check int) "io.page_reads counts both databases"
+        (first + second)
+        (List.assoc "io.page_reads" (Metrics.snapshot ())))
+
 (* DMX_OBS is the one telemetry switch: a comma-separated sink list. *)
 let test_dmx_obs_parsing () =
   Alcotest.(check bool) "names, case and blanks" true
@@ -299,5 +338,7 @@ let suite =
     Alcotest.test_case "plan-cache accounting" `Quick
       test_plan_cache_accounting;
     Alcotest.test_case "reset rebases probes" `Quick test_reset_rebases_probes;
+    Alcotest.test_case "io probe spans databases" `Quick
+      test_io_probe_spans_databases;
     Alcotest.test_case "DMX_OBS sink list" `Quick test_dmx_obs_parsing;
   ]
