@@ -2,7 +2,6 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
 
 (* ---- instance payloads ---- *)
@@ -56,6 +55,8 @@ let sorted entries =
 
 let field_values inst (key, _) = Array.sub key 0 (Array.length inst.fields)
 
+let pp_values = Fmt.(array ~sep:(any ",") Value.pp)
+
 (* The first sorted entry whose indexed fields repeat its predecessor's. *)
 let first_duplicate inst entries =
   let same i =
@@ -71,24 +72,24 @@ let first_duplicate inst entries =
   in
   scan 1
 
-let add_entry ctx desc name inst record reckey =
-  let vals = Record.project record inst.fields in
-  if inst.unique && Btree.prefix_present (tree ctx inst) vals then
-    Error
-      (Error.veto
-         ~attachment:(Fmt.str "unique index %S" name)
-         (Fmt.str "duplicate key (%a)"
-            Fmt.(array ~sep:(any ",") Value.pp)
-            vals))
-  else begin
-    (* an identical entry already present is left alone, unlogged *)
-    ignore
-      (Btree.set (tree ctx inst)
-         ~key:(entry_key inst record reckey)
-         ~log:(Slot.log ctx desc)
-         (Btree.if_absent ""));
-    Ok ()
-  end
+(* Add the entries of [(reckey, record)] pairs in the tree's key order
+   through {!Btree.insert_batch}: each leaf is decoded and written once per
+   run, and a unique index's duplicate is found beside the merged entries
+   in the same pass. An identical entry already present is left alone,
+   unlogged. Each leaf run is logged before its leaf is written. *)
+let insert_entries ctx desc name inst pairs =
+  let keyed = sorted (Array.map (entry_of inst) pairs) in
+  let unique_prefix =
+    if inst.unique then Some (Array.length inst.fields) else None
+  in
+  Result.map_error
+    (fun j ->
+      Error.veto
+        ~attachment:(Fmt.str "unique index %S" name)
+        (Fmt.str "duplicate key (%a)" pp_values (field_values inst keyed.(j))))
+    (Btree.insert_batch ?unique_prefix (tree ctx inst)
+       ~log:(List.iter (Slot.log ctx desc))
+       keyed)
 
 let remove_entry ctx desc inst record reckey =
   ignore
@@ -137,8 +138,7 @@ module Impl = struct
             | Some j ->
               Error
                 (Error.Constraint_violation
-                   (Fmt.str "existing records duplicate key (%a)"
-                      Fmt.(array ~sep:(any ",") Value.pp)
+                   (Fmt.str "existing records duplicate key (%a)" pp_values
                       (field_values inst entries.(j))))
             | None ->
               Btree.build btree entries;
@@ -148,40 +148,13 @@ module Impl = struct
   let drop_instance _ctx desc ~instance_name =
     Result.map snd (Slot.drop desc ~instance_name)
 
-  let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
-    Slot.each slot (fun _no name inst ->
-        add_entry ctx desc name inst record reckey)
-
-  (* Batch vector entry: sorted-batch maintenance. Entries descend into the
-     tree in full-key order, so each leaf is decoded and rewritten once per
-     run instead of once per record ({!Btree.insert_batch}), and uniqueness
-     is checked against the merged leaf's sorted neighbors in the same pass,
-     replacing the per-record tree probe. Each leaf run is logged before its
-     leaf is written. *)
+  (* Batch vector entry ([on_insert] is a batch of one). *)
   let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =
     Slot.each slot (fun _no name inst ->
-        let keyed = sorted (Array.map (entry_of inst) entries) in
-        let unique_prefix =
-          if inst.unique then Some (Array.length inst.fields) else None
-        in
-        match
-          Btree.insert_batch ?unique_prefix (tree ctx inst)
-            ~log:
-              (List.iter (fun data ->
-                   ignore
-                     (Ctx.log ctx
-                        ~source:(Log_record.Attachment (id ()))
-                        ~rel_id:desc.rel_id ~data)))
-            keyed
-        with
-        | Ok () -> Ok ()
-        | Error j ->
-          Error
-            (Error.veto
-               ~attachment:(Fmt.str "unique index %S" name)
-               (Fmt.str "duplicate key (%a)"
-                  Fmt.(array ~sep:(any ",") Value.pp)
-                  (field_values inst keyed.(j)))))
+        insert_entries ctx desc name inst entries)
+
+  let on_insert ctx desc ~slot reckey record =
+    on_insert_batch ctx desc ~slot [| (reckey, record) |]
 
   let on_delete ctx (desc : Descriptor.t) ~slot reckey record =
     Slot.each slot (fun _no _name inst ->
@@ -199,7 +172,7 @@ module Impl = struct
         if fields_unchanged && Record_key.equal old_key new_key then Ok ()
         else begin
           let* () = remove_entry ctx desc inst old_record old_key in
-          add_entry ctx desc name inst new_record new_key
+          insert_entries ctx desc name inst [| (new_key, new_record) |]
         end)
 
   let lookup ctx (desc : Descriptor.t) ~slot ~instance ~key =

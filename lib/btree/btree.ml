@@ -298,11 +298,6 @@ let descend ?from t key leaf =
   in
   go (Option.value from ~default:t.root) []
 
-let lookup entries key =
-  List.find_map
-    (fun (k, p) -> if compare_full k key = 0 then Some p else None)
-    entries
-
 let find t ~key =
   fst
     (descend t (Some key) (fun v ->
@@ -310,14 +305,6 @@ let find t ~key =
          if i < v.n && compare_at v ~prefix:false i key = 0 then
            Some (Codec.Dec.string v.d)
          else None))
-
-(* The leaf covering [key], decoded for a write: its page id, entries,
-   chain link and bytes used, and the path above it. *)
-let descend_leaf t key =
-  let (leaf_id, entries, next, used), path =
-    descend t (Some key) (fun v -> (v.page_id, leaf_entries v, v.link, v.stop))
-  in
-  (leaf_id, entries, next, used, path)
 
 (* ---- leaf writes and splits ---- *)
 
@@ -341,10 +328,10 @@ let varint_size n =
 
 let record_size k = Bytes.length (Codec.encode_record k)
 
+let payload_size p = varint_size (String.length p) + String.length p
+
 (* What a leaf entry adds to its node: its offset and its bytes. *)
-let entry_size (k, p) =
-  let len = String.length p in
-  2 + record_size k + varint_size len + len
+let entry_size (k, p) = 2 + record_size k + payload_size p
 
 (* Write a leaf's new entries, splitting it (and, through [promote], its
    ancestors on [path]) when they overflow the page. [appended]: the last
@@ -420,23 +407,6 @@ and promote t path sep new_child =
       promote t up promoted right_id
     end
 
-(* [entries] with [key] bound to [payload] ([None] removes it), and
-   whether the binding went past every old entry. *)
-let put entries key payload =
-  let bind rest =
-    match payload with Some p -> (key, p) :: rest | None -> rest
-  in
-  let rec go acc = function
-    | ((k, _) as e) :: rest ->
-      let c = compare_full key k in
-      if c > 0 then go (e :: acc) rest
-      else
-        ( List.rev_append acc (bind (if c = 0 then rest else e :: rest)),
-          false )
-    | [] -> (List.rev_append acc (bind []), payload <> None)
-  in
-  go [] entries
-
 (* ---- change images ---- *)
 
 type change = (int * Value.t array) Image.t
@@ -448,34 +418,6 @@ let enc_target e (root, key) =
 let dec_target d =
   let root = Codec.Dec.varint d in
   (root, Codec.Dec.record d)
-
-(* The change is logged once the leaf is located and the new payload known,
-   before [write_leaf] writes or allocates any page. *)
-let set t ~key ~log f =
-  let leaf_id, entries, next, _, path = descend_leaf t key in
-  Image.change enc_target ~log
-    ~read:(fun () -> lookup entries key)
-    ~write:(fun after ->
-      let entries, appended = put entries key after in
-      write_leaf ~appended t leaf_id path entries next)
-    (t.root, key) f
-
-let if_absent payload = function None -> Some payload | held -> held
-
-let undo bp data =
-  let c = Image.decode dec_target data in
-  let root, key = c.target in
-  if
-    Buffer_pool.page_live bp root
-    && Image.undo c ~set:(set (open_tree bp ~root) ~key ~log:ignore)
-  then Some c
-  else None
-
-let redo bp data =
-  let c = Image.decode dec_target data in
-  let root, key = c.target in
-  Buffer_pool.page_live bp root
-  && Image.redo c ~set:(set (open_tree bp ~root) ~key ~log:ignore)
 
 (* ---- iteration ---- *)
 
@@ -496,10 +438,19 @@ let iter t f =
   in
   walk (fst (descend t None (fun v -> v.page_id)))
 
+(* Each leaf's entry count, read from its header. *)
 let count t =
-  let n = ref 0 in
-  iter t (fun _ _ -> incr n);
-  !n
+  let rec walk page_id acc =
+    if page_id = 0 then acc
+    else
+      let n, next =
+        with_view t page_id (fun v ->
+            chain_leaf v;
+            (v.n, v.link))
+      in
+      walk next (acc + n)
+  in
+  walk (fst (descend t None (fun v -> v.page_id))) 0
 
 let height t = List.length (snd (descend t None (fun _ -> ()))) + 1
 
@@ -628,7 +579,7 @@ let seek c pos =
   c.finished <- false;
   c.leaf_hint <- 0
 
-(* ---- sorted-batch insert ---- *)
+(* ---- writes ---- *)
 
 (* The key window of the leaf below [path] (as {!descend} returns it): the
    nearest ancestor separators below (inclusive) and above (exclusive), None
@@ -662,129 +613,171 @@ let prefix_present t prefix =
   let c = cursor ~lo:(Incl prefix) ~hi:(Incl prefix) t in
   next c <> None
 
-let insert_batch ?unique_prefix t ~log entries =
-  let n = Array.length entries in
-  (* Under a unique prefix, adjacent batch entries sharing the prefix veto
-     at the second one: [limit] is the first offender (sorted input makes
-     within-batch duplicates adjacent), and nothing at or past it applies. *)
-  let limit =
-    match unique_prefix with
-    | None -> n
-    | Some p ->
-      let rec scan j =
-        if j >= n then n
-        else if equal_on p (fst entries.(j - 1)) (fst entries.(j)) then j
-        else scan (j + 1)
-      in
-      if n <= 1 then n else scan 1
+(* Whether [key]'s first [p] values are held beside its place in a leaf:
+   by [prev], the entry before it, or [next], the entry after it, each
+   [None] at the leaf's edge. Keys sharing a prefix are contiguous in key
+   order, so a holder past the edge lies beyond the leaf's [window], and the
+   separator there shares the prefix too: only then is the tree probed. *)
+let prefix_held t p ~window key ~prev ~next =
+  let eq k = equal_on p k key in
+  let beside entry edge =
+    match entry with
+    | Some k -> eq k
+    | None -> (
+      match edge (Lazy.force window) with
+      | Some s when eq s -> prefix_present t (Array.sub key 0 p)
+      | _ -> false)
   in
-  let exception Halt of int in
-  let halted = ref None in
-  (try
-     let i = ref 0 in
-     while !i < limit do
-       let key0, payload0 = entries.(!i) in
-       let leaf_id, old_entries, next, used, path = descend_leaf t key0 in
-       let lo, hi = window_of_path t path in
-       let in_leaf k =
-         match hi with None -> true | Some s -> compare_full k s < 0
-       in
-       (* the maximal run that fits in this leaf without splitting *)
-       let budget = ref (capacity t - used) in
-       let j = ref !i in
-       let stop = ref false in
-       while (not !stop) && !j < limit do
-         let (k, _) as e = entries.(!j) in
-         if not (in_leaf k) then stop := true
-         else begin
-           let sz = entry_size e in
-           if sz > !budget then stop := true
-           else begin
-             budget := !budget - sz;
-             incr j
-           end
-         end
-       done;
-       if !j = !i then begin
-         (* the leaf cannot take even one more entry: the split path *)
-         (match unique_prefix with
-         | Some p when prefix_present t (Array.sub key0 0 p) ->
-           raise (Halt !i)
-         | _ -> ());
-         ignore
-           (set t ~key:key0
-              ~log:(fun change -> log [ change ])
-              (if_absent payload0));
-         incr i
-       end
-       else begin
-         (* merge entries !i..!j-1 with the decoded leaf: one node decode,
-            one write, uniqueness checked against the sorted neighbors (a
-            prefix group is contiguous in key order, so a match not adjacent
-            to the insert position can only straddle a leaf boundary — the
-            separator carries the prefix in that case and triggers a probe) *)
-         let probe k p = prefix_present t (Array.sub k 0 p) in
-         let dup_at ~last_old ~old k =
-           match unique_prefix with
-           | None -> false
-           | Some p ->
-             let eq o = equal_on p o k in
-             (match last_old with
-             | Some o -> eq o
-             | None -> (
-               match lo with Some s when eq s -> probe k p | _ -> false))
-             ||
-             (match old with
-             | (o, _) :: _ -> eq o
-             | [] -> (
-               match hi with Some s when eq s -> probe k p | _ -> false))
-         in
-         let run =
-           List.init (!j - !i) (fun d ->
-               let k, p = entries.(!i + d) in
-               (!i + d, k, p))
-         in
-         (* [added] collects the change of each entry applied, newest
-            first *)
-         let rec merge acc added last_old run old =
-           let stop idx = (List.rev_append acc old, added, Some idx) in
-           match run, old with
-           | [], _ -> (List.rev_append acc old, added, None)
-           | (_, k, _) :: _, ((ok_, _) as o) :: otl
-             when compare_full k ok_ > 0 ->
-             merge (o :: acc) added (Some ok_) run otl
-           | (idx, k, _) :: rtl, (ok_, _) :: _ when compare_full k ok_ = 0 ->
-             (* identical entry already present: idempotent, unless the
-                caller's uniqueness covers it *)
-             if unique_prefix <> None then stop idx
-             else merge acc added last_old rtl old
-           | (idx, k, p) :: rtl, old ->
-             if dup_at ~last_old ~old k then stop idx
-             else begin
-               match acc with
-               | (ak, _) :: _ when compare_full k ak = 0 ->
-                 (* duplicate full key within the batch: keep the first *)
-                 merge acc added last_old rtl old
-               | _ ->
-                 let change =
-                   Image.encode enc_target
-                     { target = (t.root, k); before = None; after = Some p }
-                 in
-                 merge ((k, p) :: acc) (change :: added) last_old rtl old
-             end
-         in
-         let merged, added, halt = merge [] [] None run old_entries in
-         if added <> [] then begin
-           log (List.rev added);
-           write_node t leaf_id (Leaf { entries = merged; next })
-         end;
-         (match halt with Some idx -> raise (Halt idx) | None -> ());
-         i := !j
-       end
-     done;
-     if limit < n then halted := Some limit
-   with Halt idx -> halted := Some idx);
-  match !halted with None -> Ok () | Some idx -> Error idx
+  beside prev fst || beside next snd
+
+(* What binding [key] to [after] instead of [held] adds to a leaf. *)
+let size_change key held after =
+  let entry = function Some p -> entry_size (key, p) | None -> 0 in
+  match held, after with
+  | Some a, Some b -> payload_size b - payload_size a
+  | _ -> entry after - entry held
+
+let first_key = function (k, _) :: _ -> Some k | [] -> None
+
+(* A leaf being merged is [acc], its entries below the edit at hand, last
+   first, and [rest], the old entries above them. [take key acc rest] moves
+   the entries below [key] onto [acc] and takes out the payload [key]
+   holds: from [rest], or from the head of [acc] when an earlier edit of
+   the run bound it. *)
+let take key acc rest =
+  let rec seek acc = function
+    | ((k, p) as e) :: tl as rest ->
+      let c = compare_full k key in
+      if c < 0 then seek (e :: acc) tl
+      else if c = 0 then (Some p, acc, tl)
+      else below acc rest
+    | [] -> below acc []
+  and below acc rest =
+    match acc with
+    | (k, p) :: tl when compare_full k key = 0 -> (Some p, tl, rest)
+    | _ -> (None, acc, rest)
+  in
+  seek acc rest
+
+(* The one writer of leaf entries. Edit [i] of [n] binds [key i] (the
+   keys ascending) to [edit i held], [held] being the payload the key holds
+   ([None] removes the key); edits given as functions of [i] cost no
+   allocation to describe. Each run of edits landing in one leaf costs one
+   descent and one decode: the run is merged into the leaf's entries in a
+   single pass, its changes go to [log], and only then is the leaf written,
+   once. A run ends at the leaf's key window, read only when a further edit
+   follows, and before an edit that would overflow the leaf; an edit that
+   overflows it alone is written by [write_leaf], which splits. An edit
+   that changes nothing logs and writes nothing. Under [unique_prefix:p] an
+   edit whose key's first [p] values are held halts the walk with [Error
+   j]: edits before [j] are applied, [j] and later are not. A key of more
+   than [p] values is checked by {!prefix_held}; one of at most [p] is held
+   only by itself, since a tree's keys have one arity. *)
+let walk_edits ?unique_prefix t ~log n ~key:key_of ~edit =
+  let cap = capacity t in
+  let rec runs i =
+    if i >= n then Ok ()
+    else begin
+      let (leaf_id, entries, next, used), path =
+        descend t (Some (key_of i)) (fun v ->
+            (v.page_id, leaf_entries v, v.link, v.stop))
+      in
+      let window = lazy (window_of_path t path) in
+      let past_window key =
+        match snd (Lazy.force window) with
+        | Some hi -> compare_full key hi >= 0
+        | None -> false
+      in
+      let finish ?(appended = false) acc rest changes =
+        if changes <> [] then begin
+          log (List.rev changes);
+          write_leaf ~appended t leaf_id path (List.rev_append acc rest) next
+        end
+      in
+      (* [changes]: the run's, last first *)
+      let rec merge j acc rest used changes =
+        if j >= n || (j > i && past_window (key_of j)) then begin
+          finish acc rest changes;
+          runs j
+        end
+        else
+          let key = key_of j in
+          let held, acc, rest = take key acc rest in
+          let bind p acc =
+            match p with Some p -> (key, p) :: acc | None -> acc
+          in
+          let vetoed =
+            match unique_prefix with
+            | None -> false
+            | Some p ->
+              held <> None
+              || Array.length key > p
+                 && prefix_held t p ~window key ~prev:(first_key acc)
+                      ~next:(first_key rest)
+          in
+          if vetoed then begin
+            finish (bind held acc) rest changes;
+            Error j
+          end
+          else
+            let after = edit j held in
+            if Option.equal String.equal held after then
+              merge (j + 1) (bind held acc) rest used changes
+            else
+              let used = used + size_change key held after in
+              if used > cap && changes <> [] then begin
+                finish (bind held acc) rest changes;
+                runs j
+              end
+              else
+                let changes =
+                  Image.encode enc_target
+                    { target = (t.root, key); before = held; after }
+                  :: changes
+                in
+                if used > cap then begin
+                  finish ~appended:(held = None && rest = []) (bind after acc)
+                    rest changes;
+                  runs (j + 1)
+                end
+                else merge (j + 1) (bind after acc) rest used changes
+      in
+      merge i [] entries used []
+    end
+  in
+  runs 0
+
+let set t ~key ~log f =
+  let before = ref None in
+  ignore
+    (walk_edits t ~log:(List.iter log) 1
+       ~key:(fun _ -> key)
+       ~edit:(fun _ held ->
+         before := held;
+         f held));
+  !before
+
+let if_absent payload = function None -> Some payload | held -> held
+
+let insert_batch ?unique_prefix t ~log entries =
+  walk_edits ?unique_prefix t ~log (Array.length entries)
+    ~key:(fun i -> fst entries.(i))
+    ~edit:(fun i held -> if_absent (snd entries.(i)) held)
+
+let undo bp data =
+  let c = Image.decode dec_target data in
+  let root, key = c.target in
+  if
+    Buffer_pool.page_live bp root
+    && Image.undo c ~set:(set (open_tree bp ~root) ~key ~log:ignore)
+  then Some c
+  else None
+
+let redo bp data =
+  let c = Image.decode dec_target data in
+  let root, key = c.target in
+  Buffer_pool.page_live bp root
+  && Image.redo c ~set:(set (open_tree bp ~root) ~key ~log:ignore)
 
 (* ---- bottom-up build ---- *)
 

@@ -69,10 +69,11 @@ type change = (int * Value.t array) Dmx_value.Image.t
 val set :
   t -> key:Value.t array -> log:(string -> unit) ->
   (string option -> string option) -> string option
-(** [set t ~key ~log f] is the one single-key mutator: one descent finds
-    the payload held under [key] ([before]), [f before] gives the new one
-    ([None] deletes): the tree's {!Dmx_value.Image.change}. Returns
-    [before]. *)
+(** [set t ~key ~log f] changes one key: one descent finds the payload held
+    under [key] ([before]), [f before] gives the new one ([None] deletes).
+    A change is logged, then its leaf written (split when it overflows);
+    an unchanged payload logs and writes nothing. Returns [before]. [set]
+    and {!insert_batch} are one writer: [set] is a run of one edit. *)
 
 val if_absent : string -> string option -> string option
 (** [set]'s function for insert-if-absent: keeps a held payload, else adds
@@ -85,17 +86,22 @@ val prefix_present : t -> Value.t array -> bool
 val insert_batch :
   ?unique_prefix:int -> t -> log:(string list -> unit) ->
   (Value.t array * string) array -> (unit, int) result
-(** Sorted-batch insert: [entries] must be ascending in key order. Each
-    maximal run of entries landing in one leaf is merged with a single node
-    decode and a single write, so the per-node codec cost of {!set}
-    amortizes over the run; [log] receives the changes of the entries the
-    run applies before the leaf is written. An entry that would split its
-    leaf falls back to {!set}. [unique_prefix:p] vetoes an entry whose first
-    [p] key values match an existing entry or an earlier batch entry: the
-    batch halts with [Error j] — entries before index [j] are applied, [j]
-    and later are not. Without it, an entry whose full key is present (or
-    repeats an earlier batch entry) is skipped, unlogged, and the result is
-    [Ok ()]. *)
+(** Sorted-batch insert, each entry by {!if_absent}: [entries] must be
+    ascending in key order. Each run of entries landing in one leaf costs
+    one descent and one decode; the run is merged into the leaf in one
+    pass, [log] receives the changes it applies, and only then is the leaf
+    written, once. A run ends at the leaf's key window and before an entry
+    that would overflow the leaf; an entry that overflows it alone splits
+    it, and the rightmost leaf then splits at its edge. [unique_prefix:p]
+    vetoes an entry whose first [p] key values match an existing entry or
+    an earlier batch entry, decided against the entry's neighbours in the
+    merge (a separator sharing the prefix at the leaf's edge adds a
+    {!prefix_present} probe; a key of at most [p] values, in a tree whose
+    keys have one arity, is matched only by itself): the batch halts with
+    [Error j] — entries
+    before index [j] are applied, [j] and later are not. Without it, an
+    entry whose full key is present (or repeats an earlier batch entry) is
+    skipped, unlogged, and the result is [Ok ()]. *)
 
 val build : t -> (Value.t array * string) array -> unit
 (** [build t entries] fills a freshly created, empty tree bottom-up, the
@@ -118,7 +124,8 @@ val redo : Dmx_page.Buffer_pool.t -> string -> bool
 
 val find : t -> key:Value.t array -> string option
 val count : t -> int
-(** Number of entries (walks the leaves). *)
+(** Number of entries: the sum of the leaves' entry counts, read from each
+    leaf's header along the chain. *)
 
 val height : t -> int
 

@@ -129,6 +129,21 @@ let make_reusable page s =
     if off = dead then set_slot_entry page s ~off:dead ~len:0
   end
 
+(* The released tombstones after slot [s] that end the directory. An
+   undone insert into a fresh slot leaves one there; a write to [s] that
+   lacks room takes their directory bytes back ([trim]), so undo finds the
+   room the page had before that insert. *)
+let released_tail page s =
+  let n = slot_count page in
+  let rec first i =
+    if i > s + 1 && entry_off page (i - 1) = dead && entry_len page (i - 1) = 0
+    then first (i - 1)
+    else i
+  in
+  n - first n
+
+let trim page s = set_slot_count page (slot_count page - released_tail page s)
+
 let insert_at page s payload =
   let n = slot_count page in
   if s < 0 || s > n || (s < n && fst (slot_entry page s) <> dead) then false
@@ -136,6 +151,7 @@ let insert_at page s payload =
     let len = String.length payload in
     let dir_cost = if s = n then slot_size else 0 in
     let room () = data_start page - dir_end page - dir_cost in
+    if room () < len then trim page s;
     if room () < len && garbage page > 0 then compact page;
     if room () < len then false
     else begin
@@ -179,8 +195,9 @@ let update page s payload =
           set_data_start page off;
           set_slot_entry page s ~off ~len:n
         in
-        let room = data_start page - dir_end page in
-        if room < new_len then begin
+        let room () = data_start page - dir_end page in
+        if room () < new_len then trim page s;
+        if room () < new_len then begin
           put original;
           false
         end
@@ -195,6 +212,7 @@ let fits ?(reserved = 0) page s payload =
   let held = match payload_span page s with Some (_, len) -> len | None -> 0 in
   let room =
     data_start page - dir_end page - (if s = n then slot_size else 0) + held
+    + (slot_size * released_tail page s)
   in
   let len = String.length payload in
   s >= 0 && s <= n && (len <= held || len <= room + garbage page - reserved)

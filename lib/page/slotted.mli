@@ -60,7 +60,11 @@ val make_reusable : bytes -> slot -> unit
 
 val insert_at : bytes -> slot -> string -> bool
 (** Occupy a specific dead slot (undo of delete), or slot [slot_count] as a
-    new one. [false] when the slot is live or the payload no longer fits. *)
+    new one. [false] when the slot is live or the payload no longer fits.
+    Short of room, it and {!update} first drop the released tombstones after
+    the slot that end the directory: an undone insert into a fresh slot
+    leaves one there, and its directory bytes are part of the room the
+    page had before that insert. *)
 
 val fits : ?reserved:int -> bytes -> slot -> string -> bool
 (** Whether {!set} of this payload into the slot succeeds, in place or

@@ -105,31 +105,21 @@ module Impl = struct
     ignore rel_id;
     ignore smethod_desc
 
-  let insert ctx (desc : Descriptor.t) record =
-    let bd = bdesc_of desc in
-    let key = key_of bd record in
-    let tree = tree_of ctx bd in
-    match
-      Btree.set tree ~key ~log:(log ctx desc.rel_id)
-        (Btree.if_absent (payload_of record))
-    with
-    | Some _ -> duplicate key
-    | None ->
-      Btree.add_advisory_count tree 1;
-      Ok (Record_key.fields key)
-
-  (* Batch vector entry: the records enter the tree in key order, each
-     leaf decoded and written once per run ({!Btree.insert_batch}); a key
-     already stored or repeated in the batch refuses it. The count moves
-     once, by the entries applied, so the rollback of a refused batch brings
-     it back. *)
+  (* Insert, one record or many (registered as the batch vector entry;
+     [insert] is a batch of one): the records enter the tree in key order,
+     each leaf decoded and written once per run ({!Btree.insert_batch}); a
+     key already stored or repeated in the batch refuses it. The count
+     moves once, by the entries applied, so the rollback of a refused batch
+     brings it back. *)
   let insert_batch ctx (desc : Descriptor.t) records =
     let bd = bdesc_of desc in
     let entries = Array.map (fun r -> (key_of bd r, payload_of r)) records in
     let keys = Array.map (fun (k, _) -> Record_key.fields k) entries in
     Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) entries;
     let tree = tree_of ctx bd in
-    let stored applied = Btree.add_advisory_count tree applied in
+    let stored applied =
+      if applied > 0 then Btree.add_advisory_count tree applied
+    in
     match
       Btree.insert_batch
         ~unique_prefix:(Array.length bd.key_fields)
@@ -143,6 +133,9 @@ module Impl = struct
     | Error j ->
       stored j;
       duplicate (fst entries.(j))
+
+  let insert ctx desc record =
+    Result.map (fun keys -> keys.(0)) (insert_batch ctx desc [| record |])
 
   let fields_key = function
     | Record_key.Fields k -> Some k

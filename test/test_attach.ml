@@ -634,6 +634,96 @@ let test_unique_lookup_pins_height () =
     [ 0; 1; 1234; 2999 ];
   Services.commit services ctx
 
+(* The tree of btree_index instance [no] of [desc], read from the
+   descriptor slot, where each instance is its number, name, indexed
+   fields, unique flag and root. *)
+let index_tree ctx desc no =
+  let at_id = Option.get (Registry.attachment_id "btree_index") in
+  let slot = Option.get (Dmx_catalog.Descriptor.attachment_desc desc at_id) in
+  let roots =
+    Codec.Dec.list (Codec.Dec.of_string slot) (fun d ->
+        let no = Codec.Dec.varint d in
+        ignore (Codec.Dec.string d);
+        ignore (Codec.Dec.list d Codec.Dec.varint);
+        ignore (Codec.Dec.bool d);
+        (no, Codec.Dec.varint d))
+  in
+  Dmx_btree.Btree.open_tree ctx.Ctx.bp ~root:(List.assoc no roots)
+
+(* A unique index's single-row insert is vetoed when the entry holding its
+   field value sits in the neighbouring leaf: the last entry of the left
+   leaf, or the first entry of the right one. Over a B-tree-organised
+   relation an entry's key is the name, then the encoded [id]; names of
+   400 bytes put about nine entries in a leaf. *)
+let test_unique_veto_across_leaves () =
+  let module Btree = Dmx_btree.Btree in
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"btree" ~attrs:[ ("key", "id") ] ())
+  in
+  check_ok "index"
+    (Ddl.create_attachment ctx ~relation:"t" ~attachment_type:"btree_index"
+       ~name:"u" ~attrs:[ ("fields", "name"); ("unique", "true") ] ());
+  let name i = Fmt.str "%03d%s" i (String.make 400 'n') in
+  let row id i = emp id (name i) "d" id in
+  for i = 1 to 40 do
+    ignore (check_ok "ins" (Relation.insert ctx desc (row i i)))
+  done;
+  let tree = index_tree ctx desc 1 in
+  let reckey id =
+    Dmx_attach.Attach_util.encode_reckey_value (Record_key.fields [| vi id |])
+  in
+  let key i id = [| vs (name i); reckey id |] in
+  (* rows 2..40 whose entry opens its leaf and is its left separator *)
+  let opens =
+    List.filter
+      (fun i -> fst (Btree.window tree (key i i)) = Some (key i i))
+      (List.init 39 (fun i -> i + 2))
+  in
+  let x, x2 =
+    match opens with
+    | x :: x2 :: _ -> (x, x2)
+    | _ -> Alcotest.fail "fewer than three leaves"
+  in
+  (* an id from [from] on whose entry sorts below row [i]'s under the same
+     name *)
+  let below ~from i =
+    List.find
+      (fun id -> Value.compare (reckey id) (reckey i) < 0)
+      (List.init 1000 (fun j -> from + j))
+  in
+  let vetoed what id i =
+    (match Relation.insert ctx desc (row id i) with
+    | Error (Error.Veto _) -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e));
+    Alcotest.(check bool) (what ^ ": no record") true
+      (Relation.fetch ctx desc (Record_key.fields [| vi id |]) () = Ok None)
+  in
+  (* left: row [x] leaves, its separator stays; [y] takes its name below
+     the separator, the last entry of the left leaf. An entry at or above
+     the separator opens the right leaf. *)
+  ignore
+    (check_ok "delete"
+       (Relation.delete ctx desc (Record_key.fields [| vi x |])));
+  let y = below ~from:1000 x in
+  ignore (check_ok "y" (Relation.insert ctx desc (row y x)));
+  Alcotest.(check bool) "y ends the left leaf" true
+    (snd (Btree.window tree (key x y)) = Some (key x x));
+  vetoed "held by the left leaf's last entry" x x;
+  (* right: row [x2] opens its leaf; an entry under its name below it
+     ends the left leaf *)
+  let z = below ~from:3000 x2 in
+  Alcotest.(check bool) "z would end the left leaf" true
+    (snd (Btree.window tree (key x2 z)) = Some (key x2 x2));
+  vetoed "held by the right leaf's first entry" z x2;
+  ignore
+    (check_ok "a new name" (Relation.insert ctx desc (row 5000 (x2 + 100))));
+  Services.commit services ctx
+
 let suite =
   [
     Alcotest.test_case "multiple instances in one slot" `Quick
@@ -656,4 +746,6 @@ let suite =
       test_unique_lookup_pins_height;
     Alcotest.test_case "building attachments from existing records" `Quick
       test_index_build_from_existing;
+    Alcotest.test_case "unique veto across a leaf edge" `Quick
+      test_unique_veto_across_leaves;
   ]

@@ -201,6 +201,30 @@ let prop_btree =
     ~count:15 arb_steps
     (run_model ~storage_method:"btree" ~attrs:[ ("key", "id") ] ~buckets:1)
 
+(* A savepoint rollback must find the bytes of every record it reinstates.
+   An undone insert used to leave its slot in the page's directory, so a
+   page that was full before a delete came back 4 bytes short per undone
+   insert when that delete was undone. The steps are a failing case of
+   [prop_heap], shrunk: the last rollback reinstates a deleted record on a
+   page whose directory ended in released slots. *)
+let test_rollback_reinstates () =
+  ignore
+    (run_model ~storage_method:"heap" ~attrs:[] ~buckets:8
+       [
+         Savepoint; Add 2; Update (630, 4); Add 5; Remove 0; Add 0; Remove 6;
+         Rollback; Add 1; Remove 9; Add 3; Add 3; Remove 3; Add 5; Add 3;
+         Add 5; Add 1; Add 4; Remove 910; Add 4; Add 5; Add 3; Add 5; Add 4;
+         Add 3; Add 3; Add 4; Remove 92; Remove 7; Remove 2; Remove 865;
+         Add 0; Add 5; Add 3; Add 2; Add 1; Add 0; Add 2; Add 4; Add 5; Add 4;
+         Update (53, 3); Add 1; Add 0; Add 5; Add 4; Remove 8; Add 1;
+         Savepoint; Remove 354; Remove 8; Add 0; Add 1; Add 2; Rollback;
+         Remove 718; Savepoint; Remove 8; Rollback; Add 3; Add 3; Remove 4;
+         Remove 54; Savepoint; Add 0; Add 2; Add 1; Update (16, 1); Add 1;
+         Update (435, 5); Add 5; Remove 0; Remove 4; Savepoint; Remove 1;
+         Rollback; Remove 566; Add 0; Add 4; Add 1; Add 1; Add 1;
+         Update (879, 5); Add 1; Rollback
+       ])
+
 (* Short rows put more than 128 records on a heap page, so record keys
    take two-byte slot varints; 10 depts over 4 logical buckets give
    single-bucket pages with overflow chains. *)
@@ -629,4 +653,6 @@ let suite =
       test_undo_split;
     Alcotest.test_case "a catalog from before directory pages is refused"
       `Quick test_old_catalog_refused;
+    Alcotest.test_case "savepoint rollback reinstates into a full page"
+      `Quick test_rollback_reinstates;
   ]

@@ -343,6 +343,35 @@ let test_btree_org_insert_many () =
     (check_ok "count" (Relation.record_count ctx desc));
   Services.commit services ctx
 
+(* A single-row insert is a batch of one: a stored key is refused with
+   [Duplicate_key], and neither the records nor the count move. *)
+let test_btree_org_insert_duplicate () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+         ~storage_method:"btree" ~attrs:[ ("key", "id") ] ())
+  in
+  for i = 1 to 300 do
+    ignore (check_ok "ins" (Relation.insert ctx desc (emp i "x" "d" i)))
+  done;
+  let state () =
+    (all_records ctx desc, check_ok "count" (Relation.record_count ctx desc))
+  in
+  let loaded = state () in
+  List.iter
+    (fun i ->
+      (match Relation.insert ctx desc (emp i "other" "e" 0) with
+      | Error (Error.Duplicate_key _) -> ()
+      | Ok _ -> Alcotest.failf "key %d: accepted" i
+      | Error e -> Alcotest.failf "key %d: %s" i (Error.to_string e));
+      Alcotest.(check bool) (Fmt.str "key %d: relation unchanged" i) true
+        (state () = loaded))
+    [ 1; 150; 300 ];
+  Alcotest.(check int) "count" 300 (snd loaded);
+  Services.commit services ctx
+
 let test_create_bad_attrs () =
   let services = fresh_services () in
   let ctx = Services.begin_txn services in
@@ -818,4 +847,6 @@ let suite =
     Alcotest.test_case "btree-organised insert_many" `Quick
       test_btree_org_insert_many;
     Alcotest.test_case "DDL attribute validation" `Quick test_create_bad_attrs;
+    Alcotest.test_case "btree-organised single-row duplicate" `Quick
+      test_btree_org_insert_duplicate;
   ]
