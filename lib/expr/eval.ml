@@ -219,24 +219,29 @@ let test ?(params = no_params) record e = eval_t params record e = True
    unexpected tag) makes the matcher return [None]: the caller must fall
    back to materializing the record and evaluating the predicate on it.
 
-   It runs per record in the innermost scan loop and allocates nothing:
-   one loop reads the fields, with its read position and verdict in local
-   variables that no closure or call captures, and its helpers below are
-   top-level functions that return ints and bools. *)
+   The matcher is staged: built once per call, it is a chain of closures,
+   one per field up to the last field the predicate reads. A stage takes
+   the payload, the position of its field's tag and the payload's end,
+   steps over the field, tests it if the predicate reads it, and hands the
+   next position to the next stage; past the last stage the record
+   qualifies. A field with one int or one string conjunct gets a stage
+   whose comparison operator was resolved when it was built: an int is
+   compared with [String.get_int64_le] against the [int64] constant, a
+   string in place by a comparison closure resolved the same way. Any other
+   read field (a float or bool, or several conjuncts) runs its checks in
+   [span_checks]. Per record, the chain allocates nothing: positions are
+   ints passed from stage to stage, and a length whose varint takes more
+   than one byte is read in two passes rather than returned as a pair. *)
 
 type span_check =
   | Sc_int of Expr.cmp * int64
   | Sc_float of Expr.cmp * float
-  | Sc_string of Expr.cmp * string
+  | Sc_string of (string -> int -> int -> bool)
+    (* whether [s.[pos .. pos+len-1]] satisfies the conjunct *)
   | Sc_bool of Expr.cmp * bool
 
-(* Per-field matcher step, specialized from the [span_check]s on the field. *)
-type span_field =
-  | Sf_skip
-  | Sf_int of Expr.cmp * int * int
-    (* operator, constant split as (signed high 32, unsigned low 32) *)
-  | Sf_string of Expr.cmp * string
-  | Sf_checks of span_check list
+(* A matcher stage: payload, position of a field's tag, payload end. *)
+type stage = string -> int -> int -> bool
 
 exception Span_unsupported
 
@@ -254,6 +259,38 @@ let holds (op : Expr.cmp) c =
    against [limit], the end of the payload. *)
 let byte s p = Char.code (String.unsafe_get s p)
 
+(* The position just past the LEB128 varint at [p]. *)
+let rec varint_stop s p limit =
+  if p >= limit then raise Exit
+  else if byte s p < 0x80 then p + 1
+  else varint_stop s (p + 1) limit
+
+(* The value of the varint at [p], whose end [varint_stop] has checked;
+   accumulated as [Codec.Dec.varint] does, overflow included. *)
+let rec varint_value s p shift acc =
+  let b = byte s p in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else varint_value s (p + 1) (shift + 7) acc
+
+(* The start of the bytes of the string whose length varint is at [q]. *)
+let string_start s q limit =
+  if q >= limit then raise Exit
+  else if byte s q < 0x80 then q + 1
+  else varint_stop s q limit
+
+(* The position just past the field whose tag is at [p]. *)
+let field_end s p limit =
+  if p >= limit then raise Exit;
+  match byte s p with
+  | 0 -> p + 1
+  | 1 -> if p + 2 > limit then raise Exit else p + 2
+  | 2 | 3 -> if p + 9 > limit then raise Exit else p + 9
+  | 4 ->
+    let start = string_start s (p + 1) limit in
+    let n = varint_value s (p + 1) 0 0 in
+    if n < 0 || n > limit - start then raise Exit else start + n
+  | _ -> raise Exit
+
 (* String.compare, but the left operand is [s.[pos .. pos+len-1]]; [k]
    bytes of both are already equal. *)
 let rec span_str_cmp_from s pos len const k =
@@ -262,41 +299,22 @@ let rec span_str_cmp_from s pos len const k =
     let c = Char.compare (String.unsafe_get s (pos + k)) (String.unsafe_get const k) in
     if c <> 0 then c else span_str_cmp_from s pos len const (k + 1)
 
-(* Whether [s.[pos .. pos+len-1]] [op] [const] holds; equality needs
-   equal lengths before any byte is compared. *)
-let span_str_holds op s pos len const =
-  match (op : Expr.cmp) with
-  | Eq -> len = String.length const && span_str_cmp_from s pos len const 0 = 0
-  | Ne -> len <> String.length const || span_str_cmp_from s pos len const 0 <> 0
-  | _ -> holds op (span_str_cmp_from s pos len const 0)
+(* [s.[pos .. pos+len-1]] [op] [y], the operator resolved here; equality
+   needs equal lengths before any byte is compared. *)
+let str_test (op : Expr.cmp) y =
+  let ny = String.length y in
+  match op with
+  | Eq -> fun s pos len -> len = ny && span_str_cmp_from s pos len y 0 = 0
+  | Ne -> fun s pos len -> len <> ny || span_str_cmp_from s pos len y 0 <> 0
+  | Lt -> fun s pos len -> span_str_cmp_from s pos len y 0 < 0
+  | Le -> fun s pos len -> span_str_cmp_from s pos len y 0 <= 0
+  | Gt -> fun s pos len -> span_str_cmp_from s pos len y 0 > 0
+  | Ge -> fun s pos len -> span_str_cmp_from s pos len y 0 >= 0
 
-(* [Int64.compare] of the little-endian int64 at [s.[q .. q+7]] with a
-   constant split as (signed high 32, unsigned low 32) words, compared
-   lexicographically without building an [int64]. *)
-let[@inline] span_int_cmp s q yhi ylo =
-  let lo =
-    byte s q
-    lor (byte s (q + 1) lsl 8)
-    lor (byte s (q + 2) lsl 16)
-    lor (byte s (q + 3) lsl 24)
-  in
-  let hi_raw =
-    byte s (q + 4)
-    lor (byte s (q + 5) lsl 8)
-    lor (byte s (q + 6) lsl 16)
-    lor (byte s (q + 7) lsl 24)
-  in
-  let hi = if hi_raw >= 0x8000_0000 then hi_raw - 0x1_0000_0000 else hi_raw in
-  if hi < yhi then -1
-  else if hi > yhi then 1
-  else if lo < ylo then -1
-  else if lo > ylo then 1
-  else 0
-
-(* Whether every conjunct of an [Sf_checks] field holds on the value of tag
-   [tag] at [q]: a 64-bit scalar (tag 2 int, tag 3 float), a bool (tag 1),
-   or the string [s.[q .. q+slen-1]] (tag 4). A conjunct of another type
-   than the value raises [Exit]. *)
+(* Whether every conjunct of a field holds on the value of tag [tag] at
+   [q]: a 64-bit scalar (tag 2 int, tag 3 float), a bool (tag 1), or the
+   string [s.[q .. q+slen-1]] (tag 4). A conjunct of another type than the
+   value raises [Exit]. *)
 let rec span_checks s tag q slen = function
   | [] -> true
   | c :: cs ->
@@ -308,10 +326,102 @@ let rec span_checks s tag q slen = function
       | Sc_bool (op, y), 1 ->
         let x = match byte s q with 0 -> false | 1 -> true | _ -> raise Exit in
         holds op (Bool.compare x y)
-      | Sc_string (op, y), 4 -> span_str_holds op s q slen y
+      | Sc_string t, 4 -> t s q slen
       | _ -> raise Exit
     in
     ok && span_checks s tag q slen cs
+
+(* Each stage first tries the common case inline: a value of the field's
+   declared type, a string with a one-byte length, within [limit]. Anything
+   else (NULL, a long string, a deviation) leaves by a tail call to a
+   general path, so the common case calls nothing but a string stage's
+   comparison and the next stage. *)
+
+let skip_slow (k : stage) s p limit = k s (field_end s p limit) limit
+
+(* A field the predicate does not read, of declared type [ty]. *)
+let skip_stage (ty : Value.ty) (k : stage) : stage =
+  match ty with
+  | Tint | Tfloat ->
+    let tag = if ty = Tint then 2 else 3 in
+    fun s p limit ->
+      if p + 9 <= limit && byte s p = tag then k s (p + 9) limit
+      else skip_slow k s p limit
+  | Tbool ->
+    fun s p limit ->
+      if p + 2 <= limit && byte s p = 1 then k s (p + 2) limit
+      else skip_slow k s p limit
+  | Tstring ->
+    fun s p limit ->
+      let n = if p + 1 < limit && byte s p = 4 then byte s (p + 1) else 0x80 in
+      if n < 0x80 && n <= limit - p - 2 then k s (p + 2 + n) limit
+      else skip_slow k s p limit
+
+(* False for a NULL at [p] (UNKNOWN, never TRUE); [Exit] for anything
+   else. *)
+let null_or_exit s p limit =
+  if p < limit && byte s p = 0 then false else raise Exit
+
+(* The common case of an int field: tag 2 and 8 bytes before [limit]. *)
+let[@inline] int_at s p limit = p + 9 <= limit && byte s p = 2
+
+let int_stage (op : Expr.cmp) (y : int64) (k : stage) : stage =
+  match op with
+  | Eq ->
+    fun s p limit ->
+      if int_at s p limit then
+        String.get_int64_le s (p + 1) = y && k s (p + 9) limit
+      else null_or_exit s p limit
+  | Ne ->
+    fun s p limit ->
+      if int_at s p limit then
+        String.get_int64_le s (p + 1) <> y && k s (p + 9) limit
+      else null_or_exit s p limit
+  | Lt ->
+    fun s p limit ->
+      if int_at s p limit then
+        String.get_int64_le s (p + 1) < y && k s (p + 9) limit
+      else null_or_exit s p limit
+  | Le ->
+    fun s p limit ->
+      if int_at s p limit then
+        String.get_int64_le s (p + 1) <= y && k s (p + 9) limit
+      else null_or_exit s p limit
+  | Gt ->
+    fun s p limit ->
+      if int_at s p limit then
+        String.get_int64_le s (p + 1) > y && k s (p + 9) limit
+      else null_or_exit s p limit
+  | Ge ->
+    fun s p limit ->
+      if int_at s p limit then
+        String.get_int64_le s (p + 1) >= y && k s (p + 9) limit
+      else null_or_exit s p limit
+
+(* A string field that is NULL, has a length of more than one byte, or
+   deviates. *)
+let string_slow test (k : stage) s p limit =
+  if p + 1 < limit && byte s p = 4 then
+    let e = field_end s p limit in
+    let start = string_start s (p + 1) limit in
+    test s start (e - start) && k s e limit
+  else null_or_exit s p limit
+
+let string_stage test (k : stage) : stage =
+ fun s p limit ->
+  let n = if p + 1 < limit && byte s p = 4 then byte s (p + 1) else 0x80 in
+  if n < 0x80 && n <= limit - p - 2 then test s (p + 2) n && k s (p + 2 + n) limit
+  else string_slow test k s p limit
+
+let checks_stage cs (k : stage) : stage =
+ fun s p limit ->
+  let e = field_end s p limit in
+  match byte s p with
+  | 0 -> false
+  | 4 ->
+    let start = string_start s (p + 1) limit in
+    span_checks s 4 start (e - start) cs && k s e limit
+  | tag -> span_checks s tag (p + 1) 0 cs && k s e limit
 
 let compile_span schema e =
   let arity = Schema.arity schema in
@@ -327,7 +437,7 @@ let compile_span schema e =
         match c, Schema.field_ty schema i with
         | Value.Int y, Value.Tint -> Sc_int (op, y)
         | Value.Float y, Value.Tfloat -> Sc_float (op, y)
-        | Value.String y, Value.Tstring -> Sc_string (op, y)
+        | Value.String y, Value.Tstring -> Sc_string (str_test op y)
         | Value.Bool y, Value.Tbool -> Sc_bool (op, y)
         | _ -> raise Span_unsupported
       in
@@ -339,109 +449,32 @@ let compile_span schema e =
   | checks ->
     let by_field = Array.make arity [] in
     List.iter (fun (i, c) -> by_field.(i) <- c :: by_field.(i)) checks;
-    (* Specialize the dominant shapes — one Int or one String conjunct per
-       field — so the per-record loop compares without boxing; Int constants
-       are pre-split into (signed high, unsigned low) 32-bit words and
-       compared lexicographically, which is [Int64.compare] without
-       allocating an [int64]. *)
-    let plan =
-      Array.map
-        (fun cs ->
-          match cs with
-          | [] -> Sf_skip
-          | [ Sc_int (op, y) ] ->
-            Sf_int
-              ( op,
-                Int64.to_int (Int64.shift_right y 32),
-                Int64.to_int (Int64.logand y 0xFFFF_FFFFL) )
-          | [ Sc_string (op, y) ] -> Sf_string (op, y)
-          | cs -> Sf_checks cs)
-        by_field
+    let last = List.fold_left (fun l (i, _) -> max l i) 0 checks in
+    let rec chain i : stage =
+      if i > last then fun _ _ _ -> true
+      else
+        let k = chain (i + 1) in
+        match by_field.(i) with
+        | [] -> skip_stage (Schema.field_ty schema i) k
+        | [ Sc_int (op, y) ] -> int_stage op y k
+        | [ Sc_string test ] -> string_stage test k
+        | cs -> checks_stage cs k
     in
-    let last =
-      let l = ref 0 in
-      Array.iteri
-        (fun i c -> match c with Sf_skip -> () | _ -> l := i)
-        plan;
-      !l
-    in
-    (* The matcher reads the [Codec] wire format directly (tag byte, LEB128
-       varints, little-endian 64-bit scalars, length-prefixed strings) in
-       one loop whose read position [p] and verdict [keep] are locals no
-       closure or call captures, so they stay out of the heap. Any shape
-       deviation — truncation, width drift, a tag that is not the declared
-       type — raises [Exit] and reports [None]: the caller materializes the
-       record, which re-raises the decoder's own error on truly malformed
-       input. *)
+    let first = chain 0 in
+    (* The field count, a varint, must be the schema's arity. A truncated
+       or off-schema payload raises [Exit] in some stage and reports [None]:
+       the caller materializes the record, which re-raises the decoder's
+       own error on truly malformed input. *)
     Some
       (fun s ~pos ~len ->
         let limit = pos + len in
         match
-          let p = ref pos in
-          (* field count, a LEB128 varint *)
-          if pos >= limit then raise Exit;
-          let count = ref (byte s pos) in
-          incr p;
-          if !count >= 0x80 then begin
-            count := !count land 0x7f;
-            let shift = ref 7 and more = ref true in
-            while !more do
-              if !p >= limit then raise Exit;
-              let b = byte s !p in
-              incr p;
-              count := !count lor ((b land 0x7f) lsl !shift);
-              shift := !shift + 7;
-              more := b >= 0x80
-            done
-          end;
-          if !count <> arity then raise Exit;
-          let keep = ref true and i = ref 0 in
-          while !keep && !i <= last do
-            if !p >= limit then raise Exit;
-            let tag = byte s !p in
-            let q = !p + 1 in
-            (* step [p] past the value; a string's bytes are [q, q+slen) *)
-            let slen = ref 0 in
-            (match tag with
-            | 0 -> p := q
-            | 1 -> if q >= limit then raise Exit else p := q + 1
-            | 2 | 3 -> if q + 8 > limit then raise Exit else p := q + 8
-            | 4 ->
-              if q >= limit then raise Exit;
-              slen := byte s q;
-              let r = ref (q + 1) in
-              if !slen >= 0x80 then begin
-                slen := !slen land 0x7f;
-                let shift = ref 7 and more = ref true in
-                while !more do
-                  if !r >= limit then raise Exit;
-                  let b = byte s !r in
-                  incr r;
-                  slen := !slen lor ((b land 0x7f) lsl !shift);
-                  shift := !shift + 7;
-                  more := b >= 0x80
-                done
-              end;
-              if !slen < 0 || !slen > limit - !r then raise Exit;
-              p := !r + !slen
-            | _ -> raise Exit);
-            (match plan.(!i) with
-            | Sf_skip -> ()
-            | Sf_int (op, yhi, ylo) ->
-              if tag = 0 then keep := false (* NULL: UNKNOWN, never TRUE *)
-              else if tag <> 2 then raise Exit
-              else keep := holds op (span_int_cmp s q yhi ylo)
-            | Sf_string (op, y) ->
-              if tag = 0 then keep := false
-              else if tag <> 4 then raise Exit
-              else keep := span_str_holds op s (!p - !slen) !slen y
-            | Sf_checks cs ->
-              if tag = 0 then keep := false
-              else if tag = 4 then keep := span_checks s tag (!p - !slen) !slen cs
-              else keep := span_checks s tag q 0 cs);
-            incr i
-          done;
-          !keep
+          if arity < 0x80 && pos < limit && byte s pos = arity then
+            first s (pos + 1) limit
+          else
+            let p = varint_stop s pos limit in
+            if varint_value s pos 0 0 <> arity then raise Exit;
+            first s p limit
         with
         | true -> Some true
         | false -> Some false

@@ -15,8 +15,20 @@ type ops = {
    sequential scan's misses are one [read] each. A transfer sets the offset
    unknown before it starts and records the new one only once it is
    complete, so an exception leaves it unknown and the next transfer
-   seeks. *)
-type file = { fd : Unix.file_descr; mutable at : int }
+   seeks.
+
+   The read-ahead window: [ahead] holds [ahead_n] pages starting at page
+   [ahead_first], as the file held them when they were read or as a later
+   write of this store left them. [last_read] is the page the last [read]
+   returned, [0] when the last operation was not a read. *)
+type file = {
+  fd : Unix.file_descr;
+  mutable at : int;
+  ahead : bytes;
+  mutable ahead_first : int;
+  mutable ahead_n : int;
+  mutable last_read : int;
+}
 
 type backend =
   | Mem of bytes array ref
@@ -65,6 +77,7 @@ let header_bytes t =
   b
 
 let m_seeks = Dmx_obs.Metrics.counter "disk.seeks"
+let m_read_calls = Dmx_obs.Metrics.counter "disk.read_calls"
 
 let seek f off =
   let at = f.at in
@@ -74,11 +87,12 @@ let seek f off =
     ignore (Unix.LargeFile.lseek f.fd (Int64.of_int off) Unix.SEEK_SET)
   end
 
-let really_pread f ~off buf =
-  let n = Bytes.length buf in
+(* Reads [buf.[0 .. n-1]] from offset [off]. *)
+let really_pread f ~off buf n =
   seek f off;
   let rec loop done_ =
     if done_ < n then begin
+      Dmx_obs.Metrics.incr m_read_calls;
       let r = Unix.read f.fd buf done_ (n - done_) in
       if r = 0 then failwith "Disk: short read";
       loop (done_ + r)
@@ -113,10 +127,23 @@ let custom ?(page_size = default_page_size) ops =
     closed = false;
   }
 
+(* One [Unix.read] moves at most [UNIX_BUFFER_SIZE] (64 KB) bytes, so the
+   window is as many pages as fit in that, and is filled with one call. *)
+let ahead_bytes = 65536
+
 let open_file ?(page_size = default_page_size) path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
-  let f = { fd; at = 0 } in
+  let f =
+    {
+      fd;
+      at = 0;
+      ahead = Bytes.create (max 1 (ahead_bytes / page_size) * page_size);
+      ahead_first = 0;
+      ahead_n = 0;
+      last_read = 0;
+    }
+  in
   if size = 0 then begin
     let t =
       {
@@ -131,10 +158,9 @@ let open_file ?(page_size = default_page_size) path =
     t
   end
   else begin
-    let hdr = Bytes.create page_size in
     (* Read just the fixed part first in case page size differs. *)
     let fixed = Bytes.create 16 in
-    really_pread f ~off:0 fixed;
+    really_pread f ~off:0 fixed 16;
     if Bytes.sub_string fixed 0 8 <> magic then
       failwith (Fmt.str "Disk.open_file: %s is not a dmx page store" path);
     let stored_ps = Int32.to_int (Bytes.get_int32_le fixed 8) in
@@ -142,7 +168,6 @@ let open_file ?(page_size = default_page_size) path =
       failwith
         (Fmt.str "Disk.open_file: %s has page size %d, expected %d" path
            stored_ps page_size);
-    ignore hdr;
     let pages = Int32.to_int (Bytes.get_int32_le fixed 12) in
     {
       page_size;
@@ -152,6 +177,23 @@ let open_file ?(page_size = default_page_size) path =
       closed = false;
     }
   end
+
+let in_window f id = id >= f.ahead_first && id < f.ahead_first + f.ahead_n
+
+(* Every page write of a file store goes through here: it breaks a run of
+   sequential reads, and a page in the read-ahead window takes the new bytes
+   once they are written. The window is set aside during the write, so a
+   failed write leaves none. *)
+let write_page t f id data =
+  f.last_read <- 0;
+  if in_window f id then begin
+    let n = f.ahead_n in
+    f.ahead_n <- 0;
+    really_pwrite f ~off:(id * t.page_size) data;
+    Bytes.blit data 0 f.ahead ((id - f.ahead_first) * t.page_size) t.page_size;
+    f.ahead_n <- n
+  end
+  else really_pwrite f ~off:(id * t.page_size) data
 
 let check_open t = if t.closed then invalid_arg "Disk: store is closed"
 
@@ -182,9 +224,33 @@ let alloc t =
   | File f ->
     t.pages <- t.pages + 1;
     let id = t.pages in
-    really_pwrite f ~off:(id * t.page_size) (Bytes.make t.page_size '\000');
+    write_page t f id (Bytes.make t.page_size '\000');
     write_header t;
     id
+
+(* A read of page [id] right after a read of page [id - 1] fills the window
+   with up to its size of pages from [id] on, cut at the last allocated
+   page, in one [read] call; a read of a page in the window copies it out.
+   Any other read reads its one page. So a sequential scan makes one call
+   per window, and random or backward reads keep one call per page. The
+   window is emptied before a fill starts, so a failed fill leaves none. *)
+let read_file t f id =
+  let ps = t.page_size in
+  let follows = f.last_read > 0 && id = f.last_read + 1 in
+  f.last_read <- id;
+  if follows && not (in_window f id) then begin
+    let n = min (Bytes.length f.ahead / ps) (t.pages - id + 1) in
+    f.ahead_n <- 0;
+    really_pread f ~off:(id * ps) f.ahead (n * ps);
+    f.ahead_first <- id;
+    f.ahead_n <- n
+  end;
+  if in_window f id then Bytes.sub f.ahead ((id - f.ahead_first) * ps) ps
+  else begin
+    let buf = Bytes.create ps in
+    really_pread f ~off:(id * ps) buf ps;
+    buf
+  end
 
 let read t id =
   check_open t;
@@ -192,10 +258,7 @@ let read t id =
   t.stats.page_reads <- t.stats.page_reads + 1;
   match t.backend with
   | Mem store -> Bytes.copy !store.(id - 1)
-  | File f ->
-    let buf = Bytes.create t.page_size in
-    really_pread f ~off:(id * t.page_size) buf;
-    buf
+  | File f -> read_file t f id
   | Custom o -> o.o_read id
 
 let write t id data =
@@ -206,7 +269,7 @@ let write t id data =
   t.stats.page_writes <- t.stats.page_writes + 1;
   match t.backend with
   | Mem store -> !store.(id - 1) <- Bytes.copy data
-  | File f -> really_pwrite f ~off:(id * t.page_size) data
+  | File f -> write_page t f id data
   | Custom o -> o.o_write id data
 
 let sync t =
@@ -220,7 +283,9 @@ let close t =
   if not t.closed then begin
     (match t.backend with
     | Mem _ -> ()
-    | File f -> Unix.close f.fd
+    | File f ->
+      f.ahead_n <- 0;
+      Unix.close f.fd
     | Custom o -> o.o_close ());
     t.closed <- true
   end

@@ -36,7 +36,8 @@ val open_file : ?page_size:int -> string -> t
     store header (page size, page count); user pages start at 1. An existing
     file must have a matching page size. The store remembers the file offset
     its last transfer ended at: a read or write that starts there issues no
-    [lseek], and the metrics counter [disk.seeks] counts those that do. *)
+    [lseek], and the metrics counter [disk.seeks] counts those that do. The
+    metrics counter [disk.read_calls] counts its [read] system calls. *)
 
 val page_size : t -> int
 val page_count : t -> int
@@ -49,7 +50,14 @@ val alloc : t -> int
 
 val read : t -> int -> bytes
 (** [read t id] is a fresh copy of page [id]. Raises [Invalid_argument] for an
-    unallocated id. *)
+    unallocated id. A file-backed store reads ahead: a read of page [id]
+    that directly follows a read of page [id - 1] fetches up to 64 KB of
+    pages from [id] on (cut at {!page_count}) with one [read] call into a
+    window of the store, and later reads of pages in that window are served
+    from it. Any other read outside the window fetches its one page. Every {!write} and
+    {!alloc} of a page in the window updates it, and {!close} drops it, so
+    a read always returns what the store last wrote. {!stats} counts one
+    page read per call of [read] either way. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t id data] stores the page; [data] must be exactly one page. *)

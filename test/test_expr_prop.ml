@@ -148,8 +148,16 @@ let prop_not_involution =
 (* The span matcher: on the supported scan-filter shape (conjunctions of
    [Field <op> Const] with schema-matching constant types), the verdict
    computed directly on the encoded payload must agree with [Eval.test] on
-   the decoded record — including NULL fields and int64 sign/magnitude
-   corners (the matcher compares int64s as split 32-bit words). *)
+   the decoded record — including NULL fields, int64 sign/magnitude
+   corners, strings of 127-300 bytes (most of whose lengths are two-byte
+   varints, off the stages' one-byte fast path) whether skipped or compared, a
+   predicate whose only conjunct is on the last field, and two conjuncts
+   on one int field. *)
+let long_strs =
+  List.map
+    (fun (n, tail) -> String.make n 'a' ^ tail)
+    [ (127, ""); (127, "b"); (128, ""); (200, "a"); (200, "b"); (299, "") ]
+
 let gen_span_case =
   let open QCheck.Gen in
   let op = oneofl [ Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ] in
@@ -162,14 +170,22 @@ let gen_span_case =
   in
   let small_str =
     frequency
-      [ (3, string_size (int_range 0 4)); (1, oneofl [ ""; "d3"; "zz" ]) ]
+      [
+        (3, string_size (int_range 0 4));
+        (1, oneofl [ ""; "d3"; "zz" ]);
+        (2, oneofl long_strs);
+      ]
+  in
+  let int_conj i =
+    map2
+      (fun o n -> Expr.Cmp (o, Expr.Field i, Expr.Const (Value.int n)))
+      op small_int
   in
   let conj =
     oneof
       [
-        map3
-          (fun i o n -> Expr.Cmp (o, Expr.Field i, Expr.Const (Value.int n)))
-          (oneofl [ 0; 3 ]) op small_int;
+        int_conj 0;
+        int_conj 3;
         map3
           (fun i o s ->
             Expr.Cmp (o, Expr.Field i, Expr.Const (Value.String s)))
@@ -177,12 +193,18 @@ let gen_span_case =
       ]
   in
   let pred =
-    map
-      (fun cs ->
-        match cs with
-        | [] -> assert false
-        | c :: tl -> List.fold_left (fun acc c -> Expr.And (acc, c)) c tl)
-      (list_size (int_range 1 4) conj)
+    frequency
+      [
+        ( 4,
+          map
+            (fun cs ->
+              match cs with
+              | [] -> assert false
+              | c :: tl -> List.fold_left (fun acc c -> Expr.And (acc, c)) c tl)
+            (list_size (int_range 1 4) conj) );
+        (1, int_conj 3);
+        (1, map2 (fun a b -> Expr.And (a, b)) (int_conj 0) (int_conj 0));
+      ]
   in
   let value_or_null g = frequency [ (4, g); (1, return Value.Null) ] in
   let record =
@@ -311,6 +333,97 @@ let prop_span_matcher_prefix =
       in
       every 0)
 
+(* A schema of 130 columns, so a record's field count is a two-byte
+   varint: the matcher reads it off its one-byte fast path, agrees with
+   [Eval.test] on conjuncts at the first, a middle and the last field, and
+   answers [None] or the verdict on every prefix of the payload. *)
+let test_span_two_byte_field_count () =
+  let n = 130 in
+  let schema =
+    Schema.make_exn
+      (List.init n (fun i ->
+           Schema.column (Fmt.str "c%d" i)
+             (if i mod 3 = 1 then Value.Tstring else Value.Tint)))
+  in
+  let record k =
+    Array.init n (fun i ->
+        if i mod 3 = 1 then Value.String (String.make (i mod 7) 'x')
+        else Value.int (i + k))
+  in
+  let preds =
+    [
+      "c0 = 0"; "c0 > 0"; "c63 = 63"; "c63 <> 63"; "c64 = 'x'";
+      "c129 = 129"; "c129 >= 130"; "c0 = 0 AND c64 = 'x' AND c129 > 0";
+      "c0 = 0 AND c64 = 'xx' AND c129 > 0"; "c127 = 'x' AND c128 < 129";
+    ]
+  in
+  Alcotest.(check bool) "the field count takes two bytes" true
+    (Char.code (Bytes.get (Codec.encode_record (record 0)) 0) >= 0x80);
+  List.iter
+    (fun src ->
+      let e = Parse.parse_exn schema src in
+      let f =
+        match Eval.compile_span schema e with
+        | Some f -> f
+        | None -> Alcotest.failf "%s: span-compilable shape was rejected" src
+      in
+      List.iter
+        (fun k ->
+          let r = record k in
+          let verdict = Eval.test r e in
+          let payload = Bytes.to_string (Codec.encode_record r) in
+          let len = String.length payload in
+          Alcotest.(check (option bool))
+            (Fmt.str "%s on record %d" src k) (Some verdict)
+            (f payload ~pos:0 ~len);
+          for cut = 0 to len - 1 do
+            match f payload ~pos:0 ~len:cut with
+            | None -> ()
+            | Some keep ->
+              Alcotest.(check bool)
+                (Fmt.str "%s on a %d-byte prefix" src cut) verdict keep
+          done)
+        [ 0; 1 ])
+    preds;
+  (* a payload of one field fewer is off the schema *)
+  let short =
+    Bytes.to_string (Codec.encode_record (Array.sub (record 0) 0 (n - 1)))
+  in
+  let f =
+    Option.get (Eval.compile_span schema (Parse.parse_exn schema "c0 = 0"))
+  in
+  Alcotest.(check (option bool)) "a 129-field payload falls back" None
+    (f short ~pos:0 ~len:(String.length short))
+
+(* Every operator between every pair of [long_strs], compared (field 2)
+   and skipped (field 1) with each: strings whose two-byte lengths take the
+   stages' general path agree with [Eval.test] whatever the other
+   conjuncts' verdicts would hide. *)
+let test_span_long_strings () =
+  let schema = Test_util.emp_schema in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun op ->
+              let e =
+                Expr.And
+                  ( Expr.Cmp (op, Expr.Field 2, Expr.Const (Value.String b)),
+                    Expr.Cmp (Expr.Ge, Expr.Field 3, Expr.Const (Value.int 0)) )
+              in
+              let r =
+                [| Value.int 1; Value.String a; Value.String a; Value.int 5 |]
+              in
+              let payload = Bytes.to_string (Codec.encode_record r) in
+              let f = Option.get (Eval.compile_span schema e) in
+              Alcotest.(check (option bool))
+                (Expr.to_string e) (Some (Eval.test r e))
+                (f payload ~pos:0 ~len:(String.length payload)))
+            [ Expr.Eq; Expr.Ne; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ])
+        long_strs)
+    long_strs
+
 (* LIKE against a dynamic-programming reference: [m.(i).(j)] holds when
    [pattern.[i..]] matches [s.[j..]]. *)
 let like_reference ~pattern s =
@@ -380,5 +493,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_span_matcher_equiv;
     QCheck_alcotest.to_alcotest prop_span_matcher_mixed;
     QCheck_alcotest.to_alcotest prop_span_matcher_prefix;
+    Alcotest.test_case "span matcher over a two-byte field count" `Quick
+      test_span_two_byte_field_count;
+    Alcotest.test_case "span matcher on strings with two-byte lengths" `Quick
+      test_span_long_strings;
     QCheck_alcotest.to_alcotest prop_like_matches_reference;
   ]

@@ -123,29 +123,45 @@ let test_disk_file_persistence () =
 (* A file store reads back what an in-memory store does, byte for byte,
    under random alloc / write / read sequences and across close and reopen:
    skipping the [lseek] of a transfer that starts where the last one ended
-   never lands a page at the wrong offset. *)
+   never lands a page at the wrong offset, and the read-ahead window never
+   serves a stale page. Pages are 8 KB, so the window is 8 pages and runs
+   of sequential reads cross its edges; some writes land just behind or
+   ahead of the last page read, in the live window. *)
 let prop_disk_file_matches_memory =
   QCheck.Test.make ~name:"file store matches the in-memory store" ~count:60
     (QCheck.make
        ~print:(fun ops -> Fmt.str "%d ops" (List.length ops))
        QCheck.Gen.(
-         list_size (int_range 1 60)
+         list_size (int_range 1 80)
            (frequency
               [
-                (2, return `Alloc);
-                (4, map2 (fun i c -> `Write (i, c)) nat (int_range 0 255));
-                (4, map (fun i -> `Read i) nat);
+                (3, return `Alloc);
+                (3, map2 (fun i c -> `Write (i, c)) nat (int_range 0 255));
+                ( 2,
+                  map2 (fun d c -> `Write_near (d, c)) (int_range (-3) 8)
+                    (int_range 0 255) );
+                (3, map (fun i -> `Read i) nat);
+                (3, map2 (fun i n -> `Scan (i, n)) nat (int_range 1 20));
                 (1, return `Reopen);
               ])))
     (fun ops ->
-      let page_size = 256 in
+      let page_size = 8192 in
       let path = Filename.temp_file "dmx_disk_prop" ".pages" in
       Sys.remove path;
       let file = ref (Disk.open_file ~page_size path) in
       let mem = Disk.in_memory ~page_size () in
+      let last_read = ref 1 in
       let agree id =
+        last_read := id;
         if Disk.read !file id <> Disk.read mem id then
           QCheck.Test.fail_reportf "page %d differs" id
+      in
+      let write id c =
+        let data =
+          Bytes.init page_size (fun k -> Char.chr ((c + (k * 7)) land 255))
+        in
+        Disk.write !file id data;
+        Disk.write mem id data
       in
       Fun.protect
         ~finally:(fun () ->
@@ -159,17 +175,18 @@ let prop_disk_file_matches_memory =
               | `Alloc ->
                 let a = Disk.alloc !file and b = Disk.alloc mem in
                 if a <> b then QCheck.Test.fail_reportf "alloc %d vs %d" a b
-              | `Write (i, c) when n > 0 ->
-                let data =
-                  Bytes.init page_size (fun k -> Char.chr ((c + (k * 7)) land 255))
-                in
-                Disk.write !file ((i mod n) + 1) data;
-                Disk.write mem ((i mod n) + 1) data
+              | `Write (i, c) when n > 0 -> write ((i mod n) + 1) c
+              | `Write_near (d, c) when n > 0 ->
+                write (max 1 (min n (!last_read + d))) c
               | `Read i when n > 0 -> agree ((i mod n) + 1)
+              | `Scan (i, len) when n > 0 ->
+                for id = (i mod n) + 1 to min n ((i mod n) + len) do
+                  agree id
+                done
               | `Reopen ->
                 Disk.close !file;
                 file := Disk.open_file ~page_size path
-              | `Write _ | `Read _ -> ())
+              | `Write _ | `Write_near _ | `Read _ | `Scan _ -> ())
             ops;
           Disk.close !file;
           file := Disk.open_file ~page_size path;
@@ -180,37 +197,88 @@ let prop_disk_file_matches_memory =
           done;
           true))
 
-(* Reading pages 1..N of a file in order costs one [lseek]: the first read's
-   (the open left the offset after the header's fixed part); each later one
-   starts where the last ended. *)
-let test_disk_sequential_read_one_seek () =
+(* The read calls and seeks [f] makes. *)
+let disk_calls f =
+  let seeks = Dmx_obs.Metrics.counter "disk.seeks" in
+  let reads = Dmx_obs.Metrics.counter "disk.read_calls" in
+  let was = Dmx_obs.Metrics.enabled () in
+  Dmx_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Dmx_obs.Metrics.set_enabled was)
+    (fun () ->
+      let s0 = Dmx_obs.Metrics.value seeks and r0 = Dmx_obs.Metrics.value reads in
+      f ();
+      (Dmx_obs.Metrics.value reads - r0, Dmx_obs.Metrics.value seeks - s0))
+
+(* A file of [n] zeroed 256-byte pages, reopened so nothing was read yet. *)
+let with_pages n f =
   let path = Filename.temp_file "dmx_disk_seq" ".pages" in
   Sys.remove path;
   let d = Disk.open_file ~page_size:256 path in
-  for _ = 1 to 8 do
+  for _ = 1 to n do
     ignore (Disk.alloc d)
   done;
   Disk.close d;
   let d = Disk.open_file ~page_size:256 path in
-  let seeks = Dmx_obs.Metrics.counter "disk.seeks" in
-  let was = Dmx_obs.Metrics.enabled () in
-  Dmx_obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Dmx_obs.Metrics.set_enabled was;
       Disk.close d;
       Sys.remove path)
-    (fun () ->
-      let before = Dmx_obs.Metrics.value seeks in
-      for id = 1 to 8 do
-        ignore (Disk.read d id)
-      done;
-      Alcotest.(check int) "8 sequential reads, one seek" 1
-        (Dmx_obs.Metrics.value seeks - before);
-      ignore (Disk.read d 3);
-      ignore (Disk.read d 4);
-      Alcotest.(check int) "a jump back seeks once more" 2
-        (Dmx_obs.Metrics.value seeks - before))
+    (fun () -> f d)
+
+(* Reading pages 1..N of a file in order costs one [lseek]: the first read's
+   (the open left the offset after the header's fixed part); each later one
+   starts where the last ended. The second read follows the first, so it
+   fills the read-ahead window with the rest in one call, and a jump back
+   into the window is served from it. *)
+let test_disk_sequential_read_one_seek () =
+  with_pages 8 (fun d ->
+      let reads, seeks =
+        disk_calls (fun () ->
+            for id = 1 to 8 do
+              ignore (Disk.read d id)
+            done)
+      in
+      Alcotest.(check int) "8 sequential reads, one seek" 1 seeks;
+      Alcotest.(check int) "and two read calls" 2 reads;
+      Alcotest.(check int) "every page counted" 8
+        (Disk.stats d).Io_stats.page_reads;
+      let reads, seeks =
+        disk_calls (fun () ->
+            ignore (Disk.read d 3);
+            ignore (Disk.read d 4))
+      in
+      Alcotest.(check (pair int int)) "a jump back into the window reads nothing"
+        (0, 0) (reads, seeks))
+
+(* A write to a page the window holds changes what the window serves: the
+   page reads back as written, and no read call was made for it. *)
+let test_disk_write_in_window_read_back () =
+  with_pages 8 (fun d ->
+      ignore (Disk.read d 1);
+      ignore (Disk.read d 2);
+      let data = Bytes.make 256 'w' in
+      Disk.write d 5 data;
+      let reads, _ =
+        disk_calls (fun () ->
+            Alcotest.(check bytes) "the written page" data (Disk.read d 5))
+      in
+      Alcotest.(check int) "served from the window" 0 reads;
+      Alcotest.(check bool) "its neighbours unchanged" true
+        (Bytes.for_all (fun c -> c = '\000') (Disk.read d 6)))
+
+(* Reads that do not follow the page before keep one call a page: random
+   and backward reads fetch nothing ahead. *)
+let test_disk_backward_reads_one_page () =
+  with_pages 8 (fun d ->
+      let reads, _ =
+        disk_calls (fun () ->
+            for id = 8 downto 1 do
+              ignore (Disk.read d id)
+            done;
+            List.iter (fun id -> ignore (Disk.read d id)) [ 3; 7; 2; 5 ])
+      in
+      Alcotest.(check int) "one call per page" 12 reads)
 
 let test_buffer_pool_pin_evict () =
   let d = Disk.in_memory ~page_size:256 () in
@@ -440,6 +508,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_disk_file_matches_memory;
     Alcotest.test_case "sequential disk reads seek once" `Quick
       test_disk_sequential_read_one_seek;
+    Alcotest.test_case
+      "a write to a page inside the read-ahead window is read back" `Quick
+      test_disk_write_in_window_read_back;
+    Alcotest.test_case "backward and random disk reads read one page" `Quick
+      test_disk_backward_reads_one_page;
     Alcotest.test_case "buffer pool pin/evict" `Quick test_buffer_pool_pin_evict;
     Alcotest.test_case "clock skips pinned frames" `Quick
       test_clock_skips_pinned;
