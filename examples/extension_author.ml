@@ -28,7 +28,15 @@ let ok what = function
 (* A new storage method: bounded ring of recent records.                   *)
 (* ---------------------------------------------------------------------- *)
 
+(* The author of a storage method writes its procedures and applies
+   [Registry.Smethod] to its name, which supplies the registered id, an
+   idempotent [register] and [log] under the method's id: the same rule
+   [Attach_util.Slot] gives an attachment type below. *)
 module Ring_method = struct
+  include Registry.Smethod (struct
+    let name = "ring"
+  end)
+
   module Imap = Map.Make (Int)
 
   type store = {
@@ -145,9 +153,10 @@ module Ring_method = struct
       }
 
     let undo _ctx ~rel_id:_ ~data:_ = ()
+    let redo _ctx ~rel_id:_ ~data:_ = ()
   end
 
-  let register () = Registry.register_storage_method (module Impl)
+  let register () = register ~redo:Impl.redo (module Impl)
 end
 
 (* ---------------------------------------------------------------------- *)
@@ -157,11 +166,12 @@ end
 (* The author of an attachment type writes what one instance records in the
    relation descriptor -- a payload type and its codec -- and applies
    [Attach_util.Slot] to it. [Slot] supplies everything else about the
-   descriptor slot that all instances of the type share: the registered id,
-   the instance list with its numbers, names and encoding, the DDL rules
-   (a duplicate instance name is a DDL error, dropping an unknown one is
-   [No_such_attachment], the slot goes NULL with its last instance) and
-   lookup by name or number. What remains is the attached procedures. *)
+   descriptor slot that all instances of the type share: the registered id
+   and [register] (the ring's rule above), the instance list with its
+   numbers, names and encoding, the DDL rules (a duplicate instance name is
+   a DDL error, dropping an unknown one is [No_such_attachment], the slot
+   goes NULL with its last instance) and lookup by name or number. What
+   remains is the attached procedures. *)
 module Bloom_attachment = struct
   (* Filter bits live in process memory keyed by (rel, instance name); the
      descriptor records field + size. A Bloom filter is conservative: undo

@@ -17,24 +17,17 @@ module type PAYLOAD = sig
 end
 
 module Slot (P : PAYLOAD) = struct
-  let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-  let id () =
-    match !reg_id with
-    | Some id -> id
-    | None ->
-      Error.raise_err
-        (Error.Internal (Fmt.str "%s: attachment not registered" P.name))
+  include Registry.Once (struct
+    let kind = "attachment"
+    let name = P.name
+  end)
 
   let register ?insert_batch ~redo impl =
-    match !reg_id with
-    | Some id -> id
-    | None ->
-      let id = Registry.register_attachment impl in
-      reg_id := Some id;
-      Option.iter (Registry.set_at_insert_batch id) insert_batch;
-      Registry.set_at_redo id redo;
-      id
+    register (fun () ->
+        let id = Registry.register_attachment impl in
+        Option.iter (Registry.set_at_insert_batch id) insert_batch;
+        Registry.set_at_redo id redo;
+        id)
 
   let encode insts =
     let e = Codec.Enc.create () in
@@ -168,4 +161,6 @@ let encode_reckey_value key =
 
 let decode_reckey_value = function
   | Value.String s -> Record_key.decode (Bytes.of_string s)
-  | v -> failwith (Fmt.str "not an encoded record key: %a" Value.pp v)
+  | v ->
+    Error.raise_err
+      (Error.Internal (Fmt.str "not an encoded record key: %a" Value.pp v))

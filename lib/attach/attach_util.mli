@@ -3,11 +3,13 @@
     A descriptor slot holds *all* instances of one attachment type on a
     relation, as a list of (instance number, instance name, payload). An
     attachment type writes only its payload codec ({!PAYLOAD}); {!Slot} owns
-    every rule about the slot around it: the registry id, the slot encoding,
-    instance lookup, the DDL bookkeeping (duplicate names, instance numbers,
-    NULL once the last instance goes), the undo-time lookup through the
-    catalog, and the logged rewrite of another relation's slot. The module
-    also holds the scan/lookup plumbing shared by the access paths. *)
+    every rule about the slot around it: the registry id (by
+    {!Dmx_core.Registry.Once}, the rule storage methods register by too),
+    the slot encoding, instance lookup, the DDL bookkeeping (duplicate
+    names, instance numbers, NULL once the last instance goes), the
+    undo-time lookup through the catalog, and the logged rewrite of another
+    relation's slot. The module also holds the scan/lookup plumbing shared
+    by the access paths. *)
 
 open Dmx_value
 open Dmx_core

@@ -200,12 +200,7 @@ module Impl = struct
     match Slot.by_no slot instance with
     | None -> None
     | Some inst ->
-      let bound = function
-        | Intf.Incl k -> Some (Btree.Incl k)
-        | Intf.Excl k -> Some (Btree.Excl k)
-        | Intf.Unbounded -> None
-      in
-      let c = Btree.cursor ?lo:(bound lo) ?hi:(bound hi) (tree ctx inst) in
+      let c = Btree.cursor ~lo ~hi (tree ctx inst) in
       Some
         (Scan_help.key_scan_of
            ~next:(fun () ->
@@ -224,38 +219,18 @@ module Impl = struct
   let dip_cap = 2048
 
   let probe_count ctx inst p =
-    match
-      Dmx_expr.Analyze.key_range ~key_fields:inst.fields p
-    with
-    | None -> None
-    | Some (eq, range) ->
-      let extend v = Array.append eq [| v |] in
-      let lo =
-        match range.Dmx_expr.Analyze.lo with
-        | Dmx_expr.Analyze.Unbounded ->
-          if Array.length eq = 0 then None else Some (Btree.Incl eq)
-        | Dmx_expr.Analyze.Incl v -> Some (Btree.Incl (extend v))
-        | Dmx_expr.Analyze.Excl v -> Some (Btree.Excl (extend v))
+    match Dmx_expr.Analyze.key_bounds ~key_fields:inst.fields (Some p) with
+    | Unbounded, Unbounded -> None
+    | lo, hi ->
+      let c = Btree.cursor ~lo ~hi (tree ctx inst) in
+      let rec count n =
+        if n >= dip_cap then n
+        else match Btree.next c with None -> n | Some _ -> count (n + 1)
       in
-      let hi =
-        match range.Dmx_expr.Analyze.hi with
-        | Dmx_expr.Analyze.Unbounded ->
-          if Array.length eq = 0 then None else Some (Btree.Incl eq)
-        | Dmx_expr.Analyze.Incl v -> Some (Btree.Incl (extend v))
-        | Dmx_expr.Analyze.Excl v -> Some (Btree.Excl (extend v))
-      in
-      if lo = None && hi = None then None
-      else begin
-        let c = Btree.cursor ?lo ?hi (tree ctx inst) in
-        let rec count n =
-          if n >= dip_cap then n
-          else match Btree.next c with None -> n | Some _ -> count (n + 1)
-        in
-        let n = count 0 in
-        (* A capped dip saw only a prefix of the range: fall back to the
-           heuristic estimate rather than under-reporting. *)
-        if n >= dip_cap then None else Some n
-      end
+      let n = count 0 in
+      (* A capped dip saw only a prefix of the range: fall back to the
+         heuristic estimate rather than under-reporting. *)
+      if n >= dip_cap then None else Some n
 
   let estimate ctx (desc : Descriptor.t) ~slot ~eligible =
     ignore desc;

@@ -256,10 +256,6 @@ let by_no (desc : Descriptor.t) instance =
 let pairs ctx desc ~name =
   Option.fold ~none:[] ~some:(pairs_of ctx) (by_name desc name)
 
-let pairs_for ctx desc ~name my_key =
-  Option.fold ~none:[] ~some:(fun inst -> partners_of ctx inst my_key)
-    (by_name desc name)
-
 let find_instance desc ~my_field ~other_rel ~other_field =
   List.find_map
     (fun (no, _, inst) ->

@@ -21,11 +21,6 @@ val pairs :
 (** All (this-relation key, other-relation key) pairs of the named join index,
     as seen from the relation [desc] (pairs are oriented from it). *)
 
-val pairs_for :
-  Dmx_core.Ctx.t -> Dmx_catalog.Descriptor.t -> name:string ->
-  Record_key.t -> Record_key.t list
-(** Join partners of one record. *)
-
 val find_instance :
   Dmx_catalog.Descriptor.t -> my_field:int -> other_rel:int ->
   other_field:int -> int option

@@ -23,9 +23,6 @@ let register_function name f =
     invalid_arg (Fmt.str "Trigger.register_function: %S already registered" name);
   Hashtbl.replace functions key f
 
-let function_names () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) functions [] |> List.sort compare
-
 type inst = {
   func : string;
   on_ins : bool;

@@ -27,8 +27,6 @@ val register_function : string -> func -> unit
 (** Raises [Invalid_argument] on duplicates. Factory-time, like all extension
     binding. *)
 
-val function_names : unit -> string list
-
 include Dmx_core.Intf.ATTACHMENT
 
 val register : unit -> int

@@ -308,8 +308,10 @@ let find t ~key =
 
 (* ---- leaf writes and splits ---- *)
 
-(* Split a list of entries at roughly half the encoded size. *)
-let split_entries entries size_of =
+(* Split a list of entries at roughly half the encoded size: before the
+   entry that takes the left half to half the total, or after it when the
+   right half would otherwise exceed [limit] (a large entry there). *)
+let split_entries ~limit entries size_of =
   let total = List.fold_left (fun acc e -> acc + size_of e) 0 entries in
   let rec loop acc_size left = function
     | [] -> (List.rev left, [])
@@ -317,7 +319,10 @@ let split_entries entries size_of =
       if left = [] then ([ last ], []) else (List.rev left, [ last ])
     | e :: rest ->
       let acc_size = acc_size + size_of e in
-      if acc_size * 2 >= total && left <> [] then (List.rev left, e :: rest)
+      if acc_size * 2 >= total && left <> [] then
+        if total - acc_size + size_of e > limit then
+          (List.rev (e :: left), rest)
+        else (List.rev left, e :: rest)
       else loop acc_size (e :: left) rest
   in
   loop 0 [] entries
@@ -342,12 +347,13 @@ let rec write_leaf ?(appended = false) t page_id path entries next =
   let img = encode (Leaf { entries; next }) in
   if image_size img <= capacity t then write t page_id img
   else begin
+    let limit = capacity t - header in
     let left, right =
       if appended && next = 0 then
         match List.rev entries with
         | last :: (_ :: _ as rest) -> (List.rev rest, [ last ])
-        | _ -> split_entries entries entry_size
-      else split_entries entries entry_size
+        | _ -> split_entries ~limit entries entry_size
+      else split_entries ~limit entries entry_size
     in
     match right with
     | [] -> failwith "Btree: cannot split a single oversized entry"
@@ -456,7 +462,10 @@ let height t = List.length (snd (descend t None (fun _ -> ()))) + 1
 
 (* ---- cursors ---- *)
 
-type bound = Incl of Value.t array | Excl of Value.t array | Unbounded
+type bound = Value.key_bound =
+  | Incl of Value.t array
+  | Excl of Value.t array
+  | Unbounded
 
 type cursor = {
   tree : t;

@@ -129,7 +129,10 @@ val count : t -> int
 
 val height : t -> int
 
-type bound = Incl of Value.t array | Excl of Value.t array | Unbounded
+type bound = Value.key_bound =
+  | Incl of Value.t array
+  | Excl of Value.t array
+  | Unbounded
 
 type cursor
 

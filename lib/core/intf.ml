@@ -1,7 +1,7 @@
 open Dmx_value
 open Dmx_catalog
 
-type key_bound =
+type key_bound = Value.key_bound =
   | Incl of Value.t array
   | Excl of Value.t array
   | Unbounded

@@ -12,7 +12,7 @@ open Dmx_value
 open Dmx_catalog
 
 (** Bounds on composed record keys for key-sequential access. *)
-type key_bound =
+type key_bound = Value.key_bound =
   | Incl of Value.t array
   | Excl of Value.t array
   | Unbounded

@@ -278,3 +278,49 @@ let storage_methods () =
   List.init !sm_count (fun id -> (id, storage_method_name id))
 
 let attachments () = List.init !at_count (fun id -> (id, attachment_name id))
+
+module Once (N : sig
+  val kind : string
+  val name : string
+end) =
+struct
+  let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
+
+  let id () =
+    match !reg_id with
+    | Some id -> id
+    | None ->
+      Error.raise_err
+        (Error.Internal (Fmt.str "%s: %s not registered" N.name N.kind))
+
+  let register install =
+    match !reg_id with
+    | Some id -> id
+    | None ->
+      let id = install () in
+      reg_id := Some id;
+      id
+end
+
+module Smethod (N : sig
+  val name : string
+end) =
+struct
+  include Once (struct
+    let kind = "storage method"
+    let name = N.name
+  end)
+
+  let register ?insert_batch ?scan_batch ?page_bound ~redo impl =
+    register (fun () ->
+        let id = register_storage_method impl in
+        Option.iter (set_sm_insert_batch id) insert_batch;
+        Option.iter (set_sm_scan_batch id) scan_batch;
+        Option.iter (set_sm_page_bound id) page_bound;
+        set_sm_redo id redo;
+        id)
+
+  let log ctx ~rel_id data =
+    ignore
+      (Ctx.log ctx ~source:(Dmx_wal.Log_record.Smethod (id ())) ~rel_id ~data)
+end

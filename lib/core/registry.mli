@@ -9,7 +9,14 @@
     start, before the database opens; {!freeze} is called by the open path and
     later registration raises. Identifiers are assigned in registration order
     and are persisted in catalogs, so a deployment must register its
-    extensions in a stable order — the moral equivalent of relinking the DBMS.
+    extensions in a stable order — the moral equivalent of relinking the DBMS
+    ([bin/figure2.expected] pins the default factory's ids).
+
+    Every extension registers by one rule, {!Once}: a storage method applies
+    {!Smethod} to its name, an attachment type [Attach_util.Slot] to its
+    payload codec, and writes its procedures and little else. The per-entry
+    setters below are what those functors call, and what a wrapper that
+    re-registers an extension calls directly.
 
     Besides the module handles, the registry materialises per-operation
     procedure vectors ({!Vec}); dispatching a relation modification costs one
@@ -96,6 +103,46 @@ val freeze : unit -> unit
 val is_frozen : unit -> bool
 val reset_for_testing : unit -> unit
 (** Clears all registrations (unit tests only — never in a live system). *)
+
+(** The registration rule of one extension: the first [register] assigns
+    the id and caches it, later calls return it. *)
+module Once (_ : sig
+  val kind : string
+  val name : string
+end) : sig
+  val id : unit -> int
+  (** The registered id; raises [Internal "<name>: <kind> not registered"]
+      before {!register}. *)
+
+  val register : (unit -> int) -> int
+  (** Run the installer (it registers and returns the id) on the first call
+      only; every call returns the id. *)
+end
+
+(** {!Once} for the storage method of this name. *)
+module Smethod (_ : sig
+  val name : string
+end) : sig
+  val id : unit -> int
+
+  val register :
+    ?insert_batch:
+      (Ctx.t -> Descriptor.t -> Record.t array ->
+       (Record_key.t array, Error.t) result) ->
+    ?scan_batch:
+      (Ctx.t -> Descriptor.t -> lo:Intf.key_bound -> hi:Intf.key_bound ->
+       filter:Dmx_expr.Expr.t option -> Intf.run_scan) ->
+    ?page_bound:(string -> int) ->
+    redo:redo -> (module Intf.STORAGE_METHOD) -> int
+  (** Register the method once with its redo entry and whichever optional
+      entries it has ({!set_sm_insert_batch}, {!set_sm_scan_batch},
+      {!set_sm_page_bound}); later calls return the same id and install
+      nothing. *)
+
+  val log : Ctx.t -> rel_id:int -> string -> unit
+  (** Append an undoable record of this method for relation [rel_id] to the
+      transaction's log, under the registered id. *)
+end
 
 val storage_method : int -> (module Intf.STORAGE_METHOD)
 val attachment : int -> (module Intf.ATTACHMENT)

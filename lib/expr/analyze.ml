@@ -23,21 +23,6 @@ type range = { lo : bound; hi : bound }
 
 let full_range = { lo = Unbounded; hi = Unbounded }
 
-let range_contains r v =
-  let lo_ok =
-    match r.lo with
-    | Unbounded -> true
-    | Incl b -> Value.compare v b >= 0
-    | Excl b -> Value.compare v b > 0
-  in
-  let hi_ok =
-    match r.hi with
-    | Unbounded -> true
-    | Incl b -> Value.compare v b <= 0
-    | Excl b -> Value.compare v b < 0
-  in
-  lo_ok && hi_ok
-
 type sarg =
   | Eq of int * Expr.t
   | Cmp_range of int * Expr.cmp * Expr.t
@@ -171,6 +156,18 @@ let key_range ?params ~key_fields pred =
       in
       let range = List.fold_left tighten full_range m.range_on_next in
       Some (eq_values, range)
+
+let key_bounds ~key_fields pred =
+  match Option.bind pred (fun p -> key_range ~key_fields p) with
+  | None -> (Value.Unbounded, Value.Unbounded)
+  | Some (eq, range) ->
+    let side = function
+      | Unbounded ->
+        if Array.length eq = 0 then Value.Unbounded else Value.Incl eq
+      | Incl v -> Value.Incl (Array.append eq [| v |])
+      | Excl v -> Value.Excl (Array.append eq [| v |])
+    in
+    (side range.lo, side range.hi)
 
 let selectivity pred =
   let rec sel (e : Expr.t) =

@@ -24,7 +24,6 @@ type bound = Incl of Value.t | Excl of Value.t | Unbounded
 type range = { lo : bound; hi : bound }
 
 val full_range : range
-val range_contains : range -> Value.t -> bool
 
 (** A search argument extracted from one conjunct. *)
 type sarg =
@@ -60,6 +59,13 @@ val key_range :
 (** Concrete scan bounds from {!match_key} once parameter values are known:
     the equality prefix values and the range on the next field. [None] when
     the predicate gives no bound at all. *)
+
+val key_bounds :
+  key_fields:int array -> Expr.t option -> Value.key_bound * Value.key_bound
+(** The (lo, hi) bounds over a composed key that a parameter-bound predicate
+    gives: the equality prefix extended by the next field's range, or the
+    prefix alone at an open end. [(Unbounded, Unbounded)] without a predicate
+    or when it bounds no key prefix. *)
 
 val selectivity : Expr.t -> float
 (** Heuristic fraction of records satisfying the predicate (System-R style

@@ -13,7 +13,6 @@ let register ?(null_call = false) name f =
   Hashtbl.replace table key (f, null_call)
 
 let find name = Hashtbl.find_opt table (canon name)
-let is_registered name = Hashtbl.mem table (canon name)
 
 let names () =
   Hashtbl.fold (fun k _ acc -> k :: acc) table [] |> List.sort String.compare

@@ -19,7 +19,6 @@ val register : ?null_call:bool -> string -> impl -> unit
 val find : string -> (impl * bool) option
 (** [find name] is the implementation and its [null_call] flag. *)
 
-val is_registered : string -> bool
 val names : unit -> string list
 
 (** Builtins registered at load time: [abs], [lower], [upper], [length],

@@ -216,8 +216,6 @@ let drop_cache t =
   t.used <- 0;
   t.hand <- 0
 
-let cached_pages t = t.used
-
 let cached_page_ids t =
   Array.fold_left
     (fun acc slot -> match slot with Some f -> f.page_id :: acc | None -> acc)

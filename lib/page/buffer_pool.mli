@@ -79,8 +79,6 @@ val drop_cache : t -> unit
     volatile memory in a crash (used by recovery tests). Raises [Failure] if
     any frame is still pinned. *)
 
-val cached_pages : t -> int
-
 val cached_page_ids : t -> int list
 (** Page ids currently resident, ascending (eviction tests). *)
 

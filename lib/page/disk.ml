@@ -50,11 +50,6 @@ let page_count t =
 
 let stats t = t.stats
 
-let is_file_backed t =
-  match t.backend with
-  | File _ -> true
-  | Mem _ -> false
-  | Custom o -> o.o_durable
 
 let in_memory ?(page_size = default_page_size) () =
   {

@@ -12,9 +12,9 @@ val default_page_size : int
 
 (** A pluggable backend: the vector of operations a custom page store must
     implement. Page ids are 1-based and dense; [o_alloc] returns the new
-    page's id and is responsible for zero-filling it. [o_durable] is what
-    {!is_file_backed} reports — custom stores that model stable storage
-    (e.g. the fault-injection store used by the chaos harness) say [true]. *)
+    page's id and is responsible for zero-filling it. [o_durable] says
+    whether the store models stable storage (the fault-injection store used
+    by the chaos harness says [true]); nothing reads it yet. *)
 type ops = {
   o_page_count : unit -> int;
   o_alloc : unit -> int;
@@ -66,5 +66,3 @@ val sync : t -> unit
 (** Force pages to stable storage (fsync for files; no-op in memory). *)
 
 val close : t -> unit
-
-val is_file_backed : t -> bool

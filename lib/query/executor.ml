@@ -78,32 +78,6 @@ let observe_cursor ctx st cur =
   in
   { next; close = cur.close }
 
-(* Scan bounds over a composed key from a (parameter-bound) predicate. *)
-let bounds_of ~key_fields pred =
-  match pred with
-  | None -> (Intf.Unbounded, Intf.Unbounded)
-  | Some p -> begin
-    match Analyze.key_range ~key_fields p with
-    | None -> (Intf.Unbounded, Intf.Unbounded)
-    | Some (eq, range) ->
-      let extend v = Array.append eq [| v |] in
-      let lo =
-        match range.Analyze.lo with
-        | Analyze.Unbounded ->
-          if Array.length eq = 0 then Intf.Unbounded else Intf.Incl eq
-        | Analyze.Incl v -> Intf.Incl (extend v)
-        | Analyze.Excl v -> Intf.Excl (extend v)
-      in
-      let hi =
-        match range.Analyze.hi with
-        | Analyze.Unbounded ->
-          if Array.length eq = 0 then Intf.Unbounded else Intf.Incl eq
-        | Analyze.Incl v -> Intf.Incl (extend v)
-        | Analyze.Excl v -> Intf.Excl (extend v)
-      in
-      (lo, hi)
-  end
-
 (* Pull-based view of a vectorized scan: the operator keeps the current run
    and hands records out one at a time, pulling the next run when drained.
    [os_seq] still counts key-sequential steps per record, and the run-pulling
@@ -159,7 +133,7 @@ let exec_single ctx ?stats (s : Plan.single) ~params =
       let* scan = Relation.scan_batch ctx s.desc ?filter:pred () in
       Ok (cursor_of_run_scan ?stats scan)
     | Plan.Keyed_storage { key_fields } ->
-      let lo, hi = bounds_of ~key_fields pred in
+      let lo, hi = Analyze.key_bounds ~key_fields pred in
       let* scan = Relation.scan_batch ctx s.desc ~lo ~hi ?filter:pred () in
       Ok (cursor_of_run_scan ?stats scan)
     | Plan.Index_eq { at_id; instance; fields } -> begin
@@ -183,7 +157,7 @@ let exec_single ctx ?stats (s : Plan.single) ~params =
         Ok empty_cursor
     end
     | Plan.Index_range { at_id; instance; fields } ->
-      let lo, hi = bounds_of ~key_fields:fields pred in
+      let lo, hi = Analyze.key_bounds ~key_fields:fields pred in
       let* ks =
         Relation.attachment_scan ctx s.desc ~attachment_id:at_id ~instance ~lo
           ~hi ()

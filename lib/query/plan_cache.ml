@@ -100,10 +100,6 @@ let analyze t ctx q ?params () =
 let peek t q = Hashtbl.find_opt t.table (Query.key q)
 
 let entries t = Hashtbl.fold (fun key plan acc -> (key, plan) :: acc) t.table []
-let invalidate_all t =
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.plan_hashes
-
 let stats t =
   { translations = t.translations; hits = t.hits; invalidations = t.invalidations }
 

@@ -43,6 +43,5 @@ val entries : t -> (string * Plan.t) list
 (** Every cached (query key, bound plan), unordered — the [dmx_plan_cache]
     system-view snapshot. *)
 
-val invalidate_all : t -> unit
 val stats : t -> stats
 val reset_stats : t -> unit

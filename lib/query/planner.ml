@@ -211,23 +211,3 @@ let translate ctx (q : Query.t) =
           ];
         out_arity = Schema.arity outer_desc.schema + Schema.arity inner_desc.schema;
       }
-
-let candidate_report ctx (q : Query.t) =
-  let* desc = find_rel ctx q.q_relation in
-  let* pred = parse_pred desc.Descriptor.schema q.q_predicate in
-  Ok
-    (List.map
-       (fun (access, est) ->
-         Fmt.str "%s: %a"
-           (match (access : Plan.access) with
-           | Seq_scan -> "seq_scan"
-           | Keyed_storage _ -> "keyed_storage"
-           | Index_eq { at_id; instance; _ } ->
-             Fmt.str "index_eq %s#%d" (Registry.attachment_name at_id) instance
-           | Index_range { at_id; instance; _ } ->
-             Fmt.str "index_range %s#%d" (Registry.attachment_name at_id)
-               instance
-           | Spatial { at_id; instance; _ } ->
-             Fmt.str "spatial %s#%d" (Registry.attachment_name at_id) instance)
-           Cost.pp_estimate est)
-       (candidates ctx desc pred))

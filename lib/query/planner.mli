@@ -13,8 +13,3 @@
 
 val translate :
   Dmx_core.Ctx.t -> Query.t -> (Plan.t, Dmx_core.Error.t) result
-
-val candidate_report :
-  Dmx_core.Ctx.t -> Query.t -> (string list, Dmx_core.Error.t) result
-(** For EXPLAIN-style output and tests: every access candidate considered,
-    with its cost. *)

@@ -3,15 +3,11 @@ open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
-module Log_record = Dmx_wal.Log_record
 module Btree = Dmx_btree.Btree
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Btree_org: storage method not registered")
+include Registry.Smethod (struct
+  let name = "btree"
+end)
 
 (* ---- descriptor ---- *)
 
@@ -37,9 +33,6 @@ let tree_of ctx bd = Btree.open_tree ctx.Ctx.bp ~root:bd.root
 
 let key_of bd record = Record.project record bd.key_fields
 
-let log ctx rel_id data =
-  ignore (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id ~data)
-
 let duplicate key =
   Error
     (Error.Duplicate_key (Fmt.str "%a" Fmt.(array ~sep:(any ",") Value.pp) key))
@@ -50,11 +43,6 @@ let same_key a b =
 
 let payload_of record = Bytes.to_string (Codec.encode_record record)
 let record_of payload = Codec.decode_record (Bytes.of_string payload)
-
-let bound_of = function
-  | Intf.Incl k -> Some (Btree.Incl k)
-  | Intf.Excl k -> Some (Btree.Excl k)
-  | Intf.Unbounded -> None
 
 module Impl = struct
   let name = "btree"
@@ -124,7 +112,7 @@ module Impl = struct
       Btree.insert_batch
         ~unique_prefix:(Array.length bd.key_fields)
         tree
-        ~log:(List.iter (log ctx desc.rel_id))
+        ~log:(List.iter (log ctx ~rel_id:desc.rel_id))
         entries
     with
     | Ok () ->
@@ -160,7 +148,8 @@ module Impl = struct
     let tree = tree_of ctx (bdesc_of desc) in
     let removed =
       Option.bind (fields_key key) (fun k ->
-          Btree.set tree ~key:k ~log:(log ctx desc.rel_id) (fun _ -> None))
+          Btree.set tree ~key:k ~log:(log ctx ~rel_id:desc.rel_id) (fun _ ->
+              None))
     in
     match removed with
     | None -> Error (Error.Key_not_found (Record_key.to_string key))
@@ -171,7 +160,7 @@ module Impl = struct
   let update ctx (desc : Descriptor.t) key new_record =
     let bd = bdesc_of desc in
     let tree = tree_of ctx bd in
-    let log = log ctx desc.rel_id in
+    let log = log ctx ~rel_id:desc.rel_id in
     let payload = payload_of new_record in
     let new_key = key_of bd new_record in
     let updated = Ok (Record_key.fields new_key) in
@@ -203,9 +192,7 @@ module Impl = struct
      key), so savepoint restore re-enters exactly after it. *)
   let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
     let bd = bdesc_of desc in
-    let cursor =
-      Btree.cursor ?lo:(bound_of lo) ?hi:(bound_of hi) (tree_of ctx bd)
-    in
+    let cursor = Btree.cursor ~lo ~hi (tree_of ctx bd) in
     let next_run () =
       Option.map
         (Array.map (fun (key, payload) ->
@@ -287,14 +274,5 @@ end
 include Impl
 
 let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    Registry.set_sm_redo id Impl.redo;
-    Registry.set_sm_scan_batch id Impl.scan_batch;
-    Registry.set_sm_insert_batch id Impl.insert_batch;
-    id
+  register ~insert_batch ~scan_batch ~redo:Impl.redo
+    (module Impl : Intf.STORAGE_METHOD)

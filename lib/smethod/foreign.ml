@@ -2,14 +2,10 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Log_record = Dmx_wal.Log_record
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Foreign: storage method not registered")
+include Registry.Smethod (struct
+  let name = "foreign"
+end)
 
 let message_cost = 2.0
 
@@ -80,10 +76,7 @@ let dec_op s =
     let o = Codec.Dec.record d in
     let n = Codec.Dec.record d in
     Upd (rid, o, n)
-  | n -> failwith (Fmt.str "Foreign: bad op tag %d" n)
-
-let log_op ctx rel_id op =
-  Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id ~data:(enc_op op)
+  | n -> Error.raise_err (Error.Internal (Fmt.str "Foreign: bad op tag %d" n))
 
 let ( let* ) = Result.bind
 
@@ -126,7 +119,7 @@ module Impl = struct
     let* srv = server_of fd in
     match Remote_server.send srv (Insert (fd.remote_rel, record)) with
     | Ok_id rid ->
-      ignore (log_op ctx desc.rel_id (Ins (rid, record)));
+      log ctx ~rel_id:desc.rel_id (enc_op (Ins (rid, record)));
       Ok (remote_key rid)
     | Remote_error e -> Error (Error.Internal e)
     | _ -> Error (Error.Internal "foreign: protocol error")
@@ -154,7 +147,7 @@ module Impl = struct
     | Some rid -> begin
       match Remote_server.send srv (Delete (fd.remote_rel, rid)) with
       | Ok_record (Some record) ->
-        ignore (log_op ctx desc.rel_id (Del (rid, record)));
+        log ctx ~rel_id:desc.rel_id (enc_op (Del (rid, record)));
         Ok record
       | Ok_record None | Remote_error _ ->
         Error (Error.Key_not_found (Record_key.to_string key))
@@ -171,7 +164,8 @@ module Impl = struct
       | Ok_record (Some old_record) -> begin
         match Remote_server.send srv (Update (fd.remote_rel, rid, new_record)) with
         | Ok_unit ->
-          ignore (log_op ctx desc.rel_id (Upd (rid, old_record, new_record)));
+          log ctx ~rel_id:desc.rel_id
+            (enc_op (Upd (rid, old_record, new_record)));
           Ok key
         | Remote_error e -> Error (Error.Internal e)
         | _ -> Error (Error.Internal "foreign: protocol error")
@@ -275,13 +269,4 @@ end
 
 include Impl
 
-let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    Registry.set_sm_redo id Impl.redo;
-    id
+let register () = register ~redo:Impl.redo (module Impl : Intf.STORAGE_METHOD)

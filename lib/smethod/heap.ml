@@ -6,12 +6,9 @@ module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Heap: storage method not registered")
+include Registry.Smethod (struct
+  let name = "heap"
+end)
 
 (* ---- page helpers ---- *)
 
@@ -366,11 +363,6 @@ let redo_slot ctx data =
          | Some _ | None ->
            Image.redo img ~set:(set_slot data img.target ~log:ignore)))
 
-let log_image ctx (desc : Descriptor.t) data =
-  ignore
-    (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
-       ~data)
-
 (* A fresh data page, formatted and added to the directory of [head]: each
    directory record goes to [log], then is written. A full tail first
    chains a fresh directory page. *)
@@ -538,7 +530,7 @@ module Impl = struct
       let head = head_of desc in
       let keys = Array.make n (Record_key.rid ~page:0 ~slot:0) in
       let failure = ref None in
-      let log = log_image ctx desc in
+      let log = log ctx ~rel_id:desc.rel_id in
       let free_space p data =
         Slotted.free_space ~reserved:(held_by_others ctx p) data
       in
@@ -630,7 +622,8 @@ module Impl = struct
     | Some rid -> begin
       match
         with_page_mut ctx (fst rid) (fun data ->
-            set_slot data rid ~log:(log_image ctx desc) (fun _ -> None))
+            set_slot data rid ~log:(log ctx ~rel_id:desc.rel_id) (fun _ ->
+                None))
       with
       | None -> not_found
       | Some payload ->
@@ -660,7 +653,7 @@ module Impl = struct
             Slotted.fits ~reserved:(held_by_others ctx page) data slot payload
             &&
             match
-              set_slot data rid ~log:(log_image ctx desc)
+              set_slot data rid ~log:(log ctx ~rel_id:desc.rel_id)
                 (Option.map (fun _ -> payload))
             with
             | None -> false
@@ -731,15 +724,5 @@ end
 include Impl
 
 let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    Registry.set_sm_redo id Impl.redo;
-    Registry.set_sm_page_bound id page_bound;
-    Registry.set_sm_insert_batch id Impl.insert_batch;
-    Registry.set_sm_scan_batch id Impl.scan_batch;
-    id
+  register ~insert_batch ~scan_batch ~page_bound ~redo:Impl.redo
+    (module Impl : Intf.STORAGE_METHOD)

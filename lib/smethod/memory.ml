@@ -2,7 +2,6 @@ open Dmx_value
 open Dmx_core
 module Descriptor = Dmx_catalog.Descriptor
 module Attrlist = Dmx_catalog.Attrlist
-module Log_record = Dmx_wal.Log_record
 
 (* Per-relation in-process store. The sequence number is the record key
    (represented as a RID with page 0). *)
@@ -46,14 +45,7 @@ module Make (N : sig
   val name : string
   val logged : bool
 end) : S = struct
-  let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-  let id () =
-    match !reg_id with
-    | Some id -> id
-    | None ->
-      Error.raise_err
-        (Error.Internal (Fmt.str "%s: storage method not registered" N.name))
+  include Registry.Smethod (N)
 
   let stores : (int, store) Hashtbl.t = Hashtbl.create 16 [@@dmx.global "UNSAFE"]
 
@@ -67,11 +59,7 @@ end) : S = struct
 
   let reset_all () = Hashtbl.reset stores
 
-  let log_image ctx (desc : Descriptor.t) data =
-    if N.logged then
-      ignore
-        (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
-           ~data)
+  let log = if N.logged then log else fun _ ~rel_id:_ _ -> ()
 
   module Impl = struct
     let name = N.name
@@ -93,7 +81,7 @@ end) : S = struct
     let insert ctx (desc : Descriptor.t) record =
       let s = store_of desc.rel_id in
       let seq = s.next_seq in
-      let log = log_image ctx desc in
+      let log = log ctx ~rel_id:desc.rel_id in
       ignore (set_seq s seq ~log (fun _ -> Some (encode record)));
       Ok (key_of_seq seq)
 
@@ -116,7 +104,7 @@ end) : S = struct
       match seq_of key with
       | None -> None
       | Some seq ->
-        set_seq (store_of desc.rel_id) seq ~log:(log_image ctx desc) f
+        set_seq (store_of desc.rel_id) seq ~log:(log ctx ~rel_id:desc.rel_id) f
 
     let delete ctx desc key =
       match modify ctx desc key (fun _ -> None) with
@@ -197,16 +185,7 @@ end) : S = struct
   include Impl
 
   let register () =
-    match !reg_id with
-    | Some id -> id
-    | None ->
-      let id =
-        Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-      in
-      reg_id := Some id;
-      Registry.set_sm_redo id Impl.redo;
-      Registry.set_sm_scan_batch id Impl.scan_batch;
-      id
+    register ~scan_batch ~redo:Impl.redo (module Impl : Intf.STORAGE_METHOD)
 end
 
 include Make (struct

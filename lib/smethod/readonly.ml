@@ -6,12 +6,9 @@ module Attrlist = Dmx_catalog.Attrlist
 module Catalog = Dmx_catalog.Catalog
 module Log_record = Dmx_wal.Log_record
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
-
-let id () =
-  match !reg_id with
-  | Some id -> id
-  | None -> Error.raise_err (Error.Internal "Readonly: storage method not registered")
+include Registry.Smethod (struct
+  let name = "readonly"
+end)
 
 (* The heap's descriptor (its directory's head) and the seal flag: the
    heap's entries that read only the head take it as it is. *)
@@ -66,11 +63,7 @@ module Impl = struct
       Error (Error.Read_only (Fmt.str "relation %S is sealed" desc.rel_name))
     else begin
       let payload = Bytes.to_string (Codec.encode_record record) in
-      let log data =
-        ignore
-          (Ctx.log ctx ~source:(Log_record.Smethod (id ())) ~rel_id:desc.rel_id
-             ~data)
-      in
+      let log = log ctx ~rel_id:desc.rel_id in
       let append page =
         Buffer_pool.with_page_mut ctx.Ctx.bp page (fun frame ->
             let data = frame.Buffer_pool.data in
@@ -116,14 +109,5 @@ end
 include Impl
 
 let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    Registry.set_sm_redo id Impl.redo;
-    Registry.set_sm_page_bound id Heap.page_bound;
-    Registry.set_sm_scan_batch id Impl.scan_batch;
-    id
+  register ~scan_batch ~page_bound:Heap.page_bound ~redo:Impl.redo
+    (module Impl : Intf.STORAGE_METHOD)

@@ -10,7 +10,9 @@ module Wal = Dmx_wal.Wal
 module Recovery = Dmx_wal.Recovery
 module Buffer_pool = Dmx_page.Buffer_pool
 
-let reg_id : int option ref = ref None [@@dmx.global "config-immutable-after-setup"]
+include Registry.Smethod (struct
+  let name = "sysview"
+end)
 
 type provider = {
   p_schema : Schema.t;
@@ -73,7 +75,6 @@ let metrics_rows _ctx =
   counters @ histograms
 
 let relations_rows ctx =
-  let sysview_id = !reg_id in
   List.map
     (fun (desc : Descriptor.t) ->
       let smethod =
@@ -92,7 +93,7 @@ let relations_rows ctx =
       (* A sysview's count is its provider's row count: computing it while
          building this very snapshot would recurse, so report -1. *)
       let records =
-        if Some desc.smethod_id = sysview_id then -1
+        if desc.smethod_id = id () then -1
         else
           let (module M : Intf.STORAGE_METHOD) =
             Registry.storage_method desc.smethod_id
@@ -397,13 +398,6 @@ end
 include Impl
 
 let register () =
-  match !reg_id with
-  | Some id -> id
-  | None ->
-    register_builtin_providers ();
-    let id =
-      Registry.register_storage_method (module Impl : Intf.STORAGE_METHOD)
-    in
-    reg_id := Some id;
-    Registry.set_sm_redo id Impl.redo;
-    id
+  let id = register ~redo:Impl.redo (module Impl : Intf.STORAGE_METHOD) in
+  register_builtin_providers ();
+  id

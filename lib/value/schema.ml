@@ -44,11 +44,6 @@ let field_index t name =
   in
   loop 0
 
-let field_index_exn t name =
-  match field_index t name with
-  | Some i -> i
-  | None -> invalid_arg (Fmt.str "schema: no column %S" name)
-
 let field_name t i = t.cols.(i).name
 let field_ty t i = t.cols.(i).ty
 

@@ -25,7 +25,6 @@ val arity : t -> int
 val columns : t -> column list
 val col : t -> int -> column
 val field_index : t -> string -> int option
-val field_index_exn : t -> string -> int
 val field_name : t -> int -> string
 val field_ty : t -> int -> Value.ty
 

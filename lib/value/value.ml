@@ -5,6 +5,7 @@ type t =
   | Float of float
   | String of string
 
+type key_bound = Incl of t array | Excl of t array | Unbounded
 type ty = Tbool | Tint | Tfloat | Tstring
 
 let type_of = function
@@ -46,7 +47,6 @@ let int n = Int (Int64.of_int n)
 let to_int = function Int i -> Some i | _ -> None
 let to_float = function Float f -> Some f | Int i -> Some (Int64.to_float i) | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 
 let pp ppf = function
   | Null -> Fmt.string ppf "NULL"

@@ -12,6 +12,10 @@ type t =
   | Float of float
   | String of string
 
+type key_bound = Incl of t array | Excl of t array | Unbounded
+(** A bound on a composite key: B-tree cursors and key-sequential scans take
+    one at each end. *)
+
 (** Value types, used in schemas and for checking. *)
 type ty = Tbool | Tint | Tfloat | Tstring
 
@@ -43,7 +47,6 @@ val int : int -> t
 val to_int : t -> int64 option
 val to_float : t -> float option
 val to_string_opt : t -> string option
-val to_bool : t -> bool option
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

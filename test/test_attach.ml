@@ -724,6 +724,13 @@ let test_unique_veto_across_leaves () =
     (check_ok "a new name" (Relation.insert ctx desc (row 5000 (x2 + 100))));
   Services.commit services ctx
 
+(* An index entry's record-key field is always an encoded string; anything
+   else is a corrupt entry, reported through the error discipline. *)
+let test_decode_reckey_rejects_non_string () =
+  match Dmx_attach.Attach_util.decode_reckey_value (vi 7) with
+  | exception Error.Error (Error.Internal _) -> ()
+  | _ -> Alcotest.fail "a non-string record key decoded"
+
 let suite =
   [
     Alcotest.test_case "multiple instances in one slot" `Quick
@@ -748,4 +755,6 @@ let suite =
       test_index_build_from_existing;
     Alcotest.test_case "unique veto across a leaf edge" `Quick
       test_unique_veto_across_leaves;
+    Alcotest.test_case "a non-string record key raises Internal" `Quick
+      test_decode_reckey_rejects_non_string;
   ]

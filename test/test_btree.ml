@@ -1205,6 +1205,30 @@ let test_ascending_load_pages () =
     true
     (float_of_int loaded <= 1.05 *. float_of_int built)
 
+(* A leaf split cuts where the left half first reaches half the bytes. With
+   a small entry first and a large one next, the cut before the large entry
+   left the right half over a page ("node exceeds page size"). *)
+let test_split_large_entries () =
+  let bp = Buffer_pool.create ~capacity:8 (Disk.in_memory ()) in
+  let t = Btree.create bp in
+  let put k len =
+    ignore
+      (Btree.set t ~key:[| Value.String k |] ~log:ignore (fun _ ->
+           Some (String.make len 'p')))
+  in
+  put "a" 490;
+  put "b" 2190;
+  put "d" 1290;
+  put "c" 1390;
+  (match Btree.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let keys = ref [] in
+  Btree.iter t (fun k _ ->
+      keys := (match k with [| Value.String s |] -> s | _ -> "?") :: !keys);
+  Alcotest.(check (list string)) "every key, in order" [ "a"; "b"; "c"; "d" ]
+    (List.rev !keys)
+
 let suite =
   [
     Alcotest.test_case "insert + find (500)" `Quick test_insert_find;
@@ -1244,4 +1268,6 @@ let suite =
       test_torn_half_page;
     Alcotest.test_case "ascending load fills its pages" `Quick
       test_ascending_load_pages;
+    Alcotest.test_case "a leaf split keeps both halves within a page" `Quick
+      test_split_large_entries;
   ]

@@ -3,10 +3,14 @@
 
    The registry is global, freeze-once state shared by every suite, so each
    scenario runs inside [with_scratch_registry]: the current registrations
-   are captured (as first-class module handles), the registry is reset for
-   the scenario, and afterwards everything is re-registered in the original
-   id order and the frozen flag restored — extension modules cache their
-   assigned ids, so restoring the order restores consistency. *)
+   are captured (as first-class module handles, with their batch entries),
+   the registry is reset for the scenario, and afterwards everything is
+   re-registered in the original id order with the same batch entries and
+   the frozen flag restored — extension modules cache their assigned ids,
+   so restoring the order restores consistency, and the suites that run
+   later dispatch through the native batch routines, not the default
+   loops. Redo entries and page bounds are kept by name and need no
+   restoring. *)
 
 open Dmx_core
 open Dmx_value
@@ -14,22 +18,39 @@ module Descriptor = Dmx_catalog.Descriptor
 
 let with_scratch_registry f =
   let saved_sm =
-    List.map (fun (id, _) -> Registry.storage_method id) (Registry.storage_methods ())
+    List.map
+      (fun (id, _) ->
+        ( Registry.storage_method id,
+          Registry.Vec.sm_insert_batch.(id),
+          Registry.Vec.sm_scan_batch.(id) ))
+      (Registry.storage_methods ())
   in
   let saved_at =
-    List.map (fun (id, _) -> Registry.attachment id) (Registry.attachments ())
+    List.map
+      (fun (id, _) ->
+        (Registry.attachment id, Registry.Vec.at_on_insert_batch.(id)))
+      (Registry.attachments ())
   in
   let was_frozen = Registry.is_frozen () in
   Registry.reset_for_testing ();
   Fun.protect
     ~finally:(fun () ->
       Registry.reset_for_testing ();
-      List.iter (fun m -> ignore (Registry.register_storage_method m)) saved_sm;
-      List.iter (fun m -> ignore (Registry.register_attachment m)) saved_at;
+      List.iter
+        (fun (m, insert_batch, scan_batch) ->
+          let id = Registry.register_storage_method m in
+          Registry.set_sm_insert_batch id insert_batch;
+          Registry.set_sm_scan_batch id scan_batch)
+        saved_sm;
+      List.iter
+        (fun (m, insert_batch) ->
+          Registry.set_at_insert_batch (Registry.register_attachment m)
+            insert_batch)
+        saved_at;
       if was_frozen then Registry.freeze ())
     f
 
-let dummy_sm name : (module Intf.STORAGE_METHOD) =
+let dummy_sm ?(records = [||]) name : (module Intf.STORAGE_METHOD) =
   (module struct
     let name = name
     let attr_specs = []
@@ -40,12 +61,20 @@ let dummy_sm name : (module Intf.STORAGE_METHOD) =
     let delete _ _ _ = Error (Error.Internal "dummy")
     let fetch _ _ _ ?fields:_ () = None
 
-    let scan _ _ ?lo:_ ?hi:_ ?filter:_ () =
-      {
-        Intf.rs_next = (fun () -> None);
-        rs_close = ignore;
-        rs_capture = (fun () -> ignore);
-      }
+    let scan _ _ ?lo:_ ?hi:_ ?filter () =
+      let pos = ref 0 in
+      Scan_help.filtered ?filter
+        ~next:(fun () ->
+          if !pos >= Array.length records then None
+          else begin
+            incr pos;
+            Some (Record_key.rid ~page:0 ~slot:!pos, records.(!pos - 1))
+          end)
+        ~close:ignore
+        ~capture:(fun () ->
+          let saved = !pos in
+          fun () -> pos := saved)
+        ()
 
     let key_fields _ = None
     let record_count _ _ = 0
@@ -142,6 +171,167 @@ let test_scratch_restores () =
     "registrations restored in id order" before
     (Registry.storage_methods ())
 
+(* A scratch cycle puts back every batch entry, native or default. *)
+let test_scratch_keeps_batch_entries () =
+  ignore (Lazy.force Test_util.registered);
+  let entries () =
+    List.map
+      (fun (id, _) ->
+        (Registry.Vec.sm_insert_batch.(id), Registry.Vec.sm_scan_batch.(id)))
+      (Registry.storage_methods ())
+  in
+  let at_entries () =
+    List.map
+      (fun (id, _) -> Registry.Vec.at_on_insert_batch.(id))
+      (Registry.attachments ())
+  in
+  let before = entries () and at_before = at_entries () in
+  with_scratch_registry ignore;
+  Alcotest.(check bool) "storage-method batch entries kept" true
+    (List.for_all2
+       (fun (i, s) (i', s') -> i == i' && s == s')
+       before (entries ()));
+  Alcotest.(check bool) "attachment batch entries kept" true
+    (List.for_all2 ( == ) at_before (at_entries ()))
+
+(* A transaction on a fresh in-memory database, and a one-column descriptor
+   under storage method [smethod_id]; the registrations must be in place
+   first, since opening freezes the registry. *)
+let in_txn ~smethod_id f =
+  let sv = Services.setup () in
+  let ctx = Services.begin_txn sv in
+  let schema = Schema.make_exn [ Schema.column "n" Value.Tint ] in
+  let desc =
+    Descriptor.make ~rel_id:1 ~rel_name:"fresh" ~schema ~smethod_id
+      ~smethod_desc:""
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Services.abort sv ctx;
+      Services.close sv)
+    (fun () -> f ctx desc)
+
+(* Each entry of a [register tag] call raises [Internal tag], so a check
+   tells which call installed it. *)
+let raises_tag what tag f =
+  Alcotest.check_raises what (Error.Error (Error.Internal tag)) (fun () ->
+      ignore (f ()))
+
+(* The shared registration core, applied to a fresh name. [Registry.Smethod]
+   refuses [id] before [register]; a second [register] returns the first id
+   and installs nothing, so every entry still answers as the first call
+   installed it. *)
+let test_smethod_functor () =
+  with_scratch_registry (fun () ->
+      let module M = Registry.Smethod (struct
+        let name = "fresh_sm"
+      end) in
+      raises_tag "id before register" "fresh_sm: storage method not registered"
+        M.id;
+      let fail tag = Error.raise_err (Error.Internal tag) in
+      let register tag =
+        M.register
+          ~insert_batch:(fun _ _ _ -> fail tag)
+          ~scan_batch:(fun _ _ ~lo:_ ~hi:_ ~filter:_ -> fail tag)
+          ~page_bound:(fun _ -> String.length tag)
+          ~redo:(fun _ ~rel_id:_ ~data:_ -> fail tag)
+          (dummy_sm "fresh_sm")
+      in
+      let id = register "first" in
+      Alcotest.(check int) "id () is the registered id" id (M.id ());
+      Alcotest.(check int) "a second register returns the same id" id
+        (register "second");
+      Alcotest.(check int) "page bound" 5 (Registry.sm_page_bound id "");
+      in_txn ~smethod_id:id (fun ctx desc ->
+          raises_tag "batch insert" "first" (fun () ->
+              Registry.Vec.sm_insert_batch.(id) ctx desc [||]);
+          raises_tag "batch scan" "first" (fun () ->
+              Registry.Vec.sm_scan_batch.(id) ctx desc ~lo:Intf.Unbounded
+                ~hi:Intf.Unbounded ~filter:None);
+          raises_tag "redo" "first" (fun () ->
+              Registry.sm_redo id ctx ~rel_id:1 ~data:"")))
+
+(* A method registered without a batch scan is scanned through the
+   registry's default entry, which chunks its record scan into runs. *)
+let test_smethod_default_scan_batch () =
+  with_scratch_registry (fun () ->
+      let module M = Registry.Smethod (struct
+        let name = "chunked"
+      end) in
+      let records = Array.init 5 (fun i -> [| Value.int i |]) in
+      let id =
+        M.register ~redo:(fun _ ~rel_id:_ ~data:_ -> ())
+          (dummy_sm ~records "chunked")
+      in
+      in_txn ~smethod_id:id (fun ctx desc ->
+          Scan_help.set_run_length_for_testing (Some 2);
+          Fun.protect
+            ~finally:(fun () -> Scan_help.set_run_length_for_testing None)
+            (fun () ->
+              let scan =
+                Registry.Vec.sm_scan_batch.(id) ctx desc ~lo:Intf.Unbounded
+                  ~hi:Intf.Unbounded ~filter:None
+              in
+              let rec runs acc =
+                match scan.Intf.rn_next () with
+                | None -> List.rev acc
+                | Some run ->
+                  runs (Array.to_list (Array.map (fun (_, r) -> r.(0)) run)
+                        :: acc)
+              in
+              Alcotest.(check (list (list string))) "records in runs of two"
+                [ [ "0"; "1" ]; [ "2"; "3" ]; [ "4" ] ]
+                (List.map (List.map Value.to_string) (runs [])))))
+
+let dummy_at name : (module Intf.ATTACHMENT) =
+  (module struct
+    let name = name
+    let attr_specs = []
+    let create_instance _ _ ~instance_name:_ _ = Ok ""
+    let drop_instance _ _ ~instance_name:_ = Ok None
+    let on_insert _ _ ~slot:_ _ _ = Ok ()
+
+    let on_update _ _ ~slot:_ ~old_key:_ ~new_key:_ ~old_record:_
+        ~new_record:_ =
+      Ok ()
+
+    let on_delete _ _ ~slot:_ _ _ = Ok ()
+    let lookup _ _ ~slot:_ ~instance:_ ~key:_ = []
+    let scan _ _ ~slot:_ ~instance:_ ?lo:_ ?hi:_ () = None
+    let estimate _ _ ~slot:_ ~eligible:_ = []
+    let undo _ ~rel_id:_ ~data:_ = ()
+  end)
+
+(* The same rule through [Attach_util.Slot]. *)
+let test_slot_functor () =
+  with_scratch_registry (fun () ->
+      let module S = Dmx_attach.Attach_util.Slot (struct
+        let name = "fresh_at"
+
+        type t = unit
+
+        let enc _ () = ()
+        let dec _ = ()
+      end) in
+      raises_tag "id before register" "fresh_at: attachment not registered"
+        S.id;
+      let fail tag = Error.raise_err (Error.Internal tag) in
+      let register tag =
+        S.register
+          ~insert_batch:(fun _ _ ~slot:_ _ -> fail tag)
+          ~redo:(fun _ ~rel_id:_ ~data:_ -> fail tag)
+          (dummy_at "fresh_at")
+      in
+      let id = register "first" in
+      Alcotest.(check int) "id () is the registered id" id (S.id ());
+      Alcotest.(check int) "a second register returns the same id" id
+        (register "second");
+      in_txn ~smethod_id:0 (fun ctx desc ->
+          raises_tag "batch insert" "first" (fun () ->
+              Registry.Vec.at_on_insert_batch.(id) ctx desc ~slot:"" [||]);
+          raises_tag "redo" "first" (fun () ->
+              Registry.at_redo id ctx ~rel_id:1 ~data:"")))
+
 let suite =
   [
     Alcotest.test_case "duplicate name rejected" `Quick test_duplicate_name;
@@ -152,4 +342,12 @@ let suite =
       test_unregistered_dispatch;
     Alcotest.test_case "scratch registry restores state" `Quick
       test_scratch_restores;
+    Alcotest.test_case "scratch registry keeps batch entries" `Quick
+      test_scratch_keeps_batch_entries;
+    Alcotest.test_case "storage-method functor registers once" `Quick
+      test_smethod_functor;
+    Alcotest.test_case "a method without a batch scan is chunked" `Quick
+      test_smethod_default_scan_batch;
+    Alcotest.test_case "attachment slot registers once" `Quick
+      test_slot_functor;
   ]
