@@ -24,6 +24,10 @@ let ok what = function
   | Ok v -> v
   | Error e -> failwith (Fmt.str "%s: %s" what (Error.to_string e))
 
+let refused what = function
+  | Ok _ -> failwith (what ^ " was accepted")
+  | Error e -> Fmt.pr "%s refused: %s@." what (Error.to_string e)
+
 (* ---------------------------------------------------------------------- *)
 (* A new storage method: bounded ring of recent records.                   *)
 (* ---------------------------------------------------------------------- *)
@@ -31,7 +35,10 @@ let ok what = function
 (* The author of a storage method writes its procedures and applies
    [Registry.Smethod] to its name, which supplies the registered id, an
    idempotent [register] and [log] under the method's id: the same rule
-   [Attach_util.Slot] gives an attachment type below. *)
+   [Attach_util.Slot] gives an attachment type below. The method declares
+   its DDL attributes in [attr_specs]; the common DDL checks every list
+   against them before [create] runs, so [create] only interprets the
+   list. *)
 module Ring_method = struct
   include Registry.Smethod (struct
     let name = "ring"
@@ -170,8 +177,10 @@ end
    and [register] (the ring's rule above), the instance list with its
    numbers, names and encoding, the DDL rules (a duplicate instance name is
    a DDL error, dropping an unknown one is [No_such_attachment], the slot
-   goes NULL with its last instance) and lookup by name or number. What
-   remains is the attached procedures. *)
+   goes NULL with its last instance, a whole [drop_instance]) and lookup by
+   name or number. The common DDL validates the attribute list against
+   [attr_specs], as for the ring. What remains is the attached
+   procedures. *)
 module Bloom_attachment = struct
   (* Filter bits live in process memory keyed by (rel, instance name); the
      descriptor records field + size. A Bloom filter is conservative: undo
@@ -234,32 +243,28 @@ module Bloom_attachment = struct
       ]
 
     let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-      match Attrlist.validate attr_specs attrs with
-      | Error e -> Error (Error.Ddl_error e)
-      | Ok () ->
-        Slot.add desc ~instance_name ~what:"bloom filter" (fun () ->
-            match
-              Dmx_attach.Attach_util.parse_fields desc.schema
-                (Option.get (Attrlist.find attrs "field"))
-            with
-            | Error e -> Error (Error.Ddl_error e)
-            | Ok [| field |] ->
-              let bits =
-                match Attrlist.get_int attrs "bits" with
-                | Ok (Some n) when n > 64 -> n
-                | _ -> 4096
-              in
-              let inst = { field; bits } in
-              (* build from existing records, over any bits a dropped
-                 namesake left behind *)
-              Hashtbl.remove filters (filter_key desc.rel_id instance_name);
-              Dmx_attach.Attach_util.scan_relation ctx desc (fun _ record ->
-                  add desc.rel_id instance_name inst record);
-              Ok inst
-            | Ok _ -> Error (Error.Ddl_error "bloom: exactly one field"))
+      Slot.add desc ~instance_name ~what:"bloom filter" (fun () ->
+          match
+            Dmx_attach.Attach_util.parse_fields desc.schema
+              (Option.get (Attrlist.find attrs "field"))
+          with
+          | Error e -> Error (Error.Ddl_error e)
+          | Ok [| field |] ->
+            let bits =
+              match Attrlist.get_int attrs "bits" with
+              | Ok (Some n) when n > 64 -> n
+              | _ -> 4096
+            in
+            let inst = { field; bits } in
+            (* build from existing records, over any bits a dropped
+               namesake left behind *)
+            Hashtbl.remove filters (filter_key desc.rel_id instance_name);
+            Dmx_attach.Attach_util.scan_relation ctx desc (fun _ record ->
+                add desc.rel_id instance_name inst record);
+            Ok inst
+          | Ok _ -> Error (Error.Ddl_error "bloom: exactly one field"))
 
-    let drop_instance _ctx desc ~instance_name =
-      Result.map snd (Slot.drop desc ~instance_name)
+    let drop_instance _ctx = Slot.drop_instance
 
     let on_insert _ctx (desc : Descriptor.t) ~slot _key record =
       Slot.each slot (fun _no name inst ->
@@ -332,6 +337,12 @@ let () =
             Fmt.pr "ring relation after 12 inserts (capacity 5): %d records@."
               (List.length rows);
             List.iter (fun r -> Fmt.pr "  %a@." Record.pp r) rows;
+            (* the common DDL checks the list against the ring's specs *)
+            refused "a ring with an unknown attribute"
+              (Db.create_relation db ctx ~name:"bad_ring" ~schema:telemetry
+                 ~storage_method:"ring"
+                 ~attrs:[ ("capacity", "5"); ("bogus", "1") ]
+                 ());
             Ok ())));
 
   let users =
@@ -373,10 +384,6 @@ let () =
             Fmt.pr "bloom false positives on 1000 absent keys: %d@."
               !false_hits;
             (* the instance-list rules come with [Slot] *)
-            let refused what = function
-              | Ok () -> failwith (what ^ " was accepted")
-              | Error e -> Fmt.pr "%s refused: %s@." what (Error.to_string e)
-            in
             refused "duplicate bloom"
               (Db.create_attachment db ctx ~relation:"users"
                  ~attachment_type:"bloom" ~name:"email_bloom"

@@ -104,54 +104,50 @@ module Impl = struct
     ]
 
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"aggregate" (fun () ->
-          let group =
-            Attach_util.parse_fields desc.schema
-              (Option.get (Attrlist.find attrs "group"))
+    Slot.add desc ~instance_name ~what:"aggregate" (fun () ->
+        let group =
+          Attach_util.parse_fields desc.schema
+            (Option.get (Attrlist.find attrs "group"))
+        in
+        let sum =
+          Attach_util.parse_fields desc.schema
+            (Option.get (Attrlist.find attrs "sum"))
+        in
+        match group, sum with
+        | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
+        | _, Ok s when Array.length s <> 1 ->
+          Error (Error.Ddl_error "sum must name exactly one column")
+        | Ok group_fields, Ok s ->
+          let btree = Btree.create ctx.Ctx.bp in
+          let inst =
+            { group_fields; sum_field = s.(0); root = Btree.root btree }
           in
-          let sum =
-            Attach_util.parse_fields desc.schema
-              (Option.get (Attrlist.find attrs "sum"))
+          (* one (count, sum) cell per group, built in group order *)
+          let rows = ref [] in
+          Attach_util.scan_relation ctx desc (fun _ record ->
+              rows :=
+                (Record.project record inst.group_fields, sum_of inst record)
+                :: !rows);
+          let rows = Array.of_list !rows in
+          Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) rows;
+          let cells =
+            Array.fold_left
+              (fun cells (group, sum) ->
+                match cells with
+                | (g, count, total) :: rest
+                  when Btree.compare_full g group = 0 ->
+                  (g, count + 1, Int64.add total sum) :: rest
+                | _ -> (group, 1, sum) :: cells)
+              [] rows
           in
-          match group, sum with
-          | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
-          | _, Ok s when Array.length s <> 1 ->
-            Error (Error.Ddl_error "sum must name exactly one column")
-          | Ok group_fields, Ok s ->
-            let btree = Btree.create ctx.Ctx.bp in
-            let inst =
-              { group_fields; sum_field = s.(0); root = Btree.root btree }
-            in
-            (* one (count, sum) cell per group, built in group order *)
-            let rows = ref [] in
-            Attach_util.scan_relation ctx desc (fun _ record ->
-                rows :=
-                  (Record.project record inst.group_fields, sum_of inst record)
-                  :: !rows);
-            let rows = Array.of_list !rows in
-            Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) rows;
-            let cells =
-              Array.fold_left
-                (fun cells (group, sum) ->
-                  match cells with
-                  | (g, count, total) :: rest
-                    when Btree.compare_full g group = 0 ->
-                    (g, count + 1, Int64.add total sum) :: rest
-                  | _ -> (group, 1, sum) :: cells)
-                [] rows
-            in
-            Btree.build btree
-              (Array.of_list
-                 (List.rev_map
-                    (fun (group, count, sum) -> (group, enc_cell count sum))
-                    cells));
-            Ok inst)
+          Btree.build btree
+            (Array.of_list
+               (List.rev_map
+                  (fun (group, count, sum) -> (group, enc_cell count sum))
+                  cells));
+          Ok inst)
 
-  let drop_instance _ctx desc ~instance_name =
-    Result.map snd (Slot.drop desc ~instance_name)
+  let drop_instance _ctx = Slot.drop_instance
 
   let on_insert ctx desc ~slot _key record =
     Slot.each slot (fun no _name inst -> bump ctx desc no inst [ (record, 1) ])

@@ -105,6 +105,9 @@ module Slot (P : PAYLOAD) = struct
       | [] -> Ok (p, None)
       | rest -> Ok (p, Some (encode rest)))
 
+  let drop_instance desc ~instance_name =
+    Result.map snd (drop desc ~instance_name)
+
   let set_on ctx (desc : Descriptor.t) f =
     let old_desc = Descriptor.attachment_desc desc (id ()) in
     let new_desc =

@@ -88,6 +88,12 @@ module Slot (P : PAYLOAD) : sig
   (** [drop_instance]'s bookkeeping: the dropped payload and the new slot
       ([None] once empty), or [No_such_attachment]. *)
 
+  val drop_instance :
+    Dmx_catalog.Descriptor.t -> instance_name:string ->
+    (string option, Error.t) result
+  (** A whole [drop_instance] for a type with no mirror instance: {!drop}'s
+      new slot. *)
+
   val set_on :
     Ctx.t -> Dmx_catalog.Descriptor.t -> (P.t instances -> P.t instances) ->
     unit

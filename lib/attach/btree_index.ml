@@ -111,42 +111,38 @@ module Impl = struct
     ]
 
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"index" (fun () ->
-          match
-            Attach_util.parse_fields desc.schema
-              (Option.get (Attrlist.find attrs "fields"))
-          with
-          | Error e -> Error (Error.Ddl_error e)
-          | Ok fields -> (
-            let unique =
-              match Attrlist.get_bool attrs "unique" with
-              | Ok (Some b) -> b
-              | Ok None | Error _ -> false
-            in
-            let btree = Btree.create ctx.Ctx.bp in
-            let inst = { fields; unique; root = Btree.root btree } in
-            (* Build the index from the relation's current contents: sorted,
-               a unique index's duplicates are neighbours. *)
-            let entries = ref [] in
-            Attach_util.scan_relation ctx desc (fun reckey record ->
-                entries := entry_of inst (reckey, record) :: !entries);
-            let entries = sorted (Array.of_list !entries) in
-            match if unique then first_duplicate inst entries else None with
-            | Some j ->
-              Error
-                (Error.Constraint_violation
-                   (Fmt.str "existing records duplicate key (%a)" pp_values
-                      (field_values inst entries.(j))))
-            | None ->
-              Btree.build btree entries;
-              Ok inst))
+    Slot.add desc ~instance_name ~what:"index" (fun () ->
+        match
+          Attach_util.parse_fields desc.schema
+            (Option.get (Attrlist.find attrs "fields"))
+        with
+        | Error e -> Error (Error.Ddl_error e)
+        | Ok fields -> (
+          let unique =
+            match Attrlist.get_bool attrs "unique" with
+            | Ok (Some b) -> b
+            | Ok None | Error _ -> false
+          in
+          let btree = Btree.create ctx.Ctx.bp in
+          let inst = { fields; unique; root = Btree.root btree } in
+          (* Build the index from the relation's current contents: sorted,
+             a unique index's duplicates are neighbours. *)
+          let entries = ref [] in
+          Attach_util.scan_relation ctx desc (fun reckey record ->
+              entries := entry_of inst (reckey, record) :: !entries);
+          let entries = sorted (Array.of_list !entries) in
+          match if unique then first_duplicate inst entries else None with
+          | Some j ->
+            Error
+              (Error.Constraint_violation
+                 (Fmt.str "existing records duplicate key (%a)" pp_values
+                    (field_values inst entries.(j))))
+          | None ->
+            Btree.build btree entries;
+            Ok inst))
 
   (* Page storage is abandoned (no deallocator); nothing to defer. *)
-  let drop_instance _ctx desc ~instance_name =
-    Result.map snd (Slot.drop desc ~instance_name)
+  let drop_instance _ctx = Slot.drop_instance
 
   (* Batch vector entry ([on_insert] is a batch of one). *)
   let on_insert_batch ctx (desc : Descriptor.t) ~slot entries =

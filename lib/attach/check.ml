@@ -62,36 +62,32 @@ module Impl = struct
     ]
 
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"constraint" (fun () ->
-          match
-            Parse.parse desc.schema
-              (Option.get (Attrlist.find attrs "predicate"))
-          with
-          | Error e -> Error (Error.Ddl_error ("bad predicate: " ^ e))
-          | Ok pred -> (
-            let deferred =
-              match Attrlist.get_bool attrs "deferred" with
-              | Ok (Some b) -> b
-              | Ok None | Error _ -> false
-            in
-            (* Existing records must already satisfy the constraint. *)
-            let bad = ref None in
-            Attach_util.scan_relation ctx desc (fun _ record ->
-                if !bad = None && Eval.truth record pred = Eval.False then
-                  bad := Some record);
-            match !bad with
-            | Some record ->
-              Error
-                (Error.Constraint_violation
-                   (Fmt.str "existing record %a violates the predicate"
-                      Dmx_value.Record.pp record))
-            | None -> Ok { pred; deferred }))
+    Slot.add desc ~instance_name ~what:"constraint" (fun () ->
+        match
+          Parse.parse desc.schema
+            (Option.get (Attrlist.find attrs "predicate"))
+        with
+        | Error e -> Error (Error.Ddl_error ("bad predicate: " ^ e))
+        | Ok pred -> (
+          let deferred =
+            match Attrlist.get_bool attrs "deferred" with
+            | Ok (Some b) -> b
+            | Ok None | Error _ -> false
+          in
+          (* Existing records must already satisfy the constraint. *)
+          let bad = ref None in
+          Attach_util.scan_relation ctx desc (fun _ record ->
+              if !bad = None && Eval.truth record pred = Eval.False then
+                bad := Some record);
+          match !bad with
+          | Some record ->
+            Error
+              (Error.Constraint_violation
+                 (Fmt.str "existing record %a violates the predicate"
+                    Dmx_value.Record.pp record))
+          | None -> Ok { pred; deferred }))
 
-  let drop_instance _ctx desc ~instance_name =
-    Result.map snd (Slot.drop desc ~instance_name)
+  let drop_instance _ctx = Slot.drop_instance
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
     Slot.each slot (fun _no name inst ->

@@ -626,45 +626,41 @@ module Impl = struct
         fr.Buffer_pool.page_id)
 
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"hash index" (fun () ->
-          match
-            Attach_util.parse_fields desc.schema
-              (Option.get (Attrlist.find attrs "fields"))
-          with
-          | Error e -> Error (Error.Ddl_error e)
-          | Ok fields ->
-            let* buckets = buckets_attr attrs in
-            let unique =
-              match Attrlist.get_bool attrs "unique" with
-              | Ok (Some b) -> b
-              | Ok None | Error _ -> false
-            in
-            let inst =
-              { fields; unique; buckets; dir = create_pages ctx buckets }
-            in
-            let refused = ref None in
-            Attach_util.scan_relation ctx desc (fun reckey record ->
-                if !refused = None then
-                  let vals = Record.project record fields in
-                  let p = probe ctx inst vals reckey in
-                  match refusal ctx inst p vals with
-                  | Some reason -> refused := Some reason
-                  | None ->
-                    (* unlogged build: the target's instance number is moot *)
-                    ignore
-                      (set_entry ctx inst p (0, vals, reckey) ~log:ignore
-                         ~mode:(Logged ignore) (fun _ -> Image.presence true)));
-            match !refused with
-            | Some reason ->
-              Error
-                (Error.Constraint_violation ("existing records: " ^ reason))
-            | None -> Ok inst)
+    Slot.add desc ~instance_name ~what:"hash index" (fun () ->
+        match
+          Attach_util.parse_fields desc.schema
+            (Option.get (Attrlist.find attrs "fields"))
+        with
+        | Error e -> Error (Error.Ddl_error e)
+        | Ok fields ->
+          let* buckets = buckets_attr attrs in
+          let unique =
+            match Attrlist.get_bool attrs "unique" with
+            | Ok (Some b) -> b
+            | Ok None | Error _ -> false
+          in
+          let inst =
+            { fields; unique; buckets; dir = create_pages ctx buckets }
+          in
+          let refused = ref None in
+          Attach_util.scan_relation ctx desc (fun reckey record ->
+              if !refused = None then
+                let vals = Record.project record fields in
+                let p = probe ctx inst vals reckey in
+                match refusal ctx inst p vals with
+                | Some reason -> refused := Some reason
+                | None ->
+                  (* unlogged build: the target's instance number is moot *)
+                  ignore
+                    (set_entry ctx inst p (0, vals, reckey) ~log:ignore
+                       ~mode:(Logged ignore) (fun _ -> Image.presence true)));
+          match !refused with
+          | Some reason ->
+            Error
+              (Error.Constraint_violation ("existing records: " ^ reason))
+          | None -> Ok inst)
 
-  let drop_instance _ctx desc ~instance_name =
-    Result.map snd (Slot.drop desc ~instance_name)
+  let drop_instance _ctx = Slot.drop_instance
 
   let on_insert ctx desc ~slot reckey record =
     Slot.each slot (fun no name inst ->

@@ -111,62 +111,59 @@ module Impl = struct
       Attach_util.parse_fields desc.schema
         (Option.get (Attrlist.find attrs attr))
     in
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"join index" (fun () ->
-          let other = Option.get (Attrlist.find attrs "other") in
-          let* other_desc =
-            Option.to_result ~none:(Error.No_such_relation other)
-              (Catalog.find ctx.Ctx.catalog other)
-          in
-          let* my_field, other_field =
-            match parse desc "field", parse other_desc "other_field" with
-            | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
-            | Ok [| m |], Ok [| t |] -> Ok (m, t)
-            | Ok [| _ |], Ok _ ->
-              Error (Error.Ddl_error "other_field must name exactly one column")
-            | Ok _, Ok _ ->
-              Error (Error.Ddl_error "field must name exactly one column")
-          in
-          let rs = Btree.create ctx.Ctx.bp in
-          let sr = Btree.create ctx.Ctx.bp in
-          let inst =
-            {
-              my_field;
-              other_rel = other_desc.rel_id;
-              other_field;
-              mine_root = Btree.root rs;
-              theirs_root = Btree.root sr;
-            }
-          in
-          (* Precompute the join: for each of my records, find partners;
-             build each tree from its pairs in key order. *)
-          let mine = ref [] and theirs = ref [] in
-          Attach_util.scan_relation ctx desc (fun my_key my_record ->
-              List.iter
-                (fun (other_key, _) ->
-                  mine := (pair_key my_key other_key, "") :: !mine;
-                  theirs := (pair_key other_key my_key, "") :: !theirs)
-                (other_matches ctx inst my_record.(my_field)));
-          let build tree pairs =
-            let pairs = Array.of_list pairs in
-            Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) pairs;
-            Btree.build tree pairs
-          in
-          build rs !mine;
-          build sr !theirs;
-          (* Install the mirror instance on the other relation. *)
-          Slot.set_on ctx other_desc
-            (Slot.append instance_name
-               {
-                 my_field = other_field;
-                 other_rel = desc.rel_id;
-                 other_field = my_field;
-                 mine_root = Btree.root sr;
-                 theirs_root = Btree.root rs;
-               });
-          Ok inst)
+    Slot.add desc ~instance_name ~what:"join index" (fun () ->
+        let other = Option.get (Attrlist.find attrs "other") in
+        let* other_desc =
+          Option.to_result ~none:(Error.No_such_relation other)
+            (Catalog.find ctx.Ctx.catalog other)
+        in
+        let* my_field, other_field =
+          match parse desc "field", parse other_desc "other_field" with
+          | Error e, _ | _, Error e -> Error (Error.Ddl_error e)
+          | Ok [| m |], Ok [| t |] -> Ok (m, t)
+          | Ok [| _ |], Ok _ ->
+            Error (Error.Ddl_error "other_field must name exactly one column")
+          | Ok _, Ok _ ->
+            Error (Error.Ddl_error "field must name exactly one column")
+        in
+        let rs = Btree.create ctx.Ctx.bp in
+        let sr = Btree.create ctx.Ctx.bp in
+        let inst =
+          {
+            my_field;
+            other_rel = other_desc.rel_id;
+            other_field;
+            mine_root = Btree.root rs;
+            theirs_root = Btree.root sr;
+          }
+        in
+        (* Precompute the join: for each of my records, find partners;
+           build each tree from its pairs in key order. *)
+        let mine = ref [] and theirs = ref [] in
+        Attach_util.scan_relation ctx desc (fun my_key my_record ->
+            List.iter
+              (fun (other_key, _) ->
+                mine := (pair_key my_key other_key, "") :: !mine;
+                theirs := (pair_key other_key my_key, "") :: !theirs)
+              (other_matches ctx inst my_record.(my_field)));
+        let build tree pairs =
+          let pairs = Array.of_list pairs in
+          Array.sort (fun (a, _) (b, _) -> Btree.compare_full a b) pairs;
+          Btree.build tree pairs
+        in
+        build rs !mine;
+        build sr !theirs;
+        (* Install the mirror instance on the other relation. *)
+        Slot.set_on ctx other_desc
+          (Slot.append instance_name
+             {
+               my_field = other_field;
+               other_rel = desc.rel_id;
+               other_field = my_field;
+               mine_root = Btree.root sr;
+               theirs_root = Btree.root rs;
+             });
+        Ok inst)
 
   let drop_instance ctx desc ~instance_name =
     let* inst, slot = Slot.drop desc ~instance_name in

@@ -163,72 +163,69 @@ module Impl = struct
         (Attach_util.parse_fields desc.schema
            (Option.get (Attrlist.find attrs attr)))
     in
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add child_desc ~instance_name ~what:"constraint" (fun () ->
-          let parent = Option.get (Attrlist.find attrs "parent") in
-          let* parent_desc =
-            Option.to_result ~none:(Error.No_such_relation parent)
-              (Catalog.find ctx.Ctx.catalog parent)
-          in
-          let* fk = fields child_desc "fields" in
-          let* pk = fields parent_desc "parent_fields" in
-          let* () =
-            if Array.length fk <> Array.length pk then
-              Error (Error.Ddl_error "field lists have different lengths")
-            else Ok ()
-          in
-          let* on_delete =
-            match
-              Option.map String.lowercase_ascii
-                (Attrlist.find attrs "on_delete")
-            with
-            | Some "cascade" -> Ok Cascade
-            | Some "restrict" | None -> Ok Restrict
-            | Some other ->
-              Error (Error.Ddl_error (Fmt.str "bad on_delete %S" other))
-          in
-          let deferred =
-            match Attrlist.get_bool attrs "deferred" with
-            | Ok (Some b) -> b
-            | Ok None | Error _ -> false
-          in
-          let child_inst =
-            {
-              role = Child;
-              my_fields = fk;
-              other_rel = parent_desc.rel_id;
-              other_fields = pk;
-              on_delete;
-              deferred;
-            }
-          in
-          (* Existing children must have parents. *)
-          let orphan = ref None in
-          Attach_util.scan_relation ctx child_desc (fun _ record ->
-              if !orphan = None then begin
-                match check_child_now ctx instance_name child_inst record with
-                | Ok () -> ()
-                | Error _ -> orphan := Some record
-              end);
-          match !orphan with
-          | Some record ->
-            Error
-              (Error.Constraint_violation
-                 (Fmt.str "existing record %a has no parent" Record.pp record))
-          | None ->
-            Slot.set_on ctx parent_desc
-              (Slot.append instance_name
-                 {
-                   role = Parent;
-                   my_fields = pk;
-                   other_rel = child_desc.rel_id;
-                   other_fields = fk;
-                   on_delete;
-                   deferred = false;
-                 });
-            Ok child_inst)
+    Slot.add child_desc ~instance_name ~what:"constraint" (fun () ->
+        let parent = Option.get (Attrlist.find attrs "parent") in
+        let* parent_desc =
+          Option.to_result ~none:(Error.No_such_relation parent)
+            (Catalog.find ctx.Ctx.catalog parent)
+        in
+        let* fk = fields child_desc "fields" in
+        let* pk = fields parent_desc "parent_fields" in
+        let* () =
+          if Array.length fk <> Array.length pk then
+            Error (Error.Ddl_error "field lists have different lengths")
+          else Ok ()
+        in
+        let* on_delete =
+          match
+            Option.map String.lowercase_ascii
+              (Attrlist.find attrs "on_delete")
+          with
+          | Some "cascade" -> Ok Cascade
+          | Some "restrict" | None -> Ok Restrict
+          | Some other ->
+            Error (Error.Ddl_error (Fmt.str "bad on_delete %S" other))
+        in
+        let deferred =
+          match Attrlist.get_bool attrs "deferred" with
+          | Ok (Some b) -> b
+          | Ok None | Error _ -> false
+        in
+        let child_inst =
+          {
+            role = Child;
+            my_fields = fk;
+            other_rel = parent_desc.rel_id;
+            other_fields = pk;
+            on_delete;
+            deferred;
+          }
+        in
+        (* Existing children must have parents. *)
+        let orphan = ref None in
+        Attach_util.scan_relation ctx child_desc (fun _ record ->
+            if !orphan = None then begin
+              match check_child_now ctx instance_name child_inst record with
+              | Ok () -> ()
+              | Error _ -> orphan := Some record
+            end);
+        match !orphan with
+        | Some record ->
+          Error
+            (Error.Constraint_violation
+               (Fmt.str "existing record %a has no parent" Record.pp record))
+        | None ->
+          Slot.set_on ctx parent_desc
+            (Slot.append instance_name
+               {
+                 role = Parent;
+                 my_fields = pk;
+                 other_rel = child_desc.rel_id;
+                 other_fields = fk;
+                 on_delete;
+                 deferred = false;
+               });
+          Ok child_inst)
 
   let drop_instance ctx desc ~instance_name =
     let* inst, slot = Slot.drop desc ~instance_name in

@@ -25,20 +25,30 @@ end)
 
 let id = Slot.id
 
-let float_of v =
-  match Value.to_float v with
-  | Some f -> f
-  | None -> failwith (Fmt.str "rtree: non-numeric rectangle value %a" Value.pp v)
+let ( let* ) = Result.bind
+
+(* The rectangle of four values [v 0 .. v 3], or why they make none (a NULL
+   or non-numeric value). *)
+let rect_of v =
+  let f i =
+    match Value.to_float (v i) with
+    | Some f -> Ok f
+    | None ->
+      Error (Fmt.str "rtree: non-numeric rectangle value %a" Value.pp (v i))
+  in
+  let* xlo = f 0 in
+  let* ylo = f 1 in
+  let* xhi = f 2 in
+  let* yhi = f 3 in
+  Ok (Rect.make ~xlo ~ylo ~xhi ~yhi)
 
 let rect_of_record inst record =
-  let f i = float_of record.(inst.rect_fields.(i)) in
-  Rect.make ~xlo:(f 0) ~ylo:(f 1) ~xhi:(f 2) ~yhi:(f 3)
+  rect_of (fun i -> record.(inst.rect_fields.(i)))
 
 let rect_of_vals vals =
-  if Array.length vals <> 4 then failwith "rtree: key must be 4 values"
-  else
-    Rect.make ~xlo:(float_of vals.(0)) ~ylo:(float_of vals.(1))
-      ~xhi:(float_of vals.(2)) ~yhi:(float_of vals.(3))
+  if Array.length vals <> 4 then
+    Error.raise_err (Error.Internal "rtree: key must be 4 values")
+  else rect_of (Array.get vals)
 
 let tree ctx inst = Rtree.open_tree ctx.Ctx.bp ~root:inst.root
 let payload_of reckey = Bytes.to_string (Record_key.encode reckey)
@@ -92,45 +102,46 @@ module Impl = struct
   let attr_specs = [ Attrlist.spec ~required:true "rect" Attrlist.A_string ]
 
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"rtree index" (fun () ->
-          match
-            Attach_util.parse_fields desc.schema
-              (Option.get (Attrlist.find attrs "rect"))
-          with
-          | Error e -> Error (Error.Ddl_error e)
-          | Ok rect_fields when Array.length rect_fields <> 4 ->
-            Error (Error.Ddl_error "rect must name exactly four columns")
-          | Ok rect_fields ->
-            let rtree = Rtree.create ctx.Ctx.bp in
-            let inst = { rect_fields; root = Rtree.root rtree } in
-            Attach_util.scan_relation ctx desc (fun reckey record ->
-                Rtree.insert rtree ~rect:(rect_of_record inst record)
-                  ~payload:(payload_of reckey));
-            Ok inst)
+    Slot.add desc ~instance_name ~what:"rtree index" (fun () ->
+        match
+          Attach_util.parse_fields desc.schema
+            (Option.get (Attrlist.find attrs "rect"))
+        with
+        | Error e -> Error (Error.Ddl_error e)
+        | Ok rect_fields when Array.length rect_fields <> 4 ->
+          Error (Error.Ddl_error "rect must name exactly four columns")
+        | Ok rect_fields ->
+          let rtree = Rtree.create ctx.Ctx.bp in
+          let inst = { rect_fields; root = Rtree.root rtree } in
+          let refused = ref None in
+          Attach_util.scan_relation ctx desc (fun reckey record ->
+              if !refused = None then
+                match rect_of_record inst record with
+                | Ok rect ->
+                  Rtree.insert rtree ~rect ~payload:(payload_of reckey)
+                | Error reason -> refused := Some reason);
+          match !refused with
+          | Some reason ->
+            Error (Error.Constraint_violation ("existing records: " ^ reason))
+          | None -> Ok inst)
 
-  let drop_instance _ctx desc ~instance_name =
-    Result.map snd (Slot.drop desc ~instance_name)
+  let drop_instance _ctx = Slot.drop_instance
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
     Slot.each slot (fun no _name inst ->
         match rect_of_record inst record with
-        | rect ->
+        | Ok rect ->
           put ctx desc no inst rect reckey true;
           Ok ()
-        | exception Failure msg ->
-          Error (Error.veto ~attachment:"rtree_index" msg))
+        | Error msg -> Error (Error.veto ~attachment:"rtree_index" msg))
 
   let on_delete ctx (desc : Descriptor.t) ~slot reckey record =
     Slot.each slot (fun no _name inst ->
         match rect_of_record inst record with
-        | rect ->
+        | Ok rect ->
           put ctx desc no inst rect reckey false;
           Ok ()
-        | exception Failure msg ->
-          Error (Error.veto ~attachment:"rtree_index" msg))
+        | Error msg -> Error (Error.veto ~attachment:"rtree_index" msg))
 
   let on_update ctx (desc : Descriptor.t) ~slot ~old_key ~new_key ~old_record
       ~new_record =
@@ -138,7 +149,7 @@ module Impl = struct
         match
           (rect_of_record inst old_record, rect_of_record inst new_record)
         with
-        | old_rect, new_rect ->
+        | Ok old_rect, Ok new_rect ->
           if Rect.equal old_rect new_rect && Record_key.equal old_key new_key
           then Ok ()
           else begin
@@ -146,17 +157,18 @@ module Impl = struct
             put ctx desc no inst new_rect new_key true;
             Ok ()
           end
-        | exception Failure msg ->
+        | Error msg, _ | _, Error msg ->
           Error (Error.veto ~attachment:"rtree_index" msg))
 
   (* Input key = query rectangle; result = keys of records whose rectangles
-     the query encloses (the ENCLOSES predicate). *)
+     the query encloses (the ENCLOSES predicate). A query rectangle with a
+     NULL value encloses nothing, as ENCLOSES is then not true. *)
   let lookup ctx (desc : Descriptor.t) ~slot ~instance ~key =
     ignore desc;
-    match Slot.by_no slot instance with
-    | None -> []
-    | Some inst ->
-      Rtree.search_enclosed_by (tree ctx inst) (rect_of_vals key)
+    match Slot.by_no slot instance, rect_of_vals key with
+    | None, _ | _, Error _ -> []
+    | Some inst, Ok rect ->
+      Rtree.search_enclosed_by (tree ctx inst) rect
       |> List.map (fun (_, payload) ->
              Record_key.decode (Bytes.of_string payload))
 
@@ -187,10 +199,10 @@ module Impl = struct
             match const_rect with
             | Some vals -> begin
               match rect_of_vals vals with
-              | rect ->
+              | Ok rect ->
                 float_of_int
                   (max 1 (List.length (Rtree.search_enclosed_by t rect)))
-              | exception Failure _ -> Float.max 1. (rows *. 0.05)
+              | Error _ -> Float.max 1. (rows *. 0.05)
             end
             | None -> Float.max 1. (rows *. 0.05)
           in

@@ -231,45 +231,41 @@ module Impl = struct
   let attr_specs = [ Attrlist.spec ~required:true "fields" Attrlist.A_string ]
 
   let create_instance ctx (desc : Descriptor.t) ~instance_name attrs =
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"stats instance" (fun () ->
-          match
-            Attach_util.parse_fields desc.schema
-              (Option.get (Attrlist.find attrs "fields"))
-          with
-          | Error e -> Error (Error.Ddl_error e)
-          | Ok fields ->
-            let frame = Buffer_pool.alloc ctx.Ctx.bp in
-            let page = frame.Buffer_pool.page_id in
-            Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
-            let inst = { fields; page } in
-            let init =
-              {
-                live_count = 0;
-                per_field =
-                  Array.to_list fields
-                  |> List.map (fun field ->
-                         {
-                           field;
-                           sum = 0L;
-                           nulls = 0;
-                           min_seen = Value.Null;
-                           max_seen = Value.Null;
-                         });
-              }
-            in
-            let stats = ref init in
-            Attach_util.scan_relation ctx desc (fun _ record ->
-                stats := apply_delta !stats (delta_of_record inst record 1));
-            Buffer_pool.with_page_mut ctx.Ctx.bp page (fun frame ->
-                encode_page frame.Buffer_pool.data ~stamp:Log_record.no_lsn
-                  !stats);
-            Ok inst)
+    Slot.add desc ~instance_name ~what:"stats instance" (fun () ->
+        match
+          Attach_util.parse_fields desc.schema
+            (Option.get (Attrlist.find attrs "fields"))
+        with
+        | Error e -> Error (Error.Ddl_error e)
+        | Ok fields ->
+          let frame = Buffer_pool.alloc ctx.Ctx.bp in
+          let page = frame.Buffer_pool.page_id in
+          Buffer_pool.unpin ~dirty:true ctx.Ctx.bp frame;
+          let inst = { fields; page } in
+          let init =
+            {
+              live_count = 0;
+              per_field =
+                Array.to_list fields
+                |> List.map (fun field ->
+                       {
+                         field;
+                         sum = 0L;
+                         nulls = 0;
+                         min_seen = Value.Null;
+                         max_seen = Value.Null;
+                       });
+            }
+          in
+          let stats = ref init in
+          Attach_util.scan_relation ctx desc (fun _ record ->
+              stats := apply_delta !stats (delta_of_record inst record 1));
+          Buffer_pool.with_page_mut ctx.Ctx.bp page (fun frame ->
+              encode_page frame.Buffer_pool.data ~stamp:Log_record.no_lsn
+                !stats);
+          Ok inst)
 
-  let drop_instance _ctx desc ~instance_name =
-    Result.map snd (Slot.drop desc ~instance_name)
+  let drop_instance _ctx = Slot.drop_instance
 
   let on_insert ctx desc ~slot _reckey record =
     Slot.each slot (fun no _name inst ->

@@ -20,7 +20,9 @@ let functions : (string, func) Hashtbl.t = Hashtbl.create 16 [@@dmx.global "conf
 let register_function name f =
   let key = String.lowercase_ascii name in
   if Hashtbl.mem functions key then
-    invalid_arg (Fmt.str "Trigger.register_function: %S already registered" name);
+    Error.raise_err
+      (Error.Internal
+         (Fmt.str "Trigger.register_function: %S already registered" name));
   Hashtbl.replace functions key f
 
 type inst = {
@@ -74,41 +76,37 @@ module Impl = struct
     ]
 
   let create_instance _ctx (desc : Descriptor.t) ~instance_name attrs =
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      Slot.add desc ~instance_name ~what:"trigger" (fun () ->
-          let func = Option.get (Attrlist.find attrs "function") in
-          if not (Hashtbl.mem functions (String.lowercase_ascii func)) then
-            Error
-              (Error.Ddl_error
-                 (Fmt.str "trigger function %S is not registered at the factory"
-                    func))
-          else begin
-            let events =
-              String.split_on_char ','
-                (Option.get (Attrlist.find attrs "events"))
-              |> List.map (fun s -> String.lowercase_ascii (String.trim s))
-            in
-            let bad =
-              List.find_opt
-                (fun e -> not (List.mem e [ "insert"; "update"; "delete" ]))
-                events
-            in
-            match bad with
-            | Some e -> Error (Error.Ddl_error (Fmt.str "unknown event %S" e))
-            | None ->
-              Ok
-                {
-                  func;
-                  on_ins = List.mem "insert" events;
-                  on_upd = List.mem "update" events;
-                  on_del = List.mem "delete" events;
-                }
-          end)
+    Slot.add desc ~instance_name ~what:"trigger" (fun () ->
+        let func = Option.get (Attrlist.find attrs "function") in
+        if not (Hashtbl.mem functions (String.lowercase_ascii func)) then
+          Error
+            (Error.Ddl_error
+               (Fmt.str "trigger function %S is not registered at the factory"
+                  func))
+        else begin
+          let events =
+            String.split_on_char ','
+              (Option.get (Attrlist.find attrs "events"))
+            |> List.map (fun s -> String.lowercase_ascii (String.trim s))
+          in
+          let bad =
+            List.find_opt
+              (fun e -> not (List.mem e [ "insert"; "update"; "delete" ]))
+              events
+          in
+          match bad with
+          | Some e -> Error (Error.Ddl_error (Fmt.str "unknown event %S" e))
+          | None ->
+            Ok
+              {
+                func;
+                on_ins = List.mem "insert" events;
+                on_upd = List.mem "update" events;
+                on_del = List.mem "delete" events;
+              }
+        end)
 
-  let drop_instance _ctx desc ~instance_name =
-    Result.map snd (Slot.drop desc ~instance_name)
+  let drop_instance _ctx = Slot.drop_instance
 
   let on_insert ctx (desc : Descriptor.t) ~slot reckey record =
     Slot.each slot (fun _no name inst ->

@@ -24,8 +24,8 @@ type fire = {
 type func = Dmx_core.Ctx.t -> fire -> (unit, Dmx_core.Error.t) result
 
 val register_function : string -> func -> unit
-(** Raises [Invalid_argument] on duplicates. Factory-time, like all extension
-    binding. *)
+(** Raises [Error (Internal _)] on duplicates. Factory-time, like all
+    extension binding. *)
 
 include Dmx_core.Intf.ATTACHMENT
 

@@ -3,8 +3,9 @@
     "The data definition language of the DBMS has been extended to allow
     specification of a storage method or attachment type and an
     attribute/value list for extension-specific parameters" (paper p. 222).
-    Extensions validate and interpret their own lists; the common system only
-    transports them. *)
+    The common DDL ([Ddl]) validates each list against the extension's
+    [attr_specs] before the extension sees it; extensions interpret the
+    lists. *)
 
 type t = (string * string) list
 

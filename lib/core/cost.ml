@@ -18,7 +18,3 @@ type estimate = {
   residual : Dmx_expr.Expr.t list;
   ordered_by : int array option;
 }
-
-let pp_estimate ppf e =
-  Fmt.pf ppf "cost(%a) rows=%.1f matched=%d residual=%d" pp e.cost e.est_rows
-    (List.length e.matched) (List.length e.residual)

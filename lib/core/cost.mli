@@ -32,5 +32,3 @@ type estimate = {
   ordered_by : int array option;
       (** record fields ordering the returned stream, if any *)
 }
-
-val pp_estimate : Format.formatter -> estimate -> unit

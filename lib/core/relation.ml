@@ -122,89 +122,92 @@ let run_attached ctx desc ~op ~info f =
   in
   loop (Descriptor.attachment_types_present desc)
 
-let validate ctx desc record =
-  ignore ctx;
+let validate desc record =
   match Schema.validate_record desc.Descriptor.schema record with
   | Ok () -> Ok ()
   | Error msg -> Error (Error.Schema_error msg)
 
-let insert ctx desc record =
-  Invariant.check_frozen_for_dispatch ~op:"insert";
-  rel_span ctx desc "insert" (fun () ->
-      let* () = validate ctx desc record in
-      let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
+(* The two-step dispatch every modification shares: the frozen check and the
+   relation span; [prepare], the op's own locks, validation and pre-fetch;
+   then, atomically, the storage-method step [sm] in its span, [lock_new]'s
+   record locks on its result, and each attachment type present through
+   [attached]. [info] builds the attachment spans' op-specific attributes. *)
+let modify ctx desc ~op ~prepare ~sm ~lock_new ~info ~attached =
+  Invariant.check_frozen_for_dispatch ~op;
+  rel_span ctx desc op (fun () ->
+      let* pre = prepare () in
       atomically ctx (fun () ->
           modifying ctx;
-          let* key =
-            sm_span ctx desc "insert" (fun () ->
-                Registry.Vec.sm_insert.(desc.Descriptor.smethod_id) ctx desc
-                  record)
-          in
-          let* () = lock_record ctx desc key Dmx_lock.Lock_mode.X in
+          let* res = sm_span ctx desc op (fun () -> sm pre) in
+          let* () = lock_new res in
           let* () =
-            run_attached ctx desc ~op:"insert"
-              ~info:(fun () ->
-                [ ("key", Dmx_obs.Obs_json.Str (Record_key.to_string key));
-                  ( "new",
-                    Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp record) ) ])
-              (fun n slot ->
-                Registry.Vec.at_on_insert.(n) ctx desc ~slot key record)
+            run_attached ctx desc ~op
+              ~info:(fun () -> info pre res)
+              (attached pre res)
           in
-          Ok key))
+          Ok res))
 
-(* Bulk insert: validation, the relation lock, the rollback mark and the
-   span/profile setup are paid once per batch; the storage method and each
-   attachment type present are dispatched once per batch through the optional
-   batch vector entries (whose defaults loop the per-record slots). Atomic:
-   either every record of the batch is inserted or — on the first storage
-   method error or attachment veto — the whole batch rolls back. *)
+(* Every insert is a batch: validation, the relation lock, the rollback mark
+   and the spans are paid once per batch, and the storage method and each
+   attachment type present are dispatched once through the batch vector
+   entries (whose defaults loop the per-record slots). A single-row insert
+   is a batch of one under its own op name. *)
+let insert_records ctx desc ~op ~info records =
+  modify ctx desc ~op
+    ~prepare:(fun () ->
+      let* () =
+        Array.fold_left
+          (fun acc r ->
+            let* () = acc in
+            validate desc r)
+          (Ok ()) records
+      in
+      lock_relation ctx desc Dmx_lock.Lock_mode.IX)
+    ~sm:(fun () ->
+      let* keys =
+        Registry.Vec.sm_insert_batch.(desc.Descriptor.smethod_id) ctx desc
+          records
+      in
+      if Array.length keys <> Array.length records then
+        Error
+          (Error.Internal
+             (op
+             ^ ": storage method returned a key count different from the \
+                batch size"))
+      else Ok keys)
+    ~lock_new:
+      (Array.fold_left
+         (fun acc key ->
+           let* () = acc in
+           lock_record ctx desc key Dmx_lock.Lock_mode.X)
+         (Ok ()))
+    ~info:(fun () -> info)
+    ~attached:(fun () keys ->
+      let entries = Array.map2 (fun k r -> (k, r)) keys records in
+      fun n slot -> Registry.Vec.at_on_insert_batch.(n) ctx desc ~slot entries)
+
+let insert ctx desc record =
+  Result.map
+    (fun keys -> keys.(0))
+    (insert_records ctx desc ~op:"insert" [| record |] ~info:(fun keys ->
+         [ ("key", Dmx_obs.Obs_json.Str (Record_key.to_string keys.(0)));
+           ("new", Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp record)) ]))
+
+(* Atomic: either every record of the batch is inserted or — on the first
+   storage method error or attachment veto — the whole batch rolls back. *)
 let insert_many ctx desc records =
-  Invariant.check_frozen_for_dispatch ~op:"insert_many";
-  if Array.length records = 0 then Ok [||]
+  if Array.length records = 0 then begin
+    Invariant.check_frozen_for_dispatch ~op:"insert_many";
+    Ok [||]
+  end
   else
-    rel_span ctx desc "insert_many" (fun () ->
-        let* () =
-          Array.fold_left
-            (fun acc r ->
-              let* () = acc in
-              validate ctx desc r)
-            (Ok ()) records
-        in
-        let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
-        atomically ctx (fun () ->
-            modifying ctx;
-            let* keys =
-              sm_span ctx desc "insert_many" (fun () ->
-                  Registry.Vec.sm_insert_batch.(desc.Descriptor.smethod_id)
-                    ctx desc records)
-            in
-            if Array.length keys <> Array.length records then
-              Error
-                (Error.Internal
-                   "insert_many: storage method returned a key count \
-                    different from the batch size")
-            else
-              let* () =
-                Array.fold_left
-                  (fun acc key ->
-                    let* () = acc in
-                    lock_record ctx desc key Dmx_lock.Lock_mode.X)
-                  (Ok ()) keys
-              in
-              let entries = Array.map2 (fun k r -> (k, r)) keys records in
-              let* () =
-                run_attached ctx desc ~op:"insert_many"
-                  ~info:(fun () ->
-                    [ ("batch", Dmx_obs.Obs_json.Int (Array.length records)) ])
-                  (fun n slot ->
-                    Registry.Vec.at_on_insert_batch.(n) ctx desc ~slot entries)
-              in
-              Ok keys))
+    insert_records ctx desc ~op:"insert_many" records ~info:(fun _ ->
+        [ ("batch", Dmx_obs.Obs_json.Int (Array.length records)) ])
 
 let update ctx desc key new_record =
-  Invariant.check_frozen_for_dispatch ~op:"update";
-  rel_span ctx desc "update" (fun () ->
-      let* () = validate ctx desc new_record in
+  modify ctx desc ~op:"update"
+    ~prepare:(fun () ->
+      let* () = validate desc new_record in
       let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
       let* () = lock_record ctx desc key Dmx_lock.Lock_mode.X in
       let (module M : Intf.STORAGE_METHOD) =
@@ -212,57 +215,33 @@ let update ctx desc key new_record =
       in
       match M.fetch ctx desc key () with
       | None -> Error (Error.Key_not_found (Record_key.to_string key))
-      | Some old_record ->
-        atomically ctx (fun () ->
-            modifying ctx;
-            let* new_key =
-              sm_span ctx desc "update" (fun () ->
-                  Registry.Vec.sm_update.(desc.Descriptor.smethod_id) ctx desc
-                    key new_record)
-            in
-            let* () = lock_record ctx desc new_key Dmx_lock.Lock_mode.X in
-            let* () =
-              run_attached ctx desc ~op:"update"
-                ~info:(fun () ->
-                  [ ( "old_key",
-                      Dmx_obs.Obs_json.Str (Record_key.to_string key) );
-                    ( "new_key",
-                      Dmx_obs.Obs_json.Str (Record_key.to_string new_key) );
-                    ( "old",
-                      Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp old_record)
-                    );
-                    ( "new",
-                      Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp new_record)
-                    ) ])
-                (fun n slot ->
-                  Registry.Vec.at_on_update.(n) ctx desc ~slot ~old_key:key
-                    ~new_key ~old_record ~new_record)
-            in
-            Ok new_key))
+      | Some old_record -> Ok old_record)
+    ~sm:(fun _ ->
+      Registry.Vec.sm_update.(desc.Descriptor.smethod_id) ctx desc key
+        new_record)
+    ~lock_new:(fun new_key -> lock_record ctx desc new_key Dmx_lock.Lock_mode.X)
+    ~info:(fun old_record new_key ->
+      [ ("old_key", Dmx_obs.Obs_json.Str (Record_key.to_string key));
+        ("new_key", Dmx_obs.Obs_json.Str (Record_key.to_string new_key));
+        ("old", Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp old_record));
+        ("new", Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp new_record)) ])
+    ~attached:(fun old_record new_key n slot ->
+      Registry.Vec.at_on_update.(n) ctx desc ~slot ~old_key:key ~new_key
+        ~old_record ~new_record)
 
 let delete ctx desc key =
-  Invariant.check_frozen_for_dispatch ~op:"delete";
-  rel_span ctx desc "delete" (fun () ->
+  modify ctx desc ~op:"delete"
+    ~prepare:(fun () ->
       let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IX in
-      let* () = lock_record ctx desc key Dmx_lock.Lock_mode.X in
-      atomically ctx (fun () ->
-          modifying ctx;
-          let* old_record =
-            sm_span ctx desc "delete" (fun () ->
-                Registry.Vec.sm_delete.(desc.Descriptor.smethod_id) ctx desc
-                  key)
-          in
-          let* () =
-            run_attached ctx desc ~op:"delete"
-              ~info:(fun () ->
-                [ ("key", Dmx_obs.Obs_json.Str (Record_key.to_string key));
-                  ( "old",
-                    Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp old_record)
-                  ) ])
-              (fun n slot ->
-                Registry.Vec.at_on_delete.(n) ctx desc ~slot key old_record)
-          in
-          Ok old_record))
+      lock_record ctx desc key Dmx_lock.Lock_mode.X)
+    ~sm:(fun () ->
+      Registry.Vec.sm_delete.(desc.Descriptor.smethod_id) ctx desc key)
+    ~lock_new:(fun _ -> Ok ())
+    ~info:(fun () old_record ->
+      [ ("key", Dmx_obs.Obs_json.Str (Record_key.to_string key));
+        ("old", Dmx_obs.Obs_json.Str (Fmt.str "%a" Record.pp old_record)) ])
+    ~attached:(fun () old_record n slot ->
+      Registry.Vec.at_on_delete.(n) ctx desc ~slot key old_record)
 
 (* [fetch] is the hottest generic-interface call (the E1 bench drives it);
    the uninstrumented path below is the seed code verbatim so the telemetry
@@ -298,45 +277,15 @@ let fetch ctx desc key ?fields () =
       end)
 
 (* Register a scan with the transaction so termination closes it and
-   savepoints capture/restore its position. *)
-let register_record_scan ctx (scan : Intf.record_scan) =
+   savepoints capture/restore its position; the returned close also
+   unregisters it. *)
+let registered_close ctx close capture =
   let id =
-    Ctx.register_scan ctx
-      { Txn.scan_close = scan.rs_close; scan_capture = scan.rs_capture }
+    Ctx.register_scan ctx { Txn.scan_close = close; scan_capture = capture }
   in
-  {
-    scan with
-    rs_close =
-      (fun () ->
-        Ctx.unregister_scan ctx id;
-        scan.rs_close ());
-  }
-
-let register_run_scan ctx (scan : Intf.run_scan) =
-  let id =
-    Ctx.register_scan ctx
-      { Txn.scan_close = scan.rn_close; scan_capture = scan.rn_capture }
-  in
-  {
-    scan with
-    rn_close =
-      (fun () ->
-        Ctx.unregister_scan ctx id;
-        scan.rn_close ());
-  }
-
-let register_key_scan ctx (scan : Intf.key_scan) =
-  let id =
-    Ctx.register_scan ctx
-      { Txn.scan_close = scan.ks_close; scan_capture = scan.ks_capture }
-  in
-  {
-    scan with
-    ks_close =
-      (fun () ->
-        Ctx.unregister_scan ctx id;
-        scan.ks_close ());
-  }
+  fun () ->
+    Ctx.unregister_scan ctx id;
+    close ()
 
 let scan ctx desc ?lo ?hi ?filter () =
   rel_span ctx desc "scan" (fun () ->
@@ -344,7 +293,8 @@ let scan ctx desc ?lo ?hi ?filter () =
       let (module M : Intf.STORAGE_METHOD) =
         Registry.storage_method desc.Descriptor.smethod_id
       in
-      Ok (register_record_scan ctx (M.scan ctx desc ?lo ?hi ?filter ())))
+      let s = M.scan ctx desc ?lo ?hi ?filter () in
+      Ok { s with rs_close = registered_close ctx s.rs_close s.rs_capture })
 
 (* Vectorized scan through the optional batch vector entry; the default
    chunks the method's record-at-a-time scan, so every storage method is
@@ -353,10 +303,11 @@ let scan_batch ctx desc ?(lo = Intf.Unbounded) ?(hi = Intf.Unbounded) ?filter
     () =
   rel_span ctx desc "scan_batch" (fun () ->
       let* () = lock_relation ctx desc Dmx_lock.Lock_mode.IS in
-      Ok
-        (register_run_scan ctx
-           (Registry.Vec.sm_scan_batch.(desc.Descriptor.smethod_id) ctx desc
-              ~lo ~hi ~filter)))
+      let s =
+        Registry.Vec.sm_scan_batch.(desc.Descriptor.smethod_id) ctx desc ~lo
+          ~hi ~filter
+      in
+      Ok { s with rn_close = registered_close ctx s.rn_close s.rn_capture })
 
 let lookup ctx desc ~attachment_id ~instance ~key =
   rel_span ctx desc "lookup" @@ fun () ->
@@ -388,7 +339,8 @@ let attachment_scan ctx desc ~attachment_id ~instance ?lo ?hi () =
           (Error.No_such_attachment
              (Fmt.str "attachment type %d offers no key-sequential access"
                 attachment_id))
-      | Some s -> Ok (register_key_scan ctx s)
+      | Some s ->
+        Ok { s with ks_close = registered_close ctx s.ks_close s.ks_capture }
     end
 
 let record_count ctx desc =

@@ -22,6 +22,9 @@ open Dmx_catalog
 
 val insert :
   Ctx.t -> Descriptor.t -> Record.t -> (Record_key.t, Error.t) result
+(** {!insert_many} of one record, under its own op name: spans
+    [relation.insert], [smethod.insert] and [attach.insert], the last with
+    the [key] and [new] attributes. *)
 
 val insert_many :
   Ctx.t -> Descriptor.t -> Record.t array ->
@@ -29,8 +32,8 @@ val insert_many :
 (** Bulk insert through the same two-step dispatch, with per-batch instead of
     per-record overhead: one validation pass, one relation lock, one internal
     rollback mark, one span/profile bracket, then the storage method and each
-    attachment type once per batch via the optional batch vector entries
-    (default: loop the per-record slot). Atomic — on the first error or veto
+    attachment type once per batch via the batch vector entries (default:
+    loop the per-record slot). Atomic — on the first error or veto
     the whole batch is rolled back and nothing is inserted. Note the deferred
     visibility inside a batch: attachments observe the batch after all its
     records reached storage, so e.g. a referential-integrity parent and its

@@ -21,6 +21,9 @@ let find_relation ctx name =
 let lock_x ctx rel_id =
   Ctx.lock ctx ~mode:Lock_mode.X (Lock_table.Relation rel_id)
 
+(* Catalog and attribute-list refusals are DDL errors. *)
+let ddl_result r = Result.map_error (fun e -> Error.Ddl_error e) r
+
 let create_relation ctx ~name ~schema ~storage_method ?(attrs = []) () =
   match Registry.storage_method_id storage_method with
   | None ->
@@ -38,36 +41,36 @@ let create_relation ctx ~name ~schema ~storage_method ?(attrs = []) () =
          multi-relation DDL transaction doesn't record phantom orderings. *)
       Invariant.lockdep_mark_nascent ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ~rel_id;
       let* () = lock_x ctx rel_id in
+      let* () = ddl_result (Attrlist.validate M.attr_specs attrs) in
       let* smethod_desc = M.create ctx ~rel_id schema attrs in
-      match
-        Catalog.add_relation ctx.Ctx.catalog ~rel_name:name ~schema
-          ~smethod_id ~smethod_desc
-      with
-      | Error e -> Error (Error.Ddl_error e)
-      | Ok desc ->
-        log_catalog ctx ~rel_id (Catalog.Create_rel (Descriptor.copy desc));
-        Ok desc
+      let* desc =
+        ddl_result
+          (Catalog.add_relation ctx.Ctx.catalog ~rel_name:name ~schema
+             ~smethod_id ~smethod_desc)
+      in
+      log_catalog ctx ~rel_id (Catalog.Create_rel (Descriptor.copy desc));
+      Ok desc
     end
   end
 
 let drop_relation ctx ~name =
   let* desc = find_relation ctx name in
   let* () = lock_x ctx desc.Descriptor.rel_id in
-  match Catalog.remove_relation ctx.Ctx.catalog desc.Descriptor.rel_id with
-  | Error e -> Error (Error.Ddl_error e)
-  | Ok removed ->
-    log_catalog ctx ~rel_id:desc.Descriptor.rel_id
-      (Catalog.Drop_rel (Descriptor.copy removed));
-    (* The storage is released only when the dropping transaction commits,
-       so abort can reinstate the relation without logging its contents. *)
-    let (module M : Intf.STORAGE_METHOD) =
-      Registry.storage_method removed.Descriptor.smethod_id
-    in
-    let rel_id = removed.Descriptor.rel_id in
-    let smethod_desc = removed.Descriptor.smethod_desc in
-    Ctx.defer ctx Dmx_txn.Txn.On_commit (fun () ->
-        M.destroy ctx ~rel_id ~smethod_desc);
-    Ok ()
+  let* removed =
+    ddl_result (Catalog.remove_relation ctx.Ctx.catalog desc.Descriptor.rel_id)
+  in
+  log_catalog ctx ~rel_id:desc.Descriptor.rel_id
+    (Catalog.Drop_rel (Descriptor.copy removed));
+  (* The storage is released only when the dropping transaction commits,
+     so abort can reinstate the relation without logging its contents. *)
+  let (module M : Intf.STORAGE_METHOD) =
+    Registry.storage_method removed.Descriptor.smethod_id
+  in
+  let rel_id = removed.Descriptor.rel_id in
+  let smethod_desc = removed.Descriptor.smethod_desc in
+  Ctx.defer ctx Dmx_txn.Txn.On_commit (fun () ->
+      M.destroy ctx ~rel_id ~smethod_desc);
+  Ok ()
 
 let resolve_attachment attachment_type =
   match Registry.attachment_id attachment_type with
@@ -81,6 +84,7 @@ let create_attachment ctx ~relation ~attachment_type ~name ?(attrs = []) () =
   let* () = lock_x ctx desc.Descriptor.rel_id in
   let (module A : Intf.ATTACHMENT) = Registry.attachment at_id in
   let old_slot = Descriptor.attachment_desc desc at_id in
+  let* () = ddl_result (Attrlist.validate A.attr_specs attrs) in
   let* new_slot = A.create_instance ctx desc ~instance_name:name attrs in
   log_catalog ctx ~rel_id:desc.Descriptor.rel_id
     (Catalog.Set_attachment

@@ -60,23 +60,6 @@ let max_param e =
     (fun acc e -> match e with Param i -> max acc i | _ -> acc)
     (-1) e
 
-let rec rename_fields f = function
-  | Const _ as e -> e
-  | Field i -> Field (f i)
-  | Param _ as e -> e
-  | Not a -> Not (rename_fields f a)
-  | And (a, b) -> And (rename_fields f a, rename_fields f b)
-  | Or (a, b) -> Or (rename_fields f a, rename_fields f b)
-  | Cmp (c, a, b) -> Cmp (c, rename_fields f a, rename_fields f b)
-  | Is_null a -> Is_null (rename_fields f a)
-  | Arith (op, a, b) -> Arith (op, rename_fields f a, rename_fields f b)
-  | Neg a -> Neg (rename_fields f a)
-  | Like (a, p) -> Like (rename_fields f a, p)
-  | In_list (a, vs) -> In_list (rename_fields f a, vs)
-  | Between (a, b, c) ->
-    Between (rename_fields f a, rename_fields f b, rename_fields f c)
-  | Call (name, args) -> Call (name, List.map (rename_fields f) args)
-
 (* Note: [&&] is shadowed by the expression-building operator above. *)
 let rec subst_params params = function
   | Param i when i >= 0 -> if i < Array.length params then Const params.(i) else Param i

@@ -57,10 +57,6 @@ val fields_used : t -> int list
 val max_param : t -> int
 (** Highest [Param] index used, or [-1] if none. *)
 
-val rename_fields : (int -> int) -> t -> t
-(** Rewrite field positions (e.g. when projecting through an access path whose
-    key holds a subset of the record's fields). *)
-
 val subst_params : Dmx_value.Value.t array -> t -> t
 (** Replace each [Param i] with [Const params.(i)]; parameters beyond the
     array are left in place. Used when binding a saved plan's predicate to

@@ -66,27 +66,23 @@ module Impl = struct
 
   let create ctx ~rel_id schema attrs =
     ignore rel_id;
-    match Attrlist.validate attr_specs attrs with
+    match parse_key_fields schema (Option.get (Attrlist.find attrs "key")) with
     | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      match parse_key_fields schema (Option.get (Attrlist.find attrs "key")) with
-      | Error e -> Error (Error.Ddl_error e)
-      | Ok key_fields ->
-        (* Key fields must be NOT NULL to give every record a total key. *)
-        let nullable =
-          Array.to_list key_fields
-          |> List.filter (fun i -> (Schema.col schema i).Schema.nullable)
-        in
-        if nullable <> [] then
-          Error
-            (Error.Ddl_error
-               (Fmt.str "key field %S must be declared NOT NULL"
-                  (Schema.field_name schema (List.hd nullable))))
-        else begin
-          let tree = Btree.create ctx.Ctx.bp in
-          Ok (enc_desc { root = Btree.root tree; key_fields })
-        end
-    end
+    | Ok key_fields ->
+      (* Key fields must be NOT NULL to give every record a total key. *)
+      let nullable =
+        Array.to_list key_fields
+        |> List.filter (fun i -> (Schema.col schema i).Schema.nullable)
+      in
+      if nullable <> [] then
+        Error
+          (Error.Ddl_error
+             (Fmt.str "key field %S must be declared NOT NULL"
+                (Schema.field_name schema (List.hd nullable))))
+      else begin
+        let tree = Btree.create ctx.Ctx.bp in
+        Ok (enc_desc { root = Btree.root tree; key_fields })
+      end
 
   let destroy ctx ~rel_id ~smethod_desc =
     ignore ctx;

@@ -92,19 +92,16 @@ module Impl = struct
   let create ctx ~rel_id _schema attrs =
     ignore ctx;
     ignore rel_id;
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () ->
-      let fd =
-        {
-          server = Option.get (Attrlist.find attrs "server");
-          remote_rel = Option.get (Attrlist.find attrs "relation");
-        }
-      in
-      let* srv = server_of fd in
-      (* Adopt an existing remote relation or create a fresh one. *)
-      ignore (Remote_server.send srv (Create_rel fd.remote_rel));
-      Ok (enc_desc fd)
+    let fd =
+      {
+        server = Option.get (Attrlist.find attrs "server");
+        remote_rel = Option.get (Attrlist.find attrs "relation");
+      }
+    in
+    let* srv = server_of fd in
+    (* Adopt an existing remote relation or create a fresh one. *)
+    ignore (Remote_server.send srv (Create_rel fd.remote_rel));
+    Ok (enc_desc fd)
 
   let destroy ctx ~rel_id ~smethod_desc =
     ignore ctx;

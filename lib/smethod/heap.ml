@@ -488,11 +488,9 @@ module Impl = struct
   let name = "heap"
   let attr_specs = []
 
-  let create ctx ~rel_id (_schema : Schema.t) attrs =
+  let create ctx ~rel_id (_schema : Schema.t) _attrs =
     ignore rel_id;
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> Ok (enc_desc (create_head ctx))
+    Ok (enc_desc (create_head ctx))
 
   let destroy ctx ~rel_id ~smethod_desc =
     (* The page store has no deallocation; pages of dropped relations are

@@ -65,13 +65,10 @@ end) : S = struct
     let name = N.name
     let attr_specs = []
 
-    let create ctx ~rel_id _schema attrs =
+    let create ctx ~rel_id _schema _attrs =
       ignore ctx;
-      match Attrlist.validate attr_specs attrs with
-      | Error e -> Error (Error.Ddl_error e)
-      | Ok () ->
-        ignore (store_of rel_id);
-        Ok ""
+      ignore (store_of rel_id);
+      Ok ""
 
     let destroy ctx ~rel_id ~smethod_desc =
       ignore ctx;

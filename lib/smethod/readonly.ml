@@ -46,11 +46,9 @@ module Impl = struct
   let name = "readonly"
   let attr_specs = []
 
-  let create ctx ~rel_id _schema attrs =
+  let create ctx ~rel_id _schema _attrs =
     ignore rel_id;
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> Ok (enc_desc { head = Heap.create_head ctx; sealed = false })
+    Ok (enc_desc { head = Heap.create_head ctx; sealed = false })
 
   let destroy ctx ~rel_id ~smethod_desc =
     ignore ctx;

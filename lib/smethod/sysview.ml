@@ -299,20 +299,16 @@ module Impl = struct
   let create ctx ~rel_id schema attrs =
     ignore ctx;
     ignore rel_id;
-    match Attrlist.validate attr_specs attrs with
-    | Error e -> Error (Error.Ddl_error e)
-    | Ok () -> begin
-      let provider = Option.get (Attrlist.find attrs "provider") in
-      match Hashtbl.find_opt providers provider with
-      | None ->
-        Error (Error.Ddl_error (Fmt.str "sysview: no provider %S" provider))
-      | Some p ->
-        if not (Schema.equal schema p.p_schema) then
-          Error
-            (Error.Ddl_error
-               (Fmt.str "sysview: schema mismatch for provider %S" provider))
-        else Ok provider
-    end
+    let provider = Option.get (Attrlist.find attrs "provider") in
+    match Hashtbl.find_opt providers provider with
+    | None ->
+      Error (Error.Ddl_error (Fmt.str "sysview: no provider %S" provider))
+    | Some p ->
+      if not (Schema.equal schema p.p_schema) then
+        Error
+          (Error.Ddl_error
+             (Fmt.str "sysview: schema mismatch for provider %S" provider))
+      else Ok provider
 
   let destroy ctx ~rel_id ~smethod_desc =
     ignore ctx;

@@ -116,15 +116,6 @@ module Dec = struct
     t.pos <- t.pos + n;
     s
 
-  (* (position, length) of a length-prefixed string within the underlying
-     buffer, without copying it out. *)
-  let string_span t =
-    let n = varint t in
-    need t n;
-    let pos = t.pos in
-    t.pos <- t.pos + n;
-    (pos, n)
-
   let bytes t = Bytes.of_string (string t)
 
   let skip_string t =

@@ -53,11 +53,6 @@ module Dec : sig
   val bool : t -> bool
   val string : t -> string
 
-  val string_span : t -> int * int
-  (** [(pos, len)] of a length-prefixed string within the buffer the decoder
-      was built over ([pos] is absolute), advancing past it without copying —
-      span-compiled predicates compare string fields in place. *)
-
   val skip_string : t -> unit
   (** Advance past a length-prefixed string without copying it. *)
 

@@ -27,10 +27,12 @@ val default_config : root:string -> config
 
 type report = {
   violations : Lint_diag.t list;
-      (** what fails the build: strict-rule hits plus baselinable hits in
-          files whose count exceeds the baseline *)
+      (** what fails the build: strict-rule hits, baselinable hits in files
+          whose count exceeds the baseline, and a [baseline] diagnostic for
+          each pin above its file's count *)
   notes : string list;
-      (** non-fatal: stale baseline entries that should be tightened *)
+      (** non-fatal: why a file's count exceeds its pin, and the
+          regeneration message *)
   checked_files : int;
   globals : Lint_rules.global_entry list;  (** the full R7 inventory *)
   lock : Lint_callgraph.lock_result;  (** R8 sites / edges / violations *)

@@ -731,6 +731,57 @@ let test_decode_reckey_rejects_non_string () =
   | exception Error.Error (Error.Internal _) -> ()
   | _ -> Alcotest.fail "a non-string record key decoded"
 
+(* A rectangle with a NULL corner makes no R-tree entry: building the
+   index over such a record is refused with an error, and inserting one
+   into an indexed relation is vetoed; a NULL query rectangle finds
+   nothing. *)
+let test_rtree_null_rectangle () =
+  let services = fresh_services () in
+  let ctx = Services.begin_txn services in
+  let desc =
+    check_ok "box"
+      (Ddl.create_relation ctx ~name:"box"
+         ~schema:
+           (Schema.make_exn
+              (List.map
+                 (fun c -> Schema.column c Value.Tfloat)
+                 [ "xlo"; "ylo"; "xhi"; "yhi" ]))
+         ~storage_method:"heap" ())
+  in
+  let f x = Value.Float x in
+  let null_row = [| Value.Null; f 0.; f 1.; f 1. |] in
+  let create () =
+    Ddl.create_attachment ctx ~relation:"box" ~attachment_type:"rtree_index"
+      ~name:"r" ~attrs:[ ("rect", "xlo,ylo,xhi,yhi") ] ()
+  in
+  let key = check_ok "insert" (Relation.insert ctx desc null_row) in
+  (match create () with
+  | Error (Error.Constraint_violation msg) ->
+    Alcotest.(check string) "build refusal"
+      "existing records: rtree: non-numeric rectangle value NULL" msg
+  | Ok () -> Alcotest.fail "an R-tree was built over a NULL rectangle"
+  | Error e -> Alcotest.failf "build: %s" (Error.to_string e));
+  ignore (check_ok "delete" (Relation.delete ctx desc key));
+  check_ok "build over no records" (create ());
+  (match Relation.insert ctx desc null_row with
+  | Error (Error.Veto _) -> ()
+  | Ok _ -> Alcotest.fail "a NULL rectangle was indexed"
+  | Error e -> Alcotest.failf "insert: %s" (Error.to_string e));
+  ignore
+    (check_ok "insert" (Relation.insert ctx desc [| f 0.; f 0.; f 1.; f 1. |]));
+  let found key =
+    List.length
+      (check_ok "lookup"
+         (Relation.lookup ctx desc
+            ~attachment_id:(Option.get (Registry.attachment_id "rtree_index"))
+            ~instance:1 ~key))
+  in
+  Alcotest.(check int) "an enclosing query rectangle finds the record" 1
+    (found [| f (-1.); f (-1.); f 2.; f 2. |]);
+  Alcotest.(check int) "a NULL query rectangle finds nothing" 0
+    (found [| Value.Null; f (-1.); f 2.; f 2. |]);
+  Services.abort services ctx
+
 let suite =
   [
     Alcotest.test_case "multiple instances in one slot" `Quick
@@ -757,4 +808,6 @@ let suite =
       test_unique_veto_across_leaves;
     Alcotest.test_case "a non-string record key raises Internal" `Quick
       test_decode_reckey_rejects_non_string;
+    Alcotest.test_case "an R-tree refuses a NULL rectangle" `Quick
+      test_rtree_null_rectangle;
   ]

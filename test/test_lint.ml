@@ -420,6 +420,26 @@ let test_baseline_enforcement () =
       Alcotest.(check bool) "regression fails" false (Lint_driver.ok report);
       check_diag "regression diagnostic" report ~rule:"error-discipline"
         ~file:"lib/attach/legacy.ml" ~line:2;
+      (* a pin above the tree's count fails too, so a fix leaves no slack:
+         pin both failwiths, then fix one, then the other *)
+      ignore (run ~baseline ~update_baseline:true root);
+      write_file (root / "lib/attach/legacy.ml")
+        "let register () = 4\nlet old_path () = failwith \"pre-lint\"\n";
+      let report = run ~baseline root in
+      Alcotest.(check bool) "slack fails" false (Lint_driver.ok report);
+      check_diag "slack diagnostic" report ~rule:"baseline" ~file:baseline
+        ~line:1;
+      write_file (root / "lib/attach/legacy.ml") "let register () = 4\n";
+      write_file (root / "lib/attach/legacy.mli")
+        "val register : unit -> int\n";
+      let report = run ~baseline root in
+      Alcotest.(check bool) "clean file's pin fails" false
+        (Lint_driver.ok report);
+      check_diag "stale pin diagnostic" report ~rule:"baseline" ~file:baseline
+        ~line:1;
+      ignore (run ~baseline ~update_baseline:true root);
+      Alcotest.(check bool) "tightened baseline passes" true
+        (Lint_driver.ok (run ~baseline root));
       (* a missing baseline file is itself an error *)
       Sys.remove baseline;
       let report = run ~baseline root in

@@ -332,6 +332,125 @@ let test_slot_functor () =
           raises_tag "redo" "first" (fun () ->
               Registry.at_redo id ctx ~rel_id:1 ~data:"")))
 
+module Attrlist = Dmx_catalog.Attrlist
+module Db = Dmx_db.Db
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let ddl_refusal = function
+  | Error (Error.Ddl_error msg) -> Some msg
+  | Ok _ | Error _ -> None
+
+(* Attribute lists [Attrlist.validate] refuses for [specs], with its
+   message: an unknown attribute, the first required attribute missing, and
+   the first int or bool attribute ill-typed, each beside well-typed values
+   for every other required attribute. *)
+let bad_attr_lists specs =
+  let value s =
+    match s.Attrlist.attr_ty with
+    | Attrlist.A_int -> "1"
+    | A_bool -> "true"
+    | A_string -> "x"
+  in
+  let required =
+    List.filter_map
+      (fun s ->
+        if s.Attrlist.required then Some (s.attr_name, value s) else None)
+      specs
+  in
+  let without name = List.filter (fun (k, _) -> k <> name) required in
+  let unknown =
+    ("unknown attribute", "unknown attribute bogus", ("bogus", "1") :: required)
+  in
+  let missing =
+    match required with
+    | [] -> []
+    | (first, _) :: _ ->
+      [ ("missing required", "missing required attribute", without first) ]
+  in
+  let ill_typed =
+    match List.find_opt (fun s -> s.Attrlist.attr_ty <> A_string) specs with
+    | None -> []
+    | Some s ->
+      let attrs = (s.attr_name, "x") :: without s.attr_name in
+      [ ("ill-typed value", "is not a", attrs) ]
+  in
+  List.map
+    (fun (what, fragment, attrs) ->
+      match Attrlist.validate specs attrs with
+      | Error msg when contains msg fragment -> (what, attrs, msg)
+      | Error msg -> Alcotest.failf "%s: unexpected message %S" what msg
+      | Ok () -> Alcotest.failf "%s: %a validates" what Attrlist.pp attrs)
+    ((unknown :: missing) @ ill_typed)
+
+(* The common DDL validates each attribute list against the extension's
+   [attr_specs] before the extension runs, for every storage method and
+   attachment type of the default factory, with [Attrlist.validate]'s
+   message. *)
+let test_ddl_validates_attrs () =
+  let db = Db.open_database () in
+  let schema = Schema.make_exn [ Schema.column "id" Value.Tint ] in
+  let check kind name specs ddl =
+    List.iter
+      (fun (what, attrs, msg) ->
+        Alcotest.(check (option string))
+          (Fmt.str "%s %s: %s" kind name what)
+          (Some msg) (ddl_refusal (ddl attrs)))
+      (bad_attr_lists specs)
+  in
+  let r =
+    Db.with_txn db (fun ctx ->
+        let ( let* ) = Result.bind in
+        let* _ = Db.create_relation db ctx ~name:"base" ~schema () in
+        List.iter
+          (fun (id, name) ->
+            let (module M : Intf.STORAGE_METHOD) = Registry.storage_method id in
+            check "storage method" name M.attr_specs (fun attrs ->
+                Db.create_relation db ctx ~name:("r_" ^ name) ~schema
+                  ~storage_method:name ~attrs ()))
+          (Registry.storage_methods ());
+        List.iter
+          (fun (id, name) ->
+            let (module A : Intf.ATTACHMENT) = Registry.attachment id in
+            check "attachment type" name A.attr_specs (fun attrs ->
+                Db.create_attachment db ctx ~relation:"base"
+                  ~attachment_type:name ~name:"a" ~attrs ()))
+          (Registry.attachments ());
+        Ok ())
+  in
+  Alcotest.(check bool) "transaction" true (Result.is_ok r);
+  Db.close db
+
+(* A storage method that interprets its list without validating it still
+   gets only lists that match its [attr_specs]. *)
+let test_ddl_validates_for_extension () =
+  with_scratch_registry (fun () ->
+      let (module D) = dummy_sm "trusting" in
+      let id =
+        Registry.register_storage_method
+          (module struct
+            include D
+
+            let attr_specs = [ Attrlist.spec "capacity" Attrlist.A_int ]
+          end)
+      in
+      in_txn ~smethod_id:id (fun ctx _ ->
+          let schema = Schema.make_exn [ Schema.column "n" Value.Tint ] in
+          let create name attrs =
+            Dmx_ddl.Ddl.create_relation ctx ~name ~schema
+              ~storage_method:"trusting" ~attrs ()
+          in
+          Alcotest.(check (option string)) "unknown attribute refused"
+            (Some "unknown attribute bogus")
+            (ddl_refusal (create "r1" [ ("capacity", "5"); ("bogus", "1") ]));
+          Alcotest.(check bool) "a valid list is accepted" true
+            (Result.is_ok (create "r2" [ ("capacity", "5") ]))))
+
 let suite =
   [
     Alcotest.test_case "duplicate name rejected" `Quick test_duplicate_name;
@@ -350,4 +469,8 @@ let suite =
       test_smethod_default_scan_batch;
     Alcotest.test_case "attachment slot registers once" `Quick
       test_slot_functor;
+    Alcotest.test_case "DDL validates every default extension's attributes"
+      `Quick test_ddl_validates_attrs;
+    Alcotest.test_case "DDL validates for a method that does not" `Quick
+      test_ddl_validates_for_extension;
   ]
