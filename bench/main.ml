@@ -1114,8 +1114,6 @@ let e10 () =
   (* 64-frame pool vs a ~300-page relation: heap updates evict and re-read *)
   let run storage_method =
     Db.register_defaults ();
-    Dmx_smethod.Memory.reset_all ();
-    Dmx_smethod.Temp.reset_all ();
     let db = Db.open_database ~pool_capacity:64 () in
     let r =
       Db.with_txn db (fun ctx ->

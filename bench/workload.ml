@@ -12,8 +12,6 @@ let ok what = function
 
 let fresh_db () =
   Db.register_defaults ();
-  Dmx_smethod.Memory.reset_all ();
-  Dmx_smethod.Temp.reset_all ();
   Db.open_database ()
 
 let emp_schema =

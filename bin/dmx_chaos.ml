@@ -112,7 +112,12 @@ let config seed =
     ops_per_txn = !ops_per_txn;
     pool_capacity = !pool;
     introspect = !introspect;
-    checkpoint_every = every }
+    checkpoint_every = every;
+    chaos =
+      (match !mutate with
+      | Some `Undo -> H.undo_mutation "btree_index"
+      | Some `Redo -> H.redo_mutation "btree_index"
+      | None -> Dmx_core.Undo.no_chaos) }
 
 let plan_of_point point =
   match !mode with
@@ -188,10 +193,6 @@ let run_sweeps () =
 
 let () =
   Arg.parse spec anon usage;
-  (match !mutate with
-  | Some `Undo -> H.enable_undo_mutation "btree_index"
-  | Some `Redo -> H.enable_redo_mutation "btree_index"
-  | None -> ());
   let code =
     match !replay with
     | Some (seed, point) -> run_replay seed point

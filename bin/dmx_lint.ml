@@ -1,7 +1,6 @@
 (* dmx-lint: static enforcement of the extension-architecture invariants.
 
-   Usage: dmx_lint --root DIR [--baseline FILE] [--update-baseline]
-                   [--report FILE]
+   Usage: dmx_lint --root DIR [--report FILE]
 
    --report writes the full concurrency-readiness analysis (R7 global-state
    inventory, R8 lock-order graph, R9 WAL entry summaries) to FILE — the CI
@@ -10,26 +9,16 @@
    Exit codes: 0 clean, 1 violations, 2 usage error. *)
 
 let usage () =
-  prerr_endline
-    "usage: dmx_lint --root DIR [--baseline FILE] [--update-baseline] \
-     [--report FILE]";
+  prerr_endline "usage: dmx_lint --root DIR [--report FILE]";
   exit 2
 
 let () =
   let root = ref "." in
-  let baseline = ref None in
-  let update = ref false in
   let report_file = ref None in
   let rec parse = function
     | [] -> ()
     | "--root" :: dir :: rest ->
       root := dir;
-      parse rest
-    | "--baseline" :: file :: rest ->
-      baseline := Some file;
-      parse rest
-    | "--update-baseline" :: rest ->
-      update := true;
       parse rest
     | "--report" :: file :: rest ->
       report_file := Some file;
@@ -37,15 +26,11 @@ let () =
     | ("--help" | "-h") :: _ | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !update && !baseline = None then usage ();
   if not (Sys.file_exists !root && Sys.is_directory !root) then begin
     Fmt.epr "dmx_lint: --root %s is not a directory@." !root;
     exit 2
   end;
-  let config = Lint_driver.default_config ~root:!root in
-  let report =
-    Lint_driver.run ?baseline:!baseline ~update_baseline:!update config
-  in
+  let report = Lint_driver.run (Lint_driver.default_config ~root:!root) in
   (match !report_file with
   | None -> ()
   | Some file ->

@@ -38,8 +38,9 @@ let order_schema =
 let () =
   Db.register_defaults ();
   (* the publisher's live price service, reachable only by messages *)
-  let srv = Dmx_smethod.Remote_server.create ~name:"publisher" in
-  let db = Db.open_database () in
+  let servers = Dmx_smethod.Remote_server.directory () in
+  let srv = Dmx_smethod.Remote_server.create servers ~name:"publisher" in
+  let db = Db.open_database ~servers () in
 
   (* ---- mastering: append, then seal ----------------------------------- *)
   ignore

@@ -82,8 +82,9 @@ let check_frozen_for_dispatch ~op =
 
    The dynamic complement of the static R8 pass: every observed grant is
    checked for hierarchy coverage (a record lock needs the relation intent
-   lock first), and relation-level acquisition order pairs accumulate in a
-   process-global order graph. The first grant that completes a cycle whose
+   lock first), and relation-level acquisition order pairs accumulate in
+   the database's order graph. Relation ids are the database's own, so each
+   database has its own graph. The first grant that completes a cycle whose
    modes actually conflict in both directions raises — an interleaving of
    the two recorded schedules could deadlock.
 
@@ -97,33 +98,30 @@ module Lockdep = struct
   module Lock_table = Dmx_lock.Lock_table
   module Lock_mode = Dmx_lock.Lock_mode
 
-  (* per-txn held locks, strongest mode per resource *)
-  let held : (int, (Lock_table.resource * Lock_mode.t) list) Hashtbl.t =
-    Hashtbl.create 32 [@@dmx.global "UNSAFE"]
+  type t = {
+    (* per-txn held locks, strongest mode per resource *)
+    held : (int, (Lock_table.resource * Lock_mode.t) list) Hashtbl.t;
+    (* order edges: (relA, relB) -> list of (modeA, modeB): some transaction
+       held relA in modeA while being granted relB in modeB *)
+    edges : (int * int, (Lock_mode.t * Lock_mode.t) list) Hashtbl.t;
+    (* relations created by a still-open transaction: invisible to every
+       concurrent transaction, so their lock order cannot invert with
+       anyone *)
+    nascent : (int * int, unit) Hashtbl.t;
+  }
 
-  (* order edges: (relA, relB) -> list of (modeA, modeB): some transaction
-     held relA in modeA while being granted relB in modeB *)
-  let edges : (int * int, (Lock_mode.t * Lock_mode.t) list) Hashtbl.t =
-    Hashtbl.create 64 [@@dmx.global "UNSAFE"]
+  let create () =
+    { held = Hashtbl.create 32; edges = Hashtbl.create 64;
+      nascent = Hashtbl.create 8 }
 
-  (* relations created by a still-open transaction: invisible to every
-     concurrent transaction, so their lock order cannot invert with anyone *)
-  let nascent : (int * int, unit) Hashtbl.t =
-    Hashtbl.create 8 [@@dmx.global "UNSAFE"]
+  let mark_nascent t ~txid ~rel_id = Hashtbl.replace t.nascent (txid, rel_id) ()
+  let is_nascent t ~txid rel = Hashtbl.mem t.nascent (txid, rel)
 
-  let reset () =
-    Hashtbl.reset held;
-    Hashtbl.reset edges;
-    Hashtbl.reset nascent
-
-  let mark_nascent ~txid ~rel_id = Hashtbl.replace nascent (txid, rel_id) ()
-  let is_nascent ~txid rel = Hashtbl.mem nascent (txid, rel)
-
-  let release ~txid =
-    Hashtbl.remove held txid;
+  let release t ~txid =
+    Hashtbl.remove t.held txid;
     Hashtbl.iter
-      (fun ((tx, _) as k) () -> if tx = txid then Hashtbl.remove nascent k)
-      (Hashtbl.copy nascent)
+      (fun ((tx, _) as k) () -> if tx = txid then Hashtbl.remove t.nascent k)
+      (Hashtbl.copy t.nascent)
 
   let check_hierarchy ~txid resource locks =
     match resource with
@@ -145,8 +143,8 @@ module Lockdep = struct
      edge (b, a) with modes (held_b, want_a) proves some schedule acquired
      the two relations in the opposite order; the pair can deadlock iff each
      transaction's want conflicts with the other's hold. *)
-  let check_inversion ~txid ~a ~held_a ~b ~want_b =
-    match Hashtbl.find_opt edges (b, a) with
+  let check_inversion t ~txid ~a ~held_a ~b ~want_b =
+    match Hashtbl.find_opt t.edges (b, a) with
     | None -> ()
     | Some reverse ->
       List.iter
@@ -170,9 +168,9 @@ module Lockdep = struct
               (Lock_mode.to_string want_a))
         reverse
 
-  let grant ~txid resource mode =
+  let grant t ~txid resource mode =
     if enabled () then begin
-      let locks = Option.value ~default:[] (Hashtbl.find_opt held txid) in
+      let locks = Option.value ~default:[] (Hashtbl.find_opt t.held txid) in
       check_hierarchy ~txid resource locks;
       let prior = List.assoc_opt resource locks in
       let covered =
@@ -181,33 +179,49 @@ module Lockdep = struct
       if not covered then begin
         (match resource with
         | Lock_table.Record _ -> ()
-        | Lock_table.Relation b when is_nascent ~txid b -> ()
+        | Lock_table.Relation b when is_nascent t ~txid b -> ()
         | Lock_table.Relation b ->
           List.iter
             (fun (res, held_a) ->
               match res with
               | Lock_table.Record _ -> ()
               | Lock_table.Relation a ->
-                if a <> b && not (is_nascent ~txid a) then begin
-                  check_inversion ~txid ~a ~held_a ~b ~want_b:mode;
+                if a <> b && not (is_nascent t ~txid a) then begin
+                  check_inversion t ~txid ~a ~held_a ~b ~want_b:mode;
                   let cur =
-                    Option.value ~default:[] (Hashtbl.find_opt edges (a, b))
+                    Option.value ~default:[] (Hashtbl.find_opt t.edges (a, b))
                   in
                   if not (List.mem (held_a, mode) cur) then
-                    Hashtbl.replace edges (a, b) ((held_a, mode) :: cur)
+                    Hashtbl.replace t.edges (a, b) ((held_a, mode) :: cur)
                 end)
             locks);
         let mode =
           match prior with Some m -> Lock_mode.sup m mode | None -> mode
         in
-        Hashtbl.replace held txid
+        Hashtbl.replace t.held txid
           ((resource, mode) :: List.remove_assoc resource locks)
       end
     end
 end
 
-let lockdep_reset = Lockdep.reset
-let lockdep_grant ~txid resource mode = Lockdep.grant ~txid resource mode
-let lockdep_release ~txid = if enabled () then Lockdep.release ~txid
-let lockdep_mark_nascent ~txid ~rel_id =
-  if enabled () then Lockdep.mark_nascent ~txid ~rel_id
+type lockdep = Lockdep.t
+
+let lockdep = Lockdep.create
+let lockdep_grant = Lockdep.grant
+let lockdep_release ld ~txid = if enabled () then Lockdep.release ld ~txid
+let lockdep_key : lockdep Dmx_txn.Tmap.key = Dmx_txn.Tmap.new_key "lockdep"
+
+let install_lockdep txn_mgr =
+  let ld = lockdep () in
+  Dmx_txn.Txn_mgr.set_attr txn_mgr lockdep_key ld;
+  let locks = Dmx_txn.Txn_mgr.locks txn_mgr in
+  Dmx_lock.Lock_table.set_grant_observer locks (fun ~txid resource mode ->
+      lockdep_grant ld ~txid resource mode);
+  Dmx_lock.Lock_table.set_release_observer locks (fun txid ->
+      lockdep_release ld ~txid)
+
+let lockdep_mark_nascent txn_mgr ~txid ~rel_id =
+  if enabled () then
+    Option.iter
+      (fun ld -> Lockdep.mark_nascent ld ~txid ~rel_id)
+      (Dmx_txn.Txn_mgr.attr txn_mgr lockdep_key)

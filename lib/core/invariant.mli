@@ -65,28 +65,39 @@ val check_frozen_for_dispatch : op:string -> unit
 
     The dynamic complement of the static lock-order pass (R8): per-txn lock
     grants are checked for hierarchy coverage, and relation-level
-    acquisition-order pairs accumulate in a process-global order graph; the
-    first grant that completes a conflicting-mode inversion raises. Record
-    locks participate only in the hierarchy check — key-level collisions are
-    data-dependent and belong to the waits-for deadlock detector. Wired into
-    every mount by [Services.setup] via
-    {!Dmx_lock.Lock_table.set_grant_observer}. *)
+    acquisition-order pairs accumulate in an order graph; the first grant
+    that completes a conflicting-mode inversion raises. Record locks
+    participate only in the hierarchy check — key-level collisions are
+    data-dependent and belong to the waits-for deadlock detector. Each
+    database has its own graph (relation ids are per database), installed
+    on its lock table by [Services.setup] through {!install_lockdep}. *)
 
-val lockdep_reset : unit -> unit
-(** Clear all lockdep state (held sets, order graph, nascent marks).
-    Called by [Services.setup] so each mount starts with a fresh graph. *)
+type lockdep
+(** One database's held sets, order graph and nascent marks. *)
+
+val lockdep : unit -> lockdep
+(** An empty graph. *)
 
 val lockdep_grant :
-  txid:int -> Dmx_lock.Lock_table.resource -> Dmx_lock.Lock_mode.t -> unit
+  lockdep -> txid:int -> Dmx_lock.Lock_table.resource ->
+  Dmx_lock.Lock_mode.t -> unit
 (** Record one observed grant; raises on a hierarchy violation or a
     conflicting-mode order inversion. No-op (and allocation-free) when the
     sanitizer is disabled. *)
 
-val lockdep_release : txid:int -> unit
+val lockdep_release : lockdep -> txid:int -> unit
 (** Forget the transaction's held set and nascent marks (commit/abort). *)
 
-val lockdep_mark_nascent : txid:int -> rel_id:int -> unit
-(** Exempt a relation created by the still-open transaction from the order
-    graph: no concurrent transaction can reference it before commit, so its
-    acquisition order cannot invert with anyone. [Ddl.create_relation] marks
-    the fresh relation id. *)
+val install_lockdep : Dmx_txn.Txn_mgr.t -> unit
+(** Give the database a fresh {!lockdep}, kept in its extension state, and
+    observe every grant and release of its lock table with it.
+    [Services.setup] calls this when the sanitizer is on at mount time, so
+    the disabled grant path stays allocation-free. *)
+
+val lockdep_mark_nascent :
+  Dmx_txn.Txn_mgr.t -> txid:int -> rel_id:int -> unit
+(** Exempt a relation created by the still-open transaction from the
+    database's order graph: no concurrent transaction can reference it
+    before commit, so its acquisition order cannot invert with anyone.
+    [Ddl.create_relation] marks the fresh relation id. No-op when the
+    database has no graph. *)

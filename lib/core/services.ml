@@ -135,7 +135,8 @@ let grow_store disk log =
     ignore (Disk.alloc disk)
   done
 
-let rec setup ?dir ?disk ?(pool_capacity = 256) () =
+let rec setup ?dir ?disk ?(pool_capacity = 256) ?(chaos = Undo.no_chaos)
+    ?attrs () =
   Registry.freeze ();
   let disk, wal, catalog =
     match dir with
@@ -152,7 +153,7 @@ let rec setup ?dir ?disk ?(pool_capacity = 256) () =
         Dmx_catalog.Catalog.load ~path:(Filename.concat dir "catalog.dmx") )
   in
   match
-    setup_with ~dir ~disk ~wal ~catalog ~pool_capacity
+    setup_with ~dir ~disk ~wal ~catalog ~pool_capacity ~chaos ~attrs
   with
   | t -> t
   | exception e ->
@@ -163,7 +164,7 @@ let rec setup ?dir ?disk ?(pool_capacity = 256) () =
     Disk.close disk;
     raise e
 
-and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
+and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity ~chaos ~attrs =
   let bp = Buffer_pool.create ~capacity:pool_capacity disk in
   (* WAL rule: the log records behind a page must be durable before the page
      reaches the backing store. The pool stamps each dirty frame with the
@@ -194,17 +195,11 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
       | exception Invalid_argument _ -> None)
     | _ -> None);
   let locks = Dmx_lock.Lock_table.create () in
+  let txn_mgr = Dmx_txn.Txn_mgr.create ~wal ~locks ?attrs () in
   (* Lockdep mirrors the LSN observer: installed only when the sanitizer is
-     on at mount time, so the disabled grant path stays allocation-free. A
-     fresh mount starts a fresh order graph. *)
-  if Invariant.enabled () then begin
-    Invariant.lockdep_reset ();
-    Dmx_lock.Lock_table.set_grant_observer locks (fun ~txid resource mode ->
-        Invariant.lockdep_grant ~txid resource mode);
-    Dmx_lock.Lock_table.set_release_observer locks (fun txid ->
-        Invariant.lockdep_release ~txid)
-  end;
-  let txn_mgr = Dmx_txn.Txn_mgr.create ~wal ~locks () in
+     on at mount time, so the disabled grant path stays allocation-free. The
+     database gets its own order graph. *)
+  if Invariant.enabled () then Invariant.install_lockdep txn_mgr;
   let t =
     {
       disk;
@@ -223,8 +218,10 @@ and setup_with ~dir ~disk ~wal ~catalog ~pool_capacity =
   Dmx_txn.Txn_mgr.set_catalog_hook txn_mgr (fun ~force ->
       if force then ignore (Buffer_pool.flush_all bp);
       if Dmx_catalog.Catalog.dirty catalog then Dmx_catalog.Catalog.save catalog);
-  Dmx_txn.Txn_mgr.set_undo_dispatch txn_mgr (Undo.dispatch ~txn_mgr ~bp ~catalog);
-  Dmx_txn.Txn_mgr.set_redo_dispatch txn_mgr (Undo.redo ~txn_mgr ~bp ~catalog);
+  Dmx_txn.Txn_mgr.set_undo_dispatch txn_mgr
+    (Undo.dispatch ~chaos ~txn_mgr ~bp ~catalog);
+  Dmx_txn.Txn_mgr.set_redo_dispatch txn_mgr
+    (Undo.redo ~chaos ~txn_mgr ~bp ~catalog);
   Dmx_txn.Txn_mgr.set_commit_observer txn_mgr (fun () ->
       if checkpoint_due t then ignore (checkpoint t));
   t.last_recovery <-

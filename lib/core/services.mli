@@ -23,7 +23,8 @@ type t = {
 }
 
 val setup :
-  ?dir:string -> ?disk:Dmx_page.Disk.t -> ?pool_capacity:int -> unit -> t
+  ?dir:string -> ?disk:Dmx_page.Disk.t -> ?pool_capacity:int ->
+  ?chaos:Undo.chaos -> ?attrs:Dmx_txn.Tmap.t -> unit -> t
 (** [dir] selects durable operation: pages in [dir/pages.dmx], log in
     [dir/wal.dmx], catalog snapshot in [dir/catalog.dmx]; omitted means fully
     in-memory (tests, benches, temporaries). [disk] substitutes the page
@@ -36,7 +37,10 @@ val setup :
     and redo dispatchers, and runs restart recovery: the store is extended
     to every page a retained log record names ({!Registry.set_sm_page_bound}),
     then analysis and redo from the last checkpoint, the undo of losers,
-    and a checkpoint (DESIGN.md §15). *)
+    and a checkpoint (DESIGN.md §15). [chaos] plants a recovery bug in this
+    database's undo and redo dispatch, restart included; only the chaos
+    harness's mutation runs pass it. [attrs]: extension state the
+    application owns, set before restart recovery ([Remote_server.attrs]). *)
 
 val checkpoint : ?truncate:bool -> t -> checkpoint_stats
 (** Take a checkpoint now: write every dirty page and sync the store

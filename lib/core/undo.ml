@@ -1,20 +1,16 @@
 open Dmx_wal
 
-(* Chaos-harness mutation points: when set, matching Ext records are
-   silently skipped instead of dispatched to undo (or to redo) — a
-   deliberately planted recovery bug used to prove the torture oracle
-   catches real defects. Never set outside mutation runs
-   (bin/dmx_chaos.exe --mutate). *)
-type skips = {
-  skip_undo : (Log_record.t -> bool) option;
-  skip_redo : (Log_record.t -> bool) option;
+(* Chaos-harness mutation points: matching Ext records are silently
+   skipped instead of dispatched to undo (or to redo) — a deliberately
+   planted recovery bug used to prove the torture oracle catches real
+   defects. A database gets them from [Services.setup ~chaos]; only
+   mutation runs (bin/dmx_chaos.exe --mutate) pass any. *)
+type chaos = {
+  skip_undo : Log_record.t -> bool;
+  skip_redo : Log_record.t -> bool;
 }
 
-let chaos_skip = ref { skip_undo = None; skip_redo = None } [@@dmx.global "UNSAFE"]
-let set_chaos_skip f = chaos_skip := { !chaos_skip with skip_undo = f }
-let set_redo_chaos_skip f = chaos_skip := { !chaos_skip with skip_redo = f }
-
-let skipped skip r = match skip with Some f -> f r | None -> false
+let no_chaos = { skip_undo = (fun _ -> false); skip_redo = (fun _ -> false) }
 
 let undo_ext ctx catalog (r : Log_record.t) =
   match r.Log_record.kind with
@@ -31,8 +27,8 @@ let undo_ext ctx catalog (r : Log_record.t) =
   end
   | Commit | Abort | Clr _ | Checkpoint _ -> ()
 
-let dispatch ~txn_mgr ~bp ~catalog txn ~lsn (r : Log_record.t) =
-  if not (skipped !chaos_skip.skip_undo r) then begin
+let dispatch ~chaos ~txn_mgr ~bp ~catalog txn ~lsn (r : Log_record.t) =
+  if not (chaos.skip_undo r) then begin
     if Invariant.enabled () then
       Invariant.check_undo_above_base ~txid:r.Log_record.txid
         ~lsn:r.Log_record.lsn
@@ -45,10 +41,10 @@ let dispatch ~txn_mgr ~bp ~catalog txn ~lsn (r : Log_record.t) =
    records are not redone, nor are their undos: the catalog snapshot saved
    at commit (and at abort and restart) already holds them, and restart
    undoes a loser's catalog records again in full. *)
-let redo ~txn_mgr ~bp ~catalog txn ~find (r : Log_record.t) =
+let redo ~chaos ~txn_mgr ~bp ~catalog txn ~find (r : Log_record.t) =
   let ctx () = Ctx.make ~lsn:r.lsn ~replay:true ~txn ~txn_mgr ~bp ~catalog () in
   match r.Log_record.kind with
-  | Ext { source; rel_id; data } when not (skipped !chaos_skip.skip_redo r) -> (
+  | Ext { source; rel_id; data } when not (chaos.skip_redo r) -> (
     match source with
     | Smethod id -> Registry.sm_redo id (ctx ()) ~rel_id ~data
     | Attachment id -> Registry.at_redo id (ctx ()) ~rel_id ~data
@@ -56,7 +52,7 @@ let redo ~txn_mgr ~bp ~catalog txn ~find (r : Log_record.t) =
   | Clr { undone } -> (
     match (find undone : Log_record.t option) with
     | Some ({ kind = Ext { source = Smethod _ | Attachment _; _ }; _ } as u)
-      when not (skipped !chaos_skip.skip_undo u) ->
+      when not (chaos.skip_undo u) ->
       undo_ext (ctx ()) catalog u
     | _ -> ())
   | Ext _ | Commit | Abort | Checkpoint _ -> ()

@@ -12,7 +12,20 @@
     record to the undo (or redo) entry point of the owning extension through
     the registry, or to the catalog facility for catalog records. *)
 
+type chaos = {
+  skip_undo : Dmx_wal.Log_record.t -> bool;
+  skip_redo : Dmx_wal.Log_record.t -> bool;
+}
+(** Mutation points for the chaos harness: records matching [skip_undo] are
+    silently *not* undone, and those matching [skip_redo] not redone — a
+    planted recovery bug that the torture oracle must catch (see DESIGN.md
+    §10). Never used outside deliberate mutation runs. *)
+
+val no_chaos : chaos
+(** Skips nothing: correct dispatch. *)
+
 val dispatch :
+  chaos:chaos ->
   txn_mgr:Dmx_txn.Txn_mgr.t ->
   bp:Dmx_page.Buffer_pool.t ->
   catalog:Dmx_catalog.Catalog.t ->
@@ -24,6 +37,7 @@ val dispatch :
     ([Ctx.lsn] of the extension call). *)
 
 val redo :
+  chaos:chaos ->
   txn_mgr:Dmx_txn.Txn_mgr.t ->
   bp:Dmx_page.Buffer_pool.t ->
   catalog:Dmx_catalog.Catalog.t ->
@@ -37,12 +51,3 @@ val redo :
     [find] returns for the LSN it undid. Catalog records
     and their undos are not repeated: the catalog snapshot already holds
     them. *)
-
-val set_chaos_skip : (Dmx_wal.Log_record.t -> bool) option -> unit
-(** Mutation point for the chaos harness: records matching the predicate are
-    silently *not* undone — a planted recovery bug that the torture oracle
-    must catch (see DESIGN.md §10). [None] (the default) restores correct
-    dispatch. Never used outside deliberate mutation runs. *)
-
-val set_redo_chaos_skip : (Dmx_wal.Log_record.t -> bool) option -> unit
-(** The same for redo: matching records are silently *not* redone. *)

@@ -72,9 +72,13 @@ let plan_cache_schema =
          Dmx_value.Schema.column ~nullable:false "plan" Dmx_value.Value.Tstring
        ]) [@@dmx.global "config-immutable-after-setup"]
 
-let open_database ?dir ?disk ?(user = "admin") ?pool_capacity () =
+let open_database ?dir ?disk ?(user = "admin") ?pool_capacity ?servers () =
   register_defaults ();
-  let services = Services.setup ?dir ?disk ?pool_capacity () in
+  let services =
+    Services.setup ?dir ?disk ?pool_capacity
+      ?attrs:(Option.map Dmx_smethod.Remote_server.attrs servers)
+      ()
+  in
   let authz =
     match dir with
     | None -> Authz.create ()

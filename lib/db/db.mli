@@ -31,11 +31,14 @@ val mount_system_views :
 
 val open_database :
   ?dir:string -> ?disk:Dmx_page.Disk.t -> ?user:string ->
-  ?pool_capacity:int -> unit -> t
+  ?pool_capacity:int -> ?servers:Dmx_smethod.Remote_server.directory ->
+  unit -> t
 (** [user] defaults to ["admin"], which is always an administrator. Runs
     restart recovery when [dir] holds an existing database.
     [disk] substitutes the page store (fault-injection harnesses);
-    [pool_capacity] sizes the buffer pool (default 256 frames). *)
+    [pool_capacity] sizes the buffer pool (default 256 frames). [servers]:
+    the foreign servers it reaches (none by default); pass the same ones to
+    every open, so restart can compensate a loser's remote writes. *)
 
 val close : t -> unit
 val set_user : t -> string -> unit

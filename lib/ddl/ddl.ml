@@ -39,7 +39,8 @@ let create_relation ctx ~name ~schema ~storage_method ?(attrs = []) () =
       (* The fresh relation is invisible to concurrent transactions until
          commit — exempt its X lock from lockdep's order graph so a
          multi-relation DDL transaction doesn't record phantom orderings. *)
-      Invariant.lockdep_mark_nascent ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ~rel_id;
+      Invariant.lockdep_mark_nascent ctx.Ctx.txn_mgr
+        ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id ~rel_id;
       let* () = lock_x ctx rel_id in
       let* () = ddl_result (Attrlist.validate M.attr_specs attrs) in
       let* smethod_desc = M.create ctx ~rel_id schema attrs in

@@ -125,6 +125,20 @@ let fetch_cursor ctx ?stats (desc : Descriptor.t) pred keys_next close =
   in
   { next; close }
 
+(* The records behind the keys an attachment lookup returns, fetched one
+   by one. *)
+let lookup_cursor ctx ?stats desc pred ~at_id ~instance key =
+  let* keys = Relation.lookup ctx desc ~attachment_id:at_id ~instance ~key in
+  let remaining = ref keys in
+  let keys_next () =
+    match !remaining with
+    | [] -> None
+    | k :: rest ->
+      remaining := rest;
+      Some k
+  in
+  Ok (fetch_cursor ctx ?stats desc pred keys_next (fun () -> ()))
+
 let exec_single ctx ?stats (s : Plan.single) ~params =
   let pred = Option.map (Expr.subst_params params) s.predicate in
   let* base =
@@ -139,18 +153,7 @@ let exec_single ctx ?stats (s : Plan.single) ~params =
     | Plan.Index_eq { at_id; instance; fields } -> begin
       match Analyze.key_range ~key_fields:fields (Option.get pred) with
       | Some (eq, _) when Array.length eq = Array.length fields ->
-        let* keys =
-          Relation.lookup ctx s.desc ~attachment_id:at_id ~instance ~key:eq
-        in
-        let remaining = ref keys in
-        let keys_next () =
-          match !remaining with
-          | [] -> None
-          | k :: rest ->
-            remaining := rest;
-            Some k
-        in
-        Ok (fetch_cursor ctx ?stats s.desc pred keys_next (fun () -> ()))
+        lookup_cursor ctx ?stats s.desc pred ~at_id ~instance eq
       | _ ->
         (* Parameters failed to produce a full key (e.g. NULL): no matches
            under SQL semantics. *)
@@ -183,19 +186,7 @@ let exec_single ctx ?stats (s : Plan.single) ~params =
       match Array.exists (fun v -> v = Value.Null) rect_vals with
       | true -> Ok empty_cursor
       | false ->
-        let* keys =
-          Relation.lookup ctx s.desc ~attachment_id:at_id ~instance
-            ~key:rect_vals
-        in
-        let remaining = ref keys in
-        let keys_next () =
-          match !remaining with
-          | [] -> None
-          | k :: rest ->
-            remaining := rest;
-            Some k
-        in
-        Ok (fetch_cursor ctx ?stats s.desc pred keys_next (fun () -> ()))
+        lookup_cursor ctx ?stats s.desc pred ~at_id ~instance rect_vals
     end
   in
   match stats with
@@ -312,31 +303,35 @@ let open_plan ctx (plan : Plan.t) ?(params = [||]) () =
   in
   Ok (project_cursor plan.projection base)
 
+(* Every row of [cursor], in order; the cursor is closed however the
+   drain ends. *)
+let drain cursor =
+  let rec go acc =
+    match cursor.next () with
+    | None ->
+      cursor.close ();
+      Ok (List.rev acc)
+    | Some r -> go (r :: acc)
+    | exception Error.Error e ->
+      cursor.close ();
+      Error e
+    | exception Eval.Error msg ->
+      cursor.close ();
+      Error (Error.Internal ("evaluation: " ^ msg))
+    | exception e ->
+      (* scan hygiene: any escaping exception must not leak the open scans
+         behind this cursor (the DMX_SANITIZE scan-balance check would trip
+         at commit) *)
+      cursor.close ();
+      raise e
+  in
+  go []
+
 let run ctx plan ?params () =
   match open_plan ctx plan ?params () with
   | Error _ as e -> e
   | exception Eval.Error msg -> Error (Error.Internal ("evaluation: " ^ msg))
-  | Ok cursor ->
-    let rec drain acc =
-      match cursor.next () with
-      | None ->
-        cursor.close ();
-        Ok (List.rev acc)
-      | Some r -> drain (r :: acc)
-      | exception Error.Error e ->
-        cursor.close ();
-        Error e
-      | exception Eval.Error msg ->
-        cursor.close ();
-        Error (Error.Internal ("evaluation: " ^ msg))
-      | exception e ->
-        (* scan hygiene: any escaping exception must not leak the open scans
-           behind this cursor (the DMX_SANITIZE scan-balance check would
-           trip at commit) *)
-        cursor.close ();
-        raise e
-    in
-    drain []
+  | Ok cursor -> drain cursor
 
 (* ---- EXPLAIN ANALYZE --------------------------------------------------- *)
 
@@ -387,23 +382,7 @@ let analyze ctx (plan : Plan.t) ?(params = [||]) () =
     root.os_children <- [ child_st ];
     root.os_loops <- 1;
     let cursor = observe_cursor ctx root (project_cursor plan.projection base) in
-    let rec drain acc =
-      match cursor.next () with
-      | None ->
-        cursor.close ();
-        Ok (List.rev acc, root)
-      | Some r -> drain (r :: acc)
-      | exception Error.Error e ->
-        cursor.close ();
-        Error e
-      | exception Eval.Error msg ->
-        cursor.close ();
-        Error (Error.Internal ("evaluation: " ^ msg))
-      | exception e ->
-        cursor.close ();
-        raise e
-    in
-    drain []
+    Result.map (fun rows -> (rows, root)) (drain cursor)
 
 let rec node_of_stats st =
   let metrics =

@@ -25,8 +25,8 @@ let dec_desc s =
 
 let fdesc_of (desc : Descriptor.t) = dec_desc desc.smethod_desc
 
-let server_of fd =
-  match Remote_server.find fd.server with
+let server_of ctx fd =
+  match Remote_server.find ctx.Ctx.txn_mgr fd.server with
   | Some s -> Ok s
   | None ->
     Error (Error.Internal (Fmt.str "foreign server %S unreachable" fd.server))
@@ -90,7 +90,6 @@ module Impl = struct
     ]
 
   let create ctx ~rel_id _schema attrs =
-    ignore ctx;
     ignore rel_id;
     let fd =
       {
@@ -98,22 +97,21 @@ module Impl = struct
         remote_rel = Option.get (Attrlist.find attrs "relation");
       }
     in
-    let* srv = server_of fd in
+    let* srv = server_of ctx fd in
     (* Adopt an existing remote relation or create a fresh one. *)
     ignore (Remote_server.send srv (Create_rel fd.remote_rel));
     Ok (enc_desc fd)
 
   let destroy ctx ~rel_id ~smethod_desc =
-    ignore ctx;
     ignore rel_id;
     let fd = dec_desc smethod_desc in
-    match server_of fd with
+    match server_of ctx fd with
     | Error _ -> ()
     | Ok srv -> ignore (Remote_server.send srv (Drop_rel fd.remote_rel))
 
   let insert ctx (desc : Descriptor.t) record =
     let fd = fdesc_of desc in
-    let* srv = server_of fd in
+    let* srv = server_of ctx fd in
     match Remote_server.send srv (Insert (fd.remote_rel, record)) with
     | Ok_id rid ->
       log ctx ~rel_id:desc.rel_id (enc_op (Ins (rid, record)));
@@ -122,9 +120,8 @@ module Impl = struct
     | _ -> Error (Error.Internal "foreign: protocol error")
 
   let fetch ctx (desc : Descriptor.t) key ?fields () =
-    ignore ctx;
     let fd = fdesc_of desc in
-    match rid_of key, server_of fd with
+    match rid_of key, server_of ctx fd with
     | Some rid, Ok srv -> begin
       match Remote_server.send srv (Fetch (fd.remote_rel, rid)) with
       | Ok_record (Some record) ->
@@ -138,7 +135,7 @@ module Impl = struct
 
   let delete ctx (desc : Descriptor.t) key =
     let fd = fdesc_of desc in
-    let* srv = server_of fd in
+    let* srv = server_of ctx fd in
     match rid_of key with
     | None -> Error (Error.Key_not_found (Record_key.to_string key))
     | Some rid -> begin
@@ -153,7 +150,7 @@ module Impl = struct
 
   let update ctx (desc : Descriptor.t) key new_record =
     let fd = fdesc_of desc in
-    let* srv = server_of fd in
+    let* srv = server_of ctx fd in
     match rid_of key with
     | None -> Error (Error.Key_not_found (Record_key.to_string key))
     | Some rid -> begin
@@ -173,9 +170,8 @@ module Impl = struct
   let key_fields _ = None
 
   let record_count ctx (desc : Descriptor.t) =
-    ignore ctx;
     let fd = fdesc_of desc in
-    match server_of fd with
+    match server_of ctx fd with
     | Error _ -> 0
     | Ok srv -> begin
       match Remote_server.send srv (Count fd.remote_rel) with
@@ -184,13 +180,12 @@ module Impl = struct
     end
 
   let scan ctx (desc : Descriptor.t) ?lo ?hi ?filter () =
-    ignore ctx;
     ignore lo;
     ignore hi;
     let fd = fdesc_of desc in
     let pos = ref 0 in
     let next () =
-      match server_of fd with
+      match server_of ctx fd with
       | Error _ -> None
       | Ok srv -> begin
         match Remote_server.send srv (Scan_next (fd.remote_rel, !pos)) with
@@ -229,7 +224,7 @@ module Impl = struct
     | None -> ()
     | Some desc -> begin
       let fd = fdesc_of desc in
-      match server_of fd with
+      match server_of ctx fd with
       | Error _ -> ()
       | Ok srv -> begin
         match dec_op data with

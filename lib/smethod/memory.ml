@@ -38,7 +38,6 @@ module type S = sig
 
   val register : unit -> int
   val id : unit -> int
-  val reset_all : unit -> unit
 end
 
 module Make (N : sig
@@ -47,17 +46,24 @@ module Make (N : sig
 end) : S = struct
   include Registry.Smethod (N)
 
-  let stores : (int, store) Hashtbl.t = Hashtbl.create 16 [@@dmx.global "UNSAFE"]
+  (* The stores of one database, by relation id: state of the database's
+     environment, so another database's relation [rel_id] is another
+     store, and a reopened database starts with none. *)
+  let stores_key : (int, store) Hashtbl.t Dmx_txn.Tmap.key =
+    Dmx_txn.Tmap.new_key (N.name ^ ".stores")
 
-  let store_of rel_id =
+  let stores ctx =
+    Dmx_txn.Txn_mgr.attr_or_init ctx.Ctx.txn_mgr stores_key (fun () ->
+        Hashtbl.create 16)
+
+  let store_of ctx rel_id =
+    let stores = stores ctx in
     match Hashtbl.find_opt stores rel_id with
     | Some s -> s
     | None ->
       let s = { records = Imap.empty; next_seq = 1 } in
       Hashtbl.replace stores rel_id s;
       s
-
-  let reset_all () = Hashtbl.reset stores
 
   let log = if N.logged then log else fun _ ~rel_id:_ _ -> ()
 
@@ -66,28 +72,25 @@ end) : S = struct
     let attr_specs = []
 
     let create ctx ~rel_id _schema _attrs =
-      ignore ctx;
-      ignore (store_of rel_id);
+      ignore (store_of ctx rel_id);
       Ok ""
 
     let destroy ctx ~rel_id ~smethod_desc =
-      ignore ctx;
       ignore smethod_desc;
-      Hashtbl.remove stores rel_id
+      Hashtbl.remove (stores ctx) rel_id
 
     let insert ctx (desc : Descriptor.t) record =
-      let s = store_of desc.rel_id in
+      let s = store_of ctx desc.rel_id in
       let seq = s.next_seq in
       let log = log ctx ~rel_id:desc.rel_id in
       ignore (set_seq s seq ~log (fun _ -> Some (encode record)));
       Ok (key_of_seq seq)
 
     let fetch ctx (desc : Descriptor.t) key ?fields () =
-      ignore ctx;
       match seq_of key with
       | None -> None
       | Some seq -> begin
-        match Imap.find_opt seq (store_of desc.rel_id).records with
+        match Imap.find_opt seq (store_of ctx desc.rel_id).records with
         | None -> None
         | Some record ->
           Some
@@ -101,7 +104,8 @@ end) : S = struct
       match seq_of key with
       | None -> None
       | Some seq ->
-        set_seq (store_of desc.rel_id) seq ~log:(log ctx ~rel_id:desc.rel_id) f
+        set_seq (store_of ctx desc.rel_id) seq
+          ~log:(log ctx ~rel_id:desc.rel_id) f
 
     let delete ctx desc key =
       match modify ctx desc key (fun _ -> None) with
@@ -117,8 +121,7 @@ end) : S = struct
     let key_fields _ = None
 
     let record_count ctx (desc : Descriptor.t) =
-      ignore ctx;
-      Imap.cardinal (store_of desc.rel_id).records
+      Imap.cardinal (store_of ctx desc.rel_id).records
 
     (* The one scan implementation (registered as the batch vector entry;
        the record cursor [scan] adapts it): one map walk per run of
@@ -126,10 +129,9 @@ end) : S = struct
        delivered sequence number; the next run starts after it, so a delete
        at the position is harmless. *)
     let scan_batch ctx (desc : Descriptor.t) ~lo ~hi ~filter =
-      ignore ctx;
       ignore lo;
       ignore hi;
-      let s = store_of desc.rel_id in
+      let s = store_of ctx desc.rel_id in
       let n = Scan_help.run_length () in
       let pos = ref 0 in
       let next_run () =
@@ -167,15 +169,13 @@ end) : S = struct
       }
 
     let undo ctx ~rel_id ~data =
-      ignore ctx;
-      match Hashtbl.find_opt stores rel_id with
+      match Hashtbl.find_opt (stores ctx) rel_id with
       | None -> ()  (* volatile contents gone (restart): nothing to undo *)
       | Some s ->
         let img = Image.decode Codec.Dec.varint data in
         ignore (Image.undo img ~set:(set_seq s img.target ~log:ignore))
 
-    (* Nothing to repeat: the store is volatile, so a restart finds it
-       either empty or, within one process, still holding every change. *)
+    (* Nothing to repeat: the store is volatile, so a restart finds it empty. *)
     let redo _ctx ~rel_id:_ ~data:_ = ()
   end
 

@@ -10,9 +10,18 @@ type t = {
   mutable messages : int;
 }
 
-let directory : (string, t) Hashtbl.t = Hashtbl.create 4 [@@dmx.global "UNSAFE"]
+(* Owned by the application, handed to each database it opens. *)
+type directory = (string, t) Hashtbl.t
 
-let create ~name =
+let directory_key : directory Dmx_txn.Tmap.key =
+  Dmx_txn.Tmap.new_key "remote_server.directory"
+
+let directory () : directory = Hashtbl.create 4
+
+let attrs directory =
+  Dmx_txn.Tmap.add directory_key directory Dmx_txn.Tmap.empty
+
+let create directory ~name =
   match Hashtbl.find_opt directory name with
   | Some t -> t
   | None ->
@@ -20,10 +29,12 @@ let create ~name =
     Hashtbl.replace directory name t;
     t
 
-let find name = Hashtbl.find_opt directory name
+let find txn_mgr name =
+  Option.bind (Dmx_txn.Txn_mgr.attr txn_mgr directory_key) (fun directory ->
+      Hashtbl.find_opt directory name)
+
 let message_count t = t.messages
 let reset_stats t = t.messages <- 0
-let reset_all () = Hashtbl.reset directory
 
 type request =
   | Create_rel of string

@@ -11,13 +11,25 @@ open Dmx_value
 
 type t
 
-val create : name:string -> t
+type directory
+(** The servers an application can reach, by name. The application owns it
+    and hands it to each database it opens ([Db.open_database ~servers]),
+    before restart recovery runs: a server outlives a reopen of the local
+    database, and recovery can compensate a loser's remote writes. *)
+
+val directory : unit -> directory
+
+val create : directory -> name:string -> t
 (** Create (or return) the server registered under [name]. *)
 
-val find : string -> t option
+val attrs : directory -> Dmx_txn.Tmap.t
+(** Extension state holding the directory ([Services.setup ~attrs]). *)
+
+val find : Dmx_txn.Txn_mgr.t -> string -> t option
+(** The named server of the directory the database was given, if any. *)
+
 val message_count : t -> int
 val reset_stats : t -> unit
-val reset_all : unit -> unit
 
 type request =
   | Create_rel of string

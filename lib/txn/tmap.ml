@@ -1,37 +1,27 @@
 type binding = ..
 
+(* A key is its own extension constructor: [proj] recognises exactly the
+   bindings [inj] made, so no counter is needed to tell keys apart. *)
 type 'a key = {
-  uid : int;
   name : string;
   inj : 'a -> binding;
   proj : binding -> 'a option;
 }
 
-let next_uid = ref 0 [@@dmx.global "UNSAFE"]
-
 let new_key (type a) name : a key =
   let module M = struct
     type binding += K of a
   end in
-  incr next_uid;
   {
-    uid = !next_uid;
     name;
     inj = (fun v -> M.K v);
     proj = (function M.K v -> Some v | _ -> None);
   }
 
-module Imap = Map.Make (Int)
+type t = binding list
 
-type t = binding Imap.t
-
-let empty = Imap.empty
-let add key v t = Imap.add key.uid (key.inj v) t
-
-let find key t =
-  match Imap.find_opt key.uid t with
-  | None -> None
-  | Some b -> key.proj b
-
-let remove key t = Imap.remove key.uid t
-let mem key t = Imap.mem key.uid t
+let empty = []
+let find key t = List.find_map key.proj t
+let mem key t = List.exists (fun b -> key.proj b <> None) t
+let remove key t = List.filter (fun b -> key.proj b = None) t
+let add key v t = key.inj v :: remove key t

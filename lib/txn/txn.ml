@@ -44,9 +44,9 @@ let make id =
 
 let is_active t = t.state = Active
 
-let check_active t =
-  if not (is_active t) then
-    invalid_arg (Fmt.str "transaction %d is not active" t.id)
+exception Not_active of int
+
+let check_active t = if not (is_active t) then raise (Not_active t.id)
 
 let defer t event f = t.deferred <- t.deferred @ [ (event, f) ]
 

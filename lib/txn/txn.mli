@@ -56,7 +56,11 @@ type t = {
 
 val make : int -> t
 val is_active : t -> bool
+exception Not_active of int
+(** A committed or aborted transaction was asked to do more work. *)
+
 val check_active : t -> unit
+(** Raises {!Not_active} with the transaction's id unless it is active. *)
 
 val defer : t -> event -> (unit -> unit) -> unit
 (** Append an entry to the deferred-action queue for [event]. *)

@@ -23,9 +23,10 @@ type t = {
   mutable commit_observer : unit -> unit;
   mutable undone_count : int;
   mutable applied_count : int;
+  mutable attrs : Tmap.t;
 }
 
-let create ~wal ~locks () =
+let create ~wal ~locks ?(attrs = Tmap.empty) () =
   {
     wal;
     locks;
@@ -37,6 +38,7 @@ let create ~wal ~locks () =
     commit_observer = ignore;
     undone_count = 0;
     applied_count = 0;
+    attrs;
   }
 
 let wal t = t.wal
@@ -46,6 +48,16 @@ let set_redo_dispatch t f = t.redo_dispatch <- Some f
 let set_catalog_hook t f = t.catalog_hook <- f
 let set_commit_observer t f = t.commit_observer <- f
 let next_txid t = t.next_txid
+let set_attr t key v = t.attrs <- Tmap.add key v t.attrs
+let attr t key = Tmap.find key t.attrs
+
+let attr_or_init t key init =
+  match attr t key with
+  | Some v -> v
+  | None ->
+    let v = init () in
+    set_attr t key v;
+    v
 
 let begin_txn t =
   let id = t.next_txid in

@@ -25,7 +25,10 @@ type t
 
 exception Undo_dispatch_missing
 
-val create : wal:Wal.t -> locks:Dmx_lock.Lock_table.t -> unit -> t
+val create :
+  wal:Wal.t -> locks:Dmx_lock.Lock_table.t -> ?attrs:Tmap.t -> unit -> t
+(** [attrs] is the extension state the database starts with ({!attr}). *)
+
 val wal : t -> Wal.t
 val locks : t -> Dmx_lock.Lock_table.t
 
@@ -58,6 +61,17 @@ val set_commit_observer : t -> (unit -> unit) -> unit
     (records fsynced, transaction deregistered, deferred actions run). The
     checkpoint policy hooks here to take a checkpoint every N records or
     bytes, between transactions' operations. *)
+
+val set_attr : t -> 'a Tmap.key -> 'a -> unit
+val attr : t -> 'a Tmap.key -> 'a option
+(** Extension state of this database, under typed keys, as {!Txn.attr} is
+    a transaction's: what an extension keeps between transactions (a
+    main-memory store, a foreign server's directory, the sanitizer's lock
+    graph) lives here, never in a module-level table, so two databases in
+    one process share none of it and a reopened database starts empty. *)
+
+val attr_or_init : t -> 'a Tmap.key -> (unit -> 'a) -> 'a
+(** {!attr}, first setting the key to [init ()] when it has no value. *)
 
 val next_txid : t -> Log_record.txid
 (** The id the next {!begin_txn} takes; a checkpoint records it. Starts at

@@ -46,6 +46,8 @@ let encode e txid kind =
     list e varint active;
     varint e next_txid
 
+exception Malformed of string
+
 let decode d =
   let open Codec.Dec in
   let txid = varint d in
@@ -59,7 +61,7 @@ let decode d =
         | 0 -> Smethod (varint d)
         | 1 -> Attachment (varint d)
         | 2 -> Catalog
-        | n -> failwith (Fmt.str "Log_record: bad source tag %d" n)
+        | n -> raise (Malformed (Fmt.str "bad source tag %d" n))
       in
       let rel_id = varint d in
       let data = string d in
@@ -68,7 +70,7 @@ let decode d =
     | 5 ->
       let active = list d varint in
       Checkpoint { active; next_txid = varint d }
-    | n -> failwith (Fmt.str "Log_record: bad kind tag %d" n)
+    | n -> raise (Malformed (Fmt.str "bad kind tag %d" n))
   in
   (txid, kind)
 

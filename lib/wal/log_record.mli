@@ -40,6 +40,13 @@ type kind =
 type t = { lsn : lsn; txid : txid; kind : kind }
 
 val encode : Dmx_value.Codec.Enc.t -> txid -> kind -> unit
+
+exception Malformed of string
+(** A payload names a kind or source tag no record has. *)
+
 val decode : Dmx_value.Codec.Dec.t -> txid * kind
+(** Raises {!Malformed} on an unknown tag, and [Failure] (from the codec) on
+    a payload that ends early. *)
+
 val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit

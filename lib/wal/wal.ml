@@ -135,7 +135,9 @@ let rec walk data pos f =
     Dmx_obs.Metrics.incr m_decoded;
     f txid kind;
     walk data next f
-  | exception (Exit | Failure _ | Invalid_argument _) -> pos
+  | exception (Exit | Log_record.Malformed _ | Failure _ | Invalid_argument _)
+    ->
+    pos
 
 (* The offset past [k] frames from [pos] in [s]: only their lengths are
    read. *)
@@ -276,7 +278,9 @@ let open_file path =
   t.flushed <- Int64.of_int t.last;
   t
 
-let check_open t = if t.closed then invalid_arg "Wal: log is closed"
+exception Misuse of string
+
+let check_open t = if t.closed then raise (Misuse "log is closed")
 
 let set_append_observer t f = t.append_observer <- f
 let set_truncate_observer t f = t.truncate_observer <- f
@@ -524,7 +528,7 @@ let crash t =
 
 let simulate_torn_tail t ~bytes_to_truncate =
   match t.backend with
-  | Mem _ -> invalid_arg "Wal.simulate_torn_tail: memory-backed log"
+  | Mem _ -> raise (Misuse "simulate_torn_tail: memory-backed log")
   | File f ->
     flush t;
     let cut = max 0 (f.size - bytes_to_truncate) in

@@ -24,6 +24,10 @@
 
 type t
 
+exception Misuse of string
+(** A call the log cannot serve: an append, flush, read or truncation
+    after {!close} or {!crash}, or {!simulate_torn_tail} on a memory-backed log. *)
+
 (** Where a file rewrite-and-rename truncation is, for crash-injection
     observers: [Trunc_begin] before any file mutation, [Trunc_rename] after
     the temp log is written and fsynced but before it replaces the live file,
@@ -152,4 +156,5 @@ val crash : t -> unit
 val simulate_torn_tail : t -> bytes_to_truncate:int -> unit
 (** Flush, then zero the last [bytes_to_truncate] bytes before the log's
     end and move the end back over them (crash-injection tests). Bytes that
-    were zeros already tear nothing. *)
+    were zeros already tear nothing. Raises {!Misuse} on a memory-backed
+    log. *)

@@ -1,7 +1,7 @@
 (** Lint diagnostics: one violation at one source location.
 
-    [file] is a root-relative path with ['/'] separators so diagnostics and
-    baseline entries are stable across checkouts and build sandboxes. *)
+    [file] is a root-relative path with ['/'] separators so diagnostics are
+    stable across checkouts and build sandboxes. *)
 
 type t = { rule : string; file : string; line : int; msg : string }
 

@@ -1,5 +1,6 @@
-(** dmx-lint driver: enumerate sources, run {!Lint_rules}, apply the
-    {!Lint_baseline}, and render a report. *)
+(** dmx-lint driver: enumerate sources, run {!Lint_rules} and the
+    {!Lint_callgraph} passes, and render a report. Every rule is strict:
+    any violation fails. *)
 
 type config = {
   root : string;  (** repo root the relative paths below resolve against *)
@@ -26,25 +27,15 @@ val default_config : root:string -> config
     callgraph over [lib], R9 entries in [lib/smethod lib/attach]. *)
 
 type report = {
-  violations : Lint_diag.t list;
-      (** what fails the build: strict-rule hits, baselinable hits in files
-          whose count exceeds the baseline, and a [baseline] diagnostic for
-          each pin above its file's count *)
-  notes : string list;
-      (** non-fatal: why a file's count exceeds its pin, and the
-          regeneration message *)
+  violations : Lint_diag.t list;  (** every rule's hits, sorted *)
   checked_files : int;
   globals : Lint_rules.global_entry list;  (** the full R7 inventory *)
   lock : Lint_callgraph.lock_result;  (** R8 sites / edges / violations *)
   wal : Lint_callgraph.wal_result;  (** R9 summaries / violations *)
 }
 
-val run :
-  ?baseline:string -> ?update_baseline:bool -> config -> report
-(** Run every rule. With [baseline], baselinable counts are enforced against
-    it (and [update_baseline] rewrites it from the current tree instead of
-    enforcing). Without [baseline], every violation is fatal — the fixture
-    mode used by the self-tests. *)
+val run : config -> report
+(** Run every rule. *)
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -54,4 +45,4 @@ val pp_analysis : Format.formatter -> report -> unit
     [dmx_lint --report]. *)
 
 val ok : report -> bool
-(** No violations (notes alone don't fail). *)
+(** No violations. *)

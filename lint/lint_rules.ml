@@ -13,14 +13,6 @@ let rule_lock_order = "lock-order"
 let rule_lock_cycle = "lock-cycle"
 let rule_wal_interproc = "wal-interproc"
 
-let baselinable rule =
-  rule = rule_error_discipline
-  || rule = rule_exception_swallowing
-  || rule = rule_wal_before_page
-  || rule = rule_global_state_unsafe
-  || rule = rule_lock_order
-  || rule = rule_wal_interproc
-
 (* ---- file access ---- *)
 
 let read_file full_path =
@@ -31,10 +23,13 @@ let read_file full_path =
 
 let line_of_loc (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 
-let parse_impl ~file ~full_path =
-  let source = read_file full_path in
-  let lexbuf = Lexing.from_string source in
+let lexbuf_of ~file full_path =
+  let lexbuf = Lexing.from_string (read_file full_path) in
   Location.init lexbuf file;
+  lexbuf
+
+let parse_impl ~file ~full_path =
+  let lexbuf = lexbuf_of ~file full_path in
   match Parse.implementation lexbuf with
   | structure -> Ok structure
   | exception exn ->
@@ -44,10 +39,7 @@ let parse_impl ~file ~full_path =
          (Fmt.str "cannot parse: %s" (Printexc.to_string exn)))
 
 let parse_intf ~full_path =
-  let source = read_file full_path in
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf full_path;
-  match Parse.interface lexbuf with
+  match Parse.interface (lexbuf_of ~file:full_path full_path) with
   | signature -> Some signature
   | exception _ -> None
 
@@ -67,14 +59,13 @@ let rec walk acc dir =
       acc (Sys.readdir dir)
 
 let ml_files_under ~root dir =
-  let full = Filename.concat root dir in
-  walk [] full
+  let prefix = root ^ Filename.dir_sep in
+  let n = String.length prefix in
+  walk [] (Filename.concat root dir)
   |> List.map (fun p ->
          (* strip "<root>/" back off for root-relative reporting *)
-         let prefix = root ^ Filename.dir_sep in
-         if String.length p > String.length prefix
-            && String.sub p 0 (String.length prefix) = prefix
-         then String.sub p (String.length prefix) (String.length p - String.length prefix)
+         if String.length p > n && String.starts_with ~prefix p then
+           String.sub p n (String.length p - n)
          else p)
   |> List.sort String.compare
 
@@ -172,61 +163,6 @@ let exception_swallowing ~file structure =
 
 (* ---- R4: WAL before page mutation ---- *)
 
-let page_mutator = function
-  | [ "Slotted";
-      ("init" | "insert" | "insert_at" | "update" | "delete" | "make_reusable"
-      | "set") ]
-  | [ "Buffer_pool"; "alloc" ] -> true
-  | _ -> false
-
-let logging_call parts =
-  match parts with
-  | "Wal" :: _ | "Log_record" :: _ -> true
-  (* the common logging services: Ctx.log, Txn_mgr.log_ext *)
-  | [ "Ctx"; l ] | [ "Txn_mgr"; l ] ->
-    String.length l >= 3 && String.sub l 0 3 = "log"
-  | _ -> begin
-    (* accept local helpers by naming convention: log_op, log_delete, ... *)
-    match List.rev parts with
-    | last :: _ ->
-      String.length last >= 3 && String.sub last 0 3 = "log"
-    | [] -> false
-  end
-
-let exempt_function name =
-  let contains sub =
-    let n = String.length name and m = String.length sub in
-    let rec at i = i + m <= n && (String.sub name i m = sub || at (i + 1)) in
-    at 0
-  in
-  (* undo and redo restore what the log already holds *)
-  contains "undo" || contains "redo" || contains "unlogged"
-
-(* Top-level (and module-nested) value bindings, each a "function scope" for
-   the dominance approximation. *)
-let rec bindings_of_structure acc structure =
-  List.fold_left
-    (fun acc item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-        List.fold_left
-          (fun acc vb ->
-            match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt; _ } -> (txt, vb.pvb_loc, vb.pvb_expr) :: acc
-            | _ -> acc)
-          acc vbs
-      | Pstr_module { pmb_expr; _ } -> bindings_of_module_expr acc pmb_expr
-      | Pstr_recmodule mbs ->
-        List.fold_left (fun acc mb -> bindings_of_module_expr acc mb.pmb_expr) acc mbs
-      | _ -> acc)
-    acc structure
-
-and bindings_of_module_expr acc me =
-  match me.pmod_desc with
-  | Pmod_structure structure -> bindings_of_structure acc structure
-  | Pmod_constraint (me, _) | Pmod_functor (_, me) -> bindings_of_module_expr acc me
-  | _ -> acc
-
 let ident_paths expr0 =
   let out = ref [] in
   let super = Ast_iterator.default_iterator in
@@ -244,20 +180,23 @@ let ident_paths expr0 =
    (in source order) is reported, so a log call after the write does not
    excuse it. *)
 let wal_before_page ~file structure =
-  bindings_of_structure [] structure
-  |> List.rev
+  Lint_callgraph.bindings structure
   |> List.filter_map (fun (name, loc, body) ->
-         if exempt_function name then None
+         if Lint_callgraph.exempt_name name then None
          else
            let paths = ident_paths body in
            let offset (_, (l : Location.t)) = l.loc_start.Lexing.pos_cnum in
            let first_log =
              List.fold_left
-               (fun acc p -> if logging_call (fst p) then min acc (offset p) else acc)
+               (fun acc p ->
+                 if Lint_callgraph.logging_call (fst p) then min acc (offset p)
+                 else acc)
                max_int paths
            in
            let mutators =
-             List.filter (fun p -> page_mutator (fst p) && offset p < first_log) paths
+             List.filter
+               (fun p -> Lint_callgraph.page_mutator (fst p) && offset p < first_log)
+               paths
            in
            if mutators = [] then None
            else
@@ -344,8 +283,7 @@ let emit_tail name parts =
   | _ -> false
 
 let span_pairing ~file structure =
-  bindings_of_structure [] structure
-  |> List.rev
+  Lint_callgraph.bindings structure
   |> List.filter_map (fun (name, _loc, body) ->
          let paths = ident_paths body in
          let enters =
@@ -504,8 +442,9 @@ let global_state ~file structure =
             diags :=
               Lint_diag.make ~rule:rule_global_state_unsafe ~file ~line
                 (Fmt.str
-                   "`%s' (%s) is classified UNSAFE — shared mutable state \
-                    that must move into Ctx before dmx-server lands"
+                   "`%s' (%s) is classified UNSAFE — state shared by every \
+                    database in the process; keep it in the database's \
+                    environment, reached through Ctx"
                    name kind)
               :: !diags
           | Some (Some _) -> ())

@@ -3,12 +3,8 @@
     Each rule is a purely syntactic pass over the parsetree
     ([compiler-libs.common]'s [Parse] + [Ast_iterator]) — no typing, no
     build. [file] arguments are root-relative paths used in diagnostics;
-    [full_path] is where the source is read from.
-
-    Baselinable rules (R2 {!error_discipline}, R3 {!exception_swallowing},
-    R4 {!wal_before_page}) are enforced against {!Lint_baseline}; the others
-    (R1 {!vector_completeness}, R5 {!mli_coverage}, R6 {!span_pairing},
-    parse errors) fail unconditionally. *)
+    [full_path] is where the source is read from. Every rule is strict: a
+    single hit fails the lint. *)
 
 val rule_vector_completeness : string
 val rule_error_discipline : string
@@ -22,8 +18,6 @@ val rule_global_state_unsafe : string
 val rule_lock_order : string
 val rule_lock_cycle : string
 val rule_wal_interproc : string
-
-val baselinable : string -> bool
 
 val parse_impl :
   file:string -> full_path:string -> (Parsetree.structure, Lint_diag.t) result
@@ -78,9 +72,9 @@ val global_state :
     lazy cells, and record literals with [mutable] fields. Every such
     binding must carry [[@@dmx.global "ctx-owned" |
     "config-immutable-after-setup" | "UNSAFE"]]; missing or invalid
-    classifications are strict failures ([global-state]), while [UNSAFE]
-    entries are baselinable ([global-state-unsafe]) so the dmx-server
-    refactor can burn the list to zero. *)
+    classifications fail as [global-state], and an [UNSAFE] entry, state
+    every database in the process would share, fails as
+    [global-state-unsafe]. *)
 
 val mli_coverage : root:string -> dirs:string list -> Lint_diag.t list
 (** R5: every [.ml] under the given root-relative directories has a sibling
@@ -90,9 +84,8 @@ val span_pairing : file:string -> Parsetree.structure -> Lint_diag.t list
 (** R6: any top-level (or module-nested) binding that calls [Emit.enter]
     must also contain an [Emit.exit] call in the same body. An unclosed
     span corrupts span nesting and self-time attribution; prefer
-    [Emit.with_span] / [Ctx.with_span]. Strict (not baselinable) — direct
-    [Emit.enter] outside the blessed wrappers is only acceptable with
-    explicit pairing. *)
+    [Emit.with_span] / [Ctx.with_span]. Direct [Emit.enter] outside the
+    blessed wrappers is only acceptable with explicit pairing. *)
 
 val ml_files_under : root:string -> string -> string list
 (** Root-relative paths of the [.ml] files under a root-relative directory

@@ -180,10 +180,10 @@ let test_insert_many_sweeps () =
    rolls back child rows (btree "camt"), seed 41 parent rows (hash
    "hdept"). *)
 let mutation_caught attachment seed () =
-  H.enable_undo_mutation attachment;
   let r =
-    Fun.protect ~finally:H.disable_undo_mutation (fun () ->
-        H.sweep (config seed) H.Mode_crash ~recovery_crash:false)
+    H.sweep
+      { (config seed) with H.chaos = H.undo_mutation attachment }
+      H.Mode_crash ~recovery_crash:false
   in
   Alcotest.(check bool)
     (Fmt.str "oracle caught the broken %s undo" attachment)
@@ -194,10 +194,10 @@ let mutation_caught attachment seed () =
    index audits must report the missing entry. The seed's script must
    commit index changes after the schema's force: seed 41 does. *)
 let redo_mutation_caught attachment seed () =
-  H.enable_redo_mutation attachment;
   let r =
-    Fun.protect ~finally:H.disable_redo_mutation (fun () ->
-        H.sweep (config seed) H.Mode_crash ~recovery_crash:false)
+    H.sweep
+      { (config seed) with H.chaos = H.redo_mutation attachment }
+      H.Mode_crash ~recovery_crash:false
   in
   Alcotest.(check bool)
     (Fmt.str "oracle caught the skipped %s redo" attachment)

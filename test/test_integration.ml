@@ -563,8 +563,9 @@ let test_readonly_seal () =
 (* ---- foreign storage method ---- *)
 
 let test_foreign_gateway () =
-  let services = fresh_services () in
-  let srv = Dmx_smethod.Remote_server.create ~name:"mainframe" in
+  let servers = Dmx_smethod.Remote_server.directory () in
+  let srv = Dmx_smethod.Remote_server.create servers ~name:"mainframe" in
+  let services = fresh_services ~servers () in
   Dmx_smethod.Remote_server.reset_stats srv;
   let ctx, desc =
     setup_emp ~storage_method:"foreign"
@@ -588,6 +589,54 @@ let test_foreign_gateway () =
   let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
   Alcotest.(check int) "compensated" 3 (count_records ctx desc);
   Services.commit services ctx
+
+(* The servers outlive the local database: after a crash, restart undoes a
+   loser's remote insert with a compensating message, and after a clean
+   reopen the foreign relation still reaches its remote rows. A database
+   given no directory reaches no server. *)
+let test_foreign_across_reopen () =
+  with_temp_dir ~prefix:"dmx_foreign_reopen" (fun dir ->
+      let servers = Dmx_smethod.Remote_server.directory () in
+      ignore (Dmx_smethod.Remote_server.create servers ~name:"mainframe");
+      let services = fresh_services ~dir ~servers () in
+      let ctx, desc =
+        setup_emp ~storage_method:"foreign"
+          ~attrs:[ ("server", "mainframe"); ("relation", "emp_remote") ]
+          services
+      in
+      ignore (insert_emps ctx desc base_rows);
+      Services.commit services ctx;
+      let loser = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation loser "employee") in
+      ignore (check_ok "ins" (Relation.insert loser desc (emp 50 "x" "y" 1)));
+      Alcotest.(check int) "loser's row reached the server" 5
+        (count_records loser desc);
+      (* the loser's records reach the log, then the machine dies *)
+      Dmx_wal.Wal.flush services.Services.wal;
+      Services.simulate_crash services;
+      let services = fresh_services ~dir ~servers () in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      Alcotest.(check int) "restart compensated the loser" 4
+        (count_records ctx desc);
+      ignore (check_ok "ins" (Relation.insert ctx desc (emp 60 "z" "w" 2)));
+      Services.commit services ctx;
+      Services.close services;
+      let services = fresh_services ~dir ~servers () in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      Alcotest.(check int) "clean reopen reaches the remote rows" 5
+        (count_records ctx desc);
+      Services.commit services ctx;
+      Services.close services;
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "employee") in
+      (match Relation.insert ctx desc (emp 70 "u" "v" 3) with
+      | Error (Error.Internal _) -> ()
+      | _ -> Alcotest.fail "a database with no directory reached the server");
+      Services.abort services ctx;
+      Services.close services)
 
 (* ---- memory storage method ---- *)
 
@@ -797,6 +846,8 @@ let suite =
     Alcotest.test_case "join index" `Quick test_join_index;
     Alcotest.test_case "read-only storage" `Quick test_readonly_seal;
     Alcotest.test_case "foreign gateway" `Quick test_foreign_gateway;
+    Alcotest.test_case "foreign servers outlive a reopen" `Quick
+      test_foreign_across_reopen;
     Alcotest.test_case "memory storage" `Quick test_memory_storage;
     Alcotest.test_case "scan position after partial rollback" `Quick
       test_scan_positions_after_partial_rollback;

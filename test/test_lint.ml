@@ -1,7 +1,7 @@
 (* Self-test for the dmx-lint static pass: build small fixture trees that
    violate each invariant, run the linter library against them, and assert
-   the file:line diagnostics. The last test lints the real source tree with
-   the checked-in baseline — the same run `dune build @lint` performs. *)
+   the file:line diagnostics. The last test lints the real source tree — the
+   same run `dune build @lint` performs. *)
 
 let ( / ) = Filename.concat
 
@@ -52,8 +52,7 @@ let with_fixture_tree f =
   write_file (root / "lib/db/db.mli") "val register_defaults : unit -> unit\n";
   Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
 
-let run ?baseline ?update_baseline root =
-  Lint_driver.run ?baseline ?update_baseline (Lint_driver.default_config ~root)
+let run root = Lint_driver.run (Lint_driver.default_config ~root)
 
 let check_diag what report ~rule ~file ~line =
   let found =
@@ -389,62 +388,6 @@ let test_span_pairing () =
               (fun d -> d.Lint_diag.rule = "span-pairing")
               report.Lint_driver.violations)))
 
-(* Baseline: pinned counts pass; one extra violation fails; regeneration
-   rewrites the file. *)
-let test_baseline_enforcement () =
-  with_fixture_tree (fun root ->
-      write_file (root / "lib/attach/legacy.ml")
-        "let register () = 4\nlet old_path () = failwith \"pre-lint\"\n";
-      write_file (root / "lib/attach/legacy.mli")
-        "val register : unit -> int\nval old_path : unit -> 'a\n";
-      write_file (root / "lib/db/db.ml")
-        "let register_defaults () =\n\
-        \  ignore (Dmx_smethod.Goodheap.register ());\n\
-        \  ignore (Dmx_attach.Goodindex.register ());\n\
-        \  ignore (Dmx_attach.Legacy.register ())\n";
-      let baseline = root / "baseline.sexp" in
-      (* regenerate: records the one legacy failwith *)
-      let report = run ~baseline ~update_baseline:true root in
-      Alcotest.(check bool) "regeneration passes" true (Lint_driver.ok report);
-      (* enforced: the pinned count is accepted *)
-      let report = run ~baseline root in
-      Alcotest.(check bool)
-        (Fmt.str "pinned count passes (got: %a)" Lint_driver.pp_report report)
-        true (Lint_driver.ok report);
-      (* a second failwith exceeds the baseline and fails *)
-      write_file (root / "lib/attach/legacy.ml")
-        "let register () = 4\n\
-         let old_path () = failwith \"pre-lint\"\n\
-         let new_path () = failwith \"fresh\"\n";
-      let report = run ~baseline root in
-      Alcotest.(check bool) "regression fails" false (Lint_driver.ok report);
-      check_diag "regression diagnostic" report ~rule:"error-discipline"
-        ~file:"lib/attach/legacy.ml" ~line:2;
-      (* a pin above the tree's count fails too, so a fix leaves no slack:
-         pin both failwiths, then fix one, then the other *)
-      ignore (run ~baseline ~update_baseline:true root);
-      write_file (root / "lib/attach/legacy.ml")
-        "let register () = 4\nlet old_path () = failwith \"pre-lint\"\n";
-      let report = run ~baseline root in
-      Alcotest.(check bool) "slack fails" false (Lint_driver.ok report);
-      check_diag "slack diagnostic" report ~rule:"baseline" ~file:baseline
-        ~line:1;
-      write_file (root / "lib/attach/legacy.ml") "let register () = 4\n";
-      write_file (root / "lib/attach/legacy.mli")
-        "val register : unit -> int\n";
-      let report = run ~baseline root in
-      Alcotest.(check bool) "clean file's pin fails" false
-        (Lint_driver.ok report);
-      check_diag "stale pin diagnostic" report ~rule:"baseline" ~file:baseline
-        ~line:1;
-      ignore (run ~baseline ~update_baseline:true root);
-      Alcotest.(check bool) "tightened baseline passes" true
-        (Lint_driver.ok (run ~baseline root));
-      (* a missing baseline file is itself an error *)
-      Sys.remove baseline;
-      let report = run ~baseline root in
-      Alcotest.(check bool) "missing baseline fails" false (Lint_driver.ok report))
-
 (* R7: module-level mutable state must carry a [@@dmx.global] class. *)
 let test_global_state () =
   with_fixture_tree (fun root ->
@@ -467,7 +410,7 @@ let test_global_state () =
         ~file:"lib/txn/globals.ml" ~line:1;
       check_diag "invalid class" report ~rule:"global-state"
         ~file:"lib/txn/globals.ml" ~line:4;
-      (* baselinable: the UNSAFE entry (fixture runs without a baseline) *)
+      (* the UNSAFE entry fails under its own rule *)
       check_diag "UNSAFE entry" report ~rule:"global-state-unsafe"
         ~file:"lib/txn/globals.ml" ~line:2;
       (* the well-classified registry and the function-local ref are clean *)
@@ -483,7 +426,8 @@ let test_global_state () =
         (List.length report.Lint_driver.globals))
 
 (* R8: lock acquisitions out of hierarchy order, and conflicting-mode
-   re-acquires, across helper functions. *)
+   re-acquires, across helper functions; a request that a mode already held
+   at its level covers is a grant without a wait and stays clean. *)
 let test_lock_order () =
   with_fixture_tree (fun root ->
       write_file (root / "lib/txn/locky.ml")
@@ -498,24 +442,66 @@ let test_lock_order () =
         \  ignore (lock_rec ctx rid key Lock_mode.X);\n\
         \  ignore (lock_rel ctx rid Lock_mode.IX)\n\
          let double ctx rid key =\n\
+        \  ignore (lock_rec ctx rid key Lock_mode.S);\n\
+        \  ignore (lock_rec ctx rid key Lock_mode.X)\n\
+         let twice ctx rid key =\n\
         \  ignore (lock_rec ctx rid key Lock_mode.X);\n\
-        \  ignore (lock_rec ctx rid key Lock_mode.X)\n";
+        \  ignore (lock_rec ctx rid key Lock_mode.X)\n\
+         let cascade ctx rid key =\n\
+        \  ignore (lock_rel ctx rid Lock_mode.IX);\n\
+        \  ignore (lock_rec ctx rid key Lock_mode.X);\n\
+        \  ignore (lock_rel ctx rid Lock_mode.IX)\n\
+         let moved ctx rid key new_key =\n\
+        \  ignore (lock_rel ctx rid Lock_mode.IX);\n\
+        \  ignore (lock_rec ctx rid key Lock_mode.X);\n\
+        \  ignore (lock_rec ctx rid new_key Lock_mode.X)\n\
+         let cross ctx r1 r2 key =\n\
+        \  ignore (Ctx.lock ctx ~mode:Lock_mode.IX (Lock_table.Relation r1));\n\
+        \  ignore (Ctx.lock ctx ~mode:Lock_mode.X (Lock_table.Record (r1, key)));\n\
+        \  ignore (Ctx.lock ctx ~mode:Lock_mode.IX (Lock_table.Relation r2))\n\
+         let two_rels ctx r1 r2 =\n\
+        \  ignore (Ctx.lock ctx ~mode:Lock_mode.X (Lock_table.Relation r1));\n\
+        \  ignore (Ctx.lock ctx ~mode:Lock_mode.X (Lock_table.Relation r2))\n\
+         let shadowed ctx r1 r2 =\n\
+        \  let r = r1 in\n\
+        \  ignore (Ctx.lock ctx ~mode:Lock_mode.X (Lock_table.Relation r));\n\
+        \  let r = r2 in\n\
+        \  ignore (Ctx.lock ctx ~mode:Lock_mode.X (Lock_table.Relation r))\n";
       write_file (root / "lib/txn/locky.mli")
         "val lock_rel : 'a -> int -> 'b -> 'c\n\
          val lock_rec : 'a -> int -> 'b -> 'c -> 'd\n\
          val good : 'a -> int -> 'b -> unit\n\
          val bad : 'a -> int -> 'b -> unit\n\
-         val double : 'a -> int -> 'b -> unit\n";
+         val double : 'a -> int -> 'b -> unit\n\
+         val twice : 'a -> int -> 'b -> unit\n\
+         val cascade : 'a -> int -> 'b -> unit\n\
+         val moved : 'a -> int -> 'b -> 'b -> unit\n\
+         val cross : 'a -> int -> int -> 'b -> unit\n\
+         val two_rels : 'a -> int -> int -> unit\n\
+         val shadowed : 'a -> int -> int -> unit\n";
       let report = run root in
       (* [bad] acquires the relation lock while holding a record lock; the
          diagnostic anchors at the acquisition site inside the helper *)
       check_diag "hierarchy inversion" report ~rule:"lock-order"
         ~file:"lib/txn/locky.ml" ~line:1;
-      (* [double] re-acquires record-level X while holding X *)
+      (* [double] upgrades a record-level S to X: not covered, conflicts *)
       check_diag "conflicting re-acquire" report ~rule:"lock-order"
         ~file:"lib/txn/locky.ml" ~line:2;
+      (* [cross] locks a second relation after a record of the first: the
+         IX it holds is on another resource, so it covers nothing *)
+      check_diag "second relation after a record" report ~rule:"lock-order"
+        ~file:"lib/txn/locky.ml" ~line:26;
+      (* [two_rels]: X on one relation does not cover X on another *)
+      check_diag "X on a second relation" report ~rule:"lock-order"
+        ~file:"lib/txn/locky.ml" ~line:29;
+      (* [shadowed]: the second [r] is another binding, so the first X does
+         not cover it *)
+      check_diag "a rebound name is another resource" report
+        ~rule:"lock-order" ~file:"lib/txn/locky.ml" ~line:34;
       Alcotest.(check int)
-        "exactly two lock-order diagnostics ([good] is clean)" 2
+        "exactly five lock-order diagnostics ([good], [twice], [cascade] \
+         and [moved] are clean)"
+        5
         (List.length
            (List.filter
               (fun d -> d.Lint_diag.rule = "lock-order")
@@ -530,6 +516,54 @@ let test_lock_order () =
       Alcotest.(check int)
         "no cycles" 0
         (List.length report.Lint_driver.lock.Lint_callgraph.lr_cycles))
+
+(* A bare name bound in a body is local: a record field pun or a parameter
+   that shares a top-level function's name is no call to it. Here a call
+   to [lock_step] under the record lock would be a hierarchy violation.
+   [walk] recurses on ever deeper field paths, and the analysis ends. *)
+let test_lock_order_scope () =
+  with_fixture_tree (fun root ->
+      let lock_step =
+        "let lock_step ctx rid =\n\
+        \  Ctx.lock ctx ~mode:Lock_mode.IX (Lock_table.Relation rid)\n"
+      and record_lock =
+        "  ignore (Ctx.lock ctx ~mode:Lock_mode.X (Lock_table.Record (rid, \
+         key)));\n"
+      in
+      write_file (root / "lib/txn/punny.ml")
+        ("type r = { lock_step : int }\n" ^ lock_step
+       ^ "let punned ctx rid key lock_step =\n" ^ record_lock
+       ^ "  { lock_step }\n\
+          let shadowed ctx rid key lock_step =\n" ^ record_lock
+       ^ "  lock_step ctx rid\n\
+          let rec walk ctx node =\n\
+         \  ignore (Ctx.lock ctx ~mode:Lock_mode.S (Lock_table.Relation \
+          node.id));\n\
+         \  walk ctx node.parent\n");
+      write_file (root / "lib/txn/punny.mli")
+        "type r = { lock_step : int }\n\
+         val lock_step : 'a -> int -> 'b\n\
+         val punned : 'a -> int -> 'b -> int -> r\n\
+         val shadowed : 'a -> int -> 'b -> ('a -> int -> 'c) -> 'c\n\
+         val walk : 'a -> 'b -> 'c\n";
+      write_file (root / "lib/txn/really.ml")
+        (lock_step ^ "let calls ctx rid key =\n" ^ record_lock
+       ^ "  lock_step ctx rid\n");
+      write_file (root / "lib/txn/really.mli")
+        "val lock_step : 'a -> int -> 'b\n\
+         val calls : 'a -> int -> 'b -> 'c\n";
+      let report = run root in
+      let lock_order file =
+        List.filter
+          (fun d ->
+            d.Lint_diag.rule = "lock-order" && d.Lint_diag.file = file)
+          report.Lint_driver.violations
+      in
+      check_diag "a real call is an edge" report ~rule:"lock-order"
+        ~file:"lib/txn/really.ml" ~line:2;
+      Alcotest.(check int)
+        "a pun and a parameter are no call" 0
+        (List.length (lock_order "lib/txn/punny.ml")))
 
 (* R9: WAL logging hidden behind a helper that the syntactic R4 cannot see
    through — the exempt-named helper mutates, the caller must log first. *)
@@ -566,6 +600,57 @@ let test_wal_interproc () =
               (fun d -> d.Lint_diag.rule = "wal-interproc")
               report.Lint_driver.violations)))
 
+(* R9 at a DDL entry: the page a create allocates for its fresh structure
+   is no unlogged mutation, but a write to an existing page is, and an
+   allocation under a DML entry still is. *)
+let test_wal_interproc_ddl () =
+  with_fixture_tree (fun root ->
+      let entry file body =
+        write_file (root / ("lib/attach/" ^ file ^ ".ml")) body;
+        write_file (root / ("lib/attach/" ^ file ^ ".mli")) "val helper : 'a -> 'b\n"
+      in
+      entry "fresh_ok"
+        "let helper bp = Buffer_pool.alloc bp\n\
+         let create_instance bp = helper bp\n";
+      entry "fresh_poke"
+        "let helper data = Slotted.update data 0 \"x\"\n\
+         let create_instance data = helper data\n";
+      entry "fresh_dml"
+        "let helper bp = Buffer_pool.alloc bp\n\
+         let on_insert bp = helper bp\n";
+      let report = run root in
+      check_diag "existing page written under create_instance" report
+        ~rule:"wal-interproc" ~file:"lib/attach/fresh_poke.ml" ~line:2;
+      check_diag "allocation under on_insert" report ~rule:"wal-interproc"
+        ~file:"lib/attach/fresh_dml.ml" ~line:2;
+      Alcotest.(check int)
+        "the allocating create_instance is clean" 2
+        (List.length
+           (List.filter
+              (fun d -> d.Lint_diag.rule = "wal-interproc")
+              report.Lint_driver.violations)))
+
+(* R8's string tables are Lock_mode's: a drift would make the analysis
+   judge modes the lock table does not. *)
+let test_mode_tables () =
+  let modes = Dmx_lock.Lock_mode.[ IS; IX; S; SIX; X ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let sa = Dmx_lock.Lock_mode.to_string a
+          and sb = Dmx_lock.Lock_mode.to_string b in
+          Alcotest.(check bool)
+            (Fmt.str "conflict %s %s" sa sb)
+            (not (Dmx_lock.Lock_mode.compatible a b))
+            (Lint_callgraph.modes_conflict sa sb);
+          Alcotest.(check bool)
+            (Fmt.str "leq %s %s" sa sb)
+            (Dmx_lock.Lock_mode.leq a b)
+            (Lint_callgraph.modes_leq sa sb))
+        modes)
+    modes
+
 (* R2 over CLI dirs: [exit] is the interface there, [failwith] is not. *)
 let test_cli_discipline () =
   with_fixture_tree (fun root ->
@@ -581,13 +666,12 @@ let test_cli_discipline () =
               (fun d -> d.Lint_diag.rule = "error-discipline")
               report.Lint_driver.violations)))
 
-(* The merged tree itself must lint clean against the committed baseline —
-   the same invocation `dune build @lint` runs. Test cwd is
+(* The merged tree itself must lint clean — the same invocation
+   `dune build @lint` runs. Test cwd is
    _build/default/test, so the copied source tree sits one level up. *)
 let test_real_tree_clean () =
   let report =
-    Lint_driver.run ~baseline:"../lint/baseline.sexp"
-      (Lint_driver.default_config ~root:"..")
+    Lint_driver.run (Lint_driver.default_config ~root:"..")
   in
   Alcotest.(check bool)
     (Fmt.str "real tree lints clean (got: %a)" Lint_driver.pp_report report)
@@ -617,14 +701,18 @@ let suite =
       test_wal_before_page_order;
     Alcotest.test_case "R5: missing mli" `Quick test_mli_coverage;
     Alcotest.test_case "R6: unpaired Emit.enter" `Quick test_span_pairing;
-    Alcotest.test_case "baseline pins violation counts" `Quick
-      test_baseline_enforcement;
     Alcotest.test_case "R7: global-state inventory and classes" `Quick
       test_global_state;
     Alcotest.test_case "R8: lock-order hierarchy and re-acquire" `Quick
       test_lock_order;
+    Alcotest.test_case "R8: a local name is no call" `Quick
+      test_lock_order_scope;
     Alcotest.test_case "R9: WAL logging hidden behind a helper" `Quick
       test_wal_interproc;
+    Alcotest.test_case "R9: a DDL entry's fresh pages" `Quick
+      test_wal_interproc_ddl;
+    Alcotest.test_case "R8: mode tables match Lock_mode" `Quick
+      test_mode_tables;
     Alcotest.test_case "R2 in CLI dirs: exit allowed, failwith not" `Quick
       test_cli_discipline;
     Alcotest.test_case "real tree lints clean" `Quick test_real_tree_clean;

@@ -52,7 +52,9 @@ let check_parity ~what a b =
    does not, so the heap page scan's test on the decoded record is checked
    too. *)
 let test_batch_record_parity () =
-  let services = fresh_services () in
+  let servers = Dmx_smethod.Remote_server.directory () in
+  ignore (Dmx_smethod.Remote_server.create servers ~name:"readpath");
+  let services = fresh_services ~servers () in
   let ctx = Services.begin_txn services in
   let parse src =
     match Dmx_expr.Parse.parse emp_schema src with
@@ -61,7 +63,6 @@ let test_batch_record_parity () =
   in
   let span_filter = parse "salary > 100 AND dept = 'even'" in
   let other_filter = parse "salary + 0 > 100 AND name LIKE 'name1%'" in
-  ignore (Dmx_smethod.Remote_server.create ~name:"readpath");
   let model ?filter () =
     List.init 25 (fun i -> row (i + 1))
     |> List.filter (fun r ->
@@ -100,9 +101,10 @@ let test_batch_record_parity () =
 (* the last run is torn, never padded: 10 records at run length 4 arrive
    as runs of 4, 4, 2 — and no run is ever empty *)
 let test_torn_final_run () =
-  let services = fresh_services () in
+  let servers = Dmx_smethod.Remote_server.directory () in
+  ignore (Dmx_smethod.Remote_server.create servers ~name:"torn");
+  let services = fresh_services ~servers () in
   let ctx = Services.begin_txn services in
-  ignore (Dmx_smethod.Remote_server.create ~name:"torn");
   List.iter
     (fun (sm, attrs) ->
       let desc = make_rel ctx ~storage_method:sm ~attrs ~n:10 () in

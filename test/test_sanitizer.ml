@@ -225,67 +225,76 @@ let rcd n k = Lock_table.Record (n, k)
    record hierarchy respected, never trip. *)
 let test_lockdep_ordered_clean () =
   with_sanitizer true (fun () ->
-      Invariant.lockdep_reset ();
-      Invariant.lockdep_grant ~txid:1 (rel 1) Lock_mode.IX;
-      Invariant.lockdep_grant ~txid:1 (rcd 1 "a") Lock_mode.X;
-      Invariant.lockdep_grant ~txid:1 (rel 2) Lock_mode.IX;
-      Invariant.lockdep_release ~txid:1;
-      Invariant.lockdep_grant ~txid:2 (rel 1) Lock_mode.IX;
-      Invariant.lockdep_grant ~txid:2 (rel 2) Lock_mode.IX;
-      Invariant.lockdep_release ~txid:2)
+      let ld = Invariant.lockdep () in
+      Invariant.lockdep_grant ld ~txid:1 (rel 1) Lock_mode.IX;
+      Invariant.lockdep_grant ld ~txid:1 (rcd 1 "a") Lock_mode.X;
+      Invariant.lockdep_grant ld ~txid:1 (rel 2) Lock_mode.IX;
+      Invariant.lockdep_release ld ~txid:1;
+      Invariant.lockdep_grant ld ~txid:2 (rel 1) Lock_mode.IX;
+      Invariant.lockdep_grant ld ~txid:2 (rel 2) Lock_mode.IX;
+      Invariant.lockdep_release ld ~txid:2)
 
 (* A record grant with no covering relation lock violates the hierarchy. *)
 let test_lockdep_hierarchy_trips () =
   with_sanitizer true (fun () ->
-      Invariant.lockdep_reset ();
+      let ld = Invariant.lockdep () in
       let msg =
         expect_violation "uncovered record lock" (fun () ->
-            Invariant.lockdep_grant ~txid:7 (rcd 3 "k") Lock_mode.X)
+            Invariant.lockdep_grant ld ~txid:7 (rcd 3 "k") Lock_mode.X)
       in
       check_contains "hierarchy report" msg "without holding the relation";
-      Invariant.lockdep_release ~txid:7)
+      Invariant.lockdep_release ld ~txid:7)
 
 (* Opposite acquisition orders in conflicting modes: the second schedule
    completes an inversion and raises at the closing grant. *)
 let test_lockdep_inversion_trips () =
   with_sanitizer true (fun () ->
-      Invariant.lockdep_reset ();
-      Invariant.lockdep_grant ~txid:1 (rel 1) Lock_mode.X;
-      Invariant.lockdep_grant ~txid:1 (rel 2) Lock_mode.X;
-      Invariant.lockdep_release ~txid:1;
-      Invariant.lockdep_grant ~txid:2 (rel 2) Lock_mode.X;
+      let ld = Invariant.lockdep () in
+      Invariant.lockdep_grant ld ~txid:1 (rel 1) Lock_mode.X;
+      Invariant.lockdep_grant ld ~txid:1 (rel 2) Lock_mode.X;
+      Invariant.lockdep_release ld ~txid:1;
+      Invariant.lockdep_grant ld ~txid:2 (rel 2) Lock_mode.X;
       let msg =
         expect_violation "inverted conflicting order" (fun () ->
-            Invariant.lockdep_grant ~txid:2 (rel 1) Lock_mode.X)
+            Invariant.lockdep_grant ld ~txid:2 (rel 1) Lock_mode.X)
       in
       check_contains "inversion report" msg "opposite order";
-      Invariant.lockdep_release ~txid:2)
+      Invariant.lockdep_release ld ~txid:2)
 
 (* Opposite orders in compatible modes (shared readers) cannot deadlock and
    must not trip. *)
 let test_lockdep_compatible_inversion_clean () =
   with_sanitizer true (fun () ->
-      Invariant.lockdep_reset ();
-      Invariant.lockdep_grant ~txid:1 (rel 1) Lock_mode.IS;
-      Invariant.lockdep_grant ~txid:1 (rel 2) Lock_mode.IS;
-      Invariant.lockdep_release ~txid:1;
-      Invariant.lockdep_grant ~txid:2 (rel 2) Lock_mode.IS;
-      Invariant.lockdep_grant ~txid:2 (rel 1) Lock_mode.IS;
-      Invariant.lockdep_release ~txid:2)
+      let ld = Invariant.lockdep () in
+      Invariant.lockdep_grant ld ~txid:1 (rel 1) Lock_mode.IS;
+      Invariant.lockdep_grant ld ~txid:1 (rel 2) Lock_mode.IS;
+      Invariant.lockdep_release ld ~txid:1;
+      Invariant.lockdep_grant ld ~txid:2 (rel 2) Lock_mode.IS;
+      Invariant.lockdep_grant ld ~txid:2 (rel 1) Lock_mode.IS;
+      Invariant.lockdep_release ld ~txid:2)
 
 (* A relation created by the still-open transaction is invisible to everyone
    else: its grants stay out of the order graph even in an inverted order. *)
 let test_lockdep_nascent_exempt () =
   with_sanitizer true (fun () ->
-      Invariant.lockdep_reset ();
-      Invariant.lockdep_grant ~txid:1 (rel 1) Lock_mode.X;
-      Invariant.lockdep_grant ~txid:1 (rel 2) Lock_mode.X;
-      Invariant.lockdep_release ~txid:1;
-      Invariant.lockdep_grant ~txid:2 (rel 2) Lock_mode.X;
-      Invariant.lockdep_mark_nascent ~txid:2 ~rel_id:1;
+      let locks = Lock_table.create () in
+      let txn_mgr =
+        Dmx_txn.Txn_mgr.create ~wal:(Dmx_wal.Wal.in_memory ()) ~locks ()
+      in
+      Invariant.install_lockdep txn_mgr;
+      let grant txid resource mode =
+        match Lock_table.acquire locks ~txid ~mode resource with
+        | Lock_table.Granted -> ()
+        | _ -> Alcotest.fail "lock not granted"
+      in
+      grant 1 (rel 1) Lock_mode.X;
+      grant 1 (rel 2) Lock_mode.X;
+      Lock_table.release_all locks 1;
+      grant 2 (rel 2) Lock_mode.X;
+      Invariant.lockdep_mark_nascent txn_mgr ~txid:2 ~rel_id:1;
       (* without the nascent mark this grant would raise (see above) *)
-      Invariant.lockdep_grant ~txid:2 (rel 1) Lock_mode.X;
-      Invariant.lockdep_release ~txid:2)
+      grant 2 (rel 1) Lock_mode.X;
+      Lock_table.release_all locks 2)
 
 (* Observed through the real lock table: a mount made while the sanitizer is
    on installs the grant/release observers, and an ordinary workload (DDL,
@@ -305,16 +314,66 @@ let test_lockdep_end_to_end_clean () =
       Services.commit sv ctx;
       Services.close sv)
 
+(* Relation ids are per database, so is lockdep's order graph. In each
+   database: r1 and r2, then one transaction that inserts into one of them
+   and attaches an index to the other (relation IX, then relation X). *)
+let lockdep_schema sv =
+  let ctx = Services.begin_txn sv in
+  List.iter
+    (fun name ->
+      ignore
+        (Test_util.check_ok "create"
+           (Dmx_ddl.Ddl.create_relation ctx ~name ~schema:Test_util.emp_schema
+              ~storage_method:"heap" ())))
+    [ "r1"; "r2" ];
+  Services.commit sv ctx
+
+let lockdep_schedule sv ~insert_into ~attach_to =
+  let ctx = Services.begin_txn sv in
+  let desc =
+    Test_util.check_ok "find" (Dmx_ddl.Ddl.find_relation ctx insert_into)
+  in
+  ignore
+    (Test_util.check_ok "insert"
+       (Relation.insert ctx desc (Test_util.emp 1 "a" "eng" 10)));
+  ignore
+    (Test_util.check_ok "attach"
+       (Dmx_ddl.Ddl.create_attachment ctx ~relation:attach_to
+          ~attachment_type:"btree_index" ~name:("ix_" ^ attach_to)
+          ~attrs:[ ("fields", "id") ] ()));
+  Services.commit sv ctx
+
+let test_lockdep_per_database () =
+  with_sanitizer true (fun () ->
+      let a = Test_util.fresh_services () and b = Test_util.fresh_services () in
+      lockdep_schema a;
+      lockdep_schema b;
+      lockdep_schedule a ~insert_into:"r1" ~attach_to:"r2";
+      (* the opposite order, but in another database: no inversion *)
+      lockdep_schedule b ~insert_into:"r2" ~attach_to:"r1";
+      Services.close a;
+      Services.close b;
+      (* control: both schedules in one database invert *)
+      let c = Test_util.fresh_services () in
+      lockdep_schema c;
+      lockdep_schedule c ~insert_into:"r1" ~attach_to:"r2";
+      let msg =
+        expect_violation "inversion within one database" (fun () ->
+            lockdep_schedule c ~insert_into:"r2" ~attach_to:"r1")
+      in
+      check_contains "inversion report" msg "opposite order";
+      Services.close c)
+
 (* Disabled sanitizer: the grant path is one branch, no allocation. *)
 let test_lockdep_disabled_no_alloc () =
   with_sanitizer false (fun () ->
-      Invariant.lockdep_reset ();
+      let ld = Invariant.lockdep () in
       let r = rel 1 in
       let m = Lock_mode.IX in
       let w0 = Gc.minor_words () in
       for _ = 1 to 10_000 do
-        Invariant.lockdep_grant ~txid:1 r m;
-        Invariant.lockdep_release ~txid:1
+        Invariant.lockdep_grant ld ~txid:1 r m;
+        Invariant.lockdep_release ld ~txid:1
       done;
       let words = Gc.minor_words () -. w0 in
       Alcotest.(check bool)
@@ -358,6 +417,8 @@ let suite =
       `Quick test_lockdep_nascent_exempt;
     Alcotest.test_case "lockdep: end-to-end workload stays silent" `Quick
       test_lockdep_end_to_end_clean;
+    Alcotest.test_case "lockdep: one order graph per database" `Quick
+      test_lockdep_per_database;
     Alcotest.test_case "lockdep: disabled mode allocates nothing" `Quick
       test_lockdep_disabled_no_alloc;
   ]

@@ -617,7 +617,6 @@ let marked i = [| vi i; vs (marker i ^ big_string 1300 'm'); vs "d"; vi i |]
 let logs_before_page_write ~storage_method ?attrs ?(attach = fun _ -> ()) ()
     =
   ignore (Lazy.force registered);
-  Dmx_smethod.Temp.reset_all ();
   let on_write = ref (fun _ _ -> ()) in
   let disk = observed_disk on_write in
   let services = Services.setup ~disk ~pool_capacity:3 () in
@@ -803,6 +802,70 @@ let test_heap_insert_cost_flat () =
     Alcotest.failf "a single-row insert allocates %.0f words at 10k rows, %.0f at 200k"
       small large
 
+(* A main-memory store belongs to its database: two databases in one
+   process each create a relation [t] (the same relation id in each), and
+   each sees only its own rows, for the logged and the unlogged method. *)
+let test_memory_per_database () =
+  List.iter
+    (fun storage_method ->
+      let a = fresh_services () and b = fresh_services () in
+      let create services rows =
+        let ctx = Services.begin_txn services in
+        let desc =
+          check_ok "create"
+            (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+               ~storage_method ())
+        in
+        List.iter
+          (fun i -> ignore (check_ok "insert" (Relation.insert ctx desc (emp i "n" "d" i))))
+          rows;
+        Services.commit services ctx;
+        desc
+      in
+      let count services desc =
+        let ctx = Services.begin_txn services in
+        let n = count_records ctx desc in
+        Services.commit services ctx;
+        n
+      in
+      let da = create a [ 1; 2; 3 ] in
+      let db = create b [ 4 ] in
+      Alcotest.(check int)
+        (storage_method ^ ": one relation id in both")
+        da.Dmx_catalog.Descriptor.rel_id db.Dmx_catalog.Descriptor.rel_id;
+      Alcotest.(check int) (storage_method ^ ": A's rows") 3 (count a da);
+      Alcotest.(check int) (storage_method ^ ": B's rows") 1 (count b db);
+      let ctx = Services.begin_txn b in
+      ignore (check_ok "drop" (Ddl.drop_relation ctx ~name:"t"));
+      Services.commit b ctx;
+      Alcotest.(check int)
+        (storage_method ^ ": A's rows after B drops t")
+        3 (count a da);
+      Services.close a;
+      Services.close b)
+    [ "memory"; "temp" ]
+
+(* A reopened database starts with empty main-memory stores: their
+   contents are volatile, even within one process. *)
+let test_memory_empty_after_reopen () =
+  with_temp_dir ~prefix:"dmx_memory_reopen" (fun dir ->
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      let desc =
+        check_ok "create"
+          (Ddl.create_relation ctx ~name:"t" ~schema:emp_schema
+             ~storage_method:"memory" ())
+      in
+      ignore (check_ok "insert" (Relation.insert ctx desc (emp 1 "n" "d" 1)));
+      Services.commit services ctx;
+      Services.simulate_crash services;
+      let services = fresh_services ~dir () in
+      let ctx = Services.begin_txn services in
+      let desc = check_ok "find" (Ddl.find_relation ctx "t") in
+      Alcotest.(check int) "no rows after reopen" 0 (count_records ctx desc);
+      Services.commit services ctx;
+      Services.close services)
+
 let suite =
   [
     Alcotest.test_case "heap grows across pages" `Quick test_heap_grows_pages;
@@ -836,6 +899,10 @@ let suite =
     Alcotest.test_case "heap under tiny pool (file-backed)" `Quick
       test_heap_under_tiny_pool_file_backed;
     Alcotest.test_case "temp is unlogged" `Quick test_temp_unlogged_semantics;
+    Alcotest.test_case "memory stores are per database" `Quick
+      test_memory_per_database;
+    Alcotest.test_case "memory store is empty after reopen" `Quick
+      test_memory_empty_after_reopen;
     Alcotest.test_case "readonly overflow pages + seal" `Quick
       test_readonly_overflow_pages;
     Alcotest.test_case "foreign: unreachable server" `Quick

@@ -32,11 +32,15 @@ type config = {
          many workload operations, deliberately landing mid-transaction so
          the pool is dirty and the active list non-empty; 0 = off
          (the default, keeping pre-checkpoint fault schedules unchanged) *)
+  chaos : Undo.chaos;
+      (* the recovery bug every database of the episode is built with;
+         Undo.no_chaos outside mutation runs *)
 }
 
 let default_config ~seed =
   { seed; n_txns = 5; ops_per_txn = 6; pool_capacity = 8;
-    recovery_crash_gap = None; introspect = false; checkpoint_every = 0 }
+    recovery_crash_gap = None; introspect = false; checkpoint_every = 0;
+    chaos = Undo.no_chaos }
 
 type fault_plan =
   | No_fault
@@ -359,7 +363,7 @@ let run_episode cfg plan =
       let setup_services () =
         let s =
           Services.setup ~dir ~disk:(Fault_disk.disk fd)
-            ~pool_capacity:cfg.pool_capacity ()
+            ~pool_capacity:cfg.pool_capacity ~chaos:cfg.chaos ()
         in
         (* Count truncation phases always (they are the crash-point domain
            for truncate sweeps) and, when the plan says so, turn the nth
@@ -666,37 +670,23 @@ let report_json (reports : seed_report list) =
   Fmt.str "{\"total_failed_points\":%d,\"seeds\":[%s]}" total_bad
     (String.concat "," (List.map seed reports))
 
-(* ---- deliberate undo bug (mutation run) ---- *)
+(* ---- deliberate recovery bugs (mutation runs) ---- *)
 
-let enable_undo_mutation attachment =
-  (* Drop the undo of every log record of one attachment type: losers leave
-     ghost index entries behind, which the oracle's index audits must
-     catch. *)
+let attachment_records attachment =
   Dmx_db.Db.register_defaults ();
   let skipped = Option.get (Registry.attachment_id attachment) in
-  Undo.set_chaos_skip
-    (Some
-       (fun (r : Dmx_wal.Log_record.t) ->
-         match r.Dmx_wal.Log_record.kind with
-         | Dmx_wal.Log_record.Ext { source = Dmx_wal.Log_record.Attachment a; _ }
-           ->
-           a = skipped
-         | _ -> false))
+  fun (r : Dmx_wal.Log_record.t) ->
+    match r.Dmx_wal.Log_record.kind with
+    | Dmx_wal.Log_record.Ext { source = Dmx_wal.Log_record.Attachment a; _ } ->
+      a = skipped
+    | _ -> false
 
-let disable_undo_mutation () = Undo.set_chaos_skip None
+(* Drop the undo of every log record of one attachment type: losers leave
+   ghost index entries behind, which the oracle's index audits must catch. *)
+let undo_mutation attachment =
+  { Undo.no_chaos with skip_undo = attachment_records attachment }
 
-let enable_redo_mutation attachment =
-  (* Drop the redo of every log record of one attachment type: a winner's
-     index change the store lost at the crash stays lost. *)
-  Dmx_db.Db.register_defaults ();
-  let skipped = Option.get (Registry.attachment_id attachment) in
-  Undo.set_redo_chaos_skip
-    (Some
-       (fun (r : Dmx_wal.Log_record.t) ->
-         match r.Dmx_wal.Log_record.kind with
-         | Dmx_wal.Log_record.Ext { source = Dmx_wal.Log_record.Attachment a; _ }
-           ->
-           a = skipped
-         | _ -> false))
-
-let disable_redo_mutation () = Undo.set_redo_chaos_skip None
+(* Drop the redo of every log record of one attachment type: a winner's
+   index change the store lost at the crash stays lost. *)
+let redo_mutation attachment =
+  { Undo.no_chaos with skip_redo = attachment_records attachment }

@@ -27,6 +27,10 @@ type config = {
           this many workload operations, landing mid-transaction so the
           pool is dirty and the active list non-empty (0 = off,
           the default — keeps fault schedules identical to the seed suite) *)
+  chaos : Dmx_core.Undo.chaos;
+      (** the recovery bug every database of the episode is built with
+          ([Services.setup ~chaos]); {!Dmx_core.Undo.no_chaos}, the
+          default, outside mutation runs *)
 }
 
 val default_config : seed:int -> config
@@ -117,17 +121,13 @@ val restart_equivalence :
 val pp_seed_report : Format.formatter -> seed_report -> unit
 val report_json : seed_report list -> string
 
-val enable_undo_mutation : string -> unit
+val undo_mutation : string -> Dmx_core.Undo.chaos
 (** Deliberately break undo — the log records of the named attachment type
     (["btree_index"], ["hash_index"]) are skipped during rollback/restart —
     to demonstrate that the oracle catches the resulting ghost index
     entries. *)
 
-val disable_undo_mutation : unit -> unit
-
-val enable_redo_mutation : string -> unit
+val redo_mutation : string -> Dmx_core.Undo.chaos
 (** Deliberately break redo — the log records of the named attachment type
     are skipped by restart's redo pass — so a winner's index change the
     store lost at the crash stays lost, which the oracle must catch. *)
-
-val disable_redo_mutation : unit -> unit
