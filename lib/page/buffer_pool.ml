@@ -120,6 +120,30 @@ let install t page_id data =
   t.used <- t.used + 1;
   frame
 
+(* A miss: [fill] reads the page from the store, and installs it unless a
+   sequential reader keeps it ([cached] false). The fill, plus any eviction
+   write-back it forces, is charged to the caller's transaction, falling
+   back to the enclosing span's. *)
+let miss ~txid ~cached t page_id fill =
+  (Disk.stats t.disk).pool_misses <- (Disk.stats t.disk).pool_misses + 1;
+  if not (Dmx_obs.Emit.active ()) then fill ()
+  else begin
+    let page = ("page", Dmx_obs.Obs_json.Int page_id) in
+    let sp =
+      Dmx_obs.Emit.enter "bp.miss" ~txid ~key:Dmx_obs.Profile.Bp
+        ~attrs:
+          (if cached then [ page ]
+           else [ page; ("cached", Dmx_obs.Obs_json.Bool false) ])
+    in
+    match fill () with
+    | v ->
+      Dmx_obs.Emit.exit sp;
+      v
+    | exception e ->
+      Dmx_obs.Emit.exit ~outcome:"exn" sp;
+      raise e
+  end
+
 let pin ?(txid = -1) t page_id =
   match Hashtbl.find_opt t.slots page_id with
   | Some i ->
@@ -129,24 +153,8 @@ let pin ?(txid = -1) t page_id =
     frame.ref_bit <- true;
     frame
   | None ->
-    (Disk.stats t.disk).pool_misses <- (Disk.stats t.disk).pool_misses + 1;
-    if not (Dmx_obs.Emit.active ()) then
-      install t page_id (Disk.read t.disk page_id)
-    else begin
-      (* the fill (plus any eviction write-back it forces) is charged to the
-         caller's transaction, falling back to the enclosing span's *)
-      let sp =
-        Dmx_obs.Emit.enter "bp.miss" ~txid ~key:Dmx_obs.Profile.Bp
-          ~attrs:[ ("page", Dmx_obs.Obs_json.Int page_id) ]
-      in
-      match install t page_id (Disk.read t.disk page_id) with
-      | frame ->
-        Dmx_obs.Emit.exit sp;
-        frame
-      | exception e ->
-        Dmx_obs.Emit.exit ~outcome:"exn" sp;
-        raise e
-    end
+    miss ~txid ~cached:true t page_id (fun () ->
+        install t page_id (Disk.read t.disk page_id))
 
 let unpin ?(dirty = false) ?lsn t frame =
   if frame.pin_count <= 0 then failwith "Buffer_pool.unpin: frame not pinned";
@@ -169,6 +177,40 @@ let alloc t =
 let with_page t page_id f =
   let frame = pin t page_id in
   Fun.protect ~finally:(fun () -> unpin t frame) (fun () -> f frame)
+
+(* A scan that lists more pages than the pool holds would evict every frame
+   and still find none of its pages on the next pass, so its misses go to
+   one buffer of its own instead of a frame. A resident page may be newer
+   than the store, so it is always read in its frame. *)
+type reader = {
+  pool : t;
+  txid : int;
+  own : bytes option;  (* the scan's buffer; [None]: misses install *)
+  poison : bool;
+}
+
+let scan_reader ?(txid = -1) ?(poison = false) t ~pages =
+  let own =
+    if pages > t.cap then Some (Bytes.create (Disk.page_size t.disk)) else None
+  in
+  { pool = t; txid; own; poison }
+
+let poison_byte = '\xdb'
+
+let with_scan_page r page_id f =
+  let t = r.pool in
+  match r.own with
+  | Some buf when not (Hashtbl.mem t.slots page_id) ->
+    miss ~txid:r.txid ~cached:false t page_id (fun () ->
+        Disk.read_into t.disk page_id buf);
+    if not r.poison then f buf
+    else
+      Fun.protect
+        ~finally:(fun () -> Bytes.fill buf 0 (Bytes.length buf) poison_byte)
+        (fun () -> f buf)
+  | Some _ | None ->
+    let frame = pin ~txid:r.txid t page_id in
+    Fun.protect ~finally:(fun () -> unpin t frame) (fun () -> f frame.data)
 
 let with_page_mut t page_id f =
   let frame = pin t page_id in

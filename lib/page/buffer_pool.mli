@@ -9,7 +9,10 @@
 
     The paper expects filter predicates to be evaluated "while the field
     values from the relation storage or access path are still in the buffer
-    pool" — storage methods therefore work directly on pinned frame bytes. *)
+    pool" — storage methods therefore work directly on pinned frame bytes.
+    A scan over more pages than the pool holds is the exception: caching its
+    pages would only evict everything else, so it reads the pages it does
+    not find resident into one buffer of its own ({!scan_reader}). *)
 
 type t
 
@@ -62,6 +65,31 @@ val with_page : t -> int -> (frame -> 'a) -> 'a
 
 val with_page_mut : t -> int -> (frame -> 'a) -> 'a
 (** Pin, apply, unpin dirty (stamped with the log's end, {!set_log_end}). *)
+
+type reader
+(** A sequential reader's view of the pool: one scan over a list of pages. *)
+
+val scan_reader : ?txid:int -> ?poison:bool -> t -> pages:int -> reader
+(** A reader for a scan that lists [pages] pages. The pool decides from that
+    count whether the scan caches. When [pages] is at most {!capacity}, the
+    scan reads through {!pin} like any caller. When it is more, the scan
+    would evict the whole pool and still miss every page on its next pass,
+    so it caches nothing: a page already in a frame (possibly dirty, so
+    newer than the store) is read in that frame under a pin, and any other
+    page is read with {!Disk.read_into} into one buffer the reader owns,
+    which installs nothing and evicts nothing. Such a read counts one
+    [pool_misses] and one [page_reads], as a miss does, and under
+    [Dmx_obs.Emit] opens the same [bp.miss] span with the attribute
+    [cached = false]. [txid] is charged as by {!pin}. With [poison] (the
+    runtime sanitizer sets it) the reader's buffer is filled with a fixed
+    pattern after each page, so a value that still views a page's bytes
+    after its callback reads garbage. *)
+
+val with_scan_page : reader -> int -> (bytes -> 'a) -> 'a
+(** [with_scan_page r id f] applies [f] to the bytes of page [id], read as
+    {!scan_reader} says. The bytes are read-only and must not outlive [f]:
+    they are a frame's, unpinned when [f] returns, or the reader's buffer,
+    which the next page overwrites. *)
 
 val flush_page : t -> int -> unit
 val flush_all : t -> int

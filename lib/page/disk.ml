@@ -229,7 +229,7 @@ let alloc t =
    Any other read reads its one page. So a sequential scan makes one call
    per window, and random or backward reads keep one call per page. The
    window is emptied before a fill starts, so a failed fill leaves none. *)
-let read_file t f id =
+let read_file t f id buf =
   let ps = t.page_size in
   let follows = f.last_read > 0 && id = f.last_read + 1 in
   f.last_read <- id;
@@ -240,21 +240,24 @@ let read_file t f id =
     f.ahead_first <- id;
     f.ahead_n <- n
   end;
-  if in_window f id then Bytes.sub f.ahead ((id - f.ahead_first) * ps) ps
-  else begin
-    let buf = Bytes.create ps in
-    really_pread f ~off:(id * ps) buf ps;
-    buf
-  end
+  if in_window f id then Bytes.blit f.ahead ((id - f.ahead_first) * ps) buf 0 ps
+  else really_pread f ~off:(id * ps) buf ps
 
-let read t id =
+let read_into t id buf =
   check_open t;
   check_id t id;
+  if Bytes.length buf <> t.page_size then
+    invalid_arg "Disk.read_into: buffer is not one page";
   t.stats.page_reads <- t.stats.page_reads + 1;
   match t.backend with
-  | Mem store -> Bytes.copy !store.(id - 1)
-  | File f -> read_file t f id
-  | Custom o -> o.o_read id
+  | Mem store -> Bytes.blit !store.(id - 1) 0 buf 0 t.page_size
+  | File f -> read_file t f id buf
+  | Custom o -> Bytes.blit (o.o_read id) 0 buf 0 t.page_size
+
+let read t id =
+  let buf = Bytes.create t.page_size in
+  read_into t id buf;
+  buf
 
 let write t id data =
   check_open t;

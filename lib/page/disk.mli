@@ -57,7 +57,14 @@ val read : t -> int -> bytes
     from it. Any other read outside the window fetches its one page. Every {!write} and
     {!alloc} of a page in the window updates it, and {!close} drops it, so
     a read always returns what the store last wrote. {!stats} counts one
-    page read per call of [read] either way. *)
+    page read per call of [read] either way. [read t id] is {!read_into}
+    of a fresh page buffer. *)
+
+val read_into : t -> int -> bytes -> unit
+(** [read_into t id buf] fills [buf], which must be exactly one page, with
+    page [id]: the read path of {!read}, read-ahead window included, without
+    allocating. A buffer the caller keeps from page to page makes a
+    sequential reader's misses allocate nothing. Counts one page read. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t id data] stores the page; [data] must be exactly one page. *)

@@ -42,7 +42,7 @@ let same_key a b =
   && Array.for_all2 (fun x y -> Value.compare x y = 0) a b
 
 let payload_of record = Bytes.to_string (Codec.encode_record record)
-let record_of payload = Codec.decode_record (Bytes.of_string payload)
+let record_of payload = Codec.Dec.record (Codec.Dec.of_string payload)
 
 module Impl = struct
   let name = "btree"

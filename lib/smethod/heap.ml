@@ -407,7 +407,9 @@ let create_head ctx = Disk.alloc (Buffer_pool.disk ctx.Ctx.bp)
    ([Codec.Dec.of_string_span]) and written straight into the page's run,
    made at the page's first hit with room for every slot left and trimmed
    at the end if the page had fewer hits, so a record the matcher rejects
-   allocates nothing. *)
+   allocates nothing. Data pages are read through the pool's sequential
+   reader, which caches none of them when the relation has more pages than
+   the pool ([Buffer_pool.scan_reader]); the directory pages are pinned. *)
 let scan_pages ctx (desc : Descriptor.t) ~filter =
   let matcher =
     match filter with
@@ -420,10 +422,14 @@ let scan_pages ctx (desc : Descriptor.t) ~filter =
   (* the pages listed at open: a record an update moves to a page added
      later is not met again *)
   let pages = data_pages ctx (head_of desc) in
+  let reader =
+    Buffer_pool.scan_reader ~txid:ctx.Ctx.txn.Dmx_txn.Txn.id
+      ~poison:(Invariant.enabled ()) ctx.Ctx.bp ~pages:(Array.length pages)
+  in
   let pos = ref (-1) in
   let decode_page page data =
-    (* Read-only view of the pinned frame; decoded values copy what they
-       need out of it, nothing retains the view past the unpin. *)
+    (* Read-only view of the page's bytes; decoded values copy what they
+       need out of it, nothing retains the view past the callback. *)
     let img = Bytes.unsafe_to_string data in
     let slots = Slotted.slot_count data in
     let decode off len =
@@ -465,7 +471,7 @@ let scan_pages ctx (desc : Descriptor.t) ~filter =
       if page_idx >= Array.length pages then None
       else
         let page = pages.(page_idx) in
-        match with_page ctx page (decode_page page) with
+        match Buffer_pool.with_scan_page reader page (decode_page page) with
         | None -> advance (page_idx + 1)
         | Some run ->
           pos := page_idx;
@@ -607,7 +613,7 @@ module Impl = struct
     match read_rid ctx key with
     | None -> None
     | Some payload ->
-      let record = Codec.decode_record (Bytes.of_string payload) in
+      let record = Codec.Dec.record (Codec.Dec.of_string payload) in
       Some
         (match fields with
         | None -> record
@@ -636,7 +642,7 @@ module Impl = struct
             Slotted.make_reusable frame.Buffer_pool.data slot;
             Buffer_pool.unpin ~dirty:true bp frame);
         add_count ctx (head_of desc) (-1);
-        Ok (Codec.decode_record (Bytes.of_string payload))
+        Ok (Codec.Dec.record (Codec.Dec.of_string payload))
     end
 
   (* In place when the record fits beside the bytes others hold; a shrink

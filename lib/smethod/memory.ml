@@ -29,7 +29,7 @@ let set_seq s seq ~log f =
       | None -> s.records <- Imap.remove seq s.records
       | Some p ->
         s.records <-
-          Imap.add seq (Codec.decode_record (Bytes.of_string p)) s.records;
+          Imap.add seq (Codec.Dec.record (Codec.Dec.of_string p)) s.records;
         s.next_seq <- max s.next_seq (seq + 1))
     seq f
 
@@ -110,7 +110,7 @@ end) : S = struct
     let delete ctx desc key =
       match modify ctx desc key (fun _ -> None) with
       | None -> Error (Error.Key_not_found (Record_key.to_string key))
-      | Some p -> Ok (Codec.decode_record (Bytes.of_string p))
+      | Some p -> Ok (Codec.Dec.record (Codec.Dec.of_string p))
 
     let update ctx desc key new_record =
       let payload = encode new_record in

@@ -680,6 +680,7 @@ let test_scan_positions_after_partial_rollback () =
       (* partial rollback restores the scan position to "on record 1" *)
       Services.rollback_to ctx "sp";
       step "replay second" 2;
+      scan.Intf.rs_close ();
       Services.commit services ctx)
     [ ("heap", []); ("btree", [ ("key", "id") ]); ("memory", []) ]
 
@@ -701,6 +702,7 @@ let test_veto_does_not_disturb_scan () =
   | Ok _ -> Alcotest.fail "veto expected");
   let _, r2 = step () in
   Alcotest.check value_testable "continues" (vi 2) r2.(0);
+  scan.Intf.rs_close ();
   Services.commit services ctx
 
 (* "Partial transaction rollback is used, not only to recover from vetoed

@@ -126,7 +126,11 @@ let test_disk_file_persistence () =
    never lands a page at the wrong offset, and the read-ahead window never
    serves a stale page. Pages are 8 KB, so the window is 8 pages and runs
    of sequential reads cross its edges; some writes land just behind or
-   ahead of the last page read, in the live window. *)
+   ahead of the last page read, in the live window. Some reads and scans go
+   through [Disk.read_into], into one buffer reused from read to read and
+   holding the previous page, so window fills, window hits, single-page
+   reads and reads after a write into the window are all checked on that
+   path too. *)
 let prop_disk_file_matches_memory =
   QCheck.Test.make ~name:"file store matches the in-memory store" ~count:60
     (QCheck.make
@@ -140,8 +144,10 @@ let prop_disk_file_matches_memory =
                 ( 2,
                   map2 (fun d c -> `Write_near (d, c)) (int_range (-3) 8)
                     (int_range 0 255) );
-                (3, map (fun i -> `Read i) nat);
-                (3, map2 (fun i n -> `Scan (i, n)) nat (int_range 1 20));
+                (3, map2 (fun i into -> `Read (i, into)) nat bool);
+                ( 3,
+                  map3 (fun i n into -> `Scan (i, n, into)) nat (int_range 1 20)
+                    bool );
                 (1, return `Reopen);
               ])))
     (fun ops ->
@@ -151,10 +157,20 @@ let prop_disk_file_matches_memory =
       let file = ref (Disk.open_file ~page_size path) in
       let mem = Disk.in_memory ~page_size () in
       let last_read = ref 1 in
-      let agree id =
+      let buf = Bytes.make page_size '?' in
+      let agree ?(into = false) id =
         last_read := id;
-        if Disk.read !file id <> Disk.read mem id then
-          QCheck.Test.fail_reportf "page %d differs" id
+        let want = Disk.read mem id in
+        let got =
+          if into then begin
+            Disk.read_into !file id buf;
+            buf
+          end
+          else Disk.read !file id
+        in
+        if got <> want then
+          QCheck.Test.fail_reportf "page %d differs%s" id
+            (if into then " (read_into)" else "")
       in
       let write id c =
         let data =
@@ -178,10 +194,10 @@ let prop_disk_file_matches_memory =
               | `Write (i, c) when n > 0 -> write ((i mod n) + 1) c
               | `Write_near (d, c) when n > 0 ->
                 write (max 1 (min n (!last_read + d))) c
-              | `Read i when n > 0 -> agree ((i mod n) + 1)
-              | `Scan (i, len) when n > 0 ->
+              | `Read (i, into) when n > 0 -> agree ~into ((i mod n) + 1)
+              | `Scan (i, len, into) when n > 0 ->
                 for id = (i mod n) + 1 to min n ((i mod n) + len) do
-                  agree id
+                  agree ~into id
                 done
               | `Reopen ->
                 Disk.close !file;
@@ -279,6 +295,72 @@ let test_disk_backward_reads_one_page () =
             List.iter (fun id -> ignore (Disk.read d id)) [ 3; 7; 2; 5 ])
       in
       Alcotest.(check int) "one call per page" 12 reads)
+
+(* The sequential reader: a scan over more pages than the pool holds
+   installs nothing. A resident page, dirty and newer than the store, is
+   read in its frame; the others go through the reader's own buffer, each
+   counted as a miss and a page read, under a [bp.miss] span marked
+   uncached. With [poison] the buffer is overwritten after each page. A
+   scan that fits the pool pins as before. *)
+let test_scan_reader () =
+  let d = Disk.in_memory ~page_size:256 () in
+  let bp = Buffer_pool.create ~capacity:2 d in
+  let ids =
+    List.init 4 (fun i ->
+        let f = Buffer_pool.alloc bp in
+        Bytes.fill f.Buffer_pool.data 0 256 (Char.chr (65 + i));
+        Buffer_pool.unpin bp f;
+        f.Buffer_pool.page_id)
+  in
+  Buffer_pool.flush_all bp |> ignore;
+  Buffer_pool.drop_cache bp;
+  let first = List.hd ids in
+  Buffer_pool.with_page_mut bp first (fun f -> Bytes.set f.Buffer_pool.data 0 'z');
+  let before = Io_stats.copy (Disk.stats d) in
+  let lines = ref [] in
+  let seen = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Dmx_obs.Emit.disarm `Trace;
+      Dmx_obs.Emit.use_default_sink ();
+      Dmx_obs.Emit.reset_for_testing ())
+    (fun () ->
+      Dmx_obs.Emit.set_line_sink (fun l -> lines := l :: !lines);
+      Dmx_obs.Emit.arm `Trace;
+      let r = Buffer_pool.scan_reader ~poison:true bp ~pages:4 in
+      List.iter
+        (fun id ->
+          let kept =
+            Buffer_pool.with_scan_page r id (fun data ->
+                seen := Bytes.get data 0 :: !seen;
+                data)
+          in
+          if id <> first then
+            Alcotest.(check bool) "the buffer is poisoned after the page" true
+              (Bytes.for_all (fun c -> c = '\xdb') kept))
+        ids);
+  let io = Io_stats.diff ~after:(Disk.stats d) ~before in
+  Alcotest.(check (list char)) "the dirty frame, then the store"
+    [ 'z'; 'B'; 'C'; 'D' ] (List.rev !seen);
+  Alcotest.(check (list int)) "nothing installed" [ first ]
+    (Buffer_pool.cached_page_ids bp);
+  Alcotest.(check (pair int int)) "one hit, three misses" (1, 3)
+    (io.Io_stats.pool_hits, io.Io_stats.pool_misses);
+  Alcotest.(check int) "a page read per miss" 3 io.Io_stats.page_reads;
+  Alcotest.(check int) "three uncached bp.miss spans" 3
+    (List.length
+       (List.filter
+          (fun l ->
+            Astring_contains.contains l "\"bp.miss\""
+            && Astring_contains.contains l "\"cached\":false")
+          !lines));
+  let r = Buffer_pool.scan_reader bp ~pages:2 in
+  List.iter
+    (fun id -> Buffer_pool.with_scan_page r id ignore)
+    (List.filteri (fun i _ -> i >= 2) ids);
+  Alcotest.(check (list int)) "a scan that fits the pool installs its pages"
+    (List.filteri (fun i _ -> i >= 2) ids)
+    (Buffer_pool.cached_page_ids bp)
 
 let test_buffer_pool_pin_evict () =
   let d = Disk.in_memory ~page_size:256 () in
@@ -524,4 +606,6 @@ let suite =
       test_buffer_pool_all_pinned;
     Alcotest.test_case "buffer pool WAL hook" `Quick test_buffer_pool_flush_hook;
     Alcotest.test_case "drop cache (crash sim)" `Quick test_drop_cache;
+    Alcotest.test_case "a scan larger than the pool installs nothing" `Quick
+      test_scan_reader;
   ]

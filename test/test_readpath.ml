@@ -368,6 +368,214 @@ let test_join_parity () =
   Alcotest.(check (list record_testable)) "join parity" (sort expected) (sort rows);
   Services.commit services ctx
 
+(* ---- scans of relations larger than the pool ---- *)
+
+(* Rows of about 200 bytes: a 4 KB page holds under 20 of them, so a few
+   hundred rows fill more pages than a small pool holds. *)
+let wide_row i =
+  [| vi i; vs (String.make (150 + (i * 37 mod 100)) (Char.chr (97 + (i mod 26))));
+     vs (Fmt.str "d%d" (i mod 5)); vi (i * 7 mod 1000) |]
+
+let wide_rel ctx name rows =
+  let desc =
+    check_ok "create"
+      (Ddl.create_relation ctx ~name ~schema:emp_schema ~storage_method:"heap" ())
+  in
+  ignore
+    (check_ok "load" (Relation.insert_many ctx desc (Array.init rows wide_row)));
+  desc
+
+let heap_pages ctx desc =
+  Array.length (Dmx_smethod.Heap.data_pages ctx (Dmx_smethod.Heap.head_of desc))
+
+(* A scan of a relation larger than the pool caches nothing: the pages of a
+   small relation read before it stay resident, and no frame is evicted.
+   Its uncached pages still count one miss and one page read each. *)
+let test_large_scan_keeps_cache () =
+  let services = fresh_services ~pool_capacity:8 () in
+  let ctx = Services.begin_txn services in
+  let small = wide_rel ctx "small" 10 in
+  let large = wide_rel ctx "large" 400 in
+  Services.commit services ctx;
+  let ctx = Services.begin_txn services in
+  let bp = ctx.Ctx.bp in
+  let pages = heap_pages ctx large in
+  Alcotest.(check bool)
+    (Fmt.str "%d pages, more than the pool's %d" pages (Dmx_page.Buffer_pool.capacity bp))
+    true
+    (pages > Dmx_page.Buffer_pool.capacity bp);
+  Alcotest.(check int) "small scan" 10
+    (List.length (records_of_batch_scan ctx small ()));
+  let cached = Dmx_page.Buffer_pool.cached_page_ids bp in
+  let small_pages =
+    let head = Dmx_smethod.Heap.head_of small in
+    head :: Array.to_list (Dmx_smethod.Heap.data_pages ctx head)
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Fmt.str "small page %d cached" p) true
+        (List.mem p cached))
+    small_pages;
+  let evictions = Dmx_obs.Metrics.counter "bp.evictions" in
+  let was = Dmx_obs.Metrics.enabled () in
+  Dmx_obs.Metrics.set_enabled true;
+  let io = Dmx_page.Disk.stats (Dmx_page.Buffer_pool.disk bp) in
+  let before = Dmx_page.Io_stats.copy io in
+  let e0 = Dmx_obs.Metrics.value evictions in
+  let rows =
+    Fun.protect
+      ~finally:(fun () -> Dmx_obs.Metrics.set_enabled was)
+      (fun () -> List.length (records_of_batch_scan ctx large ()))
+  in
+  let d = Dmx_page.Io_stats.diff ~after:io ~before in
+  Alcotest.(check int) "large scan" 400 rows;
+  Alcotest.(check int) "no eviction" 0 (Dmx_obs.Metrics.value evictions - e0);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Fmt.str "small page %d still cached" p) true
+        (List.mem p (Dmx_page.Buffer_pool.cached_page_ids bp)))
+    small_pages;
+  Alcotest.(check int) "a page read per miss" d.Dmx_page.Io_stats.pool_misses
+    d.Dmx_page.Io_stats.page_reads;
+  Alcotest.(check bool) "the uncached pages were read" true
+    (d.Dmx_page.Io_stats.pool_misses > 0);
+  Services.commit services ctx
+
+(* What one run of a script returns: every record a scan delivers, in
+   order, replays after a rollback included. The relation is loaded and
+   committed, then one transaction updates and deletes rows without
+   committing, and scans. With [savepoint = Some (k, m, touch)] the scan
+   delivers [k] records, a savepoint is taken, [m] more are delivered,
+   [touch] rows are updated, and the transaction rolls back to the
+   savepoint, which puts the scan back after its [k]th record. *)
+type script = {
+  rows : int;
+  changes : [ `Update of int * int | `Grow of int | `Delete of int ] list;
+  filter : int;  (* 0 none, 1 span-matched, 2 interpreter fallback *)
+  savepoint : (int * int * int) option;
+}
+
+let run_script ~pool_capacity sc =
+  let services = fresh_services ~pool_capacity () in
+  let ctx = Services.begin_txn services in
+  let desc = wide_rel ctx "wide" sc.rows in
+  Services.commit services ctx;
+  let ctx = Services.begin_txn services in
+  let keys =
+    check_ok "scan" (Relation.scan ctx desc ())
+    |> Scan_help.record_scan_to_list |> List.map fst |> Array.of_list
+  in
+  let live = Array.map Option.some keys in
+  let pick i = live.(i mod Array.length live) in
+  let change = function
+    | `Update (i, salary) -> (
+      match pick i with
+      | Some k ->
+        let r = Array.copy (wide_row i) in
+        r.(3) <- vi salary;
+        live.(i mod Array.length live) <-
+          Some (check_ok "update" (Relation.update ctx desc k r))
+      | None -> ())
+    | `Grow i -> (
+      match pick i with
+      | Some k ->
+        let r = Array.copy (wide_row i) in
+        r.(1) <- vs (String.make 600 'g');
+        live.(i mod Array.length live) <-
+          Some (check_ok "grow" (Relation.update ctx desc k r))
+      | None -> ())
+    | `Delete i -> (
+      match pick i with
+      | Some k ->
+        ignore (check_ok "delete" (Relation.delete ctx desc k));
+        live.(i mod Array.length live) <- None
+      | None -> ())
+  in
+  List.iter change sc.changes;
+  let pages = heap_pages ctx desc in
+  let filter =
+    match sc.filter with
+    | 0 -> None
+    | 1 -> Some (Dmx_expr.Parse.parse_exn emp_schema "salary > 300 AND dept = 'd2'")
+    | _ -> Some (Dmx_expr.Parse.parse_exn emp_schema "salary < 300 OR dept = 'd2'")
+  in
+  let scan = check_ok "scan" (Relation.scan ctx desc ?filter ()) in
+  let out = ref [] in
+  let rec take n =
+    if n > 0 then
+      match scan.Intf.rs_next () with
+      | Some kr ->
+        out := kr :: !out;
+        take (n - 1)
+      | None -> ()
+  in
+  (match sc.savepoint with
+  | None -> ()
+  | Some (k, m, touch) ->
+    take k;
+    Services.savepoint ctx "mid";
+    take m;
+    for i = 1 to touch do
+      change (`Update (i * 31, 999))
+    done;
+    Services.rollback_to ctx "mid");
+  take max_int;
+  scan.Intf.rs_close ();
+  Services.commit services ctx;
+  (pages, List.rev !out)
+
+let gen_script =
+  QCheck.Gen.(
+    let change =
+      frequency
+        [
+          (4, map2 (fun i s -> `Update (i, s)) nat (int_range 0 999));
+          (1, map (fun i -> `Grow i) nat);
+          (2, map (fun i -> `Delete i) nat);
+        ]
+    in
+    map4
+      (fun rows changes filter savepoint -> { rows; changes; filter; savepoint })
+      (int_range 200 500) (list_size (int_range 0 30) change) (int_range 0 2)
+      (opt (triple (int_range 0 200) (int_range 0 200) (int_range 0 5))))
+
+let print_script sc =
+  Fmt.str "%d rows, %d changes, filter %d, savepoint %s" sc.rows
+    (List.length sc.changes) sc.filter
+    (match sc.savepoint with
+    | None -> "none"
+    | Some (k, m, t) -> Fmt.str "(%d, %d, %d)" k m t)
+
+(* Differential: a scan of a relation larger than the pool returns what the
+   pinned path returns for the same heap, the reference being the same
+   script over a pool larger than the relation. Uncommitted changes leave
+   dirty pages resident, newer than the store; the filters take the span
+   matcher, the interpreter fallback and no filter; a savepoint taken and
+   restored mid-scan rereads pages. The sanitizer is on, so the scan's
+   buffer is poisoned after each page. *)
+let prop_large_scan_matches_pinned =
+  QCheck.Test.make ~name:"a scan larger than the pool matches the pinned path"
+    ~count:30
+    (QCheck.make ~print:print_script gen_script)
+    (fun sc ->
+      Dmx_core.Invariant.set_enabled_for_testing (Some true);
+      Fun.protect
+        ~finally:(fun () -> Dmx_core.Invariant.set_enabled_for_testing None)
+        (fun () ->
+          let small = 6 in
+          let pages, got = run_script ~pool_capacity:small sc in
+          let _, want = run_script ~pool_capacity:4096 sc in
+          if pages <= small then
+            QCheck.Test.fail_reportf "%d pages fit the pool of %d" pages small;
+          let same (k1, r1) (k2, r2) =
+            Record_key.equal k1 k2 && Record.equal r1 r2
+          in
+          if List.length got <> List.length want || not (List.for_all2 same got want)
+          then
+            QCheck.Test.fail_reportf "%d records over %d pages, reference %d"
+              (List.length got) pages (List.length want);
+          true))
+
 let suite =
   [
     Alcotest.test_case "batch/record parity (all methods)" `Quick
@@ -381,4 +589,7 @@ let suite =
       test_rejected_record_allocates_nothing;
     Alcotest.test_case "run-length override" `Quick test_run_length_override;
     Alcotest.test_case "join parity" `Quick test_join_parity;
+    Alcotest.test_case "a scan larger than the pool keeps the cache" `Quick
+      test_large_scan_keeps_cache;
+    QCheck_alcotest.to_alcotest prop_large_scan_matches_pinned;
   ]
